@@ -28,6 +28,7 @@ from .core import (
     ProtocolSuite,
     StorageServer,
     SystemConfig,
+    TimerPolicy,
     TimestampValue,
     is_bottom,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "ProtocolSuite",
     "StorageServer",
     "SystemConfig",
+    "TimerPolicy",
     "TimestampValue",
     "is_bottom",
     "AsyncCluster",

@@ -18,6 +18,7 @@ implementation quality.
 
 from __future__ import annotations
 
+from ..core.automaton import TimerPolicy
 from ..core.protocol import ProtocolSuite
 from ..core.reader import AtomicReader
 from ..core.server import StorageServer
@@ -38,7 +39,7 @@ class SlowRobustProtocol(ProtocolSuite):
             self.config,
             timer_delay=self.timer_delay,
             enable_fast_path=False,
-            wait_for_timer=False,
+            timer_policy=TimerPolicy.NONE,
         )
 
     def create_reader(self, reader_id: str) -> AtomicReader:
@@ -47,5 +48,5 @@ class SlowRobustProtocol(ProtocolSuite):
             self.config,
             timer_delay=self.timer_delay,
             enable_fast_path=False,
-            wait_for_timer=False,
+            timer_policy=TimerPolicy.NONE,
         )

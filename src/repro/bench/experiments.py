@@ -12,6 +12,7 @@ from typing import Dict, List
 
 from ..baselines.abd import ABDProtocol
 from ..baselines.slow_robust import SlowRobustProtocol
+from ..core.automaton import TimerPolicy
 from ..core.config import SystemConfig, frontier_threshold_pairs
 from ..core.protocol import LuckyAtomicProtocol, ProtocolSuite
 from ..sim.byzantine import (
@@ -32,6 +33,26 @@ from ..verify.regularity import check_regularity
 from ..workload.generator import contended_workload, lucky_workload, run_workload
 from .adversary import ForgeQueryReplyStrategy, NaiveFastProtocol
 from .harness import ExperimentTable, build_cluster, lucky_write_read_cycle, summarize
+
+#: Appended to every table that reports a latency (E1, E2, E5, E10, A2).
+PAPER_FAITHFUL_NOTE = (
+    "Latencies are the paper's: these runs pin TimerPolicy.WAIT, under which a fast "
+    "operation returns when its round-1 timer (round trip + margin) fires, so the "
+    "latency column reads the timer.  Under the library default (TimerPolicy.DEADLINE) "
+    "the same operations return after one round trip; rounds, fast fractions and "
+    "message counts are identical under both."
+)
+
+
+def _paper_faithful(config: SystemConfig) -> LuckyAtomicProtocol:
+    """The core algorithm with Fig. 1 l.5 / Fig. 2 l.17 verbatim.
+
+    Only the experiments that report a *latency* use it: under the paper's
+    wait that number is defined by the timer, and the tables reproduce the
+    paper.  Every experiment about rounds, thresholds or safety runs under the
+    default policy, which leaves those numbers untouched.
+    """
+    return LuckyAtomicProtocol(config, timer_policy=TimerPolicy.WAIT)
 
 
 # --------------------------------------------------------------------------- #
@@ -73,7 +94,7 @@ def experiment_fast_writes(t: int = 2, b: int = 1, writes_per_trial: int = 5) ->
         )
     for scenario in scenarios:
         cluster = build_cluster(
-            LuckyAtomicProtocol(config), crash_servers=scenario["crash"], byzantine=scenario["byz"]
+            _paper_faithful(config), crash_servers=scenario["crash"], byzantine=scenario["byz"]
         )
         writes = []
         for index in range(writes_per_trial):
@@ -93,6 +114,7 @@ def experiment_fast_writes(t: int = 2, b: int = 1, writes_per_trial: int = 5) ->
         "Paper claim (Theorem 3): every synchronous WRITE completes in one round "
         f"whenever at most fw = {fw} servers fail; beyond that it takes 3 rounds."
     )
+    table.add_note(PAPER_FAITHFUL_NOTE)
     return table
 
 
@@ -132,7 +154,7 @@ def experiment_fast_reads(t: int = 2, b: int = 1, reads_per_trial: int = 5) -> E
             }
         )
     for scenario in scenarios:
-        cluster = build_cluster(LuckyAtomicProtocol(config), byzantine=scenario["byz"])
+        cluster = build_cluster(_paper_faithful(config), byzantine=scenario["byz"])
         cluster.write("published")
         cluster.run_for(5.0)
         # Crash the servers only *after* the write completed: this is the
@@ -165,6 +187,7 @@ def experiment_fast_reads(t: int = 2, b: int = 1, reads_per_trial: int = 5) -> E
         f"at most fr = {fr} servers fail.  Failures are injected after the preceding "
         "WRITE so the fast-path quorum genuinely shrinks."
     )
+    table.add_note(PAPER_FAITHFUL_NOTE)
     return table
 
 
@@ -331,7 +354,7 @@ def experiment_contention(t: int = 2, b: int = 1, num_writes: int = 8) -> Experi
         ),
     }
     for label, (workload, delay_model) in scenarios.items():
-        cluster = build_cluster(LuckyAtomicProtocol(config), delay_model=delay_model)
+        cluster = build_cluster(_paper_faithful(config), delay_model=delay_model)
         handles = run_workload(cluster, workload)
         reads = [handle for handle in handles if handle.kind == "read"]
         stats = summarize(reads)
@@ -351,6 +374,7 @@ def experiment_contention(t: int = 2, b: int = 1, num_writes: int = 8) -> Experi
         "Contended reads may take extra rounds and write back, but atomicity always holds "
         "(Theorem 1); lucky reads stay one-round."
     )
+    table.add_note(PAPER_FAITHFUL_NOTE)
     return table
 
 
@@ -629,7 +653,7 @@ def experiment_baseline_comparison(t: int = 2, b: int = 1, cycles: int = 6) -> E
         ],
     )
     suites = [
-        ("lucky", lambda: LuckyAtomicProtocol(SystemConfig.balanced(t, b, num_readers=2)), True),
+        ("lucky", lambda: _paper_faithful(SystemConfig.balanced(t, b, num_readers=2)), True),
         (
             "slow",
             lambda: SlowRobustProtocol(
@@ -666,6 +690,7 @@ def experiment_baseline_comparison(t: int = 2, b: int = 1, cycles: int = 6) -> E
         "counts (1-round writes, ~1-round reads) while tolerating Byzantine servers; the "
         "always-slow robust baseline pays 3-4 rounds for every operation."
     )
+    table.add_note(PAPER_FAITHFUL_NOTE)
     return table
 
 
@@ -733,7 +758,7 @@ def experiment_scalability(max_t: int = 4, b_ratio: float = 0.5) -> ExperimentTa
     for t in range(1, max_t + 1):
         b = max(0, int(t * b_ratio))
         config = SystemConfig.balanced(t, b, num_readers=1)
-        cluster = build_cluster(LuckyAtomicProtocol(config))
+        cluster = build_cluster(_paper_faithful(config))
         cycles = 4
         before = cluster.trace.total_messages()
         cycle = lucky_write_read_cycle(cluster, num_cycles=cycles)
@@ -754,6 +779,7 @@ def experiment_scalability(max_t: int = 4, b_ratio: float = 0.5) -> ExperimentTa
         "Each fast operation exchanges 2S messages (one round-trip with every server); "
         "latency stays flat because rounds, not server count, dominate."
     )
+    table.add_note(PAPER_FAITHFUL_NOTE)
     return table
 
 

@@ -7,6 +7,7 @@ from .automaton import (
     OperationComplete,
     Send,
     StartTimer,
+    TimerPolicy,
 )
 from .config import (
     ConfigurationError,
@@ -54,6 +55,7 @@ __all__ = [
     "OperationComplete",
     "Send",
     "StartTimer",
+    "TimerPolicy",
     "ConfigurationError",
     "SystemConfig",
     "feasible_threshold_pairs",

@@ -10,10 +10,38 @@ deterministic virtual time and real wall-clock time.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from .messages import Message
+
+
+class TimerPolicy(enum.Enum):
+    """What the round-1 timer of a WRITE (Fig. 1 l.5) or READ (Fig. 2 l.17) means.
+
+    The timer never carries safety: asynchrony may already present any
+    ``>= S - t`` subset of replies when it expires, so every decision a client
+    takes on such a subset is one the paper's algorithm admits.  The policies
+    differ only in *when* a round that is already decidable is decided:
+
+    ``WAIT``
+        Paper-faithful: the round ends when ``S - t`` replies are in **and**
+        the timer expired — a lucky operation sits out the whole timer.
+    ``DEADLINE``
+        The default.  The operation returns on the reply that makes it fast;
+        the timer is cancelled.  If it fires first, the round is evaluated
+        exactly as under ``WAIT`` — the timer is the deadline after which the
+        slow path starts, not a wait.
+    ``NONE``
+        No timer is armed: the round ends on ``S - t`` replies.  Gives up the
+        fast path's margin (``S - fw`` acks rarely beat ``S - t``); used by the
+        always-slow baseline and the two-round writer, which have no fast path.
+    """
+
+    WAIT = "wait"
+    DEADLINE = "deadline"
+    NONE = "none"
 
 
 @dataclass(frozen=True, slots=True)

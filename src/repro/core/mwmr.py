@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from .automaton import ClientAutomaton, Effects
+from .automaton import ClientAutomaton, Effects, TimerPolicy
 from .config import SystemConfig
 from .messages import (
     SERVER_BOUND_MESSAGES,
@@ -69,6 +69,7 @@ class MultiWriterClient(ClientAutomaton):
         count_unresponsive: bool = False,
         writer_lease_duration: Optional[float] = None,
         read_lease_duration: Optional[float] = None,
+        timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
     ) -> None:
         # Build the two roles before the base constructor runs: it assigns
         # ``timer_delay`` through the propagating property below.  A lease
@@ -80,12 +81,14 @@ class MultiWriterClient(ClientAutomaton):
                 lease_duration=writer_lease_duration,
                 timer_delay=timer_delay,
                 writer_id=process_id,
+                timer_policy=timer_policy,
             )
         else:
             self.writer = AtomicWriter(
                 config,
                 timer_delay=timer_delay,
                 writer_id=process_id,
+                timer_policy=timer_policy,
                 mwmr=True,
             )
         self.reader: AtomicReader
@@ -96,6 +99,7 @@ class MultiWriterClient(ClientAutomaton):
                 lease_duration=read_lease_duration,
                 timer_delay=timer_delay,
                 count_unresponsive=count_unresponsive,
+                timer_policy=timer_policy,
             )
         else:
             self.reader = AtomicReader(
@@ -103,6 +107,7 @@ class MultiWriterClient(ClientAutomaton):
                 config,
                 timer_delay=timer_delay,
                 count_unresponsive=count_unresponsive,
+                timer_policy=timer_policy,
             )
         super().__init__(process_id, timer_delay=timer_delay)
         self.config = config

@@ -157,6 +157,21 @@ class ViewTable:
         """Number of responders for which ``readLive(pair)`` holds."""
         return sum(1 for view in self._domain() if view.read_live(pair))
 
+    def count_fresher_only(self, pair: TimestampValue) -> int:
+        """Number of responders whose every live pair is fresher than *pair*.
+
+        The freshest-looking of the pairs they report is a competitor no
+        responder of this kind helps to invalidate, so ``highCand(pair)`` needs
+        ``S - t`` responders *besides* them: a one-pass necessary condition
+        for *pair* to be selected, cheap enough to test before ``select()``.
+        """
+        key = pair.order_key
+        return sum(
+            1
+            for view in self._domain()
+            if view.pw.order_key > key and view.w.order_key > key
+        )
+
     def _older_or_conflicting(self, candidate: TimestampValue, other: TimestampValue) -> bool:
         """Whether *other* is strictly older than, or conflicts with, *candidate*.
 

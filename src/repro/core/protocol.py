@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from .automaton import Automaton, ClientAutomaton
+from .automaton import Automaton, ClientAutomaton, TimerPolicy
 from .config import SystemConfig
 from .reader import AtomicReader
 from .server import StorageServer
@@ -28,9 +28,17 @@ class ProtocolSuite:
     #: Consistency level the protocol claims ("atomic", "regular", "safe").
     consistency = "atomic"
 
-    def __init__(self, config: SystemConfig, timer_delay: float = 10.0) -> None:
+    def __init__(
+        self,
+        config: SystemConfig,
+        timer_delay: float = 10.0,
+        timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
+    ) -> None:
         self.config = config
         self.timer_delay = timer_delay
+        #: What the round-1 timer means for every client this suite creates
+        #: that arms one (see :class:`~repro.core.automaton.TimerPolicy`).
+        self.timer_policy = timer_policy
 
     # -- factories -----------------------------------------------------------
     def create_server(self, server_id: str) -> Automaton:
@@ -122,15 +130,18 @@ class LuckyAtomicProtocol(ProtocolSuite):
         config: SystemConfig,
         timer_delay: float = 10.0,
         count_unresponsive: bool = False,
+        timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
     ) -> None:
-        super().__init__(config, timer_delay=timer_delay)
+        super().__init__(config, timer_delay=timer_delay, timer_policy=timer_policy)
         self.count_unresponsive = count_unresponsive
 
     def create_server(self, server_id: str) -> StorageServer:
         return StorageServer(server_id, self.config)
 
     def create_writer(self) -> AtomicWriter:
-        return AtomicWriter(self.config, timer_delay=self.timer_delay)
+        return AtomicWriter(
+            self.config, timer_delay=self.timer_delay, timer_policy=self.timer_policy
+        )
 
     def create_reader(self, reader_id: str) -> AtomicReader:
         return AtomicReader(
@@ -138,6 +149,7 @@ class LuckyAtomicProtocol(ProtocolSuite):
             self.config,
             timer_delay=self.timer_delay,
             count_unresponsive=self.count_unresponsive,
+            timer_policy=self.timer_policy,
         )
 
     def create_mwmr_client(self, client_id: str) -> "MultiWriterClient":
@@ -148,6 +160,7 @@ class LuckyAtomicProtocol(ProtocolSuite):
             self.config,
             timer_delay=self.timer_delay,
             count_unresponsive=self.count_unresponsive,
+            timer_policy=self.timer_policy,
         )
 
     def create_leased_reader(
@@ -161,6 +174,7 @@ class LuckyAtomicProtocol(ProtocolSuite):
             lease_duration=lease_duration,
             timer_delay=self.timer_delay,
             count_unresponsive=self.count_unresponsive,
+            timer_policy=self.timer_policy,
         )
 
     def create_leased_mwmr_client(
@@ -176,6 +190,7 @@ class LuckyAtomicProtocol(ProtocolSuite):
             self.config,
             timer_delay=self.timer_delay,
             count_unresponsive=self.count_unresponsive,
+            timer_policy=self.timer_policy,
             writer_lease_duration=writer_lease_duration,
             read_lease_duration=read_lease_duration,
         )

@@ -2,8 +2,10 @@
 
 A READ proceeds in rounds.  In every round the reader sends ``READ<tsr, rnd>``
 to all servers and waits for ``S - t`` valid acknowledgements; in the first
-round it additionally waits for a timer set to the synchronous round-trip
-bound, so that in a synchronous execution it hears from *every* correct server.
+round it additionally arms a timer set to the synchronous round-trip bound, so
+that in a synchronous execution it hears from *every* correct server before it
+gives up on the fast path (the timer is a deadline, not a wait: see
+:class:`~repro.core.automaton.TimerPolicy`).
 At the end of a round the reader computes the candidate set
 
 ``C = { c : (safe(c) and highCand(c)) or safeFrozen(c) }``
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
-from .automaton import ClientAutomaton, Effects, OperationComplete
+from .automaton import ClientAutomaton, Effects, OperationComplete, TimerPolicy
 from .config import SystemConfig
 from .messages import (
     SERVER_BOUND_MESSAGES,
@@ -100,19 +102,22 @@ class AtomicReader(ClientAutomaton):
         timer_delay: float = 10.0,
         count_unresponsive: bool = False,
         enable_fast_path: bool = True,
-        wait_for_timer: bool = True,
+        timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
     ) -> None:
         """Create the reader.
 
         ``enable_fast_path=False`` makes every READ write back before returning
         (the conservative, "plan for the worst only" behaviour used by the
-        always-slow baseline).  ``wait_for_timer=False`` removes the round-1
-        timer wait, so the reader acts as soon as ``S - t`` replies arrive.
+        always-slow baseline).  ``timer_policy`` says what the round-1 timer
+        of Fig. 2 l.17 means (see :class:`~repro.core.automaton.TimerPolicy`):
+        a wait (paper-faithful), a deadline (the default — the READ returns on
+        the reply that makes it fast) or no timer, so the reader acts as soon
+        as ``S - t`` replies arrive.
         """
         super().__init__(reader_id, timer_delay=timer_delay)
         self.config = config
         self.enable_fast_path = enable_fast_path
-        self.wait_for_timer = wait_for_timer
+        self.timer_policy = timer_policy
         self.read_ts: int = INITIAL_READ_TIMESTAMP
         self.views = ViewTable(config, count_unresponsive=count_unresponsive)
         self._attempt: Optional[_ReadAttempt] = None
@@ -141,9 +146,9 @@ class AtomicReader(ClientAutomaton):
             return Effects()
         # Timer identifiers are scoped per (operation, round): a stale timer
         # from an earlier round — or any round-1 timer when the reader never
-        # arms one (``wait_for_timer=False``) — must not flip the current
+        # arms one (``TimerPolicy.NONE``) — must not flip the current
         # round's ``timer_expired`` flag or re-evaluate the round early.
-        if not self.wait_for_timer:
+        if self.timer_policy is TimerPolicy.NONE:
             return Effects()
         if timer_id != self._round_timer_id(attempt):
             return Effects()
@@ -162,10 +167,10 @@ class AtomicReader(ClientAutomaton):
         attempt.round_responders = set()
         effects = Effects()
         if attempt.round == 1:
-            if self.wait_for_timer:
-                effects.start_timer(self._round_timer_id(attempt), self.timer_delay)
-            else:
+            if self.timer_policy is TimerPolicy.NONE:
                 attempt.timer_expired = True
+            else:
+                effects.start_timer(self._round_timer_id(attempt), self.timer_delay)
         message = Read(
             sender=self.process_id, read_ts=attempt.read_ts, round=attempt.round
         )
@@ -180,10 +185,48 @@ class AtomicReader(ClientAutomaton):
             return Effects()  # stale or forged acknowledgement
         # Any acknowledgement of the current READ refreshes the view table
         # (Fig. 2, lines 23-25 replace the view when the round number grows).
-        self.views.record_ack(ack)
+        new_view = self.views.record_ack(ack)
         if ack.round == attempt.round:
             attempt.round_responders.add(ack.sender)
-        return self._maybe_finish_round()
+        if attempt.timer_expired or attempt.round > 1:
+            return self._maybe_finish_round()
+        if new_view and self.timer_policy is TimerPolicy.DEADLINE:
+            return self._maybe_return_before_deadline(attempt, ack)
+        return Effects()
+
+    def _maybe_return_before_deadline(self, attempt: _ReadAttempt, ack: ReadAck) -> Effects:
+        """Return on the reply that makes the READ fast (round 1, timer pending).
+
+        Once ``S - t`` servers answered, ``C != ∅`` and ``fast(csel)`` hold,
+        the timer could only confirm the decision: fed the same replies and
+        then its expiry, Fig. 2 l.17-21 returns exactly this value.  In every
+        other case nothing happens here and the timer ends the round as before.
+
+        Runs once per server per READ (*ack* is that server's first reply).
+        ``select()`` is the expensive part, so a reply earns it only when the
+        pair it reports as ``pw`` — the freshest an honest server holds — is
+        itself fast, and enough servers answered to invalidate whatever
+        fresher pairs (forged, or pre-written by a WRITE still in flight)
+        others report.  When it is not, the server lags and a later reply
+        passes, or the READ is contended: the deadline decides those.
+        """
+        if not self.enable_fast_path:
+            return Effects()
+        responders = len(attempt.round_responders)
+        if responders < self.config.round_quorum:
+            return Effects()
+        candidate = ack.pw
+        if not self._fast_predicate(candidate):
+            return Effects()
+        if responders - self.views.count_fresher_only(candidate) < self.config.round_quorum:
+            return Effects()
+        selected = self.views.select(attempt.read_ts)
+        if selected is None:
+            return Effects()
+        if selected != candidate and not self._fast_predicate(selected):
+            return Effects()
+        attempt.selected = selected
+        return self._complete()
 
     def _round_wait_satisfied(self, attempt: _ReadAttempt) -> bool:
         """Fig. 2, line 17: ``S - t`` replies and (timer expired or rnd > 1)."""
@@ -266,6 +309,9 @@ class AtomicReader(ClientAutomaton):
         selected = attempt.selected
         assert selected is not None
         effects = Effects()
+        if not attempt.timer_expired:
+            # Returned ahead of the deadline: disarm it.
+            effects.cancel_timer(self._round_timer_id(attempt))
         effects.complete(
             OperationComplete(
                 op_id=attempt.op_id,
@@ -380,10 +426,13 @@ class LeasedReader(AtomicReader):
                 effects.merge(self._start_acquisition(cached=lease.cached))
             return effects
         effects = super().read()
-        # The fallback read doubles as the acquisition attempt; any previous
-        # attempt is superseded (servers key leases per reader, so the fresh
-        # LEASE_RENEW simply replaces the stale one there too).
-        effects.merge(self._start_acquisition())
+        # The fallback read doubles as the acquisition attempt — unless one is
+        # still in flight: a read that returns before its grants are handled
+        # must not discard them when the caller re-invokes at once.  The
+        # pending attempt stays safe to finish (clean grants are judged
+        # against its ``cached`` pair, which this read can only raise).
+        if self._acquiring is None:
+            effects.merge(self._start_acquisition())
         return effects
 
     def _complete_from_lease(self, op_id: int, lease: _LeaseState) -> Effects:
@@ -510,7 +559,10 @@ class LeasedReader(AtomicReader):
         effects = Effects()
         previous = self._lease
         for state in (self._acquiring, self._lease):
-            if state is not None and state.lease_id == grant.lease_id and not state.active:
+            if state is not None and state.lease_id == grant.lease_id:
+                # Grants keep landing after the read they rode on returned and
+                # after the S - t-th one activated the lease; each is one more
+                # withholding granter the lease can afford to lose to a fence.
                 state.grants[grant.sender] = (grant.observed, grant.epoch)
                 self._maybe_activate(state)
                 break
@@ -577,9 +629,15 @@ class LeasedReader(AtomicReader):
         attempt = self._attempt
         assert attempt is not None
         selected = attempt.selected
+        assert selected is not None
         effects = super()._complete()
         acquiring = self._acquiring
-        if acquiring is not None and acquiring.cached is None:
+        if acquiring is not None and (
+            acquiring.cached is None or selected.order_key > acquiring.cached.order_key
+        ):
+            # Seed the attempt this read rode on, or raise the cache of an
+            # earlier one still in flight: grants that observed up to the
+            # pair just returned are clean with respect to it.
             acquiring.cached = selected
             self._maybe_activate(acquiring)
         return effects

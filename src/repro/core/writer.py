@@ -3,10 +3,12 @@
 The WRITE operation has two phases:
 
 * a **pre-write (PW) phase** — one round-trip in which the new timestamp-value
-  pair is sent to all servers together with any pending freeze directives; the
-  writer waits for ``S - t`` valid acknowledgements *and* for a timer set to the
-  synchronous round-trip bound.  If, by then, ``S - fw`` servers acknowledged,
-  the WRITE returns: it was *fast* (one round);
+  pair is sent to all servers together with any pending freeze directives, with
+  a timer set to the synchronous round-trip bound.  The WRITE returns — it was
+  *fast* (one round) — on the acknowledgement that brings it to ``S - fw``; the
+  timer is the deadline after which, with ``S - t`` acknowledgements, it stops
+  hoping for that (:class:`~repro.core.automaton.TimerPolicy`; the paper's
+  Fig. 1 l.5 waits out the timer even when the round is already decided);
 * otherwise a **write (W) phase** of two additional rounds (rounds 2 and 3),
   each waiting for ``S - t`` acknowledgements.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from .automaton import ClientAutomaton, Effects, OperationComplete
+from .automaton import ClientAutomaton, Effects, OperationComplete, TimerPolicy
 from .config import SystemConfig
 from .messages import (
     SERVER_BOUND_MESSAGES,
@@ -105,17 +107,19 @@ class AtomicWriter(ClientAutomaton):
         timer_delay: float = 10.0,
         writer_id: Optional[str] = None,
         enable_fast_path: bool = True,
-        wait_for_timer: bool = True,
+        timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
         mwmr: bool = False,
     ) -> None:
         """Create the writer.
 
         ``enable_fast_path=False`` removes line 8 of Fig. 1 — the paper's
         "trading writes" ablation (Section 5): every WRITE runs all three
-        rounds.  ``wait_for_timer=False`` removes the timer wait of line 5,
-        which sacrifices the fast path (the writer may act on only ``S - t``
-        acknowledgements) in exchange for lower worst-case latency; it is used
-        by the always-slow baseline.
+        rounds.  ``timer_policy`` says what the PW-phase timer of line 5
+        means (see :class:`~repro.core.automaton.TimerPolicy`): a wait
+        (paper-faithful), a deadline (the default — the WRITE returns on the
+        acknowledgement that makes it fast) or no timer at all, which
+        sacrifices the fast path (the writer may act on only ``S - t``
+        acknowledgements) and is used by the always-slow baseline.
 
         ``mwmr=True`` lifts the single-writer restriction: every WRITE is
         preceded by a *read phase* (a :class:`TimestampQuery` round collecting
@@ -134,7 +138,7 @@ class AtomicWriter(ClientAutomaton):
         super().__init__(writer_id or config.writer_id, timer_delay=timer_delay)
         self.config = config
         self.enable_fast_path = enable_fast_path
-        self.wait_for_timer = wait_for_timer
+        self.timer_policy = timer_policy
         self.mwmr = mwmr
         self.ts: int = 0
         self.pw: TimestampValue = INITIAL_PAIR
@@ -228,11 +232,10 @@ class AtomicWriter(ClientAutomaton):
         attempt.phase = "pw"
         self.pw = TimestampValue(attempt.ts, attempt.value, self._pair_writer_id())
 
-        if not self.wait_for_timer:
-            attempt.timer_expired = True
-
         effects = Effects()
-        if self.wait_for_timer:
+        if self.timer_policy is TimerPolicy.NONE:
+            attempt.timer_expired = True
+        else:
             effects.start_timer(self._timer_id(attempt.op_id, "pw"), self.timer_delay)
         message = PreWrite(
             sender=self.process_id,
@@ -297,7 +300,7 @@ class AtomicWriter(ClientAutomaton):
         self._operation_finished()
         effects = Effects()
         effects.complete(
-            OperationComplete(
+            OperationComplete(  # repro: ignore[RP09] -- query phase: PW timer not armed yet
                 op_id=attempt.op_id,
                 kind="read",
                 value=observed.val,
@@ -342,9 +345,15 @@ class AtomicWriter(ClientAutomaton):
     def _maybe_finish_pw_phase(self) -> Effects:
         attempt = self._attempt
         assert attempt is not None
+        acks = len(attempt.pw_acks)
+        # Fig. 1, line 8 is monotone in the ack set: once S - fw servers
+        # acknowledged, the timer can only confirm the fast path.
+        fast = self.enable_fast_path and acks >= self.config.fast_write_quorum
         if not attempt.timer_expired:
-            return Effects()
-        if len(attempt.pw_acks) < self.config.round_quorum:
+            # Before the deadline only a decided round ends (S - fw >= S - t).
+            if not (fast and self.timer_policy is TimerPolicy.DEADLINE):
+                return Effects()
+        elif acks < self.config.round_quorum:
             return Effects()
 
         # Fig. 1, lines 6-7: adopt the written pair, recompute the frozen set.
@@ -352,8 +361,7 @@ class AtomicWriter(ClientAutomaton):
         self.w = TimestampValue(attempt.ts, attempt.value, self._pair_writer_id())
         self._freeze_values(attempt)
 
-        # Fig. 1, line 8: the fast path.
-        if self.enable_fast_path and len(attempt.pw_acks) >= self.config.fast_write_quorum:
+        if fast:
             return self._complete(fast=True)
 
         # Otherwise enter the W phase (rounds 2 and 3).
@@ -430,6 +438,9 @@ class AtomicWriter(ClientAutomaton):
         self._attempt = None
         self._operation_finished()
         effects = Effects()
+        if not attempt.timer_expired:
+            # Returned ahead of the deadline: disarm it.
+            effects.cancel_timer(self._timer_id(attempt.op_id, "pw"))
         effects.complete(
             OperationComplete(
                 op_id=attempt.op_id,
@@ -528,14 +539,14 @@ class LeasedWriter(AtomicWriter):
         timer_delay: float = 10.0,
         writer_id: Optional[str] = None,
         enable_fast_path: bool = True,
-        wait_for_timer: bool = True,
+        timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
     ) -> None:
         super().__init__(
             config,
             timer_delay=timer_delay,
             writer_id=writer_id,
             enable_fast_path=enable_fast_path,
-            wait_for_timer=wait_for_timer,
+            timer_policy=timer_policy,
             mwmr=True,
         )
         if lease_duration <= 0:
@@ -767,14 +778,16 @@ class LeasedWriter(AtomicWriter):
             self._lease = None
 
     def _on_lease_grant(self, message: WriterLeaseGrant) -> Effects:
-        state = self._acquiring
-        if state is None or state.lease_id != message.lease_id:
-            return Effects()
-        epoch = max(message.epoch, self._server_epochs.get(message.sender, 0))
-        state.grants[message.sender] = (message.observed, epoch)
-        if state.cached is None:
-            return Effects()  # activation waits for the riding op to complete
-        return self._maybe_activate(state)
+        # A grant past the S - t-th lands on the lease it already activated:
+        # one more withholding granter the lease can afford to lose to a fence.
+        for state in (self._acquiring, self._lease):
+            if state is not None and state.lease_id == message.lease_id:
+                epoch = max(message.epoch, self._server_epochs.get(message.sender, 0))
+                state.grants[message.sender] = (message.observed, epoch)
+                if state.cached is None:
+                    return Effects()  # activation waits for the riding op to complete
+                return self._maybe_activate(state)
+        return Effects()
 
     def _on_lease_revoke(self, message: WriterLeaseRevoke) -> Effects:
         effects = Effects()

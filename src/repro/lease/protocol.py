@@ -28,7 +28,7 @@ class LeasedLuckyProtocol(ProtocolSuite):
         base: LuckyAtomicProtocol,
         lease_duration: float = 60.0,
     ) -> None:
-        super().__init__(base.config, timer_delay=base.timer_delay)
+        super().__init__(base.config, timer_delay=base.timer_delay, timer_policy=base.timer_policy)
         self.base = base
         self.lease_duration = lease_duration
 

@@ -18,6 +18,7 @@ or synchronously via :meth:`AsyncCluster.run_scenario`.
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Union
 
 __all__ = [
@@ -132,6 +133,10 @@ class AsyncCluster:
         self.server_nodes: Dict[str, AutomatonNode] = {}
         self.client_nodes: Dict[str, AutomatonNode] = {}
         self._started = False
+        #: The one clock origin of every client node's records.  Building a
+        #: client takes milliseconds per thousand registers, so per-node
+        #: origins skewed :meth:`history` by far more than an operation lasts.
+        self.start_time = time.monotonic()
         self._build_nodes()
 
     #: Node class hosting client automata; the sharded cluster overrides it.
@@ -145,13 +150,19 @@ class AsyncCluster:
         writer = self.suite.create_writer()
         writer.timer_delay = self.timer_delay
         self.client_nodes[self.config.writer_id] = self.CLIENT_NODE_CLASS(
-            writer, self.transport, time_scale=self.time_scale
+            writer,
+            self.transport,
+            time_scale=self.time_scale,
+            start_time=self.start_time,
         )
         for reader_id in self.config.reader_ids():
             reader = self.suite.create_reader(reader_id)
             reader.timer_delay = self.timer_delay
             self.client_nodes[reader_id] = self.CLIENT_NODE_CLASS(
-                reader, self.transport, time_scale=self.time_scale
+                reader,
+                self.transport,
+                time_scale=self.time_scale,
+                start_time=self.start_time,
             )
 
     # ----------------------------------------------------------------- lifecycle
@@ -161,6 +172,12 @@ class AsyncCluster:
         await self.transport.start()
         for node in list(self.server_nodes.values()) + list(self.client_nodes.values()):
             await node.start()
+        # Every client <-> server link is connected here, not by its first
+        # frame (why: TcpTransport.connect).
+        for client_id in self.client_nodes:
+            for server_id in self.server_nodes:
+                await self.transport.connect(client_id, server_id)
+                await self.transport.connect(server_id, client_id)
         self._started = True
 
     async def stop(self) -> None:

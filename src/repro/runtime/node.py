@@ -297,7 +297,8 @@ def _record_completion(
     """
     now = time.monotonic()
     # Expose the wall-clock latency both on the completion handed back to the
-    # caller and on the recorded history entry.
+    # caller and on the recorded history entry: the two share one metadata
+    # dict (a second copy per retained operation bought nothing).
     completion.metadata["latency_s"] = now - started
     node.records.append(
         OperationRecord(
@@ -308,7 +309,7 @@ def _record_completion(
             completed_at=now - node.start_time,
             rounds=completion.rounds,
             fast=completion.fast,
-            metadata=dict(completion.metadata),
+            metadata=completion.metadata,
         )
     )
 
@@ -321,6 +322,7 @@ class ClientNode(AutomatonNode):
         automaton: ClientAutomaton,
         transport: Transport,
         time_scale: float = 0.001,
+        start_time: Optional[float] = None,
     ) -> None:
         super().__init__(automaton, transport, time_scale=time_scale)
         self._pending_future: Optional[asyncio.Future] = None
@@ -328,7 +330,10 @@ class ClientNode(AutomatonNode):
         self._pending_kind: str = ""
         self._pending_value: Any = None
         self.records: list[OperationRecord] = []
-        self.start_time = time.monotonic()
+        #: Origin (``time.monotonic()``) the records' timestamps are relative
+        #: to.  A cluster hands all its client nodes the same one: histories
+        #: merged across clients are only checkable on one clock.
+        self.start_time = time.monotonic() if start_time is None else start_time
 
     # ------------------------------------------------------------- operations
     async def write(self, value: Any) -> OperationComplete:
@@ -344,8 +349,10 @@ class ClientNode(AutomatonNode):
             raise RuntimeError(
                 f"client {self.process_id} already has a pending {self._pending_kind}"
             )
-        loop = asyncio.get_running_loop()
-        self._pending_future = loop.create_future()
+        # Awaited through a local: an operation that completes inside
+        # apply_effects (a zero-round leased read) has already released the
+        # slot by the time the await below is reached.
+        future = self._pending_future = asyncio.get_running_loop().create_future()
         self._pending_started = time.monotonic()
         self._pending_kind = kind
         self._pending_value = value
@@ -354,7 +361,7 @@ class ClientNode(AutomatonNode):
         else:
             effects = self.automaton.read()  # type: ignore[attr-defined]
         await self.apply_effects(effects)
-        return await self._pending_future
+        return await future
 
     def _handle_completion(self, completion: OperationComplete) -> None:
         # Release the slot unconditionally: the automaton has completed the
@@ -391,11 +398,13 @@ class ShardedClientNode(AutomatonNode):
         automaton: Automaton,
         transport: Transport,
         time_scale: float = 0.001,
+        start_time: Optional[float] = None,
     ) -> None:
         super().__init__(automaton, transport, time_scale=time_scale)
         self._pending: Dict[str, _PendingStoreOperation] = {}
         self.records: list[OperationRecord] = []
-        self.start_time = time.monotonic()
+        #: Shared clock origin; see :attr:`ClientNode.start_time`.
+        self.start_time = time.monotonic() if start_time is None else start_time
 
     # ------------------------------------------------------------- operations
     async def write(self, key: str, value: Any) -> OperationComplete:

@@ -67,6 +67,10 @@ class Transport:
     async def send(self, source: str, destination: str, message: Message) -> None:
         raise NotImplementedError
 
+    async def connect(self, source: str, destination: str) -> None:
+        """Establish the *source* -> *destination* link ahead of the first send
+        (nothing to do on a connectionless transport)."""
+
     async def start(self) -> None:
         """Bring the transport up (bind sockets, start pumps)."""
 
@@ -275,6 +279,41 @@ class TcpTransport(Transport):
         if connection is not None:
             await _close_writer(connection[1])
 
+    async def _open_connection(
+        self, key: Tuple[str, str]
+    ) -> Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]:
+        """Replace the cached connection of *key* by a fresh one (its lock is
+        held); ``None`` when the destination is down or the transport closed."""
+        await self._drop_connection(key)
+        try:
+            connection = await asyncio.open_connection(self.host, self._ports[key[1]])
+        except OSError:
+            return None
+        if self._closed:
+            # close() ran while we were connecting; it has already swept the
+            # cache, so caching now would leak the socket.
+            await _close_writer(connection[1])
+            return None
+        self._connections[key] = connection
+        return connection
+
+    async def connect(self, source: str, destination: str) -> None:
+        """Open the connection :meth:`send` would open on its first frame.
+
+        A cluster connects its links when it starts: opened by the first
+        frames instead, the handful of connects staggers the first operations
+        of concurrent clients by a few loop iterations, and on a busy loop
+        that offset persists -- it decides for seconds whether their sends
+        share frames (``docs/benchmarks.md``, *Steady runs*).
+        """
+        if self._closed or destination not in self._ports:
+            return
+        key = (source, destination)
+        lock = self._connection_locks.setdefault(key, asyncio.Lock())
+        async with lock:
+            if self._connection_stale(self._connections.get(key)):
+                await self._open_connection(key)
+
     async def send(self, source: str, destination: str, message: Message) -> None:
         if self._closed or destination not in self._ports:
             return
@@ -294,19 +333,9 @@ class TcpTransport(Transport):
                     return
                 connection = self._connections.get(key)
                 if self._connection_stale(connection):
-                    await self._drop_connection(key)
-                    try:
-                        connection = await asyncio.open_connection(
-                            self.host, self._ports[destination]
-                        )
-                    except OSError:
+                    connection = await self._open_connection(key)
+                    if connection is None:
                         return
-                    if self._closed:
-                        # close() ran while we were connecting; it has already
-                        # swept the cache, so caching now would leak the socket.
-                        await _close_writer(connection[1])
-                        return
-                    self._connections[key] = connection
                 writer = connection[1]
                 try:
                     writer.write(frame)

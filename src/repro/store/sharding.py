@@ -451,7 +451,7 @@ class ShardedProtocol(ProtocolSuite):
         writer_leases: Union[bool, Sequence[str]] = (),
         max_resident: Optional[int] = None,
     ) -> None:
-        super().__init__(base.config, timer_delay=base.timer_delay)
+        super().__init__(base.config, timer_delay=base.timer_delay, timer_policy=base.timer_policy)
         # An empty initial keyspace is fine: the dynamic keyspace grows it at
         # runtime through create_register.
         if len(set(register_ids)) != len(register_ids):

@@ -44,9 +44,6 @@ class RegularWriter(AtomicWriter):
 
     FINAL_W_ROUND = 2
 
-    def __init__(self, config: SystemConfig, timer_delay: float = 10.0) -> None:
-        super().__init__(config, timer_delay=timer_delay)
-
 
 class RegularReader(AtomicReader):
     """Reader of the regular variant: never writes back the returned value."""
@@ -119,7 +116,14 @@ class RegularStorageProtocol(ProtocolSuite):
         return RegularServer(server_id, self.config)
 
     def create_writer(self) -> RegularWriter:
-        return RegularWriter(self.config, timer_delay=self.timer_delay)
+        return RegularWriter(
+            self.config, timer_delay=self.timer_delay, timer_policy=self.timer_policy
+        )
 
     def create_reader(self, reader_id: str) -> RegularReader:
-        return RegularReader(reader_id, self.config, timer_delay=self.timer_delay)
+        return RegularReader(
+            reader_id,
+            self.config,
+            timer_delay=self.timer_delay,
+            timer_policy=self.timer_policy,
+        )

@@ -70,11 +70,19 @@ class TradingWritesProtocol(ProtocolSuite):
 
     def create_writer(self) -> AtomicWriter:
         return AtomicWriter(
-            self.config, timer_delay=self.timer_delay, enable_fast_path=False
+            self.config,
+            timer_delay=self.timer_delay,
+            enable_fast_path=False,
+            timer_policy=self.timer_policy,
         )
 
     def create_reader(self, reader_id: str) -> AtomicReader:
-        return AtomicReader(reader_id, self.config, timer_delay=self.timer_delay)
+        return AtomicReader(
+            reader_id,
+            self.config,
+            timer_delay=self.timer_delay,
+            timer_policy=self.timer_policy,
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -20,6 +20,7 @@ algorithm differs from the core one as follows:
 
 from __future__ import annotations
 
+from ..core.automaton import TimerPolicy
 from ..core.config import ConfigurationError, SystemConfig
 from ..core.messages import Write
 from ..core.protocol import ProtocolSuite
@@ -50,7 +51,7 @@ class TwoRoundWriter(AtomicWriter):
             config,
             timer_delay=timer_delay,
             enable_fast_path=False,
-            wait_for_timer=False,
+            timer_policy=TimerPolicy.NONE,
         )
 
 
@@ -71,7 +72,12 @@ class TwoRoundWriteProtocol(ProtocolSuite):
     name = "two-round-write"
     consistency = "atomic"
 
-    def __init__(self, config: SystemConfig, timer_delay: float = 10.0) -> None:
+    def __init__(
+        self,
+        config: SystemConfig,
+        timer_delay: float = 10.0,
+        timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
+    ) -> None:
         required = required_servers_for_two_round_write(config.t, config.b, config.fr)
         if config.num_servers < required:
             raise ConfigurationError(
@@ -79,7 +85,7 @@ class TwoRoundWriteProtocol(ProtocolSuite):
                 f"{required} servers but the configuration provides {config.num_servers} "
                 "(Proposition 5)"
             )
-        super().__init__(config, timer_delay=timer_delay)
+        super().__init__(config, timer_delay=timer_delay, timer_policy=timer_policy)
 
     @classmethod
     def for_parameters(
@@ -96,4 +102,9 @@ class TwoRoundWriteProtocol(ProtocolSuite):
         return TwoRoundWriter(self.config, timer_delay=self.timer_delay)
 
     def create_reader(self, reader_id: str) -> TwoRoundReader:
-        return TwoRoundReader(reader_id, self.config, timer_delay=self.timer_delay)
+        return TwoRoundReader(
+            reader_id,
+            self.config,
+            timer_delay=self.timer_delay,
+            timer_policy=self.timer_policy,
+        )

@@ -17,13 +17,16 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 from ..core.types import BOTTOM, is_bottom
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationRecord:
     """One invoked operation.
 
     ``value`` is the written value for writes and the returned value for reads.
     ``completed_at`` is ``None`` for operations that never returned (allowed by
     the model when the invoking client crashes).
+
+    Slotted: a client node retains one record per completed operation for the
+    life of the process, so the per-instance ``__dict__`` was most of a record.
     """
 
     client_id: str

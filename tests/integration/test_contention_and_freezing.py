@@ -3,6 +3,7 @@ mechanism (Theorems 1 and 2)."""
 
 import pytest
 
+from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import SimCluster
@@ -134,7 +135,12 @@ class TestFreezing:
             assert announced, "a multi-round READ must have announced its timestamp somewhere"
         assert check_atomicity(cluster.history()).ok
 
-    def test_freeze_chain_announce_freeze_deliver_return(self):
+    @pytest.mark.parametrize(
+        "policy",
+        [TimerPolicy.WAIT, TimerPolicy.DEADLINE],
+        ids=["paper_faithful", "deadline"],
+    )
+    def test_freeze_chain_announce_freeze_deliver_return(self, policy):
         """End-to-end freezing chain with the automata wired by hand.
 
         The real automata (reader, writer, servers) are driven through the
@@ -146,6 +152,10 @@ class TestFreezing:
         finally returns the frozen value through the ``safeFrozen`` path.
         Only the READ_ACKs the adversary controls are fabricated — every state
         transition under test is performed by the real protocol code.
+
+        The chain is the same under both round-1 policies: with ``fw = 0`` the
+        deadline writer returns on the last of the ``S`` acknowledgements, so
+        it has seen every ``newread`` report the paper-faithful one sees.
         """
         from repro.core.messages import ReadAck, WriteAck
         from repro.core.reader import AtomicReader
@@ -154,8 +164,8 @@ class TestFreezing:
         from repro.core.writer import AtomicWriter
 
         config = SystemConfig(t=1, b=1, fw=0, fr=0, num_readers=1)
-        writer = AtomicWriter(config, timer_delay=5.0)
-        reader = AtomicReader("r1", config, timer_delay=5.0)
+        writer = AtomicWriter(config, timer_delay=5.0, timer_policy=policy)
+        reader = AtomicReader("r1", config, timer_delay=5.0, timer_policy=policy)
         servers = {sid: StorageServer(sid, config) for sid in config.server_ids()}
 
         def run_write(value):
@@ -164,10 +174,12 @@ class TestFreezing:
             for send in effects.sends:
                 reply = servers[send.destination].handle_message(send.message)
                 acks.extend(reply.sends)
+            on_ack = []
             for ack in acks:
-                writer.handle_message(ack.message)
-            done = writer.on_timer(f"w/op{writer._op_counter}/pw")
-            assert done.completions, "hand-driven write should finish in the PW phase"
+                on_ack.extend(writer.handle_message(ack.message).completions)
+            on_timer = writer.on_timer(f"w/op{writer._op_counter}/pw").completions
+            assert on_ack or on_timer, "hand-driven write should finish in the PW phase"
+            assert bool(on_ack) == (policy is TimerPolicy.DEADLINE)
 
         # A completed first write seeds the servers.
         run_write("v1")

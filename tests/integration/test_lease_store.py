@@ -12,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
@@ -181,10 +182,10 @@ class TestLeasedShardedStore:
 
 
 class TestLeaseCrashRecovery:
-    def build_durable(self, lease_duration=40.0):
+    def build_durable(self, lease_duration=40.0, policy=TimerPolicy.DEADLINE):
         config = SystemConfig.balanced(1, 0, num_readers=2)
         return ShardedSimStore(
-            LuckyAtomicProtocol(config),
+            LuckyAtomicProtocol(config, timer_policy=policy),
             ["hot", "cold"],
             leases=["hot"],
             lease_duration=lease_duration,
@@ -242,17 +243,26 @@ class TestLeaseCrashRecovery:
         assert store.verify_atomic()
         store.run_until_quiescent()
 
-    def test_holder_fences_recovered_granter_by_epoch(self):
-        store = self.build_durable()
+    @pytest.mark.parametrize(
+        "policy",
+        [TimerPolicy.WAIT, TimerPolicy.DEADLINE],
+        ids=["paper_faithful", "deadline"],
+    )
+    def test_holder_fences_recovered_granter_by_epoch(self, policy):
+        store = self.build_durable(policy=policy)
         store.write("hot", "v1")
         store.read("hot", "r1")
         reader = store.cluster.processes["r1"].registers["hot"]
         assert reader.lease_held
+        # Paper-faithful, all three grants landed while the read sat out its
+        # timer; under the deadline the lease activated on S - t = 2 of them
+        # and the third lands on the active lease during the crash window.
+        assert len(reader._lease.grants) == (3 if policy is TimerPolicy.WAIT else 2)
         store.crash("s1")
         store.cluster.run_for(1.0)
         store.recover_server("s1")
         # The holder still holds (S - t = 2 clean granters remain)...
-        assert reader.lease_held
+        assert reader.lease_held and len(reader._lease.grants) == 3
         # ... until it hears *anything* from the recovered incarnation, which
         # voids s1's grant; with s2 and s3 still granted the quorum holds.
         from repro.core.messages import ReadAck
@@ -287,6 +297,32 @@ class TestLeasedAsyncCluster:
                 assert result.ok and result.lease_reads >= 2
 
         asyncio.run(scenario())
+
+    def test_closed_loop_reader_acquires_without_batching(self):
+        # Regression (asyncio side): on the single-register cluster every
+        # message is its own delivery, so a read that returns on the reply
+        # that makes it fast is re-invoked before any LeaseGrant is handled.
+        # The fallback reads used to supersede that in-flight acquisition one
+        # after the other and the lease never activated.
+        from repro.lease import LeasedLuckyProtocol
+        from repro.runtime.cluster import AsyncCluster
+
+        config = SystemConfig.balanced(1, 0, num_readers=2)
+
+        async def scenario(cluster):
+            await cluster.write("v1")
+            reads = [await cluster.read("r1") for _ in range(8)]
+            return reads, cluster.history()
+
+        reads, history = AsyncCluster.run_scenario(
+            LeasedLuckyProtocol(LuckyAtomicProtocol(config), lease_duration=5000.0),
+            scenario,
+        )
+        assert all(read.value == "v1" for read in reads)
+        assert reads[0].rounds >= 1
+        assert reads[-1].rounds == 0 and reads[-1].metadata["lease"] is True
+        result = check_atomicity(history)
+        assert result.ok and result.lease_reads >= 4
 
     def test_restart_mid_lease_durable(self, tmp_path):
         async def scenario():

@@ -107,6 +107,31 @@ class TestInMemoryRuntime:
         slow = run(scenario(0.01))
         assert slow > fast
 
+    def test_no_timer_handles_left_after_a_thousand_operations(self):
+        # Every fast operation disarms its own round-1 timer: neither the
+        # node's handle table nor the loop's timer heap may accumulate them.
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
+
+        async def scenario(cluster):
+            for index in range(500):
+                write = await cluster.write(f"v{index}")
+                read = await cluster.read("r1")
+                assert write.fast and read.fast
+            clients = cluster.client_nodes.values()
+            return (
+                [dict(node._timer_handles) for node in clients],
+                sum(node.timers_cancelled for node in clients),
+            )
+
+        handles, cancelled = AsyncCluster.run_scenario(
+            LuckyAtomicProtocol(config),
+            scenario,
+            message_delay_s=0.0,
+            timer_delay=2000.0,
+        )
+        assert handles == [{}, {}]
+        assert cancelled == 1000
+
     def test_regular_variant_runs_on_asyncio(self):
         suite = RegularStorageProtocol.for_parameters(t=1, b=1, num_readers=1)
 
@@ -158,3 +183,40 @@ class TestTcpRuntime:
 
         history = run(scenario())
         assert check_atomicity(history).ok
+
+    def test_start_connects_every_link_so_operations_open_none(self):
+        """Connections opened by the first frames stagger concurrent clients;
+        ``start()`` opens them all, and an operation finds its links ready."""
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
+
+        async def scenario():
+            async with tcp_cluster(LuckyAtomicProtocol(config)) as cluster:
+                transport = cluster.transport
+                at_start = dict(transport._connections)
+                frames_at_start = transport.frames_sent
+                await cluster.write("v")
+                for reader_id in config.reader_ids():
+                    await cluster.read(reader_id)
+                return at_start, frames_at_start, dict(transport._connections)
+
+        at_start, frames_at_start, after = run(scenario())
+        clients, servers = config.client_ids(), config.server_ids()
+        assert set(at_start) == {
+            link for c in clients for s in servers for link in ((c, s), (s, c))
+        }
+        assert frames_at_start == 0
+        assert after == at_start
+
+    def test_connect_is_idempotent_and_ignores_unknown_destinations(self):
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
+
+        async def scenario():
+            async with tcp_cluster(LuckyAtomicProtocol(config)) as cluster:
+                transport = cluster.transport
+                before = dict(transport._connections)
+                await transport.connect(config.writer_id, config.server_ids()[0])
+                await transport.connect(config.writer_id, "nobody")
+                return before, dict(transport._connections)
+
+        before, after = run(scenario())
+        assert after == before

@@ -158,6 +158,32 @@ class TestAsyncShardedStore:
         for history in histories.values():
             assert check_atomicity(history).ok
 
+    def test_histories_of_many_keys_check_atomic_on_one_clock(self):
+        # Regression: every client node used to take its own clock origin at
+        # construction, and building a client over hundreds of registers
+        # takes milliseconds — more than an operation lasts — so a reader's
+        # records sat that much *earlier* than the writer's in the merged
+        # history and a read appeared to return before its write was invoked.
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
+        keys = [f"k{index:04d}" for index in range(768)]
+
+        async def scenario():
+            async with ShardedAsyncCluster(
+                LuckyAtomicProtocol(config), keys, message_delay_s=0.0
+            ) as store:
+                origins = {node.start_time for node in store.client_nodes.values()}
+                for index, key in enumerate(keys[::12]):
+                    await store.write(key, f"{key}-value")
+                    await store.read(key, config.reader_ids()[index % 2])
+                return origins, store.histories()
+
+        origins, histories = asyncio.run(scenario())
+        assert len(origins) == 1
+        touched = [history for history in histories.values() if len(history)]
+        assert len(touched) == 64
+        for history in touched:
+            check_atomicity(history).raise_if_violated()
+
     def test_per_key_well_formedness_enforced_on_asyncio(self):
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
 

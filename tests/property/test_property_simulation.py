@@ -1,15 +1,19 @@
 """Property-based end-to-end tests: random workloads, delays and failures.
 
-Whatever the (admissible) fault pattern, delay distribution and workload, the
-core algorithm and its variants must produce atomic (resp. regular) histories,
-and every operation must terminate.
+Whatever the (admissible) fault pattern, delay distribution, workload and
+round-1 timer policy, the core algorithm and its variants must produce atomic
+(resp. regular) histories, and every operation must terminate.  Contention-free
+operations under at most ``fw`` / ``fr`` failures must be fast whether the
+round-1 timer is a wait (the paper) or a deadline (the default).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SystemConfig
+from repro.core.automaton import TimerPolicy
+from repro.core.config import SystemConfig, frontier_threshold_pairs
 from repro.core.protocol import LuckyAtomicProtocol
+from repro.lease import LeasedLuckyProtocol
 from repro.sim.byzantine import (
     EquivocationStrategy,
     ForgeHighTimestampStrategy,
@@ -19,6 +23,7 @@ from repro.sim.byzantine import (
 from repro.sim.cluster import SimCluster
 from repro.sim.failures import FailureSchedule
 from repro.sim.latency import FixedDelay, UniformDelay
+from repro.store.sim import ShardedSimStore
 from repro.variants.regular import RegularStorageProtocol
 from repro.variants.two_round import TwoRoundWriteProtocol
 from repro.verify.atomicity import check_atomicity
@@ -26,7 +31,9 @@ from repro.verify.regularity import check_regularity
 from repro.workload.generator import (
     contended_workload,
     lucky_workload,
+    owned_writers_workload,
     poisson_workload,
+    run_store_workload,
     run_workload,
 )
 
@@ -36,6 +43,10 @@ STRATEGY_FACTORIES = [
     StaleReplayStrategy,
     EquivocationStrategy,
 ]
+
+#: Paper-faithful wait and the default deadline: every schedule property holds
+#: under both (TimerPolicy.NONE is the always-slow baseline's, see E10).
+policies = st.sampled_from([TimerPolicy.WAIT, TimerPolicy.DEADLINE])
 
 
 @st.composite
@@ -59,12 +70,15 @@ def fault_scenarios(draw):
     return config, byzantine, failures, delay, seed
 
 
-@given(fault_scenarios(), st.integers(min_value=1, max_value=3))
-@settings(max_examples=25, deadline=None)
-def test_core_algorithm_is_atomic_under_random_faults(scenario, num_cycles):
+@given(fault_scenarios(), st.integers(min_value=1, max_value=3), policies, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_core_algorithm_is_atomic_under_random_faults(scenario, num_cycles, policy, leases):
     config, byzantine, failures, delay, seed = scenario
+    suite = LuckyAtomicProtocol(config, timer_policy=policy)
+    if leases:
+        suite = LeasedLuckyProtocol(suite, lease_duration=20.0)
     cluster = SimCluster(
-        LuckyAtomicProtocol(config),
+        suite,
         delay_model=delay,
         byzantine=byzantine,
         failures=failures,
@@ -76,12 +90,12 @@ def test_core_algorithm_is_atomic_under_random_faults(scenario, num_cycles):
     check_atomicity(cluster.history()).raise_if_violated()
 
 
-@given(fault_scenarios())
+@given(fault_scenarios(), policies)
 @settings(max_examples=20, deadline=None)
-def test_lucky_workloads_are_atomic_and_terminate(scenario):
+def test_lucky_workloads_are_atomic_and_terminate(scenario, policy):
     config, byzantine, failures, delay, seed = scenario
     cluster = SimCluster(
-        LuckyAtomicProtocol(config),
+        LuckyAtomicProtocol(config, timer_policy=policy),
         delay_model=delay,
         byzantine=byzantine,
         failures=failures,
@@ -111,13 +125,13 @@ def test_poisson_mixes_stay_atomic(t, b, seed):
     check_atomicity(cluster.history()).raise_if_violated()
 
 
-@given(fault_scenarios())
+@given(fault_scenarios(), policies)
 @settings(max_examples=15, deadline=None)
-def test_regular_variant_is_regular_under_random_faults(scenario):
+def test_regular_variant_is_regular_under_random_faults(scenario, policy):
     config, byzantine, failures, delay, seed = scenario
     regular_config = SystemConfig.regular(config.t, config.b, num_readers=2)
     cluster = SimCluster(
-        RegularStorageProtocol(regular_config),
+        RegularStorageProtocol(regular_config, timer_policy=policy),
         delay_model=delay,
         byzantine=byzantine,
         failures=failures,
@@ -135,12 +149,15 @@ def test_regular_variant_is_regular_under_random_faults(scenario):
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=2**16),
+    policies,
 )
 @settings(max_examples=15, deadline=None)
-def test_two_round_variant_is_atomic_under_random_faults(t, b, fr, seed):
+def test_two_round_variant_is_atomic_under_random_faults(t, b, fr, seed, policy):
     b = min(b, t)
     fr = min(fr, t)
-    suite = TwoRoundWriteProtocol.for_parameters(t, b, fr, num_readers=2)
+    suite = TwoRoundWriteProtocol(
+        SystemConfig.two_round_write(t, b, fr, num_readers=2), timer_policy=policy
+    )
     cluster = SimCluster(suite, delay_model=FixedDelay(1.0), seed=seed)
     handles = run_workload(
         cluster, contended_workload(2, suite.config.reader_ids(), write_gap=12.0)
@@ -149,4 +166,107 @@ def test_two_round_variant_is_atomic_under_random_faults(t, b, fr, seed):
     assert all(
         handle.rounds <= 2 for handle in handles if handle.kind == "write"
     )
+    check_atomicity(cluster.history()).raise_if_violated()
+
+
+@given(fault_scenarios(), policies, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_mwmr_store_is_atomic_and_conditionals_isolated(scenario, policy, leases):
+    """Concurrent writers, RMWs and readers on multi-writer keys: every per-key
+    history passes the MWMR checker, and the ConditionalOpChecker wherever a
+    conditional ran — with writer and read leases on and off."""
+    config, byzantine, failures, delay, seed = scenario
+    store = ShardedSimStore(
+        LuckyAtomicProtocol(config, timer_policy=policy),
+        ["k1", "k2"],
+        byzantine={sid: type(strategy) for sid, strategy in byzantine.items()},
+        mwmr=True,
+        writer_leases=leases,
+        leases=leases,
+        lease_duration=15.0,
+        delay_model=delay,
+        failures=failures,
+        seed=seed,
+    )
+    clients = config.client_ids()
+    workload = owned_writers_workload(
+        30,
+        store.keys,
+        writers=clients,
+        readers=clients,
+        rmw_fraction=0.3,
+        mean_gap=0.7,
+        seed=seed,
+    )
+    handles = run_store_workload(store, workload)
+    assert all(handle.done for handle in handles)
+    assert store.verify_atomic()
+
+
+@st.composite
+def lucky_scenarios(draw):
+    """A frontier configuration with at most ``fw`` (resp. ``fr``) failures,
+    one of which may be malicious, on a synchronous network."""
+    t = draw(st.integers(min_value=1, max_value=3))
+    b = draw(st.integers(min_value=0, max_value=min(t, 2)))
+    fw, fr = draw(st.sampled_from(frontier_threshold_pairs(t, b)))
+    config = SystemConfig(t=t, b=b, fw=fw, fr=fr, num_readers=2)
+    delay = UniformDelay(0.5, 1.5) if draw(st.booleans()) else FixedDelay(1.0)
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return config, delay, seed
+
+
+@given(lucky_scenarios(), policies, st.data())
+@settings(max_examples=60, deadline=None)
+def test_lucky_writes_are_fast_despite_fw_failures(scenario, policy, data):
+    config, delay, seed = scenario
+    failed = data.draw(st.integers(min_value=0, max_value=config.fw))
+    server_ids = config.server_ids()
+    byzantine = {}
+    if failed and config.b and data.draw(st.booleans()):
+        byzantine = {server_ids[0]: MuteStrategy()}
+    crashed = server_ids[len(server_ids) - (failed - len(byzantine)) :]
+    cluster = SimCluster(
+        LuckyAtomicProtocol(config, timer_policy=policy),
+        delay_model=delay,
+        byzantine=byzantine,
+        failures=FailureSchedule.crash_at_start(crashed if failed else []),
+        seed=seed,
+    )
+    writes = []
+    for index in range(4):
+        writes.append(cluster.write(f"v{index}"))
+        cluster.run_for(6.0)
+    assert all(write.fast and write.rounds == 1 for write in writes)
+    check_atomicity(cluster.history()).raise_if_violated()
+
+
+@given(lucky_scenarios(), policies, st.data())
+@settings(max_examples=60, deadline=None)
+def test_lucky_reads_are_fast_despite_fr_failures(scenario, policy, data):
+    config, delay, seed = scenario
+    failed = data.draw(st.integers(min_value=0, max_value=config.fr))
+    server_ids = config.server_ids()
+    byzantine = {}
+    if failed and config.b and data.draw(st.booleans()):
+        byzantine = {server_ids[0]: StaleReplayStrategy()}
+    cluster = SimCluster(
+        LuckyAtomicProtocol(config, timer_policy=policy),
+        delay_model=delay,
+        byzantine=byzantine,
+        seed=seed,
+    )
+    assert cluster.write("published").fast
+    cluster.run_for(6.0)
+    # Theorem 4's regime: the failures strike after the WRITE returned, so the
+    # READ must find its fast quorum among the survivors.
+    for server_id in server_ids[len(server_ids) - (failed - len(byzantine)) :]:
+        if failed:
+            cluster.crash(server_id)
+    reads = []
+    for index in range(4):
+        reads.append(cluster.read(config.reader_ids()[index % 2]))
+        cluster.run_for(6.0)
+    assert all(read.fast and read.rounds == 1 for read in reads)
+    assert all(read.value == "published" for read in reads)
     check_atomicity(cluster.history()).raise_if_violated()

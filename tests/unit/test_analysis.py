@@ -42,6 +42,7 @@ class TestRegistry:
             "RP06",
             "RP07",
             "RP08",
+            "RP09",
         } <= set(ids)
 
     def test_unknown_rule_rejected(self):
@@ -148,6 +149,32 @@ class TestRuleFixtures:
             select=["RP08"],
         )
         assert report.ok
+
+    def test_rp09_uncancelled_round_timer_flagged(self):
+        report = run_analysis([fixture("rp09_deadline.py")], select=["RP09"])
+        messages = [f.message for f in report.findings]
+        assert rule_ids(report) == ["RP09", "RP09"]
+        assert "LeakyClient.finish " in messages[0]
+        assert "LeakySubclass.finish_differently" in messages[1]  # inherited timer
+        # The zero-round completion, the cancelling class and the class whose
+        # only timer runs on a lease duration carry no finding.
+        assert not any(
+            name in message
+            for message in messages
+            for name in ("finish_from_cache", "TidyClient.", "LeaseOnlyClient")
+        )
+
+    def test_rp09_core_automata_cancel_and_declare_the_one_exception(self):
+        report = run_analysis(
+            [
+                os.path.join(SRC, "repro", "core", "writer.py"),
+                os.path.join(SRC, "repro", "core", "reader.py"),
+            ],
+            select=["RP09"],
+        )
+        assert report.ok
+        # The CAS that fails in the query phase, before the PW timer exists.
+        assert report.suppressed_count == 1
 
     def test_rp07_scope_is_path_based(self):
         # The same violations outside the hot modules carry no obligation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.messages import (
     LeaseGrant,
@@ -37,21 +38,37 @@ def server(config):
     return LeaseServer(StorageServer("s1", config), lease_duration=50.0)
 
 
-@pytest.fixture
-def reader(config):
-    return LeasedReader("r1", config, lease_duration=50.0, timer_delay=5.0)
+POLICY_PARAMS = [
+    pytest.param(TimerPolicy.WAIT, id="paper_faithful"),
+    pytest.param(TimerPolicy.DEADLINE, id="deadline"),
+]
+POLICIES = pytest.mark.parametrize("policy", POLICY_PARAMS)
+
+
+@pytest.fixture(params=POLICY_PARAMS)
+def reader(request, config):
+    """A leased reader under each round-1 policy: under ``WAIT`` the fallback
+    read returns on its timer, under ``DEADLINE`` on the reply that makes it
+    fast — the lease machinery must not care which."""
+    return LeasedReader(
+        "r1", config, lease_duration=50.0, timer_delay=5.0, timer_policy=request.param
+    )
 
 
 def sends_of(effects, message_type):
     return [s for s in effects.sends if isinstance(s.message, message_type)]
 
 
-def grant_reader(reader, config, pair=V1, servers=None):
-    """Drive *reader* through a fallback read and a full clean grant quorum."""
+def fallback_read(reader, config, pair=V1):
+    """Drive *reader* through one fast fallback read; returns its effects.
+
+    The completion comes with the last reply (deadline) or with the timer
+    (paper-faithful); a timer reaching a reader that already returned is stale.
+    """
     effects = reader.read()
-    renew = sends_of(effects, LeaseRenew)[0].message
+    completions = []
     for index in range(1, config.round_quorum + 1):
-        reader.handle_message(
+        completions += reader.handle_message(
             ReadAck(
                 sender=f"s{index}",
                 read_ts=reader.read_ts,
@@ -60,9 +77,17 @@ def grant_reader(reader, config, pair=V1, servers=None):
                 w=pair,
                 vw=pair,
             )
-        )
-    completion = reader.on_timer(f"r1/op{reader._op_counter}/read-round-1")
-    assert completion.completions, "the fallback read should complete fast"
+        ).completions
+    assert bool(completions) == (reader.timer_policy is TimerPolicy.DEADLINE)
+    completions += reader.on_timer(f"r1/op{reader._op_counter}/read-round-1").completions
+    assert len(completions) == 1, "the fallback read should complete fast"
+    assert completions[0].rounds == 1
+    return effects
+
+
+def grant_reader(reader, config, pair=V1, servers=None):
+    """Drive *reader* through a fallback read and a full clean grant quorum."""
+    renew = sends_of(fallback_read(reader, config, pair), LeaseRenew)[0].message
     for server_id in servers or [f"s{i}" for i in range(1, config.round_quorum + 1)]:
         reader.handle_message(
             LeaseGrant(
@@ -187,15 +212,7 @@ class TestLeasedReader:
         assert reader.lease_reads == 1
 
     def test_dirty_grants_do_not_count(self, reader, config):
-        effects = reader.read()
-        renew = sends_of(effects, LeaseRenew)[0].message
-        for index in range(1, config.round_quorum + 1):
-            reader.handle_message(
-                ReadAck(
-                    sender=f"s{index}", read_ts=1, round=1, pw=V1, w=V1, vw=V1
-                )
-            )
-        reader.on_timer(f"r1/op{reader._op_counter}/read-round-1")
+        renew = sends_of(fallback_read(reader, config), LeaseRenew)[0].message
         # Both grants carry a pair newer than the cached selection: the
         # granting servers saw a newer write first, so they can't vouch.
         for server_id in ("s1", "s2"):
@@ -272,6 +289,48 @@ class TestLeasedReader:
         assert len(renews) == config.num_servers
         assert renews[0].message.lease_id == renew.lease_id + 1
 
+    def test_fallback_read_does_not_supersede_inflight_acquisition(self, reader, config):
+        # Regression: a caller that re-invokes the moment its read returned —
+        # before any LeaseGrant was handled — used to start a fresh
+        # acquisition and discard the one whose grants were in the mailbox;
+        # in a closed loop the lease then never activated.
+        first = fallback_read(reader, config)
+        renew = sends_of(first, LeaseRenew)[0].message
+        second = reader.read()
+        assert sends_of(second, Read) and not sends_of(second, LeaseRenew)
+        for server_id in ("s1", "s2", "s3"):
+            reader.handle_message(
+                LeaseGrant(
+                    sender=server_id,
+                    lease_id=renew.lease_id,
+                    duration=renew.duration,
+                    observed=V1,
+                )
+            )
+        # The grants of the first read's acquisition activate the lease while
+        # the second read is still in flight, and the third grant (past the
+        # S - t quorum) is kept: one more granter the lease may lose.
+        assert reader.lease_held
+        assert len(reader._lease.grants) == 3
+
+    def test_inflight_acquisition_cache_follows_later_fallback_reads(self, reader, config):
+        # Grants that observed V2 are dirty against the V1 the first read
+        # returned; a later fallback read returning V2 makes them clean.
+        renew = sends_of(fallback_read(reader, config, V1), LeaseRenew)[0].message
+        for server_id in ("s1", "s2"):
+            reader.handle_message(
+                LeaseGrant(
+                    sender=server_id,
+                    lease_id=renew.lease_id,
+                    duration=renew.duration,
+                    observed=V2,
+                )
+            )
+        assert not reader.lease_held
+        assert not sends_of(fallback_read(reader, config, V2), LeaseRenew)
+        assert reader.lease_held
+        assert reader.read().completions[0].value == "v2"
+
     def test_invalid_parameters_rejected(self, config):
         with pytest.raises(ValueError):
             LeasedReader("r1", config, lease_duration=0.0)
@@ -279,20 +338,40 @@ class TestLeasedReader:
             LeasedReader("r1", config, renew_fraction=1.5)
 
 
+def leased_sim_cluster(config, policy, lease_duration):
+    base = LuckyAtomicProtocol(config, timer_policy=policy)
+    suite = LeasedLuckyProtocol(base, lease_duration=lease_duration)
+    return SimCluster(suite, delay_model=FixedDelay(1.0))
+
+
+def acquire_by_reading(cluster, policy, value):
+    """Closed-loop fallback reads until the lease holds.
+
+    Paper-faithful, the grants are handled while the first read sits out its
+    timer.  Under the deadline it returns first: the caller's next read is
+    already in flight when the grants land, so it is the third that is served
+    from the lease — and only because the second did not supersede the first's
+    acquisition.
+    """
+    fallbacks = 1 if policy is TimerPolicy.WAIT else 2
+    for _ in range(fallbacks):
+        read = cluster.read("r1")
+        assert read.value == value and read.rounds == 1
+    return fallbacks
+
+
 class TestLeasedProtocolEndToEnd:
-    def test_lease_lifecycle_on_the_simulator(self, config):
-        suite = LeasedLuckyProtocol(LuckyAtomicProtocol(config), lease_duration=50.0)
-        cluster = SimCluster(suite, delay_model=FixedDelay(1.0))
+    @POLICIES
+    def test_lease_lifecycle_on_the_simulator(self, config, policy):
+        cluster = leased_sim_cluster(config, policy, lease_duration=50.0)
         cluster.write("v1")
-        first = cluster.read("r1")
-        assert first.rounds == 1
+        acquire_by_reading(cluster, policy, "v1")
         leased = cluster.read("r1")
         assert leased.rounds == 0 and leased.result.metadata["lease"] is True
         # A write revokes before its acknowledgements complete ...
         cluster.write("v2")
         # ... so the next read falls back and returns the new value.
-        fallback = cluster.read("r1")
-        assert fallback.value == "v2" and fallback.rounds >= 1
+        acquire_by_reading(cluster, policy, "v2")
         again = cluster.read("r1")
         assert again.value == "v2" and again.rounds == 0
         result = check_atomicity(cluster.history())
@@ -301,11 +380,11 @@ class TestLeasedProtocolEndToEnd:
         assert "lease-served" in result.summary()
         cluster.run_until_quiescent()  # lease timers drain; no livelock
 
-    def test_lease_expires_in_virtual_time(self, config):
-        suite = LeasedLuckyProtocol(LuckyAtomicProtocol(config), lease_duration=20.0)
-        cluster = SimCluster(suite, delay_model=FixedDelay(1.0))
+    @POLICIES
+    def test_lease_expires_in_virtual_time(self, config, policy):
+        cluster = leased_sim_cluster(config, policy, lease_duration=20.0)
         cluster.write("v1")
-        cluster.read("r1")
+        acquire_by_reading(cluster, policy, "v1")
         assert cluster.read("r1").rounds == 0
         cluster.run_for(25.0)  # outlive the lease without any revocation
         expired = cluster.read("r1")

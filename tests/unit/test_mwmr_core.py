@@ -114,7 +114,7 @@ class TestMwmrWriterQueryPhase:
         assert effects.empty
 
     def test_completion_metadata_marks_mwmr(self, config):
-        writer = AtomicWriter(config, writer_id="r1", mwmr=True, wait_for_timer=False)
+        writer = AtomicWriter(config, writer_id="r1", mwmr=True)
         writer.write("v1")
         for index in range(1, config.round_quorum + 1):
             writer.handle_message(
@@ -133,7 +133,7 @@ class TestMwmrWriterQueryPhase:
         assert completion.rounds == 2  # query + fast PW
 
     def test_swmr_writer_still_one_round_without_query(self, config):
-        writer = AtomicWriter(config, wait_for_timer=False)
+        writer = AtomicWriter(config)
         effects = writer.write("v1")
         assert all(isinstance(s.message, PreWrite) for s in effects.sends)
         completion = None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.messages import Read, ReadAck, Write, WriteAck
 from repro.core.reader import AtomicReader
@@ -17,6 +18,12 @@ def config():
 @pytest.fixture
 def reader(config):
     return AtomicReader("r1", config, timer_delay=5.0)
+
+
+@pytest.fixture
+def faithful_reader(config):
+    """Fig. 2 l.17 verbatim: round 1 ends on S - t replies AND the timer."""
+    return AtomicReader("r1", config, timer_delay=5.0, timer_policy=TimerPolicy.WAIT)
 
 
 V1 = TimestampValue(1, "v1")
@@ -53,9 +60,10 @@ class TestReadRounds:
         with pytest.raises(RuntimeError):
             reader.read()
 
-    def test_fast_read_after_full_pw_quorum(self, reader, config):
-        # Synchronous run: the fastpw quorum of replies arrives before the
-        # round-1 timer expires.
+    def test_fast_read_after_full_pw_quorum(self, faithful_reader, config):
+        # Paper-faithful, synchronous run: the fastpw quorum of replies
+        # arrives before the round-1 timer expires, which ends the round.
+        reader = faithful_reader
         reader.read()
         for index in range(1, config.fast_read_pw_quorum + 1):
             effects = reader.handle_message(ack(f"s{index}", V1))
@@ -66,15 +74,81 @@ class TestReadRounds:
         assert completion.rounds == 1
         assert completion.value == "v1"
         assert completion.metadata["writeback"] is False
+        assert not effects.cancels  # the timer fired; nothing to disarm
 
-    def test_no_return_before_timer_in_round_one(self, reader, config):
+    def test_fast_read_after_full_pw_quorum_deadline(self, reader, config):
+        # Deadline: the reply that completes the fastpw quorum returns the
+        # READ and disarms the timer; the completion is the paper-faithful one.
         reader.read()
-        effects = None
+        timer_id = round1_timer(reader)
+        for index in range(1, config.fast_read_pw_quorum):
+            effects = reader.handle_message(ack(f"s{index}", V1))
+            assert effects.empty
+        effects = reader.handle_message(ack(f"s{config.fast_read_pw_quorum}", V1))
+        completion = effects.completions[0]
+        assert completion.fast
+        assert completion.rounds == 1
+        assert completion.value == "v1"
+        assert completion.metadata["writeback"] is False
+        assert effects.cancels == [timer_id]
+        assert not reader.busy
+
+    def test_no_return_before_timer_in_round_one(self, faithful_reader, config):
+        reader = faithful_reader
+        reader.read()
         for index in range(1, config.num_servers + 1):
             effects = reader.handle_message(ack(f"s{index}", V1))
-        assert not effects.completions
+            assert effects.empty
         effects = reader.on_timer(round1_timer(reader))
         assert effects.completions
+
+    def test_no_return_before_deadline_unless_fast(self, reader, config):
+        # Deadline: S - t replies and C != ∅ are not enough — V1 is safe and
+        # highCand after four replies but not fast, so the timer decides, and
+        # decides as it always did (write-back).
+        reader.read()
+        for index in range(1, config.round_quorum + 1):
+            effects = reader.handle_message(ack(f"s{index}", V1))
+            assert effects.empty
+        assert reader.views.select(reader.read_ts) == V1
+        effects = reader.on_timer(round1_timer(reader))
+        assert not effects.completions and not effects.cancels
+        assert all(isinstance(send.message, Write) for send in effects.sends)
+
+    def test_late_ack_and_stale_timer_after_early_return_are_ignored(self, reader, config):
+        reader.read()
+        timer_id = round1_timer(reader)
+        for index in range(1, config.fast_read_pw_quorum + 1):
+            effects = reader.handle_message(ack(f"s{index}", V1))
+        assert effects.completions
+        # The sixth server's reply and a timer that raced its cancellation
+        # reach an idle reader ...
+        assert reader.handle_message(ack("s6", V1)).empty
+        assert reader.on_timer(timer_id).empty
+        # ... and, worse, one with the next READ already in round 1: the stale
+        # timer (op-scoped id) must not expire the new round.
+        reader.read()
+        assert reader.handle_message(ack("s6", V1, read_ts=1)).empty
+        assert reader.on_timer(timer_id).empty
+        assert not reader._attempt.timer_expired
+
+    def test_select_runs_at_most_once_per_new_responder(self, reader, config):
+        # Keep the early read cheap: below S - t replies, on a duplicate, on a
+        # stale reply and on a reply whose pw pair is not itself fast the
+        # candidate set is not computed at all.
+        calls = []
+        select = reader.views.select
+        reader.views.select = lambda read_ts: calls.append(read_ts) or select(read_ts)
+        reader.read()
+        for index in range(1, config.round_quorum + 1):
+            reader.handle_message(ack(f"s{index}", V1))  # pw count 4 < 5
+        reader.handle_message(ack("s1", V1))  # duplicate
+        reader.handle_message(ack("s5", V1, read_ts=99))  # stale
+        reader.handle_message(ack("s5", V2))  # a lone fresher pair: not fast
+        assert calls == []
+        effects = reader.handle_message(ack("s6", V1))  # pw count reaches 5
+        assert calls == [1]
+        assert effects.completions[0].value == "v1"
 
     def test_fast_read_via_vw_quorum(self, reader, config):
         reader.read()
@@ -146,7 +220,7 @@ class TestTimerScoping:
         assert attempt.round_responders == responders_before
 
     def test_round_one_timer_ignored_without_timer_wait(self, config):
-        reader = AtomicReader("r1", config, timer_delay=5.0, wait_for_timer=False)
+        reader = AtomicReader("r1", config, timer_delay=5.0, timer_policy=TimerPolicy.NONE)
         reader.read()
         attempt = reader._attempt
         assert attempt.timer_expired  # set eagerly, no timer was armed
@@ -228,7 +302,7 @@ class TestAblationFlags:
         # Without the round-1 timer the reader decides at S - t replies, below
         # the fastpw quorum: the value is returned but only after a write-back
         # (this documents why the timer wait of Fig. 2 line 17 exists).
-        reader = AtomicReader("r1", config, wait_for_timer=False)
+        reader = AtomicReader("r1", config, timer_policy=TimerPolicy.NONE)
         effects = reader.read()
         assert not effects.timers
         for index in range(1, config.round_quorum + 1):
@@ -237,7 +311,7 @@ class TestAblationFlags:
         assert any(isinstance(send.message, Write) for send in effects.sends)
 
     def test_disabled_fast_path_forces_writeback(self, config):
-        reader = AtomicReader("r1", config, enable_fast_path=False, wait_for_timer=False)
+        reader = AtomicReader("r1", config, enable_fast_path=False, timer_policy=TimerPolicy.NONE)
         reader.read()
         effects = None
         for index in range(1, config.round_quorum + 1):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.messages import Batch, PreWrite
 from repro.core.protocol import LuckyAtomicProtocol
@@ -16,9 +17,9 @@ def config():
     return SystemConfig(t=2, b=1, fw=1, fr=0, num_readers=2)
 
 
-def build(config, **kwargs):
+def build(config, timer_policy=TimerPolicy.DEADLINE, **kwargs):
     kwargs.setdefault("delay_model", FixedDelay(1.0))
-    return SimCluster(LuckyAtomicProtocol(config), **kwargs)
+    return SimCluster(LuckyAtomicProtocol(config, timer_policy=timer_policy), **kwargs)
 
 
 class TestConstruction:
@@ -164,11 +165,40 @@ class TestFailureInjection:
 
 class TestTrace:
     def test_trace_counts_messages_by_kind(self, config):
-        cluster = build(config)
-        cluster.write("x")
+        # Paper-faithful: the WRITE sits out its timer, so every server's
+        # acknowledgement has been delivered by the time it returns.
+        cluster = build(config, timer_policy=TimerPolicy.WAIT)
+        write = cluster.write("x")
         counts = cluster.trace.count_by_kind()
         assert counts["PreWrite"] == config.num_servers
         assert counts["PreWriteAck"] == config.num_servers
+        assert write.latency == pytest.approx(cluster.writer.timer_delay)
+
+    def test_trace_counts_messages_by_kind_deadline(self, config):
+        # Deadline: the WRITE returns on the S - fw-th acknowledgement, one
+        # round trip after the invocation; the rest arrive at an idle writer.
+        cluster = build(config)
+        write = cluster.write("x")
+        counts = cluster.trace.count_by_kind()
+        assert counts["PreWrite"] == config.num_servers
+        assert counts["PreWriteAck"] == config.fast_write_quorum
+        assert write.latency == pytest.approx(2.0) and write.fast
+        assert cluster.timers_cancelled == 1
+        cluster.run_until_quiescent()
+        assert cluster.trace.count_by_kind()["PreWriteAck"] == config.num_servers
+
+    def test_no_dead_round_one_timers_after_many_operations(self, config):
+        cluster = build(config)
+        for index in range(500):
+            assert cluster.write(f"v{index}").fast
+            assert cluster.read("r1").fast
+        # Every round-1 timer was disarmed by the operation it belonged to:
+        # nothing is armed, and the tombstones compacted as they surfaced.
+        assert cluster.timers_cancelled == 1000
+        cluster.run_until_quiescent()
+        assert not cluster.queue._armed
+        assert not cluster.queue._timer_heap
+        assert cluster.queue._tombstones == 0
 
     def test_summary_reports_delivered_and_dropped(self, config):
         cluster = build(config, failures=FailureSchedule.crash_at_start(["s6"]))

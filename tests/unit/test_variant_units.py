@@ -1,6 +1,7 @@
 """Unit tests for variant-specific behaviours (server/writer/reader deltas)."""
 
 
+from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.messages import PreWriteAck, Write, WriteAck
 from repro.core.types import FreezeDirective, TimestampValue
@@ -57,7 +58,7 @@ class TestRegularWriterAndReader:
         from repro.core.messages import ReadAck
 
         config = SystemConfig.regular(2, 1)
-        reader = RegularReader("r1", config, timer_delay=5.0, wait_for_timer=False)
+        reader = RegularReader("r1", config, timer_delay=5.0, timer_policy=TimerPolicy.NONE)
         reader.read()
         effects = None
         for index in range(1, config.round_quorum + 1):
@@ -127,7 +128,7 @@ class TestTwoRoundVariantUnits:
         from repro.core.messages import ReadAck
 
         config = SystemConfig.two_round_write(1, 0, 1)  # S=3, S-t-fr=1
-        reader = TwoRoundReader("r1", config, wait_for_timer=False)
+        reader = TwoRoundReader("r1", config, timer_policy=TimerPolicy.NONE)
         reader.read()
         effects = None
         for index in range(1, config.round_quorum + 1):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.messages import PreWrite, PreWriteAck, Write, WriteAck
 from repro.core.types import NewReadReport, TimestampValue
@@ -17,6 +18,12 @@ def config():
 @pytest.fixture
 def writer(config):
     return AtomicWriter(config, timer_delay=5.0)
+
+
+@pytest.fixture
+def faithful_writer(config):
+    """Fig. 1 l.5 verbatim: the PW phase ends on S - t acks AND the timer."""
+    return AtomicWriter(config, timer_delay=5.0, timer_policy=TimerPolicy.WAIT)
 
 
 def pw_timer_id(writer):
@@ -42,11 +49,23 @@ class TestPreWritePhase:
         with pytest.raises(RuntimeError):
             writer.write("v2")
 
-    def test_no_completion_before_timer_expires(self, writer, config):
+    def test_no_completion_before_timer_expires(self, faithful_writer, config):
+        writer = faithful_writer
         writer.write("v1")
         for index in range(1, config.num_servers + 1):
             effects = writer.handle_message(ack(f"s{index}", 1))
-        assert not effects.completions
+            assert effects.empty
+
+    def test_no_completion_before_deadline_below_s_minus_fw(self, writer, config):
+        # Deadline: S - t acks alone decide nothing — the timer does, and it
+        # decides as it always did (W phase).
+        writer.write("v1")
+        for index in range(1, config.round_quorum + 1):
+            effects = writer.handle_message(ack(f"s{index}", 1))
+            assert effects.empty
+        effects = writer.on_timer(pw_timer_id(writer))
+        assert not effects.completions and not effects.cancels
+        assert all(isinstance(send.message, Write) for send in effects.sends)
 
     def test_no_completion_before_quorum(self, writer):
         writer.write("v1")
@@ -55,17 +74,50 @@ class TestPreWritePhase:
         effects = writer.handle_message(ack("s1", 1))
         assert not effects.completions
 
-    def test_fast_path_with_s_minus_fw_acks(self, writer, config):
-        # Synchronous run: all acknowledgements arrive before the timer fires.
+    def test_fast_path_with_s_minus_fw_acks(self, faithful_writer, config):
+        # Paper-faithful, synchronous run: all acknowledgements arrive before
+        # the timer fires, which ends the phase.
+        writer = faithful_writer
         writer.write("v1")
         for index in range(1, config.fast_write_quorum + 1):
             effects = writer.handle_message(ack(f"s{index}", 1))
             assert not effects.completions
         effects = writer.on_timer(pw_timer_id(writer))
-        assert effects.completions
+        assert effects.completions and not effects.cancels
         completion = effects.completions[0]
         assert completion.fast and completion.rounds == 1
         assert not writer.busy
+
+    def test_fast_path_with_s_minus_fw_acks_deadline(self, writer, config):
+        # Deadline: the ack that brings the WRITE to S - fw returns it and
+        # disarms the timer; the completion is the paper-faithful one.
+        writer.write("v1")
+        timer_id = pw_timer_id(writer)
+        for index in range(1, config.fast_write_quorum):
+            effects = writer.handle_message(ack(f"s{index}", 1))
+            assert effects.empty
+        effects = writer.handle_message(ack(f"s{config.fast_write_quorum}", 1))
+        completion = effects.completions[0]
+        assert completion.fast and completion.rounds == 1
+        assert completion.metadata["pw_acks"] == config.fast_write_quorum
+        assert effects.cancels == [timer_id]
+        assert not writer.busy and writer.w == TimestampValue(1, "v1")
+
+    def test_late_ack_and_stale_timer_after_early_return_are_ignored(self, writer, config):
+        writer.write("v1")
+        timer_id = pw_timer_id(writer)
+        for index in range(1, config.fast_write_quorum + 1):
+            effects = writer.handle_message(ack(f"s{index}", 1))
+        assert effects.completions
+        # The sixth ack and a timer that raced its cancellation reach an idle
+        # writer ...
+        assert writer.handle_message(ack("s6", 1)).empty
+        assert writer.on_timer(timer_id).empty
+        # ... and one with the next WRITE already in its PW phase.
+        writer.write("v2")
+        assert writer.handle_message(ack("s6", 1)).empty
+        assert writer.on_timer(timer_id).empty
+        assert not writer._attempt.timer_expired
 
     def test_late_acks_after_timer_miss_the_fast_path(self, writer, config):
         # Unlucky run: the timer expires while only S-t acknowledgements are
@@ -203,7 +255,7 @@ class TestAblationFlags:
         # Without the timer wait the writer acts as soon as S - t replies are
         # in, which is below the S - fw fast quorum here: this documents why
         # the timer wait of Fig. 1 line 5 exists.
-        writer = AtomicWriter(config, wait_for_timer=False)
+        writer = AtomicWriter(config, timer_policy=TimerPolicy.NONE)
         effects = writer.write("v1")
         assert not effects.timers
         for index in range(1, config.round_quorum + 1):
