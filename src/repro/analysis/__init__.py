@@ -15,7 +15,7 @@ RP01      dispatch-exhaustiveness: every wire message type is handled or
           explicitly ignored by each automaton's ``handle_message`` chain
 RP02      wire-registry consistency: every message class has a unique,
           never-reused tag; every wire-crossing dataclass is registered
-RP03      no-pickle: pickle is only imported by the legacy-dialect sniffers
+RP03      no-pickle: nothing imports pickle, no file is exempt
 RP04      sim-determinism: no wall clocks or unseeded randomness in the
           deterministic protocol/simulation layers
 RP05      fsync-before-ack: durable wrappers append to the WAL before the

@@ -80,14 +80,6 @@ MESSAGE_GROUPS: Dict[str, Tuple[str, ...]] = {
 #: seeded randomness.
 DETERMINISM_SCOPES: FrozenSet[str] = frozenset({"core", "sim", "store", "lease"})
 
-#: The only files allowed to import pickle (RP03): the WAL/snapshot
-#: legacy-dialect sniffers, which must *read* frames written before the
-#: binary codec existed.
-PICKLE_ALLOWED_SUFFIXES: Tuple[str, ...] = (
-    "persist/wal.py",
-    "persist/snapshot.py",
-)
-
 #: The only files allowed to call ``DelayModel.sample`` directly (RP08): the
 #: delay models themselves (composition/decoration) and the topology layer,
 #: which consults the model only after deciding partitions, gray links and

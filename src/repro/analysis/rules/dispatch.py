@@ -55,9 +55,12 @@ def _delegates(method: ast.FunctionDef, param: str) -> bool:
 
     A delegation is a ``*.handle_message(<param>)`` call sitting in the
     method's top-level statement list — i.e. reached on *every* path, not
-    just inside one ``isinstance`` branch.  ``LeaseServer`` (unconditional
-    ``self.inner.handle_message(message)``) and ``LeasedReader`` (trailing
-    ``return super().handle_message(message)``) are the two shipped shapes.
+    just inside one ``isinstance`` branch: a wrapper that picks out the types
+    it cares about and ends in ``return self.inner.handle_message(message)``
+    or ``return super().handle_message(message)``.  (The lease roles do not
+    rely on it: they hand every message to their ``LeaseTable`` / ``LeaseHolder``
+    first, which answers ``None`` for anything that is not lease traffic, and
+    name no message type in ``handle_message`` at all.)
     """
     for statement in method.body:
         for call in ast.walk(statement):

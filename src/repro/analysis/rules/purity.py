@@ -1,9 +1,9 @@
 """RP03/RP04 — import hygiene for the deterministic core.
 
 RP03 (no-pickle): the versioned binary codec replaced pickle on every wire
-and durability surface; the only remaining legitimate readers of pickle
-frames are the WAL/snapshot legacy-dialect sniffers.  Any other import is a
-regression waiting to deserialize attacker-controlled bytes.
+and durability surface, and the last readers of pickle frames (the
+WAL/snapshot legacy-dialect sniffers) are gone.  No file is exempt: any
+import is a regression waiting to deserialize attacker-controlled bytes.
 
 RP04 (sim-determinism): the protocol, simulator, store and lease layers run
 under a discrete-event scheduler whose whole value is replayable executions.
@@ -19,7 +19,7 @@ from typing import Iterable, List
 
 from ..astutils import dotted_name
 from ..findings import Finding
-from ..protocol import DETERMINISM_SCOPES, PICKLE_ALLOWED_SUFFIXES
+from ..protocol import DETERMINISM_SCOPES
 from ..registry import Rule, SourceFile, register
 
 _WALL_CLOCK_MODULES = {"time", "datetime"}
@@ -32,24 +32,18 @@ class NoPickle(Rule):
     rationale = (
         "pickle deserialization executes arbitrary code and its frames are "
         "not versioned; the binary wire codec is the only serialization "
-        "surface.  Only the WAL/snapshot legacy sniffers may import it."
+        "surface.  No file may import it."
     )
 
     def check_file(self, file: SourceFile) -> Iterable[Finding]:
-        if file.path_endswith(*PICKLE_ALLOWED_SUFFIXES):
-            return
         for node in ast.walk(file.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "pickle":
-                        yield self.finding(
-                            file, node, "pickle import outside the legacy sniffers"
-                        )
+                        yield self.finding(file, node, "pickle import")
             elif isinstance(node, ast.ImportFrom):
                 if node.module and node.module.split(".")[0] == "pickle":
-                    yield self.finding(
-                        file, node, "pickle import outside the legacy sniffers"
-                    )
+                    yield self.finding(file, node, "pickle import")
             elif isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name in ("importlib.import_module", "import_module"):
@@ -58,11 +52,7 @@ class NoPickle(Rule):
                         and isinstance(node.args[0], ast.Constant)
                         and node.args[0].value == "pickle"
                     ):
-                        yield self.finding(
-                            file,
-                            node,
-                            "dynamic pickle import outside the legacy sniffers",
-                        )
+                        yield self.finding(file, node, "dynamic pickle import")
 
 
 def _in_determinism_scope(file: SourceFile) -> bool:

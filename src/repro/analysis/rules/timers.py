@@ -12,9 +12,9 @@ the op id, so an old read's timer fired into a new read's round.
 The rule flags ``start_timer(...)`` / ``StartTimer(...)`` whose timer-id
 argument is a context-free string: a plain constant, or an f-string with no
 interpolated values.  Ids built by helpers (``self._timer_id(op_id, ...)``),
-f-strings interpolating op/round state, and named module constants
-(``GRACE_TIMER_ID`` — a deliberate singleton, scoped by the constant's
-definition site) all pass.
+f-strings interpolating op/round state (or, for the lease tables' grace
+timer, the role prefix — a deliberate per-role singleton), and named module
+constants (scoped by the constant's definition site) all pass.
 
 RP09
 ----

@@ -24,18 +24,17 @@ unbounded number of concurrent WRITEs (Theorem 2, case b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from .automaton import ClientAutomaton, Effects, OperationComplete, TimerPolicy
 from .config import SystemConfig
+from .lease import READ_LEASE, LeaseHolder
 from .messages import (
     SERVER_BOUND_MESSAGES,
     BaselineQueryReply,
     BaselineStoreAck,
     LeaseGrant,
-    LeaseRenew,
     LeaseRevoke,
-    LeaseRevokeAck,
     Message,
     PreWriteAck,
     Read,
@@ -343,23 +342,6 @@ class AtomicReader(ClientAutomaton):
         }
 
 
-@dataclass
-class _LeaseState:
-    """One lease instance: an acquisition in flight, or the held lease.
-
-    ``grants`` maps each granting server to the ``(observed, epoch)`` pair of
-    its :class:`~repro.core.messages.LeaseGrant`; ``cached`` is the value the
-    lease vouches for (the selection of the fallback READ the acquisition rode
-    on, or the previous lease's value for a renewal).
-    """
-
-    lease_id: int
-    duration: float
-    cached: Optional[TimestampValue] = None
-    grants: Dict[str, Tuple[TimestampValue, int]] = field(default_factory=dict)
-    active: bool = False
-
-
 class LeasedReader(AtomicReader):
     """A reader serving contention-free reads from a quorum read lease.
 
@@ -367,28 +349,12 @@ class LeasedReader(AtomicReader):
     from the cached ``(ts, writer_id, value)`` pair; on expiry, revocation or
     incarnation-fence invalidation the reader falls back to the full Fig. 2
     protocol, and the fallback read doubles as the next acquisition attempt
-    (the ``LEASE_RENEW`` broadcast travels with the round-1 ``READ`` — one
-    batch frame per server under the batching layer).
+    (the ``LEASE_RENEW`` broadcast travels with the round-1 ``READ``).
 
-    A lease holds when ``S - t`` servers granted it *cleanly*: a grant counts
-    only if the ``observed`` pair it carries does not exceed the cached pair,
-    so a server that processed a newer write before granting can never vouch
-    for the stale cache.  Safety then follows from quorum intersection: any
-    write (or write-back) quorum intersects the clean granters in at least
-    ``b + 1`` servers, of which one is honest and *withholds* its
-    acknowledgement until this reader confirmed revocation or the lease
-    expired — so no newer operation completes while the cache is being served.
-    Expiry is tracked with a timer armed when the request is *sent*, which
-    under both runtimes (virtual time in the simulator, scaled wall-clock in
-    asyncio) expires no later than the granting servers' own windows.
-
-    Incarnation fencing: grants record the granting server's ``epoch``.  A
-    message from a higher epoch reveals the server crashed and recovered —
-    its volatile lease table, and with it the withholding promise, is gone —
-    so that grant is discarded and the lease dropped once the clean quorum is
-    broken.  (The recovered server independently observes a full
-    lease-duration grace period before acknowledging anything, so even an
-    unfenced holder cannot be bypassed; see :class:`repro.lease.LeaseServer`.)
+    The lease itself — acquisition, clean grants, activation, epoch fence,
+    revocation, timers, and the argument for why a held lease is safe to
+    serve from — is the shared :class:`~repro.core.lease.LeaseHolder` bound to
+    the read role; this class keeps only what the lease lets a reader skip.
     """
 
     def __init__(
@@ -396,48 +362,24 @@ class LeasedReader(AtomicReader):
         reader_id: str,
         config: SystemConfig,
         lease_duration: float = 60.0,
-        renew_fraction: float = 0.5,
         **kwargs: Any,
     ) -> None:
         super().__init__(reader_id, config, **kwargs)
-        if lease_duration <= 0:
-            raise ValueError("lease_duration must be positive")
-        if not 0.0 < renew_fraction < 1.0:
-            raise ValueError("renew_fraction must be within (0, 1)")
-        self.lease_duration = lease_duration
-        self.renew_fraction = renew_fraction
-        self._lease: Optional[_LeaseState] = None
-        self._acquiring: Optional[_LeaseState] = None
-        self._lease_counter = 0
-        self._renew_due = False
-        self._server_epochs: Dict[str, int] = {}
+        self.lease = LeaseHolder(READ_LEASE, reader_id, config, lease_duration)
         #: Diagnostics: reads served locally from the lease (zero rounds).
         self.lease_reads = 0
 
     # ------------------------------------------------------------ invocation
     def read(self) -> Effects:
-        lease = self._lease
-        if lease is not None and lease.active:
-            self._operation_started()
-            op_id = self._next_op_id()
-            effects = self._complete_from_lease(op_id, lease)
-            if self._renew_due and self._acquiring is None:
-                self._renew_due = False
-                effects.merge(self._start_acquisition(cached=lease.cached))
+        held = self.lease.held
+        if held is None:
+            effects = super().read()
+            self.lease.acquire(effects)
             return effects
-        effects = super().read()
-        # The fallback read doubles as the acquisition attempt — unless one is
-        # still in flight: a read that returns before its grants are handled
-        # must not discard them when the caller re-invokes at once.  The
-        # pending attempt stays safe to finish (clean grants are judged
-        # against its ``cached`` pair, which this read can only raise).
-        if self._acquiring is None:
-            effects.merge(self._start_acquisition())
-        return effects
-
-    def _complete_from_lease(self, op_id: int, lease: _LeaseState) -> Effects:
-        cached = lease.cached
+        cached = held.cached
         assert cached is not None
+        self._operation_started()
+        op_id = self._next_op_id()
         self._operation_finished()
         self.lease_reads += 1
         effects = Effects()
@@ -454,175 +396,24 @@ class LeasedReader(AtomicReader):
                     "writeback": False,
                     "lease": True,
                     "is_bottom": is_bottom(cached.val),
-                    **(
-                        {"writer_id": cached.writer_id}
-                        if cached.writer_id
-                        else {}
-                    ),
+                    **({"writer_id": cached.writer_id} if cached.writer_id else {}),
                 },
             )
         )
+        self.lease.renew_if_due(effects)
         return effects
-
-    # ----------------------------------------------------------- acquisition
-    def _start_acquisition(self, cached: Optional[TimestampValue] = None) -> Effects:
-        self._lease_counter += 1
-        state = _LeaseState(
-            lease_id=self._lease_counter,
-            duration=self.lease_duration,
-            cached=cached,
-        )
-        self._acquiring = state
-        effects = Effects()
-        effects.broadcast(
-            self.config.server_ids(),
-            LeaseRenew(
-                sender=self.process_id,
-                lease_id=state.lease_id,
-                duration=state.duration,
-            ),
-        )
-        # Expiry is measured from *now* (the send), a strict lower bound on
-        # every server's grant time, so the reader always stops serving before
-        # any granter releases a withheld acknowledgement.
-        effects.start_timer(self._lease_timer_id(state.lease_id, "expire"), state.duration)
-        effects.start_timer(
-            self._lease_timer_id(state.lease_id, "renew"),
-            state.duration * self.renew_fraction,
-        )
-        return effects
-
-    def _lease_timer_id(self, lease_id: int, label: str) -> str:
-        return f"{self.process_id}/lease{lease_id}/{label}"
-
-    def _cancel_lease_timers(self, effects: Effects, lease_id: int) -> None:
-        """Disarm both timers of a dead lease instance.
-
-        A dropped or superseded lease would otherwise leave its expire (and
-        possibly renew) timer pending until the full lease duration elapsed —
-        dead events the runtimes would pop and discard.  Cancelling an
-        already-fired timer is a no-op, so this is safe whichever of the two
-        timers already ran.
-        """
-        effects.cancel_timer(self._lease_timer_id(lease_id, "expire"))
-        effects.cancel_timer(self._lease_timer_id(lease_id, "renew"))
-
-    def _clean_grant_count(self, state: _LeaseState) -> int:
-        if state.cached is None:
-            return 0
-        cached_key = state.cached.order_key
-        return sum(
-            1
-            for observed, _ in state.grants.values()
-            if observed.order_key <= cached_key
-        )
-
-    def _maybe_activate(self, state: _LeaseState) -> None:
-        if state.active or state.cached is None:
-            return
-        if self._clean_grant_count(state) < self.config.round_quorum:
-            return
-        state.active = True
-        if state is self._acquiring:
-            self._acquiring = None
-        self._lease = state
 
     # ----------------------------------------------------------------- input
     def handle_message(self, message: Message) -> Effects:
-        self._observe_epoch(message)
-        if isinstance(message, LeaseGrant):
-            return self._on_lease_grant(message)
-        if isinstance(message, LeaseRevoke):
-            return self._on_lease_revoke(message)
+        effects = self.lease.handle_message(message)
+        if effects is not None:
+            return effects
         return super().handle_message(message)
 
-    def _observe_epoch(self, message: Message) -> None:
-        """Incarnation fencing: drop grants from servers that recovered."""
-        epoch = message.epoch
-        if epoch <= self._server_epochs.get(message.sender, 0):
-            return
-        self._server_epochs[message.sender] = epoch
-        for slot in ("_lease", "_acquiring"):
-            state = getattr(self, slot)
-            if state is None:
-                continue
-            grant = state.grants.get(message.sender)
-            if grant is not None and grant[1] < epoch:
-                del state.grants[message.sender]
-                if state.active and self._clean_grant_count(state) < self.config.round_quorum:
-                    # The recovered server forgot its withholding promise, so
-                    # the lease quorum no longer intersects every write quorum
-                    # in an honest withholding server: stop serving.
-                    setattr(self, slot, None)
-
-    def _on_lease_grant(self, grant: LeaseGrant) -> Effects:
-        effects = Effects()
-        previous = self._lease
-        for state in (self._acquiring, self._lease):
-            if state is not None and state.lease_id == grant.lease_id:
-                # Grants keep landing after the read they rode on returned and
-                # after the S - t-th one activated the lease; each is one more
-                # withholding granter the lease can afford to lose to a fence.
-                state.grants[grant.sender] = (grant.observed, grant.epoch)
-                self._maybe_activate(state)
-                break
-        if previous is not None and self._lease is not previous:
-            # A renewal activated and superseded the held lease: its expire
-            # timer (and any unfired renew timer) is dead — disarm it.
-            self._cancel_lease_timers(effects, previous.lease_id)
-        return effects
-
-    def _on_lease_revoke(self, revoke: LeaseRevoke) -> Effects:
-        # Stop serving *before* the acknowledgement leaves: the state changes
-        # here, the ack below reaches the transport only after this handler
-        # returns, so a revoking server never sees the ack while a read could
-        # still be served from the revoked lease.  A match against EITHER the
-        # active lease or the in-flight renewal drops BOTH: servers keep one
-        # lease per holder, so a renewal supersedes the active lease in their
-        # tables — acking a revoke of the renewal while still serving the
-        # superseded lease would let the write's withheld acks go free.
-        effects = Effects()
-        if any(
-            state is not None and state.lease_id == revoke.lease_id
-            for state in (self._lease, self._acquiring)
-        ):
-            for state in (self._lease, self._acquiring):
-                if state is not None:
-                    self._cancel_lease_timers(effects, state.lease_id)
-            self._lease = None
-            self._acquiring = None
-        effects.send(
-            revoke.sender,
-            LeaseRevokeAck(sender=self.process_id, lease_id=revoke.lease_id),
-        )
-        return effects
-
-    # ----------------------------------------------------------------- timers
     def on_timer(self, timer_id: str) -> Effects:
-        if timer_id.startswith(f"{self.process_id}/lease"):
-            return self._on_lease_timer(timer_id)
-        return super().on_timer(timer_id)
-
-    def _on_lease_timer(self, timer_id: str) -> Effects:
-        remainder = timer_id[len(f"{self.process_id}/lease") :]
-        id_text, _, label = remainder.partition("/")
-        try:
-            lease_id = int(id_text)
-        except ValueError:
+        if self.lease.on_timer(timer_id):
             return Effects()
-        if label == "expire":
-            for slot in ("_lease", "_acquiring"):
-                state = getattr(self, slot)
-                if state is not None and state.lease_id == lease_id:
-                    setattr(self, slot, None)
-        elif label == "renew":
-            lease = self._lease
-            if lease is not None and lease.lease_id == lease_id and lease.active:
-                # Renew lazily, on the next lease-served read: an idle reader
-                # must not keep a timer chain alive forever (the simulator's
-                # quiescence would never be reached).
-                self._renew_due = True
-        return Effects()
+        return super().on_timer(timer_id)
 
     # -------------------------------------------------------------- fallback
     def _complete(self) -> Effects:
@@ -631,29 +422,16 @@ class LeasedReader(AtomicReader):
         selected = attempt.selected
         assert selected is not None
         effects = super()._complete()
-        acquiring = self._acquiring
-        if acquiring is not None and (
-            acquiring.cached is None or selected.order_key > acquiring.cached.order_key
-        ):
-            # Seed the attempt this read rode on, or raise the cache of an
-            # earlier one still in flight: grants that observed up to the
-            # pair just returned are clean with respect to it.
-            acquiring.cached = selected
-            self._maybe_activate(acquiring)
+        self.lease.seed(selected, effects)
         return effects
 
     # ------------------------------------------------------------ inspection
     @property
     def lease_held(self) -> bool:
         """Whether a read lease is currently active."""
-        return self._lease is not None and self._lease.active
+        return self.lease.held is not None
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
-        info["lease"] = {
-            "held": self.lease_held,
-            "duration": self.lease_duration,
-            "lease_reads": self.lease_reads,
-            "cached": self._lease.cached if self._lease else None,
-        }
+        info["lease"] = {**self.lease.describe(), "lease_reads": self.lease_reads}
         return info

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .automaton import ClientAutomaton, Effects, OperationComplete, TimerPolicy
 from .config import SystemConfig
+from .lease import WRITER_LEASE, LeaseHolder
 from .messages import (
     SERVER_BOUND_MESSAGES,
     BaselineQueryReply,
@@ -40,9 +41,7 @@ from .messages import (
     Write,
     WriteAck,
     WriterLeaseGrant,
-    WriterLeaseRenew,
     WriterLeaseRevoke,
-    WriterLeaseRevokeAck,
 )
 from .types import (
     INITIAL_PAIR,
@@ -492,50 +491,33 @@ class AtomicWriter(ClientAutomaton):
         }
 
 
-@dataclass
-class _WriterLeaseState:
-    """One (attempted or active) writer lease."""
-
-    lease_id: int
-    duration: float
-    #: The freshest pair this writer knows is stored — leased writes pick
-    #: ``cached.ts + 1`` without querying.  Seeded by the completion of the
-    #: operation the acquisition rode on.
-    cached: Optional[TimestampValue] = None
-    #: Per-server ``(observed pair, epoch)`` of received grants.
-    grants: Dict[str, Tuple[TimestampValue, int]] = field(default_factory=dict)
-    active: bool = False
-
-
 class LeasedWriter(AtomicWriter):
     """An MWMR writer that skips the timestamp-query round under a lease.
 
     The MWMR write costs two phases: a :class:`TimestampQuery` round to learn
     the highest stored pair, then the PW phase.  A writer lease caches the
     outcome of the first: while ``S - t`` servers have granted this writer a
-    lease *clean* with respect to its cached pair (their observed pair at
-    grant time did not exceed the cache), every granting server parks
+    lease *clean* with respect to its cached pair, every granting server parks
     competing writers' queries and withholds their phase acks — so no other
     write can complete, the cache stays the register's freshest pair, and this
     writer may write ``(cached.ts + 1, value)`` straight away: **one round**,
     the SWMR fast-path cost.
 
-    Conditional operations decide locally under an active lease:
+    Conditional operations decide locally under a held lease:
     :meth:`compare_and_swap` compares against the cached value (a mismatch
     completes in **zero rounds**) and :meth:`read_modify_write` transforms it.
-    Without a lease both fall back to the optimistic query-phase protocol of
-    :class:`AtomicWriter` with an acquisition riding along.
+    Without a lease all three fall back to the optimistic query-phase protocol
+    of :class:`AtomicWriter` with an acquisition riding along.
 
-    Safety mirrors :class:`~repro.core.reader.LeasedReader`: grants are
-    epoch-fenced (a server restart invalidates its grant), a revocation drops
-    the cache immediately, and expiry is timer-driven on both sides.
+    The lease itself is the shared :class:`~repro.core.lease.LeaseHolder`
+    bound to the writer role; this class keeps only what the lease lets a
+    writer skip.
     """
 
     def __init__(
         self,
         config: SystemConfig,
         lease_duration: float = 60.0,
-        renew_fraction: float = 0.5,
         timer_delay: float = 10.0,
         writer_id: Optional[str] = None,
         enable_fast_path: bool = True,
@@ -549,17 +531,7 @@ class LeasedWriter(AtomicWriter):
             timer_policy=timer_policy,
             mwmr=True,
         )
-        if lease_duration <= 0:
-            raise ValueError("lease_duration must be positive")
-        if not 0 < renew_fraction < 1:
-            raise ValueError("renew_fraction must be in (0, 1)")
-        self.lease_duration = lease_duration
-        self.renew_fraction = renew_fraction
-        self._lease: Optional[_WriterLeaseState] = None
-        self._acquiring: Optional[_WriterLeaseState] = None
-        self._lease_counter = 0
-        self._renew_due = False
-        self._server_epochs: Dict[str, int] = {}
+        self.lease = LeaseHolder(WRITER_LEASE, self.process_id, config, lease_duration)
         #: WRITE/CAS/RMW operations whose PW phase skipped the query round.
         self.lease_writes = 0
         #: Conditional operations decided against the cached pair.
@@ -567,65 +539,55 @@ class LeasedWriter(AtomicWriter):
 
     # ------------------------------------------------------------ invocation
     def write(self, value: Any) -> Effects:
-        lease = self._active_lease()
-        if lease is None:
-            effects = super().write(value)
-            effects.merge(self._maybe_start_acquisition())
-            return effects
-        return self._leased_write(value, lease)
+        cached = self._cached_pair()
+        if cached is None:
+            return self._riding(super().write(value))
+        return self._leased_write(value, cached)
 
     def compare_and_swap(self, expected: Any, new: Any) -> Effects:
-        lease = self._active_lease()
-        if lease is None:
-            effects = super().compare_and_swap(expected, new)
-            effects.merge(self._maybe_start_acquisition())
-            return effects
-        cached = lease.cached
-        assert cached is not None
+        cached = self._cached_pair()
+        if cached is None:
+            return self._riding(super().compare_and_swap(expected, new))
         self.lease_conditionals += 1
         current = None if is_bottom(cached.val) else cached.val
         if current != expected:
             return self._local_conditional_failure(cached, expected)
-        return self._leased_write(
-            new, lease, cas=True, cas_expected=expected, observed=cached
-        )
+        return self._leased_write(new, cached, cas=True, cas_expected=expected)
 
     def read_modify_write(self, fn: Callable[[Any], Any]) -> Effects:
-        lease = self._active_lease()
-        if lease is None:
-            effects = super().read_modify_write(fn)
-            effects.merge(self._maybe_start_acquisition())
-            return effects
-        cached = lease.cached
-        assert cached is not None
+        cached = self._cached_pair()
+        if cached is None:
+            return self._riding(super().read_modify_write(fn))
         self.lease_conditionals += 1
         current = None if is_bottom(cached.val) else cached.val
-        return self._leased_write(fn(current), lease, rmw_fn=fn, observed=cached)
+        return self._leased_write(fn(current), cached, rmw_fn=fn)
 
     @property
     def lease_held(self) -> bool:
         """Whether a writer lease is currently active."""
-        return self._active_lease() is not None
+        return self.lease.held is not None
 
-    def _active_lease(self) -> Optional[_WriterLeaseState]:
-        lease = self._lease
-        if lease is not None and lease.active:
-            return lease
-        return None
+    def _cached_pair(self) -> Optional[TimestampValue]:
+        """The register's freshest pair, if a held lease vouches for it."""
+        held = self.lease.held
+        return None if held is None else held.cached
+
+    def _riding(self, effects: Effects) -> Effects:
+        """A fallback operation carries the next acquisition attempt."""
+        self.lease.acquire(effects)
+        return effects
 
     def _leased_write(
         self,
         value: Any,
-        lease: _WriterLeaseState,
+        cached: TimestampValue,
         cas: bool = False,
         cas_expected: Any = None,
         rmw_fn: Optional[Callable[[Any], Any]] = None,
-        observed: Optional[TimestampValue] = None,
     ) -> Effects:
-        """Start a 1-round write at ``cached.ts + 1`` — no query round."""
+        """Start a 1-round write at ``cached.ts + 1`` — no query round.  A
+        conditional operation was decided against *cached*, its observation."""
         self._operation_started()
-        cached = lease.cached
-        assert cached is not None
         self._attempt = _WriteAttempt(
             op_id=self._next_op_id(),
             value=value,
@@ -633,20 +595,16 @@ class LeasedWriter(AtomicWriter):
             cas=cas,
             cas_expected=cas_expected,
             rmw_fn=rmw_fn,
-            observed=observed,
+            observed=cached,
             from_lease=True,
         )
         self.ts = cached.ts + 1
         self.lease_writes += 1
         effects = self._start_pw_phase()
-        if self._renew_due and self._acquiring is None:
-            self._renew_due = False
-            effects.merge(self._start_acquisition(cached=lease.cached))
+        self.lease.renew_if_due(effects)
         return effects
 
-    def _local_conditional_failure(
-        self, cached: TimestampValue, expected: Any
-    ) -> Effects:
+    def _local_conditional_failure(self, cached: TimestampValue, expected: Any) -> Effects:
         """A CAS mismatch decided from the cache: zero rounds, reads ``cached``."""
         self._operation_started()
         op_id = self._next_op_id()
@@ -667,174 +625,24 @@ class LeasedWriter(AtomicWriter):
                     "lease": True,
                     "is_bottom": is_bottom(cached.val),
                     "mwmr": True,
-                    **(
-                        {"writer_id": cached.writer_id} if cached.writer_id else {}
-                    ),
+                    **({"writer_id": cached.writer_id} if cached.writer_id else {}),
                 },
             )
         )
-        if self._renew_due and self._acquiring is None:
-            self._renew_due = False
-            lease = self._lease
-            if lease is not None:
-                effects.merge(self._start_acquisition(cached=lease.cached))
-        return effects
-
-    # ----------------------------------------------------------- acquisition
-    def _maybe_start_acquisition(self) -> Effects:
-        if self._acquiring is not None:
-            return Effects()
-        return self._start_acquisition()
-
-    def _start_acquisition(
-        self, cached: Optional[TimestampValue] = None
-    ) -> Effects:
-        self._lease_counter += 1
-        state = _WriterLeaseState(
-            lease_id=self._lease_counter,
-            duration=self.lease_duration,
-            cached=cached,
-        )
-        self._acquiring = state
-        effects = Effects()
-        effects.broadcast(
-            self.config.server_ids(),
-            WriterLeaseRenew(
-                sender=self.process_id,
-                lease_id=state.lease_id,
-                duration=state.duration,
-            ),
-        )
-        effects.start_timer(
-            self._lease_timer_id(state.lease_id, "expire"), state.duration
-        )
-        effects.start_timer(
-            self._lease_timer_id(state.lease_id, "renew"),
-            state.duration * self.renew_fraction,
-        )
-        return effects
-
-    def _lease_timer_id(self, lease_id: int, label: str) -> str:
-        return f"{self.process_id}/wlease{lease_id}/{label}"
-
-    def _clean_grant_count(self, state: _WriterLeaseState) -> int:
-        """Grants whose observed pair does not exceed the cached pair.
-
-        A clean grant proves the server had seen nothing fresher than the
-        cache when it started parking competing traffic — ``S - t`` of them
-        prove no competing write can have completed past the cache.
-        """
-        cached = state.cached
-        if cached is None:
-            return 0
-        return sum(
-            1
-            for observed, _ in state.grants.values()
-            if observed.order_key <= cached.order_key
-        )
-
-    def _maybe_activate(self, state: _WriterLeaseState) -> Effects:
-        effects = Effects()
-        if state.active or state is not self._acquiring:
-            return effects
-        if self._clean_grant_count(state) < self.config.round_quorum:
-            return effects
-        previous = self._lease
-        if previous is not None and previous.lease_id != state.lease_id:
-            effects.cancel_timer(self._lease_timer_id(previous.lease_id, "expire"))
-            effects.cancel_timer(self._lease_timer_id(previous.lease_id, "renew"))
-        state.active = True
-        self._lease = state
-        self._acquiring = None
-        self._renew_due = False
+        self.lease.renew_if_due(effects)
         return effects
 
     # ----------------------------------------------------------------- input
     def handle_message(self, message: Message) -> Effects:
-        self._observe_epoch(message)
-        if isinstance(message, WriterLeaseGrant):
-            return self._on_lease_grant(message)
-        if isinstance(message, WriterLeaseRevoke):
-            return self._on_lease_revoke(message)
+        effects = self.lease.handle_message(message)
+        if effects is not None:
+            return effects
         return super().handle_message(message)
 
-    def _observe_epoch(self, message: Message) -> None:
-        """Epoch fencing: a restarted server forgot its grant — drop it."""
-        epoch = message.epoch
-        if epoch <= self._server_epochs.get(message.sender, 0):
-            return
-        self._server_epochs[message.sender] = epoch
-        for state in (self._lease, self._acquiring):
-            if state is None:
-                continue
-            grant = state.grants.get(message.sender)
-            if grant is not None and grant[1] < epoch:
-                del state.grants[message.sender]
-        lease = self._lease
-        if (
-            lease is not None
-            and self._clean_grant_count(lease) < self.config.round_quorum
-        ):
-            self._lease = None
-
-    def _on_lease_grant(self, message: WriterLeaseGrant) -> Effects:
-        # A grant past the S - t-th lands on the lease it already activated:
-        # one more withholding granter the lease can afford to lose to a fence.
-        for state in (self._acquiring, self._lease):
-            if state is not None and state.lease_id == message.lease_id:
-                epoch = max(message.epoch, self._server_epochs.get(message.sender, 0))
-                state.grants[message.sender] = (message.observed, epoch)
-                if state.cached is None:
-                    return Effects()  # activation waits for the riding op to complete
-                return self._maybe_activate(state)
-        return Effects()
-
-    def _on_lease_revoke(self, message: WriterLeaseRevoke) -> Effects:
-        effects = Effects()
-        lease = self._lease
-        if lease is not None and lease.lease_id == message.lease_id:
-            self._lease = None
-            effects.cancel_timer(self._lease_timer_id(lease.lease_id, "expire"))
-            effects.cancel_timer(self._lease_timer_id(lease.lease_id, "renew"))
-        acquiring = self._acquiring
-        if acquiring is not None and acquiring.lease_id == message.lease_id:
-            self._acquiring = None
-            effects.cancel_timer(
-                self._lease_timer_id(acquiring.lease_id, "expire")
-            )
-            effects.cancel_timer(self._lease_timer_id(acquiring.lease_id, "renew"))
-        effects.send(
-            message.sender,
-            WriterLeaseRevokeAck(
-                sender=self.process_id, lease_id=message.lease_id
-            ),
-        )
-        return effects
-
-    # ---------------------------------------------------------------- timers
     def on_timer(self, timer_id: str) -> Effects:
-        if timer_id.startswith(f"{self.process_id}/wlease"):
-            return self._on_lease_timer(timer_id)
+        if self.lease.on_timer(timer_id):
+            return Effects()
         return super().on_timer(timer_id)
-
-    def _on_lease_timer(self, timer_id: str) -> Effects:
-        head, _, label = timer_id.rpartition("/")
-        _, _, slot = head.rpartition("/")
-        lease_id = int(slot[len("wlease") :])
-        if label == "expire":
-            lease = self._lease
-            if lease is not None and lease.lease_id == lease_id:
-                self._lease = None
-            acquiring = self._acquiring
-            if acquiring is not None and acquiring.lease_id == lease_id:
-                self._acquiring = None
-        elif label == "renew":
-            lease = self._lease
-            if lease is not None and lease.lease_id == lease_id:
-                # Lazy renewal: piggyback on the next operation instead of
-                # waking up — an idle writer lets the lease expire.
-                self._renew_due = True
-        return Effects()
 
     # ------------------------------------------------------------ completion
     def _complete(self, fast: bool) -> Effects:
@@ -842,40 +650,25 @@ class LeasedWriter(AtomicWriter):
         assert attempt is not None
         pair = TimestampValue(attempt.ts, attempt.value, self._pair_writer_id())
         effects = super()._complete(fast=fast)
-        lease = self._lease
-        if lease is not None and lease.active:
-            lease.cached = pair
-        effects.merge(self._seed_acquisition_cache(pair))
+        held = self.lease.held
+        if held is not None:
+            # The holder is the one writer advancing the register: its own
+            # completed write is the new freshest pair.
+            held.cached = pair
+        self.lease.seed(pair, effects)
         return effects
 
     def _complete_conditional_failure(self, observed: TimestampValue) -> Effects:
         effects = super()._complete_conditional_failure(observed)
-        effects.merge(self._seed_acquisition_cache(observed))
+        self.lease.seed(observed, effects)
         return effects
-
-    def _seed_acquisition_cache(self, pair: TimestampValue) -> Effects:
-        """Adopt a quorum-proven pair as the acquisition's cache seed.
-
-        Any grant observed at or below this pair stays clean: the pair
-        dominates every write completed before the riding operation returned.
-        """
-        acquiring = self._acquiring
-        if acquiring is None:
-            return Effects()
-        if acquiring.cached is None or pair.order_key > acquiring.cached.order_key:
-            acquiring.cached = pair
-        return self._maybe_activate(acquiring)
 
     # ------------------------------------------------------------ inspection
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
-        lease = self._lease
-        info.update(
-            {
-                "lease_active": lease is not None and lease.active,
-                "lease_id": lease.lease_id if lease is not None else None,
-                "lease_writes": self.lease_writes,
-                "lease_conditionals": self.lease_conditionals,
-            }
-        )
+        info["lease"] = {
+            **self.lease.describe(),
+            "lease_writes": self.lease_writes,
+            "lease_conditionals": self.lease_conditionals,
+        }
         return info

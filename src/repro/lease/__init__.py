@@ -1,32 +1,19 @@
-"""Read leases: zero-round-trip reads for contention-free registers.
+"""Leases: zero-round reads and one-round multi-writer writes.
 
-The paper's lucky READ costs one round trip; this subsystem removes even that
-for read-heavy keys.  A reader acquires a **per-register read lease** from a
-quorum of ``S - t`` servers (the requests piggyback on the round-1 ``READ``
-broadcast of an ordinary fallback read, so acquisition is free under the
-batching layer) and then serves reads **locally, in zero rounds**, from its
-cached ``(ts, writer_id, value)`` pair until the lease expires, is revoked, or
-is fenced out by a granter's bumped incarnation.
+A holder acquires a **per-register lease** from a quorum of ``S - t`` servers
+(the request piggybacks on the first round of an ordinary fallback operation,
+so acquisition is free under the batching layer) and then relies on its cached
+``(ts, writer_id, value)`` pair until the lease expires, is revoked, or is
+fenced out by a granter's bumped incarnation.  Under a *read* lease a reader
+serves reads locally; under a *writer* lease an MWMR writer skips the
+timestamp query and decides CAS locally.
 
-Safety rests on two rules, both enforced here:
-
-* **clean grants** — a grant only counts towards the lease quorum if the
-  ``observed`` pair it carries does not exceed the cached pair
-  (:class:`~repro.core.reader.LeasedReader`);
-* **withholding** — a granting server parks every acknowledgement that could
-  complete (or expose) a newer write until its holders confirmed revocation
-  or their leases expired (:class:`LeaseServer`).
-
-Any write quorum then intersects the clean granters in an honest withholding
-server, so no operation with a newer pair completes while a stale cache is
-being served — lease-served reads linearize exactly like protocol reads, and
-the unchanged atomicity checkers verify them against the same properties.
-
-Crashes: lease state is volatile on both sides.  A crashed holder simply stops
-serving (writes wait out at most one lease duration); a crashed-and-recovered
-*granter* has forgotten its promises, so it observes a full lease-duration
-grace period of silence and rejoins under a bumped incarnation that holders
-use to fence its pre-crash grants out.
+The mechanism exists once: the client half and the safety argument (clean
+grants, withholding, quorum intersection, epoch fence and grace) are in
+:mod:`repro.core.lease`, the server half in :mod:`repro.lease.table`, and the
+two roles' withhold policies in :mod:`repro.lease.server`.  Lease-served
+operations linearize exactly like protocol operations, and the unchanged
+atomicity checkers verify them against the same properties.
 """
 
 from ..core.reader import LeasedReader

@@ -12,6 +12,8 @@ acknowledgements complete.
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 from ..core.automaton import Automaton, ClientAutomaton
 from ..core.protocol import LuckyAtomicProtocol, ProtocolSuite
 from .server import LeaseServer
@@ -23,11 +25,7 @@ class LeasedLuckyProtocol(ProtocolSuite):
     name = "lucky-atomic-leased"
     consistency = "atomic"
 
-    def __init__(
-        self,
-        base: LuckyAtomicProtocol,
-        lease_duration: float = 60.0,
-    ) -> None:
+    def __init__(self, base: LuckyAtomicProtocol, lease_duration: float = 60.0) -> None:
         super().__init__(base.config, timer_delay=base.timer_delay, timer_policy=base.timer_policy)
         self.base = base
         self.lease_duration = lease_duration
@@ -45,7 +43,7 @@ class LeasedLuckyProtocol(ProtocolSuite):
             reader_id, lease_duration=self.lease_duration
         )
 
-    def describe(self) -> dict:
+    def describe(self) -> Dict[str, Any]:
         info = super().describe()
         info["lease_duration"] = self.lease_duration
         return info

@@ -1,287 +1,117 @@
-"""Server side of the read-lease extension: grant, revoke, withhold.
+"""The two withhold policies of a granting server: read role, writer role.
 
-:class:`LeaseServer` wraps one storage automaton (a
-:class:`~repro.core.server.StorageServer` or any variant server) and adds the
-per-register lease table.  The contract a grant establishes is *withholding*:
-once the wrapped server's durable pair state advances while leases are
-outstanding, every acknowledgement the server would send — the write's own
-ack, but also READ_ACKs that would expose the advanced state to other
-readers' fast paths — is parked until each holder confirmed revocation (a
-:class:`~repro.core.messages.LeaseRevokeAck`) or its lease expired.  Combined
-with the reader-side clean-grant rule this closes the intersection argument:
-any quorum that completes a newer operation contains an honest granter whose
-acknowledgement waited for the lease to die first.
+Both wrappers own one :class:`~repro.lease.table.LeaseTable` — the grants,
+expiry timers, revocation round, grace window and parked sends live there,
+once — and decide only *what triggers revocation* and *what is withheld*.
 
-Crash recovery (the incarnation fence, second half): the lease table is
-volatile, so a crashed-and-recovered server has *forgotten* its promises.
-:meth:`notify_recovered` therefore puts the wrapper into a **grace period** —
-from the first post-recovery input, the server stays silent (all
-acknowledgements withheld) for one full lease duration, the longest any
-forgotten pre-crash lease could still be alive.  Holders additionally fence
-the recovered server out by its bumped ``Message.epoch`` (see
-:class:`~repro.core.reader.LeasedReader`), so the pre-crash lease is rejected
-from both ends.
+Wrap order is ``StorageServer → WriterLeaseServer → LeaseServer``: the writer
+lease holder's 1-round PW passes through the inner wrapper into the read-lease
+layer, which still withholds its acknowledgement until conflicting read leases
+are revoked — writer leases never bypass the read-side discipline.  Timers
+route by prefix (``wlease/…`` inner, ``lease/…`` outer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Any, Dict, Tuple
 
-from ..core.automaton import Automaton, Effects, Send
-from ..core.messages import (
-    LeaseGrant,
-    LeaseRenew,
-    LeaseRevoke,
-    LeaseRevokeAck,
-    Message,
-    PreWrite,
-    TimestampQuery,
-    Write,
-    WriterLeaseGrant,
-    WriterLeaseRenew,
-    WriterLeaseRevoke,
-    WriterLeaseRevokeAck,
-)
-from ..core.types import INITIAL_PAIR, TimestampValue, freshest
-
-#: Timer id of the post-recovery grace window.
-GRACE_TIMER_ID = "lease/grace"
-
-#: Prefix of per-lease expiry timers: ``lease/expire/<reader>/<lease_id>``.
-EXPIRE_TIMER_PREFIX = "lease/expire/"
-
-#: Timer id of the writer-lease layer's post-recovery grace window.
-WRITER_GRACE_TIMER_ID = "wlease/grace"
-
-#: Prefix of writer-lease expiry timers: ``wlease/expire/<writer>/<lease_id>``.
-WRITER_EXPIRE_TIMER_PREFIX = "wlease/expire/"
-
-#: Fields of the wrapped server whose advance triggers revocation.
-_OBSERVED_FIELDS = ("pw", "w", "vw")
+from ..core.automaton import Automaton, Effects
+from ..core.lease import READ_LEASE, WRITER_LEASE, LeaseRole
+from ..core.messages import Message, PreWrite, TimestampQuery, Write, WriterLeaseRenew
+from ..core.types import FrozenEntry, TimestampValue
+from .table import LeasableServer, LeaseTable
 
 
-@dataclass
-class _GrantedLease:
-    """One outstanding grant: the holder's current lease instance."""
+class _LeaseWrapper(Automaton):
+    """What both policies share: the wrapped server, the table, the proxies."""
 
-    lease_id: int
-    duration: float
-
-
-class LeaseServer(Automaton):
-    """A storage automaton wrapper granting and enforcing read leases."""
-
-    def __init__(self, inner: Automaton, lease_duration: float = 60.0) -> None:
+    def __init__(self, role: LeaseRole, inner: LeasableServer, lease_duration: float) -> None:
         super().__init__(inner.process_id)
-        if lease_duration <= 0:
-            raise ValueError("lease_duration must be positive")
         self.inner = inner
-        #: Upper bound assumed for forgotten pre-crash leases: the grace
-        #: window after a recovery lasts exactly this long.  Readers of the
-        #: same deployment request this duration, so the bound is tight.
-        self.lease_duration = lease_duration
-        self._leases: Dict[str, _GrantedLease] = {}
-        self._withheld: List[Send] = []
-        self._revoking = False
-        self._revoke_waiting: Set[str] = set()
-        self._grace = False
-        self._grace_timer_started = False
-        #: Diagnostics: completed withhold-then-release cycles.
-        self.revocations = 0
+        self.table = LeaseTable(role, inner, lease_duration)
 
-    # ------------------------------------------------- strategy/driver proxies
     # Byzantine strategies (and debugging code) read the storage fields off
     # whatever automaton the malicious wrapper holds; proxy them through.
     @property
     def pw(self) -> TimestampValue:
-        return self.inner.pw  # type: ignore[attr-defined]
+        return self.inner.pw
 
     @property
     def w(self) -> TimestampValue:
-        return self.inner.w  # type: ignore[attr-defined]
+        return self.inner.w
 
     @property
     def vw(self) -> TimestampValue:
-        return self.inner.vw  # type: ignore[attr-defined]
+        return self.inner.vw
 
     @property
-    def frozen(self):
-        return self.inner.frozen  # type: ignore[attr-defined]
+    def frozen(self) -> Dict[str, FrozenEntry]:
+        return self.inner.frozen
 
     @property
-    def read_ts(self):
-        return self.inner.read_ts  # type: ignore[attr-defined]
+    def read_ts(self) -> Dict[str, int]:
+        return self.inner.read_ts
 
-    # ---------------------------------------------------------------- recovery
     def notify_recovered(self) -> None:
         """Enter the post-recovery grace period (the lease table is gone)."""
-        self._leases.clear()
-        self._revoke_waiting.clear()
-        self._grace = True
-        self._grace_timer_started = False
+        self.table.notify_recovered()
 
     @property
     def in_grace(self) -> bool:
         """Whether the post-recovery grace period is still pending or active."""
-        return self._grace
+        return self.table.in_grace
 
-    # -------------------------------------------------------------- dispatch
-    def handle_message(self, message: Message) -> Effects:
-        # The grace window opens with the first post-recovery input of any
-        # kind — a recovered server that only ever hears lease requests must
-        # still leave the grace period eventually.
-        effects = self._arm_grace_timer()
-        if isinstance(message, LeaseRenew):
-            return effects.merge(self._on_lease_renew(message))
-        if isinstance(message, LeaseRevokeAck):
-            return effects.merge(self._on_revoke_ack(message))
-        before = self._observed_state()
-        inner_effects = self.inner.handle_message(message)
-        changed = self._observed_state() != before
-        return effects.merge(self._guard(inner_effects, changed))
-
-    def _arm_grace_timer(self) -> Effects:
-        effects = Effects()
-        if self._grace and not self._grace_timer_started:
-            self._grace_timer_started = True
-            effects.start_timer(GRACE_TIMER_ID, self.lease_duration)
-        return effects
-
-    def _observed_state(self) -> tuple:
-        return tuple(
-            getattr(self.inner, field, None) for field in _OBSERVED_FIELDS
-        )
-
-    def highest_pair(self) -> TimestampValue:
-        """The freshest pair the wrapped server stores (grant ``observed``)."""
-        pairs = [
-            pair
-            for pair in self._observed_state()
-            if isinstance(pair, TimestampValue)
-        ]
-        return freshest(*pairs) if pairs else INITIAL_PAIR
-
-    def _guard(self, inner_effects: Effects, changed: bool) -> Effects:
-        """Withhold *inner_effects*' sends while leases demand silence."""
-        out = Effects()
-        if not self._revoking and (self._grace or (changed and self._leases)):
-            # Enter revocation: notify every holder.  (During the recovery
-            # grace the lease table is empty — the window itself stands in
-            # for the forgotten pre-crash holders.)
-            self._revoking = True
-            self._revoke_waiting = set(self._leases)
-            for reader_id in sorted(self._leases):
-                out.send(
-                    reader_id,
-                    LeaseRevoke(
-                        sender=self.process_id,
-                        lease_id=self._leases[reader_id].lease_id,
-                    ),
-                )
-        if self._revoking:
-            self._withheld.extend(inner_effects.sends)
-            out.timers.extend(inner_effects.timers)
-            out.completions.extend(inner_effects.completions)
-            return out
-        return inner_effects
-
-    # ----------------------------------------------------------------- leases
-    def _on_lease_renew(self, message: LeaseRenew) -> Effects:
-        if self._revoking or self._grace:
-            # No promises while a revocation round or the recovery grace is
-            # pending: the requester simply never reaches its grant quorum
-            # and keeps reading through the full protocol.
-            return Effects()
-        if not 0 < message.duration <= self.lease_duration:
-            # Reject out-of-bounds windows instead of clamping: a clamped
-            # grant would expire server-side before the holder's own timer,
-            # and a longer-than-configured grant would outlive both the
-            # recovery grace window and the documented bound on how long a
-            # silent holder can stall a write's acknowledgements.
-            return Effects()
-        lease = _GrantedLease(lease_id=message.lease_id, duration=message.duration)
-        self._leases[message.sender] = lease
-        effects = Effects()
-        effects.send(
-            message.sender,
-            LeaseGrant(
-                sender=self.process_id,
-                lease_id=lease.lease_id,
-                duration=lease.duration,
-                observed=self.highest_pair(),
-            ),
-        )
-        effects.start_timer(
-            self._expire_timer_id(message.sender, lease.lease_id), lease.duration
-        )
-        return effects
-
-    def _on_revoke_ack(self, message: LeaseRevokeAck) -> Effects:
-        lease = self._leases.get(message.sender)
-        if lease is None or lease.lease_id != message.lease_id:
-            return Effects()  # stale ack for a superseded lease
-        del self._leases[message.sender]
-        self._revoke_waiting.discard(message.sender)
-        return self._maybe_release()
-
-    def _maybe_release(self) -> Effects:
-        if not self._revoking or self._revoke_waiting or self._grace:
-            return Effects()
-        self._revoking = False
-        self.revocations += 1
-        effects = Effects()
-        effects.sends.extend(self._withheld)
-        self._withheld = []
-        return effects
-
-    # ----------------------------------------------------------------- timers
-    def _expire_timer_id(self, reader_id: str, lease_id: int) -> str:
-        return f"{EXPIRE_TIMER_PREFIX}{reader_id}/{lease_id}"
-
-    def on_timer(self, timer_id: str) -> Effects:
-        if timer_id == GRACE_TIMER_ID:
-            self._grace = False
-            return self._maybe_release()
-        if timer_id.startswith(EXPIRE_TIMER_PREFIX):
-            return self._on_expire_timer(timer_id)
-        effects = self.inner.on_timer(timer_id)
-        return self._guard(effects, changed=False)
-
-    def _on_expire_timer(self, timer_id: str) -> Effects:
-        remainder = timer_id[len(EXPIRE_TIMER_PREFIX) :]
-        reader_id, _, id_text = remainder.rpartition("/")
-        try:
-            lease_id = int(id_text)
-        except ValueError:
-            return Effects()
-        lease = self._leases.get(reader_id)
-        if lease is None or lease.lease_id != lease_id:
-            return Effects()  # the lease was renewed or already revoked
-        del self._leases[reader_id]
-        self._revoke_waiting.discard(reader_id)
-        return self._maybe_release()
-
-    # ------------------------------------------------------------ inspection
-    def describe(self) -> dict:
+    def describe(self) -> Dict[str, Any]:
         info = self.inner.describe()
-        info["leases"] = {
-            "holders": sorted(self._leases),
-            "revoking": self._revoking,
-            "withheld": len(self._withheld),
-            "grace": self._grace,
-            "revocations": self.revocations,
-        }
+        info[self.table.role.describe_key] = self.table.describe()
         return info
 
 
-class WriterLeaseServer(Automaton):
+class LeaseServer(_LeaseWrapper):
+    """A storage automaton wrapper granting and enforcing **read** leases.
+
+    Once the wrapped server's pair state (``pw``/``w``/``vw``) advances while
+    leases are outstanding, every acknowledgement the server would send — the
+    write's own ack, but also READ_ACKs that would expose the advanced state
+    to other readers' fast paths — is parked until each holder confirmed
+    revocation or its lease expired.  Combined with the holders' clean-grant
+    rule this closes the intersection argument: any quorum that completes a
+    newer operation contains an honest granter whose acknowledgement waited
+    for the lease to die first.  During the recovery grace the same silence
+    covers the forgotten pre-crash holders.
+    """
+
+    def __init__(self, inner: LeasableServer, lease_duration: float = 60.0) -> None:
+        super().__init__(READ_LEASE, inner, lease_duration)
+
+    def handle_message(self, message: Message) -> Effects:
+        effects = self.table.handle_message(message)
+        if effects is None:
+            inner = self.inner
+            before = (inner.pw, inner.w, inner.vw)
+            effects = inner.handle_message(message)
+            effects = self._guard(effects, (inner.pw, inner.w, inner.vw) != before)
+        return self.table.arm_grace_timer(effects)
+
+    def on_timer(self, timer_id: str) -> Effects:
+        effects = self.table.on_timer(timer_id)
+        if effects is None:
+            effects = self._guard(self.inner.on_timer(timer_id), changed=False)
+        return effects
+
+    def _guard(self, inner_effects: Effects, changed: bool) -> Effects:
+        """Withhold *inner_effects*' sends while leases demand silence."""
+        table = self.table
+        if table.revoking or table.in_grace or (changed and table.holders):
+            return table.start_revocation().merge(table.withhold(inner_effects))
+        return inner_effects
+
+
+class WriterLeaseServer(_LeaseWrapper):
     """A storage automaton wrapper granting and enforcing **writer** leases.
 
-    The read-side :class:`LeaseServer` withholds acknowledgements so leased
-    readers can serve locally; this wrapper does the dual for writers.  While
-    one writer holds the lease on a register, the server **parks** competing
-    writers' traffic:
+    While one writer holds the lease on a register, the server parks
+    competing writers' traffic:
 
     * a :class:`~repro.core.messages.TimestampQuery` from another writer is
       parked *as a message* — replying now would hand out a ``max_ts`` the
@@ -292,95 +122,54 @@ class WriterLeaseServer(Automaton):
       monotone and mandatory) but its acknowledgement is withheld — the
       competing WRITE cannot complete while the holder relies on its cache.
 
-    Either event also triggers revocation of the current holder, so competing
-    writers are delayed by at most one revocation round-trip, not a full lease
-    term.  Reader traffic (READ rounds, read write-backs, read leases) passes
-    through untouched: by the clean-grant rule a write-back can only carry a
-    pair the holder's cache already dominates.
+    Either event, or a competing lease request (the table keeps a single
+    holder; the competitor's lazy retry finds it free), also revokes the
+    holder, so competing writers are delayed by at most one revocation
+    round-trip, not a full lease term.  Reader traffic (READ rounds, read
+    write-backs, read leases) passes through untouched: by the clean-grant
+    rule a write-back can only carry a pair the holder's cache already
+    dominates.  During the recovery grace *all* writer traffic is parked.
 
-    Quorum argument: an active lease means ``S - t`` servers park competing
+    Quorum argument: a held lease means ``S - t`` servers park competing
     traffic, so a competing writer reaches at most ``t < S - t``
     acknowledgements — no competing WRITE completes and the holder's cached
     pair stays the register's freshest, which is exactly what makes the
     holder's 1-round writes (and locally-decided CAS) safe.
-
-    Crash recovery mirrors :class:`LeaseServer`: the lease table is volatile,
-    so after :meth:`notify_recovered` the wrapper parks *all* writer traffic
-    for one full lease duration — the longest a forgotten pre-crash grant
-    could still be honoured by its holder — while epoch fencing invalidates
-    the stale grant from the holder's side.
-
-    Wrap order is ``StorageServer → WriterLeaseServer → LeaseServer``: the
-    holder's 1-round PW passes through this wrapper into the read-lease layer,
-    which still withholds its acknowledgement until conflicting read leases
-    are revoked — writer leases never bypass the read-side discipline.
     """
 
-    def __init__(self, inner: Automaton, lease_duration: float = 60.0) -> None:
-        super().__init__(inner.process_id)
-        if lease_duration <= 0:
-            raise ValueError("lease_duration must be positive")
-        self.inner = inner
-        self.lease_duration = lease_duration
-        self._leases: Dict[str, _GrantedLease] = {}
-        #: Competing TimestampQuery messages, re-handled at release time.
-        self._parked: List[Message] = []
-        #: Withheld acknowledgements of processed competing PW/W rounds.
-        self._withheld: List[Send] = []
-        self._revoking = False
-        self._revoke_waiting: Set[str] = set()
-        self._grace = False
-        self._grace_timer_started = False
-        #: Diagnostics: completed withhold-then-release cycles.
-        self.revocations = 0
-        #: Diagnostics: competing queries parked at least once.
-        self.parked_queries = 0
+    def __init__(self, inner: LeasableServer, lease_duration: float = 60.0) -> None:
+        super().__init__(WRITER_LEASE, inner, lease_duration)
+        #: Competing TimestampQuery messages, re-handled at release time (a
+        #: tuple for the same reason as the table's parked sends).
+        self._parked: Tuple[Message, ...] = ()
 
-    # ------------------------------------------------- strategy/driver proxies
-    @property
-    def pw(self) -> TimestampValue:
-        return self.inner.pw  # type: ignore[attr-defined]
-
-    @property
-    def w(self) -> TimestampValue:
-        return self.inner.w  # type: ignore[attr-defined]
-
-    @property
-    def vw(self) -> TimestampValue:
-        return self.inner.vw  # type: ignore[attr-defined]
-
-    @property
-    def frozen(self):
-        return self.inner.frozen  # type: ignore[attr-defined]
-
-    @property
-    def read_ts(self):
-        return self.inner.read_ts  # type: ignore[attr-defined]
-
-    # ---------------------------------------------------------------- recovery
-    def notify_recovered(self) -> None:
-        """Enter the post-recovery grace period (the lease table is gone)."""
-        self._leases.clear()
-        self._revoke_waiting.clear()
-        self._grace = True
-        self._grace_timer_started = False
-
-    @property
-    def in_grace(self) -> bool:
-        """Whether the post-recovery grace period is still pending or active."""
-        return self._grace
-
-    # -------------------------------------------------------------- dispatch
     def handle_message(self, message: Message) -> Effects:
-        effects = self._arm_grace_timer()
-        if isinstance(message, WriterLeaseRenew):
-            return effects.merge(self._on_lease_renew(message))
-        if isinstance(message, WriterLeaseRevokeAck):
-            return effects.merge(self._on_revoke_ack(message))
-        if self._blocks(message):
-            return effects.merge(self._absorb(message))
-        inner_effects = self.inner.handle_message(message)
-        return effects.merge(inner_effects)
+        return self.table.arm_grace_timer(self._dispatch(message))
+
+    def _dispatch(self, message: Message) -> Effects:
+        table = self.table
+        if (
+            isinstance(message, WriterLeaseRenew)
+            and table.holders
+            and message.sender not in table.holders
+        ):
+            return table.start_revocation()
+        effects = table.handle_message(message)
+        if effects is not None:
+            return self._reopen(effects)
+        if not self._blocks(message):
+            return self.inner.handle_message(message)
+        effects = table.start_revocation()
+        if isinstance(message, TimestampQuery):
+            self._parked += (message,)
+            return effects
+        return effects.merge(table.withhold(self.inner.handle_message(message)))
+
+    def on_timer(self, timer_id: str) -> Effects:
+        effects = self.table.on_timer(timer_id)
+        if effects is None:
+            return self.inner.on_timer(timer_id)
+        return self._reopen(effects)
 
     def _blocks(self, message: Message) -> bool:
         """Whether *message* is competing-writer traffic that must wait."""
@@ -389,150 +178,21 @@ class WriterLeaseServer(Automaton):
         )
         if not competing:
             return False
-        if self._grace:
+        table = self.table
+        if table.in_grace:
             return True
-        if message.sender in self._leases:
-            return False
-        return bool(self._leases) or self._revoking
+        return message.sender not in table.holders and (bool(table.holders) or table.revoking)
 
-    def _absorb(self, message: Message) -> Effects:
-        """Park competing traffic and make sure the holder gets evicted."""
-        out = self._start_revocation()
-        if isinstance(message, TimestampQuery):
-            # Park the query itself, not its reply: the holder may still be
-            # writing, and a reply computed now would hand out a stale max_ts.
-            self._parked.append(message)
-            self.parked_queries += 1
-            return out
-        inner_effects = self.inner.handle_message(message)
-        self._withheld.extend(inner_effects.sends)
-        out.timers.extend(inner_effects.timers)
-        out.completions.extend(inner_effects.completions)
-        out.cancels.extend(inner_effects.cancels)
-        return out
-
-    def _arm_grace_timer(self) -> Effects:
-        effects = Effects()
-        if self._grace and not self._grace_timer_started:
-            self._grace_timer_started = True
-            effects.start_timer(WRITER_GRACE_TIMER_ID, self.lease_duration)
+    def _reopen(self, effects: Effects) -> Effects:
+        """After a release, re-handle the parked queries: the replies now
+        reflect every write the departed holder completed under the lease."""
+        if self._parked and not self.table.revoking:
+            parked, self._parked = self._parked, ()
+            for query in parked:
+                effects.merge(self.inner.handle_message(query))
         return effects
 
-    def _observed_state(self) -> tuple:
-        return tuple(
-            getattr(self.inner, field, None) for field in _OBSERVED_FIELDS
-        )
-
-    def highest_pair(self) -> TimestampValue:
-        """The freshest pair the wrapped server stores (grant ``observed``)."""
-        pairs = [
-            pair
-            for pair in self._observed_state()
-            if isinstance(pair, TimestampValue)
-        ]
-        return freshest(*pairs) if pairs else INITIAL_PAIR
-
-    # ----------------------------------------------------------------- leases
-    def _on_lease_renew(self, message: WriterLeaseRenew) -> Effects:
-        if self._revoking or self._grace:
-            return Effects()
-        if self._leases and message.sender not in self._leases:
-            # A competing writer wants the register: evict the holder first.
-            # The competitor's lazy retry finds the table free.
-            return self._start_revocation()
-        if not 0 < message.duration <= self.lease_duration:
-            return Effects()  # same bounds argument as LeaseServer
-        lease = _GrantedLease(lease_id=message.lease_id, duration=message.duration)
-        self._leases[message.sender] = lease
-        effects = Effects()
-        effects.send(
-            message.sender,
-            WriterLeaseGrant(
-                sender=self.process_id,
-                lease_id=lease.lease_id,
-                duration=lease.duration,
-                observed=self.highest_pair(),
-            ),
-        )
-        effects.start_timer(
-            self._expire_timer_id(message.sender, lease.lease_id), lease.duration
-        )
-        return effects
-
-    def _start_revocation(self) -> Effects:
-        out = Effects()
-        if self._revoking:
-            return out
-        self._revoking = True
-        self._revoke_waiting = set(self._leases)
-        for writer_id in sorted(self._leases):
-            out.send(
-                writer_id,
-                WriterLeaseRevoke(
-                    sender=self.process_id,
-                    lease_id=self._leases[writer_id].lease_id,
-                ),
-            )
-        return out
-
-    def _on_revoke_ack(self, message: WriterLeaseRevokeAck) -> Effects:
-        lease = self._leases.get(message.sender)
-        if lease is None or lease.lease_id != message.lease_id:
-            return Effects()  # stale ack for a superseded lease
-        del self._leases[message.sender]
-        self._revoke_waiting.discard(message.sender)
-        return self._maybe_release()
-
-    def _maybe_release(self) -> Effects:
-        if not self._revoking or self._revoke_waiting or self._grace:
-            return Effects()
-        self._revoking = False
-        self.revocations += 1
-        effects = Effects()
-        effects.sends.extend(self._withheld)
-        self._withheld = []
-        parked, self._parked = self._parked, []
-        for query in parked:
-            # Re-handled now, the reply reflects every write the departed
-            # holder completed under the lease.
-            effects.merge(self.inner.handle_message(query))
-        return effects
-
-    # ----------------------------------------------------------------- timers
-    def _expire_timer_id(self, writer_id: str, lease_id: int) -> str:
-        return f"{WRITER_EXPIRE_TIMER_PREFIX}{writer_id}/{lease_id}"
-
-    def on_timer(self, timer_id: str) -> Effects:
-        if timer_id == WRITER_GRACE_TIMER_ID:
-            self._grace = False
-            return self._maybe_release()
-        if timer_id.startswith(WRITER_EXPIRE_TIMER_PREFIX):
-            return self._on_expire_timer(timer_id)
-        return self.inner.on_timer(timer_id)
-
-    def _on_expire_timer(self, timer_id: str) -> Effects:
-        remainder = timer_id[len(WRITER_EXPIRE_TIMER_PREFIX) :]
-        writer_id, _, id_text = remainder.rpartition("/")
-        try:
-            lease_id = int(id_text)
-        except ValueError:
-            return Effects()
-        lease = self._leases.get(writer_id)
-        if lease is None or lease.lease_id != lease_id:
-            return Effects()  # the lease was renewed or already revoked
-        del self._leases[writer_id]
-        self._revoke_waiting.discard(writer_id)
-        return self._maybe_release()
-
-    # ------------------------------------------------------------ inspection
-    def describe(self) -> dict:
-        info = self.inner.describe()
-        info["writer_leases"] = {
-            "holders": sorted(self._leases),
-            "revoking": self._revoking,
-            "withheld": len(self._withheld),
-            "parked": len(self._parked),
-            "grace": self._grace,
-            "revocations": self.revocations,
-        }
+    def describe(self) -> Dict[str, Any]:
+        info = super().describe()
+        info[self.table.role.describe_key]["parked"] = len(self._parked)
         return info

@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional, Protocol, Union
 
 from ..wire import Codec, get_codec
 from ..wire.codec import MAGIC
-from .wal import _PICKLE_PROTO, WalLike, frame_payload, unframe_payload
+from .wal import WalLike, frame_payload, unframe_payload
 
 
 def encode_snapshot(state: Any, codec: Union[str, Codec, None] = None) -> bytes:
@@ -34,30 +34,15 @@ def encode_snapshot(state: Any, codec: Union[str, Codec, None] = None) -> bytes:
 
 
 def decode_snapshot(data: bytes) -> Optional[Any]:
-    """The state held by *data*, or ``None`` if the frame is torn or corrupt.
-
-    Codec-agnostic like the WAL reader: the payload declares its dialect
-    (wire magic vs the legacy pickle ``0x80`` opcode), so snapshots written
-    before the wire codec keep restoring after the upgrade.
-    """
+    """The state held by *data*, or ``None`` if the frame is torn, corrupt or
+    not the binary wire encoding."""
     frame = unframe_payload(data)
-    if frame is None:
+    if frame is None or frame[0][:2] != MAGIC:
         return None
-    payload = frame[0]
-    if payload[:2] == MAGIC:
-        try:
-            return get_codec("binary").decode_value(payload)
-        except Exception:
-            return None
-    if payload[:1] == bytes([_PICKLE_PROTO]):
-        # Legacy dialect (pre-codec snapshots or the escape hatch).
-        import pickle
-
-        try:
-            return pickle.loads(payload)
-        except Exception:
-            return None
-    return None
+    try:
+        return get_codec("binary").decode_value(frame[0])
+    except Exception:
+        return None
 
 
 def write_file_atomically(path: str, data: bytes) -> None:

@@ -8,15 +8,12 @@ with ``field ∈ {pw, w, vw}``.  Records are framed on disk as::
 
 where the payload is the versioned binary encoding of the record (the same
 wire codec the transports speak, :mod:`repro.wire`) — magic + version byte
-first, so the reader knows exactly which dialect each frame uses.  Logs
-written by the previous pickle framing still replay: a pickle payload opens
-with the ``0x80`` PROTO opcode, unambiguous against the wire magic, and
-:func:`decode_frames` falls back to the legacy decoder per frame.  New frames
-are always written with the configured codec (binary; the pickle escape
-hatch is gone — this reader is why old logs survive it).  The log is strictly
-append-only; appends are
-*batch-grouped*: one :meth:`WriteAheadLog.append` call writes any number of
-records and ends in a single ``flush`` + ``fsync`` — the durability point.
+first; a payload that does not open with the wire magic is not a record and
+ends the log like any corrupt frame (a CRC32 protects against torn writes,
+not against a crafted file, so nothing here ever unpickles).  The log is
+strictly append-only; appends are *batch-grouped*: one
+:meth:`WriteAheadLog.append` call writes any number of records and ends in a
+single ``flush`` + ``fsync`` — the durability point.
 The batching layer of PR 2 is what makes this cheap: a server handles a whole
 message batch per flush boundary, so the WAL pays one fsync per *batch*, not
 per message.
@@ -49,10 +46,6 @@ from ..wire.codec import MAGIC
 WAL_FIELDS = ("pw", "w", "vw")
 
 _HEADER = struct.Struct("<II")
-
-#: First byte of a pickle protocol >= 2 payload (the PROTO opcode) — how the
-#: reader recognises frames written before the wire codec existed.
-_PICKLE_PROTO = 0x80
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,28 +118,12 @@ def encode_frame(record: WalRecord, codec: Union[str, Codec, None] = None) -> by
 
 
 def decode_record_payload(payload: bytes) -> Optional[WalRecord]:
-    """Decode one frame payload, whichever dialect wrote it, or ``None``.
-
-    Wire-magic payloads go through the binary codec; ``0x80``-opening payloads
-    are legacy pickle frames (logs written before the wire codec, or under the
-    escape hatch) and replay through the legacy decoder so existing logs stay
-    readable across the migration.
-    """
-    if payload[:2] == MAGIC:
-        try:
-            record = get_codec("binary").decode_value(payload)
-        except Exception:
-            return None
-    elif payload[:1] == bytes([_PICKLE_PROTO]):
-        # Legacy dialect: not reachable from any default write path (new
-        # frames are binary), only from pre-codec logs and the escape hatch.
-        import pickle
-
-        try:
-            record = pickle.loads(payload)
-        except Exception:
-            return None
-    else:
+    """Decode one frame payload (binary wire encoding only), or ``None``."""
+    if payload[:2] != MAGIC:
+        return None
+    try:
+        record = get_codec("binary").decode_value(payload)
+    except Exception:
         return None
     return record if isinstance(record, WalRecord) else None
 
@@ -177,9 +154,7 @@ class WriteAheadLog:
     """Append-only, checksummed, fsync-per-batch log backed by a real file.
 
     ``codec`` selects the payload encoding of *newly appended* frames (binary
-    by default).  Replay is codec-agnostic — each frame declares its own
-    dialect — so a log written under the old pickle framing keeps replaying
-    after the upgrade even though nothing can write that dialect anymore.
+    by default); replay reads the versioned binary encoding.
     """
 
     def __init__(

@@ -3,17 +3,10 @@
 The paper's notion of a *synchronous* operation (Section 2.3) is that every
 message exchanged during the operation between the client and any server is
 delivered within a bound known to the client.  Delay models therefore expose
-bounds at two granularities:
-
-* :meth:`DelayModel.bound` — the per-link truth: an upper bound on the delay
-  of messages from one named process to another, or ``None`` when that link
-  is unbounded.  This is what :class:`repro.sim.topology.Topology` routes
-  through, so clients in different zones can arm different round-1 timers.
-* :attr:`DelayModel.synchronous_bound` — the legacy global summary (the max
-  over every link).  For models where links genuinely differ
-  (:class:`PerLinkDelay`, :class:`SlowProcessDelay`) the global property is
-  deprecated: it either over-reports (forcing every client onto the slowest
-  link's timer) or under-reports (pretending slow links do not exist).
+:meth:`DelayModel.bound` — the per-link truth: an upper bound on the delay of
+messages from one named process to another, or ``None`` when that link is
+unbounded.  This is what :class:`repro.sim.topology.Topology` routes through,
+so clients in different zones can arm different round-1 timers.
 
 Models with no bound at all (heavy-tailed tails, slow links, asynchronous
 windows) produce the paper's worst-case conditions: operations still
@@ -27,7 +20,6 @@ timer.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
@@ -57,21 +49,15 @@ class DelayModel:
         raise NotImplementedError
 
     def _global_bound(self) -> Optional[float]:
-        """Max delay over every link, or ``None`` if unbounded (no warning)."""
+        """Max delay over every link, or ``None`` if unbounded."""
         return None
-
-    @property
-    def synchronous_bound(self) -> Optional[float]:
-        """An upper bound on any sampled delay, or ``None`` if unbounded."""
-        return self._global_bound()
 
     def bound(self, source: str, destination: str) -> Optional[float]:
         """Upper bound on the delay from *source* to *destination*.
 
-        The per-destination replacement for :attr:`synchronous_bound`: models
-        whose links differ override this to report the true bound of each
-        link, so per-process timers and lease durations can be derived from
-        the links a client actually uses.
+        Models whose links differ override this to report the true bound of
+        each link, so per-process timers and lease durations can be derived
+        from the links a client actually uses.
         """
         return self._global_bound()
 
@@ -85,16 +71,6 @@ class DelayModel:
         if bound is None:
             return self.unbounded_fallback
         return 2.0 * bound + margin
-
-
-def _deprecated_global_bound(model: DelayModel) -> None:
-    warnings.warn(
-        f"{type(model).__name__}.synchronous_bound summarises links that "
-        "genuinely differ; use bound(source, destination) (or route through "
-        "repro.sim.topology.Topology links) for the true per-destination bound",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -148,9 +124,8 @@ class PerLinkDelay(DelayModel):
 
     ``overrides`` maps ``(source, destination)`` pairs to a dedicated model.
     :meth:`bound` reports the bound of the model actually covering a link;
-    the deprecated global property is the maximum of all involved bounds, or
-    ``None`` if any override is unbounded — which forces every client onto
-    the slowest link's timer even when their own links are fast.
+    :meth:`suggested_timer` covers the slowest one (the maximum of all
+    involved bounds, or the fallback if any override is unbounded).
     """
 
     base: DelayModel = field(default_factory=FixedDelay)
@@ -167,11 +142,6 @@ class PerLinkDelay(DelayModel):
             return None
         return max(bounds)  # type: ignore[arg-type]
 
-    @property
-    def synchronous_bound(self) -> Optional[float]:
-        _deprecated_global_bound(self)
-        return self._global_bound()
-
     def bound(self, source: str, destination: str) -> Optional[float]:
         model = self.overrides.get((source, destination), self.base)
         return model.bound(source, destination)
@@ -183,11 +153,9 @@ class SlowProcessDelay(DelayModel):
 
     Used to make executions *unlucky without failures*: the slow processes are
     correct but their replies arrive after the client's timer, so fast-path
-    conditions may not be met.  The deprecated global property reports
-    ``None`` (clients can no longer rely on hearing from *everyone* in time),
-    but :meth:`bound` tells the truth per link: untouched links keep the base
-    bound, and a slow link is bounded by ``base + extra_delay`` — slow, not
-    asynchronous.
+    conditions may not be met.  :meth:`bound` tells the truth per link:
+    untouched links keep the base bound, and a slow link is bounded by
+    ``base + extra_delay`` — slow, not asynchronous.
     """
 
     base: DelayModel = field(default_factory=FixedDelay)
@@ -202,11 +170,6 @@ class SlowProcessDelay(DelayModel):
 
     def _global_bound(self) -> Optional[float]:
         return None
-
-    @property
-    def synchronous_bound(self) -> Optional[float]:
-        _deprecated_global_bound(self)
-        return self._global_bound()
 
     def bound(self, source: str, destination: str) -> Optional[float]:
         base = self.base.bound(source, destination)

@@ -420,9 +420,8 @@ def get_codec(codec: Union[str, Codec, None]) -> Codec:
         ValueError: unknown codec 'morse'; choose one of ['binary'] or pass a Codec instance
 
     The ``"pickle"`` escape hatch was removed after its one-release
-    migration window: pickle frames can still be *read* by the WAL/snapshot
-    legacy sniffers, but nothing writes them anymore — asking for it raises
-    with that guidance.
+    migration window, and the WAL/snapshot readers of pickle frames after it:
+    nothing writes or reads that dialect — asking for it raises saying so.
     """
     if codec is None:
         return _BINARY
@@ -433,7 +432,7 @@ def get_codec(codec: Union[str, Codec, None]) -> Codec:
         if codec == "pickle":
             raise ValueError(
                 "the pickle codec was removed; binary is the only wire "
-                "format (legacy pickle WAL/snapshot frames remain readable)"
+                "format (pickle WAL/snapshot frames are no longer read either)"
             )
         raise ValueError(
             f"unknown codec {codec!r}; choose one of {sorted(CODECS)} or pass "

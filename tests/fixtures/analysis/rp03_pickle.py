@@ -1,4 +1,4 @@
-"""RP03 fixture: a stray pickle import outside the legacy sniffers."""
+"""RP03 fixture: a stray pickle import (no file is exempt)."""
 
 import pickle
 

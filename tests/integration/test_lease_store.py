@@ -257,12 +257,12 @@ class TestLeaseCrashRecovery:
         # Paper-faithful, all three grants landed while the read sat out its
         # timer; under the deadline the lease activated on S - t = 2 of them
         # and the third lands on the active lease during the crash window.
-        assert len(reader._lease.grants) == (3 if policy is TimerPolicy.WAIT else 2)
+        assert len(reader.lease.held.grants) == (3 if policy is TimerPolicy.WAIT else 2)
         store.crash("s1")
         store.cluster.run_for(1.0)
         store.recover_server("s1")
         # The holder still holds (S - t = 2 clean granters remain)...
-        assert reader.lease_held and len(reader._lease.grants) == 3
+        assert reader.lease_held and len(reader.lease.held.grants) == 3
         # ... until it hears *anything* from the recovered incarnation, which
         # voids s1's grant; with s2 and s3 still granted the quorum holds.
         from repro.core.messages import ReadAck

@@ -7,7 +7,8 @@ Three kinds of drift this suite pins down:
   real heading), so a rename can't silently orphan the docs tree.
 * **Generated pages** — ``docs/analysis.md`` is generated from the rule
   registry by ``lucky-storage analyze --doc``; the committed file must
-  match a fresh render byte-for-byte.
+  match a fresh render byte-for-byte.  Hand-written pages that name the
+  rule range (``RP01–RP09``) must name the registry's first and last rule.
 * **CLI help text** — every ``--flag`` token a subcommand's help text
   mentions must actually be registered on that subcommand (catching
   ``--recovery-t`` vs ``--recovery_t`` style drift), and every
@@ -30,6 +31,7 @@ DOC_PAGES = sorted([REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_RULE_RANGE = re.compile(r"\bRP\d+\s*[-–]\s*RP\d+\b")
 
 
 def _github_slug(heading: str) -> str:
@@ -73,6 +75,18 @@ def test_analysis_doc_matches_generator() -> None:
         "docs/analysis.md is out of sync with the rule registry; regenerate "
         "with: lucky-storage analyze --doc > docs/analysis.md"
     )
+
+
+@pytest.mark.parametrize("page", DOC_PAGES, ids=lambda p: p.name)
+def test_rule_ranges_match_the_registry(page: Path) -> None:
+    rule_ids = sorted(rule.rule_id for rule in all_rules())
+    expected = (rule_ids[0], rule_ids[-1])
+    stale = [
+        found
+        for found in _RULE_RANGE.findall(page.read_text(encoding="utf-8"))
+        if tuple(re.findall(r"RP\d+", found)) != expected
+    ]
+    assert not stale, f"{page.name} names rule range(s) {stale}, registry has {expected}"
 
 
 def _subparsers():

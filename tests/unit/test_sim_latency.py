@@ -23,7 +23,7 @@ class TestFixedDelay:
     def test_sample_is_constant(self, rng):
         model = FixedDelay(2.0)
         assert model.sample("a", "b", 0.0, rng) == 2.0
-        assert model.synchronous_bound == 2.0
+        assert model.bound("a", "b") == 2.0
 
     def test_suggested_timer_covers_round_trip(self):
         assert FixedDelay(1.0).suggested_timer(margin=0.5) == 2.5
@@ -35,7 +35,7 @@ class TestUniformDelay:
         for _ in range(100):
             sample = model.sample("a", "b", 0.0, rng)
             assert 0.5 <= sample <= 1.5
-        assert model.synchronous_bound == 1.5
+        assert model.bound("a", "b") == 1.5
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -45,9 +45,9 @@ class TestUniformDelay:
 
 
 class TestLogNormalDelay:
-    def test_unbounded_model_has_no_synchronous_bound(self, rng):
+    def test_unbounded_model_has_no_bound(self, rng):
         model = LogNormalDelay(median=1.0, sigma=0.5)
-        assert model.synchronous_bound is None
+        assert model.bound("a", "b") is None
         assert model.sample("a", "b", 0.0, rng) > 0
 
     def test_suggested_timer_falls_back_to_constant(self):
@@ -60,15 +60,17 @@ class TestPerLinkDelay:
         assert model.sample("w", "s1", 0.0, rng) == 9.0
         assert model.sample("w", "s2", 0.0, rng) == 1.0
 
-    def test_bound_is_max_of_involved_bounds(self):
+    def test_bound_is_per_link_and_timer_covers_the_slowest(self):
         model = PerLinkDelay(base=FixedDelay(1.0), overrides={("w", "s1"): FixedDelay(9.0)})
-        with pytest.deprecated_call():
-            assert model.synchronous_bound == 9.0
+        assert model.bound("w", "s1") == 9.0
+        assert model.bound("w", "s2") == 1.0
+        assert model.suggested_timer(margin=0.5) == 18.5
 
-    def test_bound_is_none_if_any_override_unbounded(self):
+    def test_unbounded_override_leaves_other_links_bounded(self):
         model = PerLinkDelay(base=FixedDelay(1.0), overrides={("w", "s1"): LogNormalDelay()})
-        with pytest.deprecated_call():
-            assert model.synchronous_bound is None
+        assert model.bound("w", "s1") is None
+        assert model.bound("w", "s2") == 1.0
+        assert model.suggested_timer() == model.unbounded_fallback
 
 
 class TestSlowProcessDelay:
@@ -80,8 +82,6 @@ class TestSlowProcessDelay:
 
     def test_clients_keep_their_base_timer(self):
         model = SlowProcessDelay(base=FixedDelay(1.0), slow_processes={"s3"}, extra_delay=50.0)
-        with pytest.deprecated_call():
-            assert model.synchronous_bound is None
         assert model.suggested_timer(margin=0.5) == 2.5
 
 

@@ -270,30 +270,21 @@ class TestDelayModelAdapter:
             )
 
 
-class TestDeprecatedGlobalBound:
-    """Satellite: the global synchronous_bound is deprecated on models whose
-    links genuinely differ; bound(source, destination) tells the truth."""
+class TestPerLinkBound:
+    """On models whose links genuinely differ, bound(source, destination)
+    tells the truth per link."""
 
-    def test_per_link_delay_warns_and_bound_is_per_destination(self):
+    def test_per_link_delay_bound_is_per_destination(self):
         model = PerLinkDelay(
             base=FixedDelay(1.0), overrides={("w", "s3"): FixedDelay(9.0)}
         )
-        with pytest.deprecated_call():
-            assert model.synchronous_bound == 9.0
         assert model.bound("w", "s1") == 1.0
         assert model.bound("w", "s3") == 9.0
 
     def test_slow_process_bound_is_slow_not_asynchronous(self):
         model = SlowProcessDelay(FixedDelay(1.0), {"s3"}, extra_delay=5.0)
-        with pytest.deprecated_call():
-            assert model.synchronous_bound is None
         assert model.bound("w", "s1") == 1.0
         assert model.bound("w", "s3") == 6.0
-
-    def test_bounded_models_do_not_warn(self, recwarn):
-        assert FixedDelay(2.0).synchronous_bound == 2.0
-        assert UniformDelay(1.0, 2.0).synchronous_bound == 2.0
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
 
 class TestFallbackTimerWarning:

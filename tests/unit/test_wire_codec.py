@@ -212,7 +212,7 @@ class TestCodecObjects:
 
     def test_pickle_escape_hatch_removed(self):
         # The one-release migration window is over: selecting "pickle" fails
-        # with a message pointing at the legacy readers that replaced it.
+        # with a message saying the dialect is gone, readers included.
         with pytest.raises(ValueError, match="removed"):
             get_codec("pickle")
 

@@ -1,11 +1,10 @@
-"""Migration tests: logs and snapshots written under pickle replay as binary.
+"""WAL and snapshot payloads are the binary wire encoding — and nothing else.
 
-The previous releases framed WAL records and snapshots as pickled payloads
-behind the same length+CRC32 framing.  The codec-aware readers sniff each
-frame's dialect (wire magic vs the pickle ``0x80`` opcode), so a store
-upgraded in place keeps recovering from its old files.  Legacy frames are
-forged here with raw ``pickle.dumps`` — the writer-side escape hatch is gone,
-but files it produced must stay readable forever.
+Earlier releases framed pickled payloads behind the same length+CRC32
+framing, and the readers kept a per-frame dialect sniffer for them long after
+the last writer was gone.  A CRC32 guards against torn writes, not against a
+crafted file, so that sniffer was an arbitrary-code path: a pickle payload is
+now just a corrupt frame.
 """
 
 import pickle
@@ -28,92 +27,76 @@ RECORDS = [
     WalRecord("k2", "vw", 2, "w2", None),
 ]
 
-
-def _legacy_frame(record: WalRecord) -> bytes:
-    """A frame exactly as the pre-codec WAL wrote it: pickled payload."""
-    return frame_payload(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+STATE = {"registers": {"k1": {"pw": (1, "v1"), "w": (1, "v1")}}, "epoch": 3}
 
 
-class TestWalMigration:
-    def test_legacy_pickle_log_replays(self, tmp_path):
-        path = tmp_path / "old.wal"
-        path.write_bytes(b"".join(_legacy_frame(r) for r in RECORDS))
-        with WriteAheadLog(str(path)) as wal:
-            assert wal.replay() == RECORDS
+FIRED = []
 
-    def test_mixed_dialect_log_replays(self, tmp_path):
-        # An upgraded-in-place log: a pickle prefix from the old release,
-        # then binary frames appended by the new one.
-        path = tmp_path / "mixed.wal"
-        path.write_bytes(b"".join(_legacy_frame(r) for r in RECORDS[:2]))
-        with WriteAheadLog(str(path)) as wal:
-            wal.append(RECORDS[2:])
-            assert wal.replay() == RECORDS
 
-    def test_forged_pickle_frames_decode_and_replay(self, tmp_path):
-        path = tmp_path / "hatch.wal"
-        data = b"".join(_legacy_frame(r) for r in RECORDS)
-        path.write_bytes(data)
-        records, _ = decode_frames(data)
-        assert records == RECORDS
-        # The payload really is the legacy dialect, not binary in disguise.
-        payload_start = data[8:10]
-        assert payload_start[:1] == b"\x80"
-        # And a codec-default handle replays it unchanged.
-        with WriteAheadLog(str(path)) as wal:
-            assert wal.replay() == RECORDS
+def _detonate():
+    FIRED.append("boom")
 
+
+class _Detonator:
+    """Unpickling an instance calls :func:`_detonate` — a visible side effect
+    standing in for whatever a hostile ``__reduce__`` would run."""
+
+    def __reduce__(self):
+        return (_detonate, ())
+
+
+class TestWalPayloads:
     def test_default_frames_are_binary(self):
         frame = encode_frame(RECORDS[0])
         assert frame[8:10] == MAGIC  # after the 8-byte length+CRC header
 
-    def test_payload_dialect_sniffing(self):
-        binary_payload = get_codec("binary").encode_value(RECORDS[0])
-        pickle_payload = pickle.dumps(RECORDS[0], protocol=pickle.HIGHEST_PROTOCOL)
-        assert decode_record_payload(binary_payload) == RECORDS[0]
-        assert decode_record_payload(pickle_payload) == RECORDS[0]
+    def test_binary_log_replays(self, tmp_path):
+        with WriteAheadLog(str(tmp_path / "new.wal")) as wal:
+            wal.append(RECORDS)
+            assert wal.replay() == RECORDS
+
+    def test_only_binary_record_payloads_decode(self):
+        codec = get_codec("binary")
+        assert decode_record_payload(codec.encode_value(RECORDS[0])) == RECORDS[0]
+        assert decode_record_payload(codec.encode_value("not a record")) is None
         assert decode_record_payload(b"garbage") is None
 
-    def test_non_record_payload_rejected(self):
-        assert decode_record_payload(get_codec("binary").encode_value("not a record")) is None
-        assert (
-            decode_record_payload(pickle.dumps(("not", "a", "record"))) is None
-        )
+    def test_pickle_frame_ends_the_log_like_any_corrupt_frame(self, tmp_path):
+        path = tmp_path / "mixed.wal"
+        legacy = frame_payload(pickle.dumps(RECORDS[1], protocol=pickle.HIGHEST_PROTOCOL))
+        path.write_bytes(encode_frame(RECORDS[0]) + legacy + encode_frame(RECORDS[2]))
+        with WriteAheadLog(str(path)) as wal:
+            assert wal.replay() == RECORDS[:1]
 
 
-class TestSnapshotMigration:
-    STATE = {"registers": {"k1": {"pw": (1, "v1"), "w": (1, "v1")}}, "epoch": 3}
-
-    def test_legacy_pickle_snapshot_restores(self, tmp_path):
-        path = tmp_path / "old.snapshot"
-        path.write_bytes(
-            frame_payload(pickle.dumps(self.STATE, protocol=pickle.HIGHEST_PROTOCOL))
-        )
-        assert FileSnapshot(str(path)).load() == self.STATE
-
+class TestSnapshotPayloads:
     def test_binary_snapshot_roundtrip(self, tmp_path):
         path = tmp_path / "new.snapshot"
         snapshot = FileSnapshot(str(path))
-        snapshot.save(self.STATE)
-        assert snapshot.load() == self.STATE
+        snapshot.save(STATE)
+        assert snapshot.load() == STATE
         assert path.read_bytes()[8:10] == MAGIC
-
-    def test_forged_pickle_snapshot_restores_via_default_reader(self, tmp_path):
-        path = tmp_path / "hatch.snapshot"
-        path.write_bytes(
-            frame_payload(pickle.dumps(self.STATE, protocol=pickle.HIGHEST_PROTOCOL))
-        )
-        assert FileSnapshot(str(path)).load() == self.STATE
+        assert decode_snapshot(encode_snapshot(STATE)) == STATE
 
     def test_corrupt_snapshot_reads_as_none(self):
         assert decode_snapshot(b"short") is None
-        good = encode_snapshot(self.STATE)
+        good = encode_snapshot(STATE)
         torn = good[: len(good) - 3]
         assert decode_snapshot(torn) is None
 
-    def test_both_dialects_roundtrip_through_module_functions(self):
-        assert decode_snapshot(encode_snapshot(self.STATE)) == self.STATE
-        legacy = frame_payload(
-            pickle.dumps(self.STATE, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        assert decode_snapshot(legacy) == self.STATE
+
+def test_crc_valid_pickle_payload_is_refused_without_running_it(tmp_path):
+    FIRED.clear()
+    payload = pickle.dumps(_Detonator(), protocol=pickle.HIGHEST_PROTOCOL)
+    assert payload[:1] == b"\x80"  # the opcode the old sniffers keyed on
+    frame = frame_payload(payload)  # length + a *valid* CRC32
+    assert decode_record_payload(payload) is None
+    assert decode_frames(frame) == ([], 0)
+    assert decode_snapshot(frame) is None
+    path = tmp_path / "hostile.snapshot"
+    path.write_bytes(frame)
+    assert FileSnapshot(str(path)).load() is None
+    assert FIRED == []
+    # The payload is live: anything that did unpickle it would have fired.
+    pickle.loads(payload)
+    assert FIRED == ["boom"]

@@ -13,7 +13,7 @@ from repro.core.config import SystemConfig
 from repro.core.messages import WriteAck
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.failures import CrashRecoverySchedule
-from repro.sim.latency import FixedDelay
+from repro.sim.latency import AsynchronousWindows, FixedDelay
 from repro.store.bench import writer_lease_sweep
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
@@ -105,6 +105,39 @@ class TestWriterLeaseLifecycle:
         fallback = store.compare_and_swap("hot", "b", "c")
         assert fallback.rounds == 2  # back to the optimistic query path
         assert store.verify_atomic()
+
+    def test_revoke_naming_the_inflight_renewal_stops_the_holder(self):
+        # The schedule that separated the two lease copies: r1 holds lease 1,
+        # its lazy renewal (lease 2) rides on a leased write whose replies —
+        # the PW acks and the grants — are delayed; meanwhile r2's query makes
+        # every server revoke *naming lease 2*, the only id its table keeps.
+        # A holder that acks but keeps relying on lease 1 then writes
+        # (3, "c", r1) in one round, below r2's completed (3, "x", r2).
+        store = build_store(
+            keys=("hot",),
+            batching=False,
+            delay_model=AsynchronousWindows(
+                FixedDelay(1.0), windows=((32.0, 33.0, 10.0),)
+            ),
+        )
+        holder = store.cluster.processes["r1"].registers["hot"].writer
+        store.write("hot", "a", client_id="r1")
+        assert holder.lease_held
+        store.run_for(31.0 - store.now)  # past the renew timer (half of 60)
+        slow = store.start_write("hot", "b", client_id="r1")  # carries renewal 2
+        store.run_for(4.0)
+        assert not slow.done  # the servers' replies sit in the slow window
+        competitor = store.write("hot", "x", client_id="r2")
+        held_after_revoke = holder.lease_held
+        store.run_for(10.0)
+        late = store.write("hot", "c", client_id="r1")
+        result = check_atomicity(store.history("hot"))
+        assert result.ok, result.violations  # write-order, before the fix
+        assert not held_after_revoke  # dropped with the renewal, before the ack
+        assert competitor.result.metadata["ts"] == 3
+        assert slow.done and slow.result.metadata["ts"] == 2
+        assert late.rounds == 2 and late.result.metadata["ts"] == 4
+        store.run_until_quiescent()
 
     def test_writer_leases_require_mwmr(self):
         config = SystemConfig.balanced(1, 0, num_readers=2)
