@@ -18,7 +18,7 @@ from .durable import (
     restore_server_state,
     storage_registers,
 )
-from .snapshot import FileSnapshot, MemorySnapshot, SnapshotManager
+from .snapshot import FileSnapshot, MemorySnapshot, SnapshotCorruptError, SnapshotManager
 from .wal import WAL_FIELDS, MemoryWAL, WalRecord, WriteAheadLog
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "FileSnapshot",
     "MemorySnapshot",
     "MemoryWAL",
+    "SnapshotCorruptError",
     "SnapshotManager",
     "WAL_FIELDS",
     "WalRecord",

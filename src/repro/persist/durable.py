@@ -34,12 +34,12 @@ rounds for a concurrent slow READ — never a stale return value.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.automaton import Automaton, Effects
 from ..core.messages import Message
 from ..core.types import TimestampValue
-from .snapshot import SnapshotManager, SnapshotStore
+from .snapshot import SnapshotDelta, SnapshotManager, SnapshotStore
 from .wal import WAL_FIELDS, WalLike, WalRecord
 
 
@@ -105,7 +105,13 @@ def notify_recovered(server: Automaton) -> None:
 
 
 def export_server_state(server: Automaton) -> Dict[str, Dict[str, Any]]:
-    """Snapshot every register's durable state: register id → state dict."""
+    """Every register's durable state: register id → state dict.
+
+    What a snapshot holds.  Compaction does not call this — it exports only
+    the registers that changed (:meth:`DurableServer._snapshot_delta`) — but
+    its files are byte for byte the encoding of this function's result, which
+    is what the tests compare them against.
+    """
     return {
         register_id: storage.export_state()
         for register_id, storage in storage_registers(server).items()
@@ -165,6 +171,11 @@ def replay_records(server: Automaton, records: Sequence[WalRecord]) -> None:
             _apply_to_storage(storage, record)
 
 
+#: ``DurableServer._snapshot_generation`` before the first snapshot (``None``
+#: is taken: it is the generation of a router without a dynamic keyspace).
+_NO_SNAPSHOT = object()
+
+
 class DurableServer(Automaton):
     """A server automaton whose ``pw/w/vw`` state is write-ahead logged."""
 
@@ -189,6 +200,19 @@ class DurableServer(Automaton):
         self._generation: Optional[int] = getattr(
             self._router, "registers_generation", None
         )
+        # Compaction costs what changed: the snapshot store keeps the encoded
+        # bytes of every register and is handed only those that received a
+        # message or a timer since the last snapshot.  Input, not "a WAL record
+        # was written": a READ moves read_ts/frozen, which snapshots carry and
+        # the WAL does not.  Until ``_snapshot_generation`` equals the router's
+        # generation — this incarnation has not snapshotted yet, or registers
+        # were admitted, rehydrated, evicted or dropped since — every register
+        # counts as changed.
+        self._touched: Set[str] = set()
+        self._snapshot_generation: object = _NO_SNAPSHOT
+        self._timer_register: Optional[Callable[[str], str]] = getattr(
+            self._router, "timer_register", None
+        )
         # When set (inside an append_batch() scope), records accumulate here
         # and reach the WAL in one append — one fsync per message batch.
         self._buffered: Optional[List[WalRecord]] = None
@@ -199,12 +223,12 @@ class DurableServer(Automaton):
         """Whether the wrapped server participates in message batching."""
         return bool(getattr(self.inner, "batching", False))
 
-    def _storage_for(self, register_id: str) -> Optional[Automaton]:
+    def _live_registers(self) -> Dict[str, Automaton]:
         generation = getattr(self._router, "registers_generation", None)
         if generation != self._generation:
             self._registers = storage_registers(self.inner)
             self._generation = generation
-        return self._registers.get(register_id)
+        return self._registers
 
     # -------------------------------------------------------------- durable IO
     def handle_message(self, message: Message) -> Effects:
@@ -214,7 +238,8 @@ class DurableServer(Automaton):
             # admission (and any rehydration) is not mistaken for a change
             # this message made — only genuine updates reach the WAL.
             self._ensure(register_id)
-        storage = self._storage_for(register_id)
+        self._touched.add(register_id)
+        storage = self._live_registers().get(register_id)
         before = self._capture(storage)
         effects = self.inner.handle_message(message)
         records = self._diff(register_id, storage, before)
@@ -253,10 +278,31 @@ class DurableServer(Automaton):
 
     def _append(self, records: List[WalRecord]) -> None:
         self.wal.append(records)
-        if self.snapshots is not None:
-            self.snapshots.maybe_compact(lambda: export_server_state(self.inner))
+        if self.snapshots is not None and self.snapshots.maybe_compact(self._snapshot_delta):
+            # Only now: a save that raised leaves its registers marked, so the
+            # next compaction re-encodes them and its file is complete.
+            self._touched.clear()
+            self._snapshot_generation = self._generation
+
+    def _snapshot_delta(self) -> SnapshotDelta:
+        """What the snapshot store needs to write a complete snapshot: the
+        exported state of the registers touched since the last one, and the
+        live register ids in the router's order (taken from the live table —
+        an LRU touch reorders it without bumping the generation)."""
+        registers = self._live_registers()
+        table = getattr(self._router, "registers", None)
+        order = registers if table is None else table
+        complete = table is None or self._snapshot_generation != self._generation
+        changed: Dict[str, Any] = {}
+        for register_id in order if complete else self._touched:
+            storage = registers.get(register_id)
+            if storage is not None and hasattr(storage, "export_state"):
+                changed[register_id] = storage.export_state()
+        return changed, list(order)
 
     def on_timer(self, timer_id: str) -> Effects:
+        if self._timer_register is not None:
+            self._touched.add(self._timer_register(timer_id))
         return self._stamp(self.inner.on_timer(timer_id))
 
     @staticmethod
@@ -324,6 +370,11 @@ def recover_server(
     surviving WAL records are replayed on top — tolerating a torn tail, which
     :meth:`~repro.persist.wal.WriteAheadLog.replay` truncates away — and the
     result is wrapped as a new incarnation that keeps logging to the same WAL.
+
+    A snapshot that exists but does not decode raises
+    :class:`~repro.persist.snapshot.SnapshotCorruptError`: the log it replaced
+    is gone, and a server that refuses to start is a crash (which ``t``
+    covers) while one that forgets acknowledged state is outside the model.
     """
     if snapshot_store is not None:
         state = snapshot_store.load()

@@ -8,20 +8,38 @@ Recovery is then *snapshot + WAL suffix replay*: restore the snapshot, apply
 whatever records were logged after it.  Both halves are monotone over the
 ``(ts, writer_id)`` pairs, so recovery is idempotent and order-insensitive.
 
+A snapshot is always *complete*, but taking one costs what changed: the
+encoded state is a dict, a dict encodes as the concatenation of its items,
+and :class:`FileSnapshot` keeps each register's item bytes — so a compaction
+re-encodes only the registers its caller names as changed and assembles the
+rest from the bytes it already holds.  The file is byte for byte
+``encode_snapshot(full state)``.
+
 :class:`FileSnapshot` writes atomically (temp file + ``os.replace``) so a
-crash mid-snapshot leaves the previous snapshot intact; a corrupt or missing
-snapshot file reads as "no snapshot", falling back to full-log replay.
+crash mid-snapshot leaves the previous snapshot intact.  A missing file reads
+as "no snapshot"; a file that is there but does not decode raises
+:class:`SnapshotCorruptError` — the log it superseded was truncated when it
+was written, so starting without it would silently forget acknowledged state.
 :class:`MemorySnapshot` is the simulator's in-memory twin.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Optional, Protocol, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from ..wire import Codec, get_codec
-from ..wire.codec import MAGIC
+from ..wire.codec import MAGIC, join_dict_items
 from .wal import WalLike, frame_payload, unframe_payload
+
+#: What a compaction hands the store: the exported state of the registers
+#: that changed since the last snapshot, and every live register id in
+#: snapshot order.
+SnapshotDelta = Tuple[Mapping[str, Any], Sequence[str]]
+
+
+class SnapshotCorruptError(Exception):
+    """A snapshot exists but fails its checksum, magic or decode."""
 
 
 def encode_snapshot(state: Any, codec: Union[str, Codec, None] = None) -> bytes:
@@ -70,11 +88,18 @@ class SnapshotStore(Protocol):
     """The two-method storage API snapshots live behind.
 
     Satisfied structurally by :class:`FileSnapshot` and
-    :class:`MemorySnapshot`; ``load`` returns ``None`` when no snapshot has
-    been taken yet.
+    :class:`MemorySnapshot`.  ``save`` takes the state of the registers that
+    *changed* since the previous save plus the ids of all *live* registers in
+    snapshot order (omitted: exactly the changed ones — a full snapshot is
+    "every register changed"); the store supplies the unchanged rest from
+    what it kept, so every id in *live* must have been in some earlier
+    *changed*.  ``load`` returns the complete state, or ``None`` when no
+    snapshot has been taken yet.
     """
 
-    def save(self, state: Any) -> None: ...
+    def save(
+        self, changed: Mapping[str, Any], live: Optional[Sequence[str]] = None
+    ) -> None: ...
 
     def load(self) -> Optional[Any]: ...
 
@@ -85,12 +110,24 @@ class FileSnapshot:
     def __init__(self, path: str, codec: Union[str, Codec, None] = None) -> None:
         self.path = path
         self.codec = get_codec(codec)
+        #: Register id → the bytes its item contributes to the encoded state.
+        self._chunks: Dict[str, bytes] = {}
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
 
-    def save(self, state: Any) -> None:
-        write_file_atomically(self.path, encode_snapshot(state, self.codec))
+    def save(
+        self, changed: Mapping[str, Any], live: Optional[Sequence[str]] = None
+    ) -> None:
+        chunks = self._chunks
+        for register_id, state in changed.items():
+            chunks[register_id] = self.codec.encode_dict_item(register_id, state)
+        if live is None:
+            live = list(changed)
+        if len(chunks) != len(live):  # registers left since the last save
+            self._chunks = chunks = {register_id: chunks[register_id] for register_id in live}
+        payload = join_dict_items([chunks[register_id] for register_id in live])
+        write_file_atomically(self.path, frame_payload(payload))
 
     def load(self) -> Optional[Any]:
         try:
@@ -98,18 +135,31 @@ class FileSnapshot:
                 data = fh.read()
         except FileNotFoundError:
             return None
-        return decode_snapshot(data)
+        state = decode_snapshot(data)
+        if state is None:
+            raise SnapshotCorruptError(
+                f"snapshot {self.path} is corrupt ({len(data)} bytes fail the "
+                "checksum, magic or decode); the WAL it superseded is gone, so "
+                "recovering without it would forget acknowledged state"
+            )
+        return state
 
 
 class MemorySnapshot:
     """In-memory snapshot storage for the simulator."""
 
     def __init__(self) -> None:
-        self._state: Optional[Any] = None
+        self._state: Optional[Dict[str, Any]] = None
         self.saves = 0
 
-    def save(self, state: Any) -> None:
-        self._state = state
+    def save(
+        self, changed: Mapping[str, Any], live: Optional[Sequence[str]] = None
+    ) -> None:
+        kept = self._state or {}
+        self._state = {
+            register_id: changed[register_id] if register_id in changed else kept[register_id]
+            for register_id in (changed if live is None else live)
+        }
         self.saves += 1
 
     def load(self) -> Optional[Any]:
@@ -121,10 +171,10 @@ class SnapshotManager:
 
     Owned by a :class:`~repro.persist.durable.DurableServer`; after every
     appended batch the server asks :meth:`maybe_compact`, which — once the log
-    holds at least *compact_every* records — serializes the server's exported
-    state into the snapshot store and resets the log.  The snapshot is written
-    *before* the log is truncated, so a crash between the two steps merely
-    replays records the snapshot already covers (replay is idempotent).
+    holds at least *compact_every* records — saves what changed since the last
+    snapshot into the snapshot store and resets the log.  The snapshot is
+    written *before* the log is truncated, so a crash between the two steps
+    merely replays records the snapshot already covers (replay is idempotent).
     """
 
     def __init__(
@@ -137,12 +187,13 @@ class SnapshotManager:
         self.compact_every = compact_every
         self.compactions = 0
 
-    def maybe_compact(self, export_state: Callable[[], Any]) -> bool:
-        """Snapshot via the *export_state* callable if the log is due; returns
+    def maybe_compact(self, delta: Callable[[], SnapshotDelta]) -> bool:
+        """Snapshot if the log is due, asking *delta* — only then — for the
+        ``(changed, live)`` pair of :meth:`SnapshotStore.save`; returns
         whether a compaction ran."""
         if self.wal.record_count < self.compact_every:
             return False
-        self.store.save(export_state())
+        self.store.save(*delta())
         self.wal.reset()
         self.compactions += 1
         return True

@@ -182,8 +182,8 @@ class WriteAheadLog:
             return
         if self._file is None:
             raise ValueError(f"WAL {self.path} is closed")
-        for record in records:
-            self._file.write(encode_frame(record, self.codec))
+        encode = self.codec.encode_value
+        self._file.write(b"".join([frame_payload(encode(record)) for record in records]))
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
@@ -211,16 +211,16 @@ class WriteAheadLog:
         return records
 
     def _truncate_to(self, length: int) -> None:
-        was_open = self._file is not None
-        if was_open:
-            self._file.close()
-            self._file = None
+        if self._file is not None:
+            # The append handle truncates in place: O_APPEND keeps landing
+            # later writes at the (new) end of the file.
+            self._file.truncate(length)
+            os.fsync(self._file.fileno())
+            return
         with open(self.path, "r+b") as fh:
             fh.truncate(length)
             fh.flush()
             os.fsync(fh.fileno())
-        if was_open:
-            self._file = open(self.path, "ab")
 
     # ----------------------------------------------------------- maintenance
     def reset(self) -> None:

@@ -38,7 +38,9 @@ def make_durable(
     incarnation (a crashed or stopped node), the automaton is *recovered* —
     snapshot restored, WAL suffix replayed, torn tail truncated — and rejoins
     under a bumped incarnation; otherwise this is the first incarnation and
-    the files are created empty.
+    the files are created empty.  A snapshot that is there but does not
+    decode raises :class:`~repro.persist.snapshot.SnapshotCorruptError`: the
+    node refuses to start rather than rejoin without acknowledged state.
 
     *codec* selects the payload encoding of new WAL frames and snapshots
     (binary by default); replay is codec-agnostic, so recovery works across a
@@ -60,13 +62,17 @@ def make_durable(
         # monotone fencing reject the recovered node forever.
         with open(epoch_path, encoding="utf-8") as fh:
             incarnation = int(fh.read().strip()) + 1
-        node_server = recover_server(
-            automaton,
-            wal,
-            snapshot_store=snapshot_store,
-            incarnation=incarnation,
-            compact_every=compact_every,
-        )
+        try:
+            node_server = recover_server(
+                automaton,
+                wal,
+                snapshot_store=snapshot_store,
+                incarnation=incarnation,
+                compact_every=compact_every,
+            )
+        except BaseException:
+            wal.close()  # a corrupt snapshot refuses the start: leak no handle
+            raise
     else:
         incarnation = 0
         node_server = DurableServer(

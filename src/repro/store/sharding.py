@@ -205,6 +205,11 @@ class _RegisterRouter:
         if self.eviction_store is not None:
             self.eviction_store.discard(register_id)
 
+    def timer_register(self, timer_id: str) -> str:
+        """The register a namespaced *timer_id* belongs to (wrappers that track
+        per-register activity ask, so the id format stays known here only)."""
+        return timer_id.partition(TIMER_SEPARATOR)[0]
+
     def on_timer(self, timer_id: str) -> Effects:
         split = split_timer_id(timer_id)
         if split is None:

@@ -40,7 +40,7 @@ hatch of the migration release is gone; legacy pickle frames are still
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Tuple, Type, Union
+from typing import Any, Dict, Sequence, Tuple, Type, Union
 
 from ..core.messages import (
     BaselineQuery,
@@ -67,6 +67,7 @@ from ..core.messages import (
     WriterLeaseRevokeAck,
 )
 from .values import (
+    T_DICT,
     WireDecodeError,
     WireEncodeError,
     WireFormatError,
@@ -97,6 +98,7 @@ __all__ = [
     "encode_message",
     "encode_message_into",
     "get_codec",
+    "join_dict_items",
 ]
 
 #: Two magic bytes opening every binary frame ('L'ucky 'W'ire).  Pickle
@@ -296,6 +298,25 @@ LENGTH_PREFIX_BYTES = 4
 #: Tag of a bare value payload (WAL records, snapshot states).
 TAG_VALUE = 30
 
+#: Where the items start in the value payload of a one-item dict: header
+#: (magic, version, tag) + ``T_DICT`` + a one-byte count.
+_DICT_ITEMS_OFFSET = 6
+
+
+def join_dict_items(items: Sequence[bytes]) -> bytes:
+    """The value payload of the dict whose items encode, in order, to *items*.
+
+    A dict is ``T_DICT``, the item count, then each key followed by its value
+    — a concatenation of independently encodable items — so chunks from
+    :meth:`Codec.encode_dict_item` reassemble into exactly the bytes
+    ``encode_value`` gives for the whole dict.
+    """
+    head = bytearray()
+    _write_header(head, TAG_VALUE)
+    head.append(T_DICT)
+    write_uvarint(head, len(items))
+    return b"".join([head, *items])
+
 
 class Codec:
     """The serializer surface every layer programs against."""
@@ -330,6 +351,12 @@ class Codec:
 
     def decode_value(self, data: bytes) -> Any:
         raise NotImplementedError
+
+    def encode_dict_item(self, key: Any, value: Any) -> bytes:
+        """The bytes one ``key: value`` item contributes to an encoded dict
+        (see :func:`join_dict_items`): lets a caller that re-encodes a large
+        dict often keep the bytes of the items that did not change."""
+        return self.encode_value({key: value})[_DICT_ITEMS_OFFSET:]
 
     def frame_size(self, source: str, destination: str, message: Message) -> int:
         """Bytes the transports would put on the wire for this routed message
@@ -380,8 +407,8 @@ class BinaryCodec(Codec):
         return LENGTH_PREFIX_BYTES + len(scratch)
 
     def encode_value(self, value: Any) -> bytes:
-        # Value payloads carry the same magic + version so on-disk frames are
-        # versioned and legacy pickle payloads (0x80...) stay distinguishable.
+        # Value payloads carry the same magic + version as messages, so
+        # on-disk frames are versioned and anything else is a corrupt frame.
         out = bytearray()
         _write_header(out, TAG_VALUE)
         write_value(out, value)

@@ -1,5 +1,7 @@
 """Unit tests of the durability wrapper and server state export/restore."""
 
+import pytest
+
 from repro.core.config import SystemConfig
 from repro.core.messages import PreWrite, Read, TimestampQuery, Write
 from repro.core.server import StorageServer
@@ -12,10 +14,11 @@ from repro.persist.durable import (
     restore_server_state,
     storage_registers,
 )
-from repro.persist.snapshot import MemorySnapshot, SnapshotManager
+from repro.persist.snapshot import MemorySnapshot, SnapshotCorruptError, SnapshotManager
 from repro.persist.wal import MemoryWAL, WalRecord
 from repro.store.sharding import ShardedProtocol
 from repro.core.protocol import LuckyAtomicProtocol
+from repro.runtime.node import make_durable
 
 
 CONFIG = SystemConfig(t=1, b=0, fw=1, fr=0)
@@ -204,6 +207,28 @@ class TestRecoverServer:
         assert inner.pw == pair(5)
         assert inner.w == pair(3)
         assert recovered.incarnation == 2
+
+    def test_corrupt_snapshot_refuses_to_start_instead_of_forgetting(self, tmp_path):
+        """The WAL a snapshot superseded was truncated when the snapshot was
+        written, so "corrupt reads as no snapshot" recovers ``<0, ⊥>`` after
+        ts 5 was acknowledged.  Refusing to start is a crash, which ``t``
+        covers; forgetting acknowledged state is not in the failure model."""
+        first = make_durable(StorageServer("s1", CONFIG), str(tmp_path), compact_every=4)
+        for ts in range(1, 6):
+            first.handle_message(PreWrite(sender="w", ts=ts, pw=pair(ts), w=pair(ts - 1)))
+        assert first.snapshots.compactions == 2
+        first.wal.close()
+        path = tmp_path / "s1.snapshot"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotCorruptError):
+            make_durable(StorageServer("s1", CONFIG), str(tmp_path), compact_every=4)
+        # A *missing* snapshot is still "none taken yet": the log replays.
+        path.unlink()
+        recovered = make_durable(StorageServer("s1", CONFIG), str(tmp_path), compact_every=4)
+        assert recovered.incarnation == 1
+        recovered.wal.close()
 
     def test_without_snapshot_store(self):
         wal = MemoryWAL()

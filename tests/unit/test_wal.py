@@ -18,6 +18,7 @@ from repro.persist.durable import replay_records
 from repro.persist.snapshot import (
     FileSnapshot,
     MemorySnapshot,
+    SnapshotCorruptError,
     SnapshotManager,
     decode_snapshot,
     encode_snapshot,
@@ -185,19 +186,21 @@ class TestSnapshots:
         store.save(state)
         assert store.load() == state
 
-    def test_corrupt_snapshot_reads_as_missing(self, tmp_path):
+    def test_corrupt_snapshot_is_refused_not_read_as_missing(self, tmp_path):
         path = tmp_path / "s1.snapshot"
         store = FileSnapshot(str(path))
         store.save({"x": 1})
         data = path.read_bytes()
         path.write_bytes(data[:-1] + bytes([data[-1] ^ 0xFF]))
-        assert store.load() is None
+        with pytest.raises(SnapshotCorruptError):
+            store.load()
 
-    def test_truncated_snapshot_reads_as_missing(self, tmp_path):
+    def test_truncated_snapshot_is_refused_not_read_as_missing(self, tmp_path):
         path = tmp_path / "s1.snapshot"
         FileSnapshot(str(path)).save({"x": 1})
         path.write_bytes(path.read_bytes()[:5])
-        assert FileSnapshot(str(path)).load() is None
+        with pytest.raises(SnapshotCorruptError):
+            FileSnapshot(str(path)).load()
 
     def test_encode_decode(self):
         assert decode_snapshot(encode_snapshot([1, 2])) == [1, 2]
@@ -208,12 +211,53 @@ class TestSnapshots:
         store = MemorySnapshot()
         manager = SnapshotManager(store, wal, compact_every=3)
         wal.append([record(1), record(2)])
-        assert not manager.maybe_compact(lambda: {"state": "a"})
+        asked = []
+
+        def delta(state):
+            asked.append(state)
+            return {"": {"state": state}}, [""]
+
+        assert not manager.maybe_compact(lambda: delta("a"))
+        assert asked == []  # the delta is only computed when a compaction is due
         wal.append([record(3)])
-        assert manager.maybe_compact(lambda: {"state": "b"})
-        assert store.load() == {"state": "b"}
+        assert manager.maybe_compact(lambda: delta("b"))
+        assert store.load() == {"": {"state": "b"}}
         assert wal.record_count == 0
         assert manager.compactions == 1
+
+    def test_manager_keeps_the_log_when_the_save_fails(self):
+        wal = MemoryWAL()
+
+        class FailingStore(MemorySnapshot):
+            def save(self, changed, live=None):
+                raise OSError("disk full")
+
+        manager = SnapshotManager(FailingStore(), wal, compact_every=1)
+        wal.append([record(1)])
+        with pytest.raises(OSError):
+            manager.maybe_compact(lambda: ({"": {}}, [""]))
+        assert wal.record_count == 1  # snapshot-before-reset: nothing was lost
+        assert manager.compactions == 0
+
+    @pytest.mark.parametrize(
+        "make_store",
+        [lambda tmp: MemorySnapshot(), lambda tmp: FileSnapshot(str(tmp / "s1.snapshot"))],
+        ids=["memory", "file"],
+    )
+    def test_save_merges_changed_registers_into_the_kept_rest(self, make_store, tmp_path):
+        store = make_store(tmp_path)
+        store.save({"k1": {"pw": 1}, "k2": {"pw": 2}, "k3": {"pw": 3}})
+        store.save({"k2": {"pw": 20}}, ["k1", "k2", "k3"])
+        assert store.load() == {"k1": {"pw": 1}, "k2": {"pw": 20}, "k3": {"pw": 3}}
+        # Order is the live list's, and a register that left is forgotten.
+        store.save({"k4": {"pw": 4}}, ["k3", "k4", "k1"])
+        assert list(store.load().items()) == [
+            ("k3", {"pw": 3}),
+            ("k4", {"pw": 4}),
+            ("k1", {"pw": 1}),
+        ]
+        with pytest.raises(KeyError):  # k2 left: its bytes are not served again
+            store.save({}, ["k1", "k2"])
 
     def test_manager_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ from repro.wire import (
     get_codec,
     register_struct,
 )
-from repro.wire.codec import LENGTH_PREFIX_BYTES, MESSAGE_TAGS, TAG_ENVELOPE
+from repro.wire.codec import LENGTH_PREFIX_BYTES, MESSAGE_TAGS, TAG_ENVELOPE, join_dict_items
 from repro.wire.golden import message_zoo
 
 
@@ -215,6 +215,26 @@ class TestCodecObjects:
         # with a message saying the dialect is gone, readers included.
         with pytest.raises(ValueError, match="removed"):
             get_codec("pickle")
+
+    @pytest.mark.parametrize("count", [0, 1, 127, 128, 300])
+    def test_dict_items_join_to_the_whole_dicts_bytes(self, count):
+        # Counts past 127 take a multi-byte varint: the join writes the real
+        # count, the per-item encoder only ever strips a one-item dict's.
+        codec = get_codec(None)
+        state = {f"k{i}": {"pw": TimestampValue(i, "v"), "n": [i, None]} for i in range(count)}
+        items = [codec.encode_dict_item(key, value) for key, value in state.items()]
+        assert join_dict_items(items) == codec.encode_value(state)
+
+    def test_dict_item_goes_through_a_subclass_encode_value(self):
+        calls = []
+
+        class Counting(BinaryCodec):
+            def encode_value(self, value):
+                calls.append(value)
+                return super().encode_value(value)
+
+        assert Counting().encode_dict_item("k", 1) == get_codec(None).encode_dict_item("k", 1)
+        assert calls == [{"k": 1}]
 
 
 # ----------------------------------------------------------------- hypothesis

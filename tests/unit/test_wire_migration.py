@@ -9,7 +9,14 @@ now just a corrupt frame.
 
 import pickle
 
-from repro.persist.snapshot import FileSnapshot, decode_snapshot, encode_snapshot
+import pytest
+
+from repro.persist.snapshot import (
+    FileSnapshot,
+    SnapshotCorruptError,
+    decode_snapshot,
+    encode_snapshot,
+)
 from repro.persist.wal import (
     WalRecord,
     WriteAheadLog,
@@ -95,7 +102,8 @@ def test_crc_valid_pickle_payload_is_refused_without_running_it(tmp_path):
     assert decode_snapshot(frame) is None
     path = tmp_path / "hostile.snapshot"
     path.write_bytes(frame)
-    assert FileSnapshot(str(path)).load() is None
+    with pytest.raises(SnapshotCorruptError):
+        FileSnapshot(str(path)).load()
     assert FIRED == []
     # The payload is live: anything that did unpickle it would have fired.
     pickle.loads(payload)
