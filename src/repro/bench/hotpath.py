@@ -39,7 +39,6 @@ import json
 import os
 import pstats
 import tempfile
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.config import SystemConfig
@@ -49,7 +48,7 @@ from ..persist.wal import WalRecord, WriteAheadLog
 from ..sim.cluster import SimCluster
 from ..sim.events import EventQueue
 from ..sim.latency import FixedDelay
-from ..wire.bench import representative_payloads
+from ..wire.bench import ops_per_second, representative_payloads
 from ..wire.codec import get_codec
 
 __all__ = [
@@ -68,20 +67,6 @@ SCHEMA = "hotpath/1"
 #: A component may drop this fraction below its checked-in baseline before
 #: the CI perf gate fails (generous: CI runners are noisy neighbours).
 DEFAULT_REGRESSION_THRESHOLD = 0.25
-
-
-def _ops_per_second(fn: Callable[[], object], min_seconds: float = 0.05) -> float:
-    """Single-thread throughput of *fn*, timed over at least *min_seconds*."""
-    fn()  # warm-up: first-call caches, lazy imports
-    repetitions = 4
-    while True:
-        started = time.perf_counter()
-        for _ in range(repetitions):
-            fn()
-        elapsed = time.perf_counter() - started
-        if elapsed >= min_seconds:
-            return repetitions / elapsed
-        repetitions *= 4
 
 
 # --------------------------------------------------------------------------- #
@@ -105,7 +90,7 @@ def bench_sim_event_loop(min_seconds: float) -> Dict[str, Any]:
         return cluster.events_processed
 
     events_per_cycle = cycle()
-    cycles_per_second = _ops_per_second(cycle, min_seconds)
+    cycles_per_second = ops_per_second(cycle, min_seconds)
     return {
         "ops_per_sec": cycles_per_second * events_per_cycle,
         "unit": "events/s",
@@ -123,7 +108,7 @@ def bench_codec_encode(min_seconds: float) -> Dict[str, Any]:
             codec.encode_envelope(source, destination, message)
 
     return {
-        "ops_per_sec": _ops_per_second(encode_all, min_seconds) * len(payloads),
+        "ops_per_sec": ops_per_second(encode_all, min_seconds) * len(payloads),
         "unit": "frames/s",
         "detail": f"{len(payloads)} representative frames per iteration",
     }
@@ -141,7 +126,7 @@ def bench_codec_decode(min_seconds: float) -> Dict[str, Any]:
             codec.decode_envelope(frame)
 
     return {
-        "ops_per_sec": _ops_per_second(decode_all, min_seconds) * len(encoded),
+        "ops_per_sec": ops_per_second(decode_all, min_seconds) * len(encoded),
         "unit": "frames/s",
         "detail": f"{len(encoded)} representative frames per iteration",
     }
@@ -156,7 +141,7 @@ def bench_automaton_dispatch(min_seconds: float) -> Dict[str, Any]:
         server.handle_message(message)
 
     return {
-        "ops_per_sec": _ops_per_second(dispatch, min_seconds),
+        "ops_per_sec": ops_per_second(dispatch, min_seconds),
         "unit": "messages/s",
         "detail": "server handle_message(Read)",
     }
@@ -176,7 +161,7 @@ def bench_timer_wheel(min_seconds: float) -> Dict[str, Any]:
             pass
 
     return {
-        "ops_per_sec": _ops_per_second(churn, min_seconds) * arms,
+        "ops_per_sec": ops_per_second(churn, min_seconds) * arms,
         "unit": "arms/s",
         "detail": f"{arms} arms per iteration, one cancel per three arms",
     }
@@ -194,7 +179,7 @@ def bench_wal_append(min_seconds: float) -> Dict[str, Any]:
             def append() -> None:
                 wal.append(batch)
 
-            rate = _ops_per_second(append, min_seconds)
+            rate = ops_per_second(append, min_seconds)
         finally:
             wal.close()
     return {

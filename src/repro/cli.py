@@ -161,15 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resilience bound t of the --recovery sweep (2t servers crash in total)",
     )
     store_parser.add_argument(
-        "--codec",
-        choices=["binary"],
-        default="binary",
-        help=(
-            "wire codec the sweeps measure (and, with byte costs, charge) "
-            "frames under"
-        ),
-    )
-    store_parser.add_argument(
         "--codec-bench",
         action="store_true",
         help=(
@@ -391,7 +382,6 @@ def _run_store_bench(args: argparse.Namespace) -> int:
         t=args.t,
         b=args.b,
         batching=args.batch,
-        codec=args.codec,
     )
     tables.append(table)
     print(table.to_markdown() if args.markdown else table.format())
@@ -405,7 +395,6 @@ def _run_store_bench(args: argparse.Namespace) -> int:
             t=args.t,
             b=args.b,
             frame_overhead=args.frame_overhead,
-            codec=args.codec,
         )
         tables.append(comparison)
         print()
@@ -423,7 +412,6 @@ def _run_store_bench(args: argparse.Namespace) -> int:
             num_writers=args.mwmr_writers,
             skew=args.mwmr_skew,
             batching=args.batch,
-            codec=args.codec,
         )
         tables.append(contended)
         print()
@@ -438,7 +426,6 @@ def _run_store_bench(args: argparse.Namespace) -> int:
             b=args.b,
             lease_duration=args.lease_duration,
             batching=args.batch,
-            codec=args.codec,
         )
         tables.append(leased)
         print()
@@ -454,7 +441,6 @@ def _run_store_bench(args: argparse.Namespace) -> int:
             num_writers=args.wlease_writers,
             lease_duration=args.lease_duration,
             batching=args.batch,
-            codec=args.codec,
         )
         tables.append(wleased)
         print()
@@ -468,7 +454,6 @@ def _run_store_bench(args: argparse.Namespace) -> int:
             t=args.recovery_t,
             b=args.b,
             batching=args.batch,
-            codec=args.codec,
         )
         tables.append(recovery)
         print()
@@ -496,7 +481,6 @@ def _run_store_bench(args: argparse.Namespace) -> int:
             churn_registers=args.churn_registers,
             churn_resident=args.churn_resident,
             batching=args.batch,
-            codec=args.codec,
         )
         tables.append(sweep)
         print()
@@ -524,7 +508,6 @@ def _run_store_bench(args: argparse.Namespace) -> int:
                         "wlease_writers": args.wlease_writers,
                         "recovery": args.recovery,
                         "recovery_t": args.recovery_t,
-                        "codec": args.codec,
                         "codec_bench": args.codec_bench,
                         "topology": args.topology,
                         "churn": args.churn,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .messages import Message
 
@@ -191,3 +191,30 @@ class ClientAutomaton(Automaton):
 
     def _timer_id(self, op_id: int, label: str) -> str:
         return f"{self.process_id}/op{op_id}/{label}"
+
+
+#: Operation kind -> (the client-automaton method that invokes it, whether its
+#: last argument is the value the operation writes).  An RMW's written value is
+#: only known at completion, a read writes nothing.
+_OPERATIONS: Dict[str, Tuple[str, bool]] = {
+    "write": ("write", True),
+    "read": ("read", False),
+    "cas": ("compare_and_swap", True),
+    "rmw": ("read_modify_write", False),
+}
+
+
+def invoke_operation(
+    client: Any, kind: str, register_id: Optional[str], args: Sequence[Any]
+) -> Tuple[Effects, Any]:
+    """Invoke operation *kind* on *client*; returns ``(effects, requested value)``.
+
+    The one invocation both runtimes go through.  ``register_id=None`` is the
+    paper's single register — ``client.write(value)`` / ``client.read()`` —
+    and a key addresses one register of a sharded client, which takes it as
+    its first argument: ``client.write(key, value)``.
+    """
+    method, writes_last_argument = _OPERATIONS[kind]
+    invoke = getattr(client, method)
+    effects = invoke(*args) if register_id is None else invoke(register_id, *args)
+    return effects, args[-1] if writes_last_argument else None

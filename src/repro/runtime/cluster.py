@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Awaitable, Callable, Dict, Iterable, Optional, Union
 
 __all__ = [
     "AsyncCluster",
@@ -33,17 +33,11 @@ __all__ = [
 from ..core.automaton import OperationComplete
 from ..core.protocol import ProtocolSuite
 from ..store.sharding import ShardedProtocol, StrategyFactory
-from ..verify.history import History
+from ..store.surface import StoreSurface
+from ..verify.history import History, OperationRecord
 from ..wire import Codec
 from .node import AutomatonNode, ClientNode, ShardedClientNode
 from .transport import InMemoryTransport, TcpTransport, Transport, constant_delay
-
-
-def _find_node_router(automaton: Any) -> Any:
-    """The register router inside a node's wrapper stack (or ``None``)."""
-    while not hasattr(automaton, "discard_register") and hasattr(automaton, "inner"):
-        automaton = automaton.inner
-    return automaton if hasattr(automaton, "discard_register") else None
 
 
 def uvloop_available() -> bool:
@@ -147,19 +141,14 @@ class AsyncCluster:
             self.server_nodes[server_id] = self._build_server_node(
                 server_id, crashed=server_id in self._crashed
             )
-        writer = self.suite.create_writer()
-        writer.timer_delay = self.timer_delay
-        self.client_nodes[self.config.writer_id] = self.CLIENT_NODE_CLASS(
-            writer,
-            self.transport,
-            time_scale=self.time_scale,
-            start_time=self.start_time,
-        )
-        for reader_id in self.config.reader_ids():
-            reader = self.suite.create_reader(reader_id)
-            reader.timer_delay = self.timer_delay
-            self.client_nodes[reader_id] = self.CLIENT_NODE_CLASS(
-                reader,
+        for client_id in self.config.client_ids():
+            if client_id == self.config.writer_id:
+                client = self.suite.create_writer()
+            else:
+                client = self.suite.create_reader(client_id)
+            client.timer_delay = self.timer_delay
+            self.client_nodes[client_id] = self.CLIENT_NODE_CLASS(
+                client,
                 self.transport,
                 time_scale=self.time_scale,
                 start_time=self.start_time,
@@ -275,7 +264,7 @@ def tcp_cluster(
     return AsyncCluster(suite, transport=TcpTransport(codec=codec), codec=codec, **kwargs)
 
 
-class ShardedAsyncCluster(AsyncCluster):
+class ShardedAsyncCluster(StoreSurface, AsyncCluster):
     """An asyncio deployment of the sharded multi-register store.
 
     All shards share one server fleet and one transport (in-memory or TCP);
@@ -291,12 +280,17 @@ class ShardedAsyncCluster(AsyncCluster):
             )
             read = await store.read("k1")
 
-    Per-key capabilities mirror :class:`~repro.store.sharding.ShardedProtocol`:
-    ``mwmr`` keys accept writes from every client node, ``leases`` keys serve
-    zero-round leased reads, and ``writer_leases`` keys (a subset of ``mwmr``)
-    give the writing client a per-key writer lease — one-round writes plus
-    :meth:`compare_and_swap` / :meth:`read_modify_write` decided locally from
-    the leased timestamp cache while the lease holds.
+    The keyspace, dynamic keys, histories and verdicts are the shared
+    :class:`~repro.store.surface.StoreSurface`; this class adds the awaitable
+    verbs.  ``mwmr`` keys accept writes from every client node, ``leases``
+    keys serve zero-round leased reads, and ``writer_leases`` keys (a subset
+    of ``mwmr``) give the writing client a per-key writer lease — one-round
+    writes plus :meth:`compare_and_swap` / :meth:`read_modify_write` decided
+    locally from the leased timestamp cache while the lease holds.
+
+    A subclass may skip this constructor and hand a ready-made
+    :class:`~repro.store.sharding.ShardedProtocol` (or a subclass of it) to
+    ``AsyncCluster.__init__`` directly.
     """
 
     CLIENT_NODE_CLASS = ShardedClientNode
@@ -326,83 +320,19 @@ class ShardedAsyncCluster(AsyncCluster):
             max_resident=max_resident,
         )
         super().__init__(suite, **kwargs)
-        #: How many times each key has been dropped — dead incarnations'
-        #: records are archived under ``key#N`` (see :meth:`drop_register`).
-        self._drop_counts: Dict[str, int] = {}
 
-    @property
-    def keys(self) -> List[str]:
-        return list(self.suite.register_ids)
+    # ------------------------------------------------------ the surface hooks
+    def _hosted_automata(self) -> Iterable[Any]:
+        nodes = (*self.server_nodes.values(), *self.client_nodes.values())
+        return [node.automaton for node in nodes]
 
-    @property
-    def mwmr_keys(self) -> List[str]:
-        """The keys declared multi-writer (every client node may write them)."""
-        return sorted(self.suite.mwmr_registers)
+    def _operation_records(self) -> Iterable[OperationRecord]:
+        return (r for node in self.client_nodes.values() for r in node.records)
 
-    @property
-    def leased_keys(self) -> List[str]:
-        """The keys with read leases (zero-round contention-free reads)."""
-        return sorted(self.suite.leased_registers)
-
-    @property
-    def writer_lease_keys(self) -> List[str]:
-        """The keys with writer leases (one-round writes, local CAS)."""
-        return sorted(self.suite.writer_leased_registers)
-
-    # -------------------------------------------------------------- dynamic keys
-    def create_register(
-        self,
-        key: str,
-        mwmr: bool = False,
-        leases: bool = False,
-        writer_leases: bool = False,
-    ) -> None:
-        """Add *key* to the live keyspace without restarting any node.
-
-        Node automata materialize lazily — clients at first invocation,
-        servers when the first message for the key arrives — so creation is
-        a pure membership change on the shared suite.
-        """
-        self.suite.create_register(
-            key, mwmr=mwmr, leases=leases, writer_leases=writer_leases
-        )
-
-    def drop_register(self, key: str) -> None:
-        """Remove *key* from the keyspace and discard every live automaton.
-
-        In-flight messages for the key then drop like any unknown-register
-        message; spilled eviction state is deleted with the membership.  The
-        key's recorded operations are archived under ``key#N`` (N = drop
-        count) so they stay checkable as their own history while a later
-        ``create_register`` of the same name starts a fresh register.
-        """
-        self.suite.drop_register(key)
-        for node in list(self.server_nodes.values()) + list(self.client_nodes.values()):
-            router = _find_node_router(node.automaton)
-            if router is not None:
-                router.discard_register(key)
-        incarnation = self._drop_counts.get(key, 0) + 1
-        self._drop_counts[key] = incarnation
-        for client in self.client_nodes.values():
-            for record in client.records:
-                if record.metadata.get("register_id") == key:
-                    record.metadata["register_id"] = f"{key}#{incarnation}"
-
-    @property
-    def evictions(self) -> int:
-        """Registers spilled to eviction stores across every node."""
-        return sum(
-            getattr(_find_node_router(n.automaton), "evictions", 0)
-            for n in self.server_nodes.values()
-        )
-
-    @property
-    def rehydrations(self) -> int:
-        """Registers faulted back in from eviction stores across every node."""
-        return sum(
-            getattr(_find_node_router(n.automaton), "rehydrations", 0)
-            for n in self.server_nodes.values()
-        )
+    def _relabel_operations(self, key: str, archived: str) -> None:
+        for record in self._operation_records():
+            if record.metadata.get("register_id") == key:
+                record.metadata["register_id"] = archived
 
     # ---------------------------------------------------------------- operations
     async def write(  # type: ignore[override]
@@ -449,29 +379,6 @@ class ShardedAsyncCluster(AsyncCluster):
         """
         node = self.client_nodes[client_id or self.config.writer_id]
         return await node.read_modify_write(key, fn)
-
-    # ------------------------------------------------------------------ history
-    def history(self, key: Optional[str] = None) -> History:  # type: ignore[override]
-        records = []
-        for node in self.client_nodes.values():
-            records.extend(node.records)
-        if key is not None:
-            records = [r for r in records if r.metadata.get("register_id") == key]
-        return History(records)
-
-    def histories(self) -> Dict[str, History]:
-        """Per-key histories suitable for the single-register checkers.
-
-        Keys are taken from the records themselves (union the live keyspace),
-        so operations on registers dropped since remain checkable.
-        """
-        observed = {
-            r.metadata.get("register_id")
-            for node in self.client_nodes.values()
-            for r in node.records
-        }
-        keys = sorted(set(self.keys) | {k for k in observed if isinstance(k, str)})
-        return {key: self.history(key) for key in keys}
 
 
 def sharded_tcp_cluster(

@@ -15,7 +15,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Union
 
-from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
+from ..core.automaton import (
+    Automaton,
+    ClientAutomaton,
+    Effects,
+    OperationComplete,
+    invoke_operation,
+)
 from ..core.messages import Message, iter_unbatched, make_envelope
 from ..persist.durable import DurableServer, recover_server
 from ..persist.snapshot import FileSnapshot, SnapshotManager, write_file_atomically
@@ -293,35 +299,23 @@ class AutomatonNode:
         """Server automata never complete operations; clients override this."""
 
 
-def _record_completion(
-    node, completion: OperationComplete, started: float, pending_value: Any
-) -> None:
-    """Stamp wall-clock latency on *completion* and append a history record.
+@dataclass
+class _PendingOperation:
+    """One outstanding operation of a :class:`ClientNode`."""
 
-    Shared by :class:`ClientNode` and :class:`ShardedClientNode`; *node* needs
-    ``records`` and ``start_time``.
-    """
-    now = time.monotonic()
-    # Expose the wall-clock latency both on the completion handed back to the
-    # caller and on the recorded history entry: the two share one metadata
-    # dict (a second copy per retained operation bought nothing).
-    completion.metadata["latency_s"] = now - started
-    node.records.append(
-        OperationRecord(
-            client_id=node.process_id,
-            kind=completion.kind,
-            value=completion.value if completion.kind == "read" else pending_value,
-            invoked_at=started - node.start_time,
-            completed_at=now - node.start_time,
-            rounds=completion.rounds,
-            fast=completion.fast,
-            metadata=completion.metadata,
-        )
-    )
+    future: asyncio.Future
+    started: float
+    kind: str
+    value: Any
 
 
 class ClientNode(AutomatonNode):
-    """A node hosting a client automaton; exposes awaitable operations."""
+    """A node hosting a client automaton; exposes awaitable operations.
+
+    Operations are keyed by the register they address, one outstanding per
+    key; ``None`` is the paper's single register, the only key of a plain
+    client.  The automaton still enforces well-formedness per register.
+    """
 
     def __init__(
         self,
@@ -331,10 +325,7 @@ class ClientNode(AutomatonNode):
         start_time: Optional[float] = None,
     ) -> None:
         super().__init__(automaton, transport, time_scale=time_scale)
-        self._pending_future: Optional[asyncio.Future] = None
-        self._pending_started: float = 0.0
-        self._pending_kind: str = ""
-        self._pending_value: Any = None
+        self._pending: Dict[Optional[str], _PendingOperation] = {}
         self.records: list[OperationRecord] = []
         #: Origin (``time.monotonic()``) the records' timestamps are relative
         #: to.  A cluster hands all its client nodes the same one: histories
@@ -344,141 +335,89 @@ class ClientNode(AutomatonNode):
     # ------------------------------------------------------------- operations
     async def write(self, value: Any) -> OperationComplete:
         """Invoke WRITE(value) and await its completion."""
-        return await self._invoke("write", value)
+        return await self._invoke(None, "write", value)
 
     async def read(self) -> OperationComplete:
         """Invoke READ() and await its completion."""
-        return await self._invoke("read", None)
+        return await self._invoke(None, "read")
 
-    async def _invoke(self, kind: str, value: Any) -> OperationComplete:
-        if self._pending_future is not None:
-            raise RuntimeError(
-                f"client {self.process_id} already has a pending {self._pending_kind}"
-            )
-        # Awaited through a local: an operation that completes inside
-        # apply_effects (a zero-round leased read) has already released the
-        # slot by the time the await below is reached.
-        future = self._pending_future = asyncio.get_running_loop().create_future()
-        self._pending_started = time.monotonic()
-        self._pending_kind = kind
-        self._pending_value = value
-        if kind == "write":
-            effects = self.automaton.write(value)  # type: ignore[attr-defined]
-        else:
-            effects = self.automaton.read()  # type: ignore[attr-defined]
-        await self.apply_effects(effects)
-        return await future
-
-    def _handle_completion(self, completion: OperationComplete) -> None:
-        # Release the slot unconditionally: the automaton has completed the
-        # operation, so even when the caller's future was cancelled (e.g. a
-        # wait_for timeout) the client must accept new invocations.
-        future = self._pending_future
-        self._pending_future = None
-        if future is None or future.done():
-            return
-        _record_completion(self, completion, self._pending_started, self._pending_value)
-        future.set_result(completion)
-
-
-@dataclass
-class _PendingStoreOperation:
-    """One outstanding sharded-store operation of a :class:`ShardedClientNode`."""
-
-    future: asyncio.Future
-    started: float
-    kind: str
-    value: Any
-
-
-class ShardedClientNode(AutomatonNode):
-    """A node hosting a sharded client; one outstanding operation *per key*.
-
-    The inner per-register automata still enforce the paper's per-register
-    well-formedness; across registers the node multiplexes freely, which is
-    what lets one asyncio client saturate many shards concurrently.
-    """
-
-    def __init__(
-        self,
-        automaton: Automaton,
-        transport: Transport,
-        time_scale: float = 0.001,
-        start_time: Optional[float] = None,
-    ) -> None:
-        super().__init__(automaton, transport, time_scale=time_scale)
-        self._pending: Dict[str, _PendingStoreOperation] = {}
-        self.records: list[OperationRecord] = []
-        #: Shared clock origin; see :attr:`ClientNode.start_time`.
-        self.start_time = time.monotonic() if start_time is None else start_time
-
-    # ------------------------------------------------------------- operations
-    async def write(self, key: str, value: Any) -> OperationComplete:
-        """Invoke WRITE(value) on register *key* and await its completion."""
-        return await self._invoke(key, "write", value)
-
-    async def read(self, key: str) -> OperationComplete:
-        """Invoke READ() on register *key* and await its completion."""
-        return await self._invoke(key, "read", None)
-
-    async def compare_and_swap(
-        self, key: str, expected: Any, new: Any
-    ) -> OperationComplete:
-        """Invoke CAS(expected, new) on register *key* and await its completion.
-
-        The completion's ``kind`` distinguishes the outcomes: a successful
-        swap completes as a write of *new*, a failed one as a read of the
-        observed value.
-        """
-        return await self._invoke(key, "cas", (expected, new))
-
-    async def read_modify_write(
-        self, key: str, fn: "Callable[[Any], Any]"
-    ) -> OperationComplete:
-        """Invoke RMW(fn) on register *key* and await its completion."""
-        return await self._invoke(key, "rmw", fn)
-
-    async def _invoke(self, key: str, kind: str, value: Any) -> OperationComplete:
+    async def _invoke(self, key: Optional[str], kind: str, *args: Any) -> OperationComplete:
         if key in self._pending:
+            where = "" if key is None else f" on register {key!r}"
             raise RuntimeError(
                 f"client {self.process_id} already has a pending "
-                f"{self._pending[key].kind} on register {key!r}"
+                f"{self._pending[key].kind}{where}"
             )
-        # Invoke the automaton before registering the pending slot: an unknown
-        # register raises KeyError here, and a leftover slot would make every
-        # later operation on that key fail with a misleading "already pending".
-        if kind == "write":
-            effects = self.automaton.write(key, value)  # type: ignore[attr-defined]
-        elif kind == "cas":
-            expected, new = value
-            value = new
-            effects = self.automaton.compare_and_swap(  # type: ignore[attr-defined]
-                key, expected, new
-            )
-        elif kind == "rmw":
-            effects = self.automaton.read_modify_write(  # type: ignore[attr-defined]
-                key, value
-            )
-        else:
-            effects = self.automaton.read(key)  # type: ignore[attr-defined]
-        loop = asyncio.get_running_loop()
-        pending = _PendingStoreOperation(
-            future=loop.create_future(),
-            started=time.monotonic(),
-            kind=kind,
-            value=value,
+        started = time.monotonic()
+        # Invoke the automaton before claiming the slot: if it raises (an
+        # unknown register, a role the client does not have), a leftover slot
+        # would fail every later operation on the key with a misleading
+        # "already pending".  The slot is claimed before the effects are
+        # applied, so an operation completing inside apply_effects (a
+        # zero-round leased read) still finds it.
+        effects, value = invoke_operation(self.automaton, kind, key, args)
+        pending = _PendingOperation(
+            asyncio.get_running_loop().create_future(), started, kind, value
         )
         self._pending[key] = pending
         await self.apply_effects(effects)
         return await pending.future
 
     def _handle_completion(self, completion: OperationComplete) -> None:
-        key = completion.metadata.get("register_id")
-        pending = self._pending.pop(key, None)
+        # Release the slot unconditionally: the automaton has completed the
+        # operation, so even when the caller's future was cancelled (e.g. a
+        # wait_for timeout) the client must accept new invocations.
+        pending = self._pending.pop(completion.metadata.get("register_id"), None)
         if pending is None or pending.future.done():
             return
-        # An RMW's written value is only known at completion (fn ran against
-        # the observed state inside the automaton), so take it from there.
-        value = completion.value if pending.kind == "rmw" else pending.value
-        _record_completion(self, completion, pending.started, value)
+        now = time.monotonic()
+        # The wall-clock latency is exposed both on the completion handed back
+        # to the caller and on the recorded history entry: the two share one
+        # metadata dict (a second copy per retained operation bought nothing).
+        completion.metadata["latency_s"] = now - pending.started
+        # A read returns its value and an RMW's written value is only known
+        # at completion (fn ran against the observed state inside the
+        # automaton); a write or CAS records the value its caller asked for.
+        observed = completion.kind == "read" or pending.kind == "rmw"
+        self.records.append(
+            OperationRecord(
+                client_id=self.process_id,
+                kind=completion.kind,
+                value=completion.value if observed else pending.value,
+                invoked_at=pending.started - self.start_time,
+                completed_at=now - self.start_time,
+                rounds=completion.rounds,
+                fast=completion.fast,
+                metadata=completion.metadata,
+            )
+        )
         pending.future.set_result(completion)
+
+
+class ShardedClientNode(ClientNode):
+    """A node hosting a sharded client: the same verbs, addressed by key.
+
+    Across registers the node multiplexes freely, which is what lets one
+    asyncio client saturate many shards concurrently.
+    """
+
+    async def write(self, key: str, value: Any) -> OperationComplete:  # type: ignore[override]
+        """Invoke WRITE(value) on register *key* and await its completion."""
+        return await self._invoke(key, "write", value)
+
+    async def read(self, key: str) -> OperationComplete:  # type: ignore[override]
+        """Invoke READ() on register *key* and await its completion."""
+        return await self._invoke(key, "read")
+
+    async def compare_and_swap(self, key: str, expected: Any, new: Any) -> OperationComplete:
+        """Invoke CAS(expected, new) on register *key* and await its completion.
+
+        The completion's ``kind`` distinguishes the outcomes: a successful
+        swap completes as a write of *new*, a failed one as a read of the
+        observed value.
+        """
+        return await self._invoke(key, "cas", expected, new)
+
+    async def read_modify_write(self, key: str, fn: Callable[[Any], Any]) -> OperationComplete:
+        """Invoke RMW(fn) on register *key* and await its completion."""
+        return await self._invoke(key, "rmw", fn)

@@ -30,7 +30,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
+from ..core.automaton import (
+    Automaton,
+    ClientAutomaton,
+    Effects,
+    OperationComplete,
+    invoke_operation,
+)
 from ..core.messages import Batch, Message, iter_unbatched, make_envelope
 from ..core.protocol import ProtocolSuite
 from ..persist.durable import DurableServer, recover_server
@@ -285,7 +291,7 @@ class SimCluster:
                 f"{peak_faulty} simultaneously faulty servers exceed the model "
                 f"bound t={self.config.t}"
             )
-        self._schedule_recoveries()
+        self._queue_recoveries()
 
     # ----------------------------------------------------------------- build
     def _build_processes(self) -> None:
@@ -315,7 +321,7 @@ class SimCluster:
             server = MaliciousServer(server, strategy)  # type: ignore[arg-type]
         return server
 
-    def _schedule_recoveries(self) -> None:
+    def _queue_recoveries(self) -> None:
         recoveries = self.failures.recovery_events()
         if not recoveries:
             return
@@ -442,225 +448,60 @@ class SimCluster:
         )
 
     # ------------------------------------------------------------ invocation
-    def start_write(self, value: Any) -> OperationHandle:
-        """Invoke a WRITE now; returns a handle that completes as the loop runs."""
-        writer = self.writer
-        # Invoke the automaton first: if it rejects the call (well-formedness),
-        # no handle must be registered, or it would shadow the genuinely
-        # pending one and corrupt the history.
-        effects = writer.write(value)  # type: ignore[attr-defined]
+    def start(
+        self, client_id: str, kind: str, *args: Any, register_id: Optional[str] = None
+    ) -> OperationHandle:
+        """Invoke operation *kind* on *client_id* now; the handle completes as
+        the loop runs.
+
+        The one invocation path of the simulator.  ``register_id=None`` is the
+        paper's single register; a key addresses one register of a sharded
+        client (a :class:`~repro.store.sharding.ShardedProtocol` deployment).
+        A ``cas`` or ``rmw`` handle resolves its record at completion: a
+        successful one is a write, a failed CAS a read of the observed value.
+        """
+        client = self.processes[client_id]
+        if register_id is not None and not getattr(client, "sharded", False):
+            raise TypeError(
+                f"client {client_id!r} is not sharded; build the cluster with a "
+                "repro.store.ShardedProtocol suite to address registers by key"
+            )
+        # Invoke the automaton first: if it rejects the call (an unknown
+        # register, well-formedness), no handle must be registered, or it
+        # would shadow the genuinely pending one and corrupt the history.
+        effects, requested_value = invoke_operation(client, kind, register_id, args)
         handle = OperationHandle(
-            client_id=writer.process_id,
-            kind="write",
-            requested_value=value,
+            client_id=client_id,
+            kind=kind,
+            requested_value=requested_value,
             invoked_at=self.now,
+            register_id=register_id,
         )
         self.operations.append(handle)
-        self._pending[(writer.process_id, None)] = handle
-        self._apply_effects(writer.process_id, effects)
+        self._pending[(client_id, register_id)] = handle
+        self._apply_effects(client_id, effects)
         return handle
+
+    def run_until_done(self, handle: OperationHandle) -> OperationHandle:
+        """Run the loop until *handle* completes; returns it."""
+        self.run(until=lambda: handle.done)
+        return handle
+
+    def start_write(self, value: Any) -> OperationHandle:
+        """Invoke a WRITE now; returns a handle that completes as the loop runs."""
+        return self.start(self.config.writer_id, "write", value)
 
     def start_read(self, reader_id: Optional[str] = None) -> OperationHandle:
         """Invoke a READ now on *reader_id* (default: the first reader)."""
-        reader_id = reader_id or self.config.reader_ids()[0]
-        reader = self.reader(reader_id)
-        effects = reader.read()  # type: ignore[attr-defined]
-        handle = OperationHandle(
-            client_id=reader_id, kind="read", invoked_at=self.now
-        )
-        self.operations.append(handle)
-        self._pending[(reader_id, None)] = handle
-        self._apply_effects(reader_id, effects)
-        return handle
+        return self.start(reader_id or self.config.reader_ids()[0], "read")
 
-    # ------------------------------------------------- sharded-store invocation
-    def _sharded_client(self, client_id: str):
-        client = self.processes[client_id]
-        if not getattr(client, "sharded", False):
-            raise TypeError(
-                f"client {client_id!r} is not sharded; build the cluster with a "
-                "repro.store.ShardedProtocol suite to use store operations"
-            )
-        return client
-
-    def start_store_write(
-        self, register_id: str, value: Any, client_id: Optional[str] = None
-    ) -> OperationHandle:
-        """Invoke ``WRITE(value)`` on the register *register_id* now.
-
-        ``client_id`` defaults to the configured writer; on a register the
-        suite declared ``mwmr`` any client of the deployment may write, which
-        is what multi-writer workloads pass here.
-        """
-        writer = self._sharded_client(client_id or self.config.writer_id)
-        # Invoke first: an unknown register or a per-register well-formedness
-        # violation must not leave a ghost handle behind.
-        effects = writer.write(register_id, value)
-        handle = OperationHandle(
-            client_id=writer.process_id,
-            kind="write",
-            requested_value=value,
-            invoked_at=self.now,
-            register_id=register_id,
-        )
-        self.operations.append(handle)
-        self._pending[(writer.process_id, register_id)] = handle
-        self._apply_effects(writer.process_id, effects)
-        return handle
-
-    def start_store_read(
-        self, register_id: str, reader_id: Optional[str] = None
-    ) -> OperationHandle:
-        """Invoke ``READ()`` on the register *register_id* now."""
-        reader_id = reader_id or self.config.reader_ids()[0]
-        reader = self._sharded_client(reader_id)
-        effects = reader.read(register_id)
-        handle = OperationHandle(
-            client_id=reader_id,
-            kind="read",
-            invoked_at=self.now,
-            register_id=register_id,
-        )
-        self.operations.append(handle)
-        self._pending[(reader_id, register_id)] = handle
-        self._apply_effects(reader_id, effects)
-        return handle
-
-    def start_store_cas(
-        self,
-        register_id: str,
-        expected: Any,
-        new: Any,
-        client_id: Optional[str] = None,
-    ) -> OperationHandle:
-        """Invoke ``CAS(expected, new)`` on the register *register_id* now.
-
-        The handle's record resolves at completion time: a successful CAS is a
-        write of *new*, a failed CAS is a read of the observed value (the
-        completion metadata carries ``cas_failed``).
-        """
-        client = self._sharded_client(client_id or self.config.writer_id)
-        effects = client.compare_and_swap(register_id, expected, new)
-        handle = OperationHandle(
-            client_id=client.process_id,
-            kind="cas",
-            requested_value=new,
-            invoked_at=self.now,
-            register_id=register_id,
-        )
-        self.operations.append(handle)
-        self._pending[(client.process_id, register_id)] = handle
-        self._apply_effects(client.process_id, effects)
-        return handle
-
-    def start_store_rmw(
-        self,
-        register_id: str,
-        fn: Callable[[Any], Any],
-        client_id: Optional[str] = None,
-    ) -> OperationHandle:
-        """Invoke ``RMW(fn)`` on the register *register_id* now."""
-        client = self._sharded_client(client_id or self.config.writer_id)
-        effects = client.read_modify_write(register_id, fn)
-        handle = OperationHandle(
-            client_id=client.process_id,
-            kind="rmw",
-            invoked_at=self.now,
-            register_id=register_id,
-        )
-        self.operations.append(handle)
-        self._pending[(client.process_id, register_id)] = handle
-        self._apply_effects(client.process_id, effects)
-        return handle
-
-    def store_write(
-        self, register_id: str, value: Any, client_id: Optional[str] = None
-    ) -> OperationHandle:
-        """Invoke a sharded WRITE and run the loop until it completes."""
-        handle = self.start_store_write(register_id, value, client_id=client_id)
-        self.run(until=lambda: handle.done)
-        return handle
-
-    def store_cas(
-        self,
-        register_id: str,
-        expected: Any,
-        new: Any,
-        client_id: Optional[str] = None,
-    ) -> OperationHandle:
-        """Invoke a sharded CAS and run the loop until it completes."""
-        handle = self.start_store_cas(register_id, expected, new, client_id=client_id)
-        self.run(until=lambda: handle.done)
-        return handle
-
-    def store_rmw(
-        self,
-        register_id: str,
-        fn: Callable[[Any], Any],
-        client_id: Optional[str] = None,
-    ) -> OperationHandle:
-        """Invoke a sharded RMW and run the loop until it completes."""
-        handle = self.start_store_rmw(register_id, fn, client_id=client_id)
-        self.run(until=lambda: handle.done)
-        return handle
-
-    def store_read(
-        self, register_id: str, reader_id: Optional[str] = None
-    ) -> OperationHandle:
-        """Invoke a sharded READ and run the loop until it completes."""
-        handle = self.start_store_read(register_id, reader_id)
-        self.run(until=lambda: handle.done)
-        return handle
-
-    def schedule_write(self, at: float, value: Any) -> "OperationHandle":
-        """Schedule a WRITE invocation at virtual time *at*; returns its handle.
-
-        The handle's ``invoked_at`` is fixed when the invocation actually runs.
-        """
-        handle = OperationHandle(
-            client_id=self.config.writer_id,
-            kind="write",
-            requested_value=value,
-            invoked_at=at,
-        )
-
-        def _invoke() -> None:
-            effects = self.writer.write(value)  # type: ignore[attr-defined]
-            self.operations.append(handle)
-            handle.invoked_at = self.now
-            self._pending[(self.config.writer_id, None)] = handle
-            self._apply_effects(self.config.writer_id, effects)
-
-        self.queue.push(at, InvocationEvent(label=f"write@{at}", action=_invoke))
-        return handle
-
-    def schedule_read(self, at: float, reader_id: Optional[str] = None) -> "OperationHandle":
-        """Schedule a READ invocation at virtual time *at*; returns its handle."""
-        reader_id = reader_id or self.config.reader_ids()[0]
-        handle = OperationHandle(client_id=reader_id, kind="read", invoked_at=at)
-
-        def _invoke() -> None:
-            effects = self.reader(reader_id).read()  # type: ignore[attr-defined]
-            self.operations.append(handle)
-            handle.invoked_at = self.now
-            self._pending[(reader_id, None)] = handle
-            self._apply_effects(reader_id, effects)
-
-        self.queue.push(at, InvocationEvent(label=f"read@{at}", action=_invoke))
-        return handle
-
-    # ------------------------------------------------------ blocking helpers
     def write(self, value: Any) -> OperationHandle:
         """Invoke a WRITE and run the loop until it completes."""
-        handle = self.start_write(value)
-        self.run(until=lambda: handle.done)
-        return handle
+        return self.run_until_done(self.start_write(value))
 
     def read(self, reader_id: Optional[str] = None) -> OperationHandle:
         """Invoke a READ and run the loop until it completes."""
-        handle = self.start_read(reader_id)
-        self.run(until=lambda: handle.done)
-        return handle
+        return self.run_until_done(self.start_read(reader_id))
 
     # -------------------------------------------------------------- run loop
     def run(
@@ -950,27 +791,9 @@ class SimCluster:
         handle.completed_at = self.now
 
     # --------------------------------------------------------------- history
-    def history(self, register_id: Optional[str] = None) -> History:
-        """The operation history of everything invoked so far.
-
-        With *register_id*, only that register's operations are returned — the
-        per-key history a single-register consistency checker understands.
-        """
-        handles = self.operations
-        if register_id is not None:
-            handles = [h for h in handles if h.register_id == register_id]
-        return History([handle.to_record() for handle in handles])
-
-    def register_histories(self) -> Dict[str, History]:
-        """Per-register histories of every sharded operation invoked so far."""
-        by_register: Dict[str, List[OperationHandle]] = {}
-        for handle in self.operations:
-            if handle.register_id is not None:
-                by_register.setdefault(handle.register_id, []).append(handle)
-        return {
-            register_id: History([handle.to_record() for handle in handles])
-            for register_id, handles in sorted(by_register.items())
-        }
+    def history(self) -> History:
+        """The operation history of everything invoked so far."""
+        return History([handle.to_record() for handle in self.operations])
 
     def completed_operations(self) -> List[OperationHandle]:
         return [handle for handle in self.operations if handle.done]

@@ -5,15 +5,17 @@ multiplexes many independent register instances — one writer each, shared
 readers — over one shared server fleet and transport:
 
 * :mod:`repro.store.sharding` — the routing automata (:class:`ShardedServer`,
-  :class:`ShardedClient`) and the :class:`ShardedProtocol` suite that builds a
-  full sharded deployment from any base protocol suite;
-* :mod:`repro.store.sim` — :class:`ShardedSimStore`, the virtual-time facade
-  exposing ``write(key, value)`` / ``read(key)`` with per-key histories fed to
-  the existing consistency checkers;
+  :class:`ShardedClient`), the per-key :class:`RegisterSpec` and the
+  :class:`ShardedProtocol` suite that builds a full sharded deployment from
+  any base protocol suite around one keyspace table of specs;
+* :mod:`repro.store.surface` — :class:`StoreSurface`, the one store façade:
+  keyspace, dynamic keys, per-key histories and their atomicity verdicts;
+* :mod:`repro.store.sim` — :class:`ShardedSimStore`, the façade plus blocking
+  ``write(key, value)`` / ``read(key)`` in virtual time;
 * :mod:`repro.store.bench` — the shard-count throughput sweep behind
   ``benchmarks/bench_sharded_store.py`` and the ``store-bench`` CLI command;
-* the asyncio side lives in :class:`repro.runtime.cluster.ShardedAsyncCluster`
-  (re-exported here lazily to keep the import graph acyclic).
+* :class:`repro.runtime.cluster.ShardedAsyncCluster` is the same façade plus
+  awaitable verbs (re-exported here lazily to keep the import graph acyclic).
 
 Every register behaves exactly like the paper's lucky-atomic register: the
 sharding layer only routes messages by ``register_id`` and never touches the
@@ -29,14 +31,17 @@ from .bench import (
     swmr_fast_path_probe,
     zipf_store_scenario,
 )
-from .sharding import ShardedClient, ShardedProtocol, ShardedServer
+from .sharding import RegisterSpec, ShardedClient, ShardedProtocol, ShardedServer
 from .sim import ShardedSimStore
+from .surface import StoreSurface
 
 __all__ = [
+    "RegisterSpec",
     "ShardedClient",
     "ShardedProtocol",
     "ShardedServer",
     "ShardedSimStore",
+    "StoreSurface",
     "ShardedAsyncCluster",
     "batching_sweep",
     "mwmr_sweep",

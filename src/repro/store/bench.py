@@ -47,7 +47,7 @@ Two entry points, shared by ``benchmarks/bench_sharded_store.py`` and the
 from __future__ import annotations
 
 import time  # repro: ignore[RP04] -- wall-clock benchmark harness, not simulated
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bench.harness import ExperimentTable
 from ..core.config import SystemConfig
@@ -67,12 +67,7 @@ from ..workload.generator import (
     run_store_workload,
     value_sequence,
 )
-from ..wire import Codec
 from .sim import ShardedSimStore
-
-#: Codec selector every sweep takes: a name ("binary"), a Codec instance, or
-#: None for the default (binary).
-CodecArg = Union[str, Codec, None]
 
 
 def dense_store_workload(
@@ -127,7 +122,6 @@ def run_store_throughput(
     gap: float = 0.05,
     batching: bool = True,
     frame_overhead: float = 0.0,
-    codec: CodecArg = None,
 ) -> Tuple[ShardedSimStore, float]:
     """Run the dense workload on a *num_shards*-shard store; return throughput.
 
@@ -139,8 +133,7 @@ def run_store_throughput(
     ``frame_overhead`` charges each transport frame that much line time at its
     sender (frames of one process serialize); with ``batching`` every co-flushed
     message to one destination shares a single frame, which is what amortises
-    that overhead under multi-key load.  ``codec`` selects the wire encoding
-    the store's ``bytes_sent`` counter measures frames under.
+    that overhead under multi-key load.
     """
     config = SystemConfig.balanced(t, b, num_readers=num_readers)
     keys = [f"k{i}" for i in range(1, num_shards + 1)]
@@ -150,7 +143,6 @@ def run_store_throughput(
         batching=batching,
         delay_model=FixedDelay(1.0),
         frame_overhead=frame_overhead,
-        codec=codec,
     )
     workload = dense_store_workload(
         num_operations, keys, config.reader_ids(), gap=gap
@@ -167,12 +159,11 @@ def sharded_throughput_sweep(
     b: int = 0,
     num_readers: int = 2,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ExperimentTable:
     """Aggregate throughput of the same workload as the shard count grows.
 
     Alongside throughput, each row reports the encoded wire bytes of every
-    frame the run put on the (simulated) line under the selected codec.
+    frame the run put on the (simulated) line.
     """
     table = ExperimentTable(
         experiment_id="S1",
@@ -196,7 +187,6 @@ def sharded_throughput_sweep(
             b=b,
             num_readers=num_readers,
             batching=batching,
-            codec=codec,
         )
         completed = store.completed_operations()
         makespan = max(h.completed_at for h in completed) - min(
@@ -227,7 +217,6 @@ def batching_sweep(
     b: int = 0,
     num_readers: int = 2,
     frame_overhead: float = 0.1,
-    codec: CodecArg = None,
 ) -> ExperimentTable:
     """Batched vs unbatched aggregate throughput under per-frame overhead.
 
@@ -271,7 +260,6 @@ def batching_sweep(
                 num_readers=num_readers,
                 batching=batching,
                 frame_overhead=frame_overhead,
-                codec=codec,
             )
             results[batching] = throughput
             frames[batching] = store.frames_sent
@@ -310,7 +298,6 @@ def run_mwmr_throughput(
     mean_gap: float = 0.05,
     seed: int = 0,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> Tuple[ShardedSimStore, float]:
     """Run the contended-writers workload on an all-MWMR store; return throughput.
 
@@ -332,7 +319,6 @@ def run_mwmr_throughput(
         batching=batching,
         mwmr=True,
         delay_model=FixedDelay(1.0),
-        codec=codec,
     )
     writers = config.client_ids()[:num_writers]
     workload = contended_writers_workload(
@@ -388,7 +374,6 @@ def mwmr_sweep(
     skew: float = 0.8,
     seed: int = 0,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ExperimentTable:
     """S3: contended multi-writer throughput as the shard count grows."""
     table = ExperimentTable(
@@ -418,7 +403,6 @@ def mwmr_sweep(
             skew=skew,
             seed=seed,
             batching=batching,
-            codec=codec,
         )
         completed = store.completed_operations()
         makespan = max(h.completed_at for h in completed) - min(
@@ -459,7 +443,6 @@ def run_recovery_throughput(
     failures: Optional[CrashRecoverySchedule] = None,
     compact_every: Optional[int] = None,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> Tuple[ShardedSimStore, float]:
     """Run the dense workload, optionally durable and under a crash schedule.
 
@@ -477,7 +460,6 @@ def run_recovery_throughput(
         durable=durable,
         failures=failures,
         compact_every=compact_every,
-        codec=codec,
     )
     workload = dense_store_workload(num_operations, keys, config.reader_ids(), gap=gap)
     started = time.perf_counter()
@@ -555,7 +537,6 @@ def recovery_sweep(
     outage_fraction: float = 0.2,
     compact_every: Optional[int] = None,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ExperimentTable:
     """S4: throughput trajectory around crash/recovery events, and WAL overhead.
 
@@ -602,7 +583,6 @@ def recovery_sweep(
         gap=gap,
         durable=False,
         batching=batching,
-        codec=codec,
     )
     completed = store_off.completed_operations()
     makespan = max(h.completed_at for h in completed) - min(h.invoked_at for h in completed)
@@ -627,7 +607,6 @@ def recovery_sweep(
         durable=True,
         compact_every=compact_every,
         batching=batching,
-        codec=codec,
     )
     completed = store_on.completed_operations()
     table.add_row(
@@ -666,7 +645,6 @@ def recovery_sweep(
         failures=schedule,
         compact_every=compact_every,
         batching=batching,
-        codec=codec,
     )
     for phase, metrics in _phase_metrics(store_crash, windows).items():
         table.add_row(
@@ -706,7 +684,6 @@ def run_lease_throughput(
     leases: bool = True,
     lease_duration: float = 400.0,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ShardedSimStore:
     """Run the read-heavy Zipf workload, with or without read leases.
 
@@ -727,7 +704,6 @@ def run_lease_throughput(
         leases=True if leases else (),
         lease_duration=lease_duration,
         delay_model=FixedDelay(1.0),
-        codec=codec,
     )
     workload = keyspace_workload(
         num_operations,
@@ -778,7 +754,6 @@ def lease_sweep(
     lease_duration: float = 400.0,
     seed: int = 0,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ExperimentTable:
     """S5: hot-key read throughput with leases off vs on, same arrivals.
 
@@ -821,7 +796,6 @@ def lease_sweep(
             leases=leases,
             lease_duration=lease_duration,
             batching=batching,
-            codec=codec,
         )
         metrics = _hot_key_read_metrics(store, hot_key)
         if leases:
@@ -866,7 +840,6 @@ def run_writer_lease_throughput(
     writer_leases: bool = True,
     lease_duration: float = 400.0,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ShardedSimStore:
     """Run the owned-writers Zipf workload, with or without writer leases.
 
@@ -888,7 +861,6 @@ def run_writer_lease_throughput(
         writer_leases=True if writer_leases else (),
         lease_duration=lease_duration,
         delay_model=FixedDelay(1.0),
-        codec=codec,
     )
     writers = config.client_ids()[:num_writers]
     workload = owned_writers_workload(
@@ -980,7 +952,6 @@ def writer_lease_sweep(
     lease_duration: float = 400.0,
     seed: int = 0,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ExperimentTable:
     """S7: hot-key writes — SWMR baseline vs MWMR with writer leases off/on.
 
@@ -1027,7 +998,6 @@ def writer_lease_sweep(
         keys,
         batching=batching,
         delay_model=FixedDelay(1.0),
-        codec=codec,
     )
     writers = config.client_ids()[:num_writers]
     mwmr_workload = owned_writers_workload(
@@ -1074,7 +1044,6 @@ def writer_lease_sweep(
             writer_leases=writer_leases,
             lease_duration=lease_duration,
             batching=batching,
-            codec=codec,
         )
         metrics = _hot_key_write_metrics(store, hot_key)
         if writer_leases:
@@ -1114,7 +1083,6 @@ def zipf_store_scenario(
     seed: int = 0,
     skew: float = 1.2,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ShardedSimStore:
     """Run a Zipf keyspace workload; returns the store, ready for checking.
 
@@ -1132,7 +1100,6 @@ def zipf_store_scenario(
         byzantine=strategies,
         batching=batching,
         delay_model=FixedDelay(1.0),
-        codec=codec,
     )
     workload = keyspace_workload(
         num_operations,
@@ -1223,7 +1190,6 @@ def run_topology_scenario(
     num_readers: int = 2,
     num_keys: int = 4,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> Dict[str, object]:
     """One S8 cell: the dense workload on a profile topology under one fault.
 
@@ -1258,14 +1224,13 @@ def run_topology_scenario(
         keys,
         batching=batching,
         topology=topology,
-        codec=codec,
     )
     workload = dense_store_workload(
         num_operations, keys, config.reader_ids(), gap=gap
     )
     handles = run_store_workload(store, workload)
     atomic = True
-    mwmr_keys = store.suite.mwmr_registers
+    mwmr_keys = set(store.mwmr_keys)
     for key, history in store.histories().items():
         verdict = check_atomicity_under_scenario(
             history, windows, mwmr=key in mwmr_keys
@@ -1295,7 +1260,6 @@ def run_topology_churn(
     num_readers: int = 2,
     seed: int = 0,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> Dict[str, object]:
     """The cold-key churn cell: a dynamic keyspace under a resident bound.
 
@@ -1313,7 +1277,6 @@ def run_topology_churn(
         batching=batching,
         max_resident=max_resident,
         topology=topology,
-        codec=codec,
     )
     workload = churn_workload(
         num_registers, readers=config.reader_ids(), seed=seed
@@ -1356,7 +1319,6 @@ def run_asyncio_churn(
     import asyncio
 
     from ..runtime.cluster import ShardedAsyncCluster
-    from ..verify.atomicity import check_atomicity
 
     base = LuckyAtomicProtocol(SystemConfig.balanced(t, b, num_readers=2))
     counters: Dict[str, object] = {}
@@ -1378,17 +1340,12 @@ def run_asyncio_churn(
             fast += sum(await asyncio.gather(*(_one(store, i) for i in indices)))
             if wave_start:  # revisit a cold register from the previous wave
                 revisit = f"churn-{wave_start - wave:06d}"
-                if revisit in store.suite._register_id_set:
+                if revisit in store.suite.specs:
                     await store.read(revisit)
         counters["fast"] = fast
         counters["evictions"] = store.evictions
         counters["rehydrations"] = store.rehydrations
-        atomic = True
-        for key, history in store.histories().items():
-            result = check_atomicity(history)
-            result.raise_if_violated()
-            atomic = atomic and result.ok
-        counters["atomic"] = atomic
+        counters["atomic"] = store.verify_atomic()
         counters["operations"] = sum(
             len(node.records) for node in store.client_nodes.values()
         )
@@ -1424,7 +1381,6 @@ def topology_sweep(
     churn_registers: int = 10_000,
     churn_resident: int = 1_000,
     batching: bool = True,
-    codec: CodecArg = None,
 ) -> ExperimentTable:
     """S8: fast-path survival across topology profiles × network scenarios.
 
@@ -1464,7 +1420,6 @@ def topology_sweep(
                     t=t,
                     b=b,
                     batching=batching,
-                    codec=codec,
                 )
             )
     if churn:
@@ -1476,7 +1431,6 @@ def topology_sweep(
                 t=t,
                 b=b,
                 batching=batching,
-                codec=codec,
             )
         )
         table.add_row(

@@ -23,8 +23,9 @@ cluster can resolve the right pending operation.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, Optional, Sequence, Union
+import functools
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
 
 from ..core.automaton import Automaton, ClientAutomaton, Effects
 from ..core.protocol import ProtocolSuite
@@ -342,58 +343,118 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
         return any(inner.busy for inner in self.registers.values())
 
     # -------------------------------------------------------------- invocation
+    _NEEDS_MWMR = "conditional operations need a multi-writer client (declare the register mwmr)"
+
+    def _invoke(self, register_id: str, method: str, missing: str, *args) -> Effects:
+        """Call *method* of the register's inner automaton; returns tagged
+        effects.  *missing* says why a client without the method has none."""
+        invoke = getattr(self._register(register_id), method, None)
+        if invoke is None:
+            raise TypeError(
+                f"client {self.process_id} has no {method} on register "
+                f"{register_id!r}: {missing}"
+            )
+        return tag_effects(register_id, invoke(*args))
+
     def write(self, register_id: str, value) -> Effects:
         """Invoke ``WRITE(value)`` on *register_id*; returns tagged effects."""
-        inner = self._register(register_id)
-        write = getattr(inner, "write", None)
-        if write is None:
-            raise TypeError(
-                f"client {self.process_id} cannot write register {register_id!r}: "
-                "the register is single-writer (declare it mwmr to let every "
-                "client write it)"
-            )
-        return tag_effects(register_id, write(value))
+        return self._invoke(
+            register_id,
+            "write",
+            "the register is single-writer (declare it mwmr to let every "
+            "client write it)",
+            value,
+        )
 
     def read(self, register_id: str) -> Effects:
         """Invoke ``READ()`` on *register_id*; returns tagged effects."""
-        inner = self._register(register_id)
-        read = getattr(inner, "read", None)
-        if read is None:
-            raise TypeError(
-                f"client {self.process_id} cannot read register {register_id!r}: "
-                "in the SWMR model the writer never reads (declare the register "
-                "mwmr to give every client both roles)"
-            )
-        return tag_effects(register_id, read())
+        return self._invoke(
+            register_id,
+            "read",
+            "in the SWMR model the writer never reads (declare the register "
+            "mwmr to give every client both roles)",
+        )
 
     def compare_and_swap(self, register_id: str, expected, new) -> Effects:
         """Invoke ``CAS(expected, new)`` on *register_id*; returns tagged effects."""
-        inner = self._register(register_id)
-        cas = getattr(inner, "compare_and_swap", None)
-        if cas is None:
-            raise TypeError(
-                f"client {self.process_id} cannot CAS register {register_id!r}: "
-                "conditional operations need a multi-writer client (declare "
-                "the register mwmr)"
-            )
-        return tag_effects(register_id, cas(expected, new))
+        return self._invoke(register_id, "compare_and_swap", self._NEEDS_MWMR, expected, new)
 
     def read_modify_write(self, register_id: str, fn) -> Effects:
         """Invoke ``RMW(fn)`` on *register_id*; returns tagged effects."""
-        inner = self._register(register_id)
-        rmw = getattr(inner, "read_modify_write", None)
-        if rmw is None:
-            raise TypeError(
-                f"client {self.process_id} cannot RMW register {register_id!r}: "
-                "conditional operations need a multi-writer client (declare "
-                "the register mwmr)"
-            )
-        return tag_effects(register_id, rmw(fn))
+        return self._invoke(register_id, "read_modify_write", self._NEEDS_MWMR, fn)
 
 
 #: A factory producing a fresh strategy instance; strategies are stateful, so
 #: each register of a malicious server gets its own.
 StrategyFactory = Callable[[], ByzantineStrategy]
+
+
+@dataclass(frozen=True, slots=True)
+class RegisterSpec:
+    """One key's capabilities, as a value: what every per-key factory reads.
+
+    The two composition rules are checked here and nowhere else, so a spec
+    that exists is legal (there are five).
+    """
+
+    mwmr: bool = False
+    leases: bool = False
+    writer_leases: bool = False
+
+    def __post_init__(self) -> None:
+        if self.writer_leases and not self.mwmr:
+            raise ValueError(
+                "writer leases only make sense on multi-writer keys (a SWMR "
+                "writer already owns its timestamps); declare the key mwmr too"
+            )
+        if self.leases and self.mwmr and not self.writer_leases:
+            raise ValueError(
+                "read leases and mwmr are mutually exclusive per key unless "
+                "the key also has writer leases"
+            )
+
+    @property
+    def pinned(self) -> bool:
+        """Leased registers are never evicted: their grant/withhold state is
+        volatile and an eviction would silently forget outstanding leases."""
+        return self.leases or self.writer_leases
+
+
+# One shared instance per legal combination, however large the keyspace.
+_shared_spec = functools.cache(RegisterSpec)
+
+
+def _spec_for(register_id: str, mwmr: bool, leases: bool, writer_leases: bool) -> RegisterSpec:
+    try:
+        return _shared_spec(mwmr, leases, writer_leases)
+    except ValueError as exc:
+        raise ValueError(f"register {register_id!r}: {exc}") from None
+
+
+def _selected_ids(
+    label: str,
+    selector: Union[bool, str, Sequence[str]],
+    register_ids: FrozenSet[str],
+    everything: FrozenSet[str],
+) -> FrozenSet[str]:
+    """The register ids a ``True | False | id | ids`` capability argument names.
+
+    ``True`` selects *everything* (what "all keys" means for the capability);
+    explicit ids must be among *register_ids*.
+    """
+    if selector is True:
+        return everything
+    if selector is False:
+        return frozenset()
+    if isinstance(selector, str):
+        # A bare string is one register id, not a sequence of
+        # single-character ids (an easy typo for mwmr=["hot"]).
+        selector = [selector]
+    selected = frozenset(selector)
+    unknown = selected - register_ids
+    if unknown:
+        raise ValueError(f"{label} ids are not registers: {sorted(unknown)}")
+    return selected
 
 
 class ShardedProtocol(ProtocolSuite):
@@ -464,11 +525,6 @@ class ShardedProtocol(ProtocolSuite):
         for register_id in register_ids:
             self._validate_register_id(register_id)
         self.base = base
-        self.register_ids = list(register_ids)
-        # The membership set the admission factories consult; kept in sync by
-        # create_register/drop_register so lazy admission is O(1) even with a
-        # six-figure keyspace.
-        self._register_id_set = set(register_ids)
         #: Memory bound on each server's resident register table (``None`` =
         #: unbounded, the pre-dynamic-keyspace behaviour).  Each server gets a
         #: persistent :class:`RegisterEvictionStore` (surviving crash/recovery
@@ -477,63 +533,24 @@ class ShardedProtocol(ProtocolSuite):
             raise ValueError("max_resident must be at least 1")
         self.max_resident = max_resident
         self.eviction_stores: Dict[str, RegisterEvictionStore] = {}
-        if isinstance(mwmr, str):
-            # A bare string is one register id, not a sequence of
-            # single-character ids (an easy typo for mwmr=["hot"]).
-            mwmr = [mwmr]
-        if mwmr is True:
-            self.mwmr_registers = frozenset(self.register_ids)
-        elif mwmr is False:
-            self.mwmr_registers = frozenset()
-        else:
-            self.mwmr_registers = frozenset(mwmr)
-            unknown_mwmr = self.mwmr_registers - set(self.register_ids)
-            if unknown_mwmr:
-                raise ValueError(
-                    f"mwmr ids are not registers: {sorted(unknown_mwmr)}"
-                )
-        if isinstance(leases, str):
-            leases = [leases]
-        if leases is True:
-            self.leased_registers = frozenset(self.register_ids)
-        elif leases is False:
-            self.leased_registers = frozenset()
-        else:
-            self.leased_registers = frozenset(leases)
-            unknown_leases = self.leased_registers - set(self.register_ids)
-            if unknown_leases:
-                raise ValueError(
-                    f"lease ids are not registers: {sorted(unknown_leases)}"
-                )
-        if isinstance(writer_leases, str):
-            writer_leases = [writer_leases]
-        if writer_leases is True:
-            self.writer_leased_registers = self.mwmr_registers
-        elif writer_leases is False:
-            self.writer_leased_registers = frozenset()
-        else:
-            self.writer_leased_registers = frozenset(writer_leases)
-            unknown_wl = self.writer_leased_registers - set(self.register_ids)
-            if unknown_wl:
-                raise ValueError(
-                    f"writer-lease ids are not registers: {sorted(unknown_wl)}"
-                )
-        non_mwmr = self.writer_leased_registers - self.mwmr_registers
-        if non_mwmr:
-            raise ValueError(
-                "writer leases only make sense on multi-writer keys (a SWMR "
-                "writer already owns its timestamps); declare these mwmr too: "
-                f"{sorted(non_mwmr)}"
+        every_id = frozenset(register_ids)
+        mwmr_ids = _selected_ids("mwmr", mwmr, every_id, every_id)
+        lease_ids = _selected_ids("lease", leases, every_id, every_id)
+        # For the writer lease "all keys" means all multi-writer keys.
+        writer_lease_ids = _selected_ids("writer-lease", writer_leases, every_id, mwmr_ids)
+        #: The keyspace: every live register and its capabilities, in creation
+        #: order.  Membership, order and capabilities have no other copy, so
+        #: create_register/drop_register and lazy admission are O(1) even
+        #: with a six-figure keyspace.
+        self.specs: Dict[str, RegisterSpec] = {
+            register_id: _spec_for(
+                register_id,
+                register_id in mwmr_ids,
+                register_id in lease_ids,
+                register_id in writer_lease_ids,
             )
-        conflicted = self.leased_registers & (
-            self.mwmr_registers - self.writer_leased_registers
-        )
-        if conflicted:
-            raise ValueError(
-                "read leases and mwmr are mutually exclusive per key unless "
-                "the key also has writer leases; both requested for: "
-                f"{sorted(conflicted)}"
-            )
+            for register_id in register_ids
+        }
         if lease_duration <= 0:
             raise ValueError("lease_duration must be positive")
         self.lease_duration = lease_duration
@@ -574,6 +591,12 @@ class ShardedProtocol(ProtocolSuite):
             )
 
     # ----------------------------------------------------------- dynamic keys
+    def keys_with(self, capability: str) -> List[str]:
+        """The sorted keys whose spec has *capability* (a
+        :class:`RegisterSpec` field name) — a derived view for reports, not
+        for per-key decisions (those read ``specs[key]``)."""
+        return sorted(key for key, spec in self.specs.items() if getattr(spec, capability))
+
     def create_register(
         self,
         register_id: str,
@@ -591,26 +614,9 @@ class ShardedProtocol(ProtocolSuite):
         at construction time.
         """
         self._validate_register_id(register_id)
-        if register_id in self._register_id_set:
+        if register_id in self.specs:
             raise ValueError(f"register {register_id!r} already exists")
-        if writer_leases and not mwmr:
-            raise ValueError(
-                "writer leases only make sense on multi-writer keys; declare "
-                f"{register_id!r} mwmr too"
-            )
-        if leases and mwmr and not writer_leases:
-            raise ValueError(
-                "read leases and mwmr are mutually exclusive per key unless "
-                f"the key also has writer leases; both requested for {register_id!r}"
-            )
-        self.register_ids.append(register_id)
-        self._register_id_set.add(register_id)
-        if mwmr:
-            self.mwmr_registers |= {register_id}
-        if leases:
-            self.leased_registers |= {register_id}
-        if writer_leases:
-            self.writer_leased_registers |= {register_id}
+        self.specs[register_id] = _spec_for(register_id, mwmr, leases, writer_leases)
 
     def drop_register(self, register_id: str) -> None:
         """Remove *register_id* from the keyspace.
@@ -621,35 +627,28 @@ class ShardedProtocol(ProtocolSuite):
         resident automata from live processes; this suite-level method only
         owns membership and the spilled eviction state.
         """
-        if register_id not in self._register_id_set:
+        if register_id not in self.specs:
             raise KeyError(f"register {register_id!r} does not exist")
-        self._register_id_set.discard(register_id)
-        self.register_ids.remove(register_id)
-        self.mwmr_registers -= {register_id}
-        self.leased_registers -= {register_id}
-        self.writer_leased_registers -= {register_id}
+        del self.specs[register_id]
         for store in self.eviction_stores.values():
             store.discard(register_id)
 
     def _evictable(self, register_id: str) -> bool:
-        """Leased registers are pinned: their grant/withhold state is volatile
-        and an eviction would silently forget outstanding leases."""
-        return (
-            register_id not in self.leased_registers
-            and register_id not in self.writer_leased_registers
-        )
+        spec = self.specs.get(register_id)
+        return spec is None or not spec.pinned
 
     # -------------------------------------------------------------- factories
     def _create_register_server(
         self, server_id: str, register_id: str, strategy_factory: Optional[StrategyFactory]
     ) -> Automaton:
+        spec = self.specs[register_id]
         server = self.base.create_server(server_id)
-        if register_id in self.writer_leased_registers:
+        if spec.writer_leases:
             # Innermost lease wrapper: the holder's 1-round PW passes
             # through here into the read-lease layer, whose withholding
             # discipline therefore still applies to leased writes.
             server = WriterLeaseServer(server, lease_duration=self.lease_duration)
-        if register_id in self.leased_registers:
+        if spec.leases:
             server = LeaseServer(server, lease_duration=self.lease_duration)
         if strategy_factory is not None:
             # The malicious wrapper goes outside the lease layer: a faulty
@@ -661,7 +660,7 @@ class ShardedProtocol(ProtocolSuite):
     def _admit_server_register(self, server_id: str, register_id: str) -> Optional[Automaton]:
         """Admission factory for servers: fresh automaton, or ``None`` if the
         id is not (or no longer) part of the keyspace."""
-        if register_id not in self._register_id_set:
+        if register_id not in self.specs:
             return None
         return self._create_register_server(
             server_id, register_id, self.byzantine.get(server_id)
@@ -670,16 +669,25 @@ class ShardedProtocol(ProtocolSuite):
     def _admit_client_register(
         self, client_id: str, register_id: str
     ) -> Optional[ClientAutomaton]:
-        if register_id not in self._register_id_set:
+        if register_id not in self.specs:
             return None
         return self._create_client_register(register_id, client_id)
 
     def _create_client_register(self, register_id: str, client_id: str) -> ClientAutomaton:
+        spec = self.specs[register_id]
+        if spec.writer_leases:
+            return self.base.create_leased_mwmr_client(
+                client_id,
+                writer_lease_duration=self.lease_duration,
+                read_lease_duration=self.lease_duration if spec.leases else None,
+            )
+        if spec.mwmr:
+            return self.base.create_mwmr_client(client_id)
         if client_id == self.config.writer_id:
-            if register_id in self.mwmr_registers:
-                return self._create_mwmr_client_for(register_id, client_id)
             return self.base.create_writer()
-        return self._create_reader_for(register_id, client_id)
+        if spec.leases:
+            return self.base.create_leased_reader(client_id, lease_duration=self.lease_duration)
+        return self.base.create_reader(client_id)
 
     def create_server(self, server_id: str) -> ShardedServer:
         strategy_factory = self.byzantine.get(server_id)
@@ -687,7 +695,7 @@ class ShardedProtocol(ProtocolSuite):
             register_id: self._create_register_server(
                 server_id, register_id, strategy_factory
             )
-            for register_id in self.register_ids
+            for register_id in self.specs
         }
         eviction_store = None
         if self.max_resident is not None:
@@ -710,66 +718,33 @@ class ShardedProtocol(ProtocolSuite):
         sharded.batching = self.batching
         return sharded
 
-    def create_writer(self) -> ShardedClient:
-        writer_id = self.config.writer_id
+    def _create_client(self, client_id: str) -> ShardedClient:
         client = ShardedClient(
-            writer_id,
+            client_id,
             {
-                register_id: self._create_client_register(register_id, writer_id)
-                for register_id in self.register_ids
+                register_id: self._create_client_register(register_id, client_id)
+                for register_id in self.specs
             },
             factory=lambda register_id: self._admit_client_register(
-                writer_id, register_id
+                client_id, register_id
             ),
         )
         client.batching = self.batching
         return client
 
-    def _create_mwmr_client_for(
-        self, register_id: str, client_id: str
-    ) -> ClientAutomaton:
-        if register_id in self.writer_leased_registers:
-            return self.base.create_leased_mwmr_client(
-                client_id,
-                writer_lease_duration=self.lease_duration,
-                read_lease_duration=(
-                    self.lease_duration
-                    if register_id in self.leased_registers
-                    else None
-                ),
-            )
-        return self.base.create_mwmr_client(client_id)
+    def create_writer(self) -> ShardedClient:
+        return self._create_client(self.config.writer_id)
 
     def create_reader(self, reader_id: str) -> ShardedClient:
-        client = ShardedClient(
-            reader_id,
-            {
-                register_id: self._create_reader_for(register_id, reader_id)
-                for register_id in self.register_ids
-            },
-            factory=lambda register_id: self._admit_client_register(
-                reader_id, register_id
-            ),
-        )
-        client.batching = self.batching
-        return client
-
-    def _create_reader_for(self, register_id: str, reader_id: str) -> ClientAutomaton:
-        if register_id in self.mwmr_registers:
-            return self._create_mwmr_client_for(register_id, reader_id)
-        if register_id in self.leased_registers:
-            return self.base.create_leased_reader(
-                reader_id, lease_duration=self.lease_duration
-            )
-        return self.base.create_reader(reader_id)
+        return self._create_client(reader_id)
 
     def describe(self) -> dict:
         info = super().describe()
-        info["registers"] = len(self.register_ids)
+        info["registers"] = len(self.specs)
         info["base"] = self.base.name
         info["batching"] = self.batching
-        info["mwmr_registers"] = sorted(self.mwmr_registers)
-        info["leased_registers"] = sorted(self.leased_registers)
-        info["writer_leased_registers"] = sorted(self.writer_leased_registers)
+        info["mwmr_registers"] = self.keys_with("mwmr")
+        info["leased_registers"] = self.keys_with("leases")
+        info["writer_leased_registers"] = self.keys_with("writer_leases")
         info["max_resident"] = self.max_resident
         return info

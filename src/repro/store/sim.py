@@ -1,4 +1,4 @@
-"""Virtual-time facade of the sharded store.
+"""The sharded store in virtual time.
 
 :class:`ShardedSimStore` runs a :class:`~repro.store.sharding.ShardedProtocol`
 deployment on the deterministic simulator and exposes a key-value interface::
@@ -16,34 +16,23 @@ driven by :func:`repro.workload.generator.run_store_workload`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.protocol import ProtocolSuite
 from ..sim.cluster import OperationHandle, SimCluster
-from ..verify.atomicity import CheckResult, check_atomicity
-from ..verify.history import History
+from ..verify.history import OperationRecord
 from .sharding import ShardedProtocol, StrategyFactory
+from .surface import StoreSurface, find_router
 
 
-def _find_router(process: Any) -> Any:
-    """The register router inside *process*'s wrapper stack (or ``None``).
-
-    Servers may be wrapped (``DurableServer`` and friends expose ``inner``);
-    clients are routers directly.  Anything without a register table — e.g.
-    a bare automaton — yields ``None``.
-    """
-    while not hasattr(process, "discard_register") and hasattr(process, "inner"):
-        process = process.inner
-    return process if hasattr(process, "discard_register") else None
-
-
-class ShardedSimStore:
+class ShardedSimStore(StoreSurface):
     """A sharded multi-register store on the discrete-event simulator.
 
-    The store accepts the per-key capability declarations of
-    :class:`~repro.store.sharding.ShardedProtocol` (``mwmr``, ``leases``,
-    ``writer_leases``) and adds blocking conveniences over the cluster's
-    run loop.  Conditional operations target multi-writer keys; a failed
+    The keyspace, dynamic keys, histories and verdicts are the shared
+    :class:`~repro.store.surface.StoreSurface`; this class adds the
+    virtual-time verbs: ``start_*`` plus blocking conveniences over the
+    cluster's run loop, failure injection and the wire counters.
+    Conditional operations target multi-writer keys; a failed
     compare-and-swap completes as a read of the observed value:
 
     >>> from repro.core.config import SystemConfig
@@ -93,61 +82,42 @@ class ShardedSimStore:
             max_resident=max_resident,
         )
         self.cluster = SimCluster(self.suite, **cluster_kwargs)
-        #: How many times each key has been dropped — dead incarnations'
-        #: operations are archived under ``key#N`` (see :meth:`drop_register`).
-        self._drop_counts: Dict[str, int] = {}
+
+    # ------------------------------------------------------ the surface hooks
+    def _hosted_automata(self) -> Iterable[Any]:
+        return self.cluster.processes.values()
+
+    def _operation_records(self) -> Iterable[OperationRecord]:
+        return (handle.to_record() for handle in self.cluster.operations)
+
+    def _relabel_operations(self, key: str, archived: str) -> None:
+        for handle in self.cluster.operations:
+            if handle.register_id == key:
+                handle.register_id = archived
 
     # ------------------------------------------------------------- inspection
-    @property
-    def keys(self) -> List[str]:
-        return list(self.suite.register_ids)
-
-    @property
-    def mwmr_keys(self) -> List[str]:
-        """The keys declared multi-writer (every client may write them)."""
-        return sorted(self.suite.mwmr_registers)
-
-    @property
-    def leased_keys(self) -> List[str]:
-        """The keys with read leases (zero-round contention-free reads)."""
-        return sorted(self.suite.leased_registers)
-
-    @property
-    def writer_lease_keys(self) -> List[str]:
-        """The keys with writer leases (one-round writes, local CAS)."""
-        return sorted(self.suite.writer_leased_registers)
+    def _lease_counter(self, counter: str, client_ids: Sequence[str]) -> int:
+        """Sum the per-register lease *counter* over the named clients."""
+        clients = (self.cluster.processes[client_id] for client_id in client_ids)
+        return sum(
+            getattr(register, counter, 0)
+            for client in clients
+            for register in client.registers.values()  # type: ignore[attr-defined]
+        )
 
     def lease_writes(self, client_id: Optional[str] = None) -> int:
-        """Writes completed in one round under a writer lease.
-
-        Counts every writer-leased register of the named client (default: all
-        clients of the deployment).
-        """
-        client_ids = (
-            [client_id] if client_id is not None else self.config.client_ids()
+        """Writes completed in one round under a writer lease, by the named
+        client (default: all clients of the deployment)."""
+        return self._lease_counter(
+            "lease_writes", [client_id] if client_id else self.config.client_ids()
         )
-        total = 0
-        for cid in client_ids:
-            client = self.cluster.processes.get(cid)
-            for register in getattr(client, "registers", {}).values():
-                total += getattr(register, "lease_writes", 0)
-        return total
 
     def lease_reads(self, reader_id: Optional[str] = None) -> int:
-        """Reads served locally from a lease, summed over readers (or one).
-
-        Counts every leased register of the named reader (default: all
-        readers of the deployment).
-        """
-        reader_ids = (
-            [reader_id] if reader_id is not None else self.config.reader_ids()
+        """Reads served locally from a lease, by the named reader (default:
+        all readers of the deployment)."""
+        return self._lease_counter(
+            "lease_reads", [reader_id] if reader_id else self.config.reader_ids()
         )
-        total = 0
-        for rid in reader_ids:
-            client = self.cluster.processes[rid]
-            for register in getattr(client, "registers", {}).values():
-                total += getattr(register, "lease_reads", 0)
-        return total
 
     @property
     def config(self):
@@ -164,73 +134,17 @@ class ShardedSimStore:
 
     def client_busy(self, client_id: str, key: str) -> bool:
         """Whether *client_id* has an outstanding operation on *key*."""
-        return self.cluster._sharded_client(client_id).busy_on(key)
+        return self.cluster.processes[client_id].busy_on(key)  # type: ignore[attr-defined]
 
     # ---------------------------------------------------------- dynamic keys
-    def create_register(
-        self,
-        key: str,
-        mwmr: bool = False,
-        leases: bool = False,
-        writer_leases: bool = False,
-    ) -> None:
-        """Add *key* to the live keyspace.
-
-        No process allocates anything until the key is touched: clients build
-        their automaton at first invocation, servers fault theirs in when the
-        first message arrives.  Under a ``max_resident`` bound admission may
-        evict the coldest resident register to the eviction store.
-        """
-        self.suite.create_register(
-            key, mwmr=mwmr, leases=leases, writer_leases=writer_leases
-        )
-
-    def drop_register(self, key: str) -> None:
-        """Remove *key* from the live keyspace and every process.
-
-        Resident automata are discarded (not spilled) and spilled state is
-        deleted; in-flight messages for the key then drop like any
-        unknown-register message.  The key's recorded operations are archived
-        under ``key#N`` (N = how many times the key has been dropped): they
-        stay checkable as their own history, and a later ``create_register``
-        of the same name starts a genuinely fresh register whose reads of
-        bottom must not be judged against the dead incarnation's writes.
-        """
-        self.suite.drop_register(key)
-        for process in self.cluster.processes.values():
-            router = _find_router(process)
-            if router is not None:
-                router.discard_register(key)
-        incarnation = self._drop_counts.get(key, 0) + 1
-        self._drop_counts[key] = incarnation
-        for handle in self.cluster.operations:
-            if handle.register_id == key:
-                handle.register_id = f"{key}#{incarnation}"
-
     @property
     def max_resident(self) -> Optional[int]:
         """The per-server resident-register bound (``None`` = unbounded)."""
         return self.suite.max_resident
 
-    @property
-    def evictions(self) -> int:
-        """Registers spilled to eviction stores across every server."""
-        return sum(
-            getattr(_find_router(p), "evictions", 0)
-            for p in self.cluster.processes.values()
-        )
-
-    @property
-    def rehydrations(self) -> int:
-        """Registers faulted back in from eviction stores across every server."""
-        return sum(
-            getattr(_find_router(p), "rehydrations", 0)
-            for p in self.cluster.processes.values()
-        )
-
     def resident_registers(self, process_id: str) -> List[str]:
         """The registers with live automata on *process_id*, LRU order."""
-        router = _find_router(self.cluster.processes[process_id])
+        router = find_router(self.cluster.processes[process_id])
         if router is None:
             return []
         return list(router.registers)
@@ -244,28 +158,40 @@ class ShardedSimStore:
     def start_write(
         self, key: str, value: Any, client_id: Optional[str] = None
     ) -> OperationHandle:
-        return self.cluster.start_store_write(key, value, client_id=client_id)
+        """Invoke ``WRITE(value)`` on *key* now.
+
+        ``client_id`` defaults to the configured writer; any client of the
+        deployment may write a key declared ``mwmr``.
+        """
+        return self.cluster.start(
+            client_id or self.config.writer_id, "write", value, register_id=key
+        )
 
     def start_read(self, key: str, reader_id: Optional[str] = None) -> OperationHandle:
-        return self.cluster.start_store_read(key, reader_id)
-
-    def write(
-        self, key: str, value: Any, client_id: Optional[str] = None
-    ) -> OperationHandle:
-        return self.cluster.store_write(key, value, client_id=client_id)
-
-    def read(self, key: str, reader_id: Optional[str] = None) -> OperationHandle:
-        return self.cluster.store_read(key, reader_id)
+        """Invoke ``READ()`` on *key* now (default reader: the first)."""
+        return self.cluster.start(reader_id or self.config.reader_ids()[0], "read", register_id=key)
 
     def start_compare_and_swap(
         self, key: str, expected: Any, new: Any, client_id: Optional[str] = None
     ) -> OperationHandle:
-        return self.cluster.start_store_cas(key, expected, new, client_id=client_id)
+        """Invoke ``CAS(expected, new)`` on *key* now (see :meth:`compare_and_swap`)."""
+        return self.cluster.start(
+            client_id or self.config.writer_id, "cas", expected, new, register_id=key
+        )
 
     def start_read_modify_write(
         self, key: str, fn: Callable[[Any], Any], client_id: Optional[str] = None
     ) -> OperationHandle:
-        return self.cluster.start_store_rmw(key, fn, client_id=client_id)
+        """Invoke ``RMW(fn)`` on *key* now (see :meth:`read_modify_write`)."""
+        return self.cluster.start(client_id or self.config.writer_id, "rmw", fn, register_id=key)
+
+    def write(
+        self, key: str, value: Any, client_id: Optional[str] = None
+    ) -> OperationHandle:
+        return self.cluster.run_until_done(self.start_write(key, value, client_id))
+
+    def read(self, key: str, reader_id: Optional[str] = None) -> OperationHandle:
+        return self.cluster.run_until_done(self.start_read(key, reader_id))
 
     def compare_and_swap(
         self, key: str, expected: Any, new: Any, client_id: Optional[str] = None
@@ -276,7 +202,9 @@ class ShardedSimStore:
         read of the observed value (``handle.result.kind`` tells them apart).
         *key* must be a multi-writer register.
         """
-        return self.cluster.store_cas(key, expected, new, client_id=client_id)
+        return self.cluster.run_until_done(
+            self.start_compare_and_swap(key, expected, new, client_id)
+        )
 
     def read_modify_write(
         self, key: str, fn: Callable[[Any], Any], client_id: Optional[str] = None
@@ -286,7 +214,7 @@ class ShardedSimStore:
         ``fn`` receives ``None`` while the register still holds its initial
         bottom value.  *key* must be a multi-writer register.
         """
-        return self.cluster.store_rmw(key, fn, client_id=client_id)
+        return self.cluster.run_until_done(self.start_read_modify_write(key, fn, client_id))
 
     # --------------------------------------------------------------- failures
     def crash(self, server_id: str, at: Optional[float] = None) -> None:
@@ -315,36 +243,6 @@ class ShardedSimStore:
 
     def run_until_quiescent(self) -> None:
         self.cluster.run_until_quiescent()
-
-    # -------------------------------------------------------------- histories
-    def history(self, key: str) -> History:
-        """The history of one register (feedable to any single-key checker)."""
-        return self.cluster.history(register_id=key)
-
-    def histories(self) -> Dict[str, History]:
-        """Per-key histories of every operation invoked so far."""
-        return self.cluster.register_histories()
-
-    def check_atomicity(self) -> Dict[str, CheckResult]:
-        """Run the fitting atomicity checker on every per-key history.
-
-        SWMR keys go through the paper's four-property checker; MWMR keys go
-        through the multi-writer checker, which orders writes by their
-        ``(ts, writer_id)`` pairs instead of assuming one writer.
-        """
-        mwmr_keys = self.suite.mwmr_registers
-        return {
-            key: check_atomicity(history, mwmr=key in mwmr_keys)
-            for key, history in self.histories().items()
-        }
-
-    def verify_atomic(self) -> bool:
-        """Whether every per-key history is atomic; raises with details if not."""
-        for key, result in self.check_atomicity().items():
-            if not result.ok:
-                details = "\n".join(str(v) for v in result.violations)
-                raise AssertionError(f"register {key!r} violates atomicity:\n{details}")
-        return True
 
     # -------------------------------------------------------------- reporting
     @property

@@ -1,0 +1,171 @@
+"""The store surface: one key-value façade over both runtimes.
+
+:class:`StoreSurface` is everything a sharded store offers that does not
+depend on *how* time passes: the keyspace (which keys exist, with which
+capabilities), creating and dropping keys at runtime, the eviction counters,
+per-key histories and their atomicity verdicts.
+:class:`~repro.store.sim.ShardedSimStore` (virtual time) and
+:class:`~repro.runtime.cluster.ShardedAsyncCluster` (asyncio) inherit it and
+add only their own verbs — ``start_*`` / ``run*`` there, awaitables here.
+
+A runtime supplies ``self.suite`` (its
+:class:`~repro.store.sharding.ShardedProtocol`) and three hooks:
+
+* :meth:`StoreSurface._hosted_automata` — the automaton of every live process;
+* :meth:`StoreSurface._operation_records` — one
+  :class:`~repro.verify.history.OperationRecord` per operation invoked so far,
+  its key in ``metadata["register_id"]``;
+* :meth:`StoreSurface._relabel_operations` — move a dropped key's operations
+  to their archive name.
+
+The façade has no constructor: a subclass (or a subclass of a subclass) that
+never calls one is still a complete store.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Iterable, List, Optional
+
+from ..verify.atomicity import CheckResult, check_atomicity
+from ..verify.history import History, OperationRecord
+from .sharding import ShardedProtocol
+
+
+def find_router(automaton: Any) -> Any:
+    """The register router inside *automaton*'s wrapper stack (or ``None``).
+
+    Servers may be wrapped (``DurableServer`` and friends expose ``inner``);
+    clients are routers directly.  Anything without a register table — e.g.
+    a bare automaton — yields ``None``.
+    """
+    while not hasattr(automaton, "discard_register") and hasattr(automaton, "inner"):
+        automaton = automaton.inner
+    return automaton if hasattr(automaton, "discard_register") else None
+
+
+class StoreSurface:
+    """Keyspace, dynamic keys, eviction counters, histories and verdicts."""
+
+    suite: ShardedProtocol
+
+    # ------------------------------------------------------------------ hooks
+    def _hosted_automata(self) -> Iterable[Any]:
+        raise NotImplementedError
+
+    def _operation_records(self) -> Iterable[OperationRecord]:
+        raise NotImplementedError
+
+    def _relabel_operations(self, key: str, archived: str) -> None:
+        raise NotImplementedError
+
+    def _routers(self) -> List[Any]:
+        routers = (find_router(automaton) for automaton in self._hosted_automata())
+        return [router for router in routers if router is not None]
+
+    # --------------------------------------------------------------- keyspace
+    @property
+    def keys(self) -> List[str]:
+        """The live keys, in creation order."""
+        return list(self.suite.specs)
+
+    @property
+    def mwmr_keys(self) -> List[str]:
+        """The keys declared multi-writer (every client may write them)."""
+        return self.suite.keys_with("mwmr")
+
+    @property
+    def leased_keys(self) -> List[str]:
+        """The keys with read leases (zero-round contention-free reads)."""
+        return self.suite.keys_with("leases")
+
+    @property
+    def writer_lease_keys(self) -> List[str]:
+        """The keys with writer leases (one-round writes, local CAS)."""
+        return self.suite.keys_with("writer_leases")
+
+    def create_register(
+        self,
+        key: str,
+        mwmr: bool = False,
+        leases: bool = False,
+        writer_leases: bool = False,
+    ) -> None:
+        """Add *key* to the live keyspace without restarting any process.
+
+        No process allocates anything until the key is touched: clients build
+        their automaton at first invocation, servers fault theirs in when the
+        first message arrives.  Under a ``max_resident`` bound admission may
+        evict the coldest resident register to the eviction store.
+        """
+        self.suite.create_register(key, mwmr=mwmr, leases=leases, writer_leases=writer_leases)
+
+    def drop_register(self, key: str) -> None:
+        """Remove *key* from the live keyspace and every process.
+
+        Resident automata are discarded (not spilled) and spilled state is
+        deleted; in-flight messages for the key then drop like any
+        unknown-register message.  The key's recorded operations are archived
+        under ``key#N`` (N = how many times the key has been dropped): they
+        stay checkable as their own history, and a later ``create_register``
+        of the same name starts a genuinely fresh register whose reads of
+        bottom must not be judged against the dead incarnation's writes.
+        """
+        self.suite.drop_register(key)
+        for router in self._routers():
+            router.discard_register(key)
+        # Created on first use: the façade has no constructor to create it in.
+        drop_counts: Dict[str, int] = vars(self).setdefault("_drop_counts", {})
+        drop_counts[key] = drop_counts.get(key, 0) + 1
+        self._relabel_operations(key, f"{key}#{drop_counts[key]}")
+
+    @property
+    def evictions(self) -> int:
+        """Registers spilled to eviction stores across every process."""
+        return sum(router.evictions for router in self._routers())
+
+    @property
+    def rehydrations(self) -> int:
+        """Registers faulted back in from eviction stores across every process."""
+        return sum(router.rehydrations for router in self._routers())
+
+    # -------------------------------------------------------------- histories
+    def history(self, key: Optional[str] = None) -> History:
+        """The history of one register (feedable to any single-key checker),
+        or with no *key* every operation of every register."""
+        records = self._operation_records()
+        if key is not None:
+            records = [r for r in records if r.metadata.get("register_id") == key]
+        return History(list(records))
+
+    def histories(self) -> Dict[str, History]:
+        """Per-key histories, sorted by key: every live key — one nobody
+        touched yet has an empty history — and every ``key#N`` archive of a
+        dropped incarnation, so operations on registers dropped since remain
+        checkable."""
+        by_key: Dict[str, List[OperationRecord]] = {key: [] for key in self.suite.specs}
+        for record in self._operation_records():
+            by_key.setdefault(record.metadata["register_id"], []).append(record)
+        return {key: History(by_key[key]) for key in sorted(by_key)}
+
+    def check_atomicity(self) -> Dict[str, CheckResult]:
+        """Run the fitting atomicity checker on every per-key history.
+
+        SWMR keys go through the paper's four-property checker; MWMR keys go
+        through the multi-writer checker, which orders writes by their
+        ``(ts, writer_id)`` pairs instead of assuming one writer.  An archive
+        ``key#N`` is checked single-writer: the capabilities of a dropped
+        incarnation are gone with it.
+        """
+        specs = self.suite.specs
+        return {
+            key: check_atomicity(history, mwmr=key in specs and specs[key].mwmr)
+            for key, history in self.histories().items()
+        }
+
+    def verify_atomic(self) -> bool:
+        """Whether every per-key history is atomic; raises with details if not."""
+        for key, result in self.check_atomicity().items():
+            if not result.ok:
+                details = "\n".join(str(v) for v in result.violations)
+                raise AssertionError(f"register {key!r} violates atomicity:\n{details}")
+        return True

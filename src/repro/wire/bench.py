@@ -49,12 +49,12 @@ def representative_payloads() -> List[Tuple[str, str, str, Message]]:
     ]
 
 
-def _ops_per_second(fn: Callable[[], object], min_seconds: float = 0.05) -> float:
+def ops_per_second(fn: Callable[[], object], min_seconds: float = 0.05) -> float:
     """Single-thread throughput of *fn*, timed over at least *min_seconds*."""
     # Warm up (first-call caches, lazy imports), then scale the repetition
     # count until the timed window is long enough to trust.
     fn()
-    repetitions = 64
+    repetitions = 4
     while True:
         started = time.perf_counter()
         for _ in range(repetitions):
@@ -91,11 +91,11 @@ def codec_microbench(
                 payload=label,
                 codec=name,
                 bytes=len(encoded),
-                encode_ops_per_s=_ops_per_second(
+                encode_ops_per_s=ops_per_second(
                     lambda c=codec: c.encode_envelope(source, destination, message),
                     min_seconds=min_seconds,
                 ),
-                decode_ops_per_s=_ops_per_second(
+                decode_ops_per_s=ops_per_second(
                     lambda c=codec, e=encoded: c.decode_envelope(e),
                     min_seconds=min_seconds,
                 ),

@@ -2,6 +2,7 @@
 
 import asyncio
 
+import pytest
 
 from repro.baselines.abd import ABDProtocol
 from repro.core.config import SystemConfig
@@ -131,6 +132,23 @@ class TestInMemoryRuntime:
         )
         assert handles == [{}, {}]
         assert cancelled == 1000
+
+    def test_a_raising_invocation_does_not_wedge_the_client(self):
+        # The writer has no read(): the invocation raises inside the node.  It
+        # must leave no pending slot behind, or every later operation of the
+        # client fails with "already has a pending read", forever.
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
+
+        async def scenario(cluster):
+            with pytest.raises(AttributeError):
+                await cluster.client_nodes["w"].read()
+            write = await cluster.write("x")
+            return write, await cluster.read("r1")
+
+        write, read = AsyncCluster.run_scenario(
+            LuckyAtomicProtocol(config), scenario, message_delay_s=0.0
+        )
+        assert write.kind == "write" and read.value == "x"
 
     def test_regular_variant_runs_on_asyncio(self):
         suite = RegularStorageProtocol.for_parameters(t=1, b=1, num_readers=1)

@@ -129,11 +129,11 @@ class Driver:
             )
         elif kind == "create":
             for suite in self.suites:
-                if key not in suite.register_ids:
+                if key not in suite.specs:
                     suite.create_register(key)
         elif kind == "drop":
             for suite, server in zip(self.suites, self.servers, strict=True):
-                if key in suite.register_ids:
+                if key in suite.specs:
                     suite.drop_register(key)
                     storage_router(server).discard_register(key)
             self.ts.pop(key, None)

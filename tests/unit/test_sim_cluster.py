@@ -10,6 +10,7 @@ from repro.sim.byzantine import MuteStrategy
 from repro.sim.cluster import DROP, SimCluster, SimulationError
 from repro.sim.failures import FailureSchedule
 from repro.sim.latency import FixedDelay
+from repro.workload.generator import ScheduledOperation, Workload, run_workload
 
 
 @pytest.fixture
@@ -106,11 +107,17 @@ class TestOperationHandles:
 
     def test_scheduled_operations_fire_at_their_time(self, config):
         cluster = build(config)
-        write = cluster.schedule_write(10.0, "later")
-        read = cluster.schedule_read(30.0, "r1")
-        cluster.run(until=lambda: write.done and read.done)
-        assert write.invoked_at == pytest.approx(10.0)
-        assert read.invoked_at == pytest.approx(30.0)
+        write, read = run_workload(
+            cluster,
+            Workload(
+                [
+                    ScheduledOperation(at=10.0, kind="write", client_id="w", value="later"),
+                    ScheduledOperation(at=30.0, kind="read", client_id="r1"),
+                ]
+            ),
+        )
+        assert write.scheduled_at == write.invoked_at == pytest.approx(10.0)
+        assert read.scheduled_at == read.invoked_at == pytest.approx(30.0)
         assert read.value == "later"
 
     def test_history_contains_all_operations(self, config):

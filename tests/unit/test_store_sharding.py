@@ -6,9 +6,12 @@ from repro.core.automaton import Effects
 from repro.core.config import SystemConfig
 from repro.core.messages import Read
 from repro.core.protocol import LuckyAtomicProtocol
+from repro.core.reader import LeasedReader
+from repro.core.writer import LeasedWriter
 from repro.sim.byzantine import ForgeHighTimestampStrategy
 from repro.sim.latency import FixedDelay
 from repro.store.sharding import (
+    RegisterSpec,
     ShardedClient,
     ShardedProtocol,
     ShardedServer,
@@ -97,7 +100,7 @@ class TestShardedProtocolValidation:
         base = LuckyAtomicProtocol(config)
         # An empty initial keyspace is allowed: the dynamic keyspace grows it
         # at runtime through create_register.
-        assert ShardedProtocol(base, []).register_ids == []
+        assert ShardedProtocol(base, []).specs == {}
         with pytest.raises(ValueError, match="duplicate"):
             ShardedProtocol(base, ["k1", "k1"])
         with pytest.raises(ValueError, match="must not contain"):
@@ -201,7 +204,8 @@ class TestShardedSimStore:
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
         cluster = SimCluster(LuckyAtomicProtocol(config))
         with pytest.raises(TypeError, match="not sharded"):
-            cluster.start_store_write("k1", "x")
+            cluster.start("w", "write", "x", register_id="k1")
+        assert cluster.operations == []
 
     def test_throughput_is_positive_after_operations(self):
         store = self._store()
@@ -232,13 +236,13 @@ class TestRegisterIdValidation:
 class TestMwmrDeclaration:
     def test_mwmr_true_marks_every_register(self, config):
         suite = ShardedProtocol(LuckyAtomicProtocol(config), ["k1", "k2"], mwmr=True)
-        assert suite.mwmr_registers == {"k1", "k2"}
+        assert suite.keys_with("mwmr") == ["k1", "k2"]
 
     def test_mwmr_subset_marks_only_named_registers(self, config):
         suite = ShardedProtocol(
             LuckyAtomicProtocol(config), ["k1", "k2"], mwmr=["k2"]
         )
-        assert suite.mwmr_registers == {"k2"}
+        assert suite.keys_with("mwmr") == ["k2"]
         assert suite.describe()["mwmr_registers"] == ["k2"]
 
     def test_mwmr_unknown_register_rejected(self, config):
@@ -277,4 +281,102 @@ class TestMwmrDeclaration:
         suite = ShardedProtocol(
             LuckyAtomicProtocol(config), ["hot", "cold"], mwmr="hot"
         )
-        assert suite.mwmr_registers == {"hot"}
+        assert suite.keys_with("mwmr") == ["hot"]
+
+
+class TestKeyspaceTable:
+    """``ShardedProtocol.specs`` is the keyspace: one value per key, no copies."""
+
+    ILLEGAL = [
+        ({"writer_leases": True}, "multi-writer"),
+        ({"leases": True, "mwmr": True}, "mutually exclusive"),
+    ]
+
+    @pytest.mark.parametrize("capabilities, message", ILLEGAL)
+    def test_each_composition_rule_is_stated_by_the_spec(self, capabilities, message):
+        with pytest.raises(ValueError, match=message):
+            RegisterSpec(**capabilities)
+
+    @pytest.mark.parametrize("capabilities, message", ILLEGAL)
+    def test_both_entry_points_reject_what_the_spec_rejects(
+        self, config, capabilities, message
+    ):
+        base = LuckyAtomicProtocol(config)
+        with pytest.raises(ValueError, match=message):
+            ShardedProtocol(base, ["k1", "k2"], **{c: ["k2"] for c in capabilities})
+        suite = ShardedProtocol(base, ["k1"])
+        with pytest.raises(ValueError, match=message):
+            suite.create_register("k2", **capabilities)
+        assert list(suite.specs) == ["k1"]  # the rejected key was not admitted
+
+    @pytest.mark.parametrize(
+        "argument, label", [("mwmr", "mwmr"), ("leases", "lease"), ("writer_leases", "writer-lease")]
+    )
+    def test_one_parser_rejects_ids_that_are_not_registers(self, config, argument, label):
+        with pytest.raises(ValueError, match=f"{label} ids are not registers"):
+            ShardedProtocol(LuckyAtomicProtocol(config), ["k1"], **{argument: ["nope"]})
+
+    def test_constructor_and_create_register_build_the_same_value(self, config):
+        suite = ShardedProtocol(
+            LuckyAtomicProtocol(config),
+            ["plain", "hot"],
+            mwmr=["hot"],
+            leases=True,  # every key
+            writer_leases=True,  # every multi-writer key
+        )
+        assert suite.specs["plain"] == RegisterSpec(leases=True)
+        assert suite.specs["hot"] == RegisterSpec(mwmr=True, leases=True, writer_leases=True)
+        suite.create_register("late", mwmr=True, leases=True, writer_leases=True)
+        assert suite.specs["late"] is suite.specs["hot"]  # one shared instance
+        assert suite.keys_with("writer_leases") == ["hot", "late"]
+        assert not suite._evictable("hot") and not suite._evictable("plain")
+        late = suite.create_reader("r1").registers["late"]
+        assert isinstance(late.writer, LeasedWriter) and isinstance(late.reader, LeasedReader)
+
+    def test_a_large_keyspace_shares_one_spec_instance(self, config):
+        suite = ShardedProtocol(
+            LuckyAtomicProtocol(config),
+            [f"k{i}" for i in range(4096)],
+            mwmr=True,
+            leases=True,
+            writer_leases=True,
+        )
+        assert len({id(spec) for spec in suite.specs.values()}) == 1
+
+    def test_create_and_drop_cost_does_not_grow_with_the_keyspace(self, config):
+        import time
+
+        def per_key_seconds(count):
+            best = float("inf")
+            for _ in range(3):
+                suite = ShardedProtocol(LuckyAtomicProtocol(config), [])
+                keys = [f"key-{i:06d}" for i in range(count)]
+                started = time.perf_counter()
+                for key in keys:
+                    suite.create_register(key, mwmr=True, leases=True, writer_leases=True)
+                for key in keys:
+                    suite.drop_register(key)
+                best = min(best, (time.perf_counter() - started) / count)
+            return best
+
+        # Frozenset rebuilds and list scans made this ~50x; a dict is flat.
+        assert per_key_seconds(16_000) < 4 * per_key_seconds(1_000)
+
+    def test_a_dropped_key_leaves_no_trace_on_the_suite(self, config):
+        store = ShardedSimStore(
+            LuckyAtomicProtocol(config),
+            [f"k{i}" for i in range(4)],
+            max_resident=2,
+            delay_model=FixedDelay(1.0),
+        )
+        key = "doomed-register"
+        store.create_register(key)
+        store.write(key, "v")
+        for other in store.keys[:4]:  # push the key out to the eviction stores
+            store.write(other, "x")
+        assert any(key in spill for spill in store.suite.eviction_stores.values())
+        store.drop_register(key)
+        for name, value in vars(store.suite).items():
+            if name != "eviction_stores":
+                assert key not in repr(value), name
+        assert not any(key in spill for spill in store.suite.eviction_stores.values())
