@@ -6,7 +6,8 @@ deterministic workload measured in single-thread operations per second:
 * ``sim_event_loop`` — full write/read cycles through :class:`SimCluster`,
   reported as simulator events dispatched per second.
 * ``codec_encode`` / ``codec_decode`` — the binary wire codec over the S6
-  representative frames (minimal read, populated prewrite, 8-message batch).
+  representative frames (minimal read, populated prewrite, read ack, 8-ack
+  batch, the 11-message mixed batch of a saturated server).
 * ``automaton_dispatch`` — a server automaton absorbing read queries, the
   per-message protocol step with no I/O around it.
 * ``timer_wheel`` — the event queue's timer arm/cancel/pop churn, the

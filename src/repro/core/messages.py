@@ -10,8 +10,9 @@ channels between two non-malicious processes — the transports enforce that).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+import functools
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence, Tuple, Type
 
 from .types import (
     FrozenEntry,
@@ -50,7 +51,7 @@ class Message(SlotsPickleMixin):
         """A copy of this message stamped with the sender incarnation *epoch*."""
         if self.epoch == epoch:
             return self
-        return replace(self, epoch=epoch)
+        return _readdresser(type(self))(self, self.register_id, epoch)
 
     @property
     def kind(self) -> str:
@@ -61,7 +62,22 @@ class Message(SlotsPickleMixin):
         """A copy of this message addressed to the register *register_id*."""
         if self.register_id == register_id:
             return self
-        return replace(self, register_id=register_id)
+        return _readdresser(type(self))(self, register_id, self.epoch)
+
+
+_Readdresser = Callable[[Message, str, int], Message]
+
+
+@functools.cache
+def _readdresser(cls: Type[Message]) -> _Readdresser:
+    """``(message, register_id, epoch) -> copy`` for class *cls*, generated
+    once: a sharded or durable process re-addresses every message it sends,
+    too often for the field lookups of ``dataclasses.replace``."""
+    body = "".join(f", m.{f.name}" for f in fields(cls)[3:])
+    copy: _Readdresser = eval(
+        f"lambda m, register_id, epoch: cls(m.sender, register_id, epoch{body})", {"cls": cls}
+    )
+    return copy
 
 
 # --------------------------------------------------------------------------- #

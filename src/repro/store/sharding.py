@@ -24,10 +24,11 @@ cluster can resolve the right pending operation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
 
-from ..core.automaton import Automaton, ClientAutomaton, Effects
+from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
+from ..core.messages import Message
 from ..core.protocol import ProtocolSuite
 from ..lease.server import LeaseServer, WriterLeaseServer
 from ..sim.byzantine import ByzantineStrategy, MaliciousServer
@@ -53,20 +54,22 @@ def tag_effects(register_id: str, effects: Effects) -> Effects:
     a namespaced id and completions record the register in their metadata.
     """
     tagged = Effects()
+    copies: Dict[int, Message] = {}  # a broadcast is one object: its S sends share one copy
     for send in effects.sends:
-        tagged.send(send.destination, send.message.tagged(register_id))
+        key = id(send.message)
+        if key not in copies:
+            copies[key] = send.message.tagged(register_id)
+        tagged.send(send.destination, copies[key])
     for timer in effects.timers:
         tagged.start_timer(
             f"{register_id}{TIMER_SEPARATOR}{timer.timer_id}", timer.delay
         )
     for timer_id in effects.cancels:
         tagged.cancel_timer(f"{register_id}{TIMER_SEPARATOR}{timer_id}")
-    for completion in effects.completions:
+    for done in effects.completions:
+        metadata = {**done.metadata, "register_id": register_id}
         tagged.complete(
-            replace(
-                completion,
-                metadata={**completion.metadata, "register_id": register_id},
-            )
+            OperationComplete(done.op_id, done.kind, done.value, done.rounds, done.fast, metadata)
         )
     return tagged
 

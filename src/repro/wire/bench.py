@@ -2,11 +2,12 @@
 
 The S6 experiment measures the wire codec in isolation — no simulator, no
 event loop — on representative frames: a minimal ``Read``, a fully populated
-``PreWrite`` (nested pairs and freeze directives), and a transport envelope
-wrapping an 8-message batch (one flush of a busy node).  For each payload and
-each codec it reports encoded size and single-thread encode/decode
-operations per second, so a codec regression shows up as a number, not a
-feeling.
+``PreWrite`` (nested pairs and freeze directives), a ``ReadAck`` (three pairs
+and a frozen entry: the costliest message of a lucky operation), an 8-ack
+batch, and the frame of a saturated server in ``benchmarks/e2e`` (11 messages,
+``ReadAck`` and ``PreWriteAck`` mixed).  For each payload and each codec it
+reports encoded size and single-thread encode/decode operations per second,
+so a codec regression shows up as a number, not a feeling.
 
 Used by ``store-bench --codec-bench`` (lands in ``BENCH_pr.json`` as S6) and
 by ``benchmarks/bench_codec.py`` (the pytest-benchmark twin).
@@ -18,8 +19,8 @@ import time
 from typing import Callable, List, Tuple
 
 from ..bench.harness import ExperimentTable
-from ..core.messages import Batch, Message, PreWrite, Read, WriteAck
-from ..core.types import FreezeDirective, TimestampValue
+from ..core.messages import Batch, Message, PreWrite, PreWriteAck, Read, ReadAck, WriteAck
+from ..core.types import FreezeDirective, FrozenEntry, TimestampValue
 from .codec import Codec, get_codec
 
 
@@ -42,10 +43,24 @@ def representative_payloads() -> List[Tuple[str, str, str, Message]]:
             for i in range(1, 9)
         ),
     )
+    readack = ReadAck(
+        sender="s1", register_id="k1", read_ts=7, pw=pw, w=w, vw=w, frozen=FrozenEntry(w, 7)
+    )
+    mixed = Batch(
+        sender="s1",
+        messages=tuple(
+            ReadAck(sender="s1", register_id=f"k{i:05d}", read_ts=7, pw=pw, w=w, vw=w)
+            if i % 2 == 0
+            else PreWriteAck(sender="s1", register_id=f"k{i:05d}", ts=41)
+            for i in range(11)
+        ),
+    )
     return [
         ("read", "r1", "s1", Read(sender="r1", read_ts=7)),
         ("prewrite", "w", "s1", prewrite),
+        ("readack", "s1", "r1", readack),
         ("batch-8", "s1", "w", batch),
+        ("batch-11-mixed", "s1", "r1", mixed),
     ]
 
 

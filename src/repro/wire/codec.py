@@ -15,16 +15,21 @@ each encoded with the self-describing value encoding of
 :mod:`repro.wire.values` — except strings of the common header fields
 (``sender``, ``register_id``), which are written tagless (uvarint length +
 UTF-8), and :class:`~repro.core.messages.Batch`, whose inner messages are
-*recursively framed*: a uvarint count followed by complete encoded messages,
-header and all, so a gateway can re-split a batch without understanding every
-inner type.
+*complete frames*: a uvarint count followed by encoded messages, header and
+all, so a gateway can re-split a batch without understanding every inner
+type.  The batch is flat — a batch inside a batch is refused at decode.
 
 A transport *envelope* (tag :data:`TAG_ENVELOPE`) wraps a routed message:
 ``source`` and ``destination`` strings followed by one encoded message.
 
 Unknown magic, an unknown version, or an unknown tag raise the explicit
 errors :class:`WireDecodeError`, :class:`UnknownVersionError` and
-:class:`UnknownTagError` — never a silent misparse.
+:class:`UnknownTagError` — never a silent misparse, and whatever the bytes,
+never an exception outside the :class:`WireDecodeError` family.
+
+Each message class is read and written by a function generated from its
+dataclass fields when this module is imported (:func:`_compile_message`); the
+generated source is on each function as ``__source__``.
 
 Codecs
 ------
@@ -39,8 +44,7 @@ hatch of the migration release is gone; legacy pickle frames are still
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Dict, Sequence, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Type, Union
 
 from ..core.messages import (
     BaselineQuery,
@@ -71,9 +75,14 @@ from .values import (
     WireDecodeError,
     WireEncodeError,
     WireFormatError,
+    compile_function,
+    emit,
+    emit_read,
+    emit_write,
     read_str,
     read_uvarint,
     read_value,
+    struct_fields,
     write_str,
     write_uvarint,
     write_value,
@@ -139,17 +148,10 @@ MESSAGE_TAGS: Dict[Type[Message], int] = {
 #: Tag of the transport envelope (source + destination + message).
 TAG_ENVELOPE = 31
 
-_TYPE_BY_TAG: Dict[int, Type[Message]] = {tag: cls for cls, tag in MESSAGE_TAGS.items()}
-
 # Registry invariants — every message type tagged, tags unique, the Message
 # base header frozen at (sender, register_id, epoch) — are enforced by the
 # RP02 analyzer rule (`lucky-storage analyze`) and tests/unit/test_wire_registry.py
 # rather than import-time asserts.
-
-#: Per-class field layout beyond the Message base (sender, register_id, epoch).
-_EXTRA_FIELDS: Dict[Type[Message], Tuple[str, ...]] = {
-    cls: tuple(f.name for f in dataclasses.fields(cls))[3:] for cls in MESSAGE_TAGS
-}
 
 
 class UnknownVersionError(WireDecodeError):
@@ -160,9 +162,12 @@ class UnknownTagError(WireDecodeError):
     """A frame whose type tag this build does not know."""
 
 
+#: What every frame of this build opens with, before its tag byte.
+_PREFIX = MAGIC + bytes([WIRE_VERSION])
+
+
 def _write_header(out: bytearray, tag: int) -> None:
-    out += MAGIC
-    out.append(WIRE_VERSION)
+    out += _PREFIX
     out.append(tag)
 
 
@@ -184,53 +189,108 @@ def _read_header(data: bytes, offset: int) -> Tuple[int, int]:
     return data[offset + 3], offset + 4
 
 
+#: ``(data, offset past the header) -> (message, end_offset)`` and ``(out,
+#: message)``: one generated pair per class, from the templates below for the
+#: tagless fields every message opens with and the value compiler for the rest.
+MessageReader = Callable[[bytes, int], Tuple[Message, int]]
+MessageWriter = Callable[[bytearray, Any], None]
+
+_READ_ID = """\
+if (z := data[o]) < 128:
+    if (e := o + 1 + z) > end: raise WireDecodeError('truncated string')
+    {v} = data[o + 1:e].decode(); o = e
+else:
+    {v}, o = read_str(data, o)"""
+_READ_EPOCH = """\
+if (epoch := data[o]) < 128: o += 1
+else: epoch, o = read_uvarint(data, o)"""
+_WRITE_ID = """\
+if len(raw := m.{v}.encode()) < 128: out.append(len(raw)); out += raw
+else: write_str(out, m.{v})"""
+_WRITE_EPOCH = """\
+if 0 <= (epoch := m.epoch) < 128: out.append(epoch)
+else: write_uvarint(out, epoch)"""
+
+
+def _compile_message(cls: Type[Message], tag: int) -> Tuple[MessageReader, MessageWriter]:
+    """Generate the reader and the writer of *cls*: the tagless header, then
+    each field past it as the value compiler emits it (inline where it has
+    its declared shape, through the interpreter where not)."""
+    fields = struct_fields(cls)[3:]
+    read: List[str] = []
+    write = [f"    out += {_PREFIX + bytes([tag])!r}"]
+    for header_field in ("sender", "register_id"):
+        emit(read, " " * 8, _READ_ID.format(v=header_field))
+        emit(write, "    ", _WRITE_ID.format(v=header_field))
+    emit(read, " " * 8, _READ_EPOCH)
+    emit(write, "    ", _WRITE_EPOCH)
+    values = [emit_read(read, " " * 8, hint, "0") for _, hint in fields]
+    read.append(f"        return cls(sender, register_id, epoch, {', '.join(values)}), o")
+    for name, hint in fields:
+        emit_write(write, "    ", f"m.{name}", hint, "0")
+    reader = compile_function(f"read_{cls.__name__}", "data, o", read, True, cls=cls)
+    writer = compile_function(f"write_{cls.__name__}", "out, m", write)
+    return reader, writer
+
+
+def _read_batch(data: bytes, offset: int) -> Tuple[Message, int]:
+    """The one hand-written shape: a count, then complete frames.  Flat — a
+    batch inside a batch is refused, so hostile nesting cannot recurse."""
+    sender, offset = read_str(data, offset)
+    register_id, offset = read_str(data, offset)
+    epoch, offset = read_uvarint(data, offset)
+    count, offset = read_uvarint(data, offset)
+    end = len(data)
+    inner = []
+    for _ in range(count):
+        if data[offset : offset + 3] != _PREFIX or offset + 4 > end:
+            _read_header(data, offset)  # raises, saying which of the three it was
+        tag = data[offset + 3]
+        if tag == _TAG_BATCH:
+            raise WireDecodeError("a batch inside a batch: the envelope is flat")
+        message, offset = _reader_for(tag)(data, offset + 4)
+        inner.append(message)
+    return Batch(sender, register_id, epoch, tuple(inner)), offset
+
+
+def _write_batch(out: bytearray, batch: Batch) -> None:
+    _write_header(out, _TAG_BATCH)
+    write_str(out, batch.sender)
+    write_str(out, batch.register_id)
+    write_uvarint(out, batch.epoch)
+    write_uvarint(out, len(batch.messages))
+    for inner in batch.messages:
+        _write_message(out, inner)
+
+
+_TAG_BATCH = MESSAGE_TAGS[Batch]
+_READERS: Dict[int, MessageReader] = {_TAG_BATCH: _read_batch}
+_WRITERS: Dict[Type[Message], MessageWriter] = {Batch: _write_batch}
+for _cls, _tag in MESSAGE_TAGS.items():
+    if _cls is not Batch:
+        _READERS[_tag], _WRITERS[_cls] = _compile_message(_cls, _tag)
+
+
+def _reader_for(tag: int) -> MessageReader:
+    reader = _READERS.get(tag)
+    if reader is None:
+        raise UnknownTagError(f"unknown message tag {tag}")
+    return reader
+
+
 def _write_message(out: bytearray, message: Message) -> None:
-    tag = MESSAGE_TAGS.get(type(message))
-    if tag is None:
+    writer = _WRITERS.get(type(message))
+    if writer is None:
         raise WireEncodeError(
             f"{type(message).__name__} has no wire tag; register it in "
             "repro.wire.codec.MESSAGE_TAGS (and bump WIRE_VERSION)"
         )
-    _write_header(out, tag)
-    write_str(out, message.sender)
-    write_str(out, message.register_id)
-    write_uvarint(out, message.epoch)
-    if type(message) is Batch:
-        # Recursive framing: each inner message is a complete frame of its
-        # own, so batches nest structurally instead of via the value codec.
-        write_uvarint(out, len(message.messages))
-        for inner in message.messages:
-            _write_message(out, inner)
-        return
-    for name in _EXTRA_FIELDS[type(message)]:
-        write_value(out, getattr(message, name))
+    writer(out, message)
 
 
 def _read_message(data: bytes, offset: int) -> Tuple[Message, int]:
     tag, offset = _read_header(data, offset)
-    cls = _TYPE_BY_TAG.get(tag)
-    if cls is None:
-        raise UnknownTagError(f"unknown message tag {tag}")
-    sender, offset = read_str(data, offset)
-    register_id, offset = read_str(data, offset)
-    epoch, offset = read_uvarint(data, offset)
-    kwargs: Dict[str, Any] = {
-        "sender": sender,
-        "register_id": register_id,
-        "epoch": epoch,
-    }
-    if cls is Batch:
-        count, offset = read_uvarint(data, offset)
-        inner = []
-        for _ in range(count):
-            message, offset = _read_message(data, offset)
-            inner.append(message)
-        kwargs["messages"] = tuple(inner)
-        return Batch(**kwargs), offset
-    for name in _EXTRA_FIELDS[cls]:
-        value, offset = read_value(data, offset)
-        kwargs[name] = value
-    return cls(**kwargs), offset
+    return _reader_for(tag)(data, offset)
 
 
 def encode_message(message: Message) -> bytes:

@@ -129,11 +129,26 @@ class TestMessageRoundtrip:
         assert len(set(MESSAGE_TAGS.values())) == len(MESSAGE_TAGS)
 
     def test_batch_recursive_framing(self):
+        # Each inner message is a complete frame of its own, header and all,
+        # so a gateway can re-split a batch without knowing the inner types.
+        inner = (Read(sender="w", register_id="k1", read_ts=1), WriteAck(sender="w", ts=2))
+        batch = Batch(sender="w", messages=inner)
+        frame = encode_message(batch)
+        assert frame.endswith(b"".join(encode_message(message) for message in inner))
+        assert decode_message(frame) == batch
+
+    def test_batch_inside_a_batch_is_refused_at_decode(self):
+        # The envelope is flat (make_envelope never nests); a decoder that
+        # followed nesting would let 3000 hostile headers overflow the stack.
         inner = Read(sender="w", register_id="k1", read_ts=1)
         nested = Batch(sender="w", messages=(Batch(sender="w", messages=(inner,)),))
-        decoded = decode_message(encode_message(nested))
-        assert decoded == nested
-        assert decoded.messages[0].messages[0] == inner
+        with pytest.raises(WireDecodeError, match="flat"):
+            decode_message(encode_message(nested))
+        frame = encode_message(inner)
+        for _ in range(3000):
+            frame = encode_message(Batch(sender="w"))[:-1] + b"\x01" + frame
+        with pytest.raises(WireDecodeError, match="flat"):
+            decode_message(frame)
 
     def test_frame_starts_with_magic_and_version(self):
         frame = encode_message(Read(sender="r1"))
