@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the paper-claim tables (the content of EXPERIMENTS.md).
+"""Regenerate the experiment tables (what ``lucky-storage run-experiment`` prints).
 
-Runs every experiment E1-E10 plus the ablations and prints the result tables.
-Pass experiment ids to run a subset, ``--markdown`` for markdown output.
+Runs every experiment E1-E10, the ablations A1-A2 and the store sweeps S1-S8
+and prints the result tables.  Pass experiment ids to run a subset,
+``--markdown`` for markdown output.
 
 Usage::
 
-    python examples/paper_experiments.py            # everything (~1 minute)
+    python examples/paper_experiments.py            # everything (~2 seconds)
     python examples/paper_experiments.py E1 E4      # a subset
     python examples/paper_experiments.py --markdown # markdown tables
 """

@@ -1,4 +1,4 @@
-"""Benchmark harness: experiments E1-E11 and ablations reproducing the paper's claims."""
+"""Benchmark harness: experiments E1-E10, ablations A1-A2 and the store sweeps S1-S8."""
 
 from .adversary import ForgeQueryReplyStrategy, NaiveFastProtocol
 from .experiments import ALL_EXPERIMENTS, run_all_experiments, run_experiment

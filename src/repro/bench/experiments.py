@@ -1,9 +1,11 @@
-"""Experiment definitions E1-E11 and ablations A1-A2 (see DESIGN.md).
+"""Experiment definitions E1-E10 and ablations A1-A2, and the registry.
 
 Each function builds the relevant clusters, runs the workload, checks the
 consistency condition, and returns an :class:`ExperimentTable` whose rows are
-what EXPERIMENTS.md reports.  The functions are deliberately deterministic
-(fixed seeds, fixed delay models) so the tables are reproducible run to run.
+what ``lucky-storage run-experiment`` prints.  The functions are deliberately
+deterministic (fixed seeds, fixed delay models) so the tables are reproducible
+run to run.  :data:`ALL_EXPERIMENTS` lists them together with the store sweeps
+of :mod:`repro.bench.sweeps`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ..verify.regularity import check_regularity
 from ..workload.generator import contended_workload, lucky_workload, run_workload
 from .adversary import ForgeQueryReplyStrategy, NaiveFastProtocol
 from .harness import ExperimentTable, build_cluster, lucky_write_read_cycle, summarize
+from .sweeps import STORE_SWEEPS
 
 #: Appended to every table that reports a latency (E1, E2, E5, E10, A2).
 PAPER_FAITHFUL_NOTE = (
@@ -801,6 +804,7 @@ ALL_EXPERIMENTS = {
     "E10": experiment_baseline_comparison,
     "A1": experiment_ablation_predicates,
     "A2": experiment_scalability,
+    **STORE_SWEEPS,
 }
 
 

@@ -1,9 +1,9 @@
 """Benchmark harness: experiment tables and common measurement helpers.
 
-Every experiment in :mod:`repro.bench.experiments` returns an
-:class:`ExperimentTable` — a list of row dictionaries plus formatting metadata.
-The ``benchmarks/`` pytest-benchmark targets and the CLI both consume these
-tables; ``EXPERIMENTS.md`` is written from their output.
+Every experiment in :mod:`repro.bench.experiments` and every store sweep in
+:mod:`repro.bench.sweeps` returns an :class:`ExperimentTable` — a list of row
+dictionaries plus formatting metadata — which ``lucky-storage run-experiment``
+prints and ``tests/integration/test_experiments.py`` asserts the shape of.
 """
 
 from __future__ import annotations
@@ -66,16 +66,6 @@ class ExperimentTable:
             return f"{value:.3f}"
         return str(value)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serialisable dump (CI publishes these as BENCH artifacts)."""
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "columns": list(self.columns),
-            "rows": [dict(row) for row in self.rows],
-            "notes": list(self.notes),
-        }
-
     def to_markdown(self) -> str:
         """Render the table as GitHub-flavoured markdown."""
         lines = [f"### {self.experiment_id}: {self.title}", ""]
@@ -105,10 +95,25 @@ class OperationStats:
     mean_rounds: float
     max_rounds: int
     mean_latency: float
+    #: Virtual time from the first invocation to the last completion.
+    span: float = 0.0
+    #: Operations served under a lease (zero-round reads, one-round writes).
+    lease_count: int = 0
 
     @property
     def fast_fraction(self) -> float:
         return self.fast_count / self.count if self.count else 0.0
+
+    @property
+    def lease_fraction(self) -> float:
+        return self.lease_count / self.count if self.count else 0.0
+
+    @property
+    def throughput(self) -> float:
+        """Completed operations per unit of virtual time over :attr:`span`."""
+        if not self.count:
+            return 0.0
+        return self.count / self.span if self.span > 0 else float("inf")
 
 
 def summarize(handles: Sequence[OperationHandle]) -> OperationStats:
@@ -124,6 +129,9 @@ def summarize(handles: Sequence[OperationHandle]) -> OperationStats:
         mean_rounds=statistics.fmean(rounds),
         max_rounds=max(rounds),
         mean_latency=statistics.fmean(latencies),
+        span=max(handle.completed_at for handle in completed)
+        - min(handle.invoked_at for handle in completed),
+        lease_count=sum(1 for handle in completed if handle.result.metadata.get("lease")),
     )
 
 

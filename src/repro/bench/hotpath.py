@@ -5,9 +5,10 @@ deterministic workload measured in single-thread operations per second:
 
 * ``sim_event_loop`` — full write/read cycles through :class:`SimCluster`,
   reported as simulator events dispatched per second.
-* ``codec_encode`` / ``codec_decode`` — the binary wire codec over the S6
-  representative frames (minimal read, populated prewrite, read ack, 8-ack
-  batch, the 11-message mixed batch of a saturated server).
+* ``codec_encode`` / ``codec_decode`` — the binary wire codec over the
+  representative frames of :mod:`repro.wire.bench` (minimal read, populated
+  prewrite, read ack, 8-ack batch, the 11-message mixed batch of a saturated
+  server).
 * ``automaton_dispatch`` — a server automaton absorbing read queries, the
   per-message protocol step with no I/O around it.
 * ``timer_wheel`` — the event queue's timer arm/cancel/pop churn, the
@@ -16,7 +17,7 @@ deterministic workload measured in single-thread operations per second:
   (``fsync`` off: the framing + buffered-write cost, not the disk).
 
 The workloads are fixed; only the wall clock varies between runs.  Results
-are emitted as ``BENCH_hotpath.json``::
+are emitted (``--json-out``) as a ``hotpath/1`` document::
 
     {"schema": "hotpath/1",
      "parameters": {"min_seconds": ...},
@@ -34,11 +35,8 @@ Run directly: ``python -m repro.bench.hotpath [--json-out ...] [--check ...]``.
 
 from __future__ import annotations
 
-import cProfile
-import io
 import json
 import os
-import pstats
 import tempfile
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -59,7 +57,6 @@ __all__ = [
     "run_hotpath_bench",
     "check_against_baseline",
     "format_results",
-    "profile_callable",
     "main",
 ]
 
@@ -191,7 +188,7 @@ def bench_wal_append(min_seconds: float) -> Dict[str, Any]:
 
 
 #: Component name -> workload.  Names are the stable keys of
-#: ``BENCH_hotpath.json`` and of the checked-in baseline.
+#: the ``hotpath/1`` document and of the checked-in baseline.
 COMPONENTS: Dict[str, Callable[[float], Dict[str, Any]]] = {
     "sim_event_loop": bench_sim_event_loop,
     "codec_encode": bench_codec_encode,
@@ -270,22 +267,6 @@ def format_results(document: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def profile_callable(
-    fn: Callable[[], Any], top: int = 25, sort: str = "cumulative"
-) -> str:
-    """Run *fn* under cProfile; returns the top-N report (by cumulative cost)."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        fn()
-    finally:
-        profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats(sort).print_stats(top)
-    return buffer.getvalue()
-
-
 # --------------------------------------------------------------------------- #
 # Entry point (also reachable as ``lucky-storage hotpath``)
 # --------------------------------------------------------------------------- #
@@ -315,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--json-out",
         metavar="PATH",
         default=None,
-        help="write the hotpath/1 JSON document (BENCH_hotpath.json in CI)",
+        help="write the hotpath/1 JSON document (how the baseline is regenerated)",
     )
     parser.add_argument(
         "--check",

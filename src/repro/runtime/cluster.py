@@ -244,7 +244,7 @@ class AsyncCluster:
     ) -> Any:
         """Run an async *scenario* against a fresh cluster and return its result.
 
-        Convenience for tests, examples and pytest-benchmark callables that
+        Convenience for tests, examples and benchmark callables that
         prefer a synchronous entry point.  ``use_uvloop=True`` runs the
         scenario on a uvloop event loop (raising if uvloop is missing) — the
         opt-in fast path for wall-clock benchmarks.

@@ -12,8 +12,6 @@ readers — over one shared server fleet and transport:
   keyspace, dynamic keys, per-key histories and their atomicity verdicts;
 * :mod:`repro.store.sim` — :class:`ShardedSimStore`, the façade plus blocking
   ``write(key, value)`` / ``read(key)`` in virtual time;
-* :mod:`repro.store.bench` — the shard-count throughput sweep behind
-  ``benchmarks/bench_sharded_store.py`` and the ``store-bench`` CLI command;
 * :class:`repro.runtime.cluster.ShardedAsyncCluster` is the same façade plus
   awaitable verbs (re-exported here lazily to keep the import graph acyclic).
 
@@ -24,13 +22,6 @@ protocol logic, so all proofs carry over per key.
 
 from __future__ import annotations
 
-from .bench import (
-    batching_sweep,
-    mwmr_sweep,
-    sharded_throughput_sweep,
-    swmr_fast_path_probe,
-    zipf_store_scenario,
-)
 from .sharding import RegisterSpec, ShardedClient, ShardedProtocol, ShardedServer
 from .sim import ShardedSimStore
 from .surface import StoreSurface
@@ -43,12 +34,7 @@ __all__ = [
     "ShardedSimStore",
     "StoreSurface",
     "ShardedAsyncCluster",
-    "batching_sweep",
-    "mwmr_sweep",
     "sharded_tcp_cluster",
-    "sharded_throughput_sweep",
-    "swmr_fast_path_probe",
-    "zipf_store_scenario",
 ]
 
 

@@ -1,16 +1,13 @@
-"""Codec micro-benchmark: encode/decode rate and bytes per frame.
+"""Representative frames and the timing loop for codec measurements.
 
-The S6 experiment measures the wire codec in isolation — no simulator, no
-event loop — on representative frames: a minimal ``Read``, a fully populated
-``PreWrite`` (nested pairs and freeze directives), a ``ReadAck`` (three pairs
-and a frozen entry: the costliest message of a lucky operation), an 8-ack
-batch, and the frame of a saturated server in ``benchmarks/e2e`` (11 messages,
-``ReadAck`` and ``PreWriteAck`` mixed).  For each payload and each codec it
-reports encoded size and single-thread encode/decode operations per second,
-so a codec regression shows up as a number, not a feeling.
-
-Used by ``store-bench --codec-bench`` (lands in ``BENCH_pr.json`` as S6) and
-by ``benchmarks/bench_codec.py`` (the pytest-benchmark twin).
+The frames worth timing in isolation — no simulator, no event loop: a minimal
+``Read``, a fully populated ``PreWrite`` (nested pairs and freeze directives),
+a ``ReadAck`` (three pairs and a frozen entry: the costliest message of a
+lucky operation), an 8-ack batch, and the frame of a saturated server in
+``benchmarks/e2e`` (11 messages, ``ReadAck`` and ``PreWriteAck`` mixed).
+``lucky-storage hotpath`` times them as its ``codec_encode`` / ``codec_decode``
+components; the end-to-end ledger prices the codec in situ as
+``wire.encode_us_per_frame`` / ``wire.decode_us_per_frame``.
 """
 
 from __future__ import annotations
@@ -18,10 +15,8 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Tuple
 
-from ..bench.harness import ExperimentTable
 from ..core.messages import Batch, Message, PreWrite, PreWriteAck, Read, ReadAck, WriteAck
 from ..core.types import FreezeDirective, FrozenEntry, TimestampValue
-from .codec import Codec, get_codec
 
 
 def representative_payloads() -> List[Tuple[str, str, str, Message]]:
@@ -78,45 +73,3 @@ def ops_per_second(fn: Callable[[], object], min_seconds: float = 0.05) -> float
         if elapsed >= min_seconds:
             return repetitions / elapsed
         repetitions *= 4
-
-
-def codec_microbench(
-    codecs: Tuple[str, ...] = ("binary",), min_seconds: float = 0.05
-) -> ExperimentTable:
-    """S6: per-frame encoded size and encode/decode ops/sec per codec."""
-    table = ExperimentTable(
-        experiment_id="S6",
-        title="wire codec: encode/decode rate and bytes per frame",
-        columns=[
-            "payload",
-            "codec",
-            "bytes",
-            "encode_ops_per_s",
-            "decode_ops_per_s",
-        ],
-    )
-    for label, source, destination, message in representative_payloads():
-        for name in codecs:
-            codec: Codec = get_codec(name)
-            encoded = codec.encode_envelope(source, destination, message)
-            decoded = codec.decode_envelope(encoded)
-            if decoded != (source, destination, message):
-                raise AssertionError(f"{name} round-trip failed for {label}")
-            table.add_row(
-                payload=label,
-                codec=name,
-                bytes=len(encoded),
-                encode_ops_per_s=ops_per_second(
-                    lambda c=codec: c.encode_envelope(source, destination, message),
-                    min_seconds=min_seconds,
-                ),
-                decode_ops_per_s=ops_per_second(
-                    lambda c=codec, e=encoded: c.decode_envelope(e),
-                    min_seconds=min_seconds,
-                ),
-            )
-    table.add_note(
-        "single-thread, in-process; every measured frame round-tripped "
-        "(decode(encode(m)) == m) before being timed"
-    )
-    return table

@@ -508,6 +508,49 @@ def churn_workload(
     )
 
 
+def dense_store_workload(
+    num_operations: int,
+    keys: Sequence[str],
+    readers: Sequence[str],
+    gap: float = 0.05,
+    start: float = 0.0,
+) -> Workload:
+    """A saturating workload: operations arrive far faster than they complete.
+
+    Operations round-robin over *keys* and alternate write/read (reads
+    round-robin over *readers*), so the only thing limiting completion rate is
+    how many operations the clients can keep in flight — exactly what the
+    shard count controls.
+    """
+    values = {key: value_sequence(prefix=f"{key}:v") for key in keys}
+    operations: List[ScheduledOperation] = []
+    ops_on_key = {key: 0 for key in keys}
+    num_reads = 0
+    for index in range(num_operations):
+        at = start + index * gap
+        key = keys[index % len(keys)]
+        # Alternate write/read *per key* (a global alternation would alias with
+        # the key round-robin for even key counts, starving half the keys of
+        # writes and flattening the scaling curve).
+        if ops_on_key[key] % 2 == 0:
+            operations.append(
+                ScheduledOperation(
+                    at=at, kind="write", client_id="w", value=next(values[key]), key=key
+                )
+            )
+        else:
+            reader = readers[num_reads % len(readers)]
+            num_reads += 1
+            operations.append(
+                ScheduledOperation(at=at, kind="read", client_id=reader, key=key)
+            )
+        ops_on_key[key] += 1
+    return Workload(
+        operations,
+        description=f"dense x{num_operations} over {len(keys)} keys (gap={gap})",
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------------- #

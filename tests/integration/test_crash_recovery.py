@@ -9,13 +9,13 @@ atomic throughout.
 
 import pytest
 
+from repro.bench.sweeps import dense_run, recovery_sweep, run
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.persist.durable import storage_registers
 from repro.sim.cluster import SimCluster
 from repro.sim.failures import CrashRecoverySchedule, FailureSchedule
 from repro.sim.latency import FixedDelay
-from repro.store.bench import recovery_sweep, run_recovery_throughput
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import keyspace_workload, run_store_workload
@@ -283,15 +283,15 @@ class TestRecoverySweep:
             for phase in ("healthy", "outage", "recovered")
         )
         assert total_ops == 72
-        assert table.to_dict()["experiment_id"] == "S4"
+        assert table.experiment_id == "S4"
+        # No cell of the table reads a wall clock.
+        assert "wall_ms" not in table.columns
 
-    def test_run_recovery_throughput_verifies_histories(self):
-        store, wall_seconds = run_recovery_throughput(
-            num_shards=2, num_operations=24, t=1, durable=True
-        )
-        assert wall_seconds > 0
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_dense_run_verifies_histories_and_logs_iff_durable(self, durable):
+        store = run(dense_run(2, num_operations=24, t=1, durable=durable))
         assert len(store.completed_operations()) == 24
-        assert store.wal_records > 0
+        assert (store.wal_records > 0) == durable
 
 
 class TestRecoveryGuards:

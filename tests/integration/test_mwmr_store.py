@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.sweeps import contended_run, mixed_store_run, mwmr_sweep, run
 from repro.core.automaton import Effects
 from repro.core.config import SystemConfig
 from repro.core.messages import TimestampQuery, TimestampQueryAck
@@ -22,7 +23,6 @@ from repro.core.types import TimestampValue, is_bottom
 from repro.runtime.cluster import ShardedAsyncCluster
 from repro.sim.byzantine import ByzantineStrategy, ForgeHighTimestampStrategy
 from repro.sim.latency import FixedDelay, UniformDelay
-from repro.store.bench import mwmr_sweep, run_mwmr_throughput, swmr_fast_path_probe
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 from repro.verify.linearizability import cross_validate, cross_validate_registers
@@ -320,8 +320,8 @@ class TestAsyncioRuntime:
 
 class TestBench:
     def test_mwmr_throughput_run_verifies_and_reports(self):
-        store, throughput = run_mwmr_throughput(2, num_operations=24)
-        assert throughput > 0
+        store = run(contended_run(2, num_operations=24))
+        assert store.throughput() > 0
         assert store.mwmr_keys == ["k1", "k2"]
 
     def test_mwmr_sweep_scales_with_shards(self):
@@ -330,7 +330,10 @@ class TestBench:
         assert len(throughputs) == 2
         assert throughputs[1] > throughputs[0]
 
-    def test_swmr_fast_path_probe(self):
-        probe = swmr_fast_path_probe()
-        assert probe["swmr_rounds"] == 1 and probe["swmr_fast"]
-        assert probe["mwmr_rounds"] == 2
+    def test_swmr_fast_path_unchanged_on_a_mixed_store(self):
+        store = run(mixed_store_run())
+        assert store.mwmr_keys == ["k2"]
+        swmr_write, mwmr_write = store.completed_operations()
+        assert swmr_write.rounds == 1 and swmr_write.fast
+        assert mwmr_write.rounds == 2
+        assert "rounds=1 fast=True" in mwmr_sweep(shard_counts=(1,), num_operations=8).notes[-1]

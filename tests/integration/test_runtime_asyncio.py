@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.baselines.abd import ABDProtocol
+from repro.baselines.slow_robust import SlowRobustProtocol
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import AsyncCluster, tcp_cluster
@@ -171,6 +172,31 @@ class TestInMemoryRuntime:
 
         read = AsyncCluster.run_scenario(suite, scenario)
         assert read.value == "value" and read.rounds == 2
+
+    def test_slow_robust_baseline_pays_its_rounds_in_wall_clock(self):
+        delay_s = 0.005  # one-way, so a round trip is 10 ms
+
+        def cycle(suite):
+            async def scenario(cluster):
+                write = await cluster.write("payload")
+                read = await cluster.read("r1")
+                return write, read
+
+            return AsyncCluster.run_scenario(
+                suite, scenario, message_delay_s=delay_s, time_scale=delay_s
+            )
+
+        lucky_write, lucky_read = cycle(
+            LuckyAtomicProtocol(SystemConfig(t=2, b=1, fw=1, fr=0, num_readers=1))
+        )
+        slow_write, slow_read = cycle(
+            SlowRobustProtocol(SystemConfig(t=2, b=1, num_readers=1, enforce_tradeoff=False))
+        )
+        assert lucky_write.rounds == 1 and lucky_read.rounds == 1
+        assert slow_write.rounds == 3 and slow_read.rounds == 4
+        # Only the ordering is asserted: exact ratios depend on scheduling noise.
+        assert lucky_write.metadata["latency_s"] < slow_write.metadata["latency_s"]
+        assert lucky_read.metadata["latency_s"] < slow_read.metadata["latency_s"]
 
 
 class TestTcpRuntime:

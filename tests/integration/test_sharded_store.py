@@ -11,12 +11,12 @@ import asyncio
 
 import pytest
 
+from repro.bench.sweeps import dense_run, run, zipf_run
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
 from repro.sim.byzantine import StaleReplayStrategy
 from repro.sim.latency import FixedDelay
-from repro.store.bench import run_store_throughput, zipf_store_scenario
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import keyspace_workload, run_store_workload
@@ -24,7 +24,7 @@ from repro.workload.generator import keyspace_workload, run_store_workload
 
 class TestSimStoreWorkloads:
     def test_zipf_keyspace_histories_are_atomic_per_key(self):
-        store = zipf_store_scenario(num_operations=150, num_keys=6, seed=1)
+        store = run(zipf_run(num_operations=150, num_keys=6, seed=1))
         results = store.check_atomicity()
         assert set(results) == {f"k{i}" for i in range(1, 7)}
         assert all(result.ok for result in results.values())
@@ -33,7 +33,7 @@ class TestSimStoreWorkloads:
         assert sizes["k1"] == max(sizes.values())
 
     def test_zipf_keyspace_atomic_with_byzantine_server(self):
-        store = zipf_store_scenario(num_operations=150, num_keys=6, byzantine=True)
+        store = run(zipf_run(num_operations=150, num_keys=6, byzantine=True))
         assert store.verify_atomic()
         # The attack really ran: no read returned the forged value.
         for history in store.histories().values():
@@ -84,17 +84,16 @@ class TestSimStoreWorkloads:
     def test_throughput_scales_from_one_to_eight_shards(self):
         throughputs = []
         for shards in (1, 2, 4, 8):
-            _store, throughput = run_store_throughput(shards, num_operations=48)
-            throughputs.append(throughput)
+            store = run(dense_run(shards, num_operations=48))
+            assert len(store.completed_operations()) == 48
+            throughputs.append(store.throughput())
         assert all(b > a for a, b in zip(throughputs, throughputs[1:], strict=False))
 
     def test_batched_mode_beats_unbatched_under_frame_overhead(self):
         results = {}
         for batching in (False, True):
-            _store, throughput = run_store_throughput(
-                8, num_operations=48, batching=batching, frame_overhead=0.1
-            )
-            results[batching] = throughput
+            store = run(dense_run(8, num_operations=48, batching=batching, frame_overhead=0.1))
+            results[batching] = store.throughput()
         assert results[True] > results[False]
 
 
@@ -104,9 +103,7 @@ class TestBatchingUnderByzantineServers:
         honest co-batched replies; the receiving router dispatches strictly by
         ``register_id``, so the forgery stays confined to the register it
         targets and every per-key history remains atomic."""
-        store = zipf_store_scenario(
-            num_operations=150, num_keys=6, byzantine=True, batching=True
-        )
+        store = run(zipf_run(num_operations=150, num_keys=6, byzantine=True))
         assert store.batching
         # Batching actually engaged: fewer frames than protocol messages.
         assert store.frames_sent < store.messages_sent

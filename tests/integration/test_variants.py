@@ -119,9 +119,15 @@ class TestRegularVariant:
         assert not handle.fast
         assert handle.rounds == 2
 
-    def test_malicious_reader_cannot_poison_the_store(self):
+    @pytest.mark.parametrize("failures", [0, 2])
+    def test_malicious_reader_cannot_poison_the_store(self, failures):
         suite = RegularStorageProtocol.for_parameters(t=2, b=1)
-        cluster = build(suite)
+        cluster = build(
+            suite,
+            failures=FailureSchedule.crash_servers_at_start(
+                failures, list(reversed(suite.config.server_ids()))
+            ),
+        )
         cluster.write("genuine")
         cluster.run_for(5.0)
         attacker = MaliciousWritebackReader("r-mal", suite.config)
@@ -129,6 +135,7 @@ class TestRegularVariant:
         cluster.run_for(5.0)
         read = cluster.read("r1")
         assert read.value == "genuine"
+        assert read.fast  # fr = t in the regular variant
         assert check_regularity(cluster.history()).ok
 
     def test_atomic_store_is_vulnerable_to_malicious_reader(self):

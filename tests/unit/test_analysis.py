@@ -205,11 +205,10 @@ class TestSuppressions:
         assert not report.ok  # no suppression present -> still fires
 
     def test_in_tree_suppression_is_exercised(self):
-        # store/bench.py carries the one shipped suppression (wall-clock
-        # benchmark harness); the clean-tree check below depends on it.
-        report = run_analysis(
-            [os.path.join(SRC, "repro", "store", "bench.py")], select=["RP04"]
-        )
+        # core/writer.py carries the one shipped suppression (a completion in
+        # the MWMR query phase, before any PW timer is armed); the clean-tree
+        # check below depends on it.
+        report = run_analysis([os.path.join(SRC, "repro", "core", "writer.py")], select=["RP09"])
         assert report.ok
         assert report.suppressed_count == 1
 

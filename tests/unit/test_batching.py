@@ -14,10 +14,10 @@ from repro.core.messages import Batch, PreWrite, Read, iter_unbatched, make_enve
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import DROP, SimCluster, SimulationError
 from repro.sim.latency import FixedDelay
-from repro.store.bench import dense_store_workload
 from repro.store.sharding import ShardedClient, ShardedProtocol
 from repro.store.sim import ShardedSimStore
 from repro.workload.generator import (
+    dense_store_workload,
     keyspace_workload,
     run_store_workload,
     workload_event_budget,

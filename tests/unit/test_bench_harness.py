@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bench.harness import ExperimentTable, build_cluster, lucky_write_read_cycle, summarize
-from repro.cli import main
+from repro.bench.sweeps import topology_sweep
+from repro.cli import _build_parser, main
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.byzantine import MuteStrategy
@@ -42,6 +43,7 @@ class TestSummarize:
     def test_empty_stats(self):
         stats = summarize([])
         assert stats.count == 0 and stats.fast_fraction == 0.0
+        assert stats.throughput == 0.0 and stats.lease_fraction == 0.0
 
     def test_statistics_over_handles(self):
         config = SystemConfig(t=1, b=0, fw=1, fr=0)
@@ -52,6 +54,9 @@ class TestSummarize:
         assert stats.fast_fraction == 1.0
         assert stats.mean_rounds == 1.0
         assert stats.max_rounds == 1
+        # Two back-to-back lucky writes of one round trip (2 time units) each.
+        assert stats.span == 4.0 and stats.throughput == 0.5
+        assert stats.lease_fraction == 0.0
 
 
 class TestBuildCluster:
@@ -92,27 +97,39 @@ class TestCli:
         output = capsys.readouterr().out
         assert "E1" in output
 
+    def test_run_experiment_runs_a_store_sweep(self, capsys):
+        assert main(["run-experiment", "S2"]) == 0
+        assert "== S2: sharded store: batched vs unbatched" in capsys.readouterr().out
+
+    def test_run_experiment_is_the_only_benchmark_table_command(self):
+        subcommands = _build_parser()._subparsers._group_actions[0].choices  # noqa: SLF001
+        assert set(subcommands) == {"explain", "run-experiment", "demo", "hotpath", "analyze"}
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run-experiment", "E99"])
 
 
+def _s8_row(profile, scenario, num_operations):
+    table = topology_sweep(
+        profiles=(profile,), scenarios=(scenario,), num_operations=num_operations, churn=False
+    )
+    (row,) = table.rows
+    return row
+
+
 class TestTopologySweep:
-    """Small S8 smoke runs — the full-size sweep is the CI benchmark job."""
+    """Small S8 smoke runs — the frozen size is ``run-experiment S8``."""
 
     def test_lan_healthy_is_all_fast(self):
-        from repro.store.bench import run_topology_scenario
-
-        row = run_topology_scenario("lan", "healthy", num_operations=12)
+        row = _s8_row("lan", "healthy", num_operations=12)
         assert row["completed"] == row["operations"] == 12
         assert float(row["fast_rate"]) >= 0.9
         assert row["drops"] == 0
         assert row["atomic"] == "yes"
 
     def test_wan_partition_degrades_without_collapsing(self):
-        from repro.store.bench import run_topology_scenario
-
-        row = run_topology_scenario("wan-3dc", "partition", num_operations=16)
+        row = _s8_row("wan-3dc", "partition", num_operations=16)
         # Every operation still completes through the round quorum and the
         # history stays atomic; the severed zone only costs the fast path.
         assert row["completed"] == row["operations"] == 16
@@ -121,8 +138,6 @@ class TestTopologySweep:
         assert row["atomic"] == "yes"
 
     def test_sweep_table_shape_and_churn_rows(self):
-        from repro.store.bench import topology_sweep
-
         table = topology_sweep(
             profiles=("lan",),
             scenarios=("healthy", "gray"),
@@ -134,7 +149,7 @@ class TestTopologySweep:
         assert table.experiment_id == "S8"
         scenarios = [row["scenario"] for row in table.rows]
         assert scenarios[:2] == ["healthy", "gray"]
-        # --churn appends one sim row and one asyncio-runtime row.
+        # Churn appends one sim row and one asyncio-runtime row.
         assert len(scenarios) == 4
         assert all(label.startswith("churn") for label in scenarios[2:])
         assert all(row["atomic"] == "yes" for row in table.rows)

@@ -8,11 +8,12 @@ Three kinds of drift this suite pins down:
 * **Generated pages** — ``docs/analysis.md`` is generated from the rule
   registry by ``lucky-storage analyze --doc``; the committed file must
   match a fresh render byte-for-byte.  Hand-written pages that name the
-  rule range (``RP01–RP09``) must name the registry's first and last rule.
+  rule range (``RP01–RP09``) must name the registry's first and last rule,
+  and every experiment id a page names (``E3``, ``S1–S8``) must be a key of
+  the experiment registry, each of which ``docs/benchmarks.md`` must list.
 * **CLI help text** — every ``--flag`` token a subcommand's help text
   mentions must actually be registered on that subcommand (catching
-  ``--recovery-t`` vs ``--recovery_t`` style drift), and every
-  ``store-bench`` flag must be documented in ``docs/benchmarks.md``.
+  ``--min-seconds`` vs ``--min_seconds`` style drift).
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.bench
 from repro.analysis import all_rules
 from repro.analysis.reporters import render_rules_doc
+from repro.bench import experiments, harness, sweeps
+from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.cli import _build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -32,6 +36,9 @@ DOC_PAGES = sorted([REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")]
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 _RULE_RANGE = re.compile(r"\bRP\d+\s*[-–]\s*RP\d+\b")
+_EXPERIMENT_ID = re.compile(r"\b[EAS]\d+\b")
+#: The codec micro-benchmark: named once, as retired, in docs/benchmarks.md.
+_RETIRED_EXPERIMENT = "S6"
 
 
 def _github_slug(heading: str) -> str:
@@ -89,6 +96,28 @@ def test_rule_ranges_match_the_registry(page: Path) -> None:
     assert not stale, f"{page.name} names rule range(s) {stale}, registry has {expected}"
 
 
+def _experiment_ids_named() -> dict:
+    """Source name → the experiment ids (range endpoints included) it names."""
+    texts = {page.name: page.read_text(encoding="utf-8") for page in DOC_PAGES}
+    for module in (repro.bench, experiments, harness, sweeps):
+        texts[module.__name__] = module.__doc__ or ""
+    return {name: _EXPERIMENT_ID.findall(text) for name, text in texts.items()}
+
+
+def test_experiment_ids_match_the_registry() -> None:
+    named = _experiment_ids_named()
+    unknown = {
+        name: sorted(set(ids) - set(ALL_EXPERIMENTS) - {_RETIRED_EXPERIMENT})
+        for name, ids in named.items()
+    }
+    assert not any(unknown.values()), f"ids that are not registry keys: {unknown}"
+    listed = named["benchmarks.md"]
+    missing = sorted(set(ALL_EXPERIMENTS) - set(listed))
+    assert not missing, f"registry ids absent from docs/benchmarks.md: {missing}"
+    retired = {page.name: named[page.name].count(_RETIRED_EXPERIMENT) for page in DOC_PAGES}
+    assert {name: count for name, count in retired.items() if count} == {"benchmarks.md": 1}
+
+
 def _subparsers():
     parser = _build_parser()
     actions = [
@@ -111,15 +140,3 @@ def test_help_text_references_registered_flags() -> None:
                 if flag not in registered:
                     drifted.append(f"{name}: help mentions unregistered {flag}")
     assert not drifted, drifted
-
-
-def test_every_store_bench_flag_documented() -> None:
-    benchmarks_doc = (REPO_ROOT / "docs" / "benchmarks.md").read_text(encoding="utf-8")
-    sub = _subparsers()["store-bench"]
-    missing = [
-        opt
-        for action in sub._actions
-        for opt in action.option_strings
-        if opt.startswith("--") and opt != "--help" and f"`{opt}" not in benchmarks_doc
-    ]
-    assert not missing, f"store-bench flags absent from docs/benchmarks.md: {missing}"

@@ -9,12 +9,12 @@ fixture — the owned-writers workload generator, and the S7 sweep.
 
 import pytest
 
+from repro.bench.sweeps import writer_lease_sweep
 from repro.core.config import SystemConfig
 from repro.core.messages import WriteAck
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.failures import CrashRecoverySchedule
 from repro.sim.latency import AsynchronousWindows, FixedDelay
-from repro.store.bench import writer_lease_sweep
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import ConditionalOpChecker, check_atomicity
@@ -345,11 +345,9 @@ class TestOwnedWritersWorkload:
 
 class TestWriterLeaseSweep:
     def test_s7_sweep_smoke(self):
-        table = writer_lease_sweep(
-            num_keys=2, num_operations=40, lease_duration=400.0
-        )
+        table = writer_lease_sweep(num_keys=2, num_operations=40)
         assert table.experiment_id == "S7"
-        rows = table.to_dict()["rows"]
+        rows = table.rows
         scenarios = [row["scenario"] for row in rows]
         assert scenarios == ["swmr-1-round", "no-wlease", "wlease"]
         by_name = dict(zip(scenarios, rows))
