@@ -90,7 +90,7 @@ def scene_three_malicious_reader() -> None:
     attacker = MaliciousWritebackReader(
         "r-mal", atomic_config, forged_pair=TimestampValue(10**6, "POISON")
     )
-    atomic_cluster._apply_effects("r-mal", attacker.read())
+    atomic_cluster.inject("r-mal", attacker.read())
     atomic_cluster.run_for(5.0)
     read = atomic_cluster.read("r1")
     print(
@@ -102,7 +102,7 @@ def scene_three_malicious_reader() -> None:
     regular_cluster = SimCluster(regular_suite, delay_model=FixedDelay(1.0))
     regular_cluster.write("genuine")
     attacker = MaliciousWritebackReader("r-mal", regular_suite.config)
-    regular_cluster._apply_effects("r-mal", attacker.read())
+    regular_cluster.inject("r-mal", attacker.read())
     regular_cluster.run_for(5.0)
     read = regular_cluster.read("r1")
     print(

@@ -530,7 +530,7 @@ def experiment_regular_variant(t: int = 2, b: int = 1) -> ExperimentTable:
         if poison:
             attacker = MaliciousWritebackReader("r-mal", cluster.config)
             effects = attacker.read()
-            cluster._apply_effects("r-mal", effects)  # inject forged write-backs
+            cluster.inject("r-mal", effects)  # forged write-backs
             cluster.run_for(5.0)
         write = cluster.write("genuine-2")
         cluster.run_for(5.0)

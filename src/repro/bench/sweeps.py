@@ -798,7 +798,7 @@ def run_asyncio_churn(num_registers: int = 800, max_resident: int = 128) -> Dict
         counters["fast"] = fast
         counters["evictions"] = store.evictions
         counters["rehydrations"] = store.rehydrations
-        counters["operations"] = sum(len(node.records) for node in store.client_nodes.values())
+        counters["operations"] = sum(len(node.operations) for node in store.client_nodes.values())
 
     ShardedAsyncCluster.run_scenario(
         LuckyAtomicProtocol(SystemConfig.balanced(1, 0, num_readers=2)),

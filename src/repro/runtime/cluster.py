@@ -31,10 +31,11 @@ __all__ = [
 ]
 
 from ..core.automaton import OperationComplete
+from ..core.host import OperationHandle, ProcessHost
 from ..core.protocol import ProtocolSuite
 from ..store.sharding import ShardedProtocol, StrategyFactory
 from ..store.surface import StoreSurface
-from ..verify.history import History, OperationRecord
+from ..verify.history import History
 from ..wire import Codec
 from .node import AutomatonNode, ClientNode, ShardedClientNode
 from .transport import InMemoryTransport, TcpTransport, Transport, constant_delay
@@ -227,11 +228,12 @@ class AsyncCluster:
         return await self.client_nodes[reader_id].read()
 
     # ------------------------------------------------------------------ history
+    def _operations(self) -> Iterable[OperationHandle]:
+        return (op for node in self.client_nodes.values() for op in node.operations)
+
     def history(self) -> History:
-        records = []
-        for node in self.client_nodes.values():
-            records.extend(node.records)
-        return History(records)
+        """Every operation invoked so far; one still open has no completion."""
+        return History([operation.to_record() for operation in self._operations()])
 
     # ------------------------------------------------------------- sync helpers
     @classmethod
@@ -321,18 +323,10 @@ class ShardedAsyncCluster(StoreSurface, AsyncCluster):
         )
         super().__init__(suite, **kwargs)
 
-    # ------------------------------------------------------ the surface hooks
-    def _hosted_automata(self) -> Iterable[Any]:
+    # ------------- the surface hooks (with AsyncCluster._operations)
+    def _hosts(self) -> Iterable[ProcessHost]:
         nodes = (*self.server_nodes.values(), *self.client_nodes.values())
-        return [node.automaton for node in nodes]
-
-    def _operation_records(self) -> Iterable[OperationRecord]:
-        return (r for node in self.client_nodes.values() for r in node.records)
-
-    def _relabel_operations(self, key: str, archived: str) -> None:
-        for record in self._operation_records():
-            if record.metadata.get("register_id") == key:
-                record.metadata["register_id"] = archived
+        return [node.host for node in nodes]
 
     # ---------------------------------------------------------------- operations
     async def write(  # type: ignore[override]

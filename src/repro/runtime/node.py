@@ -1,10 +1,11 @@
 """Asyncio nodes hosting the sans-I/O automata.
 
-A node owns one automaton and a mailbox.  Incoming messages are processed
-strictly one at a time (preserving the atomic-step semantics of the model);
-outgoing effects are translated into transport sends, ``loop.call_later``
-timers and, for clients, resolution of the future associated with the pending
-operation.
+A node owns a mailbox and the :class:`~repro.core.host.ProcessHost` of one
+automaton — the fence, the frame step, the outbox and the operation slots are
+the host's, shared with the simulator.  Incoming frames are processed strictly
+one at a time (preserving the atomic-step semantics of the model); outgoing
+effects are translated into transport sends, ``loop.call_later`` timers and,
+for clients, resolution of the future awaiting the open operation.
 """
 
 from __future__ import annotations
@@ -12,23 +13,24 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
-from ..core.automaton import (
-    Automaton,
-    ClientAutomaton,
-    Effects,
-    OperationComplete,
-    invoke_operation,
-)
-from ..core.messages import Message, iter_unbatched, make_envelope
+from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
+from ..core.host import OperationHandle, ProcessHost
+from ..core.messages import Message
 from ..persist.durable import DurableServer, recover_server
 from ..persist.snapshot import FileSnapshot, SnapshotManager, write_file_atomically
 from ..persist.wal import WriteAheadLog
-from ..verify.history import OperationRecord
 from ..wire import Codec
 from .transport import Transport
+
+
+class NodeFailedError(RuntimeError):
+    """A client node's automaton raised (``__cause__``): the node is crash-stopped."""
+
+    def __init__(self, process_id: str, cause: Exception) -> None:
+        super().__init__(f"client {process_id} is stopped: its automaton raised {cause!r}")
+        self.__cause__ = cause
 
 
 def make_durable(
@@ -99,8 +101,8 @@ class AutomatonNode:
     per-destination outbox and flushed one event-loop tick later: everything
     the node emitted during the tick towards the same destination leaves as a
     single :class:`~repro.core.messages.Batch` — one frame on the transport.
-    Inbound batches are unwrapped here, so the automaton only ever sees
-    protocol messages.
+    Inbound batches are unwrapped by the host, so the automaton only ever
+    sees protocol messages.
     """
 
     def __init__(
@@ -117,16 +119,18 @@ class AutomatonNode:
         if durable:
             if wal_dir is None:
                 raise ValueError("a durable node needs a wal_dir for its WAL files")
-            automaton = make_durable(
-                automaton, wal_dir, compact_every=compact_every, codec=codec
-            )
+            automaton = make_durable(automaton, wal_dir, compact_every=compact_every, codec=codec)
+        self.host = ProcessHost(automaton)
         self.automaton = automaton
+        self.process_id = automaton.process_id
         self.transport = transport
         #: Conversion factor from automaton time units to wall-clock seconds
         #: (client timer delays are expressed in time units).
         self.time_scale = time_scale
         self.crashed = crashed
-        self.batching = bool(getattr(automaton, "batching", False))
+        #: What the automaton raised out of a step, if it ever did: the node is
+        #: then crash-stopped (a crash ``t`` covers), its state being unknown.
+        self.failure: Optional[Exception] = None
         self._mailbox: asyncio.Queue = asyncio.Queue()
         self._task: Optional[asyncio.Task] = None
         # Live loop timers keyed by timer id.  Fired and cancelled handles
@@ -135,17 +139,10 @@ class AutomatonNode:
         self._timer_handles: Dict[str, set] = {}
         #: Diagnostics: timers disarmed by an automaton before they fired.
         self.timers_cancelled: int = 0
-        # Monotone incarnation fencing: highest Message.epoch seen per sender.
-        self._peer_epochs: Dict[str, int] = {}
-        self._outbox: Dict[str, list] = {}
         self._flush_scheduled = False
         self._flush_lock = asyncio.Lock()
         self._flush_tasks: set = set()
         transport.register(self.process_id, self._on_transport_message)
-
-    @property
-    def process_id(self) -> str:
-        return self.automaton.process_id
 
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -161,7 +158,7 @@ class AutomatonNode:
         if self._flush_tasks:
             await asyncio.gather(*self._flush_tasks, return_exceptions=True)
         self._flush_tasks.clear()
-        self._outbox.clear()
+        self.host.drain()
         if self._task is not None:
             self._task.cancel()
             try:
@@ -180,66 +177,42 @@ class AutomatonNode:
     async def _on_transport_message(self, source: str, message: Message) -> None:
         await self._mailbox.put(("message", message))
 
-    def _on_timer_fired(self, timer_id: str) -> None:
-        self._mailbox.put_nowait(("timer", timer_id))
-
     async def _run(self) -> None:
         while True:
             kind, payload = await self._mailbox.get()
             if self.crashed:
                 continue
-            if kind == "message":
-                # One frame may carry a whole batch; the automaton processes
-                # each inner message as its own atomic step.  With batching on,
-                # applying effects never awaits (sends only fill the outbox),
-                # so every reply the batch provokes lands in the same flush —
-                # the batch boundary survives the hop.
-                messages = [m for m in iter_unbatched(payload) if self._admit(m)]
-                if (
-                    len(messages) > 1
-                    and self.batching
-                    and isinstance(self.automaton, DurableServer)
-                ):
-                    # One WAL append (= one fsync) for the whole batch; the
-                    # replies sit in the outbox until the next flush, so the
-                    # log is durable before they reach the transport.
-                    with self.automaton.append_batch():
-                        for message in messages:
-                            await self.apply_effects(
-                                self.automaton.handle_message(message)
-                            )
+            # The host steps each message of a frame as its own atomic step
+            # and returns once the frame's WAL append is durable.  With
+            # batching on, applying effects never awaits (sends only fill the
+            # outbox), so every reply the frame provokes lands in the same
+            # flush — the batch boundary survives the hop.
+            try:
+                if kind == "message":
+                    stepped = self.host.deliver(payload)
                 else:
-                    for message in messages:
-                        await self.apply_effects(self.automaton.handle_message(message))
+                    stepped = [(None, self.host.timer(payload))]
+            except Exception as exc:
+                self._fail(exc)
                 continue
-            effects = self.automaton.on_timer(payload)
-            await self.apply_effects(effects)
+            for _, effects in stepped:
+                if effects is not None:  # None: the host fenced the message
+                    await self.apply_effects(effects)
 
-    def _admit(self, message: Message) -> bool:
-        """Monotone incarnation fencing against recovered senders.
-
-        Once a message from incarnation ``n`` of a peer has been seen, any
-        straggler from an earlier incarnation is rejected: the pre-crash
-        incarnation may have acknowledged state its torn WAL tail lost, so a
-        pending operation must not count it into a quorum.  Dropping is
-        indistinguishable from a message lost to the crash — the sender's new
-        incarnation re-acknowledges under its own epoch.
-        """
-        last = self._peer_epochs.get(message.sender, 0)
-        if message.epoch < last:
-            return False
-        if message.epoch > last:
-            self._peer_epochs[message.sender] = message.epoch
-        return True
+    def _fail(self, cause: Exception) -> None:
+        """The automaton raised: crash-stop the node and keep the cause."""
+        self.crashed = True
+        self.failure = cause
 
     # ---------------------------------------------------------------- effects
     async def apply_effects(self, effects: Effects) -> None:
         if self.crashed:
             return
-        if self.batching:
+        if self.host.batching:
+            buffer = self.host.buffer
             for send in effects.sends:
-                self._outbox.setdefault(send.destination, []).append(send.message)
-            if self._outbox and not self._flush_scheduled:
+                buffer(send.destination, send.message)
+            if effects.sends and not self._flush_scheduled:
                 self._flush_scheduled = True
                 asyncio.get_running_loop().call_soon(self._start_flush)
         else:
@@ -262,7 +235,7 @@ class AutomatonNode:
                 handles.discard(handle)
                 if not handles:
                     self._timer_handles.pop(timer_id, None)
-            self._on_timer_fired(timer_id)
+            self._mailbox.put_nowait(("timer", timer_id))
 
         handle = loop.call_later(delay, _fire)
         self._timer_handles.setdefault(timer_id, set()).add(handle)
@@ -287,26 +260,14 @@ class AutomatonNode:
         # transport (e.g. TCP drain) while the next one is already scheduled.
         async with self._flush_lock:
             self._flush_scheduled = False
-            pending, self._outbox = self._outbox, {}
+            frames = self.host.drain()
             if self.crashed:
                 return
-            for destination, messages in pending.items():
-                await self.transport.send(
-                    self.process_id, destination, make_envelope(self.process_id, messages)
-                )
+            for destination, frame in frames:
+                await self.transport.send(self.process_id, destination, frame)
 
     def _handle_completion(self, completion: OperationComplete) -> None:
         """Server automata never complete operations; clients override this."""
-
-
-@dataclass
-class _PendingOperation:
-    """One outstanding operation of a :class:`ClientNode`."""
-
-    future: asyncio.Future
-    started: float
-    kind: str
-    value: Any
 
 
 class ClientNode(AutomatonNode):
@@ -325,11 +286,12 @@ class ClientNode(AutomatonNode):
         start_time: Optional[float] = None,
     ) -> None:
         super().__init__(automaton, transport, time_scale=time_scale)
-        self._pending: Dict[Optional[str], _PendingOperation] = {}
-        self.records: list[OperationRecord] = []
-        #: Origin (``time.monotonic()``) the records' timestamps are relative
-        #: to.  A cluster hands all its client nodes the same one: histories
-        #: merged across clients are only checkable on one clock.
+        self._futures: Dict[Optional[str], asyncio.Future] = {}
+        #: Every operation invoked on this node, open ones included.
+        self.operations: List[OperationHandle] = []
+        #: Origin (``time.monotonic()``) the operations' timestamps are
+        #: relative to.  A cluster hands all its client nodes the same one:
+        #: histories merged across clients are only checkable on one clock.
         self.start_time = time.monotonic() if start_time is None else start_time
 
     # ------------------------------------------------------------- operations
@@ -342,56 +304,41 @@ class ClientNode(AutomatonNode):
         return await self._invoke(None, "read")
 
     async def _invoke(self, key: Optional[str], kind: str, *args: Any) -> OperationComplete:
-        if key in self._pending:
+        if self.failure is not None:
+            raise NodeFailedError(self.process_id, self.failure)
+        busy = self.host.open.get(key)
+        if busy is not None:
             where = "" if key is None else f" on register {key!r}"
-            raise RuntimeError(
-                f"client {self.process_id} already has a pending "
-                f"{self._pending[key].kind}{where}"
-            )
-        started = time.monotonic()
-        # Invoke the automaton before claiming the slot: if it raises (an
-        # unknown register, a role the client does not have), a leftover slot
-        # would fail every later operation on the key with a misleading
-        # "already pending".  The slot is claimed before the effects are
-        # applied, so an operation completing inside apply_effects (a
-        # zero-round leased read) still finds it.
-        effects, value = invoke_operation(self.automaton, kind, key, args)
-        pending = _PendingOperation(
-            asyncio.get_running_loop().create_future(), started, kind, value
-        )
-        self._pending[key] = pending
+            raise RuntimeError(f"client {self.process_id} already has a pending {busy.kind}{where}")
+        # A rejected invocation raises here, before anything is recorded.
+        handle, effects = self.host.invoke(kind, key, args, time.monotonic() - self.start_time)
+        self.operations.append(handle)
+        future = self._futures[key] = asyncio.get_running_loop().create_future()
         await self.apply_effects(effects)
-        return await pending.future
+        return await future
 
     def _handle_completion(self, completion: OperationComplete) -> None:
-        # Release the slot unconditionally: the automaton has completed the
-        # operation, so even when the caller's future was cancelled (e.g. a
-        # wait_for timeout) the client must accept new invocations.
-        pending = self._pending.pop(completion.metadata.get("register_id"), None)
-        if pending is None or pending.future.done():
+        # The operation is history and its slot is free whether or not anyone
+        # still awaits it (a wait_for timeout leaves a cancelled future behind).
+        now = time.monotonic() - self.start_time
+        handle = self.host.complete(completion, now)
+        if handle is None:
             return
-        now = time.monotonic()
-        # The wall-clock latency is exposed both on the completion handed back
-        # to the caller and on the recorded history entry: the two share one
-        # metadata dict (a second copy per retained operation bought nothing).
-        completion.metadata["latency_s"] = now - pending.started
-        # A read returns its value and an RMW's written value is only known
-        # at completion (fn ran against the observed state inside the
-        # automaton); a write or CAS records the value its caller asked for.
-        observed = completion.kind == "read" or pending.kind == "rmw"
-        self.records.append(
-            OperationRecord(
-                client_id=self.process_id,
-                kind=completion.kind,
-                value=completion.value if observed else pending.value,
-                invoked_at=pending.started - self.start_time,
-                completed_at=now - self.start_time,
-                rounds=completion.rounds,
-                fast=completion.fast,
-                metadata=completion.metadata,
-            )
-        )
-        pending.future.set_result(completion)
+        # The latency rides the completion's own metadata: the caller sees it there,
+        # and the record is built from it — no second dict per retained operation.
+        completion.metadata["latency_s"] = now - handle.invoked_at
+        future = self._futures.pop(completion.metadata.get("register_id"), None)
+        if future is not None and not future.done():
+            future.set_result(completion)
+
+    def _fail(self, cause: Exception) -> None:
+        super()._fail(cause)
+        # Every open operation stays open in the history (its client crashed);
+        # whoever awaits one is told instead of left hanging.
+        futures, self._futures = self._futures, {}
+        for future in futures.values():
+            if not future.done():
+                future.set_exception(NodeFailedError(self.process_id, cause))
 
 
 class ShardedClientNode(ClientNode):

@@ -27,22 +27,16 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
-from ..core.automaton import (
-    Automaton,
-    ClientAutomaton,
-    Effects,
-    OperationComplete,
-    invoke_operation,
-)
-from ..core.messages import Batch, Message, iter_unbatched, make_envelope
+from ..core.automaton import Automaton, ClientAutomaton, Effects
+from ..core.host import OperationHandle, ProcessHost
+from ..core.messages import Batch, Message, iter_unbatched
 from ..core.protocol import ProtocolSuite
 from ..persist.durable import DurableServer, recover_server
 from ..persist.snapshot import MemorySnapshot, SnapshotManager
 from ..persist.wal import MemoryWAL
-from ..verify.history import History, OperationRecord
+from ..verify.history import History
 from ..wire import Codec, get_codec
 from .byzantine import ByzantineStrategy, MaliciousServer
 from .events import DeliveryEvent, EventQueue, InvocationEvent, TimerEvent
@@ -61,104 +55,6 @@ MessageFilter = Callable[[str, str, Message, float], Union[None, float, object]]
 
 class SimulationError(RuntimeError):
     """Raised when a run exceeds its event budget (likely livelock)."""
-
-
-@dataclass
-class OperationHandle:
-    """A pending or completed client operation in the simulation.
-
-    ``register_id`` is ``None`` for single-register deployments; sharded-store
-    operations carry the key they target.  ``scheduled_at`` records when a
-    workload *wanted* to invoke the operation, which can be earlier than
-    ``invoked_at`` when the invocation was deferred behind an outstanding
-    operation of the same client (the difference is the queueing delay).
-    """
-
-    client_id: str
-    kind: str
-    requested_value: Any = None
-    invoked_at: float = 0.0
-    completed_at: Optional[float] = None
-    result: Optional[OperationComplete] = None
-    register_id: Optional[str] = None
-    scheduled_at: Optional[float] = None
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None
-
-    @property
-    def value(self) -> Any:
-        if self.result is None:
-            raise RuntimeError("operation has not completed")
-        return self.result.value
-
-    @property
-    def rounds(self) -> int:
-        if self.result is None:
-            raise RuntimeError("operation has not completed")
-        return self.result.rounds
-
-    @property
-    def fast(self) -> bool:
-        if self.result is None:
-            raise RuntimeError("operation has not completed")
-        return self.result.fast
-
-    @property
-    def latency(self) -> float:
-        if self.completed_at is None:
-            raise RuntimeError("operation has not completed")
-        return self.completed_at - self.invoked_at
-
-    @property
-    def queueing_delay(self) -> float:
-        """Time spent deferred behind an earlier operation of the same client."""
-        if self.scheduled_at is None:
-            return 0.0
-        return max(0.0, self.invoked_at - self.scheduled_at)
-
-    def _metadata_extras(self) -> Dict[str, Any]:
-        extras: Dict[str, Any] = {}
-        if self.register_id is not None:
-            extras["register_id"] = self.register_id
-        if self.scheduled_at is not None:
-            extras["scheduled_at"] = self.scheduled_at
-            extras["queueing_delay"] = self.queueing_delay
-        return extras
-
-    def to_record(self) -> OperationRecord:
-        """Convert to the checker's operation record."""
-        if self.result is None:
-            return OperationRecord(
-                client_id=self.client_id,
-                kind=self.kind,
-                value=self.requested_value,
-                invoked_at=self.invoked_at,
-                completed_at=None,
-                metadata=self._metadata_extras(),
-            )
-        if self.kind in ("cas", "rmw"):
-            # A conditional op resolves its record kind at completion: a
-            # successful CAS/RMW is a write of the new value, a failed CAS is
-            # a read of the observed value.
-            kind = self.result.kind
-            value = self.result.value
-        else:
-            kind = self.kind
-            value = (
-                self.result.value if self.kind == "read" else self.requested_value
-            )
-        return OperationRecord(
-            client_id=self.client_id,
-            kind=kind,
-            value=value,
-            invoked_at=self.invoked_at,
-            completed_at=self.completed_at,
-            rounds=self.result.rounds,
-            fast=self.result.fast,
-            metadata=dict(self.result.metadata, **self._metadata_extras()),
-        )
 
 
 class SimCluster:
@@ -241,18 +137,18 @@ class SimCluster:
         self.frames_sent: int = 0
         self.messages_sent: int = 0
         self.bytes_sent: int = 0
-        # Batching layer: per-source buffered sends awaiting their flush event,
-        # plus the time each source's outgoing line is busy until.
-        self._outbox: Dict[str, Dict[str, List[Message]]] = {}
+        # Batching layer: the sources with a flush event queued (the buffered
+        # sends sit in their hosts' outboxes), plus the time each source's
+        # outgoing line is busy until.
         self._flush_scheduled: set = set()
         self._line_busy_until: Dict[str, float] = {}
+        #: Every operation invoked so far, in invocation order.
         self.operations: List[OperationHandle] = []
-        # Pending operations keyed by (client_id, register_id); register_id is
-        # None for single-register deployments, so plain clients keep exactly
-        # one slot while sharded clients get one slot per register.
-        self._pending: Dict[Tuple[str, Optional[str]], OperationHandle] = {}
 
+        #: The automaton of every process, and the host stepping it (fence,
+        #: frame step, outbox, operation slots — shared with asyncio).
         self.processes: Dict[str, Automaton] = {}
+        self.hosts: Dict[str, ProcessHost] = {}
         self._build_processes()
 
         self._warned_timer_fallback = False
@@ -308,10 +204,15 @@ class SimCluster:
                     else None
                 )
                 server = DurableServer(server, wal, incarnation=0, snapshots=snapshots)
-            self.processes[server_id] = server
-        self.processes[self.config.writer_id] = self.suite.create_writer()
+            self._host(server)
+        self._host(self.suite.create_writer())
         for reader_id in self.config.reader_ids():
-            self.processes[reader_id] = self.suite.create_reader(reader_id)
+            self._host(self.suite.create_reader(reader_id))
+
+    def _host(self, automaton: Automaton) -> None:
+        """Install *automaton* under a fresh host (whose fence table is empty)."""
+        self.processes[automaton.process_id] = automaton
+        self.hosts[automaton.process_id] = ProcessHost(automaton)
 
     def _build_server(self, server_id: str) -> Automaton:
         """A fresh (initial-state) server automaton, Byzantine-wrapped if set."""
@@ -419,9 +320,11 @@ class SimCluster:
         """Rebuild *server_id* from its WAL (snapshot + suffix replay), now.
 
         The fresh automaton replaces the crashed one under a bumped
-        incarnation, so in-flight acknowledgements of the pre-crash
-        incarnation — whose state the lost tail may not cover — are rejected
-        on delivery rather than counted into pending quorums.
+        incarnation and a fresh host: what the dead incarnation had buffered
+        is lost with it, and a receiver that has heard from the new
+        incarnation rejects the old one's in-flight acknowledgements — whose
+        state a lost tail may not cover — instead of counting them into
+        pending quorums.
         """
         if not self.durable:
             raise ValueError(
@@ -438,13 +341,16 @@ class SimCluster:
         wal = self.wals[server_id]
         if lose_tail:
             wal.drop_tail(lose_tail)
-        incarnation = getattr(self.processes[server_id], "incarnation", 0) + 1
-        self.processes[server_id] = recover_server(
-            self._build_server(server_id),
-            wal,
-            snapshot_store=self.snapshot_stores[server_id],
-            incarnation=incarnation,
-            compact_every=self.compact_every,
+        for destination, frame in self.hosts[server_id].drain():
+            self._drop(server_id, destination, frame, self.now, "crashed")
+        self._host(
+            recover_server(
+                self._build_server(server_id),
+                wal,
+                snapshot_store=self.snapshot_stores[server_id],
+                incarnation=self.incarnation(server_id) + 1,
+                compact_every=self.compact_every,
+            )
         )
 
     # ------------------------------------------------------------ invocation
@@ -460,26 +366,16 @@ class SimCluster:
         A ``cas`` or ``rmw`` handle resolves its record at completion: a
         successful one is a write, a failed CAS a read of the observed value.
         """
-        client = self.processes[client_id]
-        if register_id is not None and not getattr(client, "sharded", False):
+        host = self.hosts[client_id]
+        if register_id is not None and not getattr(host.automaton, "sharded", False):
             raise TypeError(
                 f"client {client_id!r} is not sharded; build the cluster with a "
                 "repro.store.ShardedProtocol suite to address registers by key"
             )
-        # Invoke the automaton first: if it rejects the call (an unknown
-        # register, well-formedness), no handle must be registered, or it
-        # would shadow the genuinely pending one and corrupt the history.
-        effects, requested_value = invoke_operation(client, kind, register_id, args)
-        handle = OperationHandle(
-            client_id=client_id,
-            kind=kind,
-            requested_value=requested_value,
-            invoked_at=self.now,
-            register_id=register_id,
-        )
+        # A rejected invocation raises here and leaves no handle behind.
+        handle, effects = host.invoke(kind, register_id, args, self.now)
         self.operations.append(handle)
-        self._pending[(client_id, register_id)] = handle
-        self._apply_effects(client_id, effects)
+        self.inject(client_id, effects)
         return handle
 
     def run_until_done(self, handle: OperationHandle) -> OperationHandle:
@@ -563,63 +459,35 @@ class SimCluster:
     def _deliver(self, event: DeliveryEvent) -> None:
         # A Batch envelope is one delivery event (the delay model charged one
         # network traversal for the whole frame) but its payload messages are
-        # traced and handed to the automaton individually, so protocol logic
-        # and per-kind message statistics never see the envelope.
-        payload = iter_unbatched(event.message)
-        if self.failures.is_crashed(event.destination, self.now):
-            for message in payload:
-                self.trace.record_drop(
-                    event.source, event.destination, message, event.send_time, "crashed"
-                )
+        # traced and stepped individually, so protocol logic and per-kind
+        # message statistics never see the envelope.  The host has closed the
+        # frame's WAL append before it returns; the heap breaks ties by push
+        # order, so each message's effects are applied whole, in frame order.
+        source, destination, sent = event.source, event.destination, event.send_time
+        host = self.hosts.get(destination)
+        if host is None or self.failures.is_crashed(destination, self.now):
+            reason = "unknown" if host is None else "crashed"
+            self._drop(source, destination, event.message, sent, reason)
             return
-        process = self.processes.get(event.destination)
-        if process is None:
-            for message in payload:
-                self.trace.record_drop(
-                    event.source, event.destination, message, event.send_time, "unknown"
-                )
-            return
-        if len(payload) > 1 and isinstance(process, DurableServer):
-            # One WAL append (batch-grouped, one fsync on a file log) covers
-            # every state change the whole frame provokes.
-            with process.append_batch():
-                self._deliver_messages(event, payload, process)
-        else:
-            self._deliver_messages(event, payload, process)
+        for message, effects in host.deliver(event.message):
+            if effects is None:
+                self.trace.record_drop(source, destination, message, sent, "stale-epoch")
+            else:
+                self.trace.record_delivery(source, destination, message, sent, self.now)
+                self.inject(destination, effects)
 
-    def _deliver_messages(self, event: DeliveryEvent, payload, process) -> None:
-        for message in payload:
-            if self._stale_epoch(message):
-                # The sender recovered since this acknowledgement was sent;
-                # the recovered state may not cover what it acknowledged (a
-                # torn WAL tail), so a pending operation must not count it
-                # towards a quorum.  Dropping is indistinguishable from a
-                # message lost to the crash — clients retry and the new
-                # incarnation re-acknowledges under its own epoch.
-                self.trace.record_drop(
-                    event.source, event.destination, message, event.send_time, "stale-epoch"
-                )
-                continue
-            self.trace.record_delivery(
-                event.source, event.destination, message, event.send_time, self.now
-            )
-            effects = process.handle_message(message)
-            self._apply_effects(event.destination, effects)
-
-    def _stale_epoch(self, message: Message) -> bool:
-        """Whether *message* was sent by a sender incarnation that has since
-        recovered (its epoch is below the sender's current incarnation)."""
-        sender = self.processes.get(message.sender)
-        return message.epoch < getattr(sender, "incarnation", 0)
+    def _drop(
+        self, source: str, destination: str, frame: Message, send_time: float, reason: str
+    ) -> None:
+        """Trace every protocol message carried by *frame* as dropped."""
+        for message in iter_unbatched(frame):
+            self.trace.record_drop(source, destination, message, send_time, reason)
 
     def _fire_timer(self, event: TimerEvent) -> None:
-        if self.failures.is_crashed(event.process_id, self.now):
+        host = self.hosts.get(event.process_id)
+        if host is None or self.failures.is_crashed(event.process_id, self.now):
             return
-        process = self.processes.get(event.process_id)
-        if process is None:
-            return
-        effects = process.on_timer(event.timer_id)
-        self._apply_effects(event.process_id, effects)
+        self.inject(event.process_id, host.timer(event.timer_id))
 
     def _warn_timer_fallback(self, timer: float) -> None:
         """Warn once per cluster when unbounded links force the fallback timer."""
@@ -635,15 +503,20 @@ class SimCluster:
             stacklevel=3,
         )
 
-    def _apply_effects(self, source: str, effects: Effects) -> None:
+    def inject(self, source: str, effects: Effects) -> None:
+        """Apply *effects* as emitted by process *source* now.
+
+        How every hosted process's effects are applied — and the door for
+        acting as a process the cluster does *not* host (a malicious reader
+        forging write-backs, say): its sends pass the message filter and the
+        line model like anyone's, and replies to it drop as ``unknown``.
+        """
         if self.failures.is_crashed(source, self.now):
             return
-        batching = getattr(self.processes.get(source), "batching", False)
+        host = self.hosts.get(source)
+        outbox = host if host is not None and host.batching else None
         for send in effects.sends:
-            if batching:
-                self._buffer_send(source, send.destination, send.message)
-            else:
-                self._send(source, send.destination, send.message)
+            self._send(source, send.destination, send.message, outbox)
         if effects.timers:
             # Clock skew scales the *duration* a process arms, not virtual
             # time itself: a fast local clock (scale < 1) fires round-1
@@ -657,17 +530,21 @@ class SimCluster:
             # tuple is tombstone-counted when it surfaces, never dispatched,
             # so cancelled timers do not inflate ``events_processed``.
             self.queue.cancel_timer(source, timer_id)
-        for completion in effects.completions:
-            self._complete(source, completion)
+        if host is not None:
+            for completion in effects.completions:
+                host.complete(completion, self.now)
 
-    # ------------------------------------------------------------- batching
-    def _buffer_send(self, source: str, destination: str, message: Message) -> None:
-        """Queue *message* in the source's outbox for the next flush.
+    # ---------------------------------------------------------------- sending
+    def _send(
+        self, source: str, destination: str, message: Message, outbox: Optional[ProcessHost]
+    ) -> None:
+        """Emit one protocol message: into *outbox* for the source's next
+        flush when it batches, else straight onto the wire.
 
         The message filter runs now, per protocol message (never on the
         envelope): a dropped message simply leaves the batch, and an explicit
-        per-message delay opts the message out of batching entirely, since the
-        filter demands full control over its arrival time.
+        per-message delay opts the message out of batching and the line model
+        entirely, since the filter demands full control over its arrival time.
         """
         if self.message_filter is not None:
             verdict = self.message_filter(source, destination, message, self.now)
@@ -677,7 +554,10 @@ class SimCluster:
             if verdict is not None:
                 self._push_explicit(source, destination, message, float(verdict))
                 return
-        self._outbox.setdefault(source, {}).setdefault(destination, []).append(message)
+        if outbox is None:
+            self._transmit(source, destination, message)
+            return
+        outbox.buffer(destination, message)
         if source not in self._flush_scheduled:
             self._flush_scheduled.add(source)
             # Flush when the outgoing line frees up (immediately when idle):
@@ -694,32 +574,22 @@ class SimCluster:
     def _flush(self, source: str) -> None:
         """Emit one frame per destination with buffered messages of *source*."""
         self._flush_scheduled.discard(source)
-        pending = self._outbox.pop(source, None)
-        if not pending:
-            return
-        if self.failures.is_crashed(source, self.now):
-            for destination, messages in pending.items():
-                for message in messages:
-                    self.trace.record_drop(source, destination, message, self.now, "crashed")
-            return
-        for destination, messages in pending.items():
-            self._transmit(source, destination, make_envelope(source, messages))
+        crashed = self.failures.is_crashed(source, self.now)
+        for destination, frame in self.hosts[source].drain():
+            if crashed:
+                self._drop(source, destination, frame, self.now, "crashed")
+            else:
+                self._transmit(source, destination, frame)
 
-    def _send(self, source: str, destination: str, message: Message) -> None:
-        delay: Union[None, float, object] = None
-        if self.message_filter is not None:
-            delay = self.message_filter(source, destination, message, self.now)
-        if delay is DROP:
-            self.trace.record_drop(source, destination, message, self.now, "filtered")
-            return
-        if delay is not None:
-            self._push_explicit(source, destination, message, float(delay))
-            return
-        self._transmit(source, destination, message)
-
-    def _frame_bytes(self, source: str, destination: str, message: Message) -> int:
-        """Encoded wire size of one frame — what a real transport would write."""
-        return self.codec.frame_size(source, destination, message)
+    def _count_frame(self, source: str, destination: str, message: Message) -> int:
+        """Count one frame onto the wire counters; returns its encoded size —
+        what a real transport would write.  A Batch is one frame but
+        ``len(batch)`` messages, whichever send path it took."""
+        size = self.codec.frame_size(source, destination, message)
+        self.frames_sent += 1
+        self.messages_sent += len(message) if isinstance(message, Batch) else 1
+        self.bytes_sent += size
+        return size
 
     def _push_explicit(
         self, source: str, destination: str, message: Message, delay: float
@@ -727,23 +597,8 @@ class SimCluster:
         """Deliver with a filter-chosen delay: the filter retains full control
         of the arrival time, bypassing batching and the frame-overhead
         serialization (the message still counts as its own frame)."""
-        self.frames_sent += 1
-        # Count the protocol messages and wire bytes the frame carries,
-        # exactly like ``_transmit``: a Batch pushed through the
-        # explicit-delay path is one frame but ``len(batch)`` messages, so
-        # the counters stay mutually consistent regardless of which send path
-        # a frame took.
-        self.messages_sent += len(message) if isinstance(message, Batch) else 1
-        self.bytes_sent += self._frame_bytes(source, destination, message)
-        self.queue.push(
-            self.now + delay,
-            DeliveryEvent(
-                source=source,
-                destination=destination,
-                message=message,
-                send_time=self.now,
-            ),
-        )
+        self._count_frame(source, destination, message)
+        self._push_delivery(self.now + delay, source, destination, message)
 
     def _transmit(self, source: str, destination: str, message: Message) -> None:
         """Put one frame on the wire, serializing on the source's line.
@@ -753,42 +608,28 @@ class SimCluster:
         configured codec — so with ``byte_cost`` set, big frames genuinely
         take longer to leave the sender than small ones.
         """
-        size = self._frame_bytes(source, destination, message)
+        size = self._count_frame(source, destination, message)
         occupancy = self.frame_overhead + self.byte_cost * size
         departure = self.now
         if occupancy > 0.0:
             departure = max(self.now, self._line_busy_until.get(source, 0.0))
             self._line_busy_until[source] = departure + occupancy
             departure += occupancy
-        self.frames_sent += 1
-        self.messages_sent += len(message) if isinstance(message, Batch) else 1
-        self.bytes_sent += size
         delay = self.topology.delay(source, destination, departure, self.rng, size)
         if delay is None:
             # An active partition severs the link: the frame left the sender
             # (it is counted as sent) but dies in the network.  The sender's
             # timer-driven termination path covers the missing replies, just
             # as it covers a crashed responder.
-            for inner in iter_unbatched(message):
-                self.trace.record_drop(source, destination, inner, self.now, "partitioned")
+            self._drop(source, destination, message, self.now, "partitioned")
             return
-        self.queue.push(
-            departure + float(delay),
-            DeliveryEvent(
-                source=source,
-                destination=destination,
-                message=message,
-                send_time=self.now,
-            ),
-        )
+        self._push_delivery(departure + float(delay), source, destination, message)
 
-    def _complete(self, client_id: str, completion: OperationComplete) -> None:
-        register_id = completion.metadata.get("register_id")
-        handle = self._pending.pop((client_id, register_id), None)
-        if handle is None:
-            return
-        handle.result = completion
-        handle.completed_at = self.now
+    def _push_delivery(self, at: float, source: str, destination: str, message: Message) -> None:
+        event = DeliveryEvent(
+            source=source, destination=destination, message=message, send_time=self.now
+        )
+        self.queue.push(at, event)
 
     # --------------------------------------------------------------- history
     def history(self) -> History:

@@ -121,11 +121,12 @@ class RecoveryEvent:
     acknowledged — ``lose_tail > 0`` deliberately models a deployment that
     defers fsync (``WriteAheadLog(fsync=False)``) or a disk that lies about
     it.  In that regime the stale-epoch fence is a *mitigation*, not a
-    guarantee: it rejects the dropped records' acks delivered after the
-    recovery bumps the incarnation, but an ack delivered while the sender was
-    still down-and-unrecovered (or before the crash) has already been
-    quorum-counted and cannot be un-counted.  No atomicity claim is made for
-    schedules that lose acknowledged records this way.
+    guarantee: an ack is rejected once the *receiver* has seen a later
+    incarnation of its sender, but one delivered before that (before the
+    crash, while the sender was down, or after it recovered but ahead of any
+    message of the new incarnation) has been quorum-counted and cannot be
+    un-counted.  No atomicity claim is made for schedules that lose
+    acknowledged records this way.
     """
 
     process_id: str

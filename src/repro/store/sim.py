@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from ..core.host import OperationHandle, ProcessHost
 from ..core.protocol import ProtocolSuite
-from ..sim.cluster import OperationHandle, SimCluster
-from ..verify.history import OperationRecord
+from ..sim.cluster import SimCluster
 from .sharding import ShardedProtocol, StrategyFactory
 from .surface import StoreSurface, find_router
 
@@ -84,16 +84,11 @@ class ShardedSimStore(StoreSurface):
         self.cluster = SimCluster(self.suite, **cluster_kwargs)
 
     # ------------------------------------------------------ the surface hooks
-    def _hosted_automata(self) -> Iterable[Any]:
-        return self.cluster.processes.values()
+    def _hosts(self) -> Iterable[ProcessHost]:
+        return self.cluster.hosts.values()
 
-    def _operation_records(self) -> Iterable[OperationRecord]:
-        return (handle.to_record() for handle in self.cluster.operations)
-
-    def _relabel_operations(self, key: str, archived: str) -> None:
-        for handle in self.cluster.operations:
-            if handle.register_id == key:
-                handle.register_id = archived
+    def _operations(self) -> Iterable[OperationHandle]:
+        return self.cluster.operations
 
     # ------------------------------------------------------------- inspection
     def _lease_counter(self, counter: str, client_ids: Sequence[str]) -> int:

@@ -9,14 +9,13 @@ per-key histories and their atomicity verdicts.
 add only their own verbs — ``start_*`` / ``run*`` there, awaitables here.
 
 A runtime supplies ``self.suite`` (its
-:class:`~repro.store.sharding.ShardedProtocol`) and three hooks:
+:class:`~repro.store.sharding.ShardedProtocol`) and two hooks:
 
-* :meth:`StoreSurface._hosted_automata` — the automaton of every live process;
-* :meth:`StoreSurface._operation_records` — one
-  :class:`~repro.verify.history.OperationRecord` per operation invoked so far,
-  its key in ``metadata["register_id"]``;
-* :meth:`StoreSurface._relabel_operations` — move a dropped key's operations
-  to their archive name.
+* :meth:`StoreSurface._hosts` — the
+  :class:`~repro.core.host.ProcessHost` of every live process;
+* :meth:`StoreSurface._operations` — the
+  :class:`~repro.core.host.OperationHandle` of every operation invoked so
+  far, open ones included, its key in ``register_id``.
 
 The façade has no constructor: a subclass (or a subclass of a subclass) that
 never calls one is still a complete store.
@@ -24,8 +23,9 @@ never calls one is still a complete store.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from ..core.host import OperationHandle, ProcessHost
 from ..verify.atomicity import CheckResult, check_atomicity
 from ..verify.history import History, OperationRecord
 from .sharding import ShardedProtocol
@@ -47,19 +47,13 @@ class StoreSurface:
     """Keyspace, dynamic keys, eviction counters, histories and verdicts."""
 
     suite: ShardedProtocol
-
-    # ------------------------------------------------------------------ hooks
-    def _hosted_automata(self) -> Iterable[Any]:
-        raise NotImplementedError
-
-    def _operation_records(self) -> Iterable[OperationRecord]:
-        raise NotImplementedError
-
-    def _relabel_operations(self, key: str, archived: str) -> None:
-        raise NotImplementedError
+    # The hooks, declared like ``suite``: a base class of the runtime may be
+    # what defines one (``AsyncCluster._operations``).
+    _hosts: Callable[[], Iterable[ProcessHost]]
+    _operations: Callable[[], Iterable[OperationHandle]]
 
     def _routers(self) -> List[Any]:
-        routers = (find_router(automaton) for automaton in self._hosted_automata())
+        routers = (find_router(host.automaton) for host in self._hosts())
         return [router for router in routers if router is not None]
 
     # --------------------------------------------------------------- keyspace
@@ -116,7 +110,10 @@ class StoreSurface:
         # Created on first use: the façade has no constructor to create it in.
         drop_counts: Dict[str, int] = vars(self).setdefault("_drop_counts", {})
         drop_counts[key] = drop_counts.get(key, 0) + 1
-        self._relabel_operations(key, f"{key}#{drop_counts[key]}")
+        archived = f"{key}#{drop_counts[key]}"
+        for operation in self._operations():
+            if operation.register_id == key:
+                operation.register_id = archived
 
     @property
     def evictions(self) -> int:
@@ -132,10 +129,10 @@ class StoreSurface:
     def history(self, key: Optional[str] = None) -> History:
         """The history of one register (feedable to any single-key checker),
         or with no *key* every operation of every register."""
-        records = self._operation_records()
+        operations = self._operations()
         if key is not None:
-            records = [r for r in records if r.metadata.get("register_id") == key]
-        return History(list(records))
+            operations = [op for op in operations if op.register_id == key]
+        return History([operation.to_record() for operation in operations])
 
     def histories(self) -> Dict[str, History]:
         """Per-key histories, sorted by key: every live key — one nobody
@@ -143,8 +140,8 @@ class StoreSurface:
         dropped incarnation, so operations on registers dropped since remain
         checkable."""
         by_key: Dict[str, List[OperationRecord]] = {key: [] for key in self.suite.specs}
-        for record in self._operation_records():
-            by_key.setdefault(record.metadata["register_id"], []).append(record)
+        for operation in self._operations():
+            by_key.setdefault(operation.register_id, []).append(operation.to_record())
         return {key: History(by_key[key]) for key in sorted(by_key)}
 
     def check_atomicity(self) -> Dict[str, CheckResult]:

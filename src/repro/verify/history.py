@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..core.types import BOTTOM, is_bottom
 
@@ -86,7 +86,7 @@ class History:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[OperationRecord]:
         return iter(self.records)
 
     # --------------------------------------------------------------- slices

@@ -184,13 +184,15 @@ class TestAtomicityAcrossRecoveries:
 
 
 class TestStaleEpochRejection:
-    def test_pre_crash_acks_are_dropped_after_recovery(self):
-        """An ack in flight across its sender's crash+recovery must not be
-        counted by a pending operation: the recovered state (torn tail) may
-        not cover what was acknowledged."""
-        schedule = CrashRecoverySchedule().crash(
-            "s1", at=1.5, recover_at=1.8, lose_tail=10
-        )
+    """The fence is the receiver's: an acknowledgement of a superseded
+    incarnation is rejected once the *receiver* has seen a later one."""
+
+    def test_pre_crash_ack_is_admitted_until_the_new_incarnation_is_heard(self):
+        """An ack in flight across its sender's crash+recovery reaches a
+        client that has heard nothing from the new incarnation: no real
+        process could tell it is stale, so it is delivered and counted — and
+        under fsync-before-ack what it acknowledges survived the crash."""
+        schedule = CrashRecoverySchedule().crash("s1", at=1.5, recover_at=1.8)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
             delay_model=FixedDelay(1.0),
@@ -201,15 +203,46 @@ class TestStaleEpochRejection:
         # arrive at t=2 — after s1 recovered at t=1.8 under incarnation 1.
         write = cluster.start_write("v1")
         cluster.run(until=lambda: write.done)
-        stale = [e for e in cluster.trace.dropped() if e.drop_reason == "stale-epoch"]
-        assert stale, "the pre-crash incarnation's ack should have been dropped"
-        assert all(entry.source == "s1" for entry in stale)
-        # The write completed on the other servers' quorum regardless.
-        assert write.done
+        assert cluster.incarnation("s1") == 1
+        assert not [e for e in cluster.trace.dropped() if e.drop_reason == "stale-epoch"]
+        straggler = [
+            e for e in cluster.trace.delivered() if e.source == "s1" and e.destination == "w"
+        ]
+        assert [e.send_time for e in straggler] == [1.0]
+        assert write.fast
+        # The ack is true: its record was in the log before it left.
+        assert storage_registers(cluster.server("s1"))[""].pw.val == "v1"
+        cluster.run_until_quiescent()
+        assert cluster.read("r1").value == "v1"
+        assert check_atomicity(cluster.history()).ok
+
+    def test_pre_crash_acks_are_dropped_after_recovery(self):
+        """The same ack arriving *after* any message of the new incarnation
+        must not be counted by a pending operation: the recovered state (torn
+        tail) may not cover what was acknowledged."""
+        schedule = CrashRecoverySchedule().crash(
+            "s1", at=1.5, recover_at=1.8, lose_tail=10
+        )
+
+        def crawl(source, destination, message, now):
+            # s1's pre-crash ack (sent at t=1) lands at t=20.
+            return 19.0 if source == "s1" and now < 1.5 else None
+
+        cluster = SimCluster(
+            LuckyAtomicProtocol(CONFIG),
+            delay_model=FixedDelay(1.0),
+            failures=schedule,
+            durable=True,
+            message_filter=crawl,
+        )
+        assert cluster.write("v1").done  # on the other servers' quorum
         # s1's recovered state was rewound by the lost tail: it must not claim
         # the pre-write it acknowledged before crashing.
         assert storage_registers(cluster.server("s1"))[""].pw.val != "v1"
+        cluster.write("v2")  # s1 acknowledges under epoch 1: the writer has heard
         cluster.run_until_quiescent()
+        stale = [e for e in cluster.trace.dropped() if e.drop_reason == "stale-epoch"]
+        assert [(e.source, e.destination, e.send_time) for e in stale] == [("s1", "w", 1.0)]
         assert check_atomicity(cluster.history()).ok
 
     def test_new_incarnation_acks_are_accepted(self):

@@ -73,27 +73,6 @@ class TestDurableNodes:
 
 
 class TestIncarnationFencing:
-    def test_node_rejects_messages_from_superseded_incarnations(self):
-        """Once a node has seen epoch n from a peer, epoch < n is stale."""
-        from repro.core.messages import ReadAck
-        from repro.core.server import StorageServer
-        from repro.runtime.node import AutomatonNode
-        from repro.runtime.transport import InMemoryTransport, constant_delay
-
-        async def scenario():
-            transport = InMemoryTransport(constant_delay(0.0))
-            node = AutomatonNode(StorageServer("r-probe", CONFIG), transport)
-            assert node._admit(ReadAck(sender="s1", epoch=0))
-            assert node._admit(ReadAck(sender="s1", epoch=2))
-            # A straggler from the pre-crash incarnation is fenced off...
-            assert not node._admit(ReadAck(sender="s1", epoch=1))
-            # ... while the current incarnation and other peers flow freely.
-            assert node._admit(ReadAck(sender="s1", epoch=2))
-            assert node._admit(ReadAck(sender="s2", epoch=0))
-            await transport.close()
-
-        run(scenario())
-
     def test_writes_flow_after_restart_under_fencing(self, tmp_path):
         """The bumped incarnation must not fence the *new* server's acks."""
 

@@ -9,6 +9,7 @@ from repro.baselines.slow_robust import SlowRobustProtocol
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import AsyncCluster, tcp_cluster
+from repro.runtime.node import NodeFailedError
 from repro.runtime.transport import constant_delay, InMemoryTransport
 from repro.variants.regular import RegularStorageProtocol
 from repro.verify.atomicity import check_atomicity
@@ -150,6 +151,61 @@ class TestInMemoryRuntime:
             LuckyAtomicProtocol(config), scenario, message_delay_s=0.0
         )
         assert write.kind == "write" and read.value == "x"
+
+    def test_an_operation_whose_caller_gave_up_is_still_history(self):
+        # The caller times out between the acks and its own patience; the
+        # write still completes in the store.  Left out of the history, the
+        # read that returns it would look like a value nobody ever wrote.
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
+
+        async def scenario(cluster):
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(cluster.write("v1"), 0.075)
+            still_open = cluster.history()
+            await asyncio.sleep(0.3)
+            read = await cluster.read("r1")
+            return still_open, read, cluster.history()
+
+        still_open, read, history = AsyncCluster.run_scenario(
+            LuckyAtomicProtocol(config), scenario, message_delay_s=0.05
+        )
+        assert [(r.kind, r.value, r.complete) for r in still_open] == [("write", "v1", False)]
+        assert read.value == "v1"
+        assert [(r.kind, r.value, r.complete) for r in history] == [
+            ("write", "v1", True),
+            ("read", "v1", True),
+        ]
+        result = check_atomicity(history)
+        assert result.ok and result.checked_writes == 1
+
+    def test_a_raising_automaton_costs_one_node_not_a_hung_caller(self):
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
+        boom = ValueError("boom")
+
+        async def scenario(cluster):
+            writer = cluster.client_nodes["w"]
+
+            def raise_on_first_ack(message):
+                raise boom
+
+            writer.automaton.handle_message = raise_on_first_ack
+            with pytest.raises(NodeFailedError) as failed:
+                await asyncio.wait_for(cluster.write("v1"), 5.0)
+            assert failed.value.__cause__ is boom
+            assert writer.crashed and writer.failure is boom
+            with pytest.raises(NodeFailedError):  # refused, not left hanging
+                await asyncio.wait_for(cluster.write("v2"), 5.0)
+            # The rest of the cluster is a cluster with one crashed client.
+            read = await asyncio.wait_for(cluster.read("r1"), 5.0)
+            return read, cluster.history()
+
+        # run_scenario leaves through ``async with``: stop() must not re-raise.
+        read, history = AsyncCluster.run_scenario(LuckyAtomicProtocol(config), scenario)
+        assert read.kind == "read"
+        assert [(r.client_id, r.kind, r.complete) for r in history] == [
+            ("w", "write", False),
+            ("r1", "read", True),
+        ]
 
     def test_regular_variant_runs_on_asyncio(self):
         suite = RegularStorageProtocol.for_parameters(t=1, b=1, num_readers=1)

@@ -137,3 +137,50 @@ def test_a_store_that_skipped_the_constructor_still_drops_and_archives():
             return store.keys, list(store.histories()), store.verify_atomic()
 
     assert asyncio.run(main()) == ([], ["k#1"], True)
+
+
+#: Every verb once, on the writer-leased key: both CAS outcomes and an RMW.
+RECORD_SCRIPT = [
+    ("write", "hot", "a"),
+    ("read", "hot"),
+    ("compare_and_swap", "hot", "a", "b"),
+    ("compare_and_swap", "hot", "stale", "c"),
+    ("read_modify_write", "hot", lambda value: value + "!"),
+]
+
+
+async def _records(store):
+    for verb, *args in RECORD_SCRIPT:
+        outcome = getattr(store, verb)(*args)
+        if inspect.isawaitable(outcome):
+            await outcome
+    return [
+        (
+            (record.client_id, record.kind, record.value, record.rounds, record.fast),
+            sorted(set(record.metadata) - {"latency_s"}),
+            record.complete,
+        )
+        # The simulator keeps one cluster-wide list, asyncio one per client.
+        for record in sorted(store.history("hot"), key=lambda record: record.invoked_at)
+    ]
+
+
+def test_both_runtimes_build_the_same_records():
+    base = LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2))
+    keys = ["plain", "idle", "hot"]
+    simulated = asyncio.run(
+        _records(ShardedSimStore(base, keys, delay_model=FixedDelay(1.0), **CAPABILITIES))
+    )
+
+    async def main():
+        async with ShardedAsyncCluster(base, keys, timer_delay=100.0, **CAPABILITIES) as store:
+            return await _records(store)
+
+    assert simulated == asyncio.run(main())
+    assert [(kind, value) for (_, kind, value, _, _), _, _ in simulated] == [
+        ("write", "a"),
+        ("read", "a"),
+        ("write", "b"),
+        ("read", "b"),
+        ("write", "b!"),
+    ]

@@ -131,7 +131,7 @@ class TestRegularVariant:
         cluster.write("genuine")
         cluster.run_for(5.0)
         attacker = MaliciousWritebackReader("r-mal", suite.config)
-        cluster._apply_effects("r-mal", attacker.read())
+        cluster.inject("r-mal", attacker.read())
         cluster.run_for(5.0)
         read = cluster.read("r1")
         assert read.value == "genuine"
@@ -149,7 +149,7 @@ class TestRegularVariant:
         attacker = MaliciousWritebackReader(
             "r-mal", config, forged_pair=TimestampValue(99, "POISON")
         )
-        cluster._apply_effects("r-mal", attacker.read())
+        cluster.inject("r-mal", attacker.read())
         cluster.run_for(5.0)
         read = cluster.read("r1")
         assert read.value == "POISON"

@@ -21,7 +21,7 @@ from repro.sim.byzantine import (
     StaleReplayStrategy,
 )
 from repro.sim.cluster import SimCluster
-from repro.sim.failures import FailureSchedule
+from repro.sim.failures import CrashRecoverySchedule, FailureSchedule
 from repro.sim.latency import FixedDelay, UniformDelay
 from repro.store.sim import ShardedSimStore
 from repro.variants.regular import RegularStorageProtocol
@@ -30,6 +30,7 @@ from repro.verify.atomicity import check_atomicity
 from repro.verify.regularity import check_regularity
 from repro.workload.generator import (
     contended_workload,
+    keyspace_workload,
     lucky_workload,
     owned_writers_workload,
     poisson_workload,
@@ -270,3 +271,51 @@ def test_lucky_reads_are_fast_despite_fr_failures(scenario, policy, data):
     assert all(read.fast and read.rounds == 1 for read in reads)
     assert all(read.value == "published" for read in reads)
     check_atomicity(cluster.history()).raise_if_violated()
+
+
+#: Longer than any operation lasts: messages sent to a crashed server are lost
+#: for good (nothing retransmits), so an operation terminates only if at most
+#: ``t`` servers are down over its *whole* lifetime — the paper's fault bound.
+QUIET_GAP = 20.0
+
+
+@st.composite
+def recovery_schedules(draw):
+    """One to three outages (t = 1: one server at a time, a quiet gap apart)
+    whose crash and recovery instants fall anywhere among the acks a busy
+    store keeps in flight."""
+    schedule = CrashRecoverySchedule()
+    now = 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        crash_at = now + draw(st.floats(min_value=0.5, max_value=6.0))
+        recover_at = crash_at + draw(st.floats(min_value=0.05, max_value=4.0))
+        schedule.crash(draw(st.sampled_from(["s1", "s2", "s3"])), at=crash_at, recover_at=recover_at)
+        now = recover_at + QUIET_GAP
+    return schedule
+
+
+@given(recovery_schedules(), st.booleans(), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=60, deadline=None)
+def test_recoveries_stay_atomic_under_the_receiver_side_fence(schedule, batching, seed):
+    """A receiver fences only what it has seen, so a pre-crash ack can be
+    counted after its sender recovered.  With ``lose_tail=0`` that is sound —
+    the ack's record was in the log before the ack left — which is all the
+    simulator's old sender-side fence was ever hiding."""
+    config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
+    store = ShardedSimStore(
+        LuckyAtomicProtocol(config),
+        ["k1", "k2", "k3"],
+        batching=batching,
+        delay_model=UniformDelay(0.5, 1.5),
+        failures=schedule,
+        durable=True,
+        seed=seed,
+    )
+    workload = keyspace_workload(80, store.keys, config.reader_ids(), mean_gap=1.0, seed=seed)
+    handles = run_store_workload(store, workload)
+    store.run_until_quiescent()
+    assert all(handle.done for handle in handles)
+    assert store.verify_atomic()
+    assert sum(store.incarnation(sid) for sid in config.server_ids()) == len(
+        schedule.recovery_events()
+    )

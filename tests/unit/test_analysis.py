@@ -5,6 +5,7 @@ Three layers: each rule fires on its seeded fixture under
 and the shipped tree itself analyzes clean (the self-check CI gates on).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -234,6 +235,44 @@ class TestEngine:
         assert payload["rules"] == ["RP03"]
         assert payload["findings"][0]["rule"] == "RP03"
         assert payload["findings"][0]["line"] == 3
+
+
+def calls_in(*relative):
+    """Names called anywhere under ``src/repro/<relative>``: ``f(`` and ``.f(``."""
+    root = os.path.join(SRC, "repro", *relative)
+    paths = [root] if root.endswith(".py") else [
+        os.path.join(folder, name)
+        for folder, _, names in os.walk(root)
+        for name in names
+        if name.endswith(".py")
+    ]  # fmt: skip
+    called = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                called.add(name)
+    return called
+
+
+class TestOneProcessHost:
+    """The frame -> fence -> WAL-batch -> step -> outbox -> record loop lives in
+    ``core/host.py``; neither runtime may grow its own copy back."""
+
+    HOST_ONLY = {"append_batch", "invoke_operation", "make_envelope", "OperationRecord"}
+
+    @pytest.mark.parametrize("module", [("sim", "cluster.py"), ("runtime", "node.py")])
+    def test_the_runtimes_step_no_automaton_themselves(self, module):
+        forbidden = self.HOST_ONLY | {"handle_message", "on_timer"}
+        assert not calls_in(*module) & forbidden
+
+    @pytest.mark.parametrize("package", ["sim", "runtime", "store"])
+    def test_scope_envelope_invocation_and_record_are_the_hosts(self, package):
+        assert not calls_in(package) & self.HOST_ONLY
+        assert self.HOST_ONLY <= calls_in("core", "host.py")
 
 
 class TestSelfCheck:
