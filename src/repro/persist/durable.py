@@ -34,7 +34,7 @@ rounds for a concurrent slow READ — never a stale return value.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.automaton import Automaton, Effects
 from ..core.messages import Message
@@ -67,19 +67,6 @@ def _unwrap(automaton: Automaton) -> Automaton:
     return automaton
 
 
-def _ensure_hook(server: Automaton) -> Optional[Callable[[str], Optional[Automaton]]]:
-    """The dynamic-keyspace admission hook of *server*'s router, if any.
-
-    A :class:`~repro.store.sharding.ShardedServer` with a register factory
-    exposes ``ensure_register``: recovery paths use it to *fault in* registers
-    that exist in the WAL or a snapshot but are not resident (they were
-    created dynamically, or evicted before the crash), instead of silently
-    dropping their acknowledged state.
-    """
-    hook = getattr(_unwrap(server), "ensure_register", None)
-    return hook if callable(hook) else None
-
-
 def notify_recovered(server: Automaton) -> None:
     """Tell every wrapper layer of *server* it is a recovered incarnation.
 
@@ -88,7 +75,8 @@ def notify_recovered(server: Automaton) -> None:
     defines it.  The lease layer uses this to open its post-recovery grace
     period: its volatile lease table died with the crash, so the recovered
     server must stay silent for one lease duration instead of acknowledging
-    writes its forgotten holders still guard against.
+    writes its forgotten holders still guard against.  A register router
+    remembers it, and tells every register it admits later the same.
     """
     stack = [server]
     while stack:
@@ -119,33 +107,30 @@ def export_server_state(server: Automaton) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def _live_storage(server: Automaton, register_id: str) -> Optional[Automaton]:
-    """The storage automaton for *register_id*, consulted against the router's
-    *live* table (an admission elsewhere may have evicted what a cached
-    mapping still references), faulting the register in when the server has a
-    dynamic-keyspace hook."""
-    router = _unwrap(server)
-    table = getattr(router, "registers", None)
-    if table is None:
+def _storage(router: Automaton, register_id: str) -> Optional[Automaton]:
+    """The storage automaton of *register_id* under *router* (an unwrapped
+    server), admitted first if it is not resident: a router's
+    ``ensure_register`` builds a register the keyspace knows — rehydrating
+    what an eviction spilled — and answers ``None`` for one it does not.  A
+    single-register server is its own storage, under the id ``""``.
+    """
+    ensure = getattr(router, "ensure_register", None)
+    if ensure is None:
         return router if register_id == "" else None
-    inner = table.get(register_id)
-    if inner is None:
-        ensure = _ensure_hook(server)
-        if ensure is not None:
-            inner = ensure(register_id)
+    inner = ensure(register_id)
     return _unwrap(inner) if inner is not None else None
 
 
 def restore_server_state(server: Automaton, state: Dict[str, Dict[str, Any]]) -> None:
     """Adopt a snapshot produced by :func:`export_server_state`.
 
-    Registers the snapshot knows but the (freshly built) server does not are
-    admitted through the dynamic-keyspace hook when the server has one; an
-    admission may rehydrate spilled state first, which is safe because
-    ``restore_state`` merges monotonically.
+    *server* is freshly built, so every register the snapshot names is
+    admitted here; an admission may rehydrate spilled state first, which is
+    safe because ``restore_state`` merges monotonically.
     """
+    router = _unwrap(server)
     for register_id, register_state in state.items():
-        storage = _live_storage(server, register_id)
+        storage = _storage(router, register_id)
         if storage is not None and hasattr(storage, "restore_state"):
             storage.restore_state(register_state)
 
@@ -161,19 +146,15 @@ def _apply_to_storage(storage: Automaton, record: WalRecord) -> None:
 def replay_records(server: Automaton, records: Sequence[WalRecord]) -> None:
     """Replay *records* in order; monotone updates make this idempotent.
 
-    Like :func:`restore_server_state`, records for non-resident registers are
-    applied through the dynamic-keyspace admission hook when the server has
-    one — rehydration first, then the (newer) logged pairs on top.
+    Like :func:`restore_server_state`, a record for a register that is not
+    resident admits it — rehydration first, then the (newer) logged pairs on
+    top.
     """
+    router = _unwrap(server)
     for record in records:
-        storage = _live_storage(server, record.register_id)
+        storage = _storage(router, record.register_id)
         if storage is not None:
             _apply_to_storage(storage, record)
-
-
-#: ``DurableServer._snapshot_generation`` before the first snapshot (``None``
-#: is taken: it is the generation of a router without a dynamic keyspace).
-_NO_SNAPSHOT = object()
 
 
 class DurableServer(Automaton):
@@ -191,25 +172,18 @@ class DurableServer(Automaton):
         self.wal = wal
         self.incarnation = incarnation
         self.snapshots = snapshots
-        self._registers = storage_registers(inner)
-        # Dynamic keyspace: the router bumps ``registers_generation`` on every
-        # admission/eviction, invalidating the cached mapping above; static
-        # routers have no generation and the cache lives forever.
-        self._router = _unwrap(inner)
-        self._ensure = _ensure_hook(inner)
-        self._generation: Optional[int] = getattr(
-            self._router, "registers_generation", None
-        )
+        #: Duck-typed: a register router, or a single-register server.
+        self._router: Any = _unwrap(inner)
         # Compaction costs what changed: the snapshot store keeps the encoded
-        # bytes of every register and is handed only those that received a
-        # message or a timer since the last snapshot.  Input, not "a WAL record
-        # was written": a READ moves read_ts/frozen, which snapshots carry and
-        # the WAL does not.  Until ``_snapshot_generation`` equals the router's
-        # generation — this incarnation has not snapshotted yet, or registers
-        # were admitted, rehydrated, evicted or dropped since — every register
-        # counts as changed.
-        self._touched: Set[str] = set()
-        self._snapshot_generation: object = _NO_SNAPSHOT
+        # bytes of every register and is handed only those that moved since
+        # the last snapshot — the ones that received a message or a timer
+        # (input, not "a WAL record was written": a READ moves read_ts/frozen,
+        # which snapshots carry and the WAL does not) and the ones the router
+        # admitted, with or without a message.  The store of a new incarnation
+        # has no bytes yet, so whatever is resident now counts as moved.
+        self._touched: Set[str] = set(getattr(self._router, "registers", ()))
+        if hasattr(self._router, "on_admission"):
+            self._router.on_admission = self._touched.add
         self._timer_register: Optional[Callable[[str], str]] = getattr(
             self._router, "timer_register", None
         )
@@ -223,23 +197,17 @@ class DurableServer(Automaton):
         """Whether the wrapped server participates in message batching."""
         return bool(getattr(self.inner, "batching", False))
 
-    def _live_registers(self) -> Dict[str, Automaton]:
-        generation = getattr(self._router, "registers_generation", None)
-        if generation != self._generation:
-            self._registers = storage_registers(self.inner)
-            self._generation = generation
-        return self._registers
-
     # -------------------------------------------------------------- durable IO
     def handle_message(self, message: Message) -> Effects:
         register_id = getattr(message, "register_id", "")
-        if self._ensure is not None and register_id:
-            # Fault the register in *before* capturing its pre-state, so the
-            # admission (and any rehydration) is not mistaken for a change
-            # this message made — only genuine updates reach the WAL.
-            self._ensure(register_id)
-        self._touched.add(register_id)
-        storage = self._live_registers().get(register_id)
+        # Fault the register in *before* capturing its pre-state, so the
+        # admission (and any rehydration) is not mistaken for a change this
+        # message made — only genuine updates reach the WAL.  An id the
+        # keyspace does not know has no storage and marks nothing (ids are
+        # peer-supplied: the router drops the message, so must we).
+        storage = _storage(self._router, register_id)
+        if storage is not None:
+            self._touched.add(register_id)
         before = self._capture(storage)
         effects = self.inner.handle_message(message)
         records = self._diff(register_id, storage, before)
@@ -282,27 +250,30 @@ class DurableServer(Automaton):
             # Only now: a save that raised leaves its registers marked, so the
             # next compaction re-encodes them and its file is complete.
             self._touched.clear()
-            self._snapshot_generation = self._generation
 
     def _snapshot_delta(self) -> SnapshotDelta:
         """What the snapshot store needs to write a complete snapshot: the
-        exported state of the registers touched since the last one, and the
-        live register ids in the router's order (taken from the live table —
-        an LRU touch reorders it without bumping the generation)."""
-        registers = self._live_registers()
-        table = getattr(self._router, "registers", None)
-        order = registers if table is None else table
-        complete = table is None or self._snapshot_generation != self._generation
+        exported state of the registers that moved since the last one, and the
+        live register ids in the router's order (an LRU touch reorders it).  A
+        single-register server is one register that always moved."""
+        table: Optional[Dict[str, Automaton]] = getattr(self._router, "registers", None)
+        resident = {"": self._router} if table is None else table
+        moved: Iterable[str] = resident if table is None else self._touched
         changed: Dict[str, Any] = {}
-        for register_id in order if complete else self._touched:
-            storage = registers.get(register_id)
-            if storage is not None and hasattr(storage, "export_state"):
+        for register_id in moved:
+            inner = resident.get(register_id)
+            if inner is None:  # moved, then left: evicted or dropped
+                continue
+            storage = _unwrap(inner)
+            if hasattr(storage, "export_state"):
                 changed[register_id] = storage.export_state()
-        return changed, list(order)
+        return changed, list(resident)
 
     def on_timer(self, timer_id: str) -> Effects:
         if self._timer_register is not None:
-            self._touched.add(self._timer_register(timer_id))
+            register_id = self._timer_register(timer_id)
+            if register_id in self._router.registers:
+                self._touched.add(register_id)
         return self._stamp(self.inner.on_timer(timer_id))
 
     @staticmethod

@@ -128,9 +128,9 @@ class AsyncCluster:
         self.server_nodes: Dict[str, AutomatonNode] = {}
         self.client_nodes: Dict[str, AutomatonNode] = {}
         self._started = False
-        #: The one clock origin of every client node's records.  Building a
-        #: client takes milliseconds per thousand registers, so per-node
-        #: origins skewed :meth:`history` by far more than an operation lasts.
+        #: The one clock origin of every client node's records: the nodes are
+        #: built one after another, and an origin per node would skew
+        #: :meth:`history` by the time between them.
         self.start_time = time.monotonic()
         self._build_nodes()
 

@@ -1,9 +1,9 @@
 """Dynamic keyspace support: bounded register tables and eviction spill space.
 
-The sharded store was built for a fixed handful of registers, each with an
-eagerly constructed automaton on every process.  A production keyspace is the
-opposite: millions of registers, almost all cold.  This module provides the
-spill layer that makes a *memory-bounded* register table possible:
+A production keyspace is millions of registers, almost all cold.  No process
+builds an automaton for a register nobody asked it about (admission, below);
+this module provides the spill layer that additionally makes the table of the
+ones that *were* asked about *memory-bounded*:
 
 * :class:`RegisterEvictionStore` holds the exported state of evicted
   registers as **encoded snapshot frames** (the same checksummed

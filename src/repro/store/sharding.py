@@ -31,6 +31,7 @@ from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationCompl
 from ..core.messages import Message
 from ..core.protocol import ProtocolSuite
 from ..lease.server import LeaseServer, WriterLeaseServer
+from ..persist.durable import notify_recovered
 from ..sim.byzantine import ByzantineStrategy, MaliciousServer
 from .keyspace import (
     RegisterEvictionStore,
@@ -85,10 +86,12 @@ def split_timer_id(timer_id: str) -> Optional[tuple]:
 class _RegisterRouter:
     """Shared routing behaviour of sharded processes.
 
-    Expects ``self.registers`` (register id → inner automaton) and
-    ``self.process_id``.  Inputs for unknown registers are dropped (an honest
-    process never sends them; a malicious one gains nothing, since clients
-    ignore replies tagged with a register they have no pending operation on).
+    ``self.registers`` (register id → inner automaton) starts empty and grows
+    by **admission** only: ``factory`` builds the automaton of a register the
+    suite knows the first time something asks for it.  Inputs for unknown
+    registers are dropped (an honest process never sends them; a malicious
+    one gains nothing, since clients ignore replies tagged with a register
+    they have no pending operation on).
 
     ``batching`` marks the process as a participant in the message-batching
     layer: the hosting runtime (simulator or asyncio node) then buffers the
@@ -105,14 +108,14 @@ class _RegisterRouter:
     #: ``False`` default, so plain single-register automata are never batched.
     batching = False
     registers: Dict[str, Automaton]
-    #: Dynamic keyspace: with a factory the router can *admit* registers on
-    #: demand instead of dropping their messages.  Servers admit on message
+    #: The one way a register comes to exist here.  Servers admit on message
     #: arrival (a cold key faults in); clients admit only at invocation time,
     #: so unsolicited replies for registers they never touched stay dropped.
-    factory: Optional[RegisterFactory] = None
+    factory: RegisterFactory
     #: Memory bound: with ``max_resident`` set (servers only), admitting a
     #: register past the bound evicts the least-recently-used evictable one
-    #: into ``eviction_store``; a later message faults it back in.
+    #: into ``eviction_store``; a later message faults it back in.  ``None``
+    #: never evicts.
     max_resident: Optional[int] = None
     eviction_store: Optional[RegisterEvictionStore] = None
     #: Predicate excluding registers from eviction (leased registers hold
@@ -120,10 +123,13 @@ class _RegisterRouter:
     evictable: Optional[Callable[[str], bool]] = None
     #: Whether a message for a non-resident register triggers admission.
     admit_on_message = False
-    #: Bumped on every admission / eviction / drop so wrappers caching the
-    #: register table (:class:`~repro.persist.durable.DurableServer`) know to
-    #: refresh it.
-    registers_generation = 0
+    #: Called with the id of every register admitted (a wrapper that tracks
+    #: per-register change, :class:`~repro.persist.durable.DurableServer`,
+    #: learns here of a register that became resident without a message).
+    on_admission: Optional[Callable[[str], None]] = None
+    #: Whether this process is a recovered incarnation (see
+    #: :meth:`notify_recovered`).
+    recovered = False
     evictions = 0
     rehydrations = 0
 
@@ -154,8 +160,6 @@ class _RegisterRouter:
             if self.max_resident is not None:
                 self._touch(register_id)
             return inner
-        if self.factory is None:
-            return None
         inner = self.factory(register_id)
         if inner is None:
             return None
@@ -164,10 +168,24 @@ class _RegisterRouter:
             if state is not None:
                 restore_register_state(inner, state)
                 self.rehydrations += 1
+        if self.recovered:
+            notify_recovered(inner)
         self.registers[register_id] = inner
-        self.registers_generation += 1
+        if self.on_admission is not None:
+            self.on_admission(register_id)
         self._evict_over_bound()
         return inner
+
+    def notify_recovered(self) -> None:
+        """This process is a recovered incarnation, for as long as it lives.
+
+        Recovery admits only what the snapshot and the WAL name, so a register
+        whose sole pre-crash state was volatile (a lease granted, nothing
+        written) is admitted later, by its first message — and must enter the
+        same post-recovery grace as the registers recovery did admit: every
+        admission of this incarnation is told it is recovered.
+        """
+        self.recovered = True
 
     def _touch(self, register_id: str) -> None:
         """Move *register_id* to the MRU end (dict insertion order is the LRU)."""
@@ -198,14 +216,12 @@ class _RegisterRouter:
             return False
         self.eviction_store.save(register_id, export_register_state(inner))
         del self.registers[register_id]
-        self.registers_generation += 1
         self.evictions += 1
         return True
 
     def discard_register(self, register_id: str) -> None:
         """Forget *register_id* entirely (dropped keyspace entry, not eviction)."""
-        if self.registers.pop(register_id, None) is not None:
-            self.registers_generation += 1
+        self.registers.pop(register_id, None)
         if self.eviction_store is not None:
             self.eviction_store.discard(register_id)
 
@@ -237,11 +253,10 @@ class _RegisterRouter:
 class ShardedServer(_RegisterRouter, Automaton):
     """One physical server hosting per-register server automata.
 
-    With a *factory* the server is a **dynamic keyspace** host: messages for
-    registers it does not hold fault them in (admission), and with
-    *max_resident* + *eviction_store* set the resident table is LRU-bounded,
-    spilling cold registers as encoded snapshots and rehydrating them on
-    access.
+    A **dynamic keyspace** host: a message for a register it does not hold
+    faults it in through *factory* (admission), and with *max_resident* +
+    *eviction_store* set the resident table is LRU-bounded, spilling cold
+    registers as encoded snapshots and rehydrating them on access.
     """
 
     admit_on_message = True
@@ -249,8 +264,7 @@ class ShardedServer(_RegisterRouter, Automaton):
     def __init__(
         self,
         server_id: str,
-        registers: Dict[str, Automaton],
-        factory: Optional[RegisterFactory] = None,
+        factory: RegisterFactory,
         max_resident: Optional[int] = None,
         eviction_store: Optional[RegisterEvictionStore] = None,
         evictable: Optional[Callable[[str], bool]] = None,
@@ -264,12 +278,11 @@ class ShardedServer(_RegisterRouter, Automaton):
                     "a bounded register table needs an eviction store: "
                     "evicting without one would lose acknowledged state"
                 )
-        self.registers = dict(registers)
+        self.registers = {}
         self.factory = factory
         self.max_resident = max_resident
         self.eviction_store = eviction_store
         self.evictable = evictable
-        self._evict_over_bound()
 
 
 class ShardedClient(_RegisterRouter, ClientAutomaton):
@@ -279,34 +292,21 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
     each inner automaton still enforces the paper's per-register
     well-formedness (at most one outstanding operation on its register).
 
-    With a *factory* the client participates in the dynamic keyspace: an
-    invocation on a register it has no automaton for materializes one on
-    demand (inheriting the client's timer delay).  Client tables are never
-    evicted — a client automaton holds in-flight operation state and is tiny
-    compared to a server's per-register storage.
+    An invocation on a register the client has no automaton for materializes
+    one through *factory* (inheriting the client's timer delay).  Client
+    tables are never evicted — a client automaton holds in-flight operation
+    state and is tiny compared to a server's per-register storage.
     """
 
-    def __init__(
-        self,
-        process_id: str,
-        registers: Dict[str, ClientAutomaton],
-        factory: Optional[RegisterFactory] = None,
-    ) -> None:
-        # The base constructor assigns ``timer_delay`` through our property
-        # setter, which broadcasts to every inner register.  Keep ``registers``
-        # empty until it has run: broadcasting a representative delay here
-        # would silently clobber heterogeneous per-register timer delays.
-        self.registers: Dict[str, ClientAutomaton] = {}
-        inner = dict(registers)
-        inner_delays = [automaton.timer_delay for automaton in inner.values()]
-        super().__init__(process_id, timer_delay=inner_delays[0] if inner_delays else 10.0)
-        self.registers = inner
+    def __init__(self, process_id: str, factory: RegisterFactory) -> None:
+        self.registers: Dict[str, ClientAutomaton] = {}  # the delay setter walks it
         self.factory = factory
+        super().__init__(process_id)
 
     # -------------------------------------------------------------- timer delay
     @property
     def timer_delay(self) -> float:
-        """A representative delay (explicit assignment broadcasts uniformly)."""
+        """The delay every register runs under (assignment broadcasts it)."""
         return self._timer_delay
 
     @timer_delay.setter
@@ -318,7 +318,7 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
     # ------------------------------------------------------------------- state
     def _register(self, register_id: str) -> ClientAutomaton:
         inner = self.registers.get(register_id)
-        if inner is None and self.factory is not None:
+        if inner is None:
             created = self.factory(register_id)
             if isinstance(created, ClientAutomaton):
                 created.timer_delay = self._timer_delay
@@ -521,17 +521,18 @@ class ShardedProtocol(ProtocolSuite):
         max_resident: Optional[int] = None,
     ) -> None:
         super().__init__(base.config, timer_delay=base.timer_delay, timer_policy=base.timer_policy)
-        # An empty initial keyspace is fine: the dynamic keyspace grows it at
-        # runtime through create_register.
+        # An empty initial keyspace is fine: create_register grows it at
+        # runtime, and declared keys are built no earlier than created ones.
         if len(set(register_ids)) != len(register_ids):
             raise ValueError(f"duplicate register ids: {list(register_ids)}")
         for register_id in register_ids:
             self._validate_register_id(register_id)
         self.base = base
         #: Memory bound on each server's resident register table (``None`` =
-        #: unbounded, the pre-dynamic-keyspace behaviour).  Each server gets a
-        #: persistent :class:`RegisterEvictionStore` (surviving crash/recovery
-        #: rebuilds of the automaton) to spill cold registers into.
+        #: never evict: every register a server was ever asked about stays).
+        #: Each server gets a persistent :class:`RegisterEvictionStore`
+        #: (surviving crash/recovery rebuilds of the automaton) to spill cold
+        #: registers into.
         if max_resident is not None and max_resident < 1:
             raise ValueError("max_resident must be at least 1")
         self.max_resident = max_resident
@@ -609,12 +610,13 @@ class ShardedProtocol(ProtocolSuite):
     ) -> None:
         """Add *register_id* to the keyspace at runtime.
 
-        Purely a membership change: no process materializes an automaton until
-        the register is actually touched — clients build theirs at first
-        invocation, servers fault theirs in when the first message arrives
-        (the lazy ``StorageServer._ensure_reader`` admission pattern, lifted
-        to whole registers).  Capability combinations obey the same rules as
-        at construction time.
+        A membership change and nothing else, exactly like a key declared at
+        construction: a register exists once it is in ``specs``, its automata
+        exist once something asked for them — a client builds its own at first
+        invocation, a server when the first message arrives (the lazy
+        ``StorageServer._ensure_reader`` admission pattern, lifted to whole
+        registers).  Capability combinations obey the same rules as at
+        construction time.
         """
         self._validate_register_id(register_id)
         if register_id in self.specs:
@@ -641,10 +643,9 @@ class ShardedProtocol(ProtocolSuite):
         return spec is None or not spec.pinned
 
     # -------------------------------------------------------------- factories
-    def _create_register_server(
-        self, server_id: str, register_id: str, strategy_factory: Optional[StrategyFactory]
-    ) -> Automaton:
+    def _create_register_server(self, server_id: str, register_id: str) -> Automaton:
         spec = self.specs[register_id]
+        strategy_factory = self.byzantine.get(server_id)
         server = self.base.create_server(server_id)
         if spec.writer_leases:
             # Innermost lease wrapper: the holder's 1-round PW passes
@@ -665,9 +666,7 @@ class ShardedProtocol(ProtocolSuite):
         id is not (or no longer) part of the keyspace."""
         if register_id not in self.specs:
             return None
-        return self._create_register_server(
-            server_id, register_id, self.byzantine.get(server_id)
-        )
+        return self._create_register_server(server_id, register_id)
 
     def _admit_client_register(
         self, client_id: str, register_id: str
@@ -693,13 +692,6 @@ class ShardedProtocol(ProtocolSuite):
         return self.base.create_reader(client_id)
 
     def create_server(self, server_id: str) -> ShardedServer:
-        strategy_factory = self.byzantine.get(server_id)
-        registers: Dict[str, Automaton] = {
-            register_id: self._create_register_server(
-                server_id, register_id, strategy_factory
-            )
-            for register_id in self.specs
-        }
         eviction_store = None
         if self.max_resident is not None:
             # One spill store per server id, *owned by the suite*: a crashed
@@ -710,10 +702,7 @@ class ShardedProtocol(ProtocolSuite):
             )
         sharded = ShardedServer(
             server_id,
-            registers,
-            factory=lambda register_id, sid=server_id: self._admit_server_register(
-                sid, register_id
-            ),
+            factory=functools.partial(self._admit_server_register, server_id),
             max_resident=self.max_resident,
             eviction_store=eviction_store,
             evictable=self._evictable,
@@ -723,15 +712,9 @@ class ShardedProtocol(ProtocolSuite):
 
     def _create_client(self, client_id: str) -> ShardedClient:
         client = ShardedClient(
-            client_id,
-            {
-                register_id: self._create_client_register(register_id, client_id)
-                for register_id in self.specs
-            },
-            factory=lambda register_id: self._admit_client_register(
-                client_id, register_id
-            ),
+            client_id, factory=functools.partial(self._admit_client_register, client_id)
         )
+        client.timer_delay = self.timer_delay
         client.batching = self.batching
         return client
 

@@ -86,10 +86,11 @@ class StoreSurface:
     ) -> None:
         """Add *key* to the live keyspace without restarting any process.
 
-        No process allocates anything until the key is touched: clients build
-        their automaton at first invocation, servers fault theirs in when the
-        first message arrives.  Under a ``max_resident`` bound admission may
-        evict the coldest resident register to the eviction store.
+        The same membership change as declaring the key at construction: no
+        process builds anything until the key is touched — a client its
+        automaton at its first invocation, a server when the first message
+        arrives.  Under a ``max_resident`` bound admission may evict the
+        coldest resident register to the eviction store.
         """
         self.suite.create_register(key, mwmr=mwmr, leases=leases, writer_leases=writer_leases)
 

@@ -12,8 +12,11 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import is_bottom
 from repro.runtime.cluster import ShardedAsyncCluster
+from repro.sim.failures import CrashRecoverySchedule
+from repro.sim.latency import UniformDelay
 from repro.store.sim import ShardedSimStore
-from repro.workload.generator import churn_workload, run_store_workload
+from repro.store.surface import find_router
+from repro.workload.generator import churn_workload, keyspace_workload, run_store_workload
 
 
 def config(**kwargs):
@@ -30,13 +33,53 @@ def bounded_store(max_resident=2, keys=(), **kwargs):
 
 
 class TestDynamicMembership:
-    def test_create_then_use_register_at_runtime(self):
-        store = bounded_store(max_resident=None)
-        assert store.keys == []
-        store.create_register("users")
-        store.write("users", "alice")
-        assert store.read("users").value == "alice"
-        assert store.verify_atomic()
+    @pytest.mark.parametrize(
+        "capabilities, durable",
+        [
+            ({}, False),
+            ({"mwmr": True}, False),
+            ({"leases": True}, False),
+            ({}, True),
+            ({"leases": True}, True),
+        ],
+        ids=["plain", "mwmr", "leased", "durable", "leased-durable"],
+    )
+    def test_create_then_use_register_at_runtime(self, capabilities, durable):
+        """A key created at runtime is the key declared at construction: one
+        seeded Zipf workload reads the same, operation by operation and byte
+        by byte, whichever way its keys came to exist — with compactions and
+        an outage of s1 (losing a log record) in the durable cases."""
+        keys = [f"k{index}" for index in range(12)]
+
+        def run(declared):
+            outage = CrashRecoverySchedule().crash("s1", at=40.0, recover_at=55.0, lose_tail=1)
+            store = ShardedSimStore(
+                LuckyAtomicProtocol(config()),
+                keys if declared else [],
+                **(capabilities if declared else {}),
+                lease_duration=25.0,
+                delay_model=UniformDelay(0.5, 1.5),
+                seed=11,
+                **({"durable": True, "compact_every": 8, "failures": outage} if durable else {}),
+            )
+            if not declared:
+                assert store.keys == []
+                for key in keys:
+                    store.create_register(key, **capabilities)
+            workload = keyspace_workload(
+                150, keys, store.config.reader_ids(), write_fraction=0.3, mean_gap=0.6, seed=5
+            )
+            handles = run_store_workload(store, workload)
+            store.run_until_quiescent()
+            assert all(handle.done for handle in handles) and store.verify_atomic()
+            operations = [
+                (h.register_id, h.result.kind, h.result.value, h.rounds, h.fast, h.completed_at)
+                for h in handles
+            ]
+            counters = (store.cluster.events_processed, store.messages_sent, store.bytes_sent)
+            return operations, counters
+
+        assert run(declared=True) == run(declared=False)
 
     def test_drop_register_discards_state_everywhere(self):
         store = bounded_store(max_resident=None)
@@ -135,6 +178,73 @@ class TestSimChurnAcceptance:
         assert store.evictions > 0 and store.rehydrations > 0
         results = store.check_atomicity()
         assert results and all(result.ok for result in results.values())
+
+
+class TestAdmissionOnly:
+    """A declared key is a table entry until something asks for it."""
+
+    KEYS = [f"k{index}" for index in range(50)]
+
+    @staticmethod
+    def resident(processes):
+        return {pid: list(find_router(automaton).registers) for pid, automaton in processes}
+
+    def test_a_declared_key_nobody_touched_has_no_automaton_on_the_simulator(self):
+        store = ShardedSimStore(
+            LuckyAtomicProtocol(config()), self.KEYS, leases=["k7"], durable=True, compact_every=4
+        )
+        processes = store.cluster.processes.items()
+        assert set(map(tuple, self.resident(processes).values())) == {()}
+        store.write("k7", "a")
+        assert store.read("k7", "r1").value == "a"
+        assert self.resident(processes) == {
+            "s1": ["k7"], "s2": ["k7"], "s3": ["k7"], "w": ["k7"], "r1": ["k7"], "r2": []
+        }  # fmt: skip
+        assert store.keys == self.KEYS and len(store.histories()) == 50
+        assert store.verify_atomic()
+
+    def test_a_declared_key_nobody_touched_has_no_automaton_on_asyncio(self, tmp_path):
+        async def scenario(store):
+            nodes = {**store.server_nodes, **store.client_nodes}
+            processes = [(pid, node.automaton) for pid, node in nodes.items()]
+            assert set(map(tuple, self.resident(processes).values())) == {()}
+            await store.write("k7", "a")
+            assert (await store.read("k7", "r2")).value == "a"
+            assert self.resident(processes) == {
+                "s1": ["k7"], "s2": ["k7"], "s3": ["k7"], "w": ["k7"], "r1": [], "r2": ["k7"]
+            }  # fmt: skip
+            assert store.verify_atomic()
+
+        ShardedAsyncCluster.run_scenario(
+            LuckyAtomicProtocol(config()),
+            scenario,
+            keys=self.KEYS,
+            leases=["k7"],
+            durable=True,
+            wal_dir=str(tmp_path),
+            message_delay_s=0.0005,
+        )
+
+    def test_a_restarted_asyncio_server_admits_what_its_files_name(self, tmp_path):
+        async def scenario(store):
+            await store.write("k1", "a")
+            await store.write("k2", "b")
+            await store.read("k3")  # read-only: no WAL record, so not recovered
+            store.crash_server("s1")
+            node = await store.restart_server("s1")
+            router = find_router(node.automaton)
+            assert sorted(router.registers) == ["k1", "k2"] and router.recovered
+            assert (await store.read("k1")).value == "a"
+            assert store.verify_atomic()
+
+        ShardedAsyncCluster.run_scenario(
+            LuckyAtomicProtocol(config()),
+            scenario,
+            keys=self.KEYS,
+            durable=True,
+            wal_dir=str(tmp_path),
+            message_delay_s=0.0005,
+        )
 
 
 class TestAsyncioEvictionRoundTrip:

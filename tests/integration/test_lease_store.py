@@ -225,6 +225,29 @@ class TestLeaseCrashRecovery:
         assert read.result.metadata.get("lease") is None  # not lease-served
         assert store.verify_atomic()
 
+    def test_grace_follows_a_register_admitted_after_the_recovery(self):
+        # r1 holds a lease on a key nobody ever wrote: the granters hold no
+        # WAL record and no snapshot entry for it, so s1's recovery does not
+        # admit it — the next PreWrite does, and must find s1 in grace exactly
+        # as if the register had been rebuilt with the server.
+        store = self.build_durable(lease_duration=40.0)
+        store.read("hot", "r1")
+        lease_read = store.read("hot", "r1")
+        assert lease_read.rounds == 0 and lease_read.result.metadata["lease"] is True
+        store.crash("s1")
+        store.cluster.run_for(1.0)
+        store.recover_server("s1")
+        assert "hot" not in store.resident_registers("s1")
+        store.crash("s2")  # the write now needs s1's acknowledgement
+        write = store.write("hot", "v1")
+        # s3 remembers the lease and revokes it within a round trip; s1 forgot
+        # it and stays silent for as long as it could still be believed.
+        assert write.completed_at - write.invoked_at >= 40.0
+        assert store.cluster.processes["s1"].inner.registers["hot"].in_grace is False
+        read = store.read("hot", "r1")
+        assert read.value == "v1" and read.result.metadata.get("lease") is None
+        assert store.verify_atomic()
+
     def test_two_sequential_granter_recoveries_stay_atomic(self):
         # Both of the holder's other granters crash and recover one after the
         # other (never more than t=1 down at once).  Only one original

@@ -242,17 +242,25 @@ class TestInMemoryRuntime:
                 suite, scenario, message_delay_s=delay_s, time_scale=delay_s
             )
 
-        lucky_write, lucky_read = cycle(
-            LuckyAtomicProtocol(SystemConfig(t=2, b=1, fw=1, fr=0, num_readers=1))
-        )
-        slow_write, slow_read = cycle(
-            SlowRobustProtocol(SystemConfig(t=2, b=1, num_readers=1, enforce_tradeoff=False))
-        )
-        assert lucky_write.rounds == 1 and lucky_read.rounds == 1
-        assert slow_write.rounds == 3 and slow_read.rounds == 4
-        # Only the ordering is asserted: exact ratios depend on scheduling noise.
-        assert lucky_write.metadata["latency_s"] < slow_write.metadata["latency_s"]
-        assert lucky_read.metadata["latency_s"] < slow_read.metadata["latency_s"]
+        lucky = [
+            cycle(LuckyAtomicProtocol(SystemConfig(t=2, b=1, fw=1, fr=0, num_readers=1)))
+            for _ in range(3)
+        ]
+        slow = [
+            cycle(SlowRobustProtocol(SystemConfig(t=2, b=1, num_readers=1, enforce_tradeoff=False)))
+            for _ in range(3)
+        ]
+        assert {(write.rounds, read.rounds) for write, read in lucky} == {(1, 1)}
+        assert {(write.rounds, read.rounds) for write, read in slow} == {(3, 4)}
+        # What a loaded host cannot take away: every round is a round trip of
+        # injected delay (a timer fires at most a clock tick early).
+        for operation in (op for pair in slow for op in pair):
+            assert operation.metadata["latency_s"] >= operation.rounds * 2 * delay_s - 1e-6
+        # The ordering, on the best of three: one descheduled sample is not a verdict.
+        for index in (0, 1):  # writes, reads
+            best_lucky = min(pair[index].metadata["latency_s"] for pair in lucky)
+            best_slow = min(pair[index].metadata["latency_s"] for pair in slow)
+            assert best_lucky < best_slow
 
 
 class TestTcpRuntime:

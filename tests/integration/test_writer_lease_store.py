@@ -110,6 +110,27 @@ class TestCasCrashRecoverySim:
         assert store.verify_atomic()
         store.run_until_quiescent()
 
+    def test_grace_follows_a_register_admitted_after_the_recovery(self):
+        store = self.build_durable(lease_duration=40.0)
+        store.write("hot", "a")
+        store.write("hot", "b")  # writer lease active
+        assert store.cluster.processes["w"].registers["hot"].writer.lease_held
+        # s1 granted the lease, then loses its whole log tail with the crash:
+        # recovery finds nothing naming the key and does not admit it.
+        store.crash("s1")
+        store.cluster.run_for(1.0)
+        store.recover_server("s1", lose_tail=store.cluster.wals["s1"].record_count)
+        assert "hot" not in store.resident_registers("s1")
+        store.crash("s2")  # a competing write now needs s1's replies
+        competing = store.write("hot", "x", client_id="r1")
+        # s3 revokes the holder within a round trip; s1 is admitted by the
+        # competitor's query and parks it for the window the lease it forgot
+        # could still be relied on.
+        assert competing.completed_at - competing.invoked_at >= 40.0
+        assert store.read("hot", "r2").value == "x"
+        assert store.verify_atomic()
+        store.run_until_quiescent()
+
     def test_stale_incarnation_acks_cannot_serve_a_leased_cas(self):
         from repro.core.messages import WriteAck
 

@@ -64,21 +64,32 @@ def check_every_save(durable_of, store) -> List[float]:
     return shares
 
 
+def resident(server, keys):
+    """*server* with *keys* admitted, as if each had already been asked about."""
+    for key in keys:
+        assert server.ensure_register(key) is not None
+    return server
+
+
 class Driver:
     """Feeds one message stream to a file-backed and a memory-backed durable
-    server over identical sharded servers, both with checked stores."""
+    server over identical sharded servers, both with checked stores.  The
+    servers start with *admitted* resident, so a directed case can count in
+    fifths; ``()`` starts them as a deployment does, empty."""
 
-    def __init__(self, wal_dir, compact_every, max_resident=None):
+    def __init__(self, wal_dir, compact_every, max_resident=None, admitted=KEYS):
         self.suites = [
             ShardedProtocol(LuckyAtomicProtocol(CONFIG), list(KEYS), max_resident=max_resident)
             for _ in range(2)
         ]
         self.file = make_durable(
-            self.suites[0].create_server("s1"), wal_dir, compact_every=compact_every
+            resident(self.suites[0].create_server("s1"), admitted),
+            wal_dir,
+            compact_every=compact_every,
         )
         wal = MemoryWAL()
         self.memory = DurableServer(
-            self.suites[1].create_server("s1"),
+            resident(self.suites[1].create_server("s1"), admitted),
             wal,
             snapshots=SnapshotManager(MemorySnapshot(), wal, compact_every=compact_every),
         )
@@ -175,11 +186,12 @@ EVENTS = st.one_of(
     events=st.lists(EVENTS, min_size=30, max_size=90),
     compact_every=st.integers(min_value=1, max_value=5),
     max_resident=st.one_of(st.none(), st.none(), st.integers(min_value=3, max_value=6)),
+    admitted=st.sampled_from([(), (), tuple(KEYS)]),
 )
 @settings(max_examples=100, deadline=None)
-def test_every_compaction_equals_the_full_reencode(events, compact_every, max_resident):
+def test_every_compaction_equals_the_full_reencode(events, compact_every, max_resident, admitted):
     with tempfile.TemporaryDirectory() as wal_dir:
-        driver = Driver(wal_dir, compact_every, max_resident=max_resident)
+        driver = Driver(wal_dir, compact_every, max_resident=max_resident, admitted=admitted)
         try:
             for event in events:
                 driver.apply(event)
@@ -225,9 +237,9 @@ def test_read_only_window_reaches_the_next_snapshot(driver):
 
 
 def test_keyspace_churn_between_compactions(driver):
-    """create / drop / LRU eviction / rehydration each bump the router's
-    generation, so the next snapshot is complete — and still equals the full
-    re-encode, in the LRU table's order."""
+    """create / drop / LRU eviction / rehydration move single registers: each
+    snapshot across them still equals the full re-encode, in the LRU table's
+    order."""
     d = driver(compact_every=3, max_resident=3)
     for key in KEYS + KEYS:  # five keys through three slots: evict + rehydrate
         d.apply(("pw", key, None))
@@ -246,10 +258,27 @@ def test_keyspace_churn_between_compactions(driver):
     assert d.shares[0][-1] == 1 / 3
 
 
+def test_fresh_admissions_cost_themselves_not_the_table(driver):
+    """A register admitted since the last snapshot is one more changed
+    register; the resident ones nobody touched still come from cached bytes."""
+    d = driver(compact_every=2)
+    d.apply(("pw", "k0", None))
+    d.apply(("pw", "k0", None))
+    assert d.compactions == 1 and d.shares[0][-1] == 1.0
+    for key in ("extra0", "extra1"):
+        d.apply(("create", key))
+        d.apply(("read", key, "r1", 1))  # admitted by a message that logs nothing
+    d.apply(("pw", "k1", None))
+    d.apply(("pw", "k1", None))
+    assert d.compactions == 2
+    assert list(d.file.snapshots.store.load()) == KEYS + ["extra0", "extra1"]
+    assert d.shares[0][-1] == 3 / 7  # the two admitted and k1 — not k0, k2, k3, k4
+
+
 def test_register_replaced_without_a_message_is_not_served_from_the_cache(driver):
-    """Touch-tracking alone would miss a register that is dropped, recreated
-    and admitted through the router's hook (as recovery does) with no message
-    in between; the moved ``registers_generation`` makes the snapshot complete."""
+    """Message-tracking alone would miss a register that is dropped, recreated
+    and admitted through the router's hook with no message in between; the
+    admission itself marks it."""
     d = driver(compact_every=2)
     d.apply(("pw", "k3", None))
     d.apply(("pw", "k3", None))
@@ -262,7 +291,7 @@ def test_register_replaced_without_a_message_is_not_served_from_the_cache(driver
     d.apply(("pw", "k0", None))
     assert d.compactions == 2
     assert d.file.snapshots.store.load()["k3"]["pw"].ts == 0  # the fresh register
-    assert d.shares[0][-1] == 1.0
+    assert d.shares[0][-1] == 2 / 5  # k3 and k0: that id moved, not the table
 
 
 def test_first_snapshot_after_recovery_is_complete(tmp_path):
@@ -279,7 +308,7 @@ def test_first_snapshot_after_recovery_is_complete(tmp_path):
             )
         )
 
-    first = make_durable(suite.create_server("s1"), str(tmp_path), compact_every=4)
+    first = make_durable(resident(suite.create_server("s1"), KEYS), str(tmp_path), compact_every=4)
     for ts in range(1, 4):
         pw(first, "k0", ts)
         pw(first, "k1", ts)

@@ -275,6 +275,39 @@ class TestOneProcessHost:
         assert self.HOST_ONLY <= calls_in("core", "host.py")
 
 
+class TestOneCreationPath:
+    """Admission is the only way a register comes to exist: the per-key
+    builders have one caller each, and the routers no eager door."""
+
+    def test_per_key_automata_are_built_by_the_admission_factories_only(self):
+        callers = {"_create_register_server": set(), "_create_client_register": set()}
+        for folder, _, names in os.walk(os.path.join(SRC, "repro")):
+            for name in (n for n in names if n.endswith(".py")):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+                    for node in ast.walk(function):
+                        callee = getattr(getattr(node, "func", None), "attr", None)
+                        if isinstance(node, ast.Call) and callee in callers:
+                            callers[callee].add(function.name)
+        assert callers == {
+            "_create_register_server": {"_admit_server_register"},
+            "_create_client_register": {"_admit_client_register"},
+        }
+
+    def test_the_routers_take_a_factory_and_no_table(self):
+        import inspect
+
+        from repro.store.sharding import ShardedClient, ShardedServer
+
+        for router in (ShardedServer, ShardedClient):
+            parameters = inspect.signature(router).parameters
+            assert "registers" not in parameters
+            assert parameters["factory"].default is inspect.Parameter.empty
+        with open(os.path.join(SRC, "repro", "store", "sharding.py"), encoding="utf-8") as fh:
+            assert "factory is None" not in fh.read()
+
+
 class TestSelfCheck:
     def test_shipped_tree_analyzes_clean(self):
         report = run_analysis([SRC])

@@ -66,22 +66,16 @@ class TestShardedClientTimerDelay:
     def _config(self):
         return SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
 
-    def test_heterogeneous_inner_delays_survive_construction(self):
-        base = LuckyAtomicProtocol(self._config())
-        inner = {"k1": base.create_writer(), "k2": base.create_writer()}
-        inner["k1"].timer_delay = 3.0
-        inner["k2"].timer_delay = 7.0
-        client = ShardedClient("w", inner)
-        assert client.registers["k1"].timer_delay == 3.0
-        assert client.registers["k2"].timer_delay == 7.0
-
     def test_explicit_assignment_still_broadcasts_uniformly(self):
         base = LuckyAtomicProtocol(self._config())
         inner = {"k1": base.create_writer(), "k2": base.create_writer()}
         inner["k1"].timer_delay = 3.0
-        client = ShardedClient("w", inner)
+        client = ShardedClient("w", factory=inner.get)
+        client.write("k1", "a")
         client.timer_delay = 42.0
+        client.write("k2", "b")  # admitted after the assignment
         assert client.timer_delay == 42.0
+        assert sorted(client.registers) == ["k1", "k2"]
         assert all(a.timer_delay == 42.0 for a in client.registers.values())
 
     def test_auto_timer_cluster_still_sets_uniform_delays(self):
@@ -89,10 +83,21 @@ class TestShardedClientTimerDelay:
         suite = ShardedProtocol(LuckyAtomicProtocol(config), ["k1", "k2"])
         cluster = SimCluster(suite, delay_model=FixedDelay(1.0))
         writer = cluster.writer
+        for key in ("k1", "k2"):
+            cluster.start(config.writer_id, "write", "v", register_id=key)
         expected = FixedDelay(1.0).suggested_timer(0.5)
-        assert all(
-            a.timer_delay == expected for a in writer.registers.values()
-        )
+        assert [a.timer_delay for a in writer.registers.values()] == [expected, expected]
+
+    def test_a_client_over_an_empty_table_keeps_the_suites_timer(self):
+        # A client has no inner automaton to copy a delay from when it is
+        # built, so the suite's has to reach it some other way than through one.
+        config = self._config()
+        suite = ShardedProtocol(LuckyAtomicProtocol(config, timer_delay=3.0), [])
+        cluster = SimCluster(suite, delay_model=FixedDelay(1.0), auto_timer=False)
+        suite.create_register("k0")
+        cluster.start(config.writer_id, "write", "v", register_id="k0")
+        assert cluster.writer.timer_delay == 3.0
+        assert cluster.writer.registers["k0"].timer_delay == 3.0
 
 
 # --------------------------------------------------------------------------- #

@@ -66,8 +66,11 @@ class TestStorageRegisters:
         assert storage_registers(server) == {"": server}
 
     def test_sharded_server_expands_per_register(self):
-        suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), ["k1", "k2"])
+        suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), ["k1", "k2", "k3"])
         server = suite.create_server("s1")
+        assert storage_registers(server) == {}  # nobody asked for one yet
+        for key in ("k1", "k2"):
+            server.handle_message(Read(sender="r1", register_id=key, read_ts=1, round=1))
         registers = storage_registers(server)
         assert sorted(registers) == ["k1", "k2"]
         assert all(isinstance(inner, StorageServer) for inner in registers.values())
@@ -81,8 +84,9 @@ class TestStorageRegisters:
         state = export_server_state(server)
         fresh = suite.create_server("s1")
         restore_server_state(fresh, state)
+        # Recovery admits what the snapshot names; k1 was never asked about.
+        assert list(storage_registers(fresh)) == ["k2"]
         assert storage_registers(fresh)["k2"].pw == pair(4)
-        assert storage_registers(fresh)["k1"].pw == INITIAL_PAIR
 
 
 class TestDurableServer:
@@ -140,6 +144,24 @@ class TestDurableServer:
         )
         assert {r.register_id for r in wal.replay()} == {"k2"}
         assert durable.batching  # sharded processes batch; the wrapper forwards it
+
+    def test_unknown_register_ids_leave_no_mark(self):
+        # Register ids are peer-supplied; reads write no WAL record, so no
+        # compaction would ever clear what they marked.
+        suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), ["k1"])
+        wal = MemoryWAL()
+        durable = DurableServer(suite.create_server("s1"), wal)
+        for index in range(2000):
+            effects = durable.handle_message(
+                Read(sender="r1", register_id=f"unknown-{index}", read_ts=1, round=1)
+            )
+            assert effects.empty
+            durable.on_timer(f"unknown-{index}::lease/grace")
+        assert durable._touched == set()
+        durable.handle_message(Read(sender="r1", register_id="k1", read_ts=1, round=1))
+        durable.on_timer("k1::lease/grace")
+        assert durable._touched == {"k1"}
+        assert list(storage_registers(durable)) == ["k1"] and wal.record_count == 0
 
     def test_append_batch_groups_records_into_one_fsync(self):
         wal = MemoryWAL()

@@ -102,8 +102,8 @@ class TestShardedAutomata:
         )
         assert len(effects.sends) == 1
         assert effects.sends[0].message.register_id == "k1"
-        # The other register's state is untouched.
-        assert server.registers["k2"].read_ts["r1"] == 0
+        # The other register is untouched: nobody asked for it, so it is ⊥.
+        assert list(server.registers) == ["k1"]
 
     def test_server_drops_unknown_register(self, suite):
         server = suite.create_server("s1")
@@ -163,9 +163,7 @@ class TestShardedProtocolValidation:
             byzantine={"s1": ForgeHighTimestampStrategy},
         )
         server = suite.create_server("s1")
-        strategies = {
-            rid: inner.strategy for rid, inner in server.registers.items()
-        }
+        strategies = {rid: server.ensure_register(rid).strategy for rid in ("k1", "k2")}
         assert strategies["k1"] is not strategies["k2"]
 
 
@@ -296,9 +294,10 @@ class TestMwmrDeclaration:
             LuckyAtomicProtocol(config), ["k1", "k2"], mwmr=["k2"]
         )
         reader = suite.create_reader("r1")
+        reader.read("k1")
         assert not hasattr(reader.registers["k1"], "write")
-        assert hasattr(reader.registers["k2"], "write")
         effects = reader.write("k2", "v")
+        assert hasattr(reader.registers["k2"], "write")
         assert effects.sends  # query round went out, tagged with the register
         assert all(send.message.register_id == "k2" for send in effects.sends)
 
@@ -372,7 +371,9 @@ class TestKeyspaceTable:
         assert suite.specs["late"] is suite.specs["hot"]  # one shared instance
         assert suite.keys_with("writer_leases") == ["hot", "late"]
         assert not suite._evictable("hot") and not suite._evictable("plain")
-        late = suite.create_reader("r1").registers["late"]
+        reader = suite.create_reader("r1")
+        reader.read("late")
+        late = reader.registers["late"]
         assert isinstance(late.writer, LeasedWriter) and isinstance(late.reader, LeasedReader)
 
     def test_a_large_keyspace_shares_one_spec_instance(self, config):
@@ -384,6 +385,29 @@ class TestKeyspaceTable:
             writer_leases=True,
         )
         assert len({id(spec) for spec in suite.specs.values()}) == 1
+
+    def test_building_a_process_costs_nothing_per_key(self, config):
+        import time
+
+        def build_seconds(count):
+            suite = ShardedProtocol(
+                LuckyAtomicProtocol(config),
+                [f"key-{i:06d}" for i in range(count)],
+                mwmr=True,
+                leases=True,
+                writer_leases=True,
+            )
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                built = [suite.create_server("s1"), suite.create_writer(), suite.create_reader("r1")]
+                best = min(best, time.perf_counter() - started)
+                assert all(process.registers == {} for process in built)
+            return best
+
+        # Both sides are microseconds, hence the generous bound; one automaton
+        # per key up front would be 100+ ms per process at 4096 keys.
+        assert build_seconds(4096) < 20 * build_seconds(1) + 0.005
 
     def test_create_and_drop_cost_does_not_grow_with_the_keyspace(self, config):
         import time

@@ -120,8 +120,8 @@ class TestWriterLeaseLifecycle:
                 FixedDelay(1.0), windows=((32.0, 33.0, 10.0),)
             ),
         )
-        holder = store.cluster.processes["r1"].registers["hot"].writer
         store.write("hot", "a", client_id="r1")
+        holder = store.cluster.processes["r1"].registers["hot"].writer
         assert holder.lease_held
         store.run_for(31.0 - store.now)  # past the renew timer (half of 60)
         slow = store.start_write("hot", "b", client_id="r1")  # carries renewal 2
