@@ -123,7 +123,7 @@ def run(spec: StoreRun) -> ShardedSimStore:
     specs = store.suite.specs
     for key, history in store.histories().items():
         check_atomicity_under_scenario(
-            history, spec.disturbances, mwmr=key in specs and specs[key].mwmr
+            history, spec.disturbances, mwmr=specs[key].mwmr if key in specs else None
         ).raise_if_violated()
     return store
 

@@ -180,7 +180,7 @@ class AtomicWriter(ClientAutomaton):
 
         Without a writer lease this is optimistic: a write that lands between
         the query and the PW phase is exactly the lost update
-        :class:`~repro.verify.atomicity.ConditionalOpChecker` flags.  Under an
+        :func:`~repro.verify.atomicity.check_atomicity` flags.  Under an
         active :class:`LeasedWriter` lease the decision is made against the
         cached pair and the race disappears.
         """

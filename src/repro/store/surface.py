@@ -146,17 +146,16 @@ class StoreSurface:
         return {key: History(by_key[key]) for key in sorted(by_key)}
 
     def check_atomicity(self) -> Dict[str, CheckResult]:
-        """Run the fitting atomicity checker on every per-key history.
+        """Run the atomicity checker on every per-key history.
 
-        SWMR keys go through the paper's four-property checker; MWMR keys go
-        through the multi-writer checker, which orders writes by their
-        ``(ts, writer_id)`` pairs instead of assuming one writer.  An archive
-        ``key#N`` is checked single-writer: the capabilities of a dropped
-        incarnation are gone with it.
+        A live key's writes are keyed the way its spec says: invocation rank on
+        an SWMR key, stamped ``(ts, writer_id)`` pairs on an MWMR one.  An
+        archive ``key#N`` has no spec left, so the checker detects it from the
+        stamps the records still carry.
         """
         specs = self.suite.specs
         return {
-            key: check_atomicity(history, mwmr=key in specs and specs[key].mwmr)
+            key: check_atomicity(history, mwmr=specs[key].mwmr if key in specs else None)
             for key, history in self.histories().items()
         }
 

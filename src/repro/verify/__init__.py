@@ -1,10 +1,14 @@
-"""Operation histories and consistency checkers (atomicity, regularity, linearizability)."""
+"""Operation histories and what checks them.
+
+One :class:`AtomicityChecker` (:func:`check_atomicity`; :func:`check_regularity`
+is the same sweep minus read hierarchy) decides Section 2.2's properties per
+register for single-writer, multi-writer and conditional-write histories alike;
+:func:`is_linearizable` is the exhaustive search it is held to on small ones.
+"""
 
 from .atomicity import (
     AtomicityChecker,
     CheckResult,
-    ConditionalOpChecker,
-    MultiWriterAtomicityChecker,
     ScenarioCheckResult,
     Violation,
     check_atomicity,
@@ -17,12 +21,10 @@ from .linearizability import (
     cross_validate_registers,
     is_linearizable,
 )
-from .regularity import RegularityChecker, check_regularity
+from .regularity import check_regularity
 
 __all__ = [
     "AtomicityChecker",
-    "ConditionalOpChecker",
-    "MultiWriterAtomicityChecker",
     "CheckResult",
     "ScenarioCheckResult",
     "Violation",
@@ -34,6 +36,5 @@ __all__ = [
     "cross_validate",
     "cross_validate_registers",
     "is_linearizable",
-    "RegularityChecker",
     "check_regularity",
 ]

@@ -1,6 +1,6 @@
-"""Atomicity checkers (Section 2.2 of the paper, plus the MWMR extension).
+"""The atomicity checker (Section 2.2 of the paper), one for every register.
 
-A partial SWMR run satisfies atomicity iff:
+A partial run of one register satisfies atomicity iff:
 
 1. **No creation** — if a READ returns ``x`` then ``x`` was written by some
    WRITE (or is the initial value ⊥).
@@ -11,26 +11,45 @@ A partial SWMR run satisfies atomicity iff:
 4. **Read hierarchy** — if READ ``rd_1`` returns ``val_k`` and READ ``rd_2``
    succeeds ``rd_1`` and returns ``val_l``, then ``l >= k``.
 
-The checker reports every violated property with the operations involved.
-When two WRITEs wrote the same value the mapping from a returned value to a
-write index is ambiguous; the checker then uses the most permissive consistent
-index (and flags the ambiguity), so benchmark workloads write unique values.
+All four are statements about *which write a read returned*, so the checker
+gives every write a **key** and decides everything else by comparing keys.
+How keys are derived is the only thing that differs between a single-writer
+and a multi-writer register (and the only thing ``mwmr=`` selects):
 
-:class:`MultiWriterAtomicityChecker` checks the same four properties over a
-*multi-writer* history, where "later" is no longer the single writer's
-invocation order but the lexicographic ``(ts, writer_id)`` order the MWMR
-protocol stamps into every completed operation's metadata.  Writer overlap
-across distinct clients is legal there; each individual client must still be
-well-formed.  :func:`check_atomicity` dispatches between the two.
+- single-writer — the write's invocation rank ``(k, "")``: one writer issues
+  them all, so invocation order is the order of the values;
+- multi-writer — the lexicographic ``(ts, writer_id)`` pair the MWMR protocol
+  stamped into the write's completion metadata.  Writer overlap across
+  distinct clients is legal there (each client must still be well-formed),
+  and three more statements become checkable: **write-order** (a WRITE
+  invoked after another completed carries a higher pair), **pair-reuse** /
+  **pair-mismatch** (a pair names one write, and a READ reports the pair of
+  the write whose value it returns), and **conditional-isolation** for CAS /
+  RMW (see :class:`AtomicityChecker`).
+
+The ⊥ value has the key ``(0, "")``, below every write.  When two WRITEs wrote
+the same value a READ of it is attributed to the whole range of their keys and
+every comparison uses the most permissive end (with a warning), so benchmark
+workloads write unique values.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.types import is_bottom
-from .history import History, OperationRecord
+from .history import (
+    BOTTOM_PAIR,
+    History,
+    OperationRecord,
+    Pair,
+    observed_pair,
+    reported_pair,
+    written_pair,
+)
 
 
 @dataclass(frozen=True)
@@ -39,7 +58,7 @@ class Violation:
 
     property_name: str
     description: str
-    operations: tuple
+    operations: Tuple[OperationRecord, ...]
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         ops = "; ".join(repr(op) for op in self.operations)
@@ -98,525 +117,69 @@ class CheckResult:
         )
 
 
-def _count_lease_reads(reads: List[OperationRecord]) -> int:
-    return sum(1 for read in reads if read.metadata.get("lease"))
+@dataclass(slots=True)
+class _WritesOfValue:
+    """The writes of one value: their key range and earliest invocation."""
+
+    lo: Optional[Pair]
+    hi: Optional[Pair]
+    invoked_at: float
+    #: Position of the only write of the value; ``None`` once a second wrote it.
+    sole: Optional[int]
 
 
-def _warn_on_ill_formed_writers(history: History, result: CheckResult) -> None:
-    """Flag writer overlap *per register*, skipping multi-writer registers.
-
-    Well-formedness is a per-register property: a sharded history legitimately
-    interleaves writes to different keys, and an MWMR register legitimately
-    interleaves writes by different clients.  Only a genuinely broken shape is
-    warned about — overlapping writes on one SWMR register, or overlapping
-    writes by one client on one MWMR register.
-    """
-    for register_id, sub in history.by_register().items():
-        prefix = f"register {register_id!r}: " if register_id is not None else ""
-        if sub.is_mwmr():
-            if not sub.clients_are_well_formed():
-                result.warnings.append(
-                    prefix
-                    + "a single client's writes overlap; per-client "
-                    "well-formedness broken"
-                )
-            continue  # concurrent writers are legal on an MWMR register
-        if not sub.writer_is_well_formed():
-            result.warnings.append(
-                prefix + "writer operations overlap; SWMR well-formedness broken"
-            )
+def _value_id(value: Any) -> Any:
+    """A dict key with ``==`` semantics (``repr`` for unhashable values)."""
+    try:
+        hash(value)
+    except TypeError:
+        return ("unhashable", repr(value))
+    return value
 
 
 class AtomicityChecker:
-    """Checks the four SWMR atomicity properties over a :class:`History`."""
+    """Checks every register of a :class:`History`, one sort and one sweep each.
 
-    consistency = "atomicity"
+    Per register: key the writes (module docstring), resolve every complete
+    READ to the ``[lo, hi]`` keys of the writes of its value, then walk the
+    invocations and completions in time order.  A completion raises one of two
+    running maxima — the highest completed write key, the highest completed
+    read ``lo`` — and an invocation is compared against them:
 
-    #: Which properties to verify; the regularity checker overrides this.
-    check_read_hierarchy = True
+    - **read-after-write** — a READ's ``hi`` is not below the highest write
+      key completed before it was invoked;
+    - **read-hierarchy** — nor below the highest ``lo`` a READ completed
+      before it returned (``read_hierarchy=False`` drops this comparison,
+      which is regularity);
+    - **write-order** — a keyed WRITE is above the highest write key completed
+      before it was invoked (vacuous for invocation ranks);
+    - **no-creation**, **no-future-read**, **pair-reuse**, **pair-mismatch**
+      are lookups in the value and key indexes.
 
-    def check(self, history: History) -> CheckResult:
-        result = CheckResult(consistency=self.consistency)
-        writes = history.writes()
-        reads = history.reads(only_complete=True)
-        result.checked_reads = len(reads)
-        result.checked_writes = len(writes)
-        result.lease_reads = _count_lease_reads(reads)
+    Each violation is reported once, on the operation that offends, with the
+    maximum it fell below as the witness.
 
-        if history.has_duplicate_write_values():
-            result.warnings.append(
-                "history contains duplicate written values; index mapping is ambiguous"
-            )
-        _warn_on_ill_formed_writers(history, result)
-
-        for read in reads:
-            self._check_no_creation(history, read, result)
-            self._check_write_read_order(history, read, result)
-            self._check_not_from_future(history, read, result)
-        if self.check_read_hierarchy:
-            self._check_read_hierarchy(history, reads, result)
-        return result
-
-    # ----------------------------------------------------------- property 1
-    def _check_no_creation(
-        self, history: History, read: OperationRecord, result: CheckResult
-    ) -> None:
-        if history.write_indices_of(read.value):
-            return
-        result.violations.append(
-            Violation(
-                property_name="no-creation",
-                description=(
-                    f"READ returned {read.value!r} which was never written and is not ⊥"
-                ),
-                operations=(read,),
-            )
-        )
-
-    # ----------------------------------------------------------- property 2
-    def _check_write_read_order(
-        self, history: History, read: OperationRecord, result: CheckResult
-    ) -> None:
-        indices = history.write_indices_of(read.value)
-        if not indices:
-            return  # already reported as no-creation
-        returned_index = max(indices)
-        writes = history.writes()
-        for position, write in enumerate(writes, start=1):
-            if not write.complete:
-                continue
-            if write.precedes(read) and returned_index < position:
-                result.violations.append(
-                    Violation(
-                        property_name="read-after-write",
-                        description=(
-                            f"READ returned val_{returned_index} ({read.value!r}) although the "
-                            f"later WRITE wr_{position} ({write.value!r}) completed before it"
-                        ),
-                        operations=(write, read),
-                    )
-                )
-                return
-
-    # ----------------------------------------------------------- property 3
-    def _check_not_from_future(
-        self, history: History, read: OperationRecord, result: CheckResult
-    ) -> None:
-        if is_bottom(read.value):
-            return
-        indices = [index for index in history.write_indices_of(read.value) if index >= 1]
-        if not indices:
-            return
-        writes = history.writes()
-        # The read is justified if SOME write of that value was invoked before
-        # the read completed (precedes or concurrent).
-        for index in indices:
-            write = writes[index - 1]
-            if not read.precedes(write):
-                return
-        result.violations.append(
-            Violation(
-                property_name="no-future-read",
-                description=(
-                    f"READ returned {read.value!r} although every WRITE of that value "
-                    "was invoked only after the READ completed"
-                ),
-                operations=(read,),
-            )
-        )
-
-    # ----------------------------------------------------------- property 4
-    def _check_read_hierarchy(
-        self, history: History, reads: List[OperationRecord], result: CheckResult
-    ) -> None:
-        for i, earlier in enumerate(reads):
-            earlier_indices = history.write_indices_of(earlier.value)
-            if not earlier_indices:
-                continue
-            earlier_index = min(earlier_indices)
-            for later in reads[i + 1 :]:
-                if not earlier.precedes(later):
-                    continue
-                later_indices = history.write_indices_of(later.value)
-                if not later_indices:
-                    continue
-                later_index = max(later_indices)
-                if later_index < earlier_index:
-                    result.violations.append(
-                        Violation(
-                            property_name="read-hierarchy",
-                            description=(
-                                f"READ returned val_{later_index} ({later.value!r}) although a "
-                                f"preceding READ already returned val_{earlier_index} "
-                                f"({earlier.value!r})"
-                            ),
-                            operations=(earlier, later),
-                        )
-                    )
-
-
-#: Ordering key of an operation in a multi-writer history: ``(ts, writer_id)``.
-_PairKey = Tuple[int, str]
-
-#: The key of the initial value ⊥ (below every honestly written pair).
-_BOTTOM_KEY: _PairKey = (0, "")
-
-
-class MultiWriterAtomicityChecker:
-    """Checks atomicity of a *multi-writer* register history.
-
-    The SWMR checker orders writes by invocation time — correct only when one
-    writer issues them all.  With concurrent writers, the authoritative order
-    is the lexicographic ``(ts, writer_id)`` pair the MWMR protocol assigned
-    to each write, recorded in completion metadata.  The four SWMR properties
-    generalise verbatim with "write index" replaced by that pair:
-
-    1. **no-creation** — a READ returns ⊥ or some WRITE's value (value-based,
-       no keys needed);
-    2. **write-order** — if WRITE ``u`` completes before WRITE ``v`` is
-       invoked then ``key(u) < key(v)`` (the query phase guarantees every new
-       pair dominates all completed writes);
-    3. **read-after-write** — a READ that starts after a WRITE completed
-       returns a pair at least as high;
-    4. **no-future-read** — a READ never returns a value whose only writes
-       started after the READ completed;
-    5. **read-hierarchy** — two non-overlapping READs return non-decreasing
-       pairs.
-
-    Two distinct complete writes carrying the same ``(ts, writer_id)`` are
-    additionally flagged (honest writers never reuse a pair).  Histories whose
-    writes lack the metadata (hand-built records) fall back to the value-based
-    properties only, with a warning.
-    """
-
-    consistency = "mwmr-atomicity"
-
-    #: Which properties to verify (mirrors :class:`AtomicityChecker`).
-    check_read_hierarchy = True
-
-    def check(self, history: History) -> CheckResult:
-        """Check *history*; multi-register histories are checked per register.
-
-        Atomicity — and in particular pair uniqueness and write order — is a
-        per-register property: every register's writers count timestamps
-        independently, so the first writes to two different keys legitimately
-        carry the same ``(ts, writer_id)`` pair.  A combined history is split
-        on the ``register_id`` metadata and each group checked on its own,
-        with violations and warnings labelled by register.
-        """
-        groups = history.by_register()
-        if len(groups) <= 1:
-            return self._check_register(history)
-        result = CheckResult(consistency=self.consistency)
-        for register_id, sub in sorted(groups.items(), key=lambda kv: str(kv[0])):
-            sub_result = self._check_register(sub)
-            prefix = f"register {register_id!r}: "
-            result.violations.extend(
-                Violation(
-                    property_name=violation.property_name,
-                    description=prefix + violation.description,
-                    operations=violation.operations,
-                )
-                for violation in sub_result.violations
-            )
-            result.warnings.extend(prefix + warning for warning in sub_result.warnings)
-            result.checked_reads += sub_result.checked_reads
-            result.checked_writes += sub_result.checked_writes
-            result.lease_reads += sub_result.lease_reads
-            result.cas_writes += sub_result.cas_writes
-            result.cas_failures += sub_result.cas_failures
-        return result
-
-    def _check_register(self, history: History) -> CheckResult:
-        result = CheckResult(consistency=self.consistency)
-        writes = history.writes()
-        reads = history.reads(only_complete=True)
-        result.checked_reads = len(reads)
-        result.checked_writes = len(writes)
-        result.lease_reads = _count_lease_reads(reads)
-
-        if history.has_duplicate_write_values():
-            result.warnings.append(
-                "history contains duplicate written values; value-to-write "
-                "mapping is ambiguous"
-            )
-        if not history.clients_are_well_formed():
-            result.warnings.append(
-                "a single client's writes overlap; per-client well-formedness "
-                "broken"
-            )
-
-        write_keys = self._write_keys(writes, result)
-        self._check_pair_uniqueness(writes, write_keys, result)
-        self._check_write_order(writes, write_keys, result)
-
-        read_keys: Dict[int, Optional[_PairKey]] = {}
-        for read in reads:
-            read_keys[id(read)] = self._resolve_read(
-                history, read, writes, write_keys, result
-            )
-        for read in reads:
-            self._check_read_after_write(read, writes, write_keys, read_keys, result)
-            self._check_not_from_future(history, read, writes, result)
-        if self.check_read_hierarchy:
-            self._check_read_hierarchy(reads, read_keys, result)
-        return result
-
-    # ------------------------------------------------------------------ keys
-    @staticmethod
-    def _key_of(record: OperationRecord) -> Optional[_PairKey]:
-        """The ``(ts, writer_id)`` pair a completed WRITE carries.
-
-        MWMR writes always stamp their ``writer_id``; for writes that lack it
-        (hand-built records) the invoking client is the writer by definition.
-        """
-        ts = record.metadata.get("ts")
-        if ts is None:
-            return None
-        return (ts, record.metadata.get("writer_id", record.client_id))
-
-    @staticmethod
-    def _reported_read_key(record: OperationRecord) -> Optional[_PairKey]:
-        """The pair a READ explicitly reported, or ``None``.
-
-        Unlike writes there is no fallback: the reading client's id says
-        nothing about the pair's writer, and reads of SWMR-written pairs
-        legitimately carry no ``writer_id`` at all.
-        """
-        ts = record.metadata.get("ts")
-        writer_id = record.metadata.get("writer_id")
-        if ts is None or writer_id is None:
-            return None
-        return (ts, writer_id)
-
-    def _write_keys(
-        self, writes: List[OperationRecord], result: CheckResult
-    ) -> Dict[int, Optional[_PairKey]]:
-        keys: Dict[int, Optional[_PairKey]] = {}
-        missing = 0
-        for write in writes:
-            key = self._key_of(write)
-            keys[id(write)] = key
-            if key is None and write.complete:
-                missing += 1
-        if missing:
-            result.warnings.append(
-                f"{missing} complete write(s) lack (ts, writer_id) metadata; "
-                "order-based properties are checked on the remainder only"
-            )
-        return keys
-
-    def _resolve_read(
-        self,
-        history: History,
-        read: OperationRecord,
-        writes: List[OperationRecord],
-        write_keys: Dict[int, Optional[_PairKey]],
-        result: CheckResult,
-    ) -> Optional[_PairKey]:
-        """The pair a READ observed, derived from the write of its value.
-
-        Returns ``None`` when the value cannot be attributed (the no-creation
-        violation is reported separately).  When several writes wrote the same
-        value the highest key is used — the most permissive consistent choice,
-        mirroring the SWMR checker.
-        """
-        if is_bottom(read.value):
-            return _BOTTOM_KEY
-        matching = [w for w in writes if not is_bottom(w.value) and w.value == read.value]
-        if not matching:
-            result.violations.append(
-                Violation(
-                    property_name="no-creation",
-                    description=(
-                        f"READ returned {read.value!r} which was never written "
-                        "and is not ⊥"
-                    ),
-                    operations=(read,),
-                )
-            )
-            return None
-        keys = [write_keys[id(w)] for w in matching]
-        known = [key for key in keys if key is not None]
-        chosen = max(known) if known else None
-        # Cross-check the pair the reader itself reported: a mismatch means
-        # the read and the write disagree about the value's timestamp, which
-        # only forged server state can produce.
-        reported = self._reported_read_key(read)
-        if (
-            chosen is not None
-            and reported is not None
-            and len(matching) == 1
-            and reported != chosen
-        ):
-            result.violations.append(
-                Violation(
-                    property_name="pair-mismatch",
-                    description=(
-                        f"READ returned {read.value!r} with pair {reported} but "
-                        f"its WRITE carried pair {chosen}"
-                    ),
-                    operations=(matching[0], read),
-                )
-            )
-        return chosen
-
-    # ------------------------------------------------------------ properties
-    def _check_pair_uniqueness(
-        self,
-        writes: List[OperationRecord],
-        write_keys: Dict[int, Optional[_PairKey]],
-        result: CheckResult,
-    ) -> None:
-        seen: Dict[_PairKey, OperationRecord] = {}
-        for write in writes:
-            key = write_keys[id(write)]
-            if key is None:
-                continue
-            other = seen.get(key)
-            if other is not None:
-                result.violations.append(
-                    Violation(
-                        property_name="pair-reuse",
-                        description=(
-                            f"two WRITEs carry the same (ts, writer_id) pair {key}"
-                        ),
-                        operations=(other, write),
-                    )
-                )
-            else:
-                seen[key] = write
-
-    def _check_write_order(
-        self,
-        writes: List[OperationRecord],
-        write_keys: Dict[int, Optional[_PairKey]],
-        result: CheckResult,
-    ) -> None:
-        for i, earlier in enumerate(writes):
-            earlier_key = write_keys[id(earlier)]
-            if earlier_key is None:
-                continue
-            for later in writes[i + 1 :]:
-                later_key = write_keys[id(later)]
-                if later_key is None or not earlier.precedes(later):
-                    continue
-                if later_key <= earlier_key:
-                    result.violations.append(
-                        Violation(
-                            property_name="write-order",
-                            description=(
-                                f"WRITE with pair {later_key} was invoked after "
-                                f"a WRITE with pair {earlier_key} completed but "
-                                "does not dominate it"
-                            ),
-                            operations=(earlier, later),
-                        )
-                    )
-
-    def _check_read_after_write(
-        self,
-        read: OperationRecord,
-        writes: List[OperationRecord],
-        write_keys: Dict[int, Optional[_PairKey]],
-        read_keys: Dict[int, Optional[_PairKey]],
-        result: CheckResult,
-    ) -> None:
-        read_key = read_keys.get(id(read))
-        if read_key is None:
-            return
-        for write in writes:
-            write_key = write_keys[id(write)]
-            if write_key is None or not write.precedes(read):
-                continue
-            if read_key < write_key:
-                result.violations.append(
-                    Violation(
-                        property_name="read-after-write",
-                        description=(
-                            f"READ returned pair {read_key} ({read.value!r}) "
-                            f"although the WRITE of pair {write_key} "
-                            f"({write.value!r}) completed before it"
-                        ),
-                        operations=(write, read),
-                    )
-                )
-                return
-
-    def _check_not_from_future(
-        self,
-        history: History,
-        read: OperationRecord,
-        writes: List[OperationRecord],
-        result: CheckResult,
-    ) -> None:
-        if is_bottom(read.value):
-            return
-        matching = [w for w in writes if not is_bottom(w.value) and w.value == read.value]
-        if not matching:
-            return  # already reported as no-creation
-        if all(read.precedes(write) for write in matching):
-            result.violations.append(
-                Violation(
-                    property_name="no-future-read",
-                    description=(
-                        f"READ returned {read.value!r} although every WRITE of "
-                        "that value was invoked only after the READ completed"
-                    ),
-                    operations=(read,),
-                )
-            )
-
-    def _check_read_hierarchy(
-        self,
-        reads: List[OperationRecord],
-        read_keys: Dict[int, Optional[_PairKey]],
-        result: CheckResult,
-    ) -> None:
-        for i, earlier in enumerate(reads):
-            earlier_key = read_keys.get(id(earlier))
-            if earlier_key is None:
-                continue
-            for later in reads[i + 1 :]:
-                later_key = read_keys.get(id(later))
-                if later_key is None or not earlier.precedes(later):
-                    continue
-                if later_key < earlier_key:
-                    result.violations.append(
-                        Violation(
-                            property_name="read-hierarchy",
-                            description=(
-                                f"READ returned pair {later_key} "
-                                f"({later.value!r}) although a preceding READ "
-                                f"already returned pair {earlier_key} "
-                                f"({earlier.value!r})"
-                            ),
-                            operations=(earlier, later),
-                        )
-                    )
-
-
-class ConditionalOpChecker(MultiWriterAtomicityChecker):
-    """MWMR atomicity plus *conditional isolation* for CAS and RMW writes.
+    A multi-writer WRITE without a stamp — an open write, whose completion
+    never ran, or a hand-built record — takes the pair the READs of its value
+    report; READs of a value nobody can key are left out of the order
+    properties, with a warning.
 
     A successful compare-and-swap (or read-modify-write) claims more than a
-    plain write: the value it replaced is the one it *observed*.  The MWMR
-    protocol stamps that observation into the completion metadata
-    (``observed_ts`` / ``observed_writer`` / ``observed_bottom``), and this
-    checker verifies it against the rest of the history:
+    plain write: the value it replaced is the one it *observed*, stamped as
+    ``observed_ts`` / ``observed_writer`` / ``observed_bottom``:
 
     - **conditional-isolation** — no WRITE whose pair lies strictly between
-      the observed pair and the conditional's own pair *completed before the
+      the observed pair and the conditional's own *completed before the
       conditional was invoked*.  Such a write was unmissable in real time, so
       the conditional decided against a stale value.  Writes *concurrent*
-      with the conditional are exempt: under lexicographic timestamp ties a
-      competitor's parked write may legally land between the two pairs, which
-      is the standard real-time caveat of timestamp-ordered linearisation
-      (see ``docs/protocol.md``).
+      with the conditional are exempt: a competitor's parked write may land
+      between the two pairs, which is atomic as a register and not as a CAS
+      object (``docs/protocol.md``, "Real-time caveat"; pinned by the strict
+      xfail in ``tests/unit/test_linearizability.py``).
 
-    Failed CAS attempts complete as reads (``cas_failed`` metadata) and
-    participate in the inherited read properties — a failed CAS must
-    linearise exactly like a read of the value it lost to.
+    Failed CAS attempts complete as reads (``cas_failed`` metadata) and take
+    part in the read properties — a failed CAS must linearise exactly like a
+    read of the value it lost to.
 
     >>> from repro.verify.history import History, OperationRecord
     >>> write = OperationRecord(
@@ -630,83 +193,233 @@ class ConditionalOpChecker(MultiWriterAtomicityChecker):
     ...               "observed_ts": 1, "observed_writer": "w1",
     ...               "observed_bottom": False},
     ... )
-    >>> result = ConditionalOpChecker().check(History([write, cas]))
-    >>> result.ok, result.cas_writes
-    (True, 1)
+    >>> result = AtomicityChecker().check(History([write, cas]))
+    >>> result.ok, result.cas_writes, result.consistency
+    (True, 1, 'mwmr-atomicity+conditional')
     """
 
-    consistency = "mwmr-atomicity+conditional"
+    def __init__(self, mwmr: Optional[bool] = None, read_hierarchy: bool = True) -> None:
+        #: How keys are derived: stamped pairs, invocation ranks, or (``None``)
+        #: stamped pairs on the registers whose writes carry ``mwmr: True``.
+        self.mwmr = mwmr
+        self.read_hierarchy = read_hierarchy
 
-    def _check_register(self, history: History) -> CheckResult:
-        result = super()._check_register(history)
-        writes = history.writes()
-        reads = history.reads(only_complete=True)
-        result.cas_failures = sum(
-            1 for read in reads if read.metadata.get("cas_failed")
-        )
-        conditionals = [
-            write
-            for write in writes
-            if write.complete
-            and (write.metadata.get("cas") or write.metadata.get("rmw"))
-        ]
-        result.cas_writes = len(conditionals)
-        write_keys = {id(write): self._key_of(write) for write in writes}
-        for write in conditionals:
-            self._check_conditional_isolation(write, writes, write_keys, result)
+    def check(self, history: History) -> CheckResult:
+        """Check *history*, register by register.
+
+        Atomicity is a per-register property — every register's writers count
+        timestamps independently, and a single writer legitimately overlaps
+        its own writes to different keys — so the history is split on the
+        ``register_id`` metadata, and violations and warnings name their
+        register.
+        """
+        result = CheckResult(consistency="atomicity")
+        multi_writer = bool(self.mwmr)
+        registers = sorted(history.by_register().items(), key=lambda item: str(item[0]))
+        for register_id, records in registers:
+            stamped = records.is_mwmr() if self.mwmr is None else self.mwmr
+            multi_writer = multi_writer or stamped
+            self._check_register(register_id, records, stamped, result)
+        if not self.read_hierarchy:
+            result.consistency = "regularity"
+        elif multi_writer:
+            conditional = result.cas_writes or result.cas_failures
+            result.consistency = "mwmr-atomicity" + ("+conditional" if conditional else "")
         return result
 
-    @staticmethod
-    def _observed_key(write: OperationRecord) -> Optional[_PairKey]:
-        """The pair a conditional write decided against, or ``None``."""
-        metadata = write.metadata
-        if "observed_ts" not in metadata:
-            return None
-        if metadata.get("observed_bottom"):
-            return _BOTTOM_KEY
-        return (metadata["observed_ts"], metadata.get("observed_writer") or "")
-
-    def _check_conditional_isolation(
-        self,
-        write: OperationRecord,
-        writes: List[OperationRecord],
-        write_keys: Dict[int, Optional[_PairKey]],
-        result: CheckResult,
+    def _check_register(
+        self, register_id: Any, history: History, stamped: bool, result: CheckResult
     ) -> None:
-        observed = self._observed_key(write)
-        own = write_keys[id(write)]
-        if observed is None or own is None:
-            return
-        for other in writes:
-            if other is write:
+        prefix = "" if register_id is None else f"register {register_id!r}: "
+
+        def flag(name: str, description: str, *operations: OperationRecord) -> None:
+            result.violations.append(Violation(name, prefix + description, operations))
+
+        def show(key: Pair) -> str:
+            return f"pair {key}" if stamped else f"val_{key[0]}"
+
+        ordered = sorted(history.records, key=attrgetter("invoked_at"))
+        writes = [op for op in ordered if op.kind == "write"]
+        reads = [op for op in ordered if op.kind == "read" and op.complete]
+        result.checked_writes += len(writes)
+        result.checked_reads += len(reads)
+
+        # ---------------------------------------------------- key the writes
+        keys: List[Optional[Pair]] = []
+        by_value: Dict[Any, _WritesOfValue] = {}
+        duplicates = False
+        for position, write in enumerate(writes):
+            key = written_pair(write) if stamped else (position + 1, "")
+            keys.append(key)
+            conditional = write.metadata.get("cas") or write.metadata.get("rmw")
+            if stamped and conditional and write.complete:
+                result.cas_writes += 1
+            if is_bottom(write.value):
                 continue
-            other_key = write_keys[id(other)]
-            if other_key is None:
+            value = _value_id(write.value)
+            same = by_value.get(value)
+            if same is None:
+                by_value[value] = _WritesOfValue(key, key, write.invoked_at, position)
                 continue
-            if observed < other_key < own and other.precedes(write):
-                result.violations.append(
-                    Violation(
-                        property_name="conditional-isolation",
-                        description=(
-                            f"conditional WRITE with pair {own} observed pair "
-                            f"{observed}, but the WRITE with pair {other_key} "
-                            f"({other.value!r}) completed before the "
-                            "conditional was invoked"
-                        ),
-                        operations=(other, write),
-                    )
+            duplicates = True
+            same.sole = None
+            if key is not None:
+                same.lo = key if same.lo is None else min(same.lo, key)
+                same.hi = key if same.hi is None else max(same.hi, key)
+
+        # -------------------------------------------------- resolve the reads
+        #: ``(operation, lo, hi)``; a write's ``lo`` and ``hi`` are its key.
+        keyed: List[Tuple[OperationRecord, Pair, Pair]] = []
+        unkeyed_reads = 0
+        for read in reads:
+            if read.metadata.get("lease"):
+                result.lease_reads += 1
+            if stamped and read.metadata.get("cas_failed"):
+                result.cas_failures += 1
+            if is_bottom(read.value):
+                keyed.append((read, BOTTOM_PAIR, BOTTOM_PAIR))
+                continue
+            same = by_value.get(_value_id(read.value))
+            if same is None:
+                flag(
+                    "no-creation",
+                    f"READ returned {read.value!r} which was never written and is not ⊥",
+                    read,
                 )
+                continue
+            if read.end_time < same.invoked_at:
+                flag(
+                    "no-future-read",
+                    f"READ returned {read.value!r} although every WRITE of that "
+                    "value was invoked only after the READ completed",
+                    read,
+                )
+            reported = reported_pair(read) if stamped else None
+            if reported is not None and same.sole is not None:
+                if same.hi is None:
+                    keys[same.sole] = same.lo = same.hi = reported
+                elif reported != same.hi:
+                    # The read and the write disagree about the value's
+                    # timestamp, which only forged server state can produce.
+                    flag(
+                        "pair-mismatch",
+                        f"READ returned {read.value!r} with pair {reported} but "
+                        f"its WRITE carried pair {same.hi}",
+                        writes[same.sole],
+                        read,
+                    )
+            if same.lo is None or same.hi is None:
+                unkeyed_reads += 1
+            else:
+                keyed.append((read, same.lo, same.hi))
+
+        unkeyed_writes = 0
+        for write, key in zip(writes, keys, strict=True):
+            if key is not None:
+                keyed.append((write, key, key))
+            elif write.complete:
+                unkeyed_writes += 1
+
+        # ------------------------------------------------------------ warnings
+        def warn(message: str) -> None:
+            result.warnings.append(prefix + message)
+
+        if duplicates:
+            warn("history contains duplicate written values; value-to-write mapping is ambiguous")
+        if stamped and not history.clients_are_well_formed():
+            warn("a single client's writes overlap; per-client well-formedness broken")
+        if not stamped and not history.writer_is_well_formed():
+            warn("writer operations overlap; SWMR well-formedness broken")
+        if unkeyed_writes:
+            warn(
+                f"{unkeyed_writes} complete write(s) lack (ts, writer_id) metadata; "
+                "order-based properties are checked on the remainder only"
+            )
+        if unkeyed_reads:
+            warn(
+                f"{unkeyed_reads} read(s) returned the value of a write nobody "
+                "stamped or reported a pair for; they are left out of the order properties"
+            )
+
+        # --------------------------------------------------------------- sweep
+        # At equal times the invocation sorts first: precedence is strict.
+        events = sorted(
+            [(op.invoked_at, False, n) for n, (op, _, _) in enumerate(keyed)]
+            + [(op.end_time, True, n) for n, (op, _, _) in enumerate(keyed) if op.complete]
+        )
+        first_with: Dict[Pair, OperationRecord] = {}
+        completed_keys: List[Pair] = []  # sorted; multi-writer registers only
+        top_write: Optional[Tuple[Pair, OperationRecord]] = None
+        top_read: Optional[Tuple[Pair, OperationRecord]] = None
+        for _, completes, n in events:
+            op, lo, hi = keyed[n]
+            if completes:
+                if op.kind == "read":
+                    if top_read is None or lo > top_read[0]:
+                        top_read = (lo, op)
+                else:
+                    if top_write is None or hi > top_write[0]:
+                        top_write = (hi, op)
+                    if stamped:
+                        insort(completed_keys, hi)
+            elif op.kind == "read":
+                if top_write is not None and hi < top_write[0]:
+                    flag(
+                        "read-after-write",
+                        f"READ returned {show(hi)} ({op.value!r}) although the WRITE of "
+                        f"{show(top_write[0])} ({top_write[1].value!r}) completed before it",
+                        top_write[1],
+                        op,
+                    )
+                if self.read_hierarchy and top_read is not None and hi < top_read[0]:
+                    flag(
+                        "read-hierarchy",
+                        f"READ returned {show(hi)} ({op.value!r}) although a preceding "
+                        f"READ already returned {show(top_read[0])} ({top_read[1].value!r})",
+                        top_read[1],
+                        op,
+                    )
+            else:
+                first = first_with.setdefault(hi, op)
+                if first is not op:
+                    flag(
+                        "pair-reuse",
+                        f"two WRITEs carry the same (ts, writer_id) pair {hi}",
+                        first,
+                        op,
+                    )
+                if top_write is not None and hi <= top_write[0]:
+                    flag(
+                        "write-order",
+                        f"WRITE with {show(hi)} was invoked after a WRITE with "
+                        f"{show(top_write[0])} completed but does not dominate it",
+                        top_write[1],
+                        op,
+                    )
+                observed = observed_pair(op) if stamped and op.complete else None
+                if observed is not None:
+                    at = bisect_right(completed_keys, observed)
+                    if at < len(completed_keys) and completed_keys[at] < hi:
+                        between = first_with[completed_keys[at]]
+                        flag(
+                            "conditional-isolation",
+                            f"conditional WRITE with pair {hi} observed pair {observed}, but "
+                            f"the WRITE with pair {completed_keys[at]} ({between.value!r}) "
+                            "completed before the conditional was invoked",
+                            between,
+                            op,
+                        )
 
 
 def check_atomicity(history: History, mwmr: Optional[bool] = None) -> CheckResult:
-    """Run the checker that fits *history*.
+    """Check *history* for atomicity.
 
-    ``mwmr=True`` forces a multi-writer checker, ``mwmr=False`` the SWMR one;
-    the default ``None`` auto-detects from the history (MWMR writers stamp
-    ``mwmr: True`` into their completion metadata).  A multi-writer history
-    containing conditional operations (CAS / RMW metadata) gets the
-    :class:`ConditionalOpChecker`, which adds conditional isolation on top of
-    the MWMR properties.
+    ``mwmr`` says how the writes are keyed: ``True`` by their stamped
+    ``(ts, writer_id)`` pairs, ``False`` by invocation rank, and the default
+    ``None`` per register, by whether its writes carry the ``mwmr: True`` a
+    multi-writer client stamps.  ``consistency`` names what was checked:
+    ``atomicity``, ``mwmr-atomicity``, or ``mwmr-atomicity+conditional`` when a
+    multi-writer register held CAS / RMW outcomes.
 
     >>> from repro.verify.history import History, OperationRecord
     >>> write = OperationRecord(
@@ -720,16 +433,7 @@ def check_atomicity(history: History, mwmr: Optional[bool] = None) -> CheckResul
     >>> check_atomicity(History([write, read])).ok
     True
     """
-    if mwmr is None:
-        mwmr = history.is_mwmr()
-    if mwmr:
-        if any(
-            record.metadata.get("cas") or record.metadata.get("rmw")
-            for record in history.records
-        ):
-            return ConditionalOpChecker().check(history)
-        return MultiWriterAtomicityChecker().check(history)
-    return AtomicityChecker().check(history)
+    return AtomicityChecker(mwmr).check(history)
 
 
 # --------------------------------------------------------------------------- #
@@ -784,8 +488,7 @@ class ScenarioCheckResult:
 
 
 def _overlaps_window(record: OperationRecord, start: float, end: float) -> bool:
-    completed = record.completed_at if record.complete else float("inf")
-    return record.invoked_at < end and completed > start
+    return record.invoked_at < end and record.end_time > start
 
 
 def check_atomicity_under_scenario(

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
-
-from ..core.types import BOTTOM, is_bottom
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(slots=True)
@@ -62,6 +60,49 @@ class OperationRecord:
         )
 
 
+#: What orders the writes of a multi-writer register: ``(ts, writer_id)``.
+Pair = Tuple[int, str]
+
+#: The pair of the initial value ⊥ (below every written pair).
+BOTTOM_PAIR: Pair = (0, "")
+
+
+def written_pair(write: OperationRecord) -> Optional[Pair]:
+    """The pair a completed multi-writer WRITE carries.
+
+    MWMR writes always stamp their ``writer_id``; for writes that lack it
+    (hand-built records) the invoking client is the writer by definition.
+    """
+    ts = write.metadata.get("ts")
+    if ts is None:
+        return None
+    return (ts, write.metadata.get("writer_id", write.client_id))
+
+
+def reported_pair(read: OperationRecord) -> Optional[Pair]:
+    """The pair a READ explicitly reported, or ``None``.
+
+    Unlike writes there is no fallback: the reading client's id says nothing
+    about the pair's writer, and reads of SWMR-written pairs legitimately
+    carry no ``writer_id`` at all.
+    """
+    ts = read.metadata.get("ts")
+    writer_id = read.metadata.get("writer_id")
+    if ts is None or writer_id is None:
+        return None
+    return (ts, writer_id)
+
+
+def observed_pair(write: OperationRecord) -> Optional[Pair]:
+    """The pair a successful CAS / RMW decided against, or ``None``."""
+    metadata = write.metadata
+    if "observed_ts" not in metadata:
+        return None
+    if metadata.get("observed_bottom"):
+        return BOTTOM_PAIR
+    return (metadata["observed_ts"], metadata.get("observed_writer") or "")
+
+
 def _writes_never_overlap(writes: Sequence[OperationRecord]) -> bool:
     """Whether a sequence of writes (in invocation order) is well-formed."""
     for earlier, later in zip(writes, writes[1:], strict=False):
@@ -103,21 +144,7 @@ class History:
             reads = [record for record in reads if record.complete]
         return sorted(reads, key=lambda record: record.invoked_at)
 
-    def complete_operations(self) -> List[OperationRecord]:
-        return [record for record in self.records if record.complete]
-
     # ------------------------------------------------------- SWMR structure
-    def write_values(self) -> List[Any]:
-        """``val_0 = ⊥`` followed by the written values in write order."""
-        return [BOTTOM] + [record.value for record in self.writes()]
-
-    def write_indices_of(self, value: Any) -> List[int]:
-        """All indices ``k`` with ``val_k == value`` (0 means the initial ⊥)."""
-        values = self.write_values()
-        if is_bottom(value):
-            return [0]
-        return [index for index, val in enumerate(values) if not is_bottom(val) and val == value]
-
     def has_duplicate_write_values(self) -> bool:
         """Whether two WRITEs wrote the same value (makes checking ambiguous)."""
         values = [record.value for record in self.writes()]

@@ -1,20 +1,23 @@
-"""A generic linearizability checker for a read/write register.
+"""A generic linearizability checker for a read/write/CAS register.
 
-The atomicity checkers in :mod:`repro.verify.atomicity` are fast and follow
-the paper's definition literally, but their per-property formulation can be
-subtle when written values are duplicated.  This module provides an independent
-checker based on exhaustive linearization search (in the spirit of Wing & Gong)
-that is used in the test suite to cross-validate them on small histories: a
-history accepted by one must be accepted by the other.
+The checker in :mod:`repro.verify.atomicity` is fast and follows the paper's
+definition literally, but its per-property formulation can be subtle (written
+values duplicated, open writes, conditional writes).  This module provides an
+independent checker based on exhaustive linearization search (in the spirit of
+Wing & Gong) that the test suite uses as the reference on small histories of
+all three kinds: a history the sweep accepts must be linearizable, and on
+well-formed single-writer histories the two must agree.
 
 The search makes no single-writer assumption: every operation — whoever
 invoked it — is linearized somewhere between its invocation and its response,
-so the checker applies unchanged to *multi-writer* histories.  It is the
-ground truth the MWMR property tests compare the
-:class:`~repro.verify.atomicity.MultiWriterAtomicityChecker` against.  For a
-sharded run use :func:`cross_validate_registers`: linearizability of a
-key-value store decomposes per key, so each register's history is searched
-independently (which also keeps the exponential search tractable).
+so it applies unchanged to *multi-writer* histories.  A successful CAS / RMW
+whose record carries the pair it observed follows the sequential
+specification of a conditional write: it may take effect only directly after
+the write with that pair (or first, if it observed ⊥).  A failed CAS is
+recorded as a read and is one.  For a sharded run use
+:func:`cross_validate_registers`: linearizability of a key-value store
+decomposes per key, so each register's history is searched independently
+(which also keeps the exponential search tractable).
 
 Complexity is exponential in the number of concurrent operations, so the
 checker refuses histories above a configurable size.
@@ -22,12 +25,11 @@ checker refuses histories above a configurable size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.types import is_bottom
-from .history import History
+from .history import BOTTOM_PAIR, History, Pair, observed_pair, written_pair
 
 
 class HistoryTooLarge(ValueError):
@@ -42,28 +44,32 @@ class _Op:
     invoked_at: float
     end_time: float
     complete: bool
+    #: The pair this write carries, and the one it had to replace (conditional).
+    pair: Optional[Pair] = None
+    observed: Optional[Pair] = None
 
 
 def _prepare(history: History) -> List[_Op]:
-    ops: List[_Op] = []
-    for index, record in enumerate(history.records):
-        if record.kind == "read" and not record.complete:
-            continue  # incomplete reads have no visible effect
-        ops.append(
-            _Op(
-                index=index,
-                kind=record.kind,
-                value_repr=repr(record.value) if not is_bottom(record.value) else "<bottom>",
-                invoked_at=record.invoked_at,
-                end_time=record.completed_at if record.complete else math.inf,
-                complete=record.complete,
-            )
+    # Incomplete reads have no visible effect; ``index`` is the position in
+    # the returned list (the search indexes it by ``last_write``).
+    visible = [r for r in history.records if r.kind != "read" or r.complete]
+    return [
+        _Op(
+            index=index,
+            kind=record.kind,
+            value_repr="<bottom>" if is_bottom(record.value) else repr(record.value),
+            invoked_at=record.invoked_at,
+            end_time=record.end_time,
+            complete=record.complete,
+            pair=written_pair(record),
+            observed=observed_pair(record),
         )
-    return ops
+        for index, record in enumerate(visible)
+    ]
 
 
 def is_linearizable(history: History, max_operations: int = 24) -> bool:
-    """Whether *history* is linearizable as a single read/write register.
+    """Whether *history* is linearizable as a single read/write/CAS register.
 
     Incomplete WRITEs are optional: they may be linearized (they might have
     taken effect) or dropped (they might not have).  Incomplete READs are
@@ -84,6 +90,9 @@ def is_linearizable(history: History, max_operations: int = 24) -> bool:
             return "<bottom>"
         return ops[last_write].value_repr
 
+    def pair_of(last_write: int) -> Optional[Pair]:
+        return BOTTOM_PAIR if last_write == -1 else ops[last_write].pair
+
     def search(done: FrozenSet[int], last_write: int) -> bool:
         if len(done) == total:
             return True
@@ -103,7 +112,9 @@ def is_linearizable(history: History, max_operations: int = 24) -> bool:
                 if search(done | {op.index}, last_write):
                     return True
             else:
-                if search(done | {op.index}, op.index):
+                # An unstamped (open) write may carry any pair, the observed one too.
+                replaces = op.observed is None or pair_of(last_write) in (None, op.observed)
+                if replaces and search(done | {op.index}, op.index):
                     return True
                 # An incomplete write may also be dropped entirely.
                 if not op.complete and search(done | {op.index}, last_write):

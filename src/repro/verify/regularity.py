@@ -1,4 +1,4 @@
-"""SWMR regularity checker (Appendix D of the paper).
+"""Regularity (Appendix D of the paper).
 
 Regularity keeps atomicity's properties 1-3 but drops the *read hierarchy*
 property (4): two non-overlapping READs may be ordered inconsistently with
@@ -13,18 +13,6 @@ from .atomicity import AtomicityChecker, CheckResult
 from .history import History
 
 
-class RegularityChecker(AtomicityChecker):
-    """Checks regularity: no-creation, read-after-write, no-future-read."""
-
-    consistency = "regularity"
-    check_read_hierarchy = False
-
-
 def check_regularity(history: History) -> CheckResult:
-    """Convenience wrapper: run the :class:`RegularityChecker` on *history*."""
-    return RegularityChecker().check(history)
-
-
-def is_atomic_but_not_regular_possible() -> bool:
-    """Documentation helper used in tests: atomicity implies regularity."""
-    return False
+    """The atomicity sweep without its read-hierarchy comparison."""
+    return AtomicityChecker(read_hierarchy=False).check(history)

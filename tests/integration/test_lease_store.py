@@ -125,6 +125,21 @@ class TestLeasedShardedStore:
         assert store.lease_reads() > 20
         store.run_until_quiescent()  # all lease timers drain
 
+    def test_one_leased_hot_key_is_checkable(self):
+        # The workload read leases exist for: thousands of operations on one
+        # key.  The all-pairs checkers could not read it (cubic in the
+        # operations of one register); the sweep takes milliseconds.
+        config = SystemConfig.balanced(1, 0, num_readers=3)
+        store = build_store(config=config, keys=["hot"], leases=True, lease_duration=400.0)
+        workload = keyspace_workload(
+            4000, store.keys, config.reader_ids(), write_fraction=0.02, mean_gap=0.2
+        )
+        run_store_workload(store, workload)
+        assert store.verify_atomic()
+        result = store.check_atomicity()["hot"]
+        assert result.checked_reads + result.checked_writes == 4000
+        assert result.lease_reads > 1000 and not result.warnings
+
     def test_byzantine_granter_cannot_break_lease_atomicity(self):
         # b=1: one server forges read replies on every register; the clean
         # grant rule and the b-tolerant quorum arithmetic must keep every

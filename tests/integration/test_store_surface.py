@@ -9,7 +9,7 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import is_bottom
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
-from repro.sim.latency import FixedDelay
+from repro.sim.latency import FixedDelay, UniformDelay
 from repro.store.sim import ShardedSimStore
 from repro.store.surface import StoreSurface
 
@@ -184,3 +184,25 @@ def test_both_runtimes_build_the_same_records():
         ("read", "b"),
         ("write", "b!"),
     ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_archived_multi_writer_key_is_still_checked_as_multi_writer(seed):
+    # Three writers race four times; what was atomic while the key was live
+    # stays atomic once `drop_register` archives it as `k#1` — the archive has
+    # no spec, so the checker keys its writes by the pairs they still carry.
+    config = SystemConfig(t=1, b=0, fw=0, fr=0, num_readers=2)
+    base, delays = LuckyAtomicProtocol(config), UniformDelay(0.5, 1.5)
+    store = ShardedSimStore(base, ["k"], mwmr=["k"], delay_model=delays, seed=seed)
+    for round_number in range(4):
+        for client in config.client_ids()[:3]:
+            store.start_write("k", f"{client}:{round_number}", client)
+        store.run_until_quiescent()
+        store.read("k")
+    live = store.check_atomicity()["k"]
+    assert live.ok and live.consistency == "mwmr-atomicity"
+    store.drop_register("k")
+    archived = store.check_atomicity()["k#1"]
+    assert archived.ok, archived.violations
+    assert (archived.consistency, archived.checked_writes) == ("mwmr-atomicity", 12)
+    assert store.verify_atomic()

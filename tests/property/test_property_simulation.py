@@ -174,8 +174,8 @@ def test_two_round_variant_is_atomic_under_random_faults(t, b, fr, seed, policy)
 @settings(max_examples=40, deadline=None)
 def test_mwmr_store_is_atomic_and_conditionals_isolated(scenario, policy, leases):
     """Concurrent writers, RMWs and readers on multi-writer keys: every per-key
-    history passes the MWMR checker, and the ConditionalOpChecker wherever a
-    conditional ran — with writer and read leases on and off."""
+    history passes the checker keyed by stamped pairs, conditional isolation
+    included wherever a conditional ran — with writer and read leases on and off."""
     config, byzantine, failures, delay, seed = scenario
     store = ShardedSimStore(
         LuckyAtomicProtocol(config, timer_policy=policy),

@@ -308,6 +308,73 @@ class TestOneCreationPath:
             assert "factory is None" not in fh.read()
 
 
+class TestOneChecker:
+    """Atomicity is defined once: SWMR, MWMR and conditional histories go
+    through one per-register sort-and-sweep, and no all-pairs loop grows back."""
+
+    VERIFY = os.path.join(SRC, "repro", "verify")
+    MODULES = sorted(name for name in os.listdir(VERIFY) if name.endswith(".py"))
+
+    def verify_module(self, name):
+        with open(os.path.join(self.VERIFY, name), encoding="utf-8") as fh:
+            return ast.parse(fh.read())
+
+    def test_atomicity_defines_one_class_with_a_check_method(self):
+        checkers = [
+            node.name
+            for node in self.verify_module("atomicity.py").body
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(m, ast.FunctionDef) and m.name == "check" for m in node.body)
+        ]
+        assert checkers == ["AtomicityChecker"]
+        assert not any(
+            isinstance(node, ast.ClassDef) for node in self.verify_module("regularity.py").body
+        )
+
+    def test_the_mirrored_checkers_are_gone(self):
+        import repro.verify
+
+        for name in ("MultiWriterAtomicityChecker", "ConditionalOpChecker", "RegularityChecker"):
+            assert not hasattr(repro.verify, name)
+            assert not hasattr(repro.verify.atomicity, name)
+
+    def test_no_loop_over_operations_nests_another(self):
+        loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        (checker,) = (
+            node
+            for node in self.verify_module("atomicity.py").body
+            if isinstance(node, ast.ClassDef) and node.name == "AtomicityChecker"
+        )
+        nested = [
+            (outer.lineno, inner.lineno)
+            for outer in ast.walk(checker)
+            if isinstance(outer, (ast.For, ast.While))
+            for inner in ast.walk(outer)
+            if inner is not outer and isinstance(inner, loops)
+        ]
+        assert nested == []
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_the_package_is_annotated_for_the_strict_typing_gate(self, name):
+        # mypy.ini holds repro.verify to the strict bar; mypy is not in every
+        # sandbox, so at least keep every signature fully annotated.
+        def arguments(function):
+            spec = function.args
+            named = [*spec.posonlyargs, *spec.args, *spec.kwonlyargs, spec.vararg, spec.kwarg]
+            return [arg for arg in named if arg is not None and arg.arg not in ("self", "cls")]
+
+        missing = [
+            f"{function.name}:{function.lineno}"
+            for function in ast.walk(self.verify_module(name))
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (
+                function.returns is None
+                or any(arg.annotation is None for arg in arguments(function))
+            )
+        ]
+        assert missing == []
+
+
 class TestSelfCheck:
     def test_shipped_tree_analyzes_clean(self):
         report = run_analysis([SRC])

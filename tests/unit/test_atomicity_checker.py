@@ -1,4 +1,7 @@
-"""Unit tests for the SWMR atomicity and regularity checkers."""
+"""Unit tests for the atomicity checker (SWMR, MWMR, open writes) and regularity."""
+
+import random
+import time
 
 import pytest
 
@@ -359,3 +362,183 @@ class TestMultiWriterCheckerAcrossRegisters:
         )
         result = check_atomicity(history)
         assert result.ok, result.violations
+
+
+def open_write(value, start, client, register="k"):
+    # What `history()` holds for a write whose completion never ran: no stamp.
+    metadata = {"register_id": register}
+    return OperationRecord(client, "write", value, start, None, metadata=metadata)
+
+
+class TestOpenWrites:
+    """A read of an open write's value is ordered like any other read."""
+
+    def history(self, report_pair=True):
+        reported = {"ts": 2, "writer": "w2"} if report_pair else {}
+        return History(
+            [
+                mwrite("a", 0, 1, "w1", ts=1),
+                open_write("b", 2, "w2"),
+                mread("b", 3, 4, client="r1", **reported),
+                mread("a", 5, 6, client="r2", ts=1, writer="w1"),
+            ]
+        )
+
+    def test_new_old_inversion_over_an_open_mwmr_write_is_flagged(self):
+        # The open write takes the pair its reader reports, so the inversion
+        # is the same read-hierarchy violation as on an SWMR history.
+        result = check_atomicity(self.history(), mwmr=True)
+        assert [v.property_name for v in result.violations] == ["read-hierarchy"]
+        assert not result.warnings
+        swmr = History(
+            [write("a", 0, 1), write("b", 2, None), read("b", 3, 4), read("a", 5, 6, "r2")]
+        )
+        assert [v.property_name for v in check_atomicity(swmr).violations] == ["read-hierarchy"]
+
+    def test_a_read_nobody_can_key_is_left_out_with_a_warning(self):
+        result = check_atomicity(self.history(report_pair=False), mwmr=True)
+        assert result.ok
+        assert any("left out of the order properties" in w for w in result.warnings)
+
+    def test_readers_disagreeing_about_an_open_writes_pair_is_a_mismatch(self):
+        history = History(
+            [
+                open_write("b", 0, "w2"),
+                mread("b", 1, 2, client="r1", ts=2, writer="w2"),
+                mread("b", 3, 4, client="r2", ts=9, writer="forger"),
+            ]
+        )
+        result = check_atomicity(history, mwmr=True)
+        assert [v.property_name for v in result.violations] == ["pair-mismatch"]
+
+    def test_open_write_that_nobody_read_constrains_nothing(self):
+        history = History(
+            [
+                mwrite("a", 0, 1, "w1", ts=1),
+                open_write("b", 2, "w2"),
+                mread("a", 5, 6, ts=1, writer="w1"),
+            ]
+        )
+        result = check_atomicity(history)
+        assert result.ok and not result.warnings
+
+
+class TestOneCheckerForEveryRegister:
+    """What the three mirrored checkers disagreed about."""
+
+    def test_single_writer_histories_are_split_by_register_too(self):
+        def on(register, record):
+            record.metadata["register_id"] = register
+            return record
+
+        history = History(
+            [on("k1", write("a", 0, 1)), on("k2", write("b", 2, 3)), on("k1", read("a", 4, 5))]
+        )
+        assert check_atomicity(history).ok
+        assert check_atomicity(history, mwmr=False).ok
+        assert check_regularity(history).ok
+
+    def test_auto_detection_is_per_register(self):
+        history = History(
+            [
+                mwrite("a", 0, 5, "w1", ts=1, register="hot"),
+                mwrite("b", 1, 6, "w2", ts=2, register="hot"),
+                OperationRecord("w", "write", "x", 0, 1, metadata={"register_id": "cold"}),
+                OperationRecord("r1", "read", "x", 2, 3, metadata={"register_id": "cold"}),
+            ]
+        )
+        result = check_atomicity(history)
+        assert result.ok and not result.warnings
+        assert result.consistency == "mwmr-atomicity"
+
+    def test_each_offending_operation_is_reported_once_with_the_highest_witness(self):
+        history = History(
+            [write("a", 0, 1), write("b", 2, 3), write("c", 4, 5), read("a", 6, 7)]
+            + [read("c", 8, 9, "r2"), read("c", 10, 11, "r3"), read("b", 12, 13, "r4")]
+        )
+        result = check_atomicity(history)
+        assert [v.property_name for v in result.violations] == [
+            "read-after-write",  # "a" after "c" completed
+            "read-after-write",  # "b" after "c" completed
+            "read-hierarchy",  # "b" after two reads of "c": reported once
+        ]
+        assert result.violations[0].operations[0].value == "c"
+
+    def test_consistency_label_says_what_the_history_contained(self):
+        plain = History([mwrite("a", 0, 1, "w", ts=1)])
+        assert check_regularity(plain).consistency == "regularity"
+        assert check_atomicity(plain).consistency == "mwmr-atomicity"
+        failed_cas = mread("a", 2, 3, client="w2", ts=1, writer="w")
+        failed_cas.metadata.update(cas=True, cas_failed=True, mwmr=True)
+        conditional = History([*plain.records, failed_cas])
+        result = check_atomicity(conditional)
+        assert result.consistency == "mwmr-atomicity+conditional"
+        assert (result.cas_writes, result.cas_failures) == (0, 1)
+        assert check_atomicity(conditional, mwmr=False).consistency == "atomicity"
+
+    def test_unhashable_values_are_matched_by_repr(self):
+        history = History([write(["a", 1], 0, 1), read(["a", 1], 2, 3), read({"k": 2}, 4, 5)])
+        result = check_atomicity(history)
+        assert [v.property_name for v in result.violations] == ["no-creation"]
+
+
+def hot_key_history(operations, mwmr, plant=None):
+    """One register, a write every fourth operation, reads of the latest value.
+
+    *plant* = ``(position, kind)`` seeds one violation: a ``"stale"`` read of
+    the value before the latest, or a write whose pair goes ``"backwards"``.
+    """
+    records, values = [], []
+    for n in range(operations):
+        start = float(n)
+        writer = f"w{n % 3 + 1}" if mwmr else "w"
+        if n % 4 == 0:
+            ts = len(values) + 1
+            if plant == (n, "backwards"):
+                ts -= 2
+            values.append((f"v{n}", ts, writer))
+            stamp = {"mwmr": True, "ts": ts, "writer_id": writer} if mwmr else {}
+            end = start + 0.5
+            records.append(OperationRecord(writer, "write", f"v{n}", start, end, metadata=stamp))
+        else:
+            value, ts, writer = values[-2] if plant == (n, "stale") else values[-1]
+            stamp = {"ts": ts, "writer_id": writer} if mwmr else {}
+            records.append(
+                OperationRecord(f"r{n % 5}", "read", value, start, start + 0.5, metadata=stamp)
+            )
+    return History(records)
+
+
+class TestHotKey:
+    """A single hot register is checkable: the sweep is n log n, not n³."""
+
+    OPERATIONS = 20_000
+
+    @pytest.mark.parametrize("mwmr", [False, True], ids=["swmr", "mwmr"])
+    def test_twenty_thousand_operations_on_one_register_check_in_seconds(self, mwmr):
+        history = hot_key_history(self.OPERATIONS, mwmr)
+        started = time.perf_counter()
+        result = check_atomicity(history)
+        elapsed = time.perf_counter() - started
+        assert result.ok and not result.warnings
+        assert result.checked_reads + result.checked_writes == self.OPERATIONS
+        # ~0.05 s here; the all-pairs checkers needed 120 s for a tenth of it.
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("mwmr", [False, True], ids=["swmr", "mwmr"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_planted_stale_read_is_found_wherever_it_is(self, mwmr, seed):
+        position = random.Random(seed).randrange(8, self.OPERATIONS) | 1  # a read
+        result = check_atomicity(hot_key_history(self.OPERATIONS, mwmr, (position, "stale")))
+        # Stale against the completed write and, unless it directly follows
+        # that write, against the reads that already returned the new value.
+        names = [v.property_name for v in result.violations]
+        assert names in (["read-after-write"], ["read-after-write", "read-hierarchy"])
+        assert all(v.operations[1].invoked_at == float(position) for v in result.violations)
+
+    def test_a_planted_backwards_pair_is_found_wherever_it_is(self):
+        position = random.Random(7).randrange(8, self.OPERATIONS) & ~3  # a write
+        result = check_atomicity(hot_key_history(self.OPERATIONS, True, (position, "backwards")))
+        first = result.violations[0]
+        assert first.property_name == "write-order"
+        assert first.operations[1].invoked_at == float(position)

@@ -2,8 +2,6 @@
 
 import math
 
-
-from repro.core.types import BOTTOM, is_bottom
 from repro.verify.history import History, OperationRecord
 
 
@@ -44,19 +42,6 @@ class TestHistoryStructure:
     def test_writes_ordered_by_invocation(self):
         history = History([write("b", 5, 6), write("a", 0, 1)])
         assert [record.value for record in history.writes()] == ["a", "b"]
-
-    def test_write_values_start_with_bottom(self):
-        history = History([write("a", 0, 1)])
-        values = history.write_values()
-        assert is_bottom(values[0])
-        assert values[1] == "a"
-
-    def test_write_indices_of_returns_positions(self):
-        history = History([write("a", 0, 1), write("b", 2, 3), write("a", 4, 5)])
-        assert history.write_indices_of("a") == [1, 3]
-        assert history.write_indices_of("b") == [2]
-        assert history.write_indices_of(BOTTOM) == [0]
-        assert history.write_indices_of("never") == []
 
     def test_duplicate_detection(self):
         assert History([write("a", 0, 1), write("a", 2, 3)]).has_duplicate_write_values()

@@ -3,8 +3,8 @@
 Covers the writer-lease lifecycle (acquire on a fallback write, 1-round
 leased writes, revocation by a competing writer, expiry, epoch fencing of a
 recovered granter), the CAS/RMW semantics under and without a lease, the
-`ConditionalOpChecker` — including the seeded non-linearizable regression
-fixture — the owned-writers workload generator, and the S7 sweep.
+checker's conditional isolation — including the seeded non-linearizable
+regression fixture — the owned-writers workload generator, and the S7 sweep.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.sim.failures import CrashRecoverySchedule
 from repro.sim.latency import AsynchronousWindows, FixedDelay
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
-from repro.verify.atomicity import ConditionalOpChecker, check_atomicity
+from repro.verify.atomicity import check_atomicity
 from repro.verify.history import History, OperationRecord
 from repro.workload.generator import owned_writers_workload, run_store_workload
 
@@ -257,7 +257,7 @@ class TestConditionalOpCheckerRegression:
         # pair and the CAS's own — and it completed before the CAS was
         # invoked, so the CAS decided against a value it could not have seen.
         intervening = _record("w3", "write", "b", 2.0, 3.0, ts=2, writer_id="w3")
-        result = ConditionalOpChecker().check(
+        result = check_atomicity(
             History([base, intervening, self._cas(invoked=4.0, completed=5.0)])
         )
         assert not result.ok
@@ -271,7 +271,7 @@ class TestConditionalOpCheckerRegression:
         # time: a lexicographic tie-break may legally order it in between.
         base = _record("w1", "write", "a", 0.0, 1.0, ts=1, writer_id="w1")
         concurrent = _record("w3", "write", "b", 3.5, 6.0, ts=2, writer_id="w3")
-        result = ConditionalOpChecker().check(
+        result = check_atomicity(
             History([base, concurrent, self._cas(invoked=4.0, completed=5.0)])
         )
         assert result.ok and result.cas_writes == 1
