@@ -6,6 +6,10 @@ the host's, shared with the simulator.  Incoming frames are processed strictly
 one at a time (preserving the atomic-step semantics of the model); outgoing
 effects are translated into transport sends, ``loop.call_later`` timers and,
 for clients, resolution of the future awaiting the open operation.
+
+A node runs exactly two tasks, both made by :meth:`AutomatonNode.start`: the
+stepper, which empties the mailbox, and the flusher, which turns the outbox
+into frames.  Nothing on the per-frame path creates a task.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from .transport import Transport
 
 
 class NodeFailedError(RuntimeError):
-    """A client node's automaton raised (``__cause__``): the node is crash-stopped."""
+    """A client node's automaton raised, or a frame it emitted could not be
+    sent (``__cause__``): the node is crash-stopped."""
 
     def __init__(self, process_id: str, cause: Exception) -> None:
-        super().__init__(f"client {process_id} is stopped: its automaton raised {cause!r}")
+        super().__init__(f"client {process_id} is crash-stopped: {cause!r}")
         self.__cause__ = cause
 
 
@@ -96,13 +101,21 @@ def make_durable(
 class AutomatonNode:
     """Hosts one automaton (server or client) on an asyncio event loop.
 
+    The transport hands a frame to the node by awaiting its handler, which
+    only appends it to the mailbox (``put_nowait``: arrival never suspends the
+    sender).  The stepper wakes once per burst and steps every item that is
+    ready before it yields again.
+
     When the automaton opts into batching (``automaton.batching`` is true —
     the sharded store's processes do), outgoing sends are buffered in a
-    per-destination outbox and flushed one event-loop tick later: everything
-    the node emitted during the tick towards the same destination leaves as a
-    single :class:`~repro.core.messages.Batch` — one frame on the transport.
-    Inbound batches are unwrapped by the host, so the automaton only ever
-    sees protocol messages.
+    per-destination outbox and the node's one flusher is woken (an
+    :class:`asyncio.Event`).  It runs at the next loop iteration, so
+    everything the node emitted in the meantime towards the same destination
+    leaves as a single :class:`~repro.core.messages.Batch` — one frame on the
+    transport.  The flusher sends its frames one after another, so frames
+    towards one destination leave in the order they were buffered.  Inbound
+    batches are unwrapped by the host, so the automaton only ever sees
+    protocol messages.
     """
 
     def __init__(
@@ -128,44 +141,39 @@ class AutomatonNode:
         #: (client timer delays are expressed in time units).
         self.time_scale = time_scale
         self.crashed = crashed
-        #: What the automaton raised out of a step, if it ever did: the node is
-        #: then crash-stopped (a crash ``t`` covers), its state being unknown.
+        #: What the automaton raised out of a step (or the flusher out of a
+        #: send), if it ever did: the node is then crash-stopped (a crash ``t``
+        #: covers), its state being unknown.
         self.failure: Optional[Exception] = None
         self._mailbox: asyncio.Queue = asyncio.Queue()
-        self._task: Optional[asyncio.Task] = None
+        # Set when a send is buffered; the flusher clears it and drains.
+        self._flush_wanted = asyncio.Event()
+        self._tasks: List[asyncio.Task] = []
         # Live loop timers keyed by timer id.  Fired and cancelled handles
         # are pruned eagerly, so a long-lived node holds handles only for
         # timers genuinely pending (the old flat list grew without bound).
         self._timer_handles: Dict[str, set] = {}
         #: Diagnostics: timers disarmed by an automaton before they fired.
         self.timers_cancelled: int = 0
-        self._flush_scheduled = False
-        self._flush_lock = asyncio.Lock()
-        self._flush_tasks: set = set()
         transport.register(self.process_id, self._on_transport_message)
 
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        self._task = asyncio.create_task(self._run(), name=f"node-{self.process_id}")
+        self._tasks = [
+            asyncio.create_task(self._run(), name=f"node-{self.process_id}"),
+            asyncio.create_task(self._flush_outbox(), name=f"flusher-{self.process_id}"),
+        ]
 
     async def stop(self) -> None:
         for handles in self._timer_handles.values():
             for handle in handles:
                 handle.cancel()
         self._timer_handles.clear()
-        for task in list(self._flush_tasks):
+        tasks, self._tasks = self._tasks, []
+        for task in tasks:
             task.cancel()
-        if self._flush_tasks:
-            await asyncio.gather(*self._flush_tasks, return_exceptions=True)
-        self._flush_tasks.clear()
+        await asyncio.gather(*tasks, return_exceptions=True)
         self.host.drain()
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
         if isinstance(self.automaton, DurableServer):
             self.automaton.wal.close()
 
@@ -175,11 +183,14 @@ class AutomatonNode:
 
     # ----------------------------------------------------------------- inputs
     async def _on_transport_message(self, source: str, message: Message) -> None:
-        await self._mailbox.put(("message", message))
+        self._mailbox.put_nowait(("message", message))
 
     async def _run(self) -> None:
+        mailbox = self._mailbox
         while True:
-            kind, payload = await self._mailbox.get()
+            # Suspend only on an empty mailbox: everything that arrived since
+            # the last wake-up is stepped before the loop yields again.
+            kind, payload = await mailbox.get() if mailbox.empty() else mailbox.get_nowait()
             if self.crashed:
                 continue
             # The host steps each message of a frame as its own atomic step
@@ -200,7 +211,8 @@ class AutomatonNode:
                     await self.apply_effects(effects)
 
     def _fail(self, cause: Exception) -> None:
-        """The automaton raised: crash-stop the node and keep the cause."""
+        """The automaton raised, or a frame it emitted could not be sent:
+        crash-stop the node and keep the cause."""
         self.crashed = True
         self.failure = cause
 
@@ -212,9 +224,8 @@ class AutomatonNode:
             buffer = self.host.buffer
             for send in effects.sends:
                 buffer(send.destination, send.message)
-            if effects.sends and not self._flush_scheduled:
-                self._flush_scheduled = True
-                asyncio.get_running_loop().call_soon(self._start_flush)
+            if effects.sends:
+                self._flush_wanted.set()
         else:
             for send in effects.sends:
                 await self.transport.send(self.process_id, send.destination, send.message)
@@ -249,22 +260,26 @@ class AutomatonNode:
         self.timers_cancelled += len(handles)
 
     # --------------------------------------------------------------- batching
-    def _start_flush(self) -> None:
-        task = asyncio.ensure_future(self._flush_outbox())
-        self._flush_tasks.add(task)
-        task.add_done_callback(self._flush_tasks.discard)
-
     async def _flush_outbox(self) -> None:
-        # The lock serializes overlapping flushes so frames towards the same
-        # destination keep their send order even when a flush blocks on the
-        # transport (e.g. TCP drain) while the next one is already scheduled.
-        async with self._flush_lock:
-            self._flush_scheduled = False
+        """The node's one flusher: each wake-up sends the outbox as one frame
+        per destination.  Sends buffered while a frame is on its way (a TCP
+        drain) wait for the next pass, so per-destination order holds.  A
+        crashed node's outbox is emptied and nothing is sent."""
+        wanted = self._flush_wanted
+        while True:
+            await wanted.wait()
+            wanted.clear()
             frames = self.host.drain()
             if self.crashed:
-                return
-            for destination, frame in frames:
-                await self.transport.send(self.process_id, destination, frame)
+                continue
+            try:
+                for destination, frame in frames:
+                    await self.transport.send(self.process_id, destination, frame)
+            except Exception as exc:
+                # A frame that cannot be sent (its message does not encode)
+                # leaves the node unable to keep its protocol: crash-stop it,
+                # as when the automaton raises, rather than go silently mute.
+                self._fail(exc)
 
     def _handle_completion(self, completion: OperationComplete) -> None:
         """Server automata never complete operations; clients override this."""

@@ -2,10 +2,11 @@
 
 Two transports are provided:
 
-* :class:`InMemoryTransport` — every process gets an asyncio queue; messages
-  are delivered after an injectable artificial delay.  This is the default for
-  the wall-clock latency benchmarks: it exercises the real asyncio scheduling
-  and timer machinery without depending on the loopback TCP stack.
+* :class:`InMemoryTransport` — frames are handed to the destination's handler
+  as objects, inline in ``send`` when the injected delay is zero and from a
+  sleeping task otherwise.  This is the default for the wall-clock latency
+  benchmarks: it exercises the real asyncio scheduling and timer machinery
+  without depending on the loopback TCP stack.
 * :class:`TcpTransport` — every server/client is reachable over a localhost TCP
   socket with length-prefixed binary wire frames (:mod:`repro.wire`).  This is
   used by the ``examples/asyncio_cluster.py`` example and by integration tests
@@ -14,9 +15,33 @@ Two transports are provided:
 Both take a ``codec`` ("binary" by default) and count ``bytes_sent`` next to
 ``frames_sent``, so bytes-on-wire is an observable, not a guess.
 
-Both enforce the paper's channel model: a message is delivered to exactly the
-addressed process and carries the genuine sender identity (a malicious server
-can lie inside the payload but cannot write into other processes' channels).
+What the channels guarantee, exactly:
+
+* **Addressing.**  A frame reaches only the handler registered under the
+  destination it was sent to (TCP: the listener of that process; the
+  envelope's destination field is not consulted).
+* **Order.**  Frames from one source to one destination arrive in the order
+  they were sent: inline delivery and one ordered socket by construction,
+  sleeping delivery because under a constant delay a later send sleeps until
+  a later instant.  A delay function that varies per frame may reorder
+  them, as a real network may.
+* **Reliability.**  Nothing is dropped between two live processes; a TCP send
+  that finds its cached connection dead reconnects once and retries.
+* **Identity is not enforced.**  The handler's ``source`` is the ``source``
+  argument of :meth:`Transport.send` in memory — every node passes its own
+  process id, so there it is the real sender — and on TCP it is whatever the
+  peer wrote into the envelope: anything that can reach a listener can claim
+  to be any process.  Neither transport nor node compares ``source`` with the
+  ``sender`` field inside the message, which is what the automata count
+  quorums by.  The paper's authenticated channels are therefore assumed of
+  the deployment (one trusted process, or a trusted loopback), not provided
+  by the transport; ``tests/integration/test_transport_edge.py`` pins the TCP
+  gap as a strict xfail.
+* **Bounded ingress.**  A TCP listener refuses a frame whose length prefix
+  exceeds :data:`MAX_FRAME_BYTES` before buffering it, and drops the
+  connection that sent it — or that sent bytes that do not decode — counting
+  it in ``TcpTransport.connections_dropped``; the node and its other
+  connections are unaffected.
 """
 
 from __future__ import annotations
@@ -26,7 +51,18 @@ import struct
 from typing import Awaitable, Callable, Dict, Optional, Tuple, Union
 
 from ..core.messages import Message
-from ..wire import Codec, get_codec
+from ..wire import Codec, WireDecodeError, get_codec
+
+#: Largest frame payload a TCP listener accepts (64 MiB, far above any real
+#: frame).  The length prefix is checked against it before the frame is
+#: buffered, so a peer can make a listener hold at most this plus one read.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Bytes a listener asks of its socket per read: everything already buffered,
+#: in practice, so one read usually carries many frames.
+_READ_CHUNK = 256 * 1024
+
+_LENGTH = struct.Struct("!I")
 
 #: Delay function: (source, destination) -> seconds of artificial latency.
 DelayFunction = Callable[[str, str], float]
@@ -79,7 +115,13 @@ class Transport:
 
 
 class InMemoryTransport(Transport):
-    """Queue-based transport with injectable per-message latency.
+    """Object-passing transport with injectable per-message latency.
+
+    With zero delay, :meth:`send` awaits the destination's handler itself:
+    the frame has arrived when ``send`` returns, and no task or timer is made
+    for it (a node's handler only enqueues, so this never re-enters an
+    automaton).  A positive delay hands the frame to a task that sleeps that
+    long first; :meth:`close` cancels the ones still asleep.
 
     Messages are handed over as objects (no socket), but every send is still
     *measured* through the codec: ``bytes_sent`` advances by the frame the TCP
@@ -112,21 +154,26 @@ class InMemoryTransport(Transport):
         self.frames_sent += 1
         self.bytes_sent += self.codec.frame_size(source, destination, message)
         delay = self._delay(source, destination)
-        task = asyncio.create_task(self._deliver(handler, source, message, delay))
-        self._pending.add(task)
-        task.add_done_callback(self._pending.discard)
+        if delay > 0:
+            self._deliver_later(handler, source, message, delay)
+        else:
+            await handler(source, message)
 
-    async def _deliver(
+    def _deliver_later(
         self,
         handler: Callable[[str, Message], Awaitable[None]],
         source: str,
         message: Message,
         delay: float,
     ) -> None:
-        if delay > 0:
+        async def deliver() -> None:
             await asyncio.sleep(delay)
-        if not self._closed:
-            await handler(source, message)
+            if not self._closed:
+                await handler(source, message)
+
+        task = asyncio.create_task(deliver())
+        self._pending.add(task)
+        task.add_done_callback(self._pending.discard)
 
     async def close(self) -> None:
         self._closed = True
@@ -149,23 +196,8 @@ def _encode_frame(source: str, destination: str, message: Message, codec: Codec)
     """
     frame = bytearray(4)
     codec.encode_envelope_into(frame, source, destination, message)
-    struct.pack_into("!I", frame, 0, len(frame) - 4)
+    _LENGTH.pack_into(frame, 0, len(frame) - 4)
     return frame
-
-
-async def _read_frame(
-    reader: asyncio.StreamReader, codec: Codec
-) -> Optional[Tuple[str, str, Message]]:
-    try:
-        header = await reader.readexactly(4)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    (length,) = struct.unpack("!I", header)
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    return codec.decode_envelope(payload)
 
 
 async def _close_writer(writer: asyncio.StreamWriter) -> None:
@@ -187,9 +219,14 @@ class TcpTransport(Transport):
     Each registered process binds an ephemeral port on ``127.0.0.1``; sends
     open (and cache) one outgoing connection per destination.  Message framing
     is a 4-byte length prefix followed by the codec's ``(source, destination,
-    message)`` envelope (versioned binary by default) — adequate for a trusted
-    benchmarking environment (the paper's model has no network-level
-    adversary, only faulty *processes*).
+    message)`` envelope (versioned binary by default).  The envelope's source
+    is believed, so this is adequate only where every peer that can reach a
+    listener is trusted with its identity (module docstring).
+
+    A listener parses every complete frame out of each read and dispatches
+    them in order.  A length prefix above :data:`MAX_FRAME_BYTES`, or a frame
+    that does not decode, costs the peer that connection and nothing else:
+    it is closed and counted in ``connections_dropped``.
 
     Concurrent senders share the cached connection of their ``(source,
     destination)`` pair, so each connection is guarded by an
@@ -215,6 +252,9 @@ class TcpTransport(Transport):
         self._closed = False
         self.frames_sent = 0
         self.bytes_sent = 0
+        #: Inbound connections closed because their peer sent an oversized
+        #: length prefix or a frame that does not decode.
+        self.connections_dropped = 0
 
     def register(self, process_id: str, handler: Callable[[str, Message], Awaitable[None]]) -> None:
         self._handlers[process_id] = handler
@@ -238,24 +278,50 @@ class TcpTransport(Transport):
         task = asyncio.current_task()
         if task is not None:
             self._serve_tasks.add(task)
+        decode = self.codec.decode_envelope
+        # The bytes of a frame that is not complete yet (prefix included), and
+        # how long they must grow before parsing can make progress again.
+        pending, wanted = bytearray(), 4
         try:
             while not self._closed:
-                frame = await _read_frame(reader, self.codec)
-                if frame is None:
+                data = await reader.read(_READ_CHUNK)
+                if not data:
                     break
-                source, _destination, message = frame
-                # Resolve the handler per frame: a restarted node re-registers
-                # its process id, and the listener — whose socket and port
-                # survive the restart — must dispatch to the *current* node,
-                # not the one that was registered when the server started.
-                handler = self._handlers.get(process_id)
-                if handler is None:
-                    continue
-                await handler(source, message)
-        except asyncio.CancelledError:
-            # Normal teardown path: the cluster is shutting down while this
-            # connection is idle; swallow the cancellation so the event loop
-            # does not log it as an unhandled exception.
+                if pending:
+                    pending += data
+                    if len(pending) < wanted:
+                        continue
+                    data = bytes(pending)
+                    pending.clear()
+                offset, size, wanted = 0, len(data), 4
+                while size - offset >= 4:
+                    (length,) = _LENGTH.unpack_from(data, offset)
+                    if length > MAX_FRAME_BYTES:
+                        raise WireDecodeError(
+                            f"frame of {length} bytes announced; the cap is {MAX_FRAME_BYTES}"
+                        )
+                    end = offset + 4 + length
+                    if end > size:
+                        wanted = 4 + length
+                        break
+                    source, _destination, message = decode(data[offset + 4 : end])
+                    offset = end
+                    # Resolve the handler per frame: a restarted node
+                    # re-registers its process id, and the listener — whose
+                    # socket and port survive the restart — must dispatch to
+                    # the *current* node, not the one registered at start.
+                    handler = self._handlers.get(process_id)
+                    if handler is not None:
+                        await handler(source, message)
+                if offset < size:
+                    pending += memoryview(data)[offset:]
+        except WireDecodeError:
+            # The peer is faulty (or speaks another format): it loses this
+            # connection; the node and every other connection carry on.
+            self.connections_dropped += 1
+        except (asyncio.CancelledError, ConnectionError):
+            # Teardown while the connection is idle, or the peer reset it:
+            # swallow it so the event loop does not log an unhandled error.
             pass
         finally:
             if task is not None:

@@ -275,6 +275,72 @@ class TestOneProcessHost:
         assert self.HOST_ONLY <= calls_in("core", "host.py")
 
 
+def runtime_module(name):
+    with open(os.path.join(SRC, "repro", "runtime", name), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def called_names(tree):
+    return {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
+def spawning_functions(tree):
+    return {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and called_names(function) & TestNoTaskPerFrame.SPAWN
+    }
+
+
+class TestNoTaskPerFrame:
+    """A frame costs no task: a node makes its stepper and its flusher when it
+    starts, zero-delay in-memory delivery awaits the handler itself, and the
+    per-flush task, its lock and the two-read TCP framing stay gone."""
+
+    SPAWN = {"create_task", "ensure_future"}
+
+    def test_a_node_makes_tasks_only_when_it_starts(self):
+        node = runtime_module("node.py")
+        assert spawning_functions(node) == {"start"}
+        assert "Lock" not in called_names(node)  # send order holds by construction
+
+    def test_zero_delay_in_memory_delivery_makes_no_task(self):
+        transport = runtime_module("transport.py")
+        (in_memory,) = [
+            n for n in transport.body if getattr(n, "name", "") == "InMemoryTransport"
+        ]
+        assert spawning_functions(in_memory) == {"_deliver_later"}
+        (send,) = [n for n in in_memory.body if getattr(n, "name", "") == "send"]
+        (branch,) = [
+            n
+            for n in ast.walk(send)
+            if isinstance(n, ast.If) and "_deliver_later" in called_names(n)
+        ]
+        assert ast.unparse(branch.test) == "delay > 0"
+        assert [ast.unparse(statement) for statement in branch.orelse] == [
+            "await handler(source, message)"
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["_flush_lock", "_start_flush", "_flush_tasks", "_flush_scheduled", "_read_frame"]
+    )
+    def test_the_per_frame_plumbing_is_gone(self, name):
+        for module in ("node.py", "transport.py"):
+            names = {
+                getattr(n, "attr", None) or getattr(n, "id", None) or getattr(n, "name", None)
+                for n in ast.walk(runtime_module(module))
+            }
+            assert name not in names, f"{name} is back in runtime/{module}"
+
+    def test_tcp_ingress_reads_whole_chunks(self):
+        assert "readexactly" not in called_names(runtime_module("transport.py"))
+
+
 class TestOneCreationPath:
     """Admission is the only way a register comes to exist: the per-key
     builders have one caller each, and the routers no eager door."""
