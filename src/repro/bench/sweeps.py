@@ -364,13 +364,16 @@ def batching_sweep(
             )
             for batching in (False, True)
         )
+        unbatched_rate, batched_rate = (
+            summarize(store.completed_operations()).throughput for store in (unbatched, batched)
+        )
         rows.append(
             {
                 "shards": num_shards,
                 "operations": num_operations,
-                "unbatched": unbatched.throughput(),
-                "batched": batched.throughput(),
-                "speedup": batched.throughput() / unbatched.throughput(),
+                "unbatched": unbatched_rate,
+                "batched": batched_rate,
+                "speedup": batched_rate / unbatched_rate,
                 "frames_unbatched": unbatched.frames_sent,
                 "frames_batched": batched.frames_sent,
                 "bytes_unbatched": unbatched.bytes_sent,

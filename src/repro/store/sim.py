@@ -261,13 +261,3 @@ class ShardedSimStore(StoreSurface):
 
     def completed_operations(self) -> List[OperationHandle]:
         return self.cluster.completed_operations()
-
-    def throughput(self) -> float:
-        """Completed operations per unit of virtual time (aggregate, all keys)."""
-        completed = self.completed_operations()
-        if not completed:
-            return 0.0
-        start = min(handle.invoked_at for handle in completed)
-        end = max(handle.completed_at for handle in completed)  # type: ignore[type-var]
-        span = end - start
-        return len(completed) / span if span > 0 else float("inf")

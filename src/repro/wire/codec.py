@@ -27,9 +27,11 @@ errors :class:`WireDecodeError`, :class:`UnknownVersionError` and
 :class:`UnknownTagError` — never a silent misparse, and whatever the bytes,
 never an exception outside the :class:`WireDecodeError` family.
 
-Each message class is read and written by a function generated from its
-dataclass fields when this module is imported (:func:`_compile_message`); the
-generated source is on each function as ``__source__``.
+Each message class is read, written and sized by functions generated from
+its dataclass fields when this module is imported (:func:`_compile_message`);
+the generated source is on each function as ``__source__``.  A frame's size
+(:meth:`Codec.frame_size`, what every byte counter charges) is *computed* by
+the sizer — arithmetic over the fields' lengths — not encoded and measured.
 
 Codecs
 ------
@@ -78,11 +80,14 @@ from .values import (
     compile_function,
     emit,
     emit_read,
+    emit_size,
     emit_write,
     read_str,
     read_uvarint,
     read_value,
+    str_size,
     struct_fields,
+    uvarint_size,
     write_str,
     write_uvarint,
     write_value,
@@ -189,11 +194,13 @@ def _read_header(data: bytes, offset: int) -> Tuple[int, int]:
     return data[offset + 3], offset + 4
 
 
-#: ``(data, offset past the header) -> (message, end_offset)`` and ``(out,
-#: message)``: one generated pair per class, from the templates below for the
-#: tagless fields every message opens with and the value compiler for the rest.
+#: ``(data, offset past the header) -> (message, end_offset)``, ``(out,
+#: message)`` and ``message -> bytes the writer appends``: one generated
+#: triple per class, from the templates below for the tagless fields every
+#: message opens with and the value compiler for the rest.
 MessageReader = Callable[[bytes, int], Tuple[Message, int]]
 MessageWriter = Callable[[bytearray, Any], None]
+MessageSizer = Callable[[Any], int]
 
 _READ_ID = """\
 if (z := data[o]) < 128:
@@ -210,27 +217,43 @@ else: write_str(out, m.{v})"""
 _WRITE_EPOCH = """\
 if 0 <= (epoch := m.epoch) < 128: out.append(epoch)
 else: write_uvarint(out, epoch)"""
+#: The sizer's header: each string and the epoch counted at one byte of
+#: length or value, plus what the value has beyond that.
+_SIZE_ID = """\
+if type(s := m.{v}) is str and s.isascii() and len(s) < 128: n += len(s)
+else: n += str_size(s) - 1"""
+_SIZE_EPOCH = """\
+if not (type(epoch := m.epoch) is int and 0 <= epoch < 128): n += uvarint_size(epoch) - 1"""
 
 
-def _compile_message(cls: Type[Message], tag: int) -> Tuple[MessageReader, MessageWriter]:
-    """Generate the reader and the writer of *cls*: the tagless header, then
-    each field past it as the value compiler emits it (inline where it has
-    its declared shape, through the interpreter where not)."""
+def _compile_message(
+    cls: Type[Message], tag: int
+) -> Tuple[MessageReader, MessageWriter, MessageSizer]:
+    """Generate the reader, the writer and the sizer of *cls*: the tagless
+    header, then each field past it as the value compiler emits it (inline
+    where it has its declared shape, through the interpreter where not)."""
     fields = struct_fields(cls)[3:]
     read: List[str] = []
     write = [f"    out += {_PREFIX + bytes([tag])!r}"]
+    size: List[str] = []
     for header_field in ("sender", "register_id"):
         emit(read, " " * 8, _READ_ID.format(v=header_field))
         emit(write, "    ", _WRITE_ID.format(v=header_field))
+        emit(size, "    ", _SIZE_ID.format(v=header_field))
     emit(read, " " * 8, _READ_EPOCH)
     emit(write, "    ", _WRITE_EPOCH)
+    emit(size, "    ", _SIZE_EPOCH)
     values = [emit_read(read, " " * 8, hint, "0") for _, hint in fields]
     read.append(f"        return cls(sender, register_id, epoch, {', '.join(values)}), o")
+    usual = len(_PREFIX) + 1 + 3  # the header, two string lengths, the epoch
     for name, hint in fields:
         emit_write(write, "    ", f"m.{name}", hint, "0")
+        usual += emit_size(size, "    ", f"m.{name}", hint, "0")
+    size = [f"    n = {usual}", *size, "    return n"]
     reader = compile_function(f"read_{cls.__name__}", "data, o", read, True, cls=cls)
     writer = compile_function(f"write_{cls.__name__}", "out, m", write)
-    return reader, writer
+    sizer = compile_function(f"size_{cls.__name__}", "m", size)
+    return reader, writer, sizer
 
 
 def _read_batch(data: bytes, offset: int) -> Tuple[Message, int]:
@@ -263,12 +286,25 @@ def _write_batch(out: bytearray, batch: Batch) -> None:
         _write_message(out, inner)
 
 
+def _size_batch(batch: Batch) -> int:
+    messages = batch.messages
+    size = len(_PREFIX) + 1 + str_size(batch.sender) + str_size(batch.register_id)
+    size += uvarint_size(batch.epoch) + uvarint_size(len(messages))
+    for inner in messages:
+        sizer = _SIZERS.get(type(inner))
+        if sizer is None:
+            raise _no_tag(inner)
+        size += sizer(inner)
+    return size
+
+
 _TAG_BATCH = MESSAGE_TAGS[Batch]
 _READERS: Dict[int, MessageReader] = {_TAG_BATCH: _read_batch}
 _WRITERS: Dict[Type[Message], MessageWriter] = {Batch: _write_batch}
+_SIZERS: Dict[Type[Message], MessageSizer] = {Batch: _size_batch}
 for _cls, _tag in MESSAGE_TAGS.items():
     if _cls is not Batch:
-        _READERS[_tag], _WRITERS[_cls] = _compile_message(_cls, _tag)
+        _READERS[_tag], _WRITERS[_cls], _SIZERS[_cls] = _compile_message(_cls, _tag)
 
 
 def _reader_for(tag: int) -> MessageReader:
@@ -281,11 +317,24 @@ def _reader_for(tag: int) -> MessageReader:
 def _write_message(out: bytearray, message: Message) -> None:
     writer = _WRITERS.get(type(message))
     if writer is None:
-        raise WireEncodeError(
-            f"{type(message).__name__} has no wire tag; register it in "
-            "repro.wire.codec.MESSAGE_TAGS (and bump WIRE_VERSION)"
-        )
+        raise _no_tag(message)
     writer(out, message)
+
+
+def size_of(message: Message) -> int:
+    """Bytes :func:`encode_message` would produce for *message*, computed
+    without encoding it; raises where the encoder raises."""
+    sizer = _SIZERS.get(type(message))
+    if sizer is None:
+        raise _no_tag(message)
+    return sizer(message)
+
+
+def _no_tag(message: Message) -> WireEncodeError:
+    return WireEncodeError(
+        f"{type(message).__name__} has no wire tag; register it in "
+        "repro.wire.codec.MESSAGE_TAGS (and bump WIRE_VERSION)"
+    )
 
 
 def _read_message(data: bytes, offset: int) -> Tuple[Message, int]:
@@ -303,9 +352,9 @@ def encode_message(message: Message) -> bytes:
 def encode_message_into(out: bytearray, message: Message) -> None:
     """Append the complete binary frame of *message* to *out*.
 
-    The zero-copy entry point: batch sub-frames, length-prefixed transport
-    frames and size probes all build into one caller-owned buffer instead of
-    concatenating intermediate ``bytes`` objects.
+    The zero-copy entry point: batch sub-frames and length-prefixed transport
+    frames build into one caller-owned buffer instead of concatenating
+    intermediate ``bytes`` objects.
     """
     _write_message(out, message)
 
@@ -354,6 +403,10 @@ def decode_envelope(data: bytes) -> Tuple[str, str, Message]:
 
 #: Bytes the transports' length prefix adds to every frame payload.
 LENGTH_PREFIX_BYTES = 4
+
+#: What a frame costs before its two routing strings and its message: the
+#: length prefix and the envelope header.
+_FRAME_OVERHEAD = LENGTH_PREFIX_BYTES + len(_PREFIX) + 1
 
 #: Tag of a bare value payload (WAL records, snapshot states).
 TAG_VALUE = 30
@@ -421,7 +474,11 @@ class Codec:
     def frame_size(self, source: str, destination: str, message: Message) -> int:
         """Bytes the transports would put on the wire for this routed message
         (length prefix included) — the observable the sim's byte-cost line
-        model and every ``bytes_sent`` counter charge."""
+        model and every ``bytes_sent`` counter charge.
+
+        This default encodes the envelope and measures it; the binary codec
+        computes the same number from the message's fields without encoding
+        (a property test holds the two equal)."""
         return LENGTH_PREFIX_BYTES + len(self.encode_envelope(source, destination, message))
 
 
@@ -429,12 +486,6 @@ class BinaryCodec(Codec):
     """The versioned binary wire format (the default everywhere)."""
 
     name = "binary"
-
-    def __init__(self) -> None:
-        # Scratch buffer reused by frame_size(): the sim probes the encoded
-        # size of every frame it transmits, and the probe must not build and
-        # immediately discard a bytes copy per message.
-        self._scratch = bytearray()
 
     def encode_message(self, message: Message) -> bytes:
         return encode_message(message)
@@ -460,11 +511,13 @@ class BinaryCodec(Codec):
 
     def frame_size(self, source: str, destination: str, message: Message) -> int:
         if type(self).encode_envelope is not BinaryCodec.encode_envelope:
-            return LENGTH_PREFIX_BYTES + len(self.encode_envelope(source, destination, message))
-        scratch = self._scratch
-        del scratch[:]  # reuse the allocation; no bytes() copy is made
-        encode_envelope_into(scratch, source, destination, message)
-        return LENGTH_PREFIX_BYTES + len(scratch)
+            # A subclass customised the envelope bytes: measure what it makes.
+            return super().frame_size(source, destination, message)
+        size = _FRAME_OVERHEAD + str_size(source) + str_size(destination)
+        sizer = _SIZERS.get(type(message))  # size_of, inlined: one call per frame
+        if sizer is None:
+            raise _no_tag(message)
+        return size + sizer(message)
 
     def encode_value(self, value: Any) -> bytes:
         # Value payloads carry the same magic + version as messages, so

@@ -32,6 +32,9 @@ dataclass fields and type hints (:func:`register_struct`): straight-line code
 that handles the declared shape of each field inline and hands anything else
 — a multi-byte varint, a field a Byzantine sender filled with the wrong type —
 to the interpreter at that offset, so both accept and produce the same bytes.
+Beside each writer sits a generated *sizer* of the same shape, and beside
+:func:`write_value` the interpreter :func:`size_value`: they add up the length
+the writer would produce, without producing it, and refuse what it refuses.
 
 An unsupported Python type raises :class:`WireEncodeError` naming the type —
 the value space is deliberately closed, because an exhaustively checkable wire
@@ -96,9 +99,12 @@ _FLOAT = struct.Struct("!d")
 #: the generated codecs of the registered struct shapes, beside their tags.
 StructReader = Callable[[bytes, int, int], Tuple[Any, int]]
 StructWriter = Callable[[bytearray, Any, int], None]
+#: ``(struct, depth of the fields) -> bytes its writer would append``.
+StructSizer = Callable[[Any, int], int]
 _TAG_BY_STRUCT: Dict[Type[Any], int] = {}
 _STRUCT_READERS: Dict[int, StructReader] = {}
 _STRUCT_WRITERS: Dict[Type[Any], StructWriter] = {}
+_STRUCT_SIZERS: Dict[Type[Any], StructSizer] = {}
 
 
 # --------------------------------------------------------------------------- #
@@ -116,6 +122,12 @@ def write_uvarint(out: bytearray, value: int) -> None:
         else:
             out.append(byte)
             return
+
+
+def uvarint_size(value: int) -> int:
+    """Bytes :func:`write_uvarint` appends for *value* (>= 0); a ``TypeError``
+    for a non-integer, like the writer."""
+    return (int.bit_length(value) + 6) // 7 or 1
 
 
 def read_uvarint(data: bytes, offset: int) -> Tuple[int, int]:
@@ -152,6 +164,14 @@ def write_str(out: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
     write_uvarint(out, len(raw))
     out += raw
+
+
+def str_size(text: str) -> int:
+    """Bytes :func:`write_str` appends for *text*."""
+    if type(text) is str and text.isascii() and len(text) < 128:
+        return 1 + len(text)
+    raw = text.encode("utf-8")
+    return uvarint_size(len(raw)) + len(raw)
 
 
 def read_str(data: bytes, offset: int) -> Tuple[str, int]:
@@ -210,11 +230,44 @@ def write_value(out: bytearray, value: Any, depth: int = 0) -> None:
             write_value(out, key, depth + 1)
             write_value(out, item, depth + 1)
     else:
-        raise WireEncodeError(
-            f"type {type(value).__name__!r} has no wire encoding; the "
-            "binary value space is closed — register_struct a tag for it "
-            "(and bump WIRE_VERSION)"
-        )
+        raise _no_encoding(value)
+
+
+def size_value(value: Any, depth: int = 0) -> int:
+    """Bytes :func:`write_value` appends for *value*, which sits in *depth*
+    containers; raises where it raises, branch for branch."""
+    if value is None or value is True or value is False:
+        return 1
+    if type(value) is int:
+        return 1 + uvarint_size(_zigzag(value))
+    if type(value) is float:
+        return 1 + _FLOAT.size
+    if type(value) is str:
+        return 1 + str_size(value)
+    if type(value) is bytes:
+        return 1 + uvarint_size(len(value)) + len(value)
+    if is_bottom(value):
+        return 1
+    if depth >= MAX_NESTING:
+        raise WireEncodeError(f"value nested more than {MAX_NESTING} containers deep")
+    if (sizer := _STRUCT_SIZERS.get(type(value))) is not None:
+        return sizer(value, depth + 1)
+    if type(value) is tuple or type(value) is list:
+        return 1 + uvarint_size(len(value)) + sum(size_value(item, depth + 1) for item in value)
+    if type(value) is dict:
+        size = 1 + uvarint_size(len(value))
+        for key, item in value.items():
+            size += size_value(key, depth + 1) + size_value(item, depth + 1)
+        return size
+    raise _no_encoding(value)
+
+
+def _no_encoding(value: Any) -> WireEncodeError:
+    return WireEncodeError(
+        f"type {type(value).__name__!r} has no wire encoding; the "
+        "binary value space is closed — register_struct a tag for it "
+        "(and bump WIRE_VERSION)"
+    )
 
 
 def read_value(data: bytes, offset: int, depth: int = 0) -> Tuple[Any, int]:
@@ -294,25 +347,31 @@ def decode_value(data: bytes) -> Any:
 
 
 # --------------------------------------------------------------------------- #
-# The compiler: a reader and a writer generated per declared shape
+# The compiler: a reader, a writer and a sizer generated per declared shape
 # --------------------------------------------------------------------------- #
 
-#: Declared field type -> ``(read, write)`` source of its usual encoding: an
-#: ``if`` the emitters close with ``else:`` the interpreter (``{v}``: the
-#: value's variable).  The last entry serves ``str``, ``Any`` (the register's
-#: opaque value: a short string, or ⊥ unwritten) and every type not listed.
-_INLINE: Dict[Any, Tuple[str, str]] = {
+#: Declared field type -> ``(read, write, (size, sized))``: the source that
+#: reads and writes its usual encoding, an ``if`` the emitters close with
+#: ``else:`` the interpreter (``{v}``: the value's variable), and the usual
+#: encoding's length in bytes with the ``if`` that adds to ``n`` what a usual
+#: value has beyond it (a sizer starts ``n`` at the sum of the usual sizes).
+#: The last entry serves ``str``, ``Any`` (the register's opaque value: a
+#: short string, or ⊥ unwritten) and every type not listed.
+_INLINE: Dict[Any, Tuple[str, str, Tuple[int, str]]] = {
     int: (
         f"if data[o] == {T_INT} and (z := data[o + 1]) < 128:\n    {{v}} = _UNZIGZAG[z]; o += 2",
         "if type({v}) is int and 0 <= {v} < 64:\n    out += _INT1[{v}]",
+        (2, "if type({v}) is int and 0 <= {v} < 64:\n    pass"),
     ),
     bool: (
         f"if (z := data[o]) == {T_TRUE} or z == {T_FALSE}:\n    {{v}} = z == {T_TRUE}; o += 1",
         f"if type({{v}}) is bool:\n    out.append({T_TRUE} if {{v}} else {T_FALSE})",
+        (1, "if type({v}) is bool:\n    pass"),
     ),
     tuple: (
         f"if data[o:o + 2] == {bytes((T_TUPLE, 0))!r}:\n    {{v}} = (); o += 2",
         f"if type({{v}}) is tuple and not {{v}}:\n    out += {bytes((T_TUPLE, 0))!r}",
+        (2, "if type({v}) is tuple and not {v}:\n    pass"),
     ),
     Any: (
         f"if data[o] == {T_STR} and (z := data[o + 1]) < 128:\n"
@@ -322,6 +381,12 @@ _INLINE: Dict[Any, Tuple[str, str]] = {
         "if type({v}) is str and len(raw := {v}.encode()) < 128:\n"
         "    out += _STR1[len(raw)]; out += raw\n"
         f"elif {{v}} is BOTTOM:\n    out.append({T_BOTTOM})",
+        (
+            1,
+            "if type({v}) is str and {v}.isascii() and len({v}) < 128:\n"
+            "    n += 1 + len({v})\n"
+            "elif {v} is BOTTOM:\n    pass",
+        ),
     ),
 }
 
@@ -345,7 +410,7 @@ def struct_fields(cls: Type[Any]) -> List[Tuple[str, Any]]:
     return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
 
 
-def _usual(hint: Any) -> Tuple[str, str]:
+def _usual(hint: Any) -> Tuple[str, str, Tuple[int, str]]:
     return _INLINE.get(typing.get_origin(hint) or hint, _INLINE[Any])
 
 
@@ -401,6 +466,30 @@ def emit_struct_write(body: List[str], pad: str, v: str, cls: Type[Any], depth: 
         emit_write(body, pad, f"{v}.{name}", hint, depth)
 
 
+def emit_size(body: List[str], pad: str, value: str, hint: Any, depth: str) -> int:
+    """Append source that adds to ``n`` what :func:`emit_write` appends for
+    *value* beyond the usual size of *hint*, and return that usual size."""
+    v = f"v{len(body)}"
+    body.append(f"{pad}{v} = {value}")
+    tag = _TAG_BY_STRUCT.get(hint)
+    if tag is None:
+        usual, source = _usual(hint)[2]
+        emit(body, pad, source.format(v=v))
+    else:
+        body.append(f"{pad}if type({v}) is c{tag} and {depth} < {MAX_NESTING}:")
+        usual = emit_struct_size(body, pad + "    ", v, hint, f"{depth} + 1")
+    body += [f"{pad}else:", f"{pad}    n += size_value({v}, {depth}) - {usual}"]
+    return usual
+
+
+def emit_struct_size(body: List[str], pad: str, v: str, cls: Type[Any], depth: str) -> int:
+    """Append the sizing source of the fields of the struct in *v*; return
+    the struct's usual size (its tag and each field's usual size)."""
+    return 1 + sum(
+        emit_size(body, pad, f"{v}.{name}", hint, depth) for name, hint in struct_fields(cls)
+    )
+
+
 def compile_function(
     name: str, signature: str, body: List[str], reader: bool = False, **scope: Any
 ) -> Any:
@@ -420,7 +509,7 @@ def compile_function(
 
 def register_struct(tag: int, cls: Type[Any]) -> Type[Any]:
     """Assign wire *tag* to the frozen dataclass *cls* (one tag, forever) and
-    generate its reader and writer.
+    generate its reader, writer and sizer.
 
     Fields are encoded in declaration order with the self-describing value
     encoding, so adding a field to a registered struct is a wire-format change
@@ -440,6 +529,10 @@ def register_struct(tag: int, cls: Type[Any]) -> Type[Any]:
     write: List[str] = []
     emit_struct_write(write, "    ", "m", cls, "d")
     _STRUCT_WRITERS[cls] = compile_function(f"write_{cls.__name__}", "out, m, d", write)
+    size: List[str] = []
+    usual = emit_struct_size(size, "    ", "m", cls, "d")
+    size = [f"    n = {usual}", *size, "    return n"]
+    _STRUCT_SIZERS[cls] = compile_function(f"size_{cls.__name__}", "m, d", size)
     return cls
 
 

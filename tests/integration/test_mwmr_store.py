@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import summarize
 from repro.bench.sweeps import contended_run, mixed_store_run, mwmr_sweep, run
 from repro.core.automaton import Effects
 from repro.core.config import SystemConfig
@@ -321,7 +322,7 @@ class TestAsyncioRuntime:
 class TestBench:
     def test_mwmr_throughput_run_verifies_and_reports(self):
         store = run(contended_run(2, num_operations=24))
-        assert store.throughput() > 0
+        assert summarize(store.completed_operations()).throughput > 0
         assert store.mwmr_keys == ["k1", "k2"]
 
     def test_mwmr_sweep_scales_with_shards(self):

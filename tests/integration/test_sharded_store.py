@@ -11,6 +11,7 @@ import asyncio
 
 import pytest
 
+from repro.bench.harness import summarize
 from repro.bench.sweeps import dense_run, run, zipf_run
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
@@ -86,14 +87,14 @@ class TestSimStoreWorkloads:
         for shards in (1, 2, 4, 8):
             store = run(dense_run(shards, num_operations=48))
             assert len(store.completed_operations()) == 48
-            throughputs.append(store.throughput())
+            throughputs.append(summarize(store.completed_operations()).throughput)
         assert all(b > a for a, b in zip(throughputs, throughputs[1:], strict=False))
 
     def test_batched_mode_beats_unbatched_under_frame_overhead(self):
         results = {}
         for batching in (False, True):
             store = run(dense_run(8, num_operations=48, batching=batching, frame_overhead=0.1))
-            results[batching] = store.throughput()
+            results[batching] = summarize(store.completed_operations()).throughput
         assert results[True] > results[False]
 
 

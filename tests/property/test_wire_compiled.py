@@ -9,7 +9,9 @@ loop (:func:`interpreter_only`), so no generated code runs on the reference
 side.  The space is small enough to cover the way an algorithm is checked
 against its specification: every class, every golden vector, field values on
 *and* off the declared schema, every strict prefix and every single-byte
-mutation of the published bytes.
+mutation of the published bytes.  The generated *sizers* are held to the
+same standard: the size the codec computes for a frame is the length of the
+bytes it would encode, and it refuses exactly what the encoder refuses.
 """
 
 import contextlib
@@ -24,18 +26,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import Batch, Message
-from repro.core.types import BOTTOM
+from repro.core.types import BOTTOM, TimestampValue
 from repro.persist.wal import WAL_FIELDS, WalRecord, unframe_payload
 from repro.wire import values as wire_values
 from repro.wire.codec import (
+    LENGTH_PREFIX_BYTES,
     MAGIC,
     MESSAGE_TAGS,
     TAG_VALUE,
     WIRE_VERSION,
     decode_envelope,
     decode_message,
+    encode_envelope,
     encode_message,
     get_codec,
+    size_of,
 )
 from repro.wire.golden import message_zoo, wal_segment_records
 from repro.wire.values import (
@@ -48,6 +53,7 @@ from repro.wire.values import (
     read_str,
     read_uvarint,
     read_value,
+    size_value,
     write_str,
     write_uvarint,
     write_value,
@@ -64,7 +70,8 @@ STRUCTS = dict(wire_values._TAG_BY_STRUCT)  # class -> tag, WalRecord included
 
 @contextlib.contextmanager
 def interpreter_only():
-    """Swap every generated struct codec for the field loop it replaced."""
+    """Swap every generated struct codec (and sizer) for the field loop it
+    replaced."""
 
     def writer(cls, tag):
         def write(out, value, depth):
@@ -87,11 +94,20 @@ def interpreter_only():
 
         return read
 
+    def sizer(cls):
+        def size(value, depth):
+            fields = dataclasses.fields(cls)
+            return 1 + sum(size_value(getattr(value, f.name), depth) for f in fields)
+
+        return size
+
     writers = {cls: writer(cls, tag) for cls, tag in STRUCTS.items()}
     readers = {tag: reader(cls) for cls, tag in STRUCTS.items()}
+    sizers = {cls: sizer(cls) for cls in STRUCTS}
     with mock.patch.dict(wire_values._STRUCT_WRITERS, writers):
         with mock.patch.dict(wire_values._STRUCT_READERS, readers):
-            yield
+            with mock.patch.dict(wire_values._STRUCT_SIZERS, sizers):
+                yield
 
 
 def reference_encode(message: Message) -> bytes:
@@ -145,6 +161,24 @@ def outcome(decode, data):
         return decode(data)
     except WireDecodeError:
         return WireDecodeError
+
+
+def _attempt(compute):
+    try:
+        return compute()
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+
+
+def frame_outcomes(source, destination, message):
+    """``(computed, encoded)``: what ``frame_size`` says, and the length the
+    encoder produces — or, for each, the type of exception it raised."""
+    codec = get_codec(None)
+    computed = _attempt(lambda: codec.frame_size(source, destination, message))
+    encoded = _attempt(
+        lambda: LENGTH_PREFIX_BYTES + len(encode_envelope(source, destination, message))
+    )
+    return computed, encoded
 
 
 # ------------------------------------------------------------ the strategies
@@ -230,6 +264,7 @@ def message_values(cls):
 @given(data=st.data())
 def test_message_bytes_equal_the_reference(cls, data):
     message = data.draw(message_values(cls))
+    source = data.draw(_texts)
     encoded = encode_message(message)
     with interpreter_only():
         assert encoded == reference_encode(message)
@@ -237,11 +272,11 @@ def test_message_bytes_equal_the_reference(cls, data):
     decoded = decode_message(encoded)
     assert decoded == message
     assert type(decoded) is cls
-    assert decode_envelope(get_codec(None).encode_envelope("sé", "d", message)) == (
-        "sé",
-        "d",
-        message,
-    )
+    envelope = get_codec(None).encode_envelope(source, "d", message)
+    assert decode_envelope(envelope) == (source, "d", message)
+    # The size the codec computes is the length of what it encodes.
+    assert size_of(message) == len(encoded)
+    assert frame_outcomes(source, "d", message) == (LENGTH_PREFIX_BYTES + len(envelope),) * 2
 
 
 @pytest.mark.parametrize("cls", list(STRUCTS), ids=lambda cls: cls.__name__)
@@ -255,18 +290,25 @@ def test_struct_bytes_equal_the_reference(cls, data):
         assert decode_value(encoded) == value
     assert decode_value(encoded) == value
     # Reached from a container too: the table lookup, not the inlined copy.
-    assert decode_value(encode_value([value, {"k": value}])) == [value, {"k": value}]
+    outer = [value, {"k": value}]
+    assert decode_value(encode_value(outer)) == outer
+    for sized in (value, outer):
+        assert size_value(sized) == len(encode_value(sized))
+        with interpreter_only():
+            assert size_value(sized) == len(encode_value(sized))
 
 
 def test_generated_source_is_kept_on_the_function():
-    from repro.wire.codec import _READERS, _WRITERS
+    from repro.wire.codec import _READERS, _SIZERS, _WRITERS
 
     for cls, tag in MESSAGE_TAGS.items():
         if cls is not Batch:
             assert f"def read_{cls.__name__}(" in _READERS[tag].__source__
             assert f"def write_{cls.__name__}(" in _WRITERS[cls].__source__
+            assert f"def size_{cls.__name__}(" in _SIZERS[cls].__source__
     for cls, tag in STRUCTS.items():
         assert f"def read_{cls.__name__}(" in wire_values._STRUCT_READERS[tag].__source__
+        assert f"def size_{cls.__name__}(" in wire_values._STRUCT_SIZERS[cls].__source__
 
 
 # ----------------------------------- every golden vector, truncated and bent
@@ -404,3 +446,100 @@ def test_the_nesting_limit_is_exact_and_symmetric():
     with interpreter_only():
         with pytest.raises(WireDecodeError, match="nested"):
             decode_value(inside)
+
+
+# --------------------------------------- a computed size is an encoded length
+
+
+def _nested(levels, leaf):
+    for _ in range(levels):
+        leaf = [leaf]
+    return leaf
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+def test_golden_frames_size_to_their_length(name):
+    frame = GOLDEN_FRAMES[name]
+    message = decode_message(frame)
+    assert size_of(message) == len(frame)
+    computed, encoded = frame_outcomes("s1", "r1", message)
+    assert type(computed) is int and computed == encoded
+
+
+def test_the_golden_envelope_and_wal_records_size_to_their_length():
+    source, destination, message = decode_envelope(GOLDEN_ENVELOPE)
+    computed, _ = frame_outcomes(source, destination, message)
+    assert computed == LENGTH_PREFIX_BYTES + len(GOLDEN_ENVELOPE)
+    for payload, record in zip(GOLDEN_WAL_PAYLOADS, wal_segment_records(), strict=True):
+        assert size_value(record) == len(payload) - len(HEADER) - 1
+
+
+def _edges():
+    """Each shape just off the inline one: past 127 bytes or characters,
+    non-ASCII, negative and multi-byte ints, nesting at the limit, a Batch
+    inside a Batch (refused at decode, written all the same)."""
+    read, read_ack, pre_write = message_zoo()[6], message_zoo()[7], message_zoo()[0]
+    pair = read_ack.pw
+    long_ascii, wide = "x" * 128, "é" * 64  # 64 characters, 128 bytes
+    yield dataclasses.replace(read, sender=long_ascii, register_id=wide, epoch=128)
+    yield dataclasses.replace(read, sender="漢", register_id="x" * 127, epoch=2**40)
+    for number in (-1, -64, 64, 127, 128, 2**63, -(2**63), 2**200, True):
+        yield dataclasses.replace(read, read_ts=number, round=number)
+    for text in ("", "x" * 127, long_ascii, wide, "é", "⊥" * 43):
+        yield dataclasses.replace(read_ack, pw=dataclasses.replace(pair, val=text, writer_id=text))
+    yield dataclasses.replace(read_ack, w=TimestampValue(2**70, b"\x00" * 200, "w"))
+    yield dataclasses.replace(pre_write, frozen=_nested(MAX_NESTING, "leaf"))
+    yield dataclasses.replace(pre_write, frozen=_nested(MAX_NESTING - 1, pair))
+    inner = Batch("w", "k", 3, (read, dataclasses.replace(read_ack, sender=wide)))
+    yield Batch(long_ascii, "k", 300, (inner, read, inner))
+    yield Batch("w", "k", 0, ())
+
+
+@pytest.mark.parametrize("message", list(_edges()), ids=lambda m: type(m).__name__)
+def test_off_shape_frames_size_to_their_length(message):
+    for source, destination in (("s1", "r1"), ("x" * 200, "⊥")):
+        computed, encoded = frame_outcomes(source, destination, message)
+        assert type(computed) is int and computed == encoded
+
+
+class _Untagged(Message):
+    """A message class that was never given a wire tag."""
+
+
+_POISONS = [
+    object(),
+    "\ud800",  # a lone surrogate: no UTF-8 spelling
+    ["ok", "\udfff"],
+    {"k": object()},
+    _nested(MAX_NESTING + 1, "leaf"),
+    _nested(MAX_NESTING, TimestampValue(1, "v", "w")),  # the struct is one level too deep
+    TimestampValue(1, "\udc00", "w"),
+    TimestampValue(object(), "v", "w"),
+    _Untagged("w", "k", 0),
+    1.5,
+]
+
+
+@pytest.mark.parametrize("cls", list(MESSAGE_TAGS), ids=lambda cls: cls.__name__)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_an_unencodable_frame_raises_what_the_encoder_raises(cls, data):
+    message = data.draw(message_values(cls))
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]))
+    poisoned = dataclasses.replace(message, **{name: data.draw(st.sampled_from(_POISONS))})
+    computed, encoded = frame_outcomes("s1", "r1", poisoned)
+    assert computed == encoded
+
+
+@pytest.mark.parametrize(
+    "source, message, refusal",
+    [
+        ("\ud800", message_zoo()[6], UnicodeEncodeError),
+        ("s1", _Untagged("w", "k", 0), WireEncodeError),
+        ("s1", Batch("w", "k", 0, (message_zoo()[6], _Untagged("w", "k", 0))), WireEncodeError),
+        ("s1", dataclasses.replace(message_zoo()[6], round=_nested(40, 1)), WireEncodeError),
+    ],
+    ids=["surrogate-source", "untagged", "untagged-in-batch", "too-deep"],
+)
+def test_the_refusals_are_the_encoders(source, message, refusal):
+    assert frame_outcomes(source, "r1", message) == (refusal, refusal)

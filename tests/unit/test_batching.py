@@ -9,6 +9,7 @@ must survive construction).
 
 import pytest
 
+from repro.bench.harness import summarize
 from repro.core.config import SystemConfig
 from repro.core.messages import Batch, PreWrite, Read, iter_unbatched, make_envelope
 from repro.core.protocol import LuckyAtomicProtocol
@@ -163,7 +164,10 @@ class TestSimBatching:
         assert unbatched.frames_sent == unbatched.messages_sent
         assert batched.frames_sent < unbatched.frames_sent
         # ...which amortises the per-frame overhead into higher throughput.
-        assert batched.throughput() > unbatched.throughput()
+        assert (
+            summarize(batched.completed_operations()).throughput
+            > summarize(unbatched.completed_operations()).throughput
+        )
 
     def test_batch_deliveries_are_traced_per_protocol_message(self):
         store = _store(["k1", "k2"], batching=True, frame_overhead=0.1)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.bench.harness import summarize
 from repro.core.automaton import Effects, OperationComplete
 from repro.core.config import SystemConfig
 from repro.core.messages import Batch, Read
@@ -250,7 +251,7 @@ class TestShardedSimStore:
     def test_throughput_is_positive_after_operations(self):
         store = self._store()
         store.write("k1", "a")
-        assert store.throughput() > 0
+        assert summarize(store.completed_operations()).throughput > 0
 
 
 class TestRegisterIdValidation:

@@ -7,7 +7,11 @@ where only one path maintained the counters.
 """
 
 import asyncio
+from dataclasses import replace
 
+import pytest
+
+from repro.bench.sweeps import contended_run, dense_run, run, zipf_run
 from repro.core.config import SystemConfig
 from repro.core.messages import Read
 from repro.core.protocol import LuckyAtomicProtocol
@@ -76,7 +80,8 @@ class TestSimBytes:
 
         binary, padded = run("binary"), run(PaddedCodec())
         assert binary.frames_sent == padded.frames_sent
-        assert binary.bytes_sent < padded.bytes_sent
+        # A subclass that reshapes the envelope is measured, not computed.
+        assert padded.bytes_sent - binary.bytes_sent == len(PaddedCodec.PAD) * binary.frames_sent
 
     def test_byte_cost_charges_line_time(self):
         # With a per-byte line cost, a writer's fan-out frames serialize on
@@ -95,6 +100,27 @@ class TestSimBytes:
         store.write("k1", "v1")
         assert store.bytes_sent == store.cluster.bytes_sent
         assert store.bytes_sent > 0
+
+
+    # Frames, messages and bytes of three seeded store runs: the Byzantine
+    # Zipf keyspace (forged timestamps put ints off the one-byte shape), a
+    # contended MWMR keyspace and a leased one (batches of lease traffic).
+    # The byte column is what the computed frame size must keep charging.
+    @pytest.mark.parametrize(
+        "spec, counters",
+        [
+            (zipf_run(byzantine=True), (1596, 1800, 81518)),
+            (contended_run(2, num_operations=24), (156, 216, 8928)),
+            (
+                replace(dense_run(4, 48), leases=True, writer_leases=True, mwmr=True),
+                (300, 456, 16596),
+            ),
+        ],
+        ids=["zipf-byzantine", "contended-mwmr", "dense-leased"],
+    )
+    def test_seeded_store_runs_charge_pinned_byte_counts(self, spec, counters):
+        store = run(spec)
+        assert (store.frames_sent, store.messages_sent, store.bytes_sent) == counters
 
 
 class TestTransportBytes:
