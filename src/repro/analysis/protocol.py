@@ -80,6 +80,15 @@ MESSAGE_GROUPS: Dict[str, Tuple[str, ...]] = {
 #: seeded randomness.
 DETERMINISM_SCOPES: FrozenSet[str] = frozenset({"core", "sim", "store", "lease"})
 
+#: Where the register automata build their messages (RP10): path segments,
+#: plus the Byzantine strategies, which build replies on a server's behalf.
+ADDRESSING_SCOPES: FrozenSet[str] = frozenset({"core", "lease", "variants", "baselines"})
+ADDRESSING_FILE_SUFFIXES: Tuple[str, ...] = ("sim/byzantine.py",)
+
+#: The message classes a ``LeaseRole`` binding holds (``repro.core.lease``):
+#: ``self.role.grant(...)`` builds a message as surely as ``LeaseGrant(...)``.
+ROLE_MESSAGE_FIELDS: FrozenSet[str] = frozenset({"renew", "grant", "revoke", "revoke_ack"})
+
 #: The only files allowed to call ``DelayModel.sample`` directly (RP08): the
 #: delay models themselves (composition/decoration) and the topology layer,
 #: which consults the model only after deciding partitions, gray links and

@@ -1,6 +1,7 @@
 """The repo-specific rule set.  Importing this package registers every rule."""
 
 from . import (  # noqa: F401
+    addressing,
     dispatch,
     durability,
     performance,
@@ -11,6 +12,7 @@ from . import (  # noqa: F401
 )
 
 __all__ = [
+    "addressing",
     "dispatch",
     "durability",
     "performance",

@@ -63,8 +63,8 @@ class ABDServer(Automaton):
         WriterLeaseRevokeAck,
     )
 
-    def __init__(self, server_id: str, config: SystemConfig) -> None:
-        super().__init__(server_id)
+    def __init__(self, server_id: str, config: SystemConfig, register_id: str = "") -> None:
+        super().__init__(server_id, register_id)
         self.config = config
         self.pair: TimestampValue = INITIAL_PAIR
 
@@ -74,7 +74,10 @@ class ABDServer(Automaton):
             effects.send(
                 message.sender,
                 BaselineQueryReply(
-                    sender=self.process_id, op_id=message.op_id, pair=self.pair
+                    sender=self.process_id,
+                    register_id=self.register_id,
+                    op_id=message.op_id,
+                    pair=self.pair,
                 ),
             )
         elif isinstance(message, BaselineStore):
@@ -83,7 +86,10 @@ class ABDServer(Automaton):
             effects.send(
                 message.sender,
                 BaselineStoreAck(
-                    sender=self.process_id, op_id=message.op_id, phase=message.phase
+                    sender=self.process_id,
+                    register_id=self.register_id,
+                    op_id=message.op_id,
+                    phase=message.phase,
                 ),
             )
         return effects
@@ -125,8 +131,10 @@ class ABDWriter(ClientAutomaton):
         BaselineQueryReply,
     )
 
-    def __init__(self, config: SystemConfig, timer_delay: float = 10.0) -> None:
-        super().__init__(config.writer_id, timer_delay=timer_delay)
+    def __init__(
+        self, config: SystemConfig, timer_delay: float = 10.0, register_id: str = ""
+    ) -> None:
+        super().__init__(config.writer_id, timer_delay=timer_delay, register_id=register_id)
         self.config = config
         self.ts = 0
         self._attempt: Optional[_ABDWriteAttempt] = None
@@ -142,6 +150,7 @@ class ABDWriter(ClientAutomaton):
             self.config.server_ids(),
             BaselineStore(
                 sender=self.process_id,
+                register_id=self.register_id,
                 op_id=self._attempt.op_id,
                 pair=TimestampValue(self.ts, value),
                 phase=1,
@@ -168,7 +177,7 @@ class ABDWriter(ClientAutomaton):
                 value=attempt.value,
                 rounds=1,
                 fast=True,
-                metadata={"ts": attempt.ts},
+                metadata={"ts": attempt.ts, **self._address},
             )
         )
         return effects
@@ -189,8 +198,14 @@ class ABDReader(ClientAutomaton):
         WriterLeaseRevoke,
     )
 
-    def __init__(self, reader_id: str, config: SystemConfig, timer_delay: float = 10.0) -> None:
-        super().__init__(reader_id, timer_delay=timer_delay)
+    def __init__(
+        self,
+        reader_id: str,
+        config: SystemConfig,
+        timer_delay: float = 10.0,
+        register_id: str = "",
+    ) -> None:
+        super().__init__(reader_id, timer_delay=timer_delay, register_id=register_id)
         self.config = config
         self._attempt: Optional[_ABDReadAttempt] = None
 
@@ -200,7 +215,9 @@ class ABDReader(ClientAutomaton):
         effects = Effects()
         effects.broadcast(
             self.config.server_ids(),
-            BaselineQuery(sender=self.process_id, op_id=self._attempt.op_id),
+            BaselineQuery(
+                sender=self.process_id, register_id=self.register_id, op_id=self._attempt.op_id
+            ),
         )
         return effects
 
@@ -229,6 +246,7 @@ class ABDReader(ClientAutomaton):
             self.config.server_ids(),
             BaselineStore(
                 sender=self.process_id,
+                register_id=self.register_id,
                 op_id=attempt.op_id,
                 pair=attempt.selected,
                 phase=2,
@@ -256,7 +274,7 @@ class ABDReader(ClientAutomaton):
                 value=selected.val,
                 rounds=2,
                 fast=False,
-                metadata={"ts": selected.ts, "writeback": True},
+                metadata={"ts": selected.ts, "writeback": True, **self._address},
             )
         )
         return effects
@@ -276,11 +294,13 @@ class ABDProtocol(ProtocolSuite):
             )
         super().__init__(config, timer_delay=timer_delay)
 
-    def create_server(self, server_id: str) -> ABDServer:
-        return ABDServer(server_id, self.config)
+    def create_server(self, server_id: str, *, register_id: str = "") -> ABDServer:
+        return ABDServer(server_id, self.config, register_id)
 
-    def create_writer(self) -> ABDWriter:
-        return ABDWriter(self.config, timer_delay=self.timer_delay)
+    def create_writer(self, *, register_id: str = "") -> ABDWriter:
+        return ABDWriter(self.config, timer_delay=self.timer_delay, register_id=register_id)
 
-    def create_reader(self, reader_id: str) -> ABDReader:
-        return ABDReader(reader_id, self.config, timer_delay=self.timer_delay)
+    def create_reader(self, reader_id: str, *, register_id: str = "") -> ABDReader:
+        return ABDReader(
+            reader_id, self.config, timer_delay=self.timer_delay, register_id=register_id
+        )

@@ -70,8 +70,8 @@ class NaiveServer(Automaton):
         WriterLeaseRevokeAck,
     )
 
-    def __init__(self, server_id: str, config: SystemConfig) -> None:
-        super().__init__(server_id)
+    def __init__(self, server_id: str, config: SystemConfig, register_id: str = "") -> None:
+        super().__init__(server_id, register_id)
         self.config = config
         self.pair: TimestampValue = INITIAL_PAIR
 
@@ -81,7 +81,10 @@ class NaiveServer(Automaton):
             effects.send(
                 message.sender,
                 BaselineQueryReply(
-                    sender=self.process_id, op_id=message.op_id, pair=self.pair
+                    sender=self.process_id,
+                    register_id=self.register_id,
+                    op_id=message.op_id,
+                    pair=self.pair,
                 ),
             )
         elif isinstance(message, BaselineStore):
@@ -90,7 +93,10 @@ class NaiveServer(Automaton):
             effects.send(
                 message.sender,
                 BaselineStoreAck(
-                    sender=self.process_id, op_id=message.op_id, phase=message.phase
+                    sender=self.process_id,
+                    register_id=self.register_id,
+                    op_id=message.op_id,
+                    phase=message.phase,
                 ),
             )
         return effects
@@ -120,8 +126,10 @@ class NaiveWriter(ClientAutomaton):
         BaselineQueryReply,
     )
 
-    def __init__(self, config: SystemConfig, timer_delay: float = 10.0) -> None:
-        super().__init__(config.writer_id, timer_delay=timer_delay)
+    def __init__(
+        self, config: SystemConfig, timer_delay: float = 10.0, register_id: str = ""
+    ) -> None:
+        super().__init__(config.writer_id, timer_delay=timer_delay, register_id=register_id)
         self.config = config
         self.ts = 0
         self._attempt: Optional[_NaiveAttempt] = None
@@ -135,6 +143,7 @@ class NaiveWriter(ClientAutomaton):
             self.config.server_ids(),
             BaselineStore(
                 sender=self.process_id,
+                register_id=self.register_id,
                 op_id=self._attempt.op_id,
                 pair=TimestampValue(self.ts, value),
                 phase=1,
@@ -161,6 +170,7 @@ class NaiveWriter(ClientAutomaton):
                 value=attempt.value,
                 rounds=1,
                 fast=True,
+                metadata=dict(self._address),
             )
         )
         return effects
@@ -187,8 +197,14 @@ class NaiveReader(ClientAutomaton):
         BaselineStoreAck,
     )
 
-    def __init__(self, reader_id: str, config: SystemConfig, timer_delay: float = 10.0) -> None:
-        super().__init__(reader_id, timer_delay=timer_delay)
+    def __init__(
+        self,
+        reader_id: str,
+        config: SystemConfig,
+        timer_delay: float = 10.0,
+        register_id: str = "",
+    ) -> None:
+        super().__init__(reader_id, timer_delay=timer_delay, register_id=register_id)
         self.config = config
         self._attempt: Optional[_NaiveAttempt] = None
 
@@ -198,7 +214,9 @@ class NaiveReader(ClientAutomaton):
         effects = Effects()
         effects.broadcast(
             self.config.server_ids(),
-            BaselineQuery(sender=self.process_id, op_id=self._attempt.op_id),
+            BaselineQuery(
+                sender=self.process_id, register_id=self.register_id, op_id=self._attempt.op_id
+            ),
         )
         return effects
 
@@ -222,7 +240,7 @@ class NaiveReader(ClientAutomaton):
                 value=selected.val,
                 rounds=1,
                 fast=True,
-                metadata={"ts": selected.ts},
+                metadata={"ts": selected.ts, **self._address},
             )
         )
         return effects
@@ -238,14 +256,16 @@ class NaiveFastProtocol(ProtocolSuite):
     name = "naive-fast (UNSAFE)"
     consistency = "none"
 
-    def create_server(self, server_id: str) -> NaiveServer:
-        return NaiveServer(server_id, self.config)
+    def create_server(self, server_id: str, *, register_id: str = "") -> NaiveServer:
+        return NaiveServer(server_id, self.config, register_id)
 
-    def create_writer(self) -> NaiveWriter:
-        return NaiveWriter(self.config, timer_delay=self.timer_delay)
+    def create_writer(self, *, register_id: str = "") -> NaiveWriter:
+        return NaiveWriter(self.config, timer_delay=self.timer_delay, register_id=register_id)
 
-    def create_reader(self, reader_id: str) -> NaiveReader:
-        return NaiveReader(reader_id, self.config, timer_delay=self.timer_delay)
+    def create_reader(self, reader_id: str, *, register_id: str = "") -> NaiveReader:
+        return NaiveReader(
+            reader_id, self.config, timer_delay=self.timer_delay, register_id=register_id
+        )
 
 
 @dataclass
@@ -269,7 +289,10 @@ class ForgeQueryReplyStrategy:
         effects.send(
             message.sender,
             BaselineQueryReply(
-                sender=inner.process_id, op_id=message.op_id, pair=self.forged_pair
+                sender=inner.process_id,
+                register_id=inner.register_id,
+                op_id=message.op_id,
+                pair=self.forged_pair,
             ),
         )
         return effects

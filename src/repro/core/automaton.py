@@ -16,6 +16,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .messages import Message
 
+#: Separator between a register id and the rest of a timer id:
+#: ``"<register>::<timer>"``.  Register ids therefore must not contain it.
+TIMER_SEPARATOR = "::"
+
+
+def timer_namespace(register_id: str) -> str:
+    """What every timer id armed by an automaton of *register_id* starts
+    with; the paper's single register (``""``) arms bare ids."""
+    return f"{register_id}{TIMER_SEPARATOR}" if register_id else ""
+
 
 class TimerPolicy(enum.Enum):
     """What the round-1 timer of a WRITE (Fig. 1 l.5) or READ (Fig. 2 l.17) means.
@@ -135,10 +145,18 @@ class Effects:
 
 
 class Automaton:
-    """Base class for every protocol role (writer, reader, server)."""
+    """Base class for every protocol role (writer, reader, server).
 
-    def __init__(self, process_id: str) -> None:
+    ``register_id`` is the register the automaton runs (``""``: the paper's
+    single register).  An automaton is born addressed: every message it
+    builds carries the id, every timer id it arms starts with
+    :func:`timer_namespace` of it, and every completion names it in its
+    metadata — so a register router passes its effects on untouched.
+    """
+
+    def __init__(self, process_id: str, register_id: str = "") -> None:
         self.process_id = process_id
+        self.register_id = register_id
 
     # -- inputs -------------------------------------------------------------
     def handle_message(self, message: Message) -> Effects:
@@ -163,11 +181,15 @@ class ClientAutomaton(Automaton):
     Section 2.2).
     """
 
-    def __init__(self, process_id: str, timer_delay: float = 10.0) -> None:
-        super().__init__(process_id)
+    def __init__(self, process_id: str, timer_delay: float = 10.0, register_id: str = "") -> None:
+        super().__init__(process_id, register_id)
         self.timer_delay = timer_delay
         self._op_counter = 0
         self._busy = False
+        self._timer_stem = f"{timer_namespace(register_id)}{process_id}/op"
+        #: Spread last into every completion's metadata: the register it
+        #: answers, which the host's operation slot is keyed by.
+        self._address: Dict[str, Any] = {"register_id": register_id} if register_id else {}
 
     @property
     def busy(self) -> bool:
@@ -190,7 +212,7 @@ class ClientAutomaton(Automaton):
         self._busy = False
 
     def _timer_id(self, op_id: int, label: str) -> str:
-        return f"{self.process_id}/op{op_id}/{label}"
+        return f"{self._timer_stem}{op_id}/{label}"
 
 
 #: Operation kind -> (the client-automaton method that invokes it, whether its

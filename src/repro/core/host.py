@@ -185,9 +185,16 @@ class ProcessHost:
         self._outbox.setdefault(destination, []).append(message)
 
     def drain(self) -> List[Tuple[str, Message]]:
-        """Empty the outbox: one frame per destination with buffered messages
-        (a lone message travels unwrapped, several as one ``Batch``)."""
+        """Empty the outbox into frames: with batching, one per destination
+        (a lone message travels unwrapped, several as one ``Batch``); without,
+        one per message, in the order they were buffered per destination."""
         pending, self._outbox = self._outbox, {}
+        if not self.batching:
+            return [
+                (destination, message)
+                for destination, messages in pending.items()
+                for message in messages
+            ]
         return [
             (destination, make_envelope(self.process_id, messages))
             for destination, messages in pending.items()

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Type, Union
 
-from .automaton import Effects
+from .automaton import Effects, timer_namespace
 from .config import SystemConfig
 from .messages import (
     LeaseGrant,
@@ -133,15 +133,22 @@ class LeaseHolder:
     process_id: str
     config: SystemConfig
     lease_duration: float
+    #: The owner's register: stamped on the requests and revoke acks, and
+    #: the namespace of the timers.
+    register_id: str = ""
     held: Optional[Lease] = field(default=None, init=False)
     acquiring: Optional[Lease] = field(default=None, init=False)
     _counter: int = field(default=0, init=False)
     _renew_due: bool = field(default=False, init=False)
     _server_epochs: Dict[str, int] = field(default_factory=dict, init=False)
+    _timer_stem: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
         if self.lease_duration <= 0:
             raise ValueError("lease_duration must be positive")
+        self._timer_stem = (
+            f"{timer_namespace(self.register_id)}{self.process_id}/{self.role.timer_prefix}"
+        )
 
     # ----------------------------------------------------------- acquisition
     def acquire(self, effects: Effects, cached: Optional[TimestampValue] = None) -> None:
@@ -160,7 +167,12 @@ class LeaseHolder:
         duration = self.lease_duration
         effects.broadcast(
             self.config.server_ids(),
-            self.role.renew(sender=self.process_id, lease_id=lease.lease_id, duration=duration),
+            self.role.renew(
+                sender=self.process_id,
+                register_id=self.register_id,
+                lease_id=lease.lease_id,
+                duration=duration,
+            ),
         )
         # Both timers run from *now*, the send (see the module docstring).
         effects.start_timer(self._timer_id(lease.lease_id, "expire"), duration)
@@ -262,13 +274,15 @@ class LeaseHolder:
         # acks that do not match its table.
         effects.send(
             revoke.sender,
-            self.role.revoke_ack(sender=self.process_id, lease_id=revoke.lease_id),
+            self.role.revoke_ack(
+                sender=self.process_id, register_id=self.register_id, lease_id=revoke.lease_id
+            ),
         )
         return effects
 
     # ---------------------------------------------------------------- timers
     def _timer_id(self, lease_id: int, label: str) -> str:
-        return f"{self.process_id}/{self.role.timer_prefix}{lease_id}/{label}"
+        return f"{self._timer_stem}{lease_id}/{label}"
 
     def _cancel_timers(self, lease: Lease, effects: Effects) -> None:
         """Disarm both timers of a dead instance, which would otherwise stay
@@ -279,7 +293,7 @@ class LeaseHolder:
 
     def on_timer(self, timer_id: str) -> bool:
         """Consume *timer_id* if it is one of this holder's; says whether."""
-        stem = f"{self.process_id}/{self.role.timer_prefix}"
+        stem = self._timer_stem
         if not timer_id.startswith(stem):
             return False
         id_text, _, label = timer_id[len(stem) :].partition("/")

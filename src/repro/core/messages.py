@@ -33,8 +33,10 @@ class Message(SlotsPickleMixin):
     hierarchy to this).
 
     ``register_id`` multiplexes many independent register instances over one
-    server fleet and transport (the sharded store of :mod:`repro.store`); the
-    single-register deployments of the paper leave it at the default ``""``.
+    server fleet and transport (the sharded store of :mod:`repro.store`).
+    The automaton that builds a message stamps its own register here
+    (:class:`~repro.core.automaton.Automaton`); the single-register
+    deployments of the paper leave it at the default ``""``.
 
     ``epoch`` is the sender's *incarnation number*: durable servers bump it on
     every crash-recovery and stamp it on their outgoing messages, so a client
@@ -51,31 +53,25 @@ class Message(SlotsPickleMixin):
         """A copy of this message stamped with the sender incarnation *epoch*."""
         if self.epoch == epoch:
             return self
-        return _readdresser(type(self))(self, self.register_id, epoch)
+        return _readdresser(type(self))(self, epoch)
 
     @property
     def kind(self) -> str:
         """Short name used in traces and transport framing."""
         return type(self).__name__
 
-    def tagged(self, register_id: str) -> "Message":
-        """A copy of this message addressed to the register *register_id*."""
-        if self.register_id == register_id:
-            return self
-        return _readdresser(type(self))(self, register_id, self.epoch)
 
-
-_Readdresser = Callable[[Message, str, int], Message]
+_Readdresser = Callable[[Message, int], Message]
 
 
 @functools.cache
 def _readdresser(cls: Type[Message]) -> _Readdresser:
-    """``(message, register_id, epoch) -> copy`` for class *cls*, generated
-    once: a sharded or durable process re-addresses every message it sends,
-    too often for the field lookups of ``dataclasses.replace``."""
+    """``(message, epoch) -> copy`` for class *cls*, generated once: a
+    recovered durable process re-stamps every message it sends, too often
+    for the field lookups of ``dataclasses.replace``."""
     body = "".join(f", m.{f.name}" for f in fields(cls)[3:])
     copy: _Readdresser = eval(
-        f"lambda m, register_id, epoch: cls(m.sender, register_id, epoch{body})", {"cls": cls}
+        f"lambda m, epoch: cls(m.sender, m.register_id, epoch{body})", {"cls": cls}
     )
     return copy
 
@@ -321,9 +317,6 @@ class Batch(Message):
 
     def __len__(self) -> int:
         return len(self.messages)
-
-    def tagged(self, register_id: str) -> "Message":
-        raise TypeError("a Batch envelope is not addressed to a register")
 
 
 def make_envelope(sender: str, messages: "Sequence[Message]") -> Message:

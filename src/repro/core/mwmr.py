@@ -70,6 +70,7 @@ class MultiWriterClient(ClientAutomaton):
         writer_lease_duration: Optional[float] = None,
         read_lease_duration: Optional[float] = None,
         timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
+        register_id: str = "",
     ) -> None:
         # Build the two roles before the base constructor runs: it assigns
         # ``timer_delay`` through the propagating property below.  A lease
@@ -82,6 +83,7 @@ class MultiWriterClient(ClientAutomaton):
                 timer_delay=timer_delay,
                 writer_id=process_id,
                 timer_policy=timer_policy,
+                register_id=register_id,
             )
         else:
             self.writer = AtomicWriter(
@@ -90,6 +92,7 @@ class MultiWriterClient(ClientAutomaton):
                 writer_id=process_id,
                 timer_policy=timer_policy,
                 mwmr=True,
+                register_id=register_id,
             )
         self.reader: AtomicReader
         if read_lease_duration is not None:
@@ -100,6 +103,7 @@ class MultiWriterClient(ClientAutomaton):
                 timer_delay=timer_delay,
                 count_unresponsive=count_unresponsive,
                 timer_policy=timer_policy,
+                register_id=register_id,
             )
         else:
             self.reader = AtomicReader(
@@ -108,8 +112,9 @@ class MultiWriterClient(ClientAutomaton):
                 timer_delay=timer_delay,
                 count_unresponsive=count_unresponsive,
                 timer_policy=timer_policy,
+                register_id=register_id,
             )
-        super().__init__(process_id, timer_delay=timer_delay)
+        super().__init__(process_id, timer_delay=timer_delay, register_id=register_id)
         self.config = config
 
     # -------------------------------------------------------------- timer delay

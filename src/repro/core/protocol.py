@@ -41,16 +41,18 @@ class ProtocolSuite:
         self.timer_policy = timer_policy
 
     # -- factories -----------------------------------------------------------
-    def create_server(self, server_id: str) -> Automaton:
+    # ``register_id`` is the register the automaton is born for (see
+    # :class:`~repro.core.automaton.Automaton`); ``""`` is the paper's one.
+    def create_server(self, server_id: str, *, register_id: str = "") -> Automaton:
         raise NotImplementedError
 
-    def create_writer(self) -> ClientAutomaton:
+    def create_writer(self, *, register_id: str = "") -> ClientAutomaton:
         raise NotImplementedError
 
-    def create_reader(self, reader_id: str) -> ClientAutomaton:
+    def create_reader(self, reader_id: str, *, register_id: str = "") -> ClientAutomaton:
         raise NotImplementedError
 
-    def create_mwmr_client(self, client_id: str) -> ClientAutomaton:
+    def create_mwmr_client(self, client_id: str, *, register_id: str = "") -> ClientAutomaton:
         """A read-*and*-write client for one multi-writer register.
 
         Only protocols whose writer supports the MWMR query phase provide
@@ -62,7 +64,7 @@ class ProtocolSuite:
         )
 
     def create_leased_reader(
-        self, reader_id: str, lease_duration: float
+        self, reader_id: str, lease_duration: float, *, register_id: str = ""
     ) -> ClientAutomaton:
         """A reader serving zero-round reads from a quorum read lease.
 
@@ -79,6 +81,8 @@ class ProtocolSuite:
         client_id: str,
         writer_lease_duration: float,
         read_lease_duration: float | None = None,
+        *,
+        register_id: str = "",
     ) -> ClientAutomaton:
         """An MWMR client whose writer role holds per-register writer leases.
 
@@ -135,24 +139,28 @@ class LuckyAtomicProtocol(ProtocolSuite):
         super().__init__(config, timer_delay=timer_delay, timer_policy=timer_policy)
         self.count_unresponsive = count_unresponsive
 
-    def create_server(self, server_id: str) -> StorageServer:
-        return StorageServer(server_id, self.config)
+    def create_server(self, server_id: str, *, register_id: str = "") -> StorageServer:
+        return StorageServer(server_id, self.config, register_id)
 
-    def create_writer(self) -> AtomicWriter:
+    def create_writer(self, *, register_id: str = "") -> AtomicWriter:
         return AtomicWriter(
-            self.config, timer_delay=self.timer_delay, timer_policy=self.timer_policy
+            self.config,
+            timer_delay=self.timer_delay,
+            timer_policy=self.timer_policy,
+            register_id=register_id,
         )
 
-    def create_reader(self, reader_id: str) -> AtomicReader:
+    def create_reader(self, reader_id: str, *, register_id: str = "") -> AtomicReader:
         return AtomicReader(
             reader_id,
             self.config,
             timer_delay=self.timer_delay,
             count_unresponsive=self.count_unresponsive,
             timer_policy=self.timer_policy,
+            register_id=register_id,
         )
 
-    def create_mwmr_client(self, client_id: str) -> "MultiWriterClient":
+    def create_mwmr_client(self, client_id: str, *, register_id: str = "") -> "MultiWriterClient":
         from .mwmr import MultiWriterClient
 
         return MultiWriterClient(
@@ -161,10 +169,11 @@ class LuckyAtomicProtocol(ProtocolSuite):
             timer_delay=self.timer_delay,
             count_unresponsive=self.count_unresponsive,
             timer_policy=self.timer_policy,
+            register_id=register_id,
         )
 
     def create_leased_reader(
-        self, reader_id: str, lease_duration: float
+        self, reader_id: str, lease_duration: float, *, register_id: str = ""
     ) -> "LeasedReader":
         from .reader import LeasedReader
 
@@ -175,6 +184,7 @@ class LuckyAtomicProtocol(ProtocolSuite):
             timer_delay=self.timer_delay,
             count_unresponsive=self.count_unresponsive,
             timer_policy=self.timer_policy,
+            register_id=register_id,
         )
 
     def create_leased_mwmr_client(
@@ -182,6 +192,8 @@ class LuckyAtomicProtocol(ProtocolSuite):
         client_id: str,
         writer_lease_duration: float,
         read_lease_duration: float | None = None,
+        *,
+        register_id: str = "",
     ) -> "MultiWriterClient":
         from .mwmr import MultiWriterClient
 
@@ -193,4 +205,5 @@ class LuckyAtomicProtocol(ProtocolSuite):
             timer_policy=self.timer_policy,
             writer_lease_duration=writer_lease_duration,
             read_lease_duration=read_lease_duration,
+            register_id=register_id,
         )

@@ -102,6 +102,7 @@ class AtomicReader(ClientAutomaton):
         count_unresponsive: bool = False,
         enable_fast_path: bool = True,
         timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
+        register_id: str = "",
     ) -> None:
         """Create the reader.
 
@@ -113,7 +114,7 @@ class AtomicReader(ClientAutomaton):
         the reply that makes it fast) or no timer, so the reader acts as soon
         as ``S - t`` replies arrive.
         """
-        super().__init__(reader_id, timer_delay=timer_delay)
+        super().__init__(reader_id, timer_delay=timer_delay, register_id=register_id)
         self.config = config
         self.enable_fast_path = enable_fast_path
         self.timer_policy = timer_policy
@@ -171,7 +172,10 @@ class AtomicReader(ClientAutomaton):
             else:
                 effects.start_timer(self._round_timer_id(attempt), self.timer_delay)
         message = Read(
-            sender=self.process_id, read_ts=attempt.read_ts, round=attempt.round
+            sender=self.process_id,
+            register_id=self.register_id,
+            read_ts=attempt.read_ts,
+            round=attempt.round,
         )
         effects.broadcast(self.config.server_ids(), message)
         return effects
@@ -276,6 +280,7 @@ class AtomicReader(ClientAutomaton):
         effects = Effects()
         message = Write(
             sender=self.process_id,
+            register_id=self.register_id,
             round=round_number,
             ts=attempt.read_ts,
             pair=attempt.selected,
@@ -328,6 +333,7 @@ class AtomicReader(ClientAutomaton):
                         if selected.writer_id
                         else {}
                     ),
+                    **self._address,
                 },
             )
         )
@@ -365,7 +371,7 @@ class LeasedReader(AtomicReader):
         **kwargs: Any,
     ) -> None:
         super().__init__(reader_id, config, **kwargs)
-        self.lease = LeaseHolder(READ_LEASE, reader_id, config, lease_duration)
+        self.lease = LeaseHolder(READ_LEASE, reader_id, config, lease_duration, self.register_id)
         #: Diagnostics: reads served locally from the lease (zero rounds).
         self.lease_reads = 0
 
@@ -397,6 +403,7 @@ class LeasedReader(AtomicReader):
                     "lease": True,
                     "is_bottom": is_bottom(cached.val),
                     **({"writer_id": cached.writer_id} if cached.writer_id else {}),
+                    **self._address,
                 },
             )
         )

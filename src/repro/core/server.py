@@ -64,8 +64,8 @@ class StorageServer(Automaton):
         BaselineStore,
     )
 
-    def __init__(self, server_id: str, config: SystemConfig) -> None:
-        super().__init__(server_id)
+    def __init__(self, server_id: str, config: SystemConfig, register_id: str = "") -> None:
+        super().__init__(server_id, register_id)
         self.config = config
         self.pw: TimestampValue = INITIAL_PAIR
         self.w: TimestampValue = INITIAL_PAIR
@@ -122,6 +122,7 @@ class StorageServer(Automaton):
             message.sender,
             TimestampQueryAck(
                 sender=self.process_id,
+                register_id=self.register_id,
                 op_id=message.op_id,
                 pw=self.pw,
                 w=self.w,
@@ -155,7 +156,12 @@ class StorageServer(Automaton):
         effects = Effects()
         effects.send(
             message.sender,
-            PreWriteAck(sender=self.process_id, ts=message.ts, newread=newread),
+            PreWriteAck(
+                sender=self.process_id,
+                register_id=self.register_id,
+                ts=message.ts,
+                newread=newread,
+            ),
         )
         return effects
 
@@ -171,6 +177,7 @@ class StorageServer(Automaton):
             reader_id,
             ReadAck(
                 sender=self.process_id,
+                register_id=self.register_id,
                 read_ts=message.read_ts,
                 round=message.round,
                 pw=self.pw,
@@ -194,6 +201,7 @@ class StorageServer(Automaton):
             message.sender,
             WriteAck(
                 sender=self.process_id,
+                register_id=self.register_id,
                 round=message.round,
                 ts=message.ts,
                 from_writer=message.from_writer,

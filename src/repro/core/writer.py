@@ -108,6 +108,7 @@ class AtomicWriter(ClientAutomaton):
         enable_fast_path: bool = True,
         timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
         mwmr: bool = False,
+        register_id: str = "",
     ) -> None:
         """Create the writer.
 
@@ -134,7 +135,9 @@ class AtomicWriter(ClientAutomaton):
         therefore safety, is unaffected, and the forgery cannot escape the
         register it was uttered on.
         """
-        super().__init__(writer_id or config.writer_id, timer_delay=timer_delay)
+        super().__init__(
+            writer_id or config.writer_id, timer_delay=timer_delay, register_id=register_id
+        )
         self.config = config
         self.enable_fast_path = enable_fast_path
         self.timer_policy = timer_policy
@@ -220,7 +223,9 @@ class AtomicWriter(ClientAutomaton):
         effects = Effects()
         effects.broadcast(
             self.config.server_ids(),
-            TimestampQuery(sender=self.process_id, op_id=attempt.op_id),
+            TimestampQuery(
+                sender=self.process_id, register_id=self.register_id, op_id=attempt.op_id
+            ),
         )
         attempt.rounds_used = 1
         return effects
@@ -238,6 +243,7 @@ class AtomicWriter(ClientAutomaton):
             effects.start_timer(self._timer_id(attempt.op_id, "pw"), self.timer_delay)
         message = PreWrite(
             sender=self.process_id,
+            register_id=self.register_id,
             ts=attempt.ts,
             pw=self.pw,
             w=self.w,
@@ -317,6 +323,7 @@ class AtomicWriter(ClientAutomaton):
                         if observed.writer_id
                         else {}
                     ),
+                    **self._address,
                 },
             )
         )
@@ -401,6 +408,7 @@ class AtomicWriter(ClientAutomaton):
         effects = Effects()
         message = Write(
             sender=self.process_id,
+            register_id=self.register_id,
             round=round_number,
             ts=attempt.ts,
             pair=self.pw,
@@ -458,6 +466,7 @@ class AtomicWriter(ClientAutomaton):
                     ),
                     **({"lease": True} if attempt.from_lease else {}),
                     **self._conditional_metadata(attempt),
+                    **self._address,
                 },
             )
         )
@@ -522,6 +531,7 @@ class LeasedWriter(AtomicWriter):
         writer_id: Optional[str] = None,
         enable_fast_path: bool = True,
         timer_policy: TimerPolicy = TimerPolicy.DEADLINE,
+        register_id: str = "",
     ) -> None:
         super().__init__(
             config,
@@ -530,8 +540,11 @@ class LeasedWriter(AtomicWriter):
             enable_fast_path=enable_fast_path,
             timer_policy=timer_policy,
             mwmr=True,
+            register_id=register_id,
         )
-        self.lease = LeaseHolder(WRITER_LEASE, self.process_id, config, lease_duration)
+        self.lease = LeaseHolder(
+            WRITER_LEASE, self.process_id, config, lease_duration, register_id
+        )
         #: WRITE/CAS/RMW operations whose PW phase skipped the query round.
         self.lease_writes = 0
         #: Conditional operations decided against the cached pair.
@@ -626,6 +639,7 @@ class LeasedWriter(AtomicWriter):
                     "is_bottom": is_bottom(cached.val),
                     "mwmr": True,
                     **({"writer_id": cached.writer_id} if cached.writer_id else {}),
+                    **self._address,
                 },
             )
         )

@@ -30,17 +30,18 @@ class LeasedLuckyProtocol(ProtocolSuite):
         self.base = base
         self.lease_duration = lease_duration
 
-    def create_server(self, server_id: str) -> Automaton:
+    def create_server(self, server_id: str, *, register_id: str = "") -> Automaton:
         return LeaseServer(
-            self.base.create_server(server_id), lease_duration=self.lease_duration
+            self.base.create_server(server_id, register_id=register_id),
+            lease_duration=self.lease_duration,
         )
 
-    def create_writer(self) -> ClientAutomaton:
-        return self.base.create_writer()
+    def create_writer(self, *, register_id: str = "") -> ClientAutomaton:
+        return self.base.create_writer(register_id=register_id)
 
-    def create_reader(self, reader_id: str) -> ClientAutomaton:
+    def create_reader(self, reader_id: str, *, register_id: str = "") -> ClientAutomaton:
         return self.base.create_leased_reader(
-            reader_id, lease_duration=self.lease_duration
+            reader_id, lease_duration=self.lease_duration, register_id=register_id
         )
 
     def describe(self) -> Dict[str, Any]:

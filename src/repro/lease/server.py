@@ -26,7 +26,7 @@ class _LeaseWrapper(Automaton):
     """What both policies share: the wrapped server, the table, the proxies."""
 
     def __init__(self, role: LeaseRole, inner: LeasableServer, lease_duration: float) -> None:
-        super().__init__(inner.process_id)
+        super().__init__(inner.process_id, inner.register_id)
         self.inner = inner
         self.table = LeaseTable(role, inner, lease_duration)
 

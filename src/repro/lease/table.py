@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Protocol, Tuple
 
-from ..core.automaton import Effects, Send
+from ..core.automaton import Effects, Send, timer_namespace
 from ..core.lease import RENEWS, REVOKE_ACKS, LeaseRole, RenewMessage
 from ..core.messages import Message
 from ..core.types import FrozenEntry, TimestampValue, freshest
@@ -35,6 +35,7 @@ class LeasableServer(Protocol):
     """What a lease wrapper needs of the storage automaton it wraps."""
 
     process_id: str
+    register_id: str
 
     @property
     def pw(self) -> TimestampValue: ...
@@ -78,10 +79,14 @@ class LeaseTable:
     #: a list per register, server and role is one more object for the GC.
     _withheld: Tuple[Send, ...] = field(default=(), init=False)
     _grace_timer_started: bool = field(default=False, init=False)
+    #: ``<register>::<role prefix>/``: what every timer id of this table
+    #: starts with (the server's register namespace, then the role).
+    _timer_stem: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
         if self.lease_duration <= 0:
             raise ValueError("lease_duration must be positive")
+        self._timer_stem = f"{timer_namespace(self.server.register_id)}{self.role.timer_prefix}/"
 
     # ---------------------------------------------------------------- recovery
     def notify_recovered(self) -> None:
@@ -96,7 +101,7 @@ class LeaseTable:
         leave the grace period eventually."""
         if self.in_grace and not self._grace_timer_started:
             self._grace_timer_started = True
-            effects.start_timer(f"{self.role.timer_prefix}/grace", self.lease_duration)
+            effects.start_timer(f"{self._timer_stem}grace", self.lease_duration)
         return effects
 
     # ------------------------------------------------------------------ input
@@ -124,6 +129,7 @@ class LeaseTable:
             message.sender,
             self.role.grant(
                 sender=self.server.process_id,
+                register_id=self.server.register_id,
                 lease_id=message.lease_id,
                 duration=message.duration,
                 # The freshest pair stored here: the holder counts the grant
@@ -132,7 +138,7 @@ class LeaseTable:
             ),
         )
         effects.start_timer(
-            f"{self.role.timer_prefix}/expire/{message.sender}/{message.lease_id}",
+            f"{self._timer_stem}expire/{message.sender}/{message.lease_id}",
             message.duration,
         )
         return effects
@@ -156,7 +162,11 @@ class LeaseTable:
         for holder_id in sorted(self.holders):
             effects.send(
                 holder_id,
-                self.role.revoke(sender=self.server.process_id, lease_id=self.holders[holder_id]),
+                self.role.revoke(
+                    sender=self.server.process_id,
+                    register_id=self.server.register_id,
+                    lease_id=self.holders[holder_id],
+                ),
             )
         return effects
 
@@ -178,11 +188,11 @@ class LeaseTable:
     # ----------------------------------------------------------------- timers
     def on_timer(self, timer_id: str) -> Optional[Effects]:
         """Consume *timer_id* if it is one of this table's, else ``None``."""
-        prefix = self.role.timer_prefix
-        if timer_id == f"{prefix}/grace":
+        stem = self._timer_stem
+        if timer_id == f"{stem}grace":
             self.in_grace = False
             return self._maybe_release()
-        expire = f"{prefix}/expire/"
+        expire = f"{stem}expire/"
         if not timer_id.startswith(expire):
             return None
         holder_id, _, id_text = timer_id[len(expire) :].rpartition("/")

@@ -9,7 +9,9 @@ for clients, resolution of the future awaiting the open operation.
 
 A node runs exactly two tasks, both made by :meth:`AutomatonNode.start`: the
 stepper, which empties the mailbox, and the flusher, which turns the outbox
-into frames.  Nothing on the per-frame path creates a task.
+into frames.  Nothing on the per-frame path creates a task, and applying a
+step's effects awaits nothing: it only fills the outbox, arms loop timers
+and resolves futures.
 """
 
 from __future__ import annotations
@@ -106,16 +108,17 @@ class AutomatonNode:
     sender).  The stepper wakes once per burst and steps every item that is
     ready before it yields again.
 
-    When the automaton opts into batching (``automaton.batching`` is true —
-    the sharded store's processes do), outgoing sends are buffered in a
-    per-destination outbox and the node's one flusher is woken (an
-    :class:`asyncio.Event`).  It runs at the next loop iteration, so
-    everything the node emitted in the meantime towards the same destination
-    leaves as a single :class:`~repro.core.messages.Batch` — one frame on the
-    transport.  The flusher sends its frames one after another, so frames
-    towards one destination leave in the order they were buffered.  Inbound
-    batches are unwrapped by the host, so the automaton only ever sees
-    protocol messages.
+    Outgoing sends are buffered in the host's per-destination outbox and
+    the node's one flusher is woken (an :class:`asyncio.Event`).  It runs at
+    the next loop iteration and sends what the host drains: when the
+    automaton opts into batching (``automaton.batching`` is true — the
+    sharded store's processes do), everything the node emitted in the
+    meantime towards the same destination leaves as a single
+    :class:`~repro.core.messages.Batch` — one frame on the transport —
+    and otherwise each message is its own frame.  The flusher sends its
+    frames one after another, so frames towards one destination leave in the
+    order they were buffered.  Inbound batches are unwrapped by the host, so
+    the automaton only ever sees protocol messages.
     """
 
     def __init__(
@@ -146,6 +149,7 @@ class AutomatonNode:
         #: covers), its state being unknown.
         self.failure: Optional[Exception] = None
         self._mailbox: asyncio.Queue = asyncio.Queue()
+        self._loop: asyncio.AbstractEventLoop  # the running loop, bound by start()
         # Set when a send is buffered; the flusher clears it and drains.
         self._flush_wanted = asyncio.Event()
         self._tasks: List[asyncio.Task] = []
@@ -159,6 +163,7 @@ class AutomatonNode:
 
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
         self._tasks = [
             asyncio.create_task(self._run(), name=f"node-{self.process_id}"),
             asyncio.create_task(self._flush_outbox(), name=f"flusher-{self.process_id}"),
@@ -194,10 +199,10 @@ class AutomatonNode:
             if self.crashed:
                 continue
             # The host steps each message of a frame as its own atomic step
-            # and returns once the frame's WAL append is durable.  With
-            # batching on, applying effects never awaits (sends only fill the
-            # outbox), so every reply the frame provokes lands in the same
-            # flush — the batch boundary survives the hop.
+            # and returns once the frame's WAL append is durable.  Applying
+            # effects never awaits (sends only fill the outbox), so every
+            # reply the frame provokes lands in the same flush — the batch
+            # boundary survives the hop.
             try:
                 if kind == "message":
                     stepped = self.host.deliver(payload)
@@ -208,7 +213,7 @@ class AutomatonNode:
                 continue
             for _, effects in stepped:
                 if effects is not None:  # None: the host fenced the message
-                    await self.apply_effects(effects)
+                    self.apply_effects(effects)
 
     def _fail(self, cause: Exception) -> None:
         """The automaton raised, or a frame it emitted could not be sent:
@@ -217,27 +222,24 @@ class AutomatonNode:
         self.failure = cause
 
     # ---------------------------------------------------------------- effects
-    async def apply_effects(self, effects: Effects) -> None:
+    def apply_effects(self, effects: Effects) -> None:
+        """Apply one step's effects: sends into the outbox (the flusher sends
+        them), timers onto the loop, completions to the open operations."""
         if self.crashed:
             return
-        if self.host.batching:
+        if effects.sends:
             buffer = self.host.buffer
             for send in effects.sends:
                 buffer(send.destination, send.message)
-            if effects.sends:
-                self._flush_wanted.set()
-        else:
-            for send in effects.sends:
-                await self.transport.send(self.process_id, send.destination, send.message)
-        loop = asyncio.get_running_loop()
+            self._flush_wanted.set()
         for timer in effects.timers:
-            self._arm_timer(loop, timer.timer_id, timer.delay * self.time_scale)
+            self._arm_timer(timer.timer_id, timer.delay * self.time_scale)
         for timer_id in effects.cancels:
             self._cancel_timer(timer_id)
         for completion in effects.completions:
             self._handle_completion(completion)
 
-    def _arm_timer(self, loop: asyncio.AbstractEventLoop, timer_id: str, delay: float) -> None:
+    def _arm_timer(self, timer_id: str, delay: float) -> None:
         handle: asyncio.TimerHandle
 
         def _fire() -> None:
@@ -248,7 +250,7 @@ class AutomatonNode:
                     self._timer_handles.pop(timer_id, None)
             self._mailbox.put_nowait(("timer", timer_id))
 
-        handle = loop.call_later(delay, _fire)
+        handle = self._loop.call_later(delay, _fire)
         self._timer_handles.setdefault(timer_id, set()).add(handle)
 
     def _cancel_timer(self, timer_id: str) -> None:
@@ -259,12 +261,13 @@ class AutomatonNode:
             handle.cancel()
         self.timers_cancelled += len(handles)
 
-    # --------------------------------------------------------------- batching
+    # ----------------------------------------------------------------- outbox
     async def _flush_outbox(self) -> None:
-        """The node's one flusher: each wake-up sends the outbox as one frame
-        per destination.  Sends buffered while a frame is on its way (a TCP
-        drain) wait for the next pass, so per-destination order holds.  A
-        crashed node's outbox is emptied and nothing is sent."""
+        """The node's one flusher: each wake-up sends what the host drains
+        (with batching, one frame per destination).  Sends buffered while a
+        frame is on its way (a TCP drain) wait for the next pass, so
+        per-destination order holds.  A crashed node's outbox is emptied and
+        nothing is sent."""
         wanted = self._flush_wanted
         while True:
             await wanted.wait()
@@ -329,7 +332,7 @@ class ClientNode(AutomatonNode):
         handle, effects = self.host.invoke(kind, key, args, time.monotonic() - self.start_time)
         self.operations.append(handle)
         future = self._futures[key] = asyncio.get_running_loop().create_future()
-        await self.apply_effects(effects)
+        self.apply_effects(effects)
         return await future
 
     def _handle_completion(self, completion: OperationComplete) -> None:
@@ -341,6 +344,8 @@ class ClientNode(AutomatonNode):
             return
         # The latency rides the completion's own metadata: the caller sees it there,
         # and the record is built from it — no second dict per retained operation.
+        # Every completion is built with a fresh dict that its automaton keeps no
+        # reference to, so writing into it aliases nothing.
         completion.metadata["latency_s"] = now - handle.invoked_at
         future = self._futures.pop(completion.metadata.get("register_id"), None)
         if future is not None and not future.done():

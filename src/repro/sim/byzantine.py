@@ -15,10 +15,10 @@ not reply at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Set
 
-from ..core.automaton import Automaton, Effects
+from ..core.automaton import Automaton, Effects, Send
 from ..core.messages import (
     Message,
     Read,
@@ -46,11 +46,11 @@ class MaliciousServer(Automaton):
 
     The inner honest automaton is always fed every message first so its state
     reflects what an honest server would know; the strategy then chooses the
-    outgoing reply.
+    outgoing reply.  The register is the inner automaton's.
     """
 
     def __init__(self, inner: StorageServer, strategy: ByzantineStrategy) -> None:
-        super().__init__(inner.process_id)
+        super().__init__(inner.process_id, inner.register_id)
         self.inner = inner
         self.strategy = strategy
 
@@ -59,6 +59,20 @@ class MaliciousServer(Automaton):
         forged = self.strategy.respond(self.inner, message)
         if forged is None:
             return honest_effects
+        return self._addressed(forged)
+
+    def _addressed(self, forged: Effects) -> Effects:
+        """Address what the strategy emits to this server's register.
+
+        A strategy is adversarial code and need not stamp its messages, so
+        this is the one place left that copies a message to address it —
+        paid by Byzantine servers only.
+        """
+        register_id = self.register_id
+        for index, send in enumerate(forged.sends):
+            if send.message.register_id != register_id:
+                message = replace(send.message, register_id=register_id)
+                forged.sends[index] = Send(send.destination, message)
         return forged
 
     def describe(self) -> dict:
@@ -105,6 +119,7 @@ class ForgeHighTimestampStrategy(ByzantineStrategy):
             message.sender,
             ReadAck(
                 sender=inner.process_id,
+                register_id=inner.register_id,
                 read_ts=message.read_ts,
                 round=message.round,
                 pw=forged_pair,
@@ -135,6 +150,7 @@ class StaleReplayStrategy(ByzantineStrategy):
                 message.sender,
                 ReadAck(
                     sender=inner.process_id,
+                    register_id=inner.register_id,
                     read_ts=message.read_ts,
                     round=message.round,
                     pw=INITIAL_PAIR,
@@ -187,6 +203,7 @@ class ForgedStateStrategy(ByzantineStrategy):
                 message.sender,
                 ReadAck(
                     sender=inner.process_id,
+                    register_id=inner.register_id,
                     read_ts=message.read_ts,
                     round=message.round,
                     pw=self.forged_pair,
@@ -219,6 +236,7 @@ class EquivocationStrategy(ByzantineStrategy):
             message.sender,
             ReadAck(
                 sender=inner.process_id,
+                register_id=inner.register_id,
                 read_ts=message.read_ts,
                 round=message.round,
                 pw=pair,

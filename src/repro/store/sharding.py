@@ -15,10 +15,15 @@ string.  The classes here multiplex N such instances over one fleet of
   building the sharded deployment out of any base suite, so the simulator and
   the asyncio runtime can drive it exactly like a single-register deployment.
 
-Routing is purely syntactic: outgoing messages are tagged with the register
-they belong to, timer identifiers are namespaced per register, and operation
-completions carry their register in ``metadata["register_id"]`` so the hosting
-cluster can resolve the right pending operation.
+Routing is purely syntactic, and one-way.  An inner automaton is *born
+addressed*: the suite's factory hands it its ``register_id``, so every
+message it builds already carries the register, every timer id it arms
+already starts with ``"<register>::"`` and every completion already names the
+register in ``metadata["register_id"]`` (which the hosting cluster resolves
+the pending operation by).  A router therefore only looks an input up —
+a message by its ``register_id``, a timer by the part of its id before the
+separator — and returns the inner automaton's effects as they are; nothing on
+the way out is copied.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
 
-from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
-from ..core.messages import Message
+from ..core.automaton import TIMER_SEPARATOR, Automaton, ClientAutomaton, Effects
 from ..core.protocol import ProtocolSuite
 from ..lease.server import LeaseServer, WriterLeaseServer
 from ..persist.durable import notify_recovered
@@ -43,45 +47,6 @@ from .keyspace import (
 #: when the register does not (or no longer does) exist in the suite.
 RegisterFactory = Callable[[str], Optional[Automaton]]
 
-#: Separator between the register id and the inner timer id in namespaced
-#: timer identifiers.  Register ids therefore must not contain it.
-TIMER_SEPARATOR = "::"
-
-
-def tag_effects(register_id: str, effects: Effects) -> Effects:
-    """Tag every effect of one inner automaton step with its register.
-
-    Sends get the ``register_id`` message tag, timers (and timer cancels) get
-    a namespaced id and completions record the register in their metadata.
-    """
-    tagged = Effects()
-    copies: Dict[int, Message] = {}  # a broadcast is one object: its S sends share one copy
-    for send in effects.sends:
-        key = id(send.message)
-        if key not in copies:
-            copies[key] = send.message.tagged(register_id)
-        tagged.send(send.destination, copies[key])
-    for timer in effects.timers:
-        tagged.start_timer(
-            f"{register_id}{TIMER_SEPARATOR}{timer.timer_id}", timer.delay
-        )
-    for timer_id in effects.cancels:
-        tagged.cancel_timer(f"{register_id}{TIMER_SEPARATOR}{timer_id}")
-    for done in effects.completions:
-        metadata = {**done.metadata, "register_id": register_id}
-        tagged.complete(
-            OperationComplete(done.op_id, done.kind, done.value, done.rounds, done.fast, metadata)
-        )
-    return tagged
-
-
-def split_timer_id(timer_id: str) -> Optional[tuple]:
-    """Split a namespaced timer id into ``(register_id, inner_id)``."""
-    register_id, separator, inner_id = timer_id.partition(TIMER_SEPARATOR)
-    if not separator:
-        return None
-    return register_id, inner_id
-
 
 class _RegisterRouter:
     """Shared routing behaviour of sharded processes.
@@ -90,8 +55,10 @@ class _RegisterRouter:
     by **admission** only: ``factory`` builds the automaton of a register the
     suite knows the first time something asks for it.  Inputs for unknown
     registers are dropped (an honest process never sends them; a malicious
-    one gains nothing, since clients ignore replies tagged with a register
-    they have no pending operation on).
+    one gains nothing, since clients ignore replies addressed to a register
+    they have no pending operation on).  A message its automaton forgot to
+    address is one of them, and its operation would hang: analyzer rule RP10
+    holds every message construction in the automata to a ``register_id=``.
 
     ``batching`` marks the process as a participant in the message-batching
     layer: the hosting runtime (simulator or asyncio node) then buffers the
@@ -143,7 +110,7 @@ class _RegisterRouter:
                 return Effects()
         elif self.max_resident is not None:
             self._touch(message.register_id)
-        return tag_effects(message.register_id, inner.handle_message(message))
+        return inner.handle_message(message)
 
     # ---------------------------------------------------- dynamic admission
     def ensure_register(self, register_id: str) -> Optional[Automaton]:
@@ -226,19 +193,17 @@ class _RegisterRouter:
             self.eviction_store.discard(register_id)
 
     def timer_register(self, timer_id: str) -> str:
-        """The register a namespaced *timer_id* belongs to (wrappers that track
-        per-register activity ask, so the id format stays known here only)."""
+        """The register a namespaced *timer_id* belongs to (the automata build
+        the namespace with :func:`~repro.core.automaton.timer_namespace`;
+        this is the one place that parses it)."""
         return timer_id.partition(TIMER_SEPARATOR)[0]
 
     def on_timer(self, timer_id: str) -> Effects:
-        split = split_timer_id(timer_id)
-        if split is None:
-            return Effects()
-        register_id, inner_id = split
-        inner = self.registers.get(register_id)
+        # The inner automaton armed the whole id, so it gets the whole id.
+        inner = self.registers.get(self.timer_register(timer_id))
         if inner is None:
             return Effects()
-        return tag_effects(register_id, inner.on_timer(inner_id))
+        return inner.on_timer(timer_id)
 
     def describe(self) -> dict:
         return {
@@ -349,7 +314,7 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
     _NEEDS_MWMR = "conditional operations need a multi-writer client (declare the register mwmr)"
 
     def _invoke(self, register_id: str, method: str, missing: str, *args) -> Effects:
-        """Call *method* of the register's inner automaton; returns tagged
+        """Call *method* of the register's inner automaton; returns its
         effects.  *missing* says why a client without the method has none."""
         invoke = getattr(self._register(register_id), method, None)
         if invoke is None:
@@ -357,10 +322,10 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
                 f"client {self.process_id} has no {method} on register "
                 f"{register_id!r}: {missing}"
             )
-        return tag_effects(register_id, invoke(*args))
+        return invoke(*args)
 
     def write(self, register_id: str, value) -> Effects:
-        """Invoke ``WRITE(value)`` on *register_id*; returns tagged effects."""
+        """Invoke ``WRITE(value)`` on *register_id*; returns its effects."""
         return self._invoke(
             register_id,
             "write",
@@ -370,7 +335,7 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
         )
 
     def read(self, register_id: str) -> Effects:
-        """Invoke ``READ()`` on *register_id*; returns tagged effects."""
+        """Invoke ``READ()`` on *register_id*; returns its effects."""
         return self._invoke(
             register_id,
             "read",
@@ -379,11 +344,11 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
         )
 
     def compare_and_swap(self, register_id: str, expected, new) -> Effects:
-        """Invoke ``CAS(expected, new)`` on *register_id*; returns tagged effects."""
+        """Invoke ``CAS(expected, new)`` on *register_id*; returns its effects."""
         return self._invoke(register_id, "compare_and_swap", self._NEEDS_MWMR, expected, new)
 
     def read_modify_write(self, register_id: str, fn) -> Effects:
-        """Invoke ``RMW(fn)`` on *register_id*; returns tagged effects."""
+        """Invoke ``RMW(fn)`` on *register_id*; returns its effects."""
         return self._invoke(register_id, "read_modify_write", self._NEEDS_MWMR, fn)
 
 
@@ -474,7 +439,7 @@ class ShardedProtocol(ProtocolSuite):
     as one :class:`~repro.core.messages.Batch` envelope.  Batching is purely a
     transport optimisation — a Byzantine server still forges *per-register*
     replies inside the envelope, and the receiving router drops anything
-    tagged with a register it does not know, so a malicious batch cannot leak
+    addressed to a register it does not know, so a malicious batch cannot leak
     across co-batched registers.
 
     ``mwmr`` lifts the single-writer restriction *key by key*: pass ``True``
@@ -577,10 +542,9 @@ class ShardedProtocol(ProtocolSuite):
         """Reject ids that cannot round-trip through the routing layer.
 
         A malformed id would otherwise surface only when a timer fires, as a
-        silently misrouted (dropped) timer — ``split_timer_id`` cuts at the
-        first separator, so an id containing it (or an empty id, whose
-        namespaced timers alias a separator-prefixed inner id) can never
-        round-trip.
+        silently misrouted (dropped) timer — the router cuts a timer id at
+        the first separator, so an id containing it can never round-trip, and
+        the empty id is the single register, whose timers carry no namespace.
         """
         if not isinstance(register_id, str):
             raise ValueError(
@@ -646,7 +610,7 @@ class ShardedProtocol(ProtocolSuite):
     def _create_register_server(self, server_id: str, register_id: str) -> Automaton:
         spec = self.specs[register_id]
         strategy_factory = self.byzantine.get(server_id)
-        server = self.base.create_server(server_id)
+        server = self.base.create_server(server_id, register_id=register_id)
         if spec.writer_leases:
             # Innermost lease wrapper: the holder's 1-round PW passes
             # through here into the read-lease layer, whose withholding
@@ -682,14 +646,17 @@ class ShardedProtocol(ProtocolSuite):
                 client_id,
                 writer_lease_duration=self.lease_duration,
                 read_lease_duration=self.lease_duration if spec.leases else None,
+                register_id=register_id,
             )
         if spec.mwmr:
-            return self.base.create_mwmr_client(client_id)
+            return self.base.create_mwmr_client(client_id, register_id=register_id)
         if client_id == self.config.writer_id:
-            return self.base.create_writer()
+            return self.base.create_writer(register_id=register_id)
         if spec.leases:
-            return self.base.create_leased_reader(client_id, lease_duration=self.lease_duration)
-        return self.base.create_reader(client_id)
+            return self.base.create_leased_reader(
+                client_id, lease_duration=self.lease_duration, register_id=register_id
+            )
+        return self.base.create_reader(client_id, register_id=register_id)
 
     def create_server(self, server_id: str) -> ShardedServer:
         eviction_store = None

@@ -66,8 +66,9 @@ class MaliciousWritebackReader(ClientAutomaton):
         config: SystemConfig,
         forged_pair: Optional[TimestampValue] = None,
         timer_delay: float = 10.0,
+        register_id: str = "",
     ) -> None:
-        super().__init__(reader_id, timer_delay=timer_delay)
+        super().__init__(reader_id, timer_delay=timer_delay, register_id=register_id)
         self.config = config
         self.forged_pair = forged_pair or TimestampValue(10**6, "POISON")
 
@@ -81,6 +82,7 @@ class MaliciousWritebackReader(ClientAutomaton):
                 self.config.server_ids(),
                 Write(
                     sender=self.process_id,
+                    register_id=self.register_id,
                     round=round_number,
                     ts=op_id,
                     pair=self.forged_pair,
@@ -95,7 +97,7 @@ class MaliciousWritebackReader(ClientAutomaton):
                 value=self.forged_pair.val,
                 rounds=1,
                 fast=True,
-                metadata={"malicious": True},
+                metadata={"malicious": True, **self._address},
             )
         )
         return effects
@@ -112,18 +114,22 @@ class RegularStorageProtocol(ProtocolSuite):
         """Build the suite with the Appendix D thresholds ``fw = t-b``, ``fr = t``."""
         return cls(SystemConfig.regular(t, b, num_readers=num_readers), timer_delay=timer_delay)
 
-    def create_server(self, server_id: str) -> RegularServer:
-        return RegularServer(server_id, self.config)
+    def create_server(self, server_id: str, *, register_id: str = "") -> RegularServer:
+        return RegularServer(server_id, self.config, register_id)
 
-    def create_writer(self) -> RegularWriter:
+    def create_writer(self, *, register_id: str = "") -> RegularWriter:
         return RegularWriter(
-            self.config, timer_delay=self.timer_delay, timer_policy=self.timer_policy
+            self.config,
+            timer_delay=self.timer_delay,
+            timer_policy=self.timer_policy,
+            register_id=register_id,
         )
 
-    def create_reader(self, reader_id: str) -> RegularReader:
+    def create_reader(self, reader_id: str, *, register_id: str = "") -> RegularReader:
         return RegularReader(
             reader_id,
             self.config,
             timer_delay=self.timer_delay,
             timer_policy=self.timer_policy,
+            register_id=register_id,
         )

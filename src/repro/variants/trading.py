@@ -65,23 +65,25 @@ class TradingWritesProtocol(ProtocolSuite):
         )
         return cls(config, timer_delay=timer_delay)
 
-    def create_server(self, server_id: str) -> StorageServer:
-        return StorageServer(server_id, self.config)
+    def create_server(self, server_id: str, *, register_id: str = "") -> StorageServer:
+        return StorageServer(server_id, self.config, register_id)
 
-    def create_writer(self) -> AtomicWriter:
+    def create_writer(self, *, register_id: str = "") -> AtomicWriter:
         return AtomicWriter(
             self.config,
             timer_delay=self.timer_delay,
             enable_fast_path=False,
             timer_policy=self.timer_policy,
+            register_id=register_id,
         )
 
-    def create_reader(self, reader_id: str) -> AtomicReader:
+    def create_reader(self, reader_id: str, *, register_id: str = "") -> AtomicReader:
         return AtomicReader(
             reader_id,
             self.config,
             timer_delay=self.timer_delay,
             timer_policy=self.timer_policy,
+            register_id=register_id,
         )
 
 

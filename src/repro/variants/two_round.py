@@ -46,12 +46,15 @@ class TwoRoundWriter(AtomicWriter):
     FINAL_W_ROUND = 2
     FREEZE_CHANNEL = "w"
 
-    def __init__(self, config: SystemConfig, timer_delay: float = 10.0) -> None:
+    def __init__(
+        self, config: SystemConfig, timer_delay: float = 10.0, register_id: str = ""
+    ) -> None:
         super().__init__(
             config,
             timer_delay=timer_delay,
             enable_fast_path=False,
             timer_policy=TimerPolicy.NONE,
+            register_id=register_id,
         )
 
 
@@ -95,16 +98,17 @@ class TwoRoundWriteProtocol(ProtocolSuite):
         config = SystemConfig.two_round_write(t, b, fr, num_readers=num_readers)
         return cls(config, timer_delay=timer_delay)
 
-    def create_server(self, server_id: str) -> TwoRoundServer:
-        return TwoRoundServer(server_id, self.config)
+    def create_server(self, server_id: str, *, register_id: str = "") -> TwoRoundServer:
+        return TwoRoundServer(server_id, self.config, register_id)
 
-    def create_writer(self) -> TwoRoundWriter:
-        return TwoRoundWriter(self.config, timer_delay=self.timer_delay)
+    def create_writer(self, *, register_id: str = "") -> TwoRoundWriter:
+        return TwoRoundWriter(self.config, timer_delay=self.timer_delay, register_id=register_id)
 
-    def create_reader(self, reader_id: str) -> TwoRoundReader:
+    def create_reader(self, reader_id: str, *, register_id: str = "") -> TwoRoundReader:
         return TwoRoundReader(
             reader_id,
             self.config,
             timer_delay=self.timer_delay,
             timer_policy=self.timer_policy,
+            register_id=register_id,
         )

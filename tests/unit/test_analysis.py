@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import AnalysisEngine, all_rules, get_rule, render_json, render_text
 from repro.analysis.engine import PARSE_ERROR_RULE_ID, run_analysis
+from repro.analysis.registry import SourceFile
 from repro.analysis.suppressions import parse_suppressions
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures", "analysis")
@@ -44,6 +45,7 @@ class TestRegistry:
             "RP07",
             "RP08",
             "RP09",
+            "RP10",
         } <= set(ids)
 
     def test_unknown_rule_rejected(self):
@@ -176,6 +178,28 @@ class TestRuleFixtures:
         assert report.ok
         # The CAS that fails in the query phase, before the PW timer exists.
         assert report.suppressed_count == 1
+
+    def test_rp10_unaddressed_messages_flagged(self):
+        report = run_analysis([fixture("core", "rp10_unaddressed.py")], select=["RP10"])
+        assert rule_ids(report) == ["RP10", "RP10"]
+        assert [f.line for f in report.findings] == [7, 20]
+        assert "ReadAck(...)" in report.findings[0].message
+        assert "self.role.renew(...)" in report.findings[1].message
+
+    def test_rp10_scope_is_path_based(self):
+        # Outside the automata layers (the golden vectors, the wire benches)
+        # an unaddressed message is a deliberate single-register value.
+        with open(fixture("core", "rp10_unaddressed.py"), encoding="utf-8") as fh:
+            source = fh.read()
+
+        def findings_at(path):
+            rule = get_rule("RP10")()
+            return list(rule.check_file(SourceFile(path, source, ast.parse(source))))
+
+        assert findings_at("src/repro/wire/golden.py") == []
+        assert findings_at("src/repro/sim/cluster.py") == []
+        for scoped in ("lease/table.py", "variants/x.py", "baselines/x.py", "sim/byzantine.py"):
+            assert len(findings_at(f"src/repro/{scoped}")) == 2, scoped
 
     def test_rp07_scope_is_path_based(self):
         # The same violations outside the hot modules carry no obligation:

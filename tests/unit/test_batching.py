@@ -52,11 +52,6 @@ class TestEnvelope:
         batch = make_envelope("r1", [message, message])
         assert iter_unbatched(batch) == (message, message)
 
-    def test_batch_cannot_be_addressed_to_a_register(self):
-        batch = Batch(sender="w", messages=(Read(sender="w"),))
-        with pytest.raises(TypeError, match="not addressed"):
-            batch.tagged("k1")
-
 
 # --------------------------------------------------------------------------- #
 # ShardedClient timer-delay regression
@@ -69,7 +64,7 @@ class TestShardedClientTimerDelay:
 
     def test_explicit_assignment_still_broadcasts_uniformly(self):
         base = LuckyAtomicProtocol(self._config())
-        inner = {"k1": base.create_writer(), "k2": base.create_writer()}
+        inner = {key: base.create_writer(register_id=key) for key in ("k1", "k2")}
         inner["k1"].timer_delay = 3.0
         client = ShardedClient("w", factory=inner.get)
         client.write("k1", "a")

@@ -107,15 +107,28 @@ class TestFrameStep:
         assert len(results) == 2 and all(effects.sends for _, effects in results)
 
 
+class BatchingEcho(Echo):
+    batching = True
+
+
 class TestOutbox:
     def test_three_sends_to_two_destinations_drain_as_two_frames(self):
-        host = ProcessHost(Echo("w"))
+        host = ProcessHost(BatchingEcho("w"))
         first, second, third = (PreWrite(sender="w", ts=ts) for ts in (1, 2, 3))
         host.buffer("s1", first)
         host.buffer("s2", second)
         host.buffer("s1", third)
         frames = dict(host.drain())
         assert frames == {"s1": Batch(sender="w", messages=(first, third)), "s2": second}
+        assert host.drain() == []
+
+    def test_without_batching_every_message_is_its_own_frame(self):
+        host = ProcessHost(Echo("w"))
+        first, second, third = (PreWrite(sender="w", ts=ts) for ts in (1, 2, 3))
+        host.buffer("s1", first)
+        host.buffer("s2", second)
+        host.buffer("s1", third)
+        assert host.drain() == [("s1", first), ("s1", third), ("s2", second)]
         assert host.drain() == []
 
 

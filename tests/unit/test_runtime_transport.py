@@ -364,7 +364,7 @@ class TestOneFlusher:
             await node.start()
             effects = Effects()
             effects.send("r1", Read(sender="p1", read_ts=1))
-            await node.apply_effects(effects)  # buffered; the flusher is woken
+            node.apply_effects(effects)  # buffered; the flusher is woken
             node.crash()
             await asyncio.sleep(0.01)
             outbox = node.host.drain()

@@ -5,9 +5,8 @@ import dataclasses
 import pytest
 
 from repro.bench.harness import summarize
-from repro.core.automaton import Effects, OperationComplete
 from repro.core.config import SystemConfig
-from repro.core.messages import Batch, Read
+from repro.core.messages import Read
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.reader import LeasedReader
 from repro.core.writer import LeasedWriter
@@ -18,7 +17,6 @@ from repro.store.sharding import (
     ShardedClient,
     ShardedProtocol,
     ShardedServer,
-    tag_effects,
 )
 from repro.store.sim import ShardedSimStore
 from repro.wire.golden import message_zoo
@@ -34,64 +32,15 @@ def suite(config):
     return ShardedProtocol(LuckyAtomicProtocol(config), ["k1", "k2"])
 
 
-class TestMessageTagging:
-    def test_tagged_returns_copy_with_register(self):
-        message = Read(sender="r1", read_ts=3, round=1)
-        tagged = message.tagged("k1")
-        assert tagged.register_id == "k1"
-        assert tagged.read_ts == 3
-        assert message.register_id == ""  # original untouched
-
-    def test_tagged_is_identity_when_already_tagged(self):
-        message = Read(sender="r1", register_id="k1")
-        assert message.tagged("k1") is message
-
-    def test_tag_effects_namespaces_timers_and_completions(self):
-        effects = Effects()
-        effects.send("s1", Read(sender="r1"))
-        effects.start_timer("r1/op1/read-round-1", 10.0)
-        tagged = tag_effects("k2", effects)
-        assert tagged.sends[0].message.register_id == "k2"
-        assert tagged.timers[0].timer_id == "k2::r1/op1/read-round-1"
-
+class TestEpochStamping:
     @pytest.mark.parametrize("message", message_zoo(), ids=lambda m: type(m).__name__)
-    def test_readdressing_equals_dataclasses_replace(self, message):
-        # tagged()/with_epoch() build the copy positionally from generated
-        # per-class code; dataclasses.replace is the reference.
+    def test_with_epoch_equals_dataclasses_replace(self, message):
+        # with_epoch() builds the copy positionally from generated per-class
+        # code; dataclasses.replace is the reference.
         stamped = message.with_epoch(message.epoch + 7)
         assert stamped == dataclasses.replace(message, epoch=message.epoch + 7)
         assert type(stamped) is type(message)
         assert message.with_epoch(message.epoch) is message
-        if isinstance(message, Batch):
-            with pytest.raises(TypeError, match="not addressed to a register"):
-                message.tagged("other")
-        else:
-            tagged = message.tagged("other")
-            assert tagged == dataclasses.replace(message, register_id="other")
-            assert type(tagged) is type(message)
-            assert message.tagged(message.register_id) is message
-
-    def test_tag_effects_copies_a_broadcast_message_once(self):
-        effects = Effects()
-        effects.broadcast(["s1", "s2", "s3"], Read(sender="r1", read_ts=3))
-        effects.send("s1", Read(sender="r1", read_ts=4))
-        sends = tag_effects("k2", effects).sends
-        assert [send.destination for send in sends] == ["s1", "s2", "s3", "s1"]
-        assert sends[0].message is sends[1].message is sends[2].message
-        assert sends[0].message == Read(sender="r1", register_id="k2", read_ts=3)
-        assert sends[3].message == Read(sender="r1", register_id="k2", read_ts=4)
-
-    def test_tagged_completion_keeps_metadata_and_adds_the_register(self):
-        effects = Effects()
-        done = OperationComplete(4, "read", "v", 2, False, {"write_back": True, "lease": None})
-        effects.complete(done)
-        effects.cancel_timer("r1/op4/read-round-2")
-        tagged = tag_effects("k2", effects)
-        assert tagged.completions == [
-            dataclasses.replace(done, metadata={**done.metadata, "register_id": "k2"})
-        ]
-        assert done.metadata == {"write_back": True, "lease": None}  # original untouched
-        assert tagged.cancels == ["k2::r1/op4/read-round-2"]
 
 
 class TestShardedAutomata:
