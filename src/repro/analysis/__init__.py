@@ -27,6 +27,8 @@ RP08      topology-mediated delays: no direct ``DelayModel.sample`` outside
           the delay models and the topology layer
 RP09      deadline-timer cancel: a method completing an operation in a class
           that arms a round timer also cancels it
+RP10      born-addressed: an automaton stamps ``register_id=`` on every
+          message it builds
 ========  ==================================================================
 
 A finding on line *n* is silenced by appending ``# repro: ignore[RP04]``

@@ -5,10 +5,10 @@ register; these sweeps exercise the sharded store built around it — shard
 scaling (S1), batching (S2), contended multi-writer keys (S3), crash/recovery
 from the write-ahead log (S4), read leases (S5), writer leases (S7) and
 topology scenarios plus dynamic-keyspace churn (S8).  S6, the codec
-micro-benchmark, is retired: ``lucky-storage hotpath`` times the same frames.
-Like the experiments they are virtual time on the deterministic simulator, so
-every table is reproducible byte for byte; the one exception is the S8
-``asyncio`` churn row, which runs the real runtime on real timers.
+micro-benchmark, is retired.  Like the experiments they are virtual time on
+the deterministic simulator, so every table is reproducible byte for byte;
+the one exception is the S8 ``asyncio`` churn row, which runs the real
+runtime on real timers.
 
 A run is a frozen :class:`StoreRun` — the deployment, the store capabilities it
 switches on, and the workload generator with its arguments — and :func:`run`
@@ -36,7 +36,6 @@ from ..sim.failures import CrashRecoverySchedule, NetworkSchedule
 from ..sim.topology import Topology
 from ..store.sharding import StrategyFactory
 from ..store.sim import ShardedSimStore
-from ..verify.atomicity import DisturbanceWindow, check_atomicity_under_scenario
 from ..workload.generator import (
     ScheduledOperation,
     Workload,
@@ -68,8 +67,6 @@ class StoreRun:
     when there are any, ``readers``, and ``writers`` (the first ``num_writers``
     clients) when ``num_writers`` is set — plus ``workload_args``.  Without a
     ``topology`` every link has a fixed delay of one time unit.
-    ``disturbances`` are the ``(start, end, label)`` windows the topology
-    exposes the run to, handed to the scenario-aware atomicity pass.
     """
 
     config: SystemConfig
@@ -85,7 +82,6 @@ class StoreRun:
     durable: bool = False
     failures: Optional[CrashRecoverySchedule] = None
     topology: Optional[Topology] = None
-    disturbances: Sequence[DisturbanceWindow] = ()
     frame_overhead: float = 0.0
     max_resident: Optional[int] = None
     byzantine: Optional[Dict[str, StrategyFactory]] = None
@@ -120,11 +116,7 @@ def run(spec: StoreRun) -> ShardedSimStore:
     # completion still fire, so every incarnation and WAL replay is
     # accounted for before the check.
     store.run_until_quiescent()
-    specs = store.suite.specs
-    for key, history in store.histories().items():
-        check_atomicity_under_scenario(
-            history, spec.disturbances, mwmr=specs[key].mwmr if key in specs else None
-        ).raise_if_violated()
+    store.verify_atomic()
     return store
 
 
@@ -702,7 +694,6 @@ def topology_run(profile: str, scenario: str = "healthy", num_operations: int = 
     topology = Topology.profile(profile, server_ids=server_ids, client_ids=client_ids)
     gap = _worst_round_trip(topology, config)
     span = num_operations * gap
-    windows: List[DisturbanceWindow] = []
     if scenario == "partition":
         # Sever the first server's zone for the middle third of the run.
         # Clients of that zone are first moved out: an op invoked behind the
@@ -718,18 +709,15 @@ def topology_run(profile: str, scenario: str = "healthy", num_operations: int = 
         topology.schedule = NetworkSchedule().partition(
             [victim], others, start=0.35 * span, end=0.65 * span
         )
-        windows = topology.schedule.disturbance_windows()
     elif scenario == "gray":
         # The last server's links go slow-but-alive by a full round trip:
         # its replies always miss round-1 timers, but quorums still form.
         topology.set_gray(server_ids[-1], gap)
-        windows = [(0.0, span, f"gray {server_ids[-1]}")]
     elif scenario == "skew":
         # The writer's clock runs fast: its round-1 timer fires at half the
         # nominal duration, before the slowest link's acks can arrive, so
         # the writer decides on a round quorum instead of the full fleet.
         topology.set_skew(config.writer_id, 0.5)
-        windows = [(0.0, span, f"skew {config.writer_id} x0.5")]
     elif scenario != "healthy":
         raise ValueError(f"unknown topology scenario {scenario!r}")
     return StoreRun(
@@ -738,7 +726,6 @@ def topology_run(profile: str, scenario: str = "healthy", num_operations: int = 
         generator=dense_store_workload,
         workload_args={"num_operations": num_operations, "gap": gap},
         topology=topology,
-        disturbances=windows,
     )
 
 

@@ -15,6 +15,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .analysis import all_rules
 from .bench.experiments import ALL_EXPERIMENTS
 from .bench.report import generate_report
 from .core.config import SystemConfig
@@ -55,54 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_parser.add_argument("--b", type=int, default=1)
     demo_parser.add_argument("--failures", type=int, default=0)
 
-    from .bench.hotpath import DEFAULT_REGRESSION_THRESHOLD, COMPONENTS
-
-    hotpath_parser = subparsers.add_parser(
-        "hotpath",
-        help=(
-            "hot-path microbenchmarks (sim event loop, codec, automaton "
-            "dispatch, timer wheel, WAL); the CI perf gate's measurement"
-        ),
-    )
-    hotpath_parser.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.05,
-        help="minimum timed window per component (default: 0.05)",
-    )
-    hotpath_parser.add_argument(
-        "--component",
-        action="append",
-        choices=sorted(COMPONENTS),
-        default=None,
-        help="run only this component (repeatable; default: all)",
-    )
-    hotpath_parser.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default=None,
-        help="write the hotpath/1 JSON document (how the baseline is regenerated)",
-    )
-    hotpath_parser.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help=(
-            "compare against a baseline JSON (benchmarks/baseline_hotpath.json "
-            "in CI); non-zero exit on regression"
-        ),
-    )
-    hotpath_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_REGRESSION_THRESHOLD,
-        help="allowed fractional drop below the baseline (default: 0.25)",
-    )
-
+    rules = all_rules()
     analyze_parser = subparsers.add_parser(
         "analyze",
         help=(
-            "run the protocol-aware static analysis rules (RP01..RP08) over "
+            "run the protocol-aware static analysis rules "
+            f"({rules[0].rule_id}..{rules[-1].rule_id}) over "
             "the given paths; non-zero exit on any finding"
         ),
     )
@@ -176,7 +135,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis import all_rules
     from .analysis.engine import run_analysis
     from .analysis.reporters import render_json, render_rules_doc, render_text
 
@@ -219,18 +177,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_run_experiment(args)
     if args.command == "demo":
         return _cmd_demo(args)
-    if args.command == "hotpath":
-        from .bench import hotpath
-
-        hotpath_argv: List[str] = ["--min-seconds", str(args.min_seconds)]
-        for component in args.component or []:
-            hotpath_argv += ["--component", component]
-        if args.json_out:
-            hotpath_argv += ["--json-out", args.json_out]
-        if args.check:
-            hotpath_argv += ["--check", args.check]
-        hotpath_argv += ["--threshold", str(args.threshold)]
-        return hotpath.main(hotpath_argv)
     if args.command == "analyze":
         return _cmd_analyze(args)
     parser.error(f"unknown command {args.command!r}")

@@ -3,10 +3,8 @@
 from .cluster import (
     AsyncCluster,
     ShardedAsyncCluster,
-    run_event_loop,
     sharded_tcp_cluster,
     tcp_cluster,
-    uvloop_available,
 )
 from .node import AutomatonNode, ClientNode, ShardedClientNode
 from .transport import (
@@ -23,8 +21,6 @@ __all__ = [
     "ShardedAsyncCluster",
     "tcp_cluster",
     "sharded_tcp_cluster",
-    "uvloop_available",
-    "run_event_loop",
     "AutomatonNode",
     "ClientNode",
     "ShardedClientNode",

@@ -26,8 +26,6 @@ __all__ = [
     "ShardedAsyncCluster",
     "tcp_cluster",
     "sharded_tcp_cluster",
-    "uvloop_available",
-    "run_event_loop",
 ]
 
 from ..core.automaton import OperationComplete
@@ -39,46 +37,6 @@ from ..verify.history import History
 from ..wire import Codec
 from .node import AutomatonNode, ClientNode, ShardedClientNode
 from .transport import InMemoryTransport, TcpTransport, Transport, constant_delay
-
-
-def uvloop_available() -> bool:
-    """Whether the optional ``uvloop`` event-loop accelerator is importable.
-
-    The library never requires uvloop (it is not a runtime dependency); the
-    asyncio benchmarks opt in through ``use_uvloop=True`` where it helps.
-    """
-    try:
-        import uvloop  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def run_event_loop(main: Callable[[], Awaitable[Any]], use_uvloop: bool = False) -> Any:
-    """Run *main* to completion, optionally on a uvloop event loop.
-
-    ``use_uvloop=True`` with uvloop missing raises :class:`RuntimeError`
-    immediately — an opt-in fast path must never silently degrade into the
-    stock loop, or every number measured under the flag would be suspect.
-    """
-    if not use_uvloop:
-        return asyncio.run(main())
-    try:
-        import uvloop
-    except ImportError as exc:
-        raise RuntimeError(
-            "use_uvloop=True but uvloop is not installed; install uvloop "
-            "(it is an optional accelerator, not a dependency) or drop the flag"
-        ) from exc
-    if hasattr(uvloop, "run"):
-        return uvloop.run(main())
-    # Older uvloop releases predate uvloop.run(): install the policy for the
-    # duration of the run and restore the default afterwards.
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    try:
-        return asyncio.run(main())
-    finally:
-        asyncio.set_event_loop_policy(None)
 
 
 class AsyncCluster:
@@ -241,22 +199,19 @@ class AsyncCluster:
         cls,
         suite: ProtocolSuite,
         scenario: Callable[["AsyncCluster"], Awaitable[Any]],
-        use_uvloop: bool = False,
         **kwargs: Any,
     ) -> Any:
         """Run an async *scenario* against a fresh cluster and return its result.
 
         Convenience for tests, examples and benchmark callables that
-        prefer a synchronous entry point.  ``use_uvloop=True`` runs the
-        scenario on a uvloop event loop (raising if uvloop is missing) — the
-        opt-in fast path for wall-clock benchmarks.
+        prefer a synchronous entry point.
         """
 
         async def _main() -> Any:
             async with cls(suite, **kwargs) as cluster:
                 return await scenario(cluster)
 
-        return run_event_loop(_main, use_uvloop=use_uvloop)
+        return asyncio.run(_main())
 
 
 def tcp_cluster(

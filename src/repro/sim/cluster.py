@@ -69,10 +69,8 @@ class SimCluster:
         seed: int = 0,
         message_filter: Optional[MessageFilter] = None,
         auto_timer: bool = True,
-        timer_margin: float = 0.5,
         max_events_per_run: int = 500_000,
         frame_overhead: float = 0.0,
-        byte_cost: float = 0.0,
         codec: Union[str, Codec, None] = None,
         durable: bool = False,
         compact_every: Optional[int] = None,
@@ -103,15 +101,8 @@ class SimCluster:
         #: per-message overhead that batching amortises (a batch is one frame).
         #: The default of 0 reproduces the classical charge-per-message model.
         self.frame_overhead = frame_overhead
-        #: Bandwidth term of the line model: each frame occupies the sender's
-        #: line for an *additional* ``byte_cost`` time units per encoded wire
-        #: byte, charged on the frame's real encoded size under ``codec``.
-        #: With the default of 0 the line model stays size-blind (frames cost
-        #: ``frame_overhead`` regardless of payload), but ``bytes_sent`` is
-        #: always maintained.
-        self.byte_cost = byte_cost
-        #: Wire codec frames are measured (and, with ``byte_cost``, charged)
-        #: under — the same codec objects the asyncio transports speak.
+        #: The codec frames are sized under (``bytes_sent``) — the same codec
+        #: objects the asyncio transports speak.
         self.codec = get_codec(codec)
         #: Durability: with ``durable=True`` every server is wrapped in a
         #: :class:`~repro.persist.durable.DurableServer` logging its state to
@@ -162,7 +153,7 @@ class SimCluster:
             for process_id, process in self.processes.items():
                 if isinstance(process, ClientAutomaton):
                     timer, used_fallback = self.topology.suggested_timer_for(
-                        process_id, servers, timer_margin
+                        process_id, servers, margin=0.5
                     )
                     if used_fallback:
                         self._warn_timer_fallback(timer)
@@ -603,18 +594,16 @@ class SimCluster:
     def _transmit(self, source: str, destination: str, message: Message) -> None:
         """Put one frame on the wire, serializing on the source's line.
 
-        The line is occupied for ``frame_overhead + byte_cost * size`` time
-        units, where ``size`` is the frame's real encoded length under the
-        configured codec — so with ``byte_cost`` set, big frames genuinely
-        take longer to leave the sender than small ones.
+        The line is occupied for ``frame_overhead`` time units whatever the
+        frame's size; ``size`` (the encoded length under the configured codec)
+        is counted in ``bytes_sent`` and handed to the topology's delay.
         """
         size = self._count_frame(source, destination, message)
-        occupancy = self.frame_overhead + self.byte_cost * size
         departure = self.now
-        if occupancy > 0.0:
+        if self.frame_overhead > 0.0:
             departure = max(self.now, self._line_busy_until.get(source, 0.0))
-            self._line_busy_until[source] = departure + occupancy
-            departure += occupancy
+            departure += self.frame_overhead
+            self._line_busy_until[source] = departure
         delay = self.topology.delay(source, destination, departure, self.rng, size)
         if delay is None:
             # An active partition severs the link: the frame left the sender

@@ -386,19 +386,3 @@ class NetworkSchedule:
         return sum(
             w.extra_delay for w in self.gray if w.process_id == process_id and w.covers(now)
         )
-
-    def disturbance_windows(self) -> List[Tuple[float, float, str]]:
-        """Every scheduled window as ``(start, end, label)`` for verification."""
-        out: List[Tuple[float, float, str]] = []
-        for window in self.partitions:
-            sides = f"{sorted(window.side_a)}|{sorted(window.side_b)}"
-            out.append((window.start, window.end, f"partition {sides}"))
-        for gray_window in self.gray:
-            out.append(
-                (
-                    gray_window.start,
-                    gray_window.end,
-                    f"gray {gray_window.process_id} +{gray_window.extra_delay:g}",
-                )
-            )
-        return sorted(out)

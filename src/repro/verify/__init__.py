@@ -9,10 +9,8 @@ register for single-writer, multi-writer and conditional-write histories alike;
 from .atomicity import (
     AtomicityChecker,
     CheckResult,
-    ScenarioCheckResult,
     Violation,
     check_atomicity,
-    check_atomicity_under_scenario,
 )
 from .history import History, OperationRecord
 from .linearizability import (
@@ -26,10 +24,8 @@ from .regularity import check_regularity
 __all__ = [
     "AtomicityChecker",
     "CheckResult",
-    "ScenarioCheckResult",
     "Violation",
     "check_atomicity",
-    "check_atomicity_under_scenario",
     "History",
     "OperationRecord",
     "HistoryTooLarge",

@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.types import is_bottom
 from .history import (
@@ -434,106 +434,3 @@ def check_atomicity(history: History, mwmr: Optional[bool] = None) -> CheckResul
     True
     """
     return AtomicityChecker(mwmr).check(history)
-
-
-# --------------------------------------------------------------------------- #
-# Scenario-aware checking (partitions, gray failures, clock skew)
-# --------------------------------------------------------------------------- #
-
-#: One network disturbance: ``(start, end, label)`` in virtual time.
-DisturbanceWindow = Tuple[float, float, str]
-
-
-@dataclass
-class ScenarioCheckResult:
-    """An atomicity verdict annotated with its network-scenario exposure.
-
-    Atomicity is *unconditional* safety: a partition, gray failure or skewed
-    clock may cost liveness or the fast path, but never linearizability, so
-    the underlying :class:`CheckResult` applies the usual properties
-    unchanged.  What the scenario annotation adds is an anti-vacuity audit:
-    ``disturbed_operations`` counts the checked operations whose execution
-    interval overlapped a disturbance window, and ``disturbed_lease_reads``
-    / ``disturbed_conditionals`` single out the operations whose correctness
-    leans on synchrony assumptions — zero-round leased reads and locally
-    decided leased CAS.  A "partition test" whose history contains no
-    disturbed operation verified nothing about partitions.
-    """
-
-    result: CheckResult
-    windows: List[DisturbanceWindow] = field(default_factory=list)
-    disturbed_operations: int = 0
-    disturbed_lease_reads: int = 0
-    disturbed_conditionals: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.result.ok
-
-    @property
-    def vacuous(self) -> bool:
-        """Whether no checked operation overlapped any disturbance window."""
-        return bool(self.windows) and self.disturbed_operations == 0
-
-    def raise_if_violated(self) -> None:
-        self.result.raise_if_violated()
-
-    def summary(self) -> str:
-        exposure = (
-            f"{self.disturbed_operations} op(s) in {len(self.windows)} "
-            f"disturbance window(s), {self.disturbed_lease_reads} leased, "
-            f"{self.disturbed_conditionals} conditional"
-        )
-        return f"{self.result.summary()} [{exposure}]"
-
-
-def _overlaps_window(record: OperationRecord, start: float, end: float) -> bool:
-    return record.invoked_at < end and record.end_time > start
-
-
-def check_atomicity_under_scenario(
-    history: History,
-    schedule: Union[Any, Iterable[Sequence[Any]]],
-    mwmr: Optional[bool] = None,
-) -> ScenarioCheckResult:
-    """Check *history* for atomicity and annotate its disturbance exposure.
-
-    *schedule* is either a ``NetworkSchedule`` (anything with a
-    ``disturbance_windows()`` method — duck-typed so the verify layer does
-    not import the simulator) or an iterable of ``(start, end, label)``
-    tuples.  The atomicity properties themselves are scenario-independent;
-    violations stay violations no matter what the network did.  See
-    :class:`ScenarioCheckResult` for what the annotation buys.
-
-    >>> from repro.verify.history import History, OperationRecord
-    >>> write = OperationRecord(
-    ...     client_id="w", kind="write", value="a",
-    ...     invoked_at=0.0, completed_at=1.0,
-    ... )
-    >>> read = OperationRecord(
-    ...     client_id="r1", kind="read", value="a",
-    ...     invoked_at=5.0, completed_at=9.0, metadata={"lease": True},
-    ... )
-    >>> verdict = check_atomicity_under_scenario(
-    ...     History([write, read]), [(4.0, 12.0, "partition dc1|dc2")]
-    ... )
-    >>> verdict.ok, verdict.disturbed_operations, verdict.disturbed_lease_reads
-    (True, 1, 1)
-    """
-    windows_method = getattr(schedule, "disturbance_windows", None)
-    raw = windows_method() if callable(windows_method) else schedule
-    windows: List[DisturbanceWindow] = [
-        (float(start), float(end), str(label)) for start, end, label in raw
-    ]
-    verdict = ScenarioCheckResult(
-        result=check_atomicity(history, mwmr=mwmr), windows=windows
-    )
-    for record in history.records:
-        if not any(_overlaps_window(record, start, end) for start, end, _ in windows):
-            continue
-        verdict.disturbed_operations += 1
-        if record.metadata.get("lease"):
-            verdict.disturbed_lease_reads += 1
-        if record.metadata.get("cas") or record.metadata.get("rmw"):
-            verdict.disturbed_conditionals += 1
-    return verdict

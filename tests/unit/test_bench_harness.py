@@ -103,7 +103,7 @@ class TestCli:
 
     def test_run_experiment_is_the_only_benchmark_table_command(self):
         subcommands = _build_parser()._subparsers._group_actions[0].choices  # noqa: SLF001
-        assert set(subcommands) == {"explain", "run-experiment", "demo", "hotpath", "analyze"}
+        assert set(subcommands) == {"explain", "run-experiment", "demo", "analyze"}
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

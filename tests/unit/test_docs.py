@@ -13,7 +13,8 @@ Three kinds of drift this suite pins down:
   the experiment registry, each of which ``docs/benchmarks.md`` must list.
 * **CLI help text** — every ``--flag`` token a subcommand's help text
   mentions must actually be registered on that subcommand (catching
-  ``--min-seconds`` vs ``--min_seconds`` style drift).
+  ``--min-seconds`` vs ``--min_seconds`` style drift), and a rule range the
+  help names (``RP01..RP10``) must be the registry's.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ DOC_PAGES = sorted([REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")]
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
-_RULE_RANGE = re.compile(r"\bRP\d+\s*[-–]\s*RP\d+\b")
+_RULE_RANGE = re.compile(r"\bRP\d+\s*(?:[-–]|\.\.)\s*RP\d+\b")
 _EXPERIMENT_ID = re.compile(r"\b[EAS]\d+\b")
 #: The codec micro-benchmark: named once, as retired, in docs/benchmarks.md.
 _RETIRED_EXPERIMENT = "S6"
@@ -84,16 +85,21 @@ def test_analysis_doc_matches_generator() -> None:
     )
 
 
-@pytest.mark.parametrize("page", DOC_PAGES, ids=lambda p: p.name)
-def test_rule_ranges_match_the_registry(page: Path) -> None:
+def _stale_rule_ranges(text: str) -> list:
+    """The rule ranges *text* names that are not the registry's first..last."""
     rule_ids = sorted(rule.rule_id for rule in all_rules())
     expected = (rule_ids[0], rule_ids[-1])
-    stale = [
+    return [
         found
-        for found in _RULE_RANGE.findall(page.read_text(encoding="utf-8"))
+        for found in _RULE_RANGE.findall(text)
         if tuple(re.findall(r"RP\d+", found)) != expected
     ]
-    assert not stale, f"{page.name} names rule range(s) {stale}, registry has {expected}"
+
+
+@pytest.mark.parametrize("page", DOC_PAGES, ids=lambda p: p.name)
+def test_rule_ranges_match_the_registry(page: Path) -> None:
+    stale = _stale_rule_ranges(page.read_text(encoding="utf-8"))
+    assert not stale, f"{page.name} names stale rule range(s) {stale}"
 
 
 def _experiment_ids_named() -> dict:
@@ -140,3 +146,11 @@ def test_help_text_references_registered_flags() -> None:
                 if flag not in registered:
                     drifted.append(f"{name}: help mentions unregistered {flag}")
     assert not drifted, drifted
+
+
+def test_help_text_rule_range_matches_the_registry() -> None:
+    """``lucky-storage --help`` names the registry's first and last rule."""
+    text = _build_parser().format_help()
+    assert _RULE_RANGE.search(text), "the help names no rule range"
+    stale = _stale_rule_ranges(text)
+    assert not stale, f"lucky-storage --help names stale rule range(s) {stale}"

@@ -217,17 +217,6 @@ class TestNetworkSchedule:
         with pytest.raises(ValueError, match="non-negative"):
             NetworkSchedule().gray_failure("s1", -1.0)
 
-    def test_disturbance_windows_sorted_and_labelled(self):
-        schedule = (
-            NetworkSchedule()
-            .gray_failure("s1", 3.0, start=8.0, end=9.0)
-            .partition(["a"], ["b"], start=1.0, end=2.0)
-        )
-        windows = schedule.disturbance_windows()
-        assert [w[0] for w in windows] == [1.0, 8.0]
-        assert "partition" in windows[0][2]
-        assert "gray s1" in windows[1][2]
-
     def test_scheduled_partition_drives_topology(self, rng):
         schedule = NetworkSchedule().partition(["a"], ["b"], start=5.0, end=10.0)
         topology = Topology(zones={"a": ["s1"], "b": ["s2"]}, schedule=schedule)

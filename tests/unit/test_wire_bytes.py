@@ -83,18 +83,6 @@ class TestSimBytes:
         # A subclass that reshapes the envelope is measured, not computed.
         assert padded.bytes_sent - binary.bytes_sent == len(PaddedCodec.PAD) * binary.frames_sent
 
-    def test_byte_cost_charges_line_time(self):
-        # With a per-byte line cost, a writer's fan-out frames serialize on
-        # its outgoing line, so the same write takes strictly longer.
-        free = SimCluster(_suite(), delay_model=FixedDelay(1.0))
-        costly = SimCluster(
-            _suite(), delay_model=FixedDelay(1.0), byte_cost=0.05
-        )
-        latency_free = free.write("v1").latency
-        latency_costly = costly.write("v1").latency
-        assert costly.bytes_sent == free.bytes_sent
-        assert latency_costly > latency_free
-
     def test_store_exposes_bytes_sent(self):
         store = ShardedSimStore(_suite(), ["k1"], delay_model=FixedDelay(1.0))
         store.write("k1", "v1")
