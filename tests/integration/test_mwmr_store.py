@@ -93,6 +93,17 @@ class TestMixedStores:
         assert mwmr_write.rounds == 2
         assert store.verify_atomic()
 
+    def test_sweep_run_checks_each_key_under_its_own_spec(self):
+        # ``run`` verifies through the store: SWMR keys by invocation rank,
+        # MWMR keys by their stamped (ts, writer_id) pairs.
+        store = run(mixed_store_run())
+        results = store.check_atomicity()
+        assert {key: result.consistency for key, result in results.items()} == {
+            "k1": "atomicity",
+            "k2": "mwmr-atomicity",
+        }
+        assert all(result.ok for result in results.values())
+
     def test_reader_cannot_write_swmr_key(self):
         store = make_store(["swmr", "mwmr"], mwmr=["mwmr"])
         with pytest.raises(TypeError, match="single-writer"):

@@ -38,6 +38,19 @@ class TestInMemoryRuntime:
         assert write.fast and write.rounds == 1
         assert read.fast and read.value == "hello"
 
+    def test_run_scenario_runs_on_the_stock_event_loop(self):
+        suite = LuckyAtomicProtocol(SystemConfig.balanced(1, 0, num_readers=1))
+
+        async def scenario(cluster):
+            await cluster.write("v1")
+            read = await cluster.read("r1")
+            return type(asyncio.get_running_loop()), read.value
+
+        loop = asyncio.new_event_loop()
+        stock = type(loop)
+        loop.close()
+        assert AsyncCluster.run_scenario(suite, scenario) == (stock, "v1")
+
     def test_history_is_atomic_across_clients(self):
         config = SystemConfig(t=2, b=1, fw=1, fr=0, num_readers=2)
 

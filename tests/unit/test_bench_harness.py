@@ -105,6 +105,14 @@ class TestCli:
         subcommands = _build_parser()._subparsers._group_actions[0].choices  # noqa: SLF001
         assert set(subcommands) == {"explain", "run-experiment", "demo", "analyze"}
 
+    def test_retired_hotpath_subcommand_is_a_usage_error(self, capsys):
+        # Component costs are rows of the e2e ledger; there is no second
+        # timing command to fall back on.
+        with pytest.raises(SystemExit) as exited:
+            main(["hotpath"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'hotpath'" in capsys.readouterr().err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run-experiment", "E99"])

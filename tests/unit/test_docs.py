@@ -1,6 +1,6 @@
 """The documentation gates.
 
-Three kinds of drift this suite pins down:
+The drift this suite pins down:
 
 * **Dead relative links** — every markdown link in ``README.md`` and
   ``docs/`` must resolve to a real file (and, for ``#fragment`` links, a
@@ -15,6 +15,12 @@ Three kinds of drift this suite pins down:
   mentions must actually be registered on that subcommand (catching
   ``--min-seconds`` vs ``--min_seconds`` style drift), and a rule range the
   help names (``RP01..RP10``) must be the registry's.
+* **Ledger rows** — every row of the e2e ledger that ``docs/benchmarks.md``
+  says prices a hot-path component must be a per-layer metric the e2e
+  runner computes.
+* **Retired names** — the names of retired mechanisms (the second timing
+  command, the uvloop opt-in, two simulator knobs, the scenario annotation)
+  appear nowhere in the sources, the CI workflow or the docs.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.cli import _build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 DOC_PAGES = sorted([REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")])
+E2E_BENCH = REPO_ROOT / "benchmarks" / "e2e" / "e2ebench"
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
@@ -40,6 +47,20 @@ _RULE_RANGE = re.compile(r"\bRP\d+\s*(?:[-–]|\.\.)\s*RP\d+\b")
 _EXPERIMENT_ID = re.compile(r"\b[EAS]\d+\b")
 #: The codec micro-benchmark: named once, as retired, in docs/benchmarks.md.
 _RETIRED_EXPERIMENT = "S6"
+_LEDGER_SECTION = "## Hot-path components in the ledger"
+_METRIC = re.compile(r"`([a-z]+\.[a-z0-9_]+)`")
+#: The per-component timing command and its CI gate, the uvloop opt-in, the
+#: simulator's per-byte line cost and timer-margin knobs, and the
+#: scenario-aware atomicity annotation with its disturbance windows.
+_RETIRED_NAMES = (
+    "hotpath",
+    "uvloop",
+    "byte_cost",
+    "timer_margin",
+    "under_scenario",
+    "ScenarioCheckResult",
+    "disturbance_windows",
+)
 
 
 def _github_slug(heading: str) -> str:
@@ -154,3 +175,55 @@ def test_help_text_rule_range_matches_the_registry() -> None:
     assert _RULE_RANGE.search(text), "the help names no rule range"
     stale = _stale_rule_ranges(text)
     assert not stale, f"lucky-storage --help names stale rule range(s) {stale}"
+
+
+def _ledger_table() -> list:
+    """``(component, ledger cell)`` per row of docs/benchmarks.md's component table."""
+    text = (REPO_ROOT / "docs" / "benchmarks.md").read_text(encoding="utf-8")
+    rows = []
+    for line in text.split(_LEDGER_SECTION, 1)[1].splitlines():
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    _header, _rule, *body = rows
+    return [(cells[0], cells[1]) for cells in body]
+
+
+LEDGER_ROWS = _ledger_table()
+
+
+@pytest.mark.parametrize("component, cell", LEDGER_ROWS, ids=[row[0] for row in LEDGER_ROWS])
+def test_ledger_rows_are_metrics_the_runner_computes(component: str, cell: str) -> None:
+    named = _METRIC.findall(cell)
+    assert named, f"{component}: the table names no ledger row"
+    # The per-layer registry is a text table in metrics.py; read it as text so
+    # the documentation gate does not import the benchmark package.
+    metrics = (E2E_BENCH / "metrics.py").read_text(encoding="utf-8")
+    registered = set(re.findall(r"^([a-z]+\.[a-z0-9_]+)\s+\|", metrics, re.MULTILINE))
+    runner = (E2E_BENCH / "runner.py").read_text(encoding="utf-8")
+    for name in named:
+        assert name in registered, f"{component}: {name} is not a per-layer metric"
+        assert f'"{name}"' in runner, f"{component}: the runner never computes {name}"
+
+
+def _shipped_texts() -> dict:
+    """Relative path → text of every source, workflow and documentation file."""
+    paths = [
+        *(REPO_ROOT / "src").rglob("*.py"),
+        *(path for path in (REPO_ROOT / ".github").rglob("*") if path.is_file()),
+        REPO_ROOT / "requirements-dev.txt",
+        *DOC_PAGES,
+    ]
+    return {str(path.relative_to(REPO_ROOT)): path.read_text(encoding="utf-8") for path in paths}
+
+
+@pytest.mark.parametrize("name", _RETIRED_NAMES)
+def test_retired_name_appears_nowhere(name: str) -> None:
+    hits = [
+        f"{path}:{number}"
+        for path, text in _shipped_texts().items()
+        for number, line in enumerate(text.splitlines(), 1)
+        if name in line
+    ]
+    assert not hits, f"retired {name!r} is named at {hits}"

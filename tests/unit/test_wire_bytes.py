@@ -83,6 +83,28 @@ class TestSimBytes:
         # A subclass that reshapes the envelope is measured, not computed.
         assert padded.bytes_sent - binary.bytes_sent == len(PaddedCodec.PAD) * binary.frames_sent
 
+    def test_frame_overhead_charges_line_time(self):
+        # With a per-frame line cost, a writer's fan-out frames serialize on
+        # its outgoing line, so the same write takes strictly longer.
+        free = SimCluster(_suite(), delay_model=FixedDelay(1.0))
+        costly = SimCluster(_suite(), delay_model=FixedDelay(1.0), frame_overhead=0.1)
+        latency_free = free.write("v1").latency
+        latency_costly = costly.write("v1").latency
+        assert (costly.frames_sent, costly.bytes_sent) == (free.frames_sent, free.bytes_sent)
+        assert latency_costly > latency_free
+
+    def test_line_time_does_not_grow_with_frame_size(self):
+        # The line is occupied for ``frame_overhead`` per frame whatever the
+        # frame carries: a large value costs bytes, not virtual time.
+        def write(value):
+            cluster = SimCluster(_suite(), delay_model=FixedDelay(1.0), frame_overhead=0.1)
+            return cluster.write(value).latency, cluster.bytes_sent
+
+        small_latency, small_bytes = write("v")
+        large_latency, large_bytes = write("v" * 4096)
+        assert large_bytes > small_bytes + 4096
+        assert large_latency == small_latency
+
     def test_store_exposes_bytes_sent(self):
         store = ShardedSimStore(_suite(), ["k1"], delay_model=FixedDelay(1.0))
         store.write("k1", "v1")
