@@ -6,7 +6,7 @@ one WAL append around a multi-message frame, one ``handle_message`` per
 admitted message), the per-destination outbox, the operation slots of a
 client, and the one builder of history records.  The simulator supplies
 virtual time, the event heap, the topology and the failure schedule; asyncio
-supplies the mailbox, loop timers and a transport.  Nothing here reads a
+supplies loop timers, a flusher task and a transport.  Nothing here reads a
 clock (``now`` is an argument), awaits, or knows either runtime.
 
 This module imports :class:`~repro.verify.history.OperationRecord` — the one

@@ -1,17 +1,19 @@
 """Asyncio nodes hosting the sans-I/O automata.
 
-A node owns a mailbox and the :class:`~repro.core.host.ProcessHost` of one
-automaton — the fence, the frame step, the outbox and the operation slots are
-the host's, shared with the simulator.  Incoming frames are processed strictly
-one at a time (preserving the atomic-step semantics of the model); outgoing
-effects are translated into transport sends, ``loop.call_later`` timers and,
-for clients, resolution of the future awaiting the open operation.
+A node owns the :class:`~repro.core.host.ProcessHost` of one automaton — the
+fence, the frame step, the outbox and the operation slots are the host's,
+shared with the simulator.  A frame is stepped where it lands: the
+transport's call of the node's handler steps it, and a timer's loop callback
+steps the timer.  Outgoing effects are translated into the outbox,
+``loop.call_later`` timers and, for clients, resolution of the future
+awaiting the open operation.
 
-A node runs exactly two tasks, both made by :meth:`AutomatonNode.start`: the
-stepper, which empties the mailbox, and the flusher, which turns the outbox
-into frames.  Nothing on the per-frame path creates a task, and applying a
-step's effects awaits nothing: it only fills the outbox, arms loop timers
-and resolves futures.
+A node runs exactly one task, made by :meth:`AutomatonNode.start`: the
+flusher, which turns the outbox into frames.  Stepping inline keeps each step
+atomic (the model's semantics) because a step never sends: applying its
+effects awaits nothing, it only fills the outbox, arms loop timers and
+resolves futures.  So no step ever runs inside another, and a receiver that
+raises crash-stops itself, never the sender whose ``send`` delivered to it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .transport import Transport
 
 
 class NodeFailedError(RuntimeError):
-    """A client node's automaton raised, or a frame it emitted could not be
-    sent (``__cause__``): the node is crash-stopped."""
+    """A client node's automaton raised, a frame it emitted could not be
+    sent, or it stopped with the operation open (``__cause__``): the node is
+    crash-stopped."""
 
     def __init__(self, process_id: str, cause: Exception) -> None:
         super().__init__(f"client {process_id} is crash-stopped: {cause!r}")
@@ -104,9 +107,13 @@ class AutomatonNode:
     """Hosts one automaton (server or client) on an asyncio event loop.
 
     The transport hands a frame to the node by awaiting its handler, which
-    only appends it to the mailbox (``put_nowait``: arrival never suspends the
-    sender).  The stepper wakes once per burst and steps every item that is
-    ready before it yields again.
+    steps it there and then (``ProcessHost.deliver``, then
+    :meth:`apply_effects`) and never suspends.  One exception: a node hosting
+    a :class:`~repro.persist.durable.DurableServer` steps each frame on a
+    loop turn of its own (``loop.call_soon``), because its step blocks on an
+    fsync that must not run inside the sender's ``send``.  A node steps
+    between :meth:`start` and :meth:`stop` only; a frame or a timer reaching
+    it outside that window is dropped, as if sent to a crashed process.
 
     Outgoing sends are buffered in the host's per-destination outbox and
     the node's one flusher is woken (an :class:`asyncio.Event`).  It runs at
@@ -148,11 +155,13 @@ class AutomatonNode:
         #: send), if it ever did: the node is then crash-stopped (a crash ``t``
         #: covers), its state being unknown.
         self.failure: Optional[Exception] = None
-        self._mailbox: asyncio.Queue = asyncio.Queue()
         self._loop: asyncio.AbstractEventLoop  # the running loop, bound by start()
+        # Whether frames and timers are stepped: from start() to stop().
+        self._running = False
+        self._durable = isinstance(automaton, DurableServer)
         # Set when a send is buffered; the flusher clears it and drains.
         self._flush_wanted = asyncio.Event()
-        self._tasks: List[asyncio.Task] = []
+        self._flusher: Optional[asyncio.Task] = None
         # Live loop timers keyed by timer id.  Fired and cancelled handles
         # are pruned eagerly, so a long-lived node holds handles only for
         # timers genuinely pending (the old flat list grew without bound).
@@ -164,20 +173,19 @@ class AutomatonNode:
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._tasks = [
-            asyncio.create_task(self._run(), name=f"node-{self.process_id}"),
-            asyncio.create_task(self._flush_outbox(), name=f"flusher-{self.process_id}"),
-        ]
+        self._running = True
+        self._flusher = asyncio.create_task(self._flush_outbox(), name=f"flusher-{self.process_id}")
 
     async def stop(self) -> None:
+        self._running = False
         for handles in self._timer_handles.values():
             for handle in handles:
                 handle.cancel()
         self._timer_handles.clear()
-        tasks, self._tasks = self._tasks, []
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        flusher, self._flusher = self._flusher, None
+        if flusher is not None:
+            flusher.cancel()
+            await asyncio.gather(flusher, return_exceptions=True)
         self.host.drain()
         if isinstance(self.automaton, DurableServer):
             self.automaton.wal.close()
@@ -188,32 +196,35 @@ class AutomatonNode:
 
     # ----------------------------------------------------------------- inputs
     async def _on_transport_message(self, source: str, message: Message) -> None:
-        self._mailbox.put_nowait(("message", message))
+        if self._durable and self._running:
+            # A durable step blocks on fsync: it takes a loop turn of its own
+            # rather than run inside the sender's ``send``.
+            self._loop.call_soon(self._step_frame, message)
+        else:
+            self._step_frame(message)
 
-    async def _run(self) -> None:
-        mailbox = self._mailbox
-        while True:
-            # Suspend only on an empty mailbox: everything that arrived since
-            # the last wake-up is stepped before the loop yields again.
-            kind, payload = await mailbox.get() if mailbox.empty() else mailbox.get_nowait()
-            if self.crashed:
-                continue
-            # The host steps each message of a frame as its own atomic step
-            # and returns once the frame's WAL append is durable.  Applying
-            # effects never awaits (sends only fill the outbox), so every
-            # reply the frame provokes lands in the same flush — the batch
-            # boundary survives the hop.
-            try:
-                if kind == "message":
-                    stepped = self.host.deliver(payload)
-                else:
-                    stepped = [(None, self.host.timer(payload))]
-            except Exception as exc:
-                self._fail(exc)
-                continue
-            for _, effects in stepped:
+    def _step_frame(self, frame: Message) -> None:
+        # The host steps each message of a frame as its own atomic step and
+        # returns once the frame's WAL append is durable.  Applying effects
+        # never awaits (sends only fill the outbox), so every reply the frame
+        # provokes lands in the same flush — the batch boundary survives the
+        # hop.
+        if self.crashed or not self._running:
+            return
+        try:
+            for _, effects in self.host.deliver(frame):
                 if effects is not None:  # None: the host fenced the message
                     self.apply_effects(effects)
+        except Exception as exc:
+            self._fail(exc)
+
+    def _step_timer(self, timer_id: str) -> None:
+        if self.crashed or not self._running:
+            return
+        try:
+            self.apply_effects(self.host.timer(timer_id))
+        except Exception as exc:
+            self._fail(exc)
 
     def _fail(self, cause: Exception) -> None:
         """The automaton raised, or a frame it emitted could not be sent:
@@ -248,7 +259,7 @@ class AutomatonNode:
                 handles.discard(handle)
                 if not handles:
                     self._timer_handles.pop(timer_id, None)
-            self._mailbox.put_nowait(("timer", timer_id))
+            self._step_timer(timer_id)
 
         handle = self._loop.call_later(delay, _fire)
         self._timer_handles.setdefault(timer_id, set()).add(handle)
@@ -351,10 +362,18 @@ class ClientNode(AutomatonNode):
         if future is not None and not future.done():
             future.set_result(completion)
 
+    async def stop(self) -> None:
+        await super().stop()
+        # Nothing answers an open operation once the node stops stepping.
+        self._fail_callers(RuntimeError(f"node {self.process_id} stopped"))
+
     def _fail(self, cause: Exception) -> None:
         super()._fail(cause)
-        # Every open operation stays open in the history (its client crashed);
-        # whoever awaits one is told instead of left hanging.
+        self._fail_callers(cause)
+
+    def _fail_callers(self, cause: Exception) -> None:
+        # Every open operation stays open in the history (its client crashed
+        # or stopped); whoever awaits one is told instead of left hanging.
         futures, self._futures = self._futures, {}
         for future in futures.values():
             if not future.done():

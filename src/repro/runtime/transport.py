@@ -118,10 +118,11 @@ class InMemoryTransport(Transport):
     """Object-passing transport with injectable per-message latency.
 
     With zero delay, :meth:`send` awaits the destination's handler itself:
-    the frame has arrived when ``send`` returns, and no task or timer is made
-    for it (a node's handler only enqueues, so this never re-enters an
-    automaton).  A positive delay hands the frame to a task that sleeps that
-    long first; :meth:`close` cancels the ones still asleep.
+    the frame has arrived — a node has stepped it — when ``send`` returns,
+    and no task or timer is made for it.  This never nests one step inside
+    another, because a step only fills its node's outbox and the node's
+    flusher sends later.  A positive delay hands the frame to a task that
+    sleeps that long first; :meth:`close` cancels the ones still asleep.
 
     Messages are handed over as objects (no socket), but every send is still
     *measured* through the codec: ``bytes_sent`` advances by the frame the TCP
@@ -224,9 +225,10 @@ class TcpTransport(Transport):
     listener is trusted with its identity (module docstring).
 
     A listener parses every complete frame out of each read and dispatches
-    them in order.  A length prefix above :data:`MAX_FRAME_BYTES`, or a frame
-    that does not decode, costs the peer that connection and nothing else:
-    it is closed and counted in ``connections_dropped``.
+    them in order: a node steps each frame as it is parsed.  A length prefix
+    above :data:`MAX_FRAME_BYTES`, or a frame that does not decode, costs the
+    peer that connection and nothing else: it is closed and counted in
+    ``connections_dropped``.
 
     Concurrent senders share the cached connection of their ``(source,
     destination)`` pair, so each connection is guarded by an

@@ -425,6 +425,36 @@ def _selected_ids(
     return selected
 
 
+def _keyspace(
+    register_ids: Sequence[str],
+    mwmr_ids: FrozenSet[str],
+    lease_ids: FrozenSet[str],
+    writer_lease_ids: FrozenSet[str],
+) -> Dict[str, RegisterSpec]:
+    """The spec of every register, in *register_ids* order.
+
+    A selection that names every key or none is the same for all of them, so
+    the keys no explicit-id selection names share one spec; only the named
+    keys are looked up one by one.  An illegal combination is worded by the
+    per-key build, which names the first register in order that has it.
+    """
+    count = len(register_ids)
+    selections = (mwmr_ids, lease_ids, writer_lease_ids)
+    named = frozenset().union(*(ids for ids in selections if len(ids) < count))
+    try:
+        specs = dict.fromkeys(
+            register_ids, _shared_spec(*(len(ids) == count for ids in selections))
+        )
+        for register_id in named:
+            specs[register_id] = _shared_spec(*(register_id in ids for ids in selections))
+        return specs
+    except ValueError:
+        return {
+            register_id: _spec_for(register_id, *(register_id in ids for ids in selections))
+            for register_id in register_ids
+        }
+
+
 class ShardedProtocol(ProtocolSuite):
     """Suite multiplexing *base* over the registers *register_ids*.
 
@@ -488,10 +518,18 @@ class ShardedProtocol(ProtocolSuite):
         super().__init__(base.config, timer_delay=base.timer_delay, timer_policy=base.timer_policy)
         # An empty initial keyspace is fine: create_register grows it at
         # runtime, and declared keys are built no earlier than created ones.
-        if len(set(register_ids)) != len(register_ids):
+        every_id = frozenset(register_ids)
+        if len(every_id) != len(register_ids):
             raise ValueError(f"duplicate register ids: {list(register_ids)}")
-        for register_id in register_ids:
-            self._validate_register_id(register_id)
+        # One pass over the whole keyspace; the per-id check only words the
+        # error (and admits a str subclass the pass does not know).
+        if not (
+            set(map(type, register_ids)) <= {str}
+            and "" not in every_id
+            and TIMER_SEPARATOR not in "\n".join(register_ids)
+        ):
+            for register_id in register_ids:
+                self._validate_register_id(register_id)
         self.base = base
         #: Memory bound on each server's resident register table (``None`` =
         #: never evict: every register a server was ever asked about stays).
@@ -502,7 +540,6 @@ class ShardedProtocol(ProtocolSuite):
             raise ValueError("max_resident must be at least 1")
         self.max_resident = max_resident
         self.eviction_stores: Dict[str, RegisterEvictionStore] = {}
-        every_id = frozenset(register_ids)
         mwmr_ids = _selected_ids("mwmr", mwmr, every_id, every_id)
         lease_ids = _selected_ids("lease", leases, every_id, every_id)
         # For the writer lease "all keys" means all multi-writer keys.
@@ -511,15 +548,9 @@ class ShardedProtocol(ProtocolSuite):
         #: order.  Membership, order and capabilities have no other copy, so
         #: create_register/drop_register and lazy admission are O(1) even
         #: with a six-figure keyspace.
-        self.specs: Dict[str, RegisterSpec] = {
-            register_id: _spec_for(
-                register_id,
-                register_id in mwmr_ids,
-                register_id in lease_ids,
-                register_id in writer_lease_ids,
-            )
-            for register_id in register_ids
-        }
+        self.specs: Dict[str, RegisterSpec] = _keyspace(
+            register_ids, mwmr_ids, lease_ids, writer_lease_ids
+        )
         if lease_duration <= 0:
             raise ValueError("lease_duration must be positive")
         self.lease_duration = lease_duration

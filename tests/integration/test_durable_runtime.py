@@ -143,7 +143,7 @@ class TestRecoveryAcrossClusterLifetimes:
         A write after the restart must reach the replacement automaton — if
         the listener still fed the stopped pre-restart node, the write would
         complete on the other servers' quorum while the recovered s1 silently
-        rotted (its mailbox consumer is cancelled)."""
+        rotted (the stopped node drops every frame it is handed)."""
         base = LuckyAtomicProtocol(CONFIG)
 
         async def scenario():

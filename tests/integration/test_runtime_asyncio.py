@@ -8,7 +8,7 @@ from repro.baselines.abd import ABDProtocol
 from repro.baselines.slow_robust import SlowRobustProtocol
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
-from repro.runtime.cluster import AsyncCluster, tcp_cluster
+from repro.runtime.cluster import AsyncCluster, ShardedAsyncCluster, tcp_cluster
 from repro.runtime.node import NodeFailedError
 from repro.runtime.transport import constant_delay, InMemoryTransport
 from repro.variants.regular import RegularStorageProtocol
@@ -219,6 +219,28 @@ class TestInMemoryRuntime:
             ("w", "write", False),
             ("r1", "read", True),
         ]
+
+    # In flight: the acks are still on the wire.  Zero delay: no quorum is
+    # left to answer, so the write waits for as long as the store runs.
+    @pytest.mark.parametrize("delay_s, crashed", [(0.05, ()), (0.0, ("s2", "s3"))])
+    def test_an_operation_open_when_its_node_stops_is_answered(self, delay_s, crashed):
+        base = LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1))
+
+        async def scenario():
+            store = ShardedAsyncCluster(
+                base, ["k"], message_delay_s=delay_s, crashed_servers=crashed
+            )
+            await store.start()
+            write = asyncio.ensure_future(store.write("k", "v1"))
+            await asyncio.sleep(0.01)  # invoked, and not answered
+            await store.stop()
+            with pytest.raises(NodeFailedError) as failed:
+                await asyncio.wait_for(write, 2.0)
+            return failed.value, store.history()
+
+        failed, history = run(scenario())
+        assert "stopped" in str(failed.__cause__)
+        assert [(r.kind, r.value, r.complete) for r in history] == [("write", "v1", False)]
 
     def test_regular_variant_runs_on_asyncio(self):
         suite = RegularStorageProtocol.for_parameters(t=1, b=1, num_readers=1)

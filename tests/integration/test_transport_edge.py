@@ -5,7 +5,8 @@ buffers the frame, and a prefix over the cap or a frame that does not decode
 closes that one connection (``TcpTransport.connections_dropped``).  The node
 behind the listener, and every other connection to it, carry on: these tests
 throw garbage, half-frames and huge prefixes at a live listener and then ask
-the same node a well-formed ``Read``.
+the same node a well-formed ``Read``.  A flood of well-formed reads leaves
+the node's memory flat: it steps each frame as it is parsed.
 
 Run under ``-W error::ResourceWarning``: a dropped connection must release
 its socket.
@@ -239,6 +240,49 @@ def test_a_peer_cannot_make_a_listener_buffer_past_the_cap(monkeypatch):
     peak, answered = run(scenario)
     assert peak < cap + transport_module._READ_CHUNK
     assert answered
+
+
+def test_a_flood_of_reads_leaves_the_node_bounded():
+    """A node steps each frame as the listener parses it and keeps nothing
+    per frame: flooding ten times as many ``Read``s does not raise its peak.
+
+    The peer keeps at most *window* frames unanswered.  Without that window
+    the peak measures what the sockets hold in flight: a node reads as fast
+    as it can whatever its flusher has still to send, and its outbox has no
+    bound yet.
+    """
+    burst, window = 500, 2_000
+
+    async def flood(count):
+        async with Live() as live:
+            replies = 0
+
+            async def count_reply(source, message):
+                nonlocal replies
+                replies += 1
+
+            live.transport.register("r1", count_reply)  # keeps no reply
+            frames = frame("r1", 1) * burst
+            reader, writer = await live.connect()
+            tracemalloc.start()
+            try:
+                for sent in range(burst, count + 1, burst):
+                    await wait_until(lambda sent=sent: sent - replies <= window)
+                    writer.write(frames)
+                    await writer.drain()
+                await wait_until(lambda: replies == count, timeout=30.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                writer.close()
+                await writer.wait_closed()
+            return peak, replies, live.node.failure
+
+    small, answered_small, failed_small = run(lambda: flood(2_000))
+    large, answered_large, failed_large = run(lambda: flood(20_000))
+    assert (answered_small, answered_large) == (2_000, 20_000)
+    assert failed_small is None and failed_large is None
+    assert large < 2 * small
 
 
 @pytest.mark.xfail(

@@ -322,9 +322,10 @@ def spawning_functions(tree):
 
 
 class TestNoTaskPerFrame:
-    """A frame costs no task: a node makes its stepper and its flusher when it
-    starts, zero-delay in-memory delivery awaits the handler itself, and the
-    per-flush task, its lock and the two-read TCP framing stay gone."""
+    """A frame costs no task: a node makes its one flusher when it starts and
+    steps a frame where it lands (no mailbox, no stepper), zero-delay
+    in-memory delivery awaits the handler itself, and the per-flush task, its
+    lock and the two-read TCP framing stay gone."""
 
     SPAWN = {"create_task", "ensure_future"}
 
@@ -332,6 +333,16 @@ class TestNoTaskPerFrame:
         node = runtime_module("node.py")
         assert spawning_functions(node) == {"start"}
         assert "Lock" not in called_names(node)  # send order holds by construction
+
+    def test_a_node_has_no_mailbox_and_no_stepper(self):
+        node = runtime_module("node.py")
+        assert "Queue" not in called_names(node)
+        defined = {
+            function.name
+            for function in ast.walk(node)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert "_run" not in defined
 
     def test_zero_delay_in_memory_delivery_makes_no_task(self):
         transport = runtime_module("transport.py")

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from repro.core.automaton import Automaton, Effects
 from repro.core.config import SystemConfig
-from repro.core.messages import Read, ReadAck, iter_unbatched
+from repro.core.messages import PreWrite, Read, ReadAck, iter_unbatched
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.server import StorageServer
+from repro.core.types import TimestampValue
 from repro.runtime.cluster import ShardedAsyncCluster
 from repro.runtime.node import AutomatonNode, NodeFailedError
 from repro.runtime.transport import (
@@ -187,7 +188,7 @@ class TestAutomatonNode:
 
 
 # --------------------------------------------------------------------------- #
-# The per-frame plumbing: inline arrival, one stepper, one flusher
+# The per-frame plumbing: a frame is stepped where it lands, one flusher
 # --------------------------------------------------------------------------- #
 
 TRANSPORTS = {
@@ -273,6 +274,30 @@ class TestPerPairOrder:
             assert [m.read_ts for s, m in received if s == source] == list(range(count))
 
 
+class _Fanout(Automaton):
+    """Passes every message on to each of *peers*."""
+
+    def __init__(self, process_id, peers):
+        super().__init__(process_id)
+        self.peers = peers
+
+    def handle_message(self, message):
+        effects = Effects()
+        for peer in self.peers:
+            effects.send(peer, Read(sender=self.process_id, read_ts=message.read_ts))
+        return effects
+
+
+class _Raising(Automaton):
+    def handle_message(self, message):
+        raise ValueError(f"{self.process_id} cannot take {message!r}")
+
+
+def replies_waiting(node, destination="r1"):
+    """Messages *node* has stepped out and its flusher has not sent yet."""
+    return len(node.host._outbox.get(destination, ()))
+
+
 class TestInlineArrival:
     def test_zero_delay_sends_create_no_task(self):
         config = SystemConfig(t=1, b=0, fw=0, fr=0, num_readers=1)
@@ -284,20 +309,122 @@ class TestInlineArrival:
             node = AutomatonNode(StorageServer("s1", config), transport)
             await node.start()
             before = len(asyncio.all_tasks())
-            queued = []
+            waiting = []
             for index in range(50):
                 await transport.send("r1", "s1", Read(sender="r1", read_ts=index, round=1))
-                queued.append(node._mailbox.qsize())  # arrived when send returned
+                waiting.append(replies_waiting(node))  # stepped when send returned
             await wait_until(lambda: len(recorder.received) == 50)
             after = len(asyncio.all_tasks())
             await node.stop()
             await transport.close()
-            return before, after, queued, recorder.received
+            return before, after, waiting, recorder.received
 
-        before, after, queued, received = run(scenario())
+        before, after, waiting, received = run(scenario())
         assert after == before
-        assert all(size >= 1 for size in queued)
+        assert waiting == list(range(1, 51))  # the flusher had no turn in between
         assert [m.read_ts for _s, m in received] == list(range(50))
+
+    def test_a_timer_is_stepped_by_its_loop_callback(self):
+        stepped_in = []
+
+        class TimerAutomaton(Automaton):
+            def handle_message(self, message):
+                stepped_in.append(("message", asyncio.current_task()))
+                effects = Effects()
+                effects.start_timer("t", 1.0)
+                return effects
+
+            def on_timer(self, timer_id):
+                stepped_in.append(("timer", asyncio.current_task()))
+                return Effects()
+
+        async def scenario():
+            transport = InMemoryTransport()
+            node = AutomatonNode(TimerAutomaton("p1"), transport, time_scale=0.001)
+            await node.start()
+            await transport.send("x", "p1", Read(sender="x"))
+            await wait_until(lambda: len(stepped_in) == 2)
+            await node.stop()
+            await transport.close()
+            return asyncio.current_task()
+
+        sender = run(scenario())
+        # The frame is stepped in the task whose send carried it; the timer
+        # in the loop callback itself, no task at all.
+        assert stepped_in == [("message", sender), ("timer", None)]
+
+    def test_a_raising_receiver_crash_stops_itself_not_its_sender(self):
+        async def scenario():
+            transport = InMemoryTransport()
+            good = _Recorder()
+            transport.register("good", good)
+            sender = AutomatonNode(_Fanout("p1", ["bad", "good"]), transport)
+            bad = AutomatonNode(_Raising("bad"), transport)
+            await sender.start()
+            await bad.start()
+            for read_ts in range(3):
+                await transport.send("x", "p1", Read(sender="x", read_ts=read_ts))
+                await wait_until(lambda: len(good.received) > read_ts)
+            await bad.stop()
+            await sender.stop()
+            await transport.close()
+            return sender, bad, [m.read_ts for _s, m in good.received]
+
+        sender, bad, delivered = run(scenario())
+        assert bad.crashed and isinstance(bad.failure, ValueError)
+        assert sender.failure is None and not sender.crashed
+        assert delivered == [0, 1, 2]  # the sender kept delivering to others
+
+    def test_a_durable_node_steps_a_frame_on_its_own_loop_turn(self, tmp_path):
+        config = SystemConfig(t=1, b=0, fw=0, fr=0, num_readers=1)
+
+        async def scenario():
+            transport = InMemoryTransport()
+            transport.register("r1", _Recorder())
+            node = AutomatonNode(
+                StorageServer("s1", config), transport, durable=True, wal_dir=str(tmp_path)
+            )
+            await node.start()
+            await transport.send("r1", "s1", Read(sender="r1", read_ts=1, round=1))
+            at_return = replies_waiting(node)
+            await asyncio.sleep(0)
+            one_turn_later = replies_waiting(node)
+            await node.stop()
+            await transport.close()
+            return at_return, one_turn_later, node.failure
+
+        at_return, one_turn_later, failure = run(scenario())
+        assert (at_return, one_turn_later) == (0, 1)
+        assert failure is None
+
+    def test_a_stopped_durable_node_drops_frames_and_leaves_its_wal_alone(self, tmp_path):
+        config = SystemConfig(t=1, b=0, fw=0, fr=0, num_readers=1)
+
+        def pre_write(ts):  # a message the server must log before it answers
+            value = TimestampValue(ts, f"v{ts}")
+            return PreWrite(sender="w", ts=ts, pw=value, w=value)
+
+        async def scenario():
+            transport = InMemoryTransport()
+            recorder = _Recorder()
+            transport.register("w", recorder)
+            node = AutomatonNode(
+                StorageServer("s1", config), transport, durable=True, wal_dir=str(tmp_path)
+            )
+            await node.start()
+            # Arrives while the node runs; its turn comes after stop() began.
+            await transport.send("w", "s1", pre_write(1))
+            await node.stop()
+            # Arrives after stop(), when the WAL is closed.
+            await transport.send("w", "s1", pre_write(2))
+            await asyncio.sleep(0.01)
+            await transport.close()
+            return node, recorder.received
+
+        node, received = run(scenario())
+        assert node.failure is None and not node.crashed
+        assert replies_waiting(node, "w") == 0 and received == []
+        assert (tmp_path / "s1.wal").stat().st_size == 0
 
     @pytest.mark.parametrize("kind", ["memory", "tcp"])
     def test_a_handler_wrapping_a_handler_is_awaited_end_to_end(self, kind):

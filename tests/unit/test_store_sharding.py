@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.harness import summarize
 from repro.core.config import SystemConfig
@@ -20,6 +22,10 @@ from repro.store.sharding import (
 )
 from repro.store.sim import ShardedSimStore
 from repro.wire.golden import message_zoo
+
+#: A small keyspace and the capability arguments it can take: all, none, or ids.
+KEYS = ["a", "b", "c", "d"]
+SELECTION = st.one_of(st.booleans(), st.lists(st.sampled_from(KEYS), unique=True))
 
 
 @pytest.fixture
@@ -222,6 +228,37 @@ class TestRegisterIdValidation:
             with pytest.raises(ValueError, match="must not contain"):
                 ShardedProtocol(base, [bad])
 
+    def test_a_str_subclass_is_a_register_id(self, config):
+        class Key(str):
+            pass
+
+        suite = ShardedProtocol(LuckyAtomicProtocol(config), [Key("k1"), "k2"])
+        assert list(suite.specs) == ["k1", "k2"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(
+            st.one_of(st.text(alphabet=":ab", max_size=4), st.integers()), unique=True, max_size=5
+        )
+    )
+    def test_the_keyspace_is_checked_as_each_id_would_be(self, ids):
+        """The constructor checks the whole keyspace in one pass; what it
+        rejects, and the words, are the first failing per-id check's."""
+        base = LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2))
+        first_error = None
+        for register_id in ids:
+            try:
+                ShardedProtocol._validate_register_id(register_id)
+            except ValueError as exc:
+                first_error = str(exc)
+                break
+        if first_error is None:
+            assert list(ShardedProtocol(base, ids).specs) == ids
+        else:
+            with pytest.raises(ValueError) as raised:
+                ShardedProtocol(base, ids)
+            assert str(raised.value) == first_error
+
 
 class TestMwmrDeclaration:
     def test_mwmr_true_marks_every_register(self, config):
@@ -325,6 +362,50 @@ class TestKeyspaceTable:
         reader.read("late")
         late = reader.registers["late"]
         assert isinstance(late.writer, LeasedWriter) and isinstance(late.reader, LeasedReader)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        count=st.integers(min_value=0, max_value=len(KEYS)),
+        selectors=st.tuples(*[SELECTION] * 3),
+    )
+    def test_the_keyspace_reads_as_each_key_would(self, count, selectors):
+        """Keys no explicit-id selection names share one spec; the table and
+        the first error are still what reading key by key gives."""
+        keys = KEYS[:count]
+        mwmr, leases, writer_leases = [
+            s if isinstance(s, bool) else [k for k in s if k in keys] for s in selectors
+        ]
+
+        def chosen(selector, scope):
+            return set(scope) if selector is True else set(selector or ())
+
+        mwmr_ids = chosen(mwmr, keys)
+        lease_ids = chosen(leases, keys)
+        writer_lease_ids = chosen(writer_leases, mwmr_ids)
+        expected = {}
+        for key in keys:
+            try:
+                expected[key] = RegisterSpec(
+                    mwmr=key in mwmr_ids,
+                    leases=key in lease_ids,
+                    writer_leases=key in writer_lease_ids,
+                )
+            except ValueError as exc:
+                expected = f"register {key!r}: {exc}"
+                break
+
+        def build():
+            base = LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2))
+            return ShardedProtocol(
+                base, keys, mwmr=mwmr, leases=leases, writer_leases=writer_leases
+            )
+
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == expected
+        else:
+            assert list(build().specs.items()) == list(expected.items())
 
     def test_a_large_keyspace_shares_one_spec_instance(self, config):
         suite = ShardedProtocol(
