@@ -39,7 +39,6 @@ from .runtime import (
     tcp_cluster,
 )
 from .sim import (
-    CrashRecoverySchedule,
     FailureSchedule,
     FixedDelay,
     LogNormalDelay,
@@ -78,7 +77,6 @@ __all__ = [
     "ShardedSimStore",
     "sharded_tcp_cluster",
     "tcp_cluster",
-    "CrashRecoverySchedule",
     "FailureSchedule",
     "FixedDelay",
     "LogNormalDelay",

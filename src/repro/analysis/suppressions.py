@@ -31,10 +31,3 @@ def parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
         if ids:
             suppressed[lineno] = ids
     return suppressed
-
-
-def is_suppressed(
-    suppressions: Dict[int, FrozenSet[str]], line: int, rule_id: str
-) -> bool:
-    """Whether *rule_id* is suppressed on *line*."""
-    return rule_id in suppressions.get(line, frozenset())

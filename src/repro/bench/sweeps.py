@@ -32,7 +32,7 @@ from ..core.config import SystemConfig
 from ..core.protocol import LuckyAtomicProtocol
 from ..sim.byzantine import ForgeHighTimestampStrategy
 from ..sim.cluster import OperationHandle
-from ..sim.failures import CrashRecoverySchedule, NetworkSchedule
+from ..sim.failures import FailureSchedule, NetworkSchedule
 from ..sim.topology import Topology
 from ..store.sharding import StrategyFactory
 from ..store.sim import ShardedSimStore
@@ -80,7 +80,7 @@ class StoreRun:
     writer_leases: bool = False
     lease_duration: float = 400.0
     durable: bool = False
-    failures: Optional[CrashRecoverySchedule] = None
+    failures: Optional[FailureSchedule] = None
     topology: Optional[Topology] = None
     frame_overhead: float = 0.0
     max_resident: Optional[int] = None
@@ -490,7 +490,7 @@ def recovery_sweep(num_shards: int = 4, num_operations: int = 96, t: int = 2) ->
         (0.25 * makespan, 0.25 * makespan + outage),
         (0.25 * makespan + 1.5 * outage, 0.25 * makespan + 2.5 * outage),
     ]
-    schedule = CrashRecoverySchedule()
+    schedule = FailureSchedule()
     for (crash_at, recover_at), group in zip(
         windows, (servers[:t], servers[t : 2 * t]), strict=True
     ):
@@ -867,8 +867,8 @@ def topology_sweep(
         "topology sweep: fast-path survival across zones and scenarios",
         rows,
         "fast_rate is the fraction of completed operations that finished in "
-        "one round; atomicity is checked per key with the scenario-aware "
-        "pass before any number is reported (partitions cost the fast path "
+        "one round; atomicity is checked per key by store.verify_atomic() "
+        "before any number is reported (partitions cost the fast path "
         "and availability, never linearizability)",
         "partition rows sever the first server's zone for the middle third "
         "of the run; gray rows slow one server's links by a full round "

@@ -85,11 +85,6 @@ class SystemConfig:
         """Total number of servers ``S`` (optimal resilience + extras)."""
         return 2 * self.t + self.b + 1 + self.extra_servers
 
-    @property
-    def optimal_servers(self) -> int:
-        """The optimal-resilience server count ``2t + b + 1`` [21]."""
-        return 2 * self.t + self.b + 1
-
     # ---------------------------------------------------------------- quorums
     @property
     def round_quorum(self) -> int:
@@ -150,18 +145,6 @@ class SystemConfig:
         return [self.writer_id] + self.reader_ids()
 
     # --------------------------------------------------------------- variants
-    def with_thresholds(self, fw: int, fr: int, enforce_tradeoff: bool = True) -> "SystemConfig":
-        """Return a copy with different fast-path thresholds."""
-        return SystemConfig(
-            t=self.t,
-            b=self.b,
-            fw=fw,
-            fr=fr,
-            num_readers=self.num_readers,
-            extra_servers=self.extra_servers,
-            enforce_tradeoff=enforce_tradeoff,
-        )
-
     @classmethod
     def balanced(cls, t: int, b: int, num_readers: int = 2) -> "SystemConfig":
         """A configuration on the feasible frontier with ``fw + fr = t - b``.

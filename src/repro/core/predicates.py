@@ -141,21 +141,9 @@ class ViewTable:
         return self.fast_pw(pair) or self.fast_vw(pair)
 
     # ---------------------------------------------------------------- counts
-    def count_pw(self, pair: TimestampValue) -> int:
-        """Number of responders whose ``pw`` equals *pair*."""
-        return sum(1 for view in self._domain() if view.pw == pair)
-
     def count_w(self, pair: TimestampValue) -> int:
         """Number of responders whose ``w`` equals *pair*."""
         return sum(1 for view in self._domain() if view.w == pair)
-
-    def count_vw(self, pair: TimestampValue) -> int:
-        """Number of responders whose ``vw`` equals *pair*."""
-        return sum(1 for view in self._domain() if view.vw == pair)
-
-    def count_live(self, pair: TimestampValue) -> int:
-        """Number of responders for which ``readLive(pair)`` holds."""
-        return sum(1 for view in self._domain() if view.read_live(pair))
 
     def count_fresher_only(self, pair: TimestampValue) -> int:
         """Number of responders whose every live pair is fresher than *pair*.
@@ -258,17 +246,3 @@ class ViewTable:
         if not candidates:
             return None
         return max(candidates, key=lambda pair: (*pair.order_key, repr(pair.val)))
-
-
-def summarize_views(table: ViewTable) -> str:
-    """Debug helper: a compact dump of the table (used by verbose traces)."""
-    rows = []
-    for server_id in table.config.server_ids():
-        view = table.view(server_id)
-        if not view.responded:
-            continue
-        rows.append(
-            f"{server_id}: rnd={view.round} pw={view.pw} w={view.w} "
-            f"vw={view.vw} frozen=({view.frozen.pair},{view.frozen.read_ts})"
-        )
-    return "\n".join(rows)

@@ -96,16 +96,6 @@ class ProtocolSuite:
         )
 
     # -- convenience ----------------------------------------------------------
-    def create_all(self) -> Dict[str, Automaton]:
-        """Instantiate every process of the deployment keyed by process id."""
-        processes: Dict[str, Automaton] = {}
-        for server_id in self.config.server_ids():
-            processes[server_id] = self.create_server(server_id)
-        processes[self.config.writer_id] = self.create_writer()
-        for reader_id in self.config.reader_ids():
-            processes[reader_id] = self.create_reader(reader_id)
-        return processes
-
     def describe(self) -> Dict[str, Any]:
         return {
             "name": self.name,

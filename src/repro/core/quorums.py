@@ -107,11 +107,6 @@ def read_read_lock_guarantee(config: SystemConfig) -> QuorumCertificate:
     )
 
 
-def safety_margin_over_byzantine(config: SystemConfig) -> int:
-    """How many honest confirmations exceed the Byzantine budget for a fast READ."""
-    return read_read_lock_guarantee(config).intersection - config.b
-
-
 def required_servers_for_two_round_write(t: int, b: int, fr: int) -> int:
     """Appendix C bound: ``S >= 2t + b + min(b, fr) + 1`` (Proposition 5)."""
     return 2 * t + b + min(b, fr) + 1

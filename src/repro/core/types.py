@@ -92,18 +92,6 @@ class TimestampValue(SlotsPickleMixin):
         """The lexicographic ordering key ``(ts, writer_id)``."""
         return (self.ts, self.writer_id)
 
-    def newer_than(self, other: "TimestampValue") -> bool:
-        """``True`` iff this pair is strictly higher in ``(ts, writer_id)``."""
-        return self.order_key > other.order_key
-
-    def at_least(self, other: "TimestampValue") -> bool:
-        """``True`` iff this pair's ``(ts, writer_id)`` is >= the other's."""
-        return self.order_key >= other.order_key
-
-    def conflicts_with(self, other: "TimestampValue") -> bool:
-        """Same ``(ts, writer_id)`` but different value (impossible honestly)."""
-        return self.order_key == other.order_key and self.val != other.val
-
     def replace_if_newer(self, candidate: "TimestampValue") -> "TimestampValue":
         """The server ``update()`` helper of Fig. 3 (line 17)."""
         if candidate.order_key > self.order_key:
@@ -135,10 +123,6 @@ class FrozenEntry(SlotsPickleMixin):
 
     pair: TimestampValue = INITIAL_PAIR
     read_ts: int = INITIAL_READ_TIMESTAMP
-
-    def matches_read(self, read_ts: int) -> bool:
-        """``True`` iff this entry was frozen for the READ with *read_ts*."""
-        return self.read_ts == read_ts
 
 
 #: Initial per-reader frozen entry ``<<ts0, ⊥>, tsr0>``.

@@ -252,8 +252,8 @@ class MemoryWAL:
 
     The simulator injects crashes at event granularity, so a "torn tail" never
     arises naturally; :meth:`drop_tail` models it — a
-    :class:`~repro.sim.failures.CrashRecoverySchedule` entry may declare that a
-    crash loses its last N appended records (they were written but their batch
+    :class:`~repro.sim.failures.CrashWindow` may declare that a crash loses its
+    last N appended records (they were written but their batch
     had not fsync'd yet).
     """
 

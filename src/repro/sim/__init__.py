@@ -15,7 +15,6 @@ from .byzantine import (
 from .cluster import DROP, OperationHandle, SimCluster, SimulationError
 from .events import DeliveryEvent, EventQueue, InvocationEvent, TimerEvent
 from .failures import (
-    CrashRecoverySchedule,
     FailureSchedule,
     GrayWindow,
     NetworkSchedule,
@@ -31,7 +30,7 @@ from .latency import (
     UniformDelay,
 )
 from .topology import PROFILE_NAMES, DelayModelTopology, LinkMetrics, Topology
-from .trace import MessageTrace, TraceEntry
+from .trace import MessageTrace
 
 __all__ = [
     "ByzantineStrategy",
@@ -52,7 +51,6 @@ __all__ = [
     "EventQueue",
     "InvocationEvent",
     "TimerEvent",
-    "CrashRecoverySchedule",
     "FailureSchedule",
     "GrayWindow",
     "NetworkSchedule",
@@ -69,5 +67,4 @@ __all__ = [
     "LinkMetrics",
     "Topology",
     "MessageTrace",
-    "TraceEntry",
 ]

@@ -2,8 +2,8 @@
 
 :class:`SimCluster` instantiates every process of a protocol suite, runs the
 virtual-time event loop, injects crash and Byzantine failures, applies a delay
-model per message, and records both a message trace and an operation history
-(for the atomicity/regularity checkers).
+model per message, counts the messages it delivers and drops, and records an
+operation history (for the atomicity/regularity checkers).
 
 Typical use::
 
@@ -40,7 +40,7 @@ from ..verify.history import History
 from ..wire import Codec, get_codec
 from .byzantine import ByzantineStrategy, MaliciousServer
 from .events import DeliveryEvent, EventQueue, InvocationEvent, TimerEvent
-from .failures import FailureSchedule
+from .failures import CrashWindow, FailureSchedule
 from .latency import DelayModel, FixedDelay
 from .topology import Topology
 from .trace import MessageTrace
@@ -224,21 +224,20 @@ class SimCluster:
                 "WAL to recover from"
             )
         server_set = set(self.config.server_ids())
-        for event in recoveries:
-            if event.process_id not in server_set:
+        for process_id, window in recoveries:
+            if process_id not in server_set:
                 raise ValueError(
-                    f"only servers can recover from a WAL; {event.process_id!r} "
-                    "is a client"
+                    f"only servers can recover from a WAL; {process_id!r} is a client"
                 )
             self.queue.push(
-                event.at,
+                window.recover_at,
                 InvocationEvent(
-                    label=f"recover:{event.process_id}",
-                    action=lambda e=event: self._scheduled_recovery(e),
+                    label=f"recover:{process_id}",
+                    action=lambda p=process_id, w=window: self._scheduled_recovery(p, w),
                 ),
             )
 
-    def _scheduled_recovery(self, event) -> None:
+    def _scheduled_recovery(self, process_id: str, window: CrashWindow) -> None:
         """Fire a schedule-driven recovery unless its window was closed early.
 
         A manual :meth:`recover_server` call rewrites the crash window to end
@@ -247,10 +246,8 @@ class SimCluster:
         (records whose acks were already quorum-counted) and bump the
         incarnation a second time.
         """
-        windows = getattr(self.failures, "windows", {}).get(event.process_id, ())
-        if not any(window.recover_at == event.at for window in windows):
-            return
-        self.recover_server(event.process_id, lose_tail=event.lose_tail)
+        if window in self.failures.windows.get(process_id, ()):
+            self.recover_server(process_id, lose_tail=window.lose_tail)
 
     # ------------------------------------------------------------ inspection
     @property
@@ -271,9 +268,9 @@ class SimCluster:
     def correct_servers(self) -> List[str]:
         """Servers that are neither Byzantine nor crashed-forever.
 
-        A server that crashes but *recovers* (a durable cluster under a
-        :class:`~repro.sim.failures.CrashRecoverySchedule`) counts as correct:
-        it rejoins with its WAL state and serves quorums again.
+        A server whose crash window ends in a recovery (on a durable cluster)
+        counts as correct: it rejoins with its WAL state and serves quorums
+        again.
         """
         crashed = self.failures.permanently_crashed()
         return [
@@ -321,19 +318,12 @@ class SimCluster:
             raise ValueError(
                 "recover_server requires a durable cluster (durable=True)"
             )
-        if self.failures.is_crashed(server_id, self.now) and not self.failures.mark_recovered(
-            server_id, self.now
-        ):
-            raise ValueError(
-                f"{server_id!r} is crashed under a schedule that cannot express "
-                "recovery; crash servers you intend to recover through a "
-                "CrashRecoverySchedule"
-            )
+        self.failures.mark_recovered(server_id, self.now)
         wal = self.wals[server_id]
         if lose_tail:
             wal.drop_tail(lose_tail)
         for destination, frame in self.hosts[server_id].drain():
-            self._drop(server_id, destination, frame, self.now, "crashed")
+            self._drop(server_id, destination, frame, "crashed")
         self._host(
             recover_server(
                 self._build_server(server_id),
@@ -450,29 +440,26 @@ class SimCluster:
     def _deliver(self, event: DeliveryEvent) -> None:
         # A Batch envelope is one delivery event (the delay model charged one
         # network traversal for the whole frame) but its payload messages are
-        # traced and stepped individually, so protocol logic and per-kind
+        # counted and stepped individually, so protocol logic and per-kind
         # message statistics never see the envelope.  The host has closed the
         # frame's WAL append before it returns; the heap breaks ties by push
         # order, so each message's effects are applied whole, in frame order.
-        source, destination, sent = event.source, event.destination, event.send_time
+        source, destination = event.source, event.destination
         host = self.hosts.get(destination)
         if host is None or self.failures.is_crashed(destination, self.now):
             reason = "unknown" if host is None else "crashed"
-            self._drop(source, destination, event.message, sent, reason)
+            self._drop(source, destination, event.message, reason)
             return
         for message, effects in host.deliver(event.message):
             if effects is None:
-                self.trace.record_drop(source, destination, message, sent, "stale-epoch")
+                self.trace.record_drop(source, destination, "stale-epoch")
             else:
-                self.trace.record_delivery(source, destination, message, sent, self.now)
+                self.trace.record_delivery(source, destination, message.kind)
                 self.inject(destination, effects)
 
-    def _drop(
-        self, source: str, destination: str, frame: Message, send_time: float, reason: str
-    ) -> None:
-        """Trace every protocol message carried by *frame* as dropped."""
-        for message in iter_unbatched(frame):
-            self.trace.record_drop(source, destination, message, send_time, reason)
+    def _drop(self, source: str, destination: str, frame: Message, reason: str) -> None:
+        """Count every protocol message carried by *frame* as dropped."""
+        self.trace.record_drop(source, destination, reason, len(iter_unbatched(frame)))
 
     def _fire_timer(self, event: TimerEvent) -> None:
         host = self.hosts.get(event.process_id)
@@ -540,7 +527,7 @@ class SimCluster:
         if self.message_filter is not None:
             verdict = self.message_filter(source, destination, message, self.now)
             if verdict is DROP:
-                self.trace.record_drop(source, destination, message, self.now, "filtered")
+                self.trace.record_drop(source, destination, "filtered")
                 return
             if verdict is not None:
                 self._push_explicit(source, destination, message, float(verdict))
@@ -568,7 +555,7 @@ class SimCluster:
         crashed = self.failures.is_crashed(source, self.now)
         for destination, frame in self.hosts[source].drain():
             if crashed:
-                self._drop(source, destination, frame, self.now, "crashed")
+                self._drop(source, destination, frame, "crashed")
             else:
                 self._transmit(source, destination, frame)
 
@@ -610,15 +597,12 @@ class SimCluster:
             # (it is counted as sent) but dies in the network.  The sender's
             # timer-driven termination path covers the missing replies, just
             # as it covers a crashed responder.
-            self._drop(source, destination, message, self.now, "partitioned")
+            self._drop(source, destination, message, "partitioned")
             return
         self._push_delivery(departure + float(delay), source, destination, message)
 
     def _push_delivery(self, at: float, source: str, destination: str, message: Message) -> None:
-        event = DeliveryEvent(
-            source=source, destination=destination, message=message, send_time=self.now
-        )
-        self.queue.push(at, event)
+        self.queue.push(at, DeliveryEvent(source=source, destination=destination, message=message))
 
     # --------------------------------------------------------------- history
     def history(self) -> History:

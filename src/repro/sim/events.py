@@ -44,7 +44,6 @@ class DeliveryEvent:
     source: str
     destination: str
     message: Message
-    send_time: float
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,15 +2,15 @@
 
 The paper's model distinguishes crash-faulty processes (they stop taking steps
 at some point in the run) from malicious ones (see :mod:`repro.sim.byzantine`).
-A :class:`FailureSchedule` assigns crash times to processes; the cluster checks
-it before delivering any event and simply drops events addressed to a crashed
-process.  Messages the process sent *before* crashing are unaffected, matching
-the model in Section 2.1.
+A :class:`FailureSchedule` holds one list of crash windows per process; the
+cluster checks it before delivering any event and simply drops events
+addressed to a process inside one.  Messages the process sent *before*
+crashing are unaffected, matching the model in Section 2.1.
 
-:class:`CrashRecoverySchedule` goes beyond the paper: servers crash *and
-recover* (on a durable cluster, by replaying their write-ahead log — see
-:mod:`repro.persist`), so the model bound ``t`` applies to servers down
-*simultaneously* rather than to the total number of crashes over the run.
+A window either lasts for the rest of the run (the paper's crash) or ends in a
+recovery: on a durable cluster the server rejoins by replaying its write-ahead
+log (see :mod:`repro.persist`), so the model bound ``t`` applies to servers
+down *simultaneously* rather than to the total number of crashes over the run.
 
 :class:`NetworkSchedule` covers the *network-side* faults the topology layer
 (:mod:`repro.sim.topology`) routes through its links: time-windowed
@@ -26,92 +26,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
 
-@dataclass
-class FailureSchedule:
-    """Crash times per process id (virtual time); absent means never crashes."""
+@dataclass(frozen=True, slots=True)
+class CrashWindow:
+    """One outage of a process: down from *start* until *recover_at*.
 
-    crash_times: Dict[str, float] = field(default_factory=dict)
-
-    # ----------------------------------------------------------------- build
-    @classmethod
-    def none(cls) -> "FailureSchedule":
-        """No process ever crashes."""
-        return cls()
-
-    @classmethod
-    def crash_at_start(cls, process_ids: Iterable[str]) -> "FailureSchedule":
-        """The given processes crash at the very beginning of the run."""
-        return cls({process_id: 0.0 for process_id in process_ids})
-
-    @classmethod
-    def crash_servers_at_start(cls, count: int, server_ids: List[str]) -> "FailureSchedule":
-        """Crash the first *count* servers of *server_ids* at time zero."""
-        if count > len(server_ids):
-            raise ValueError("cannot crash more servers than exist")
-        return cls.crash_at_start(server_ids[:count])
-
-    # ------------------------------------------------------------- mutation
-    def crash(self, process_id: str, at: float = 0.0) -> "FailureSchedule":
-        """Schedule *process_id* to crash at time *at* (returns ``self``)."""
-        existing = self.crash_times.get(process_id, math.inf)
-        self.crash_times[process_id] = min(existing, at)
-        return self
-
-    # -------------------------------------------------------------- queries
-    def is_crashed(self, process_id: str, now: float) -> bool:
-        """Whether *process_id* has crashed by virtual time *now*."""
-        crash_time = self.crash_times.get(process_id)
-        return crash_time is not None and now >= crash_time
-
-    def crashed_by(self, now: float) -> List[str]:
-        """All processes crashed by *now*."""
-        return [pid for pid, at in self.crash_times.items() if now >= at]
-
-    def crash_count(self, process_ids: Iterable[str], now: float = math.inf) -> int:
-        """How many of *process_ids* crash by *now*."""
-        return sum(1 for pid in process_ids if self.is_crashed(pid, now))
-
-    def permanently_crashed(self) -> Set[str]:
-        """Processes that crash and never recover under this schedule."""
-        return set(self.crash_times)
-
-    def mark_recovered(self, process_id: str, at: float) -> bool:
-        """Close *process_id*'s open crash window at *at*; ``False`` if the
-        schedule cannot express recovery (the base schedule's crashes are
-        final — use a :class:`CrashRecoverySchedule` for recoverable crashes).
-        """
-        return False
-
-    def recovery_events(self) -> List["RecoveryEvent"]:
-        """Scheduled recoveries (none: the base schedule's crashes are final)."""
-        return []
-
-    def max_simultaneous_faulty(
-        self, server_ids: Iterable[str], always_faulty: Iterable[str] = ()
-    ) -> int:
-        """The peak number of *server_ids* faulty at any one instant.
-
-        *always_faulty* names servers faulty for the whole run (Byzantine
-        ones).  Without recovery every crash is permanent, so the peak is just
-        the union's size; :class:`CrashRecoverySchedule` overrides this with a
-        sweep over its crash/recovery windows.
-        """
-        servers = set(server_ids)
-        return len((set(self.crash_times) & servers) | (set(always_faulty) & servers))
-
-    def validate(self, server_ids: List[str], t: int) -> None:
-        """Assert the schedule respects the model's bound of ``t`` faulty servers."""
-        crashed_servers = [pid for pid in self.crash_times if pid in set(server_ids)]
-        if len(crashed_servers) > t:
-            raise ValueError(
-                f"failure schedule crashes {len(crashed_servers)} servers "
-                f"but the model tolerates at most t = {t}"
-            )
-
-
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One scheduled recovery: *process_id* rejoins at *at* from its WAL.
+    ``recover_at`` is exclusive (the process is alive again at that instant)
+    and ``math.inf`` means the crash is permanent.
 
     ``lose_tail`` models a torn WAL tail: that many of the records appended
     last had not reached their fsync when the crash hit, so recovery replays
@@ -129,19 +49,6 @@ class RecoveryEvent:
     acknowledged records this way.
     """
 
-    process_id: str
-    at: float
-    lose_tail: int = 0
-
-
-@dataclass(frozen=True)
-class CrashWindow:
-    """One outage of a process: down from *start* until *recover_at*.
-
-    ``recover_at`` is exclusive (the process is alive again at that instant)
-    and ``math.inf`` means the crash is permanent.
-    """
-
     start: float
     recover_at: float = math.inf
     lose_tail: int = 0
@@ -151,29 +58,41 @@ class CrashWindow:
 
 
 @dataclass
-class CrashRecoverySchedule(FailureSchedule):
-    """Crash *and recovery* times per process.
+class FailureSchedule:
+    """Crash windows per process id (virtual time); absent means never crashes.
 
-    Each process may go through any number of crash/recover windows.  Between
-    windows the process is up and — when the hosting cluster runs durable
-    servers — rejoins with its write-ahead-logged state, so the *total* number
-    of distinct crashes over a run may exceed the resilience bound ``t``; what
-    the model (and :meth:`validate`) bounds is how many servers are down
-    *simultaneously*::
+    Each process may go through any number of disjoint windows::
 
         schedule = (
-            CrashRecoverySchedule()
+            FailureSchedule()
             .crash("s1", at=10.0, recover_at=20.0)
             .crash("s2", at=30.0, recover_at=40.0, lose_tail=2)
-            .crash("s3", at=50.0)          # permanent, like the base schedule
+            .crash("s3", at=50.0)          # permanent
         )
-
-    The inherited ``crash_times`` mapping keeps the *first* crash time of each
-    process, so code that only understands the base schedule (traces, quick
-    queries) still sees something sensible.
     """
 
     windows: Dict[str, List[CrashWindow]] = field(default_factory=dict)
+
+    # ----------------------------------------------------------------- build
+    @classmethod
+    def none(cls) -> "FailureSchedule":
+        """No process ever crashes."""
+        return cls()
+
+    @classmethod
+    def crash_at_start(cls, process_ids: Iterable[str]) -> "FailureSchedule":
+        """The given processes crash at the very beginning of the run."""
+        schedule = cls()
+        for process_id in process_ids:
+            schedule.crash(process_id)
+        return schedule
+
+    @classmethod
+    def crash_servers_at_start(cls, count: int, server_ids: List[str]) -> "FailureSchedule":
+        """Crash the first *count* servers of *server_ids* at time zero."""
+        if count > len(server_ids):
+            raise ValueError("cannot crash more servers than exist")
+        return cls.crash_at_start(server_ids[:count])
 
     # ------------------------------------------------------------- mutation
     def crash(
@@ -182,72 +101,71 @@ class CrashRecoverySchedule(FailureSchedule):
         at: float = 0.0,
         recover_at: float = math.inf,
         lose_tail: int = 0,
-    ) -> "CrashRecoverySchedule":
-        """Schedule an outage of *process_id* over ``[at, recover_at)``."""
+    ) -> "FailureSchedule":
+        """Schedule an outage of *process_id* over ``[at, recover_at)``.
+
+        Crashing a process that is already down for good keeps the earlier
+        start; any other overlap between two windows is an error.
+        """
         if recover_at <= at:
             raise ValueError(
                 f"recovery at {recover_at} must come strictly after the crash at {at}"
             )
         if lose_tail < 0:
             raise ValueError("lose_tail must be non-negative")
+        others = self.windows.get(process_id, [])
+        if recover_at == math.inf and others and others[-1].recover_at == math.inf:
+            at = min(at, others[-1].start)
+            others = others[:-1]
         window = CrashWindow(start=at, recover_at=recover_at, lose_tail=lose_tail)
-        existing = self.windows.setdefault(process_id, [])
-        for other in existing:
+        for other in others:
             if window.start < other.recover_at and other.start < window.recover_at:
                 raise ValueError(
-                    f"overlapping crash windows for {process_id!r}: "
-                    f"{other} and {window}"
+                    f"overlapping crash windows for {process_id!r}: {other} and {window}"
                 )
-        existing.append(window)
-        existing.sort(key=lambda w: w.start)
-        first = self.crash_times.get(process_id, math.inf)
-        self.crash_times[process_id] = min(first, at)
+        self.windows[process_id] = sorted([*others, window], key=lambda w: w.start)
         return self
+
+    def mark_recovered(self, process_id: str, at: float) -> None:
+        """Close the window covering *at* so *process_id* is alive from *at* on.
+
+        Used by manual (non-scheduled) recovery: ``cluster.crash("s1")``
+        followed by ``cluster.recover_server("s1")`` must actually end the
+        outage, or the schedule would keep dropping the recovered server's
+        messages forever.  A process already up at *at* is left as it is.
+        """
+        windows = self.windows.get(process_id, [])
+        for index, window in enumerate(windows):
+            if window.covers(at):
+                if at > window.start:
+                    windows[index] = CrashWindow(window.start, at, window.lose_tail)
+                else:  # recovered at the crash instant: the outage never was
+                    del windows[index]
+                return
 
     # -------------------------------------------------------------- queries
     def is_crashed(self, process_id: str, now: float) -> bool:
-        return any(window.covers(now) for window in self.windows.get(process_id, ()))
-
-    def crashed_by(self, now: float) -> List[str]:
-        return [pid for pid in self.windows if self.is_crashed(pid, now)]
+        """Whether *process_id* is inside one of its crash windows at *now*."""
+        windows = self.windows.get(process_id)
+        return bool(windows) and any(window.covers(now) for window in windows)
 
     def permanently_crashed(self) -> Set[str]:
+        """Processes that crash and never recover under this schedule."""
         return {
             pid
             for pid, windows in self.windows.items()
             if windows and windows[-1].recover_at == math.inf
         }
 
-    def recovery_events(self) -> List[RecoveryEvent]:
+    def recovery_events(self) -> List[Tuple[str, CrashWindow]]:
+        """Every window that ends in a recovery, ordered by recovery time."""
         events = [
-            RecoveryEvent(
-                process_id=pid, at=window.recover_at, lose_tail=window.lose_tail
-            )
+            (pid, window)
             for pid, windows in self.windows.items()
             for window in windows
             if window.recover_at != math.inf
         ]
-        return sorted(events, key=lambda event: (event.at, event.process_id))
-
-    def mark_recovered(self, process_id: str, at: float) -> bool:
-        """Close the window covering *at* so *process_id* is alive from *at* on.
-
-        Used by manual (non-scheduled) recovery: ``cluster.crash("s1")``
-        followed by ``cluster.recover_server("s1")`` must actually end the
-        outage, or the schedule would keep dropping the recovered server's
-        messages forever.
-        """
-        windows = self.windows.get(process_id, [])
-        for index, window in enumerate(windows):
-            if window.covers(at):
-                if at > window.start:
-                    windows[index] = CrashWindow(
-                        start=window.start, recover_at=at, lose_tail=window.lose_tail
-                    )
-                else:  # recovered at the crash instant: the outage never was
-                    del windows[index]
-                return True
-        return True  # nothing to close: the process is already up at *at*
+        return sorted(events, key=lambda event: (event[1].recover_at, event[0]))
 
     def total_crashes(self, process_ids: Iterable[str]) -> int:
         """Total number of distinct crash events scheduled for *process_ids*."""
@@ -257,32 +175,25 @@ class CrashRecoverySchedule(FailureSchedule):
     def max_simultaneous_faulty(
         self, server_ids: Iterable[str], always_faulty: Iterable[str] = ()
     ) -> int:
+        """The peak number of *server_ids* faulty at any one instant.
+
+        *always_faulty* names servers faulty for the whole run (Byzantine
+        ones).  The peak is reached at the start of some crash window, so
+        probing each start is a complete sweep.
+        """
         servers = set(server_ids)
         always = set(always_faulty) & servers
         peak = len(always)
-        probes: List[Tuple[float, str]] = [
-            (window.start, pid)
+        starts = [
+            window.start
             for pid, windows in self.windows.items()
             if pid in servers
             for window in windows
         ]
-        for at, _ in probes:
-            down = {
-                pid
-                for pid, windows in self.windows.items()
-                if pid in servers and any(w.covers(at) for w in windows)
-            }
+        for at in starts:
+            down = {pid for pid in servers if self.is_crashed(pid, at)}
             peak = max(peak, len(down | always))
         return peak
-
-    def validate(self, server_ids: List[str], t: int) -> None:
-        """Bound the *simultaneous* outages by ``t`` (total crashes may exceed it)."""
-        peak = self.max_simultaneous_faulty(server_ids)
-        if peak > t:
-            raise ValueError(
-                f"failure schedule has {peak} servers down simultaneously "
-                f"but the model tolerates at most t = {t}"
-            )
 
 
 @dataclass(frozen=True)

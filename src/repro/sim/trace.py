@@ -1,91 +1,46 @@
-"""Message tracing and statistics for simulated runs.
+"""Message counts of simulated runs.
 
-Every delivered (and every dropped) message is recorded so tests can assert
-communication patterns ("the fast READ exchanged exactly one round of
-messages") and so the scalability benchmark can report message complexity.
+Every delivered and every dropped protocol message is counted, so tests can
+assert communication patterns ("the fast READ exchanged exactly one round of
+messages") and experiments can report message complexity.  Only counts are
+kept: ``delivered`` is keyed by ``(source, destination, kind)`` and
+``dropped`` by ``(source, destination, reason)``, so a run's trace stays as
+small as its set of links however long it runs.  A test that needs the
+traffic of one interval takes a copy of a counter at its start and subtracts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from ..core.messages import Message
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    """One message transmission attempt."""
-
-    source: str
-    destination: str
-    kind: str
-    send_time: float
-    deliver_time: Optional[float]
-    dropped: bool = False
-    drop_reason: str = ""
+from typing import Dict, Tuple
 
 
 @dataclass
 class MessageTrace:
-    """Accumulates :class:`TraceEntry` records during a simulation."""
+    """Delivered messages by link and kind, dropped ones by link and reason."""
 
-    entries: List[TraceEntry] = field(default_factory=list)
+    delivered: Counter[Tuple[str, str, str]] = field(default_factory=Counter)
+    dropped: Counter[Tuple[str, str, str]] = field(default_factory=Counter)
 
-    def record_delivery(
-        self, source: str, destination: str, message: Message, send_time: float, deliver_time: float
-    ) -> None:
-        self.entries.append(
-            TraceEntry(
-                source=source,
-                destination=destination,
-                kind=message.kind,
-                send_time=send_time,
-                deliver_time=deliver_time,
-            )
-        )
+    def record_delivery(self, source: str, destination: str, kind: str) -> None:
+        self.delivered[(source, destination, kind)] += 1
 
-    def record_drop(
-        self, source: str, destination: str, message: Message, send_time: float, reason: str
-    ) -> None:
-        self.entries.append(
-            TraceEntry(
-                source=source,
-                destination=destination,
-                kind=message.kind,
-                send_time=send_time,
-                deliver_time=None,
-                dropped=True,
-                drop_reason=reason,
-            )
-        )
+    def record_drop(self, source: str, destination: str, reason: str, messages: int = 1) -> None:
+        self.dropped[(source, destination, reason)] += messages
 
     # ---------------------------------------------------------------- queries
-    def delivered(self) -> List[TraceEntry]:
-        return [entry for entry in self.entries if not entry.dropped]
-
-    def dropped(self) -> List[TraceEntry]:
-        return [entry for entry in self.entries if entry.dropped]
-
     def count_by_kind(self) -> Dict[str, int]:
-        return dict(Counter(entry.kind for entry in self.delivered()))
-
-    def count_by_destination(self) -> Dict[str, int]:
-        return dict(Counter(entry.destination for entry in self.delivered()))
-
-    def messages_between(self, start: float, end: float) -> List[TraceEntry]:
-        """Delivered messages sent within the half-open interval ``[start, end)``."""
-        return [
-            entry
-            for entry in self.delivered()
-            if start <= entry.send_time < end
-        ]
+        """Delivered messages per kind, in order of each kind's first delivery."""
+        counts: Dict[str, int] = {}
+        for (_source, _destination, kind), count in self.delivered.items():
+            counts[kind] = counts.get(kind, 0) + count
+        return counts
 
     def total_messages(self) -> int:
-        return len(self.delivered())
+        return sum(self.delivered.values())
 
     def summary(self) -> Dict[str, int]:
-        summary = {"delivered": len(self.delivered()), "dropped": len(self.dropped())}
+        summary = {"delivered": self.total_messages(), "dropped": sum(self.dropped.values())}
         summary.update(self.count_by_kind())
         return summary

@@ -101,6 +101,3 @@ class RegisterEvictionStore:
 
     def register_ids(self) -> List[str]:
         return sorted(self._blobs)
-
-    def bytes_held(self) -> int:
-        return sum(len(blob) for blob in self._blobs.values())

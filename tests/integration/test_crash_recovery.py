@@ -14,7 +14,7 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.persist.durable import storage_registers
 from repro.sim.cluster import SimCluster
-from repro.sim.failures import CrashRecoverySchedule, FailureSchedule
+from repro.sim.failures import FailureSchedule
 from repro.sim.latency import FixedDelay
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
@@ -27,7 +27,7 @@ CONFIG = SystemConfig(t=1, b=0, fw=1, fr=0)
 def rolling_schedule():
     """Three outages, one per server: 3 total crashes > t=1, never 2 at once."""
     return (
-        CrashRecoverySchedule()
+        FailureSchedule()
         .crash("s1", at=5.0, recover_at=15.0)
         .crash("s2", at=25.0, recover_at=35.0)
         .crash("s3", at=45.0, recover_at=55.0)
@@ -57,7 +57,7 @@ class TestAtomicityAcrossRecoveries:
         assert all(cluster.incarnation(sid) == 1 for sid in CONFIG.server_ids())
 
     def test_recovered_server_rejoins_with_pre_crash_state(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=5.0, recover_at=30.0)
+        schedule = FailureSchedule().crash("s1", at=5.0, recover_at=30.0)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
             delay_model=FixedDelay(1.0),
@@ -98,10 +98,7 @@ class TestAtomicityAcrossRecoveries:
     def test_manual_crash_then_recover_revives_the_server(self):
         """cluster.crash() + recover_server() must actually end the outage."""
         cluster = SimCluster(
-            LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
-            failures=CrashRecoverySchedule(),
-            durable=True,
+            LuckyAtomicProtocol(CONFIG), delay_model=FixedDelay(1.0), durable=True
         )
         cluster.write("v0")
         cluster.crash("s1")
@@ -109,16 +106,14 @@ class TestAtomicityAcrossRecoveries:
         assert cluster.is_crashed("s1")
         cluster.recover_server("s1")
         assert not cluster.is_crashed("s1")
-        recovery_time = cluster.now
+        at_recovery = cluster.trace.delivered.copy()
         cluster.write("v2")
         cluster.run_until_quiescent()
         # The revived server receives traffic again and its state advances.
-        delivered = [
-            e
-            for e in cluster.trace.delivered()
-            if e.destination == "s1" and e.send_time >= recovery_time
-        ]
-        assert delivered, "no message reached s1 after its manual recovery"
+        since = cluster.trace.delivered - at_recovery
+        assert any(destination == "s1" for _, destination, _ in since), (
+            "no message reached s1 after its manual recovery"
+        )
         assert storage_registers(cluster.server("s1"))[""].pw.val == "v2"
         assert cluster.incarnation("s1") == 1
         assert check_atomicity(cluster.history()).ok
@@ -129,9 +124,7 @@ class TestAtomicityAcrossRecoveries:
         The stale event would drop the *live* incarnation's WAL tail (records
         whose acks were already quorum-counted) and bump the incarnation a
         second time."""
-        schedule = CrashRecoverySchedule().crash(
-            "s1", at=5.0, recover_at=40.0, lose_tail=2
-        )
+        schedule = FailureSchedule().crash("s1", at=5.0, recover_at=40.0, lose_tail=2)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
             delay_model=FixedDelay(1.0),
@@ -153,18 +146,26 @@ class TestAtomicityAcrossRecoveries:
         assert storage_registers(cluster.server("s1"))[""].pw.val == "v3"
         assert check_atomicity(cluster.history()).ok
 
-    def test_recover_after_inexpressible_crash_raises(self):
-        """A plain FailureSchedule cannot recover: crashes are final there."""
-        cluster = SimCluster(
-            LuckyAtomicProtocol(CONFIG), delay_model=FixedDelay(1.0), durable=True
+    def test_sharded_store_recovers_on_the_default_schedule(self):
+        """The store surface crashes and recovers through the same schedule."""
+        store = ShardedSimStore(
+            LuckyAtomicProtocol(CONFIG), ["k1", "k2"], delay_model=FixedDelay(1.0), durable=True
         )
-        cluster.write("v0")
-        cluster.crash("s1")
-        with pytest.raises(ValueError, match="CrashRecoverySchedule"):
-            cluster.recover_server("s1")
+        store.write("k1", "v0")
+        store.crash("s1")
+        store.write("k2", "v1")
+        store.recover_server("s1")
+        at_recovery = store.cluster.trace.delivered.copy()
+        store.write("k1", "v2")
+        assert store.read("k2").value == "v1"
+        store.run_until_quiescent()
+        since = store.cluster.trace.delivered - at_recovery
+        assert any(destination == "s1" for _, destination, _ in since)
+        assert store.incarnation("s1") == 1
+        assert store.verify_atomic()
 
     def test_snapshot_compaction_mid_run(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=40.0, recover_at=50.0)
+        schedule = FailureSchedule().crash("s1", at=40.0, recover_at=50.0)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
             delay_model=FixedDelay(1.0),
@@ -192,7 +193,7 @@ class TestStaleEpochRejection:
         client that has heard nothing from the new incarnation: no real
         process could tell it is stale, so it is delivered and counted — and
         under fsync-before-ack what it acknowledges survived the crash."""
-        schedule = CrashRecoverySchedule().crash("s1", at=1.5, recover_at=1.8)
+        schedule = FailureSchedule().crash("s1", at=1.5, recover_at=1.8)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
             delay_model=FixedDelay(1.0),
@@ -204,11 +205,14 @@ class TestStaleEpochRejection:
         write = cluster.start_write("v1")
         cluster.run(until=lambda: write.done)
         assert cluster.incarnation("s1") == 1
-        assert not [e for e in cluster.trace.dropped() if e.drop_reason == "stale-epoch"]
-        straggler = [
-            e for e in cluster.trace.delivered() if e.source == "s1" and e.destination == "w"
-        ]
-        assert [e.send_time for e in straggler] == [1.0]
+        assert not [key for key in cluster.trace.dropped if key[2] == "stale-epoch"]
+        # The only s1 -> w message is the ack the first incarnation sent at t=1.
+        s1_to_writer = {
+            kind: count
+            for (source, destination, kind), count in cluster.trace.delivered.items()
+            if (source, destination) == ("s1", "w")
+        }
+        assert s1_to_writer == {"PreWriteAck": 1}
         assert write.fast
         # The ack is true: its record was in the log before it left.
         assert storage_registers(cluster.server("s1"))[""].pw.val == "v1"
@@ -220,9 +224,7 @@ class TestStaleEpochRejection:
         """The same ack arriving *after* any message of the new incarnation
         must not be counted by a pending operation: the recovered state (torn
         tail) may not cover what was acknowledged."""
-        schedule = CrashRecoverySchedule().crash(
-            "s1", at=1.5, recover_at=1.8, lose_tail=10
-        )
+        schedule = FailureSchedule().crash("s1", at=1.5, recover_at=1.8, lose_tail=10)
 
         def crawl(source, destination, message, now):
             # s1's pre-crash ack (sent at t=1) lands at t=20.
@@ -241,12 +243,12 @@ class TestStaleEpochRejection:
         assert storage_registers(cluster.server("s1"))[""].pw.val != "v1"
         cluster.write("v2")  # s1 acknowledges under epoch 1: the writer has heard
         cluster.run_until_quiescent()
-        stale = [e for e in cluster.trace.dropped() if e.drop_reason == "stale-epoch"]
-        assert [(e.source, e.destination, e.send_time) for e in stale] == [("s1", "w", 1.0)]
+        stale = {key: n for key, n in cluster.trace.dropped.items() if key[2] == "stale-epoch"}
+        assert stale == {("s1", "w", "stale-epoch"): 1}
         assert check_atomicity(cluster.history()).ok
 
     def test_new_incarnation_acks_are_accepted(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=2.0, recover_at=6.0)
+        schedule = FailureSchedule().crash("s1", at=2.0, recover_at=6.0)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
             delay_model=FixedDelay(1.0),
@@ -254,18 +256,19 @@ class TestStaleEpochRejection:
             durable=True,
         )
         cluster.run_for(8.0)
+        after_recovery = cluster.trace.delivered.copy()
         cluster.write("post-recovery")
-        delivered_from_s1 = [
-            e for e in cluster.trace.delivered() if e.source == "s1" and e.send_time > 6.0
-        ]
-        assert delivered_from_s1, "the recovered incarnation's replies must flow"
+        since = cluster.trace.delivered - after_recovery
+        assert any(source == "s1" for source, _, _ in since), (
+            "the recovered incarnation's replies must flow"
+        )
 
 
 class TestShardedDurableStore:
     def test_keyspace_workload_across_recoveries(self):
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
         schedule = (
-            CrashRecoverySchedule()
+            FailureSchedule()
             .crash("s1", at=10.0, recover_at=30.0)
             .crash("s2", at=50.0, recover_at=70.0)
         )
@@ -329,12 +332,12 @@ class TestRecoverySweep:
 
 class TestRecoveryGuards:
     def test_recovery_schedule_requires_durable_cluster(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=1.0, recover_at=2.0)
+        schedule = FailureSchedule().crash("s1", at=1.0, recover_at=2.0)
         with pytest.raises(ValueError, match="durable"):
             SimCluster(LuckyAtomicProtocol(CONFIG), failures=schedule)
 
     def test_client_recovery_is_rejected(self):
-        schedule = CrashRecoverySchedule().crash("r1", at=1.0, recover_at=2.0)
+        schedule = FailureSchedule().crash("r1", at=1.0, recover_at=2.0)
         with pytest.raises(ValueError, match="client"):
             SimCluster(LuckyAtomicProtocol(CONFIG), failures=schedule, durable=True)
 
@@ -345,7 +348,7 @@ class TestRecoveryGuards:
 
     def test_permanent_crashes_still_bounded_by_t(self):
         # Two *permanent* crashes exceed t=1 even under a recovery schedule.
-        schedule = CrashRecoverySchedule().crash("s1", at=1.0).crash("s2", at=2.0)
+        schedule = FailureSchedule().crash("s1", at=1.0).crash("s2", at=2.0)
         with pytest.raises(ValueError, match="simultaneously"):
             SimCluster(LuckyAtomicProtocol(CONFIG), failures=schedule, durable=True)
 

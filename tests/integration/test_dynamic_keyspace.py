@@ -12,7 +12,7 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import is_bottom
 from repro.runtime.cluster import ShardedAsyncCluster
-from repro.sim.failures import CrashRecoverySchedule
+from repro.sim.failures import FailureSchedule
 from repro.sim.latency import UniformDelay
 from repro.store.sim import ShardedSimStore
 from repro.store.surface import find_router
@@ -52,7 +52,7 @@ class TestDynamicMembership:
         keys = [f"k{index}" for index in range(12)]
 
         def run(declared):
-            outage = CrashRecoverySchedule().crash("s1", at=40.0, recover_at=55.0, lose_tail=1)
+            outage = FailureSchedule().crash("s1", at=40.0, recover_at=55.0, lose_tail=1)
             store = ShardedSimStore(
                 LuckyAtomicProtocol(config()),
                 keys if declared else [],
@@ -149,11 +149,7 @@ class TestEvictionRoundTrip:
         assert store.read("b").value == "2"  # still rehydratable
 
     def test_durable_recovery_mid_eviction(self):
-        from repro.sim.failures import CrashRecoverySchedule
-
-        store = bounded_store(
-            max_resident=2, durable=True, failures=CrashRecoverySchedule()
-        )
+        store = bounded_store(max_resident=2, durable=True)
         for index in range(5):
             store.create_register(f"k{index}")
             store.write(f"k{index}", f"v{index}")

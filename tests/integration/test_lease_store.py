@@ -17,7 +17,6 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
 from repro.sim.byzantine import ForgeHighTimestampStrategy
-from repro.sim.failures import CrashRecoverySchedule
 from repro.sim.latency import FixedDelay
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
@@ -206,7 +205,6 @@ class TestLeaseCrashRecovery:
             lease_duration=lease_duration,
             delay_model=FixedDelay(1.0),
             durable=True,
-            failures=CrashRecoverySchedule(),
         )
 
     def test_crashed_granter_without_recovery_still_safe(self):

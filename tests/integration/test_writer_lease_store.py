@@ -13,7 +13,6 @@ import asyncio
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
-from repro.sim.failures import CrashRecoverySchedule
 from repro.sim.latency import FixedDelay
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
@@ -83,11 +82,7 @@ class TestDualLeaseSim:
 
 class TestCasCrashRecoverySim:
     def build_durable(self, lease_duration=60.0):
-        return build_dual_lease_store(
-            lease_duration=lease_duration,
-            durable=True,
-            failures=CrashRecoverySchedule(),
-        )
+        return build_dual_lease_store(lease_duration=lease_duration, durable=True)
 
     def test_cas_across_a_granter_recovery(self):
         store = self.build_durable()

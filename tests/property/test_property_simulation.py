@@ -21,7 +21,7 @@ from repro.sim.byzantine import (
     StaleReplayStrategy,
 )
 from repro.sim.cluster import SimCluster
-from repro.sim.failures import CrashRecoverySchedule, FailureSchedule
+from repro.sim.failures import FailureSchedule
 from repro.sim.latency import FixedDelay, UniformDelay
 from repro.store.sim import ShardedSimStore
 from repro.variants.regular import RegularStorageProtocol
@@ -64,7 +64,9 @@ def fault_scenarios(draw):
     num_crashes = draw(st.integers(min_value=0, max_value=t - num_byzantine))
     crashed = server_ids[len(server_ids) - num_crashes :] if num_crashes else []
     crash_time = draw(st.floats(min_value=0.0, max_value=30.0))
-    failures = FailureSchedule({server_id: crash_time for server_id in crashed})
+    failures = FailureSchedule()
+    for server_id in crashed:
+        failures.crash(server_id, at=crash_time)
     seed = draw(st.integers(min_value=0, max_value=2**16))
     jitter = draw(st.booleans())
     delay = UniformDelay(0.5, 1.5) if jitter else FixedDelay(1.0)
@@ -284,7 +286,7 @@ def recovery_schedules(draw):
     """One to three outages (t = 1: one server at a time, a quiet gap apart)
     whose crash and recovery instants fall anywhere among the acks a busy
     store keeps in flight."""
-    schedule = CrashRecoverySchedule()
+    schedule = FailureSchedule()
     now = 0.0
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         crash_at = now + draw(st.floats(min_value=0.5, max_value=6.0))

@@ -32,7 +32,7 @@ from repro.persist.snapshot import (
 )
 from repro.persist.wal import MemoryWAL
 from repro.runtime.node import make_durable
-from repro.sim.failures import CrashRecoverySchedule
+from repro.sim.failures import FailureSchedule
 from repro.sim.latency import FixedDelay
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
@@ -371,7 +371,7 @@ def test_memory_snapshot_parity_on_the_simulator():
     """The simulator's store takes the same call; a crash-recovery schedule
     over incremental snapshots still checks atomic."""
     schedule = (
-        CrashRecoverySchedule()
+        FailureSchedule()
         .crash("s1", at=30.0, recover_at=42.0)
         .crash("s2", at=70.0, recover_at=80.0, lose_tail=2)
     )

@@ -170,7 +170,7 @@ class TestSimBatching:
             16, store.keys, store.config.reader_ids(), gap=0.01
         )
         run_store_workload(store, workload)
-        kinds = {entry.kind for entry in store.cluster.trace.entries}
+        kinds = {kind for _, _, kind in store.cluster.trace.delivered}
         # The envelope is transparent: traces (and thus per-kind message
         # statistics) only ever see protocol messages.
         assert "Batch" not in kinds
@@ -191,10 +191,12 @@ class TestSimBatching:
         assert store.read("k1").value == "a"
         assert store.read("k2").value == "b"
         assert dropped, "the filter must have seen individual PreWrites"
-        filtered = [
-            e for e in store.cluster.trace.entries if e.drop_reason == "filtered"
-        ]
-        assert len(filtered) == len(dropped)
+        filtered = sum(
+            count
+            for (_, _, reason), count in store.cluster.trace.dropped.items()
+            if reason == "filtered"
+        )
+        assert filtered == len(dropped)
 
     def test_plain_single_register_suites_are_never_batched(self):
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)

@@ -65,8 +65,8 @@ class TestBuildCluster:
         cluster = build_cluster(
             LuckyAtomicProtocol(config), crash_servers=1, byzantine={"s6": MuteStrategy()}
         )
-        assert "s6" not in cluster.failures.crash_times
-        assert len(cluster.failures.crash_times) == 1
+        crashed = [sid for sid in config.server_ids() if cluster.failures.is_crashed(sid, 0.0)]
+        assert len(crashed) == 1 and "s6" not in crashed
 
     def test_too_many_crashes_raise(self):
         config = SystemConfig(t=1, b=1, fw=0, fr=0)

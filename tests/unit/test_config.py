@@ -18,12 +18,11 @@ class TestServerCount:
     def test_optimal_resilience_formula(self, t, b, expected):
         config = SystemConfig(t=t, b=b, fw=0, fr=0)
         assert config.num_servers == expected
-        assert config.optimal_servers == expected
 
     def test_extra_servers_are_added_on_top(self):
         config = SystemConfig(t=2, b=1, fw=0, fr=0, extra_servers=1)
         assert config.num_servers == 7
-        assert config.optimal_servers == 6
+        assert config.num_servers - config.extra_servers == 2 * config.t + config.b + 1
 
 
 class TestValidation:
@@ -136,13 +135,6 @@ class TestFactories:
         config = SystemConfig.crash_only(t=2)
         assert config.b == 0
         assert config.num_servers == 5
-
-    def test_with_thresholds_copies_other_fields(self):
-        base = SystemConfig(t=3, b=1, fw=0, fr=0, num_readers=4)
-        derived = base.with_thresholds(fw=2, fr=0)
-        assert derived.fw == 2
-        assert derived.num_readers == 4
-        assert derived.t == base.t
 
 
 class TestThresholdEnumeration:

@@ -19,8 +19,9 @@ The drift this suite pins down:
   says prices a hot-path component must be a per-layer metric the e2e
   runner computes.
 * **Retired names** — the names of retired mechanisms (the second timing
-  command, the uvloop opt-in, two simulator knobs, the scenario annotation)
-  appear nowhere in the sources, the CI workflow or the docs.
+  command, the uvloop opt-in, two simulator knobs, the scenario annotation,
+  the second crash schedule, the per-message trace log) appear nowhere in
+  the sources, the CI workflow or the docs.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ _RETIRED_EXPERIMENT = "S6"
 _LEDGER_SECTION = "## Hot-path components in the ledger"
 _METRIC = re.compile(r"`([a-z]+\.[a-z0-9_]+)`")
 #: The per-component timing command and its CI gate, the uvloop opt-in, the
-#: simulator's per-byte line cost and timer-margin knobs, and the
-#: scenario-aware atomicity annotation with its disturbance windows.
+#: simulator's per-byte line cost and timer-margin knobs, the
+#: scenario-aware atomicity annotation with its disturbance windows, the
+#: second crash schedule with its compat mapping, and the per-message log.
 _RETIRED_NAMES = (
     "hotpath",
     "uvloop",
@@ -60,6 +62,9 @@ _RETIRED_NAMES = (
     "under_scenario",
     "ScenarioCheckResult",
     "disturbance_windows",
+    "CrashRecoverySchedule",
+    "crash_times",
+    "TraceEntry",
 )
 
 

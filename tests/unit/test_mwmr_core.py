@@ -28,21 +28,19 @@ class TestLexicographicPairs:
     def test_writer_id_breaks_timestamp_ties(self):
         low = TimestampValue(5, "a", writer_id="r1")
         high = TimestampValue(5, "b", writer_id="w")
-        assert high.newer_than(low)
-        assert not low.newer_than(high)
-        assert high.at_least(low) and high.at_least(high)
+        assert high.order_key > low.order_key
 
     def test_default_writer_id_sorts_below_named_writers(self):
         swmr = TimestampValue(5, "a")
         mwmr = TimestampValue(5, "b", writer_id="r1")
-        assert mwmr.newer_than(swmr)
+        assert mwmr.order_key > swmr.order_key
 
     def test_conflicts_require_equal_pairs(self):
         a = TimestampValue(5, "x", writer_id="w")
         b = TimestampValue(5, "y", writer_id="w")
         c = TimestampValue(5, "y", writer_id="r1")
-        assert a.conflicts_with(b)
-        assert not a.conflicts_with(c)  # different writer: ordered, not equal
+        assert a.order_key == b.order_key and a != b
+        assert a.order_key != c.order_key  # different writer: ordered, not equal
 
     def test_replace_if_newer_uses_order_key(self):
         current = TimestampValue(5, "x", writer_id="r1")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.messages import ReadAck
-from repro.core.predicates import ViewTable, summarize_views
+from repro.core.predicates import ViewTable
 from repro.core.types import INITIAL_PAIR, FrozenEntry, TimestampValue
 
 
@@ -100,10 +100,7 @@ class TestFast:
     def test_counts_are_exposed(self, table):
         table.record_ack(ack("s1", V1, vw=V1))
         table.record_ack(ack("s2", V2, w=V1))
-        assert table.count_pw(V1) == 1
         assert table.count_w(V1) == 2
-        assert table.count_vw(V1) == 1
-        assert table.count_live(V1) == 2
 
 
 class TestInvalid:
@@ -176,12 +173,6 @@ class TestHighCandAndSelection:
         table.record_ack(ack("s3", INITIAL_PAIR, frozen=frozen))
         table.record_ack(ack("s4", INITIAL_PAIR))
         assert V1 in table.selectable(read_ts=3)
-
-    def test_summary_lists_only_responders(self, table):
-        table.record_ack(ack("s3", V1))
-        text = summarize_views(table)
-        assert "s3" in text
-        assert "s1" not in text
 
 
 class TestLiteralDomainMode:

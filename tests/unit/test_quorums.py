@@ -12,7 +12,6 @@ from repro.core.quorums import (
     overlap,
     read_read_lock_guarantee,
     required_servers_for_two_round_write,
-    safety_margin_over_byzantine,
     slow_write_visibility,
 )
 
@@ -70,7 +69,6 @@ class TestCertificates:
         for t in range(1, 5):
             for b in range(0, t + 1):
                 config = SystemConfig(t=t, b=b)
-                assert safety_margin_over_byzantine(config) >= 1
                 assert read_read_lock_guarantee(config).intersection >= b + 1
 
 

@@ -297,9 +297,9 @@ class TestClusterTimerAccounting:
 
 
 class TestEventTypes:
-    def test_delivery_event_carries_message_and_times(self):
+    def test_delivery_event_carries_message(self):
         message = Read(sender="r1", read_ts=1, round=1)
-        event = DeliveryEvent(source="r1", destination="s1", message=message, send_time=0.5)
+        event = DeliveryEvent(source="r1", destination="s1", message=message)
         assert event.message is message
         assert event.destination == "s1"
 

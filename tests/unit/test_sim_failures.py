@@ -1,8 +1,10 @@
 """Unit tests for the crash-failure schedule."""
 
+import math
+
 import pytest
 
-from repro.sim.failures import CrashRecoverySchedule, FailureSchedule
+from repro.sim.failures import CrashWindow, FailureSchedule
 
 
 class TestFailureSchedule:
@@ -35,26 +37,24 @@ class TestFailureSchedule:
         assert schedule.is_crashed("s1", 5.0)
         schedule2 = FailureSchedule().crash("s1", at=5.0).crash("s1", at=10.0)
         assert schedule2.is_crashed("s1", 5.0)
+        assert schedule2.windows["s1"] == [CrashWindow(start=5.0)]
 
-    def test_crashed_by_lists_processes(self):
-        schedule = FailureSchedule({"s1": 1.0, "s2": 5.0})
-        assert schedule.crashed_by(2.0) == ["s1"]
-        assert set(schedule.crashed_by(10.0)) == {"s1", "s2"}
+    def test_permanent_crash_after_a_recovered_outage(self):
+        schedule = FailureSchedule().crash("s1", at=10.0, recover_at=20.0).crash("s1", at=30.0)
+        assert schedule.is_crashed("s1", 15.0)
+        assert not schedule.is_crashed("s1", 25.0)
+        assert schedule.is_crashed("s1", 1e9)
+        assert schedule.permanently_crashed() == {"s1"}
 
-    def test_crash_count_over_subset(self):
-        schedule = FailureSchedule({"s1": 0.0, "r1": 0.0})
-        assert schedule.crash_count(["s1", "s2"]) == 1
-
-    def test_validate_enforces_model_bound(self):
+    def test_peak_counts_every_server_down_at_once(self):
         schedule = FailureSchedule.crash_at_start(["s1", "s2"])
-        schedule.validate(["s1", "s2", "s3"], t=2)
-        with pytest.raises(ValueError):
-            schedule.validate(["s1", "s2", "s3"], t=1)
+        assert schedule.max_simultaneous_faulty(["s1", "s2", "s3"]) == 2
+        assert schedule.max_simultaneous_faulty(["s1", "s3"]) == 1
 
 
-class TestCrashRecoverySchedule:
+class TestCrashWindows:
     def test_windows_bound_the_outage(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=10.0, recover_at=20.0)
+        schedule = FailureSchedule().crash("s1", at=10.0, recover_at=20.0)
         assert not schedule.is_crashed("s1", 9.9)
         assert schedule.is_crashed("s1", 10.0)
         assert schedule.is_crashed("s1", 19.9)
@@ -62,80 +62,85 @@ class TestCrashRecoverySchedule:
 
     def test_multiple_windows_per_process(self):
         schedule = (
-            CrashRecoverySchedule()
-            .crash("s1", at=10.0, recover_at=20.0)
+            FailureSchedule()
             .crash("s1", at=30.0, recover_at=40.0)
+            .crash("s1", at=10.0, recover_at=20.0)
         )
         assert schedule.is_crashed("s1", 15.0)
         assert not schedule.is_crashed("s1", 25.0)
         assert schedule.is_crashed("s1", 35.0)
         assert schedule.total_crashes(["s1"]) == 2
+        assert [w.start for w in schedule.windows["s1"]] == [10.0, 30.0]
 
     def test_overlapping_windows_rejected(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=10.0, recover_at=20.0)
+        schedule = FailureSchedule().crash("s1", at=10.0, recover_at=20.0)
         with pytest.raises(ValueError):
             schedule.crash("s1", at=15.0, recover_at=25.0)
+        with pytest.raises(ValueError):
+            schedule.crash("s1", at=15.0)
+        assert schedule.windows["s1"] == [CrashWindow(10.0, 20.0)]
 
     def test_recovery_must_follow_crash(self):
         with pytest.raises(ValueError):
-            CrashRecoverySchedule().crash("s1", at=10.0, recover_at=10.0)
+            FailureSchedule().crash("s1", at=10.0, recover_at=10.0)
 
     def test_negative_lose_tail_rejected(self):
         with pytest.raises(ValueError):
-            CrashRecoverySchedule().crash("s1", at=1.0, recover_at=2.0, lose_tail=-1)
+            FailureSchedule().crash("s1", at=1.0, recover_at=2.0, lose_tail=-1)
 
     def test_permanent_crash_without_recovery(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=10.0)
+        schedule = FailureSchedule().crash("s1", at=10.0)
         assert schedule.is_crashed("s1", 1e9)
         assert schedule.permanently_crashed() == {"s1"}
         assert schedule.recovery_events() == []
 
     def test_recovered_process_is_not_permanently_crashed(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=10.0, recover_at=20.0)
+        schedule = FailureSchedule().crash("s1", at=10.0, recover_at=20.0)
         assert schedule.permanently_crashed() == set()
 
     def test_recovery_events_sorted_with_lose_tail(self):
         schedule = (
-            CrashRecoverySchedule()
+            FailureSchedule()
             .crash("s2", at=30.0, recover_at=40.0, lose_tail=2)
             .crash("s1", at=10.0, recover_at=20.0)
         )
         events = schedule.recovery_events()
-        assert [(e.process_id, e.at, e.lose_tail) for e in events] == [
+        assert [(pid, w.recover_at, w.lose_tail) for pid, w in events] == [
             ("s1", 20.0, 0),
             ("s2", 40.0, 2),
         ]
 
-    def test_validate_bounds_simultaneous_not_total(self):
+    def test_mark_recovered_closes_the_covering_window(self):
+        schedule = FailureSchedule().crash("s1", at=10.0)
+        schedule.mark_recovered("s1", 15.0)
+        assert schedule.windows["s1"] == [CrashWindow(10.0, 15.0)]
+        schedule.mark_recovered("s1", 30.0)  # already up: nothing to close
+        assert schedule.windows["s1"] == [CrashWindow(10.0, 15.0)]
+        schedule.crash("s1", at=20.0)
+        schedule.mark_recovered("s1", 20.0)  # at the crash instant: never down
+        assert schedule.windows["s1"] == [CrashWindow(10.0, 15.0)]
+        assert not schedule.is_crashed("s1", math.inf)
+
+    def test_peak_bounds_simultaneous_not_total(self):
         servers = ["s1", "s2", "s3"]
         schedule = (
-            CrashRecoverySchedule()
+            FailureSchedule()
             .crash("s1", at=10.0, recover_at=20.0)
             .crash("s2", at=30.0, recover_at=40.0)
             .crash("s3", at=50.0, recover_at=60.0)
         )
         assert schedule.total_crashes(servers) == 3
         assert schedule.max_simultaneous_faulty(servers) == 1
-        schedule.validate(servers, t=1)  # 3 total crashes, never 2 at once
 
-    def test_validate_rejects_simultaneous_overflow(self):
+    def test_peak_counts_overlapping_outages(self):
         schedule = (
-            CrashRecoverySchedule()
+            FailureSchedule()
             .crash("s1", at=10.0, recover_at=20.0)
             .crash("s2", at=15.0, recover_at=25.0)
         )
-        with pytest.raises(ValueError):
-            schedule.validate(["s1", "s2", "s3"], t=1)
+        assert schedule.max_simultaneous_faulty(["s1", "s2", "s3"]) == 2
 
     def test_byzantine_servers_count_as_always_faulty(self):
-        schedule = CrashRecoverySchedule().crash("s1", at=10.0, recover_at=20.0)
+        schedule = FailureSchedule().crash("s1", at=10.0, recover_at=20.0)
         peak = schedule.max_simultaneous_faulty(["s1", "s2", "s3"], always_faulty={"s2"})
         assert peak == 2
-
-    def test_crash_times_compat_keeps_first_crash(self):
-        schedule = (
-            CrashRecoverySchedule()
-            .crash("s1", at=30.0, recover_at=40.0)
-            .crash("s1", at=10.0, recover_at=20.0)
-        )
-        assert schedule.crash_times["s1"] == 10.0

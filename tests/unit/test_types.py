@@ -9,7 +9,6 @@ from repro.core.types import (
     INITIAL_FROZEN,
     INITIAL_PAIR,
     FreezeDirective,
-    FrozenEntry,
     NewReadReport,
     TimestampValue,
     as_dict,
@@ -42,22 +41,10 @@ class TestBottom:
 
 
 class TestTimestampValue:
-    def test_newer_than_compares_timestamps_only(self):
-        assert TimestampValue(2, "a").newer_than(TimestampValue(1, "z"))
-        assert not TimestampValue(1, "a").newer_than(TimestampValue(1, "b"))
-
-    def test_at_least_includes_equal_timestamps(self):
-        assert TimestampValue(3, "x").at_least(TimestampValue(3, "y"))
-        assert not TimestampValue(2, "x").at_least(TimestampValue(3, "y"))
-
-    def test_conflicts_with_same_ts_different_value(self):
-        assert TimestampValue(5, "a").conflicts_with(TimestampValue(5, "b"))
-
-    def test_no_conflict_for_identical_pairs(self):
-        assert not TimestampValue(5, "a").conflicts_with(TimestampValue(5, "a"))
-
-    def test_no_conflict_across_timestamps(self):
-        assert not TimestampValue(4, "a").conflicts_with(TimestampValue(5, "b"))
+    def test_order_key_compares_timestamps_only(self):
+        assert TimestampValue(2, "a").order_key > TimestampValue(1, "z").order_key
+        assert TimestampValue(1, "a").order_key == TimestampValue(1, "b").order_key
+        assert TimestampValue(2, "x").order_key < TimestampValue(3, "y").order_key
 
     def test_replace_if_newer_takes_strictly_newer(self):
         current = TimestampValue(2, "old")
@@ -84,11 +71,6 @@ class TestFrozenEntry:
     def test_default_entry_is_initial(self):
         assert INITIAL_FROZEN.pair == INITIAL_PAIR
         assert INITIAL_FROZEN.read_ts == 0
-
-    def test_matches_read_compares_read_timestamp(self):
-        entry = FrozenEntry(TimestampValue(4, "v"), read_ts=7)
-        assert entry.matches_read(7)
-        assert not entry.matches_read(8)
 
 
 class TestFreshest:
@@ -134,13 +116,12 @@ class TestLexicographicOrdering:
 
     def test_default_writer_id_keeps_swmr_semantics(self):
         # Pairs without a writer id order exactly as before: by timestamp.
-        assert TimestampValue(2, "a").newer_than(TimestampValue(1, "z"))
         assert TimestampValue(1, "a").order_key == (1, "")
 
     def test_equal_ts_orders_by_writer_id(self):
         loser = TimestampValue(3, "x", writer_id="r1")
         winner = TimestampValue(3, "y", writer_id="w")
-        assert winner.newer_than(loser)
+        assert winner.order_key > loser.order_key
         assert freshest(loser, winner) is winner
 
     def test_equality_includes_writer_id(self):

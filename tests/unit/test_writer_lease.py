@@ -13,7 +13,6 @@ from repro.bench.sweeps import writer_lease_sweep
 from repro.core.config import SystemConfig
 from repro.core.messages import WriteAck
 from repro.core.protocol import LuckyAtomicProtocol
-from repro.sim.failures import CrashRecoverySchedule
 from repro.sim.latency import AsynchronousWindows, FixedDelay
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
@@ -82,11 +81,7 @@ class TestWriterLeaseLifecycle:
         assert store.verify_atomic()
 
     def test_epoch_fence_drops_lease_of_recovered_granters(self):
-        store = build_store(
-            keys=("hot",),
-            durable=True,
-            failures=CrashRecoverySchedule(),
-        )
+        store = build_store(keys=("hot",), durable=True)
         store.write("hot", "a")
         store.write("hot", "b")
         writer = store.cluster.processes["w"].registers["hot"].writer
