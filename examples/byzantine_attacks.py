@@ -17,7 +17,6 @@ Usage::
 """
 
 from repro import (
-    FixedDelay,
     LuckyAtomicProtocol,
     SimCluster,
     SystemConfig,
@@ -40,7 +39,6 @@ def scene_one_malicious_servers() -> None:
     for strategy in (ForgeHighTimestampStrategy(), StaleReplayStrategy(), EquivocationStrategy()):
         cluster = SimCluster(
             LuckyAtomicProtocol(config),
-            delay_model=FixedDelay(1.0),
             byzantine={"s1": strategy},
         )
         cluster.write("genuine")
@@ -58,7 +56,6 @@ def scene_two_overeager_protocol() -> None:
     config = SystemConfig(t=1, b=1, fw=0, fr=0, num_readers=1)
     naive = SimCluster(
         NaiveFastProtocol(config),
-        delay_model=FixedDelay(1.0),
         byzantine={"s1": ForgeQueryReplyStrategy()},
     )
     naive.write("legit")
@@ -70,7 +67,6 @@ def scene_two_overeager_protocol() -> None:
 
     paper = SimCluster(
         LuckyAtomicProtocol(config),
-        delay_model=FixedDelay(1.0),
         byzantine={"s1": ForgeHighTimestampStrategy()},
     )
     paper.write("legit")
@@ -85,7 +81,7 @@ def scene_two_overeager_protocol() -> None:
 def scene_three_malicious_reader() -> None:
     print("=== scene 3: a malicious reader poisoning write-backs ===")
     atomic_config = SystemConfig(t=2, b=1, fw=1, fr=0, num_readers=2)
-    atomic_cluster = SimCluster(LuckyAtomicProtocol(atomic_config), delay_model=FixedDelay(1.0))
+    atomic_cluster = SimCluster(LuckyAtomicProtocol(atomic_config))
     atomic_cluster.write("genuine")
     attacker = MaliciousWritebackReader(
         "r-mal", atomic_config, forged_pair=TimestampValue(10**6, "POISON")
@@ -99,7 +95,7 @@ def scene_three_malicious_reader() -> None:
     )
 
     regular_suite = RegularStorageProtocol.for_parameters(t=2, b=1, num_readers=2)
-    regular_cluster = SimCluster(regular_suite, delay_model=FixedDelay(1.0))
+    regular_cluster = SimCluster(regular_suite)
     regular_cluster.write("genuine")
     attacker = MaliciousWritebackReader("r-mal", regular_suite.config)
     regular_cluster.inject("r-mal", attacker.read())

@@ -13,7 +13,7 @@ Usage::
 
 import sys
 
-from repro import FixedDelay, LuckyAtomicProtocol, SimCluster, SystemConfig, check_atomicity
+from repro import LuckyAtomicProtocol, SimCluster, SystemConfig, check_atomicity
 from repro.core.config import frontier_threshold_pairs
 from repro.sim.cluster import DROP
 from repro.sim.failures import FailureSchedule
@@ -34,7 +34,6 @@ def sweep(t: int, b: int) -> None:
             # Writes face `failures` crashed servers from the start.
             write_cluster = SimCluster(
                 LuckyAtomicProtocol(config),
-                delay_model=FixedDelay(1.0),
                 failures=FailureSchedule.crash_servers_at_start(
                     failures, list(reversed(config.server_ids()))
                 ),
@@ -52,7 +51,6 @@ def sweep(t: int, b: int) -> None:
 
             read_cluster = SimCluster(
                 LuckyAtomicProtocol(config),
-                delay_model=FixedDelay(1.0),
                 message_filter=drop_writer_to_missed,
             )
             read_cluster.write(f"value-{fw}-{failures}")

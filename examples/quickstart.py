@@ -11,10 +11,11 @@ Usage::
 """
 
 from repro import (
-    FixedDelay,
+    LinkMetrics,
     LuckyAtomicProtocol,
     SimCluster,
     SystemConfig,
+    Topology,
     check_atomicity,
 )
 from repro.core.quorums import explain
@@ -28,7 +29,10 @@ def main() -> None:
     print(explain(config))
     print()
 
-    cluster = SimCluster(LuckyAtomicProtocol(config), delay_model=FixedDelay(1.0))
+    # The network: one zone whose links all take one time unit, so every
+    # operation is synchronous (faults would be NetworkSchedule windows).
+    network = Topology(intra=LinkMetrics(latency=1.0))
+    cluster = SimCluster(LuckyAtomicProtocol(config), topology=network)
 
     print("=== lucky operations (synchronous, contention-free) ===")
     write = cluster.write("hello-world")

@@ -41,10 +41,10 @@ from .runtime import (
 from .sim import (
     FailureSchedule,
     FixedDelay,
-    LogNormalDelay,
+    LinkMetrics,
+    NetworkSchedule,
     SimCluster,
-    SlowProcessDelay,
-    UniformDelay,
+    Topology,
 )
 from .store import ShardedProtocol, ShardedSimStore
 from .variants import (
@@ -79,10 +79,10 @@ __all__ = [
     "tcp_cluster",
     "FailureSchedule",
     "FixedDelay",
-    "LogNormalDelay",
+    "LinkMetrics",
+    "NetworkSchedule",
     "SimCluster",
-    "SlowProcessDelay",
-    "UniformDelay",
+    "Topology",
     "RegularStorageProtocol",
     "TradingReadsProtocol",
     "TradingWritesProtocol",

@@ -23,8 +23,6 @@ RP05      fsync-before-ack: durable wrappers append to the WAL before the
 RP06      timer-id scoping: timer identifiers carry op/round context
 RP07      hot-loop slots: dataclasses in the hot modules (messages, value
           pairs, sim events) declare ``slots=True``
-RP08      topology-mediated delays: no direct ``DelayModel.sample`` outside
-          the delay models and the topology layer
 RP09      deadline-timer cancel: a method completing an operation in a class
           that arms a round timer also cancels it
 RP10      born-addressed: an automaton stamps ``register_id=`` on every

@@ -89,15 +89,6 @@ ADDRESSING_FILE_SUFFIXES: Tuple[str, ...] = ("sim/byzantine.py",)
 #: ``self.role.grant(...)`` builds a message as surely as ``LeaseGrant(...)``.
 ROLE_MESSAGE_FIELDS: FrozenSet[str] = frozenset({"renew", "grant", "revoke", "revoke_ack"})
 
-#: The only files allowed to call ``DelayModel.sample`` directly (RP08): the
-#: delay models themselves (composition/decoration) and the topology layer,
-#: which consults the model only after deciding partitions, gray links and
-#: zone placement.  Everywhere else must route delays through the topology.
-DELAY_SAMPLE_ALLOWED_SUFFIXES: Tuple[str, ...] = (
-    "sim/latency.py",
-    "sim/topology.py",
-)
-
 #: Files whose dataclasses live on the simulator/runtime hot paths (RP07):
 #: every message, value object and event allocated per protocol step must
 #: declare ``slots=True`` — a per-instance ``__dict__`` costs allocation and

@@ -7,7 +7,6 @@ from . import (  # noqa: F401
     performance,
     purity,
     timers,
-    topology,
     wire,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "performance",
     "purity",
     "timers",
-    "topology",
     "wire",
 ]

@@ -3,7 +3,7 @@
 Each function builds the relevant clusters, runs the workload, checks the
 consistency condition, and returns an :class:`ExperimentTable` whose rows are
 what ``lucky-storage run-experiment`` prints.  The functions are deliberately
-deterministic (fixed seeds, fixed delay models) so the tables are reproducible
+deterministic (fixed seeds, fixed networks) so the tables are reproducible
 run to run.  :data:`ALL_EXPERIMENTS` lists them together with the store sweeps
 of :mod:`repro.bench.sweeps`.
 """
@@ -23,7 +23,8 @@ from ..sim.byzantine import (
     StaleReplayStrategy,
 )
 from ..sim.cluster import DROP, SimCluster
-from ..sim.latency import FixedDelay, SlowProcessDelay, UniformDelay
+from ..sim.failures import NetworkSchedule
+from ..sim.topology import LinkMetrics, Topology
 from ..variants.regular import MaliciousWritebackReader, RegularStorageProtocol
 from ..variants.trading import (
     TradingReadsProtocol,
@@ -240,7 +241,6 @@ def experiment_threshold_tradeoff(t: int = 3, b: int = 1) -> ExperimentTable:
 
             read_cluster = SimCluster(
                 LuckyAtomicProtocol(config),
-                delay_model=FixedDelay(1.0),
                 message_filter=drop_writer_to_missed,
             )
             read_cluster.write("x")
@@ -338,26 +338,26 @@ def experiment_contention(t: int = 2, b: int = 1, num_writes: int = 8) -> Experi
             "atomic",
         ],
     )
+    # The degraded links: the last t servers are slow-but-alive all run long.
+    degraded = NetworkSchedule()
+    for server_id in config.server_ids()[-t:]:
+        degraded.gray_failure(server_id, 40.0)
     scenarios = {
         "lucky (no overlap)": (
             lucky_workload(num_writes, config.reader_ids(), gap=15.0),
-            FixedDelay(1.0),
+            None,
         ),
         "contended (read overlaps write)": (
             contended_workload(num_writes, config.reader_ids(), write_gap=12.0, read_offset=0.5),
-            FixedDelay(1.0),
+            None,
         ),
         "contended + degraded links (unlucky)": (
             contended_workload(num_writes, config.reader_ids(), write_gap=25.0, read_offset=0.5),
-            SlowProcessDelay(
-                base=FixedDelay(1.0),
-                slow_processes=set(config.server_ids()[-t:]),
-                extra_delay=40.0,
-            ),
+            degraded,
         ),
     }
-    for label, (workload, delay_model) in scenarios.items():
-        cluster = build_cluster(_paper_faithful(config), delay_model=delay_model)
+    for label, (workload, schedule) in scenarios.items():
+        cluster = SimCluster(_paper_faithful(config), topology=Topology(schedule=schedule))
         handles = run_workload(cluster, workload)
         reads = [handle for handle in handles if handle.kind == "read"]
         stats = summarize(reads)
@@ -423,7 +423,6 @@ def experiment_trading_reads(
 
         cluster = SimCluster(
             TradingReadsProtocol(config),
-            delay_model=FixedDelay(1.0),
             message_filter=drop_writer_to_missed,
         )
         write = cluster.write("traded-value")
@@ -599,7 +598,6 @@ def experiment_ghost_writer(t: int = 2, b: int = 1, reads_after_crash: int = 6) 
 
         cluster = SimCluster(
             LuckyAtomicProtocol(config),
-            delay_model=FixedDelay(1.0),
             message_filter=None,
         )
         cluster.write("committed-1")
@@ -666,14 +664,14 @@ def experiment_baseline_comparison(t: int = 2, b: int = 1, cycles: int = 6) -> E
         ),
         ("abd", lambda: ABDProtocol(SystemConfig.crash_only(t, num_readers=2)), False),
     ]
-    delay_scenarios = {
-        "lucky network": FixedDelay(1.0),
-        "jittery network": UniformDelay(0.5, 1.5),
+    link_scenarios = {
+        "lucky network": LinkMetrics(latency=1.0),
+        "jittery network": LinkMetrics(latency=0.5, jitter=1.0),
     }
-    for label, delay in delay_scenarios.items():
+    for label, link in link_scenarios.items():
         for _key, factory, byz in suites:
             suite = factory()
-            cluster = build_cluster(suite, delay_model=delay, seed=7)
+            cluster = SimCluster(suite, topology=Topology(intra=link), seed=7)
             cycle = lucky_write_read_cycle(cluster, num_cycles=cycles)
             write_stats = summarize(cycle["writes"])
             read_stats = summarize(cycle["reads"])

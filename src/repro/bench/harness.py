@@ -16,7 +16,6 @@ from ..core.protocol import ProtocolSuite
 from ..sim.byzantine import ByzantineStrategy
 from ..sim.cluster import OperationHandle, SimCluster
 from ..sim.failures import FailureSchedule
-from ..sim.latency import DelayModel, FixedDelay
 
 
 @dataclass
@@ -139,9 +138,6 @@ def build_cluster(
     suite: ProtocolSuite,
     crash_servers: int = 0,
     byzantine: Optional[Dict[str, ByzantineStrategy]] = None,
-    delay_model: Optional[DelayModel] = None,
-    seed: int = 0,
-    crash_at: float = 0.0,
 ) -> SimCluster:
     """Build a cluster with *crash_servers* crashed replicas and given adversaries.
 
@@ -157,17 +153,11 @@ def build_cluster(
             break
         if server_id in byzantine:
             continue
-        failures.crash(server_id, crash_at)
+        failures.crash(server_id)
         crashed += 1
     if crashed < crash_servers:
         raise ValueError("not enough non-Byzantine servers left to crash")
-    return SimCluster(
-        suite,
-        delay_model=delay_model or FixedDelay(1.0),
-        failures=failures,
-        byzantine=byzantine,
-        seed=seed,
-    )
+    return SimCluster(suite, failures=failures, byzantine=byzantine)
 
 
 def lucky_write_read_cycle(

@@ -667,11 +667,10 @@ def writer_lease_sweep(num_keys: int = 4, num_operations: int = 96) -> Experimen
 
 
 def _worst_round_trip(topology: Topology, config: SystemConfig) -> float:
-    round_trips = [
+    return max(
         topology.round_trip_bound(client_id, config.server_ids())
         for client_id in config.client_ids()
-    ]
-    return max((rt for rt in round_trips if rt is not None), default=10.0)
+    )
 
 
 def topology_run(profile: str, scenario: str = "healthy", num_operations: int = 60) -> StoreRun:
@@ -712,7 +711,7 @@ def topology_run(profile: str, scenario: str = "healthy", num_operations: int = 
     elif scenario == "gray":
         # The last server's links go slow-but-alive by a full round trip:
         # its replies always miss round-1 timers, but quorums still form.
-        topology.set_gray(server_ids[-1], gap)
+        topology.schedule.gray_failure(server_ids[-1], gap)
     elif scenario == "skew":
         # The writer's clock runs fast: its round-1 timer fires at half the
         # nominal duration, before the slowest link's acks can arrive, so

@@ -1,4 +1,8 @@
-"""Discrete-event simulation substrate (virtual time, topology, failures, Byzantine servers)."""
+"""Discrete-event simulation substrate (virtual time, topology, failures, Byzantine servers).
+
+The network has one model, :class:`Topology`: zoned :class:`LinkMetrics`
+with the partition and gray-failure windows of a :class:`NetworkSchedule`.
+"""
 
 from .byzantine import (
     ByzantineStrategy,
@@ -20,16 +24,7 @@ from .failures import (
     NetworkSchedule,
     PartitionWindow,
 )
-from .latency import (
-    AsynchronousWindows,
-    DelayModel,
-    FixedDelay,
-    LogNormalDelay,
-    PerLinkDelay,
-    SlowProcessDelay,
-    UniformDelay,
-)
-from .topology import PROFILE_NAMES, DelayModelTopology, LinkMetrics, Topology
+from .topology import PROFILE_NAMES, FixedDelay, LinkMetrics, Topology
 from .trace import MessageTrace
 
 __all__ = [
@@ -55,15 +50,8 @@ __all__ = [
     "GrayWindow",
     "NetworkSchedule",
     "PartitionWindow",
-    "AsynchronousWindows",
-    "DelayModel",
-    "FixedDelay",
-    "LogNormalDelay",
-    "PerLinkDelay",
-    "SlowProcessDelay",
-    "UniformDelay",
     "PROFILE_NAMES",
-    "DelayModelTopology",
+    "FixedDelay",
     "LinkMetrics",
     "Topology",
     "MessageTrace",

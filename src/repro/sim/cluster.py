@@ -1,9 +1,11 @@
 """The discrete-event simulation cluster.
 
 :class:`SimCluster` instantiates every process of a protocol suite, runs the
-virtual-time event loop, injects crash and Byzantine failures, applies a delay
-model per message, counts the messages it delivers and drops, and records an
-operation history (for the atomicity/regularity checkers).
+virtual-time event loop, injects crash and Byzantine failures, asks its
+:class:`~repro.sim.topology.Topology` for the delay of every frame (the one
+network model: zoned links plus partition and gray-failure windows), counts
+the messages it delivers and drops, and records an operation history (for the
+atomicity/regularity checkers).
 
 Typical use::
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..core.automaton import Automaton, ClientAutomaton, Effects
@@ -41,15 +42,14 @@ from ..wire import Codec, get_codec
 from .byzantine import ByzantineStrategy, MaliciousServer
 from .events import DeliveryEvent, EventQueue, InvocationEvent, TimerEvent
 from .failures import CrashWindow, FailureSchedule
-from .latency import DelayModel, FixedDelay
-from .topology import Topology
+from .topology import LinkMetrics, Topology
 from .trace import MessageTrace
 
 #: Sentinel a message filter can return to drop a message entirely.
 DROP = object()
 
 #: Signature of a message filter: ``(source, destination, message, now)`` ->
-#: ``None`` (use the delay model), a float (explicit delay) or :data:`DROP`.
+#: ``None`` (use the topology), a float (explicit delay) or :data:`DROP`.
 MessageFilter = Callable[[str, str, Message, float], Union[None, float, object]]
 
 
@@ -63,7 +63,7 @@ class SimCluster:
     def __init__(
         self,
         suite: ProtocolSuite,
-        delay_model: Optional[DelayModel] = None,
+        delay_model: Optional[LinkMetrics] = None,
         failures: Optional[FailureSchedule] = None,
         byzantine: Optional[Dict[str, ByzantineStrategy]] = None,
         seed: int = 0,
@@ -78,18 +78,14 @@ class SimCluster:
     ) -> None:
         if topology is not None and delay_model is not None:
             raise ValueError(
-                "pass either a topology or a delay_model, not both: a "
-                "topology owns all delay routing (wrap the model with "
-                "Topology.from_delay_model to compose them)"
+                "pass either a topology or a delay_model, not both: "
+                "delay_model=m is Topology(intra=m)"
             )
         self.suite = suite
         self.config = suite.config
-        self.delay_model = delay_model or FixedDelay(1.0)
-        #: Every delay lookup routes through the topology's link layer —
-        #: a flat ``delay_model`` is wrapped as the degenerate single-zone
-        #: case, so partitions / gray failures / clock skew compose on top
-        #: of any model.
-        self.topology = topology or Topology.from_delay_model(self.delay_model)
+        #: Every delay is drawn by the topology; ``delay_model`` gives every
+        #: link the same metrics.
+        self.topology = topology or Topology(intra=delay_model)
         self.failures = failures or FailureSchedule.none()
         self.byzantine = dict(byzantine or {})
         self.rng = random.Random(seed)
@@ -142,22 +138,16 @@ class SimCluster:
         self.hosts: Dict[str, ProcessHost] = {}
         self._build_processes()
 
-        self._warned_timer_fallback = False
         if auto_timer:
             # Round-1 timers are per-process: each client's timer covers one
             # round trip over *its own* links (plus margin), so a client in a
-            # far zone arms a longer timer than a quorum-local one.  The
-            # degenerate delay-model topology reports one global timer, which
-            # reproduces the pre-topology behaviour exactly.
+            # far zone arms a longer timer than a quorum-local one.
             servers = self.config.server_ids()
             for process_id, process in self.processes.items():
                 if isinstance(process, ClientAutomaton):
-                    timer, used_fallback = self.topology.suggested_timer_for(
+                    process.timer_delay = self.topology.suggested_timer_for(
                         process_id, servers, margin=0.5
                     )
-                    if used_fallback:
-                        self._warn_timer_fallback(timer)
-                    process.timer_delay = timer
 
         unknown_byzantine = set(self.byzantine) - set(self.config.server_ids())
         if unknown_byzantine:
@@ -438,7 +428,7 @@ class SimCluster:
             raise TypeError(f"unknown event type: {event!r}")
 
     def _deliver(self, event: DeliveryEvent) -> None:
-        # A Batch envelope is one delivery event (the delay model charged one
+        # A Batch envelope is one delivery event (the topology charged one
         # network traversal for the whole frame) but its payload messages are
         # counted and stepped individually, so protocol logic and per-kind
         # message statistics never see the envelope.  The host has closed the
@@ -466,20 +456,6 @@ class SimCluster:
         if host is None or self.failures.is_crashed(event.process_id, self.now):
             return
         self.inject(event.process_id, host.timer(event.timer_id))
-
-    def _warn_timer_fallback(self, timer: float) -> None:
-        """Warn once per cluster when unbounded links force the fallback timer."""
-        if self._warned_timer_fallback:
-            return
-        self._warned_timer_fallback = True
-        warnings.warn(
-            f"network has no synchronous bound: client round-1 timers fall "
-            f"back to {timer:g} (configure DelayModel.unbounded_fallback or "
-            f"Topology(unbounded_fallback=...) to choose this value); the "
-            f"timer only affects fast-path eligibility, never safety",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
     def inject(self, source: str, effects: Effects) -> None:
         """Apply *effects* as emitted by process *source* now.

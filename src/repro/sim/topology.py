@@ -1,40 +1,30 @@
-"""Topology-aware network model: zones, links and scenario mutators.
+"""The simulator's network model: zones, links and time-windowed faults.
 
-The flat delay layer sampled one :class:`~repro.sim.latency.DelayModel` for
-every message, which cannot express the conditions under which the paper's
-lucky 1-round guarantee actually degrades: geo-replicated fleets where the
-synchrony bound holds *per link* rather than globally, partitions between
-datacenters, gray failures (a server whose links go slow-but-alive) and
-per-process clock skew.  A :class:`Topology` makes all of that explicit:
+The paper's lucky 1-round guarantee holds while every message an operation
+exchanges arrives within a bound the client knows.  A :class:`Topology`
+states that bound and every way a run can break it:
 
 * processes are assigned to named **zones**;
 * each zone pair has a **link** with latency / jitter / bandwidth metrics
   (:class:`LinkMetrics`), so the synchrony bound — and therefore each
   client's round-1 timer and safe lease duration — is a property of the
   links that client actually uses;
-* runtime **mutators** split and heal partitions, inject gray failures and
-  skew per-process clocks, and a :class:`~repro.sim.failures.NetworkSchedule`
-  expresses the same faults as pure time windows for deterministic replay.
+* its **faults** are the partition and gray-failure windows of a
+  :class:`~repro.sim.failures.NetworkSchedule` (a fault that starts now is a
+  window starting at the current instant), plus per-process clock skew
+  (:meth:`Topology.set_skew`).
 
-``DelayModel`` remains the degenerate single-zone case via
-:class:`DelayModelTopology` (see :meth:`Topology.from_delay_model`): a
-cluster given only a delay model behaves exactly as before, while the same
-partition/gray/skew mutators still compose on top of it.
-
-This module is the **only** place allowed to call ``DelayModel.sample``
-directly (analyzer rule RP08, mirrored in
-:mod:`repro.analysis.protocol`): every other delay lookup must route through
-the link layer so scenario state is never bypassed.
+:meth:`Topology.delay` is the only place a delay is drawn: it decides the
+partition first, so nothing can sample a link past a severed cut.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .failures import NetworkSchedule
-from .latency import DEFAULT_UNBOUNDED_TIMER, DelayModel
 
 #: Profile names accepted by :meth:`Topology.profile` (and ``--topology``).
 PROFILE_NAMES = ("lan", "datacenter", "wan-3dc", "geo-5dc")
@@ -59,11 +49,6 @@ class LinkMetrics:
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("link bandwidth must be positive (or None for infinite)")
 
-    def delay(self, rng: random.Random, size: int = 0) -> float:
-        extra = rng.uniform(0.0, self.jitter) if self.jitter else 0.0
-        transfer = size / self.bandwidth if self.bandwidth else 0.0
-        return self.latency + extra + transfer
-
     def bound(self) -> float:
         """Synchrony bound of this link for control-sized messages.
 
@@ -73,8 +58,13 @@ class LinkMetrics:
         return self.latency + self.jitter
 
 
+#: ``FixedDelay(d)`` is the constant link ``LinkMetrics(latency=d)``, kept for
+#: the ``delay_model=`` callers in ``benchmarks/e2e``.
+FixedDelay = LinkMetrics
+
+
 class Topology:
-    """Zones, links, and the scenario state every message routes through.
+    """Zones, links, and the network faults every frame routes through.
 
     The cluster asks :meth:`delay` for each transmitted frame — ``None``
     means the frame is dropped by an active partition — and
@@ -91,14 +81,12 @@ class Topology:
         links: Optional[Dict[Tuple[str, str], LinkMetrics]] = None,
         schedule: Optional[NetworkSchedule] = None,
         name: str = "custom",
-        unbounded_fallback: float = DEFAULT_UNBOUNDED_TIMER,
     ) -> None:
         self.name = name
         self.intra = intra or LinkMetrics(latency=1.0)
         self.inter = inter or self.intra
         self.links: Dict[Tuple[str, str], LinkMetrics] = dict(links or {})
         self.schedule = schedule or NetworkSchedule()
-        self.unbounded_fallback = unbounded_fallback
         self._zone_of: Dict[str, str] = {}
         self._zone_names: List[str] = []
         for zone, processes in (zones or {}).items():
@@ -106,9 +94,6 @@ class Topology:
                 self.assign(process_id, zone)
             if zone not in self._zone_names:  # empty zones still exist
                 self._zone_names.append(zone)
-        # Runtime scenario state (mutators below).
-        self._manual_partitions: List[Tuple[FrozenSet[str], FrozenSet[str]]] = []
-        self._manual_gray: Dict[str, float] = {}
         self._skew: Dict[str, float] = {}
         self.partition_drops = 0
 
@@ -125,7 +110,10 @@ class Topology:
 
     def zone_of(self, process_id: str) -> str:
         """The zone of *process_id*; unassigned processes share the first zone."""
-        return self._zone_of.get(process_id, self.zone_names[0])
+        zone = self._zone_of.get(process_id)
+        if zone is None:
+            return self._zone_names[0] if self._zone_names else "z0"
+        return zone
 
     def processes_in(self, zone: str) -> List[str]:
         return [pid for pid, z in self._zone_of.items() if z == zone]
@@ -136,48 +124,15 @@ class Topology:
 
     def link(self, source: str, destination: str) -> LinkMetrics:
         """The link metrics covering messages from *source* to *destination*."""
-        zone_a = self.zone_of(source)
-        zone_b = self.zone_of(destination)
+        return self._zone_link(self.zone_of(source), self.zone_of(destination))
+
+    def _zone_link(self, zone_a: str, zone_b: str) -> LinkMetrics:
         if zone_a == zone_b:
             return self.links.get((zone_a, zone_a), self.intra)
         explicit = self.links.get((zone_a, zone_b)) or self.links.get((zone_b, zone_a))
         return explicit or self.inter
 
-    # ------------------------------------------------------ scenario mutators
-    def split(self, side_a: Iterable[str], side_b: Iterable[str]) -> None:
-        """Partition the zones in *side_a* from the zones in *side_b* now.
-
-        Unlike a :class:`~repro.sim.failures.PartitionWindow` (which is a
-        pure function of virtual time), a manual split stays in force until
-        :meth:`heal` is called.
-        """
-        pair = (frozenset(side_a), frozenset(side_b))
-        if pair[0] & pair[1]:
-            raise ValueError("a zone cannot be on both sides of a partition")
-        self._manual_partitions.append(pair)
-
-    def isolate(self, zone: str) -> None:
-        """Partition *zone* from every other zone."""
-        others = [z for z in self.zone_names if z != zone]
-        if others:
-            self.split([zone], others)
-
-    def heal(self) -> None:
-        """Remove every manual partition (scheduled windows are unaffected)."""
-        self._manual_partitions.clear()
-
-    def set_gray(self, process_id: str, extra_delay: float) -> None:
-        """Make every link of *process_id* slow-but-alive by *extra_delay*."""
-        if extra_delay < 0:
-            raise ValueError("gray extra_delay must be non-negative")
-        self._manual_gray[process_id] = extra_delay
-
-    def clear_gray(self, process_id: Optional[str] = None) -> None:
-        if process_id is None:
-            self._manual_gray.clear()
-        else:
-            self._manual_gray.pop(process_id, None)
-
+    # ------------------------------------------------------------ clock skew
     def set_skew(self, process_id: str, rate: float) -> None:
         """Scale *process_id*'s timer durations by *rate* (clock skew).
 
@@ -194,31 +149,7 @@ class Topology:
     def timer_scale(self, process_id: str) -> float:
         return self._skew.get(process_id, 1.0)
 
-    # -------------------------------------------------------------- fault state
-    def is_severed(self, source: str, destination: str, now: float) -> bool:
-        """Whether an active partition drops messages from source to destination."""
-        zone_a = self.zone_of(source)
-        zone_b = self.zone_of(destination)
-        if zone_a == zone_b:
-            return False
-        for side_a, side_b in self._manual_partitions:
-            if (zone_a in side_a and zone_b in side_b) or (
-                zone_a in side_b and zone_b in side_a
-            ):
-                return True
-        return self.schedule.severed(zone_a, zone_b, now)
-
-    def gray_extra(self, process_id: str, now: float) -> float:
-        return self._manual_gray.get(process_id, 0.0) + self.schedule.gray_extra(
-            process_id, now
-        )
-
     # ----------------------------------------------------------- delay routing
-    def _base_delay(
-        self, source: str, destination: str, now: float, rng: random.Random, size: int
-    ) -> float:
-        return self.link(source, destination).delay(rng, size)
-
     def delay(
         self,
         source: str,
@@ -227,50 +158,49 @@ class Topology:
         rng: random.Random,
         size: int = 0,
     ) -> Optional[float]:
-        """Delivery delay for a frame, or ``None`` if a partition drops it."""
-        if self.is_severed(source, destination, now):
+        """Delivery delay for a frame, or ``None`` if a partition drops it.
+
+        A delivered frame on a jittered link draws exactly one
+        ``rng.uniform(0, jitter)``; a severed frame draws nothing.
+        """
+        zone_a = self.zone_of(source)
+        zone_b = self.zone_of(destination)
+        schedule = self.schedule
+        if zone_a != zone_b and schedule.partitions and schedule.severed(zone_a, zone_b, now):
             self.partition_drops += 1
             return None
-        delay = self._base_delay(source, destination, now, rng, size)
-        delay += self.gray_extra(source, now) + self.gray_extra(destination, now)
+        link = self._zone_link(zone_a, zone_b)
+        extra = rng.uniform(0.0, link.jitter) if link.jitter else 0.0
+        transfer = size / link.bandwidth if link.bandwidth else 0.0
+        delay = link.latency + extra + transfer
+        if schedule.gray:
+            delay += schedule.gray_extra(source, now) + schedule.gray_extra(destination, now)
         return delay
 
     # ------------------------------------------------------------------ bounds
-    def bound(self, source: str, destination: str) -> Optional[float]:
+    def bound(self, source: str, destination: str) -> float:
         """Nominal synchrony bound of the source→destination link.
 
         Faults (partitions, gray failures) are deliberately *not* included:
         the bound is what a client may safely assume about the network when
-        it is well-behaved — scenario mutators exist precisely to violate
-        that assumption and make the run unlucky.
+        it is well-behaved — the schedule's windows exist precisely to
+        violate that assumption and make the run unlucky.
         """
         return self.link(source, destination).bound()
 
-    def round_trip_bound(self, process_id: str, peers: Iterable[str]) -> Optional[float]:
+    def round_trip_bound(self, process_id: str, peers: Iterable[str]) -> float:
         """Worst round trip from *process_id* to any of *peers* and back."""
-        worst: Optional[float] = None
-        for peer in peers:
-            out = self.bound(process_id, peer)
-            back = self.bound(peer, process_id)
-            if out is None or back is None:
-                return None
-            worst = max(worst or 0.0, out + back)
-        return worst
+        return max(
+            (self.bound(process_id, peer) + self.bound(peer, process_id) for peer in peers),
+            default=0.0,
+        )
 
     def suggested_timer_for(
         self, process_id: str, peers: Iterable[str], margin: float = 0.5
-    ) -> Tuple[float, bool]:
-        """Round-1 timer for *process_id* talking to *peers*.
-
-        Returns ``(timer, used_fallback)``: the timer covers one round trip
-        over the process's own links plus *margin*; when any link is
-        unbounded the configurable fallback is used instead and the flag is
-        set so the cluster can warn once.
-        """
-        round_trip = self.round_trip_bound(process_id, peers)
-        if round_trip is None:
-            return self.unbounded_fallback, True
-        return round_trip + margin, False
+    ) -> float:
+        """Round-1 timer for *process_id* talking to *peers*: one round trip
+        over the process's own links plus *margin*."""
+        return self.round_trip_bound(process_id, peers) + margin
 
     def suggested_lease_duration(
         self, process_id: str, peers: Iterable[str], factor: float = 10.0
@@ -282,10 +212,7 @@ class Topology:
         intra-zone latency needs a 20x longer lease to get any zero-round
         reads out of it (see docs/protocol.md).
         """
-        round_trip = self.round_trip_bound(process_id, peers)
-        if round_trip is None:
-            return self.unbounded_fallback * factor
-        return round_trip * factor
+        return self.round_trip_bound(process_id, peers) * factor
 
     # --------------------------------------------------------------- reporting
     def describe(self) -> str:
@@ -296,13 +223,6 @@ class Topology:
         return f"{self.name}: zones [{zones}]"
 
     # ---------------------------------------------------------------- builders
-    @classmethod
-    def from_delay_model(
-        cls, model: DelayModel, name: str = "delay-model"
-    ) -> "DelayModelTopology":
-        """Wrap a flat :class:`DelayModel` as a degenerate single-zone topology."""
-        return DelayModelTopology(model, name=name)
-
     @classmethod
     def profile(
         cls,
@@ -359,37 +279,3 @@ class Topology:
         for index, client_id in enumerate(client_ids):
             topology.assign(client_id, zone_names[index % len(zone_names)])
         return topology
-
-
-class DelayModelTopology(Topology):
-    """The degenerate single-zone topology wrapping a flat :class:`DelayModel`.
-
-    Sampling, bounds and suggested timers all delegate to the model, so a
-    cluster constructed with only a ``delay_model`` behaves exactly as it did
-    before the topology layer existed — while the partition / gray-failure /
-    clock-skew mutators still compose on top (assign zones first for
-    partitions to have a cut to sever).
-    """
-
-    def __init__(self, model: DelayModel, name: str = "delay-model") -> None:
-        super().__init__(name=name, unbounded_fallback=model.unbounded_fallback)
-        self.model = model
-
-    def _base_delay(
-        self, source: str, destination: str, now: float, rng: random.Random, size: int
-    ) -> float:
-        return float(self.model.sample(source, destination, now, rng))
-
-    def bound(self, source: str, destination: str) -> Optional[float]:
-        return self.model.bound(source, destination)
-
-    def suggested_timer_for(
-        self, process_id: str, peers: Iterable[str], margin: float = 0.5
-    ) -> Tuple[float, bool]:
-        # Byte-compatible with the pre-topology cluster: one global timer
-        # from the model's own suggestion (which may deliberately ignore
-        # slow links — see SlowProcessDelay.suggested_timer).
-        return self.model.suggested_timer(margin), self.model._global_bound() is None
-
-    def describe(self) -> str:
-        return f"{self.name}: flat {type(self.model).__name__}"

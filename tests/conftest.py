@@ -7,7 +7,6 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import SimCluster
-from repro.sim.latency import FixedDelay
 
 
 @pytest.fixture
@@ -33,7 +32,6 @@ def cluster_factory():
     """Factory building a SimCluster for a config with standard settings."""
 
     def _build(config: SystemConfig, **kwargs) -> SimCluster:
-        kwargs.setdefault("delay_model", FixedDelay(1.0))
         return SimCluster(LuckyAtomicProtocol(config), **kwargs)
 
     return _build

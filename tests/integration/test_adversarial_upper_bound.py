@@ -15,13 +15,12 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import TimestampValue
 from repro.sim.byzantine import ForgeHighTimestampStrategy, ForgedStateStrategy
 from repro.sim.cluster import SimCluster
-from repro.sim.latency import FixedDelay
 from repro.verify.atomicity import check_atomicity
 from repro.verify.linearizability import is_linearizable
 
 
 def build(suite, byzantine=None):
-    return SimCluster(suite, delay_model=FixedDelay(1.0), byzantine=byzantine or {})
+    return SimCluster(suite, byzantine=byzantine or {})
 
 
 class TestNaiveProtocolIsUnsafe:

@@ -8,13 +8,11 @@ from repro.core.config import ConfigurationError, SystemConfig
 from repro.sim.byzantine import ForgeHighTimestampStrategy
 from repro.sim.cluster import SimCluster
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import FixedDelay
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import contended_workload, run_workload
 
 
 def build(suite, **kwargs):
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     return SimCluster(suite, **kwargs)
 
 

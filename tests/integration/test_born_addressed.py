@@ -21,7 +21,6 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import TimestampValue
 from repro.runtime.cluster import ShardedAsyncCluster
 from repro.sim.byzantine import ByzantineStrategy
-from repro.sim.latency import FixedDelay
 from repro.store.sharding import RegisterSpec
 from repro.store.sim import ShardedSimStore
 
@@ -133,7 +132,6 @@ def test_the_simulator_routes_only_addressed_effects(byzantine):
         LuckyAtomicProtocol(CONFIG),
         list(SPECS),
         byzantine=BYZANTINE[byzantine],
-        delay_model=FixedDelay(1.0),
         **CAPABILITIES,
     )
     tap = RouterTap()

@@ -18,14 +18,12 @@ from repro.sim.byzantine import (
     TwoFacedStrategy,
 )
 from repro.sim.cluster import SimCluster
-from repro.sim.latency import FixedDelay
 from repro.core.types import TimestampValue, is_bottom
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import contended_workload, run_workload
 
 
 def build(config, byzantine, **kwargs):
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     return SimCluster(LuckyAtomicProtocol(config), byzantine=byzantine, **kwargs)
 
 

@@ -7,15 +7,24 @@ from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import SimCluster
-from repro.sim.latency import FixedDelay, SlowProcessDelay
+from repro.sim.failures import NetworkSchedule
+from repro.sim.topology import Topology
 from repro.verify.atomicity import check_atomicity
 from repro.verify.linearizability import cross_validate
 from repro.workload.generator import contended_workload, run_workload
 
 
 def build(config, **kwargs):
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     return SimCluster(LuckyAtomicProtocol(config), **kwargs)
+
+
+def slow_links(processes, extra):
+    """Every link of *processes* is slow-but-alive by *extra* all run long;
+    clients keep the healthy network's timer."""
+    schedule = NetworkSchedule()
+    for process_id in sorted(processes):
+        schedule.gray_failure(process_id, extra)
+    return Topology(schedule=schedule)
 
 
 class TestContention:
@@ -38,13 +47,9 @@ class TestContention:
         assert check_atomicity(history).ok
         assert cross_validate(history) in (True, None)
 
-    @pytest.mark.filterwarnings("ignore:network has no synchronous bound:RuntimeWarning")
     def test_degraded_network_forces_slow_reads_under_contention(self):
         config = SystemConfig(t=2, b=1, fw=1, fr=0, num_readers=2)
-        delay = SlowProcessDelay(
-            base=FixedDelay(1.0), slow_processes={"s5", "s6"}, extra_delay=40.0
-        )
-        cluster = build(config, delay_model=delay)
+        cluster = build(config, topology=slow_links({"s5", "s6"}, 40.0))
         handles = run_workload(
             cluster, contended_workload(4, config.reader_ids(), write_gap=60.0, read_offset=0.5)
         )
@@ -53,13 +58,9 @@ class TestContention:
         assert all(handle.result.metadata["writeback"] for handle in reads if not handle.fast)
         assert check_atomicity(cluster.history()).ok
 
-    @pytest.mark.filterwarnings("ignore:network has no synchronous bound:RuntimeWarning")
     def test_reads_during_slow_write_phases_stay_atomic(self):
         config = SystemConfig(t=2, b=1, fw=0, fr=1, num_readers=2)
-        delay = SlowProcessDelay(
-            base=FixedDelay(1.0), slow_processes={"s6"}, extra_delay=25.0
-        )
-        cluster = build(config, delay_model=delay)
+        cluster = build(config, topology=slow_links({"s6"}, 25.0))
         cluster.write("v1")
         write = cluster.start_write("v2")
         first = cluster.start_read("r1")
@@ -70,7 +71,6 @@ class TestContention:
 
 
 class TestFreezing:
-    @pytest.mark.filterwarnings("ignore:network has no synchronous bound:RuntimeWarning")
     def test_reader_terminates_under_a_stream_of_writes(self):
         """Wait-freedom case (b): unbounded writes cannot starve a READ.
 
@@ -82,8 +82,7 @@ class TestFreezing:
         config = SystemConfig(t=1, b=1, fw=0, fr=0, num_readers=1)
         # Reads are slow: every message to/from the reader takes much longer
         # than a full write, so each read round spans several writes.
-        delay = SlowProcessDelay(base=FixedDelay(1.0), slow_processes={"r1"}, extra_delay=9.0)
-        cluster = build(config, delay_model=delay)
+        cluster = build(config, topology=slow_links({"r1"}, 9.0))
         cluster.write("seed")
         cluster.run_for(5.0)
 
@@ -104,7 +103,6 @@ class TestFreezing:
         assert read.done, "the READ must terminate despite unbounded concurrent writes"
         assert check_atomicity(cluster.history()).ok
 
-    @pytest.mark.filterwarnings("ignore:network has no synchronous bound:RuntimeWarning")
     def test_slow_read_announces_itself_to_servers(self):
         """A READ that needs more than one round writes its timestamp to servers.
 
@@ -113,8 +111,7 @@ class TestFreezing:
         ``newread`` piggyback of its next PW round.
         """
         config = SystemConfig(t=1, b=1, fw=0, fr=0, num_readers=1)
-        delay = SlowProcessDelay(base=FixedDelay(1.0), slow_processes={"r1"}, extra_delay=9.0)
-        cluster = build(config, delay_model=delay)
+        cluster = build(config, topology=slow_links({"r1"}, 9.0))
         cluster.write("seed")
         cluster.run_for(5.0)
         read = cluster.start_read("r1")

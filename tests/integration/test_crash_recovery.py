@@ -15,7 +15,6 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.persist.durable import storage_registers
 from repro.sim.cluster import SimCluster
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import FixedDelay
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import keyspace_workload, run_store_workload
@@ -42,7 +41,6 @@ class TestAtomicityAcrossRecoveries:
         assert schedule.max_simultaneous_faulty(CONFIG.server_ids()) <= CONFIG.t
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
         )
@@ -60,7 +58,6 @@ class TestAtomicityAcrossRecoveries:
         schedule = FailureSchedule().crash("s1", at=5.0, recover_at=30.0)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
         )
@@ -83,7 +80,6 @@ class TestAtomicityAcrossRecoveries:
         schedule = rolling_schedule()
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
         )
@@ -97,9 +93,7 @@ class TestAtomicityAcrossRecoveries:
 
     def test_manual_crash_then_recover_revives_the_server(self):
         """cluster.crash() + recover_server() must actually end the outage."""
-        cluster = SimCluster(
-            LuckyAtomicProtocol(CONFIG), delay_model=FixedDelay(1.0), durable=True
-        )
+        cluster = SimCluster(LuckyAtomicProtocol(CONFIG), durable=True)
         cluster.write("v0")
         cluster.crash("s1")
         cluster.write("v1")  # completes on the s2+s3 quorum
@@ -127,7 +121,6 @@ class TestAtomicityAcrossRecoveries:
         schedule = FailureSchedule().crash("s1", at=5.0, recover_at=40.0, lose_tail=2)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
         )
@@ -148,9 +141,7 @@ class TestAtomicityAcrossRecoveries:
 
     def test_sharded_store_recovers_on_the_default_schedule(self):
         """The store surface crashes and recovers through the same schedule."""
-        store = ShardedSimStore(
-            LuckyAtomicProtocol(CONFIG), ["k1", "k2"], delay_model=FixedDelay(1.0), durable=True
-        )
+        store = ShardedSimStore(LuckyAtomicProtocol(CONFIG), ["k1", "k2"], durable=True)
         store.write("k1", "v0")
         store.crash("s1")
         store.write("k2", "v1")
@@ -168,7 +159,6 @@ class TestAtomicityAcrossRecoveries:
         schedule = FailureSchedule().crash("s1", at=40.0, recover_at=50.0)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
             compact_every=4,
@@ -196,7 +186,6 @@ class TestStaleEpochRejection:
         schedule = FailureSchedule().crash("s1", at=1.5, recover_at=1.8)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
         )
@@ -232,7 +221,6 @@ class TestStaleEpochRejection:
 
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
             message_filter=crawl,
@@ -251,7 +239,6 @@ class TestStaleEpochRejection:
         schedule = FailureSchedule().crash("s1", at=2.0, recover_at=6.0)
         cluster = SimCluster(
             LuckyAtomicProtocol(CONFIG),
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
         )
@@ -275,7 +262,6 @@ class TestShardedDurableStore:
         store = ShardedSimStore(
             LuckyAtomicProtocol(config),
             ["k1", "k2", "k3"],
-            delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
         )

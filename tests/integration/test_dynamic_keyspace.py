@@ -13,7 +13,7 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import is_bottom
 from repro.runtime.cluster import ShardedAsyncCluster
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import UniformDelay
+from repro.sim.topology import LinkMetrics, Topology
 from repro.store.sim import ShardedSimStore
 from repro.store.surface import find_router
 from repro.workload.generator import churn_workload, keyspace_workload, run_store_workload
@@ -58,7 +58,7 @@ class TestDynamicMembership:
                 keys if declared else [],
                 **(capabilities if declared else {}),
                 lease_duration=25.0,
-                delay_model=UniformDelay(0.5, 1.5),
+                topology=Topology(intra=LinkMetrics(latency=0.5, jitter=1.0)),
                 seed=11,
                 **({"durable": True, "compact_every": 8, "failures": outage} if durable else {}),
             )

@@ -71,7 +71,6 @@ class TestExperimentShapes:
         assert by_protocol["naive-fast (UNSAFE)"]["violations"] >= 1
         assert by_protocol["lucky-atomic"]["violations"] == 0
 
-    @pytest.mark.filterwarnings("ignore:network has no synchronous bound:RuntimeWarning")
     def test_e5_contention_slows_reads_but_keeps_atomicity(self):
         table = experiment_contention(t=2, b=1, num_writes=4)
         rows = {row["scenario"]: row for row in table.rows}
@@ -216,7 +215,6 @@ class TestReportGeneration:
         for experiment_id in ("E4", "S2"):
             assert ALL_EXPERIMENTS[experiment_id]().experiment_id == experiment_id
 
-    @pytest.mark.filterwarnings("ignore:network has no synchronous bound:RuntimeWarning")
     def test_run_experiment_all_matches_the_checked_in_fixture(self):
         """Every table is virtual time on fixed seeds: no cell may read a clock.
 

@@ -12,7 +12,6 @@ from repro.core.config import SystemConfig
 from repro.core.messages import PreWrite, Write
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import DROP, SimCluster
-from repro.sim.latency import FixedDelay
 from repro.verify.atomicity import check_atomicity
 
 
@@ -34,9 +33,7 @@ def ghost_cluster(config, reach, crash_phase="pw"):
                 return DROP
         return None
 
-    cluster = SimCluster(
-        LuckyAtomicProtocol(config), delay_model=FixedDelay(1.0), message_filter=pw_filter
-    )
+    cluster = SimCluster(LuckyAtomicProtocol(config), message_filter=pw_filter)
     cluster.write("committed")
     cluster.run_for(5.0)
     state["filtering"] = True

@@ -17,7 +17,6 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
 from repro.sim.byzantine import ForgeHighTimestampStrategy
-from repro.sim.latency import FixedDelay
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
@@ -26,7 +25,6 @@ from repro.workload.generator import keyspace_workload, run_store_workload
 
 def build_store(config=None, keys=("hot", "cold"), leases=("hot",), **kwargs):
     config = config or SystemConfig.balanced(1, 0, num_readers=3)
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     return ShardedSimStore(
         LuckyAtomicProtocol(config),
         list(keys),
@@ -150,7 +148,6 @@ class TestLeasedShardedStore:
             byzantine={"s1": ForgeHighTimestampStrategy},
             leases=["hot"],
             lease_duration=80.0,
-            delay_model=FixedDelay(1.0),
         )
         store.write("hot", "v1")
         store.read("hot", "r1")
@@ -183,7 +180,6 @@ class TestLeasedShardedStore:
             ["leased", "multi", "plain"],
             leases=["leased"],
             mwmr=["multi"],
-            delay_model=FixedDelay(1.0),
         )
         store.write("leased", "a")
         store.read("leased", "r1")
@@ -203,7 +199,6 @@ class TestLeaseCrashRecovery:
             ["hot", "cold"],
             leases=["hot"],
             lease_duration=lease_duration,
-            delay_model=FixedDelay(1.0),
             durable=True,
         )
 

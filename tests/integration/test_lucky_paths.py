@@ -11,13 +11,12 @@ import pytest
 from repro.core.config import SystemConfig, frontier_threshold_pairs
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import DROP, SimCluster
-from repro.sim.failures import FailureSchedule
-from repro.sim.latency import FixedDelay, SlowProcessDelay
+from repro.sim.failures import FailureSchedule, NetworkSchedule
+from repro.sim.topology import Topology
 from repro.verify.atomicity import check_atomicity
 
 
 def build(config, **kwargs):
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     return SimCluster(LuckyAtomicProtocol(config), **kwargs)
 
 
@@ -50,13 +49,10 @@ class TestFastWrites:
         assert handle.rounds == 3
         assert check_atomicity(cluster.history()).ok
 
-    @pytest.mark.filterwarnings("ignore:network has no synchronous bound:RuntimeWarning")
     def test_unlucky_write_on_asynchronous_network_is_slow_but_correct(self):
         config = SystemConfig(t=2, b=1, fw=1, fr=0, num_readers=1)
-        delay = SlowProcessDelay(
-            base=FixedDelay(1.0), slow_processes={"s5", "s6"}, extra_delay=50.0
-        )
-        cluster = build(config, delay_model=delay)
+        slow = NetworkSchedule().gray_failure("s5", 50.0).gray_failure("s6", 50.0)
+        cluster = build(config, topology=Topology(schedule=slow))
         handle = cluster.write("value")
         assert not handle.fast
         assert handle.rounds == 3

@@ -23,7 +23,7 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import TimestampValue, is_bottom
 from repro.runtime.cluster import ShardedAsyncCluster
 from repro.sim.byzantine import ByzantineStrategy, ForgeHighTimestampStrategy
-from repro.sim.latency import FixedDelay, UniformDelay
+from repro.sim.topology import LinkMetrics, Topology
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 from repro.verify.linearizability import cross_validate, cross_validate_registers
@@ -35,6 +35,11 @@ from repro.workload.generator import (
 )
 
 
+def jittery():
+    """Every link takes a uniform delay in [0.5, 1.5]."""
+    return Topology(intra=LinkMetrics(latency=0.5, jitter=1.0))
+
+
 def make_store(keys, mwmr=True, byzantine=None, t=1, b=0, num_readers=2, **kwargs):
     config = SystemConfig.balanced(t, b, num_readers=num_readers)
     return ShardedSimStore(
@@ -42,7 +47,6 @@ def make_store(keys, mwmr=True, byzantine=None, t=1, b=0, num_readers=2, **kwarg
         keys,
         mwmr=mwmr,
         byzantine=byzantine,
-        delay_model=kwargs.pop("delay_model", FixedDelay(1.0)),
         **kwargs,
     )
 
@@ -226,9 +230,7 @@ class TestContendedWorkload:
         assert len(writers_seen) > 1
 
     def test_contended_workload_under_jitter(self):
-        store = make_store(
-            ["k1", "k2"], num_readers=3, delay_model=UniformDelay(0.5, 1.5)
-        )
+        store = make_store(["k1", "k2"], num_readers=3, topology=jittery())
         workload = contended_writers_workload(
             40,
             ["k1", "k2"],
@@ -279,7 +281,7 @@ class TestPropertyBased:
         store = make_store(
             ["k"],
             num_readers=2,
-            delay_model=UniformDelay(0.5, 1.5) if jitter else FixedDelay(1.0),
+            topology=jittery() if jitter else Topology(),
             seed=seed,
         )
         handles = run_store_workload(store, workload)

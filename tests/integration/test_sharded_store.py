@@ -17,7 +17,6 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
 from repro.sim.byzantine import StaleReplayStrategy
-from repro.sim.latency import FixedDelay
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import keyspace_workload, run_store_workload
@@ -47,7 +46,6 @@ class TestSimStoreWorkloads:
             LuckyAtomicProtocol(config),
             ["k1", "k2", "k3"],
             byzantine={"s2": StaleReplayStrategy},
-            delay_model=FixedDelay(1.0),
         )
         workload = keyspace_workload(
             80, store.keys, config.reader_ids(), write_fraction=0.5, seed=7
@@ -57,9 +55,7 @@ class TestSimStoreWorkloads:
 
     def test_deferred_keyed_ops_record_queueing_delay(self):
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
-        store = ShardedSimStore(
-            LuckyAtomicProtocol(config), ["k1"], delay_model=FixedDelay(1.0)
-        )
+        store = ShardedSimStore(LuckyAtomicProtocol(config), ["k1"])
         # Two writes on the same key scheduled back-to-back: the second must
         # defer (per-key well-formedness) and record its queueing delay.
         workload = keyspace_workload(
@@ -120,7 +116,6 @@ class TestBatchingUnderByzantineServers:
             ["k1", "k2", "k3"],
             byzantine={"s2": StaleReplayStrategy},
             batching=True,
-            delay_model=FixedDelay(1.0),
         )
         workload = keyspace_workload(
             80, store.keys, config.reader_ids(), write_fraction=0.5, mean_gap=0.2, seed=7

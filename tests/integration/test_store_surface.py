@@ -9,7 +9,7 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import is_bottom
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
-from repro.sim.latency import FixedDelay, UniformDelay
+from repro.sim.topology import LinkMetrics, Topology
 from repro.store.sim import ShardedSimStore
 from repro.store.surface import StoreSurface
 
@@ -74,9 +74,7 @@ async def _play(store):
 
 
 def _on_the_simulator(base):
-    store = ShardedSimStore(
-        base, ["plain", "idle", "hot"], delay_model=FixedDelay(1.0), **CAPABILITIES
-    )
+    store = ShardedSimStore(base, ["plain", "idle", "hot"], **CAPABILITIES)
     return asyncio.run(_play(store))
 
 
@@ -168,9 +166,7 @@ async def _records(store):
 def test_both_runtimes_build_the_same_records():
     base = LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2))
     keys = ["plain", "idle", "hot"]
-    simulated = asyncio.run(
-        _records(ShardedSimStore(base, keys, delay_model=FixedDelay(1.0), **CAPABILITIES))
-    )
+    simulated = asyncio.run(_records(ShardedSimStore(base, keys, **CAPABILITIES)))
 
     async def main():
         async with ShardedAsyncCluster(base, keys, timer_delay=100.0, **CAPABILITIES) as store:
@@ -192,8 +188,8 @@ def test_an_archived_multi_writer_key_is_still_checked_as_multi_writer(seed):
     # stays atomic once `drop_register` archives it as `k#1` — the archive has
     # no spec, so the checker keys its writes by the pairs they still carry.
     config = SystemConfig(t=1, b=0, fw=0, fr=0, num_readers=2)
-    base, delays = LuckyAtomicProtocol(config), UniformDelay(0.5, 1.5)
-    store = ShardedSimStore(base, ["k"], mwmr=["k"], delay_model=delays, seed=seed)
+    base, jittery = LuckyAtomicProtocol(config), Topology(intra=LinkMetrics(0.5, jitter=1.0))
+    store = ShardedSimStore(base, ["k"], mwmr=["k"], topology=jittery, seed=seed)
     for round_number in range(4):
         for client in config.client_ids()[:3]:
             store.start_write("k", f"{client}:{round_number}", client)

@@ -7,7 +7,6 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import TimestampValue
 from repro.sim.cluster import DROP, SimCluster
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import FixedDelay
 from repro.variants.regular import MaliciousWritebackReader, RegularStorageProtocol
 from repro.variants.trading import (
     TradingReadsProtocol,
@@ -21,7 +20,6 @@ from repro.verify.regularity import check_regularity
 
 
 def build(suite, **kwargs):
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     return SimCluster(suite, **kwargs)
 
 
@@ -179,7 +177,6 @@ class TestTradingReads:
 
         cluster = SimCluster(
             TradingReadsProtocol(config),
-            delay_model=FixedDelay(1.0),
             message_filter=drop_to_missed,
         )
         write = cluster.write("value")

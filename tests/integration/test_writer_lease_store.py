@@ -13,14 +13,12 @@ import asyncio
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
-from repro.sim.latency import FixedDelay
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 
 
 def build_dual_lease_store(**kwargs):
     config = kwargs.pop("config", None) or SystemConfig.balanced(1, 0, num_readers=3)
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     kwargs.setdefault("lease_duration", 200.0)
     return ShardedSimStore(
         LuckyAtomicProtocol(config),

@@ -22,7 +22,7 @@ from repro.sim.byzantine import (
 )
 from repro.sim.cluster import SimCluster
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import FixedDelay, UniformDelay
+from repro.sim.topology import LinkMetrics, Topology
 from repro.store.sim import ShardedSimStore
 from repro.variants.regular import RegularStorageProtocol
 from repro.variants.two_round import TwoRoundWriteProtocol
@@ -50,6 +50,11 @@ STRATEGY_FACTORIES = [
 policies = st.sampled_from([TimerPolicy.WAIT, TimerPolicy.DEADLINE])
 
 
+def jittery():
+    """Every link takes a uniform delay in [0.5, 1.5] (bound 1.5)."""
+    return Topology(intra=LinkMetrics(latency=0.5, jitter=1.0))
+
+
 @st.composite
 def fault_scenarios(draw):
     t = draw(st.integers(min_value=1, max_value=3))
@@ -68,21 +73,20 @@ def fault_scenarios(draw):
     for server_id in crashed:
         failures.crash(server_id, at=crash_time)
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    jitter = draw(st.booleans())
-    delay = UniformDelay(0.5, 1.5) if jitter else FixedDelay(1.0)
-    return config, byzantine, failures, delay, seed
+    network = jittery() if draw(st.booleans()) else Topology()
+    return config, byzantine, failures, network, seed
 
 
 @given(fault_scenarios(), st.integers(min_value=1, max_value=3), policies, st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_core_algorithm_is_atomic_under_random_faults(scenario, num_cycles, policy, leases):
-    config, byzantine, failures, delay, seed = scenario
+    config, byzantine, failures, network, seed = scenario
     suite = LuckyAtomicProtocol(config, timer_policy=policy)
     if leases:
         suite = LeasedLuckyProtocol(suite, lease_duration=20.0)
     cluster = SimCluster(
         suite,
-        delay_model=delay,
+        topology=network,
         byzantine=byzantine,
         failures=failures,
         seed=seed,
@@ -96,10 +100,10 @@ def test_core_algorithm_is_atomic_under_random_faults(scenario, num_cycles, poli
 @given(fault_scenarios(), policies)
 @settings(max_examples=20, deadline=None)
 def test_lucky_workloads_are_atomic_and_terminate(scenario, policy):
-    config, byzantine, failures, delay, seed = scenario
+    config, byzantine, failures, network, seed = scenario
     cluster = SimCluster(
         LuckyAtomicProtocol(config, timer_policy=policy),
-        delay_model=delay,
+        topology=network,
         byzantine=byzantine,
         failures=failures,
         seed=seed,
@@ -119,7 +123,7 @@ def test_poisson_mixes_stay_atomic(t, b, seed):
     if b > t:
         b = t
     config = SystemConfig.balanced(t, b, num_readers=2)
-    cluster = SimCluster(LuckyAtomicProtocol(config), delay_model=FixedDelay(1.0), seed=seed)
+    cluster = SimCluster(LuckyAtomicProtocol(config), seed=seed)
     workload = poisson_workload(
         duration=60.0, write_rate=0.15, read_rate=0.3, readers=config.reader_ids(), seed=seed
     )
@@ -131,11 +135,11 @@ def test_poisson_mixes_stay_atomic(t, b, seed):
 @given(fault_scenarios(), policies)
 @settings(max_examples=15, deadline=None)
 def test_regular_variant_is_regular_under_random_faults(scenario, policy):
-    config, byzantine, failures, delay, seed = scenario
+    config, byzantine, failures, network, seed = scenario
     regular_config = SystemConfig.regular(config.t, config.b, num_readers=2)
     cluster = SimCluster(
         RegularStorageProtocol(regular_config, timer_policy=policy),
-        delay_model=delay,
+        topology=network,
         byzantine=byzantine,
         failures=failures,
         seed=seed,
@@ -161,7 +165,7 @@ def test_two_round_variant_is_atomic_under_random_faults(t, b, fr, seed, policy)
     suite = TwoRoundWriteProtocol(
         SystemConfig.two_round_write(t, b, fr, num_readers=2), timer_policy=policy
     )
-    cluster = SimCluster(suite, delay_model=FixedDelay(1.0), seed=seed)
+    cluster = SimCluster(suite, seed=seed)
     handles = run_workload(
         cluster, contended_workload(2, suite.config.reader_ids(), write_gap=12.0)
     )
@@ -178,7 +182,7 @@ def test_mwmr_store_is_atomic_and_conditionals_isolated(scenario, policy, leases
     """Concurrent writers, RMWs and readers on multi-writer keys: every per-key
     history passes the checker keyed by stamped pairs, conditional isolation
     included wherever a conditional ran — with writer and read leases on and off."""
-    config, byzantine, failures, delay, seed = scenario
+    config, byzantine, failures, network, seed = scenario
     store = ShardedSimStore(
         LuckyAtomicProtocol(config, timer_policy=policy),
         ["k1", "k2"],
@@ -187,7 +191,7 @@ def test_mwmr_store_is_atomic_and_conditionals_isolated(scenario, policy, leases
         writer_leases=leases,
         leases=leases,
         lease_duration=15.0,
-        delay_model=delay,
+        topology=network,
         failures=failures,
         seed=seed,
     )
@@ -214,15 +218,15 @@ def lucky_scenarios(draw):
     b = draw(st.integers(min_value=0, max_value=min(t, 2)))
     fw, fr = draw(st.sampled_from(frontier_threshold_pairs(t, b)))
     config = SystemConfig(t=t, b=b, fw=fw, fr=fr, num_readers=2)
-    delay = UniformDelay(0.5, 1.5) if draw(st.booleans()) else FixedDelay(1.0)
+    network = jittery() if draw(st.booleans()) else Topology()
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    return config, delay, seed
+    return config, network, seed
 
 
 @given(lucky_scenarios(), policies, st.data())
 @settings(max_examples=60, deadline=None)
 def test_lucky_writes_are_fast_despite_fw_failures(scenario, policy, data):
-    config, delay, seed = scenario
+    config, network, seed = scenario
     failed = data.draw(st.integers(min_value=0, max_value=config.fw))
     server_ids = config.server_ids()
     byzantine = {}
@@ -231,7 +235,7 @@ def test_lucky_writes_are_fast_despite_fw_failures(scenario, policy, data):
     crashed = server_ids[len(server_ids) - (failed - len(byzantine)) :]
     cluster = SimCluster(
         LuckyAtomicProtocol(config, timer_policy=policy),
-        delay_model=delay,
+        topology=network,
         byzantine=byzantine,
         failures=FailureSchedule.crash_at_start(crashed if failed else []),
         seed=seed,
@@ -247,7 +251,7 @@ def test_lucky_writes_are_fast_despite_fw_failures(scenario, policy, data):
 @given(lucky_scenarios(), policies, st.data())
 @settings(max_examples=60, deadline=None)
 def test_lucky_reads_are_fast_despite_fr_failures(scenario, policy, data):
-    config, delay, seed = scenario
+    config, network, seed = scenario
     failed = data.draw(st.integers(min_value=0, max_value=config.fr))
     server_ids = config.server_ids()
     byzantine = {}
@@ -255,7 +259,7 @@ def test_lucky_reads_are_fast_despite_fr_failures(scenario, policy, data):
         byzantine = {server_ids[0]: StaleReplayStrategy()}
     cluster = SimCluster(
         LuckyAtomicProtocol(config, timer_policy=policy),
-        delay_model=delay,
+        topology=network,
         byzantine=byzantine,
         seed=seed,
     )
@@ -308,7 +312,7 @@ def test_recoveries_stay_atomic_under_the_receiver_side_fence(schedule, batching
         LuckyAtomicProtocol(config),
         ["k1", "k2", "k3"],
         batching=batching,
-        delay_model=UniformDelay(0.5, 1.5),
+        topology=jittery(),
         failures=schedule,
         durable=True,
         seed=seed,

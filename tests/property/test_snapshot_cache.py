@@ -33,7 +33,6 @@ from repro.persist.snapshot import (
 from repro.persist.wal import MemoryWAL
 from repro.runtime.node import make_durable
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import FixedDelay
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
 
@@ -378,7 +377,6 @@ def test_memory_snapshot_parity_on_the_simulator():
     store = ShardedSimStore(
         LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0)),
         keys=KEYS,
-        delay_model=FixedDelay(1.0),
         failures=schedule,
         durable=True,
         compact_every=3,

@@ -43,7 +43,6 @@ class TestRegistry:
             "RP05",
             "RP06",
             "RP07",
-            "RP08",
             "RP09",
             "RP10",
         } <= set(ids)
@@ -133,25 +132,6 @@ class TestRuleFixtures:
         assert "BareDataclass" in messages  # bare @dataclass
         assert "SlottedMessage" not in messages
         assert "PlainClass" not in messages
-
-    def test_rp08_direct_delay_sampling_flagged(self):
-        report = run_analysis([fixture("rp08_sampling.py")], select=["RP08"])
-        assert rule_ids(report) == ["RP08"]
-        assert "Topology.delay" in report.findings[0].message
-        assert report.findings[0].line == 10
-
-    def test_rp08_random_sample_and_topology_layer_exempt(self):
-        # The two-argument random.Random.sample in the fixture is not flagged
-        # (only one finding above), and the layers that legitimately sample —
-        # the delay models and the topology adapter — analyze clean.
-        report = run_analysis(
-            [
-                os.path.join(SRC, "repro", "sim", "latency.py"),
-                os.path.join(SRC, "repro", "sim", "topology.py"),
-            ],
-            select=["RP08"],
-        )
-        assert report.ok
 
     def test_rp09_uncancelled_round_timer_flagged(self):
         report = run_analysis([fixture("rp09_deadline.py")], select=["RP09"])

@@ -14,7 +14,6 @@ from repro.core.config import SystemConfig
 from repro.core.messages import Batch, PreWrite, Read, iter_unbatched, make_envelope
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import DROP, SimCluster, SimulationError
-from repro.sim.latency import FixedDelay
 from repro.store.sharding import ShardedClient, ShardedProtocol
 from repro.store.sim import ShardedSimStore
 from repro.workload.generator import (
@@ -77,11 +76,11 @@ class TestShardedClientTimerDelay:
     def test_auto_timer_cluster_still_sets_uniform_delays(self):
         config = self._config()
         suite = ShardedProtocol(LuckyAtomicProtocol(config), ["k1", "k2"])
-        cluster = SimCluster(suite, delay_model=FixedDelay(1.0))
+        cluster = SimCluster(suite)
         writer = cluster.writer
         for key in ("k1", "k2"):
             cluster.start(config.writer_id, "write", "v", register_id=key)
-        expected = FixedDelay(1.0).suggested_timer(0.5)
+        expected = cluster.topology.suggested_timer_for(config.writer_id, config.server_ids())
         assert [a.timer_delay for a in writer.registers.values()] == [expected, expected]
 
     def test_a_client_over_an_empty_table_keeps_the_suites_timer(self):
@@ -89,7 +88,7 @@ class TestShardedClientTimerDelay:
         # built, so the suite's has to reach it some other way than through one.
         config = self._config()
         suite = ShardedProtocol(LuckyAtomicProtocol(config, timer_delay=3.0), [])
-        cluster = SimCluster(suite, delay_model=FixedDelay(1.0), auto_timer=False)
+        cluster = SimCluster(suite, auto_timer=False)
         suite.create_register("k0")
         cluster.start(config.writer_id, "write", "v", register_id="k0")
         assert cluster.writer.timer_delay == 3.0
@@ -107,7 +106,6 @@ def _store(keys, batching, frame_overhead=0.0, **kwargs):
         LuckyAtomicProtocol(config),
         keys,
         batching=batching,
-        delay_model=FixedDelay(1.0),
         frame_overhead=frame_overhead,
         **kwargs,
     )
@@ -200,7 +198,7 @@ class TestSimBatching:
 
     def test_plain_single_register_suites_are_never_batched(self):
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
-        cluster = SimCluster(LuckyAtomicProtocol(config), delay_model=FixedDelay(1.0))
+        cluster = SimCluster(LuckyAtomicProtocol(config))
         cluster.write("v1")
         assert cluster.read("r1").value == "v1"
         assert cluster.frames_sent == cluster.messages_sent
@@ -250,7 +248,6 @@ class TestWorkloadEventBudget:
             LuckyAtomicProtocol(config),
             keys,
             batching=False,
-            delay_model=FixedDelay(1.0),
             max_events_per_run=64,
         )
         operations = [

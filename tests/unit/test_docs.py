@@ -20,8 +20,9 @@ The drift this suite pins down:
   runner computes.
 * **Retired names** — the names of retired mechanisms (the second timing
   command, the uvloop opt-in, two simulator knobs, the scenario annotation,
-  the second crash schedule, the per-message trace log) appear nowhere in
-  the sources, the CI workflow or the docs.
+  the second crash schedule, the per-message trace log, the delay-model
+  hierarchy and the manual network-fault mutators) appear nowhere in the
+  sources, the CI workflow or the docs.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ _METRIC = re.compile(r"`([a-z]+\.[a-z0-9_]+)`")
 #: The per-component timing command and its CI gate, the uvloop opt-in, the
 #: simulator's per-byte line cost and timer-margin knobs, the
 #: scenario-aware atomicity annotation with its disturbance windows, the
-#: second crash schedule with its compat mapping, and the per-message log.
+#: second crash schedule with its compat mapping, the per-message log, and
+#: the delay-model hierarchy with its fallback timer, the manual gray-link
+#: mutators and the delay-sampling rule's allow-list.
 _RETIRED_NAMES = (
     "hotpath",
     "uvloop",
@@ -65,6 +68,16 @@ _RETIRED_NAMES = (
     "CrashRecoverySchedule",
     "crash_times",
     "TraceEntry",
+    "DelayModel",
+    "UniformDelay",
+    "LogNormalDelay",
+    "PerLinkDelay",
+    "SlowProcessDelay",
+    "AsynchronousWindows",
+    "unbounded_fallback",
+    "set_gray",
+    "clear_gray",
+    "DELAY_SAMPLE_ALLOWED_SUFFIXES",
 )
 
 

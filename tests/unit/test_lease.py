@@ -26,7 +26,6 @@ from repro.core.types import INITIAL_PAIR, TimestampValue
 from repro.core.writer import LeasedWriter
 from repro.lease import LeasedLuckyProtocol, LeaseServer, WriterLeaseServer
 from repro.sim.cluster import SimCluster
-from repro.sim.latency import FixedDelay
 from repro.verify.atomicity import check_atomicity
 
 V1 = TimestampValue(1, "v1")
@@ -542,7 +541,7 @@ class TestLeasedWriter:
 def leased_sim_cluster(config, policy, lease_duration):
     base = LuckyAtomicProtocol(config, timer_policy=policy)
     suite = LeasedLuckyProtocol(base, lease_duration=lease_duration)
-    return SimCluster(suite, delay_model=FixedDelay(1.0))
+    return SimCluster(suite)
 
 
 def acquire_by_reading(cluster, policy, value):

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro
+
 from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.messages import Batch, PreWrite
@@ -9,7 +11,7 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.byzantine import MuteStrategy
 from repro.sim.cluster import DROP, SimCluster, SimulationError
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import FixedDelay
+from repro.sim.topology import FixedDelay, LinkMetrics
 from repro.workload.generator import ScheduledOperation, Workload, run_workload
 
 
@@ -19,7 +21,6 @@ def config():
 
 
 def build(config, timer_policy=TimerPolicy.DEADLINE, **kwargs):
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     return SimCluster(LuckyAtomicProtocol(config, timer_policy=timer_policy), **kwargs)
 
 
@@ -29,8 +30,22 @@ class TestConstruction:
         assert set(cluster.processes) == set(config.server_ids() + config.client_ids())
 
     def test_auto_timer_uses_delay_model_bound(self, config):
+        # ``delay_model=`` (the surface benchmarks/e2e builds on) gives every
+        # link the same metrics: FixedDelay(2.0) is LinkMetrics(latency=2.0).
         cluster = build(config, delay_model=FixedDelay(2.0))
         assert cluster.writer.timer_delay == pytest.approx(4.5)
+        assert cluster.write("v").latency == pytest.approx(4.0)
+
+    def test_default_network_is_one_zone_of_unit_links(self, config):
+        cluster = build(config)
+        assert cluster.topology.bound(config.writer_id, "s1") == 1.0
+        assert cluster.writer.timer_delay == 2.5
+        assert cluster.write("v").latency == 2.0
+
+    def test_fixed_delay_is_the_constant_link(self):
+        # The frozen name benchmarks/e2e imports from ``repro``.
+        assert repro.FixedDelay(2.0) == LinkMetrics(latency=2.0)
+        assert repro.FixedDelay(2.0).bound() == 2.0
 
     def test_too_many_byzantine_rejected(self, config):
         with pytest.raises(ValueError):

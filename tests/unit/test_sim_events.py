@@ -17,7 +17,6 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import SimCluster
 from repro.sim.events import DeliveryEvent, EventQueue, InvocationEvent, TimerEvent
-from repro.sim.latency import FixedDelay
 from repro.store.sim import ShardedSimStore
 from repro.core.messages import Read
 
@@ -263,7 +262,6 @@ class TestClusterTimerAccounting:
     def test_cancelled_timer_never_counts_as_processed_event(self):
         cluster = SimCluster(
             LuckyAtomicProtocol(SystemConfig.balanced(1, 0, num_readers=1)),
-            delay_model=FixedDelay(1.0),
         )
         cluster.queue.push_timer(1.0, "zz-nobody", "ghost")
         cluster.queue.cancel_timer("zz-nobody", "ghost")
@@ -280,7 +278,6 @@ class TestClusterTimerAccounting:
             LuckyAtomicProtocol(SystemConfig.balanced(1, 0, num_readers=2)),
             ["hot"],
             leases=["hot"],
-            delay_model=FixedDelay(1.0),
         )
         store.write("hot", "v1")
         store.read("hot", "r1")  # acquires the lease, arms expire + renew

@@ -13,7 +13,6 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.reader import LeasedReader
 from repro.core.writer import LeasedWriter
 from repro.sim.byzantine import ForgeHighTimestampStrategy
-from repro.sim.latency import FixedDelay
 from repro.store.sharding import (
     RegisterSpec,
     ShardedClient,
@@ -126,9 +125,7 @@ class TestShardedProtocolValidation:
 class TestShardedSimStore:
     def _store(self, keys=("k1", "k2", "k3")):
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
-        return ShardedSimStore(
-            LuckyAtomicProtocol(config), list(keys), delay_model=FixedDelay(1.0)
-        )
+        return ShardedSimStore(LuckyAtomicProtocol(config), list(keys))
 
     def test_write_read_round_trip_per_key(self):
         store = self._store()
@@ -464,7 +461,6 @@ class TestKeyspaceTable:
             LuckyAtomicProtocol(config),
             [f"k{i}" for i in range(4)],
             max_resident=2,
-            delay_model=FixedDelay(1.0),
         )
         key = "doomed-register"
         store.create_register(key)

@@ -1,11 +1,12 @@
-"""Unit tests for the topology layer (zones, links, scenario mutators).
+"""Unit tests for the simulator's one network model, the topology.
 
-Covers the :class:`~repro.sim.topology.Topology` API itself, the
-time-windowed :class:`~repro.sim.failures.NetworkSchedule`, the
-delay-model adapter's byte-compatibility with the flat layer it replaced,
-and (at the bottom) a hypothesis sweep asserting that on *random*
-topologies atomicity always holds and the SWMR fast path survives
-whenever every round trip fits the client's topology-derived timer.
+Covers the :class:`~repro.sim.topology.Topology` API itself (zones, links,
+bounds, timers), its faults — the time-windowed
+:class:`~repro.sim.failures.NetworkSchedule` plus clock skew — the contract
+that a delivered jittered frame costs exactly one draw from the cluster's
+generator, and (at the bottom) a hypothesis sweep asserting that on *random*
+topologies atomicity always holds and the SWMR fast path survives whenever
+every round trip fits the client's topology-derived timer.
 """
 
 import random
@@ -16,16 +17,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
-from repro.sim.cluster import SimCluster
+from repro.sim.cluster import DROP, SimCluster
 from repro.sim.failures import GrayWindow, NetworkSchedule, PartitionWindow
-from repro.sim.latency import (
-    FixedDelay,
-    LogNormalDelay,
-    PerLinkDelay,
-    SlowProcessDelay,
-    UniformDelay,
-)
-from repro.sim.topology import PROFILE_NAMES, DelayModelTopology, LinkMetrics, Topology
+from repro.sim.topology import PROFILE_NAMES, LinkMetrics, Topology
 from repro.store.sim import ShardedSimStore
 
 
@@ -36,20 +30,44 @@ def rng():
 
 class TestLinkMetrics:
     def test_delay_includes_jitter_and_transfer(self, rng):
-        link = LinkMetrics(latency=2.0, jitter=1.0, bandwidth=100.0)
+        topology = Topology(intra=LinkMetrics(latency=2.0, jitter=1.0, bandwidth=100.0))
         for _ in range(50):
-            delay = link.delay(rng, size=200)
+            delay = topology.delay("a", "b", 0.0, rng, size=200)
             assert 2.0 + 2.0 <= delay <= 2.0 + 1.0 + 2.0  # latency + transfer(+jitter)
 
     def test_bound_excludes_transfer_time(self):
         link = LinkMetrics(latency=2.0, jitter=1.0, bandwidth=100.0)
         assert link.bound() == 3.0
 
+    def test_transfer_time_is_size_over_bandwidth(self, rng):
+        topology = Topology(intra=LinkMetrics(latency=1.0, bandwidth=100.0))
+        assert topology.delay("w", "s1", 0.0, rng, size=250) == 3.5
+        assert topology.delay("w", "s1", 0.0, rng) == 1.0  # a size-less frame
+
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
             LinkMetrics(latency=-1.0)
         with pytest.raises(ValueError, match="bandwidth"):
             LinkMetrics(bandwidth=0.0)
+
+    def test_constant_link_delay_and_bound(self, rng):
+        topology = Topology(intra=LinkMetrics(latency=2.0))
+        assert topology.delay("w", "s1", 0.0, rng, size=500) == 2.0
+        assert topology.bound("w", "s1") == 2.0
+        assert topology.suggested_timer_for("w", ["s1", "s2"]) == 4.5
+
+    @pytest.mark.parametrize("latency,jitter", [(0.5, 1.0), (1.0, 2.0)])
+    def test_jittered_link_draws_like_a_uniform_range(self, latency, jitter):
+        # The draw is latency + uniform(0, jitter): under the same seed that is
+        # exactly uniform(latency, latency + jitter), the range E10's jittery
+        # network always had, so seeded runs keep their histories.
+        topology = Topology(intra=LinkMetrics(latency=latency, jitter=jitter))
+        drawn, reference = random.Random(3), random.Random(3)
+        for _ in range(100):
+            assert topology.delay("w", "s1", 0.0, drawn) == reference.uniform(
+                latency, latency + jitter
+            )
+        assert topology.bound("w", "s1") == latency + jitter
 
 
 class TestZonesAndLinks:
@@ -67,6 +85,7 @@ class TestZonesAndLinks:
         assert "c" in topology.zone_names  # empty zones still exist
         # Unassigned processes share the first zone.
         assert topology.zone_of("ghost") == "a"
+        assert Topology().zone_of("ghost") == "z0"
 
     def test_link_resolution_intra_inter_and_explicit(self):
         topology = self._topology()
@@ -76,6 +95,15 @@ class TestZonesAndLinks:
         # Explicit links are symmetric regardless of insertion order.
         assert topology.link("s1", "s2").latency == 3.0
         assert topology.link("s2", "s1").latency == 3.0
+
+    def test_zone_link_override_gives_per_destination_bounds(self):
+        topology = Topology(
+            zones={"near": ["w", "s1"], "far": ["s3"]},
+            links={("near", "far"): LinkMetrics(latency=9.0)},
+        )
+        assert topology.bound("w", "s1") == 1.0
+        assert topology.bound("w", "s3") == 9.0
+        assert topology.suggested_timer_for("w", ["s1", "s3"]) == 18.5
 
     def test_profiles_round_robin_processes_over_zones(self):
         topology = Topology.profile(
@@ -97,45 +125,62 @@ class TestZonesAndLinks:
             Topology.profile("moonbase")
 
 
-class TestScenarioMutators:
-    def _topology(self):
-        return Topology(zones={"a": ["s1", "w"], "b": ["s2"]})
+class TestNetworkFaults:
+    """A fault is a schedule window; one that starts now starts at ``now``."""
 
-    def test_split_severs_and_heal_restores(self, rng):
-        topology = self._topology()
-        topology.split(["a"], ["b"])
+    def _topology(self, schedule=None):
+        return Topology(zones={"a": ["s1", "w"], "b": ["s2"]}, schedule=schedule)
+
+    def test_partition_from_now_severs_across_the_cut_only(self, rng):
+        topology = self._topology(NetworkSchedule().partition(["a"], ["b"]))
         assert topology.delay("s1", "s2", 0.0, rng) is None
         assert topology.partition_drops == 1
         # Intra-zone traffic is untouched by the cut.
         assert topology.delay("s1", "w", 0.0, rng) is not None
-        topology.heal()
-        assert topology.delay("s1", "s2", 0.0, rng) is not None
 
-    def test_isolate_cuts_zone_from_everyone(self, rng):
-        topology = self._topology()
-        topology.isolate("b")
-        assert topology.is_severed("s2", "s1", 0.0)
-        assert topology.is_severed("w", "s2", 0.0)
+    def test_partition_cuts_both_directions(self, rng):
+        topology = self._topology(NetworkSchedule().partition(["b"], ["a"]))
+        assert topology.delay("s2", "s1", 0.0, rng) is None
+        assert topology.delay("w", "s2", 0.0, rng) is None
 
     def test_zone_on_both_sides_rejected(self):
         with pytest.raises(ValueError, match="both sides"):
-            self._topology().split(["a"], ["a", "b"])
+            NetworkSchedule().partition(["a"], ["a", "b"])
 
-    def test_gray_adds_delay_on_both_directions(self, rng):
-        topology = self._topology()
+    def test_gray_window_adds_delay_both_ways_inside_the_window_only(self, rng):
+        schedule = NetworkSchedule().gray_failure("s2", 9.0, start=5.0, end=10.0)
+        topology = self._topology(schedule)
         healthy = topology.delay("s1", "w", 0.0, rng)
-        topology.set_gray("s2", 9.0)
-        assert topology.delay("s1", "s2", 0.0, rng) == pytest.approx(healthy + 9.0)
-        assert topology.delay("s2", "s1", 0.0, rng) == pytest.approx(healthy + 9.0)
-        topology.clear_gray("s2")
-        assert topology.delay("s1", "s2", 0.0, rng) == pytest.approx(healthy)
+        for now in (5.0, 9.9):
+            assert topology.delay("s1", "s2", now, rng) == healthy + 9.0
+            assert topology.delay("s2", "s1", now, rng) == healthy + 9.0
+        for now in (4.9, 10.0):  # [start, end) is half-open
+            assert topology.delay("s1", "s2", now, rng) == healthy
+        # The bound is the healthy network's: the gray server is unlucky,
+        # clients keep the base timer.
+        assert topology.suggested_timer_for("w", ["s1", "s2"]) == 2.5
 
-    def test_gray_and_skew_validation(self):
-        topology = self._topology()
-        with pytest.raises(ValueError, match="non-negative"):
-            topology.set_gray("s1", -1.0)
+    def test_gray_window_keeps_the_clusters_base_timer(self):
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
+        topology = Topology(schedule=NetworkSchedule().gray_failure("s3", 40.0))
+        cluster = SimCluster(LuckyAtomicProtocol(config), topology=topology)
+        assert cluster.writer.timer_delay == 2.5
+
+    def test_gray_windows_of_both_endpoints_add_up(self, rng):
+        schedule = NetworkSchedule().gray_failure("s1", 3.0).gray_failure("s2", 4.0)
+        topology = self._topology(schedule)
+        assert topology.delay("s1", "s2", 0.0, rng) == 1.0 + 3.0 + 4.0
+        assert topology.delay("s1", "w", 0.0, rng) == 1.0 + 3.0
+
+    def test_a_severed_frame_is_dropped_whatever_its_gray_extra(self, rng):
+        schedule = NetworkSchedule().partition(["a"], ["b"], end=5.0).gray_failure("s2", 4.0)
+        topology = self._topology(schedule)
+        assert topology.delay("s1", "s2", 1.0, rng) is None
+        assert topology.delay("s1", "s2", 5.0, rng) == 1.0 + 4.0  # healed, still gray
+
+    def test_skew_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            topology.set_skew("w", 0.0)
+            self._topology().set_skew("w", 0.0)
 
     def test_skew_scales_timers_only(self):
         topology = self._topology()
@@ -152,34 +197,49 @@ class TestBoundsAndTimers:
             "wan-3dc", server_ids=["s1", "s2", "s3"], client_ids=["w"]
         )
         servers = ["s1", "s2", "s3"]
-        timer, fallback = topology.suggested_timer_for("w", servers)
-        assert not fallback
         # w sits in dc1 with s1: its worst round trip crosses a WAN link
         # both ways (2 * (20 + 2) = 44) plus the margin.
-        assert timer == pytest.approx(44.5)
+        assert topology.suggested_timer_for("w", servers) == pytest.approx(44.5)
         # A process whose peers are all zone-local arms a far shorter timer.
-        local, _ = topology.suggested_timer_for("s1", ["w"])
-        assert local == pytest.approx(2.2 + 0.5)
+        assert topology.suggested_timer_for("s1", ["w"]) == pytest.approx(2.2 + 0.5)
 
     def test_lease_duration_dominates_holder_round_trip(self):
         topology = Topology.profile("wan-3dc", server_ids=["s1", "s2", "s3"])
         duration = topology.suggested_lease_duration("s1", ["s2", "s3"])
         assert duration == pytest.approx(44.0 * 10.0)
 
-    def test_unbounded_links_fall_back_with_flag(self):
-        topology = Topology.from_delay_model(LogNormalDelay(median=1.0))
-        timer, fallback = topology.suggested_timer_for("w", ["s1"])
-        assert fallback
-        assert timer == topology.unbounded_fallback
+    def test_every_link_has_a_bound(self):
+        # No link is unbounded, so a round trip is always a number: with no
+        # peers at all it is zero and the timer is the margin alone.
+        topology = Topology()
+        assert topology.round_trip_bound("w", []) == 0.0
+        assert topology.suggested_timer_for("w", [], margin=0.5) == 0.5
+        assert topology.round_trip_bound("w", ["s1", "s2"]) == 2.0
 
-    def test_slow_process_model_keeps_the_base_timer_but_flags_fallback(self):
-        # SlowProcessDelay deliberately suggests the *base* network's timer
-        # (the slow links are meant to be unlucky); the flag still reports
-        # that no global bound backs it.
-        topology = Topology.from_delay_model(SlowProcessDelay(FixedDelay(1.0), {"s9"}))
-        timer, fallback = topology.suggested_timer_for("w", ["s1"])
-        assert fallback
-        assert timer == FixedDelay(1.0).suggested_timer()
+    def test_delay_model_is_every_link_with_those_metrics(self):
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
+        link = LinkMetrics(latency=0.5, jitter=1.0)
+
+        def history(**network):
+            cluster = SimCluster(LuckyAtomicProtocol(config), seed=3, **network)
+            for index in range(4):
+                cluster.start_write(f"v{index}")
+                cluster.start_read("r1")
+                cluster.run_until_quiescent()
+            return [
+                (r.kind, r.value, r.invoked_at, r.completed_at) for r in cluster.history()
+            ]
+
+        assert history(delay_model=link) == history(topology=Topology(intra=link))
+
+    def test_cluster_rejects_topology_and_model_together(self):
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
+        with pytest.raises(ValueError, match="not both"):
+            SimCluster(
+                LuckyAtomicProtocol(config),
+                delay_model=LinkMetrics(latency=1.0),
+                topology=Topology(),
+            )
 
 
 class TestNetworkSchedule:
@@ -216,6 +276,8 @@ class TestNetworkSchedule:
             )
         with pytest.raises(ValueError, match="non-negative"):
             NetworkSchedule().gray_failure("s1", -1.0)
+        with pytest.raises(ValueError, match="end after it starts"):
+            NetworkSchedule(gray=(GrayWindow("s1", 1.0, start=3.0, end=2.0),))
 
     def test_scheduled_partition_drives_topology(self, rng):
         schedule = NetworkSchedule().partition(["a"], ["b"], start=5.0, end=10.0)
@@ -225,76 +287,85 @@ class TestNetworkSchedule:
         assert topology.delay("s1", "s2", 12.0, rng) is not None
 
 
-class TestDelayModelAdapter:
-    def test_samples_match_the_wrapped_model(self):
-        model = UniformDelay(low=1.0, high=3.0)
-        adapter = Topology.from_delay_model(model)
-        assert isinstance(adapter, DelayModelTopology)
-        assert adapter.delay("a", "b", 0.0, random.Random(3)) == model.sample(
-            "a", "b", 0.0, random.Random(3)
+class TestDrawCountContract:
+    """A delivered frame on a jittered link consumes exactly one draw from
+    ``cluster.rng``; a severed frame or a zero-jitter link consumes none.
+    The byte identity of every seeded table rests on this."""
+
+    SEED = 11
+    CONFIG = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
+
+    def _write_frames(self, topology):
+        """Send one write's round-1 frames (one per server); return the cluster."""
+        cluster = SimCluster(LuckyAtomicProtocol(self.CONFIG), topology=topology, seed=self.SEED)
+        cluster.start_write("v")  # unbatched: every frame leaves now
+        assert cluster.frames_sent == self.CONFIG.num_servers
+        return cluster
+
+    def test_a_delivered_jittered_frame_draws_once(self):
+        cluster = self._write_frames(Topology(intra=LinkMetrics(latency=1.0, jitter=0.5)))
+        reference = random.Random(self.SEED)
+        for _ in range(self.CONFIG.num_servers):
+            reference.uniform(0.0, 0.5)
+        assert cluster.rng.getstate() == reference.getstate()
+
+    def test_a_severed_frame_draws_nothing(self):
+        topology = Topology(
+            zones={"clients": ["w", "r1"], "servers": self.CONFIG.server_ids()},
+            intra=LinkMetrics(latency=1.0, jitter=0.5),
+            schedule=NetworkSchedule().partition(["clients"], ["servers"]),
         )
+        cluster = self._write_frames(topology)
+        assert topology.partition_drops == self.CONFIG.num_servers
+        assert cluster.rng.getstate() == random.Random(self.SEED).getstate()
 
-    def test_timer_matches_the_pre_topology_suggestion(self):
-        model = FixedDelay(2.0)
-        adapter = Topology.from_delay_model(model)
-        timer, fallback = adapter.suggested_timer_for("w", ["s1", "s2"])
-        assert timer == model.suggested_timer()
-        assert not fallback
+    def test_a_zero_jitter_link_draws_nothing(self):
+        cluster = self._write_frames(Topology(intra=LinkMetrics(latency=1.0)))
+        assert cluster.rng.getstate() == random.Random(self.SEED).getstate()
 
-    def test_mutators_still_compose_on_top(self, rng):
-        adapter = Topology.from_delay_model(FixedDelay(1.0))
-        adapter.assign("s1", "a")
-        adapter.assign("s2", "b")
-        adapter.split(["a"], ["b"])
-        assert adapter.delay("s1", "s2", 0.0, rng) is None
-        assert adapter.delay("s2", "s2", 0.0, rng) == 1.0
+    def test_every_frame_of_a_run_draws_once(self):
+        topology = Topology(intra=LinkMetrics(latency=1.0, jitter=0.5))
+        cluster = SimCluster(LuckyAtomicProtocol(self.CONFIG), topology=topology, seed=self.SEED)
+        cluster.write("v")
+        cluster.read("r1")
+        cluster.run_until_quiescent()
+        assert draws_taken(cluster.rng, self.SEED) == cluster.frames_sent
 
-    def test_cluster_rejects_topology_and_model_together(self):
-        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
-        with pytest.raises(ValueError, match="not both"):
-            SimCluster(
-                LuckyAtomicProtocol(config),
-                delay_model=FixedDelay(1.0),
-                topology=Topology(),
-            )
-
-
-class TestPerLinkBound:
-    """On models whose links genuinely differ, bound(source, destination)
-    tells the truth per link."""
-
-    def test_per_link_delay_bound_is_per_destination(self):
-        model = PerLinkDelay(
-            base=FixedDelay(1.0), overrides={("w", "s3"): FixedDelay(9.0)}
+    def test_a_batch_frame_draws_once(self):
+        store = ShardedSimStore(
+            LuckyAtomicProtocol(self.CONFIG),
+            ["k1", "k2"],
+            batching=True,
+            topology=Topology(intra=LinkMetrics(latency=1.0, jitter=0.5)),
+            seed=self.SEED,
         )
-        assert model.bound("w", "s1") == 1.0
-        assert model.bound("w", "s3") == 9.0
+        store.start_write("k1", "a")
+        store.start_write("k2", "b")
+        store.run_until_quiescent()
+        cluster = store.cluster
+        assert cluster.messages_sent > cluster.frames_sent  # the writes shared frames
+        assert draws_taken(cluster.rng, self.SEED) == cluster.frames_sent
 
-    def test_slow_process_bound_is_slow_not_asynchronous(self):
-        model = SlowProcessDelay(FixedDelay(1.0), {"s3"}, extra_delay=5.0)
-        assert model.bound("w", "s1") == 1.0
-        assert model.bound("w", "s3") == 6.0
+    @pytest.mark.parametrize("verdict", [DROP, 1.0], ids=["dropped", "explicit-delay"])
+    def test_a_message_the_filter_decides_draws_nothing(self, verdict):
+        cluster = SimCluster(
+            LuckyAtomicProtocol(self.CONFIG),
+            topology=Topology(intra=LinkMetrics(latency=1.0, jitter=0.5)),
+            message_filter=lambda source, destination, message, now: verdict,
+            seed=self.SEED,
+        )
+        cluster.start_write("v")
+        assert cluster.rng.getstate() == random.Random(self.SEED).getstate()
 
 
-class TestFallbackTimerWarning:
-    """Satellite: the unbounded-model fallback timer is configurable and the
-    hosting cluster warns exactly once when it is actually used."""
-
-    def _cluster(self, model):
-        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)
-        return SimCluster(LuckyAtomicProtocol(config), delay_model=model)
-
-    def test_warns_once_and_uses_configured_fallback(self):
-        model = LogNormalDelay(median=1.0, unbounded_fallback=17.0)
-        with pytest.warns(RuntimeWarning, match="no synchronous bound"):
-            cluster = self._cluster(model)
-        writer = cluster.processes[cluster.config.writer_id]
-        assert writer.timer_delay == 17.0
-        assert cluster._warned_timer_fallback
-
-    def test_bounded_model_never_warns(self, recwarn):
-        self._cluster(FixedDelay(1.0))
-        assert not [w for w in recwarn.list if w.category is RuntimeWarning]
+def draws_taken(rng, seed, limit=10_000):
+    """How many draws *rng* has taken since it was seeded with *seed*."""
+    reference = random.Random(seed)
+    for count in range(limit):
+        if reference.getstate() == rng.getstate():
+            return count
+        reference.random()
+    raise AssertionError(f"more than {limit} draws")
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +426,8 @@ def test_random_topology_partition_degrades_but_stays_atomic(topology, seed):
         LuckyAtomicProtocol(config), ["k"], topology=topology, seed=seed
     )
     if victims:
-        topology.isolate(victims[0])
+        others = [zone for zone in topology.zone_names if zone != victims[0]]
+        topology.schedule.partition([victims[0]], others)
     store.write("k", "a")
     read = store.read("k", "r1")
     assert read.value == "a"

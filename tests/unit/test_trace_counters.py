@@ -21,7 +21,6 @@ from repro.core.messages import Read
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import DROP, SimCluster
 from repro.sim.failures import FailureSchedule
-from repro.sim.latency import FixedDelay
 from repro.store.sim import ShardedSimStore
 
 
@@ -53,7 +52,6 @@ def _filtered_and_stale():
 
     cluster = SimCluster(
         LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0)),
-        delay_model=FixedDelay(1.0),
         failures=FailureSchedule().crash("s1", at=1.5, recover_at=1.8, lose_tail=10),
         durable=True,
         message_filter=crawl,
@@ -76,7 +74,6 @@ def _outboxes_lost_in_crashes():
     store = ShardedSimStore(
         LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0)),
         ["k1", "k2"],
-        delay_model=FixedDelay(1.0),
         durable=True,
         message_filter=probe,
     )
@@ -163,9 +160,7 @@ def test_seeded_faulty_runs_count_pinned_messages(build, delivered, by_kind, dro
 
 
 def _cluster():
-    return SimCluster(
-        LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0)), delay_model=FixedDelay(1.0)
-    )
+    return SimCluster(LuckyAtomicProtocol(SystemConfig(t=1, b=0, fw=1, fr=0)))
 
 
 def test_replies_to_an_unhosted_process_count_as_unknown():

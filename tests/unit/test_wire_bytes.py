@@ -17,7 +17,6 @@ from repro.core.messages import Read
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.transport import InMemoryTransport, TcpTransport
 from repro.sim.cluster import SimCluster
-from repro.sim.latency import FixedDelay
 from repro.store.sim import ShardedSimStore
 from repro.wire import BinaryCodec, get_codec
 
@@ -42,7 +41,7 @@ class PaddedCodec(BinaryCodec):
 
 class TestSimBytes:
     def test_bytes_counted_on_default_path(self):
-        cluster = SimCluster(_suite(), delay_model=FixedDelay(1.0))
+        cluster = SimCluster(_suite())
         cluster.write("v1")
         cluster.read("r1")
         assert cluster.frames_sent > 0
@@ -52,13 +51,12 @@ class TestSimBytes:
         # An explicit-delay filter replaying the delay model's constant takes
         # every message through _push_explicit instead of _transmit; the
         # schedule is identical, so all three counters must agree exactly.
-        via_transmit = SimCluster(_suite(), delay_model=FixedDelay(1.0))
+        via_transmit = SimCluster(_suite())
         via_transmit.write("v1")
         via_transmit.read("r1")
 
         via_explicit = SimCluster(
             _suite(),
-            delay_model=FixedDelay(1.0),
             message_filter=lambda source, destination, message, now: 1.0,
         )
         via_explicit.write("v1")
@@ -73,7 +71,7 @@ class TestSimBytes:
         # bytes_sent must follow the *configured* codec's frame sizes, not a
         # hardcoded binary measurement.
         def run(codec):
-            cluster = SimCluster(_suite(), delay_model=FixedDelay(1.0), codec=codec)
+            cluster = SimCluster(_suite(), codec=codec)
             cluster.write("v1")
             cluster.read("r1")
             return cluster
@@ -86,8 +84,8 @@ class TestSimBytes:
     def test_frame_overhead_charges_line_time(self):
         # With a per-frame line cost, a writer's fan-out frames serialize on
         # its outgoing line, so the same write takes strictly longer.
-        free = SimCluster(_suite(), delay_model=FixedDelay(1.0))
-        costly = SimCluster(_suite(), delay_model=FixedDelay(1.0), frame_overhead=0.1)
+        free = SimCluster(_suite())
+        costly = SimCluster(_suite(), frame_overhead=0.1)
         latency_free = free.write("v1").latency
         latency_costly = costly.write("v1").latency
         assert (costly.frames_sent, costly.bytes_sent) == (free.frames_sent, free.bytes_sent)
@@ -97,7 +95,7 @@ class TestSimBytes:
         # The line is occupied for ``frame_overhead`` per frame whatever the
         # frame carries: a large value costs bytes, not virtual time.
         def write(value):
-            cluster = SimCluster(_suite(), delay_model=FixedDelay(1.0), frame_overhead=0.1)
+            cluster = SimCluster(_suite(), frame_overhead=0.1)
             return cluster.write(value).latency, cluster.bytes_sent
 
         small_latency, small_bytes = write("v")
@@ -106,7 +104,7 @@ class TestSimBytes:
         assert large_latency == small_latency
 
     def test_store_exposes_bytes_sent(self):
-        store = ShardedSimStore(_suite(), ["k1"], delay_model=FixedDelay(1.0))
+        store = ShardedSimStore(_suite(), ["k1"])
         store.write("k1", "v1")
         assert store.bytes_sent == store.cluster.bytes_sent
         assert store.bytes_sent > 0

@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import SimCluster
-from repro.sim.latency import FixedDelay
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import (
     consecutive_read_workload,
@@ -100,7 +99,7 @@ class TestGenerators:
 class TestExecution:
     def _cluster(self):
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
-        return SimCluster(LuckyAtomicProtocol(config), delay_model=FixedDelay(1.0))
+        return SimCluster(LuckyAtomicProtocol(config))
 
     def test_run_workload_completes_every_operation(self):
         cluster = self._cluster()

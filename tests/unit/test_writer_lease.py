@@ -13,7 +13,8 @@ from repro.bench.sweeps import writer_lease_sweep
 from repro.core.config import SystemConfig
 from repro.core.messages import WriteAck
 from repro.core.protocol import LuckyAtomicProtocol
-from repro.sim.latency import AsynchronousWindows, FixedDelay
+from repro.sim.failures import NetworkSchedule
+from repro.sim.topology import Topology
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
@@ -23,7 +24,6 @@ from repro.workload.generator import owned_writers_workload, run_store_workload
 
 def build_store(keys=("hot", "cold"), writer_leases=("hot",), **kwargs):
     config = kwargs.pop("config", None) or SystemConfig.balanced(1, 0, num_readers=3)
-    kwargs.setdefault("delay_model", FixedDelay(1.0))
     kwargs.setdefault("lease_duration", 60.0)
     return ShardedSimStore(
         LuckyAtomicProtocol(config),
@@ -108,13 +108,12 @@ class TestWriterLeaseLifecycle:
         # every server revoke *naming lease 2*, the only id its table keeps.
         # A holder that acks but keeps relying on lease 1 then writes
         # (3, "c", r1) in one round, below r2's completed (3, "x", r2).
-        store = build_store(
-            keys=("hot",),
-            batching=False,
-            delay_model=AsynchronousWindows(
-                FixedDelay(1.0), windows=((32.0, 33.0, 10.0),)
-            ),
-        )
+        # Every message sent in [32, 33) is 10 late: a gray window on each
+        # server slows each client <-> server link exactly once.
+        slow = NetworkSchedule()
+        for server_id in SystemConfig.balanced(1, 0).server_ids():
+            slow.gray_failure(server_id, 10.0, start=32.0, end=33.0)
+        store = build_store(keys=("hot",), batching=False, topology=Topology(schedule=slow))
         store.write("hot", "a", client_id="r1")
         holder = store.cluster.processes["r1"].registers["hot"].writer
         assert holder.lease_held
@@ -174,7 +173,6 @@ class TestConditionalOperations:
             LuckyAtomicProtocol(config),
             ["hot"],
             mwmr=["hot"],  # no writer leases: optimistic query-phase CAS
-            delay_model=FixedDelay(1.0),
         )
         store.write("hot", "v1")
         cas = store.compare_and_swap("hot", "v1", "v2")
@@ -196,9 +194,7 @@ class TestConditionalOperations:
 
     def test_cas_rejected_on_swmr_key(self):
         config = SystemConfig.balanced(1, 0, num_readers=2)
-        store = ShardedSimStore(
-            LuckyAtomicProtocol(config), ["plain"], delay_model=FixedDelay(1.0)
-        )
+        store = ShardedSimStore(LuckyAtomicProtocol(config), ["plain"])
         with pytest.raises(RuntimeError, match="MWMR"):
             store.compare_and_swap("plain", None, "x")
 
