@@ -13,16 +13,12 @@ Rules (see :mod:`repro.analysis.rules`):
 ========  ==================================================================
 RP01      dispatch-exhaustiveness: every wire message type is handled or
           explicitly ignored by each automaton's ``handle_message`` chain
-RP02      wire-registry consistency: every message class has a unique,
-          never-reused tag; every wire-crossing dataclass is registered
 RP03      no-pickle: nothing imports pickle, no file is exempt
 RP04      sim-determinism: no wall clocks or unseeded randomness in the
           deterministic protocol/simulation layers
 RP05      fsync-before-ack: durable wrappers append to the WAL before the
           acknowledgements that report the change are returned
 RP06      timer-id scoping: timer identifiers carry op/round context
-RP07      hot-loop slots: dataclasses in the hot modules (messages, value
-          pairs, sim events) declare ``slots=True``
 RP09      deadline-timer cancel: a method completing an operation in a class
           that arms a round timer also cancels it
 RP10      born-addressed: an automaton stamps ``register_id=`` on every

@@ -48,11 +48,7 @@ def _iter_python_files(path: str) -> Iterable[str]:
 
 
 class AnalysisEngine:
-    """Run the registered rules over a set of paths.
-
-    Files are all parsed up front so project-level rules (RP02's cross-file
-    registry checks) see the complete set before any ``finish`` pass runs.
-    """
+    """Run the registered rules over a set of paths, one file at a time."""
 
     def __init__(self, select: Optional[Sequence[str]] = None) -> None:
         self._select = list(select) if select is not None else None
@@ -65,7 +61,6 @@ class AnalysisEngine:
         for rule in rules:
             for file in files:
                 raw.extend(rule.check_file(file))
-            raw.extend(rule.finish())
 
         suppressions_by_path = {file.path: file.suppressions for file in files}
         findings: List[Finding] = []

@@ -1,78 +1,34 @@
 """The protocol model the rules check against.
 
-This module is the analyzer's copy of facts that live in the runtime tree
-(:mod:`repro.core.messages`, :mod:`repro.wire.codec`).  It is duplicated *by
-name only* — a unit test asserts the mirror matches the runtime tuples, so a
-drift between the two fails the suite rather than silently weakening a rule.
-Keeping the analyzer free of runtime imports means it can lint a tree that
-does not import (including its own fixtures).
+The message grammar — every wire message type, the envelope, the two
+direction groups — is read from :mod:`repro.core.messages`, so a message type
+added there becomes an RP01 and RP10 obligation with no edit here.  That
+module is the only runtime code the analyzer imports: the tree it lints is
+read as source, never imported, so it can lint a tree that does not import
+(including its own fixtures).
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Tuple
 
-#: Every concrete wire message type, mirroring ``repro.core.messages.ALL_MESSAGE_TYPES``.
-MESSAGE_TYPE_NAMES: Tuple[str, ...] = (
-    "PreWrite",
-    "PreWriteAck",
-    "Write",
-    "WriteAck",
-    "TimestampQuery",
-    "TimestampQueryAck",
-    "Read",
-    "ReadAck",
-    "LeaseRenew",
-    "LeaseGrant",
-    "LeaseRevoke",
-    "LeaseRevokeAck",
-    "WriterLeaseRenew",
-    "WriterLeaseGrant",
-    "WriterLeaseRevoke",
-    "WriterLeaseRevokeAck",
-    "Batch",
-    "BaselineQuery",
-    "BaselineQueryReply",
-    "BaselineStore",
-    "BaselineStoreAck",
-)
+from ..core import messages
+
+#: Every concrete wire message type (``repro.core.messages.ALL_MESSAGE_TYPES``).
+MESSAGE_TYPE_NAMES: Tuple[str, ...] = tuple(cls.__name__ for cls in messages.ALL_MESSAGE_TYPES)
 
 #: Transport envelopes are unpacked by the network layer before dispatch, so
 #: automata carry no RP01 obligation for them.
-ENVELOPE_TYPE_NAMES: FrozenSet[str] = frozenset({"Batch"})
+ENVELOPE_TYPE_NAMES: FrozenSet[str] = frozenset({messages.Batch.__name__})
 
 #: Message types an automaton must account for (handle or declare ignored).
-DISPATCH_OBLIGATION: FrozenSet[str] = (
-    frozenset(MESSAGE_TYPE_NAMES) - ENVELOPE_TYPE_NAMES
-)
+DISPATCH_OBLIGATION: FrozenSet[str] = frozenset(MESSAGE_TYPE_NAMES) - ENVELOPE_TYPE_NAMES
 
-#: Named groups usable inside ``DISPATCH_IGNORES`` declarations.  These mirror
-#: the runtime tuples of the same names in ``repro.core.messages``.
+#: Named groups usable inside ``DISPATCH_IGNORES`` declarations: the runtime
+#: tuples of the same names in ``repro.core.messages``.
 MESSAGE_GROUPS: Dict[str, Tuple[str, ...]] = {
-    "CLIENT_BOUND_MESSAGES": (
-        "PreWriteAck",
-        "WriteAck",
-        "TimestampQueryAck",
-        "ReadAck",
-        "LeaseGrant",
-        "LeaseRevoke",
-        "WriterLeaseGrant",
-        "WriterLeaseRevoke",
-        "BaselineQueryReply",
-        "BaselineStoreAck",
-    ),
-    "SERVER_BOUND_MESSAGES": (
-        "PreWrite",
-        "Write",
-        "Read",
-        "TimestampQuery",
-        "LeaseRenew",
-        "LeaseRevokeAck",
-        "WriterLeaseRenew",
-        "WriterLeaseRevokeAck",
-        "BaselineQuery",
-        "BaselineStore",
-    ),
+    name: tuple(cls.__name__ for cls in getattr(messages, name))
+    for name in ("CLIENT_BOUND_MESSAGES", "SERVER_BOUND_MESSAGES")
 }
 
 #: Path segments whose subtrees must be deterministic (RP04): driven by the
@@ -88,22 +44,3 @@ ADDRESSING_FILE_SUFFIXES: Tuple[str, ...] = ("sim/byzantine.py",)
 #: The message classes a ``LeaseRole`` binding holds (``repro.core.lease``):
 #: ``self.role.grant(...)`` builds a message as surely as ``LeaseGrant(...)``.
 ROLE_MESSAGE_FIELDS: FrozenSet[str] = frozenset({"renew", "grant", "revoke", "revoke_ack"})
-
-#: Files whose dataclasses live on the simulator/runtime hot paths (RP07):
-#: every message, value object and event allocated per protocol step must
-#: declare ``slots=True`` — a per-instance ``__dict__`` costs allocation and
-#: cache locality exactly where the profiler says the time goes.
-SLOTS_REQUIRED_SUFFIXES: Tuple[str, ...] = (
-    "core/messages.py",
-    "core/types.py",
-    "core/automaton.py",
-    "sim/events.py",
-)
-
-#: Frame-level tags the message registry must not collide with
-#: (``repro.wire.codec.TAG_VALUE`` / ``TAG_ENVELOPE``).
-RESERVED_FRAME_TAGS: Dict[int, str] = {30: "TAG_VALUE", 31: "TAG_ENVELOPE"}
-
-#: Valid tag range for ``register_struct``: value-plane tags live above the
-#: frame/message planes and fit one byte.
-STRUCT_TAG_RANGE: Tuple[int, int] = (0x10, 0xFF)

@@ -1,8 +1,7 @@
 """Rule base class and registry.
 
 Rules register themselves at import time via the :func:`register` decorator;
-the engine instantiates a fresh object per run so rules may accumulate
-cross-file state for their :meth:`Rule.finish` pass.
+the engine instantiates a fresh object per run.
 """
 
 from __future__ import annotations
@@ -35,9 +34,7 @@ class Rule:
     """One discipline check.
 
     Subclasses set ``rule_id``/``title``/``rationale`` and override
-    :meth:`check_file`; rules needing whole-project knowledge collect state
-    in ``check_file`` and emit in :meth:`finish`, which runs after every file
-    has been visited.
+    :meth:`check_file`.
     """
 
     rule_id: str = ""
@@ -45,9 +42,6 @@ class Rule:
     rationale: str = ""
 
     def check_file(self, file: SourceFile) -> Iterable[Finding]:
-        return ()
-
-    def finish(self) -> Iterable[Finding]:
         return ()
 
     def finding(self, file: SourceFile, node: ast.AST, message: str) -> Finding:

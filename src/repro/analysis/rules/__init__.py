@@ -4,18 +4,14 @@ from . import (  # noqa: F401
     addressing,
     dispatch,
     durability,
-    performance,
     purity,
     timers,
-    wire,
 )
 
 __all__ = [
     "addressing",
     "dispatch",
     "durability",
-    "performance",
     "purity",
     "timers",
-    "wire",
 ]

@@ -29,8 +29,8 @@ class Message(SlotsPickleMixin):
 
     Every message class is a ``slots=True`` dataclass: the automaton hot
     loop allocates one instance per send/delivery, and dict-less instances
-    are both smaller and faster to construct (analyzer rule RP07 holds the
-    hierarchy to this).
+    are both smaller and faster to construct (``tests/unit/test_messages.py``
+    holds the hierarchy to this).
 
     ``register_id`` multiplexes many independent register instances over one
     server fleet and transport (the sharded store of :mod:`repro.store`).
@@ -399,8 +399,8 @@ MESSAGE_TYPE_BY_NAME = {cls.__name__: cls for cls in ALL_MESSAGE_TYPES}
 
 # Direction groups, usable in ``DISPATCH_IGNORES`` declarations (see
 # repro.analysis.rules.dispatch): a server-side automaton never receives
-# client-bound acks/grants, and vice versa.  The analyzer mirrors these
-# by name in repro.analysis.protocol; a unit test keeps the two in sync.
+# client-bound acks/grants, and vice versa.  The analyzer reads these
+# (repro.analysis.protocol).
 CLIENT_BOUND_MESSAGES = (
     PreWriteAck,
     WriteAck,

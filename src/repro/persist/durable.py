@@ -52,16 +52,17 @@ def storage_registers(server: Automaton) -> Dict[str, Automaton]:
     per-register instances; a single-register server maps from the default
     register id ``""``.
     """
-    server = _unwrap(server)
+    server = unwrap(server)
     registers = getattr(server, "registers", None)
     if registers is None:
         return {"": server}
     return {
-        register_id: _unwrap(automaton) for register_id, automaton in registers.items()
+        register_id: unwrap(automaton) for register_id, automaton in registers.items()
     }
 
 
-def _unwrap(automaton: Automaton) -> Automaton:
+def unwrap(automaton: Automaton) -> Automaton:
+    """The innermost automaton of a wrapper stack (its ``inner`` chain)."""
     while hasattr(automaton, "inner"):
         automaton = automaton.inner
     return automaton
@@ -118,7 +119,7 @@ def _storage(router: Automaton, register_id: str) -> Optional[Automaton]:
     if ensure is None:
         return router if register_id == "" else None
     inner = ensure(register_id)
-    return _unwrap(inner) if inner is not None else None
+    return unwrap(inner) if inner is not None else None
 
 
 def restore_server_state(server: Automaton, state: Dict[str, Dict[str, Any]]) -> None:
@@ -128,7 +129,7 @@ def restore_server_state(server: Automaton, state: Dict[str, Dict[str, Any]]) ->
     admitted here; an admission may rehydrate spilled state first, which is
     safe because ``restore_state`` merges monotonically.
     """
-    router = _unwrap(server)
+    router = unwrap(server)
     for register_id, register_state in state.items():
         storage = _storage(router, register_id)
         if storage is not None and hasattr(storage, "restore_state"):
@@ -150,7 +151,7 @@ def replay_records(server: Automaton, records: Sequence[WalRecord]) -> None:
     resident admits it — rehydration first, then the (newer) logged pairs on
     top.
     """
-    router = _unwrap(server)
+    router = unwrap(server)
     for record in records:
         storage = _storage(router, record.register_id)
         if storage is not None:
@@ -173,7 +174,7 @@ class DurableServer(Automaton):
         self.incarnation = incarnation
         self.snapshots = snapshots
         #: Duck-typed: a register router, or a single-register server.
-        self._router: Any = _unwrap(inner)
+        self._router: Any = unwrap(inner)
         # Compaction costs what changed: the snapshot store keeps the encoded
         # bytes of every register and is handed only those that moved since
         # the last snapshot — the ones that received a message or a timer
@@ -264,7 +265,7 @@ class DurableServer(Automaton):
             inner = resident.get(register_id)
             if inner is None:  # moved, then left: evicted or dropped
                 continue
-            storage = _unwrap(inner)
+            storage = unwrap(inner)
             if hasattr(storage, "export_state"):
                 changed[register_id] = storage.export_state()
         return changed, list(resident)

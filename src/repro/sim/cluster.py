@@ -118,7 +118,7 @@ class SimCluster:
         #: messages carried by them (frames < messages when batching is on)
         #: and the encoded wire bytes of those frames under :attr:`codec`.
         #: ``events_processed`` counts *dispatched* events only: a timer an
-        #: automaton cancelled before expiry is tombstoned in the queue (see
+        #: automaton cancelled before expiry is discarded by the queue (see
         #: :attr:`timers_cancelled`), never popped as an event.
         self.events_processed: int = 0
         self.frames_sent: int = 0
@@ -242,7 +242,7 @@ class SimCluster:
     # ------------------------------------------------------------ inspection
     @property
     def timers_cancelled(self) -> int:
-        """Timers disarmed before expiry (their queue tuples are tombstones)."""
+        """Timers disarmed before expiry (never dispatched)."""
         return self.queue.timers_cancelled
 
     @property
@@ -254,20 +254,6 @@ class SimCluster:
 
     def server(self, server_id: str) -> Automaton:
         return self.processes[server_id]
-
-    def correct_servers(self) -> List[str]:
-        """Servers that are neither Byzantine nor crashed-forever.
-
-        A server whose crash window ends in a recovery (on a durable cluster)
-        counts as correct: it rejoins with its WAL state and serves quorums
-        again.
-        """
-        crashed = self.failures.permanently_crashed()
-        return [
-            sid
-            for sid in self.config.server_ids()
-            if sid not in self.byzantine and sid not in crashed
-        ]
 
     # -------------------------------------------------------------- failures
     def crash(self, process_id: str, at: Optional[float] = None) -> None:
@@ -480,9 +466,8 @@ class SimCluster:
             for timer in effects.timers:
                 self.queue.push_timer(self.now + timer.delay * scale, source, timer.timer_id)
         for timer_id in effects.cancels:
-            # Cancellation is an O(1) armed-table removal; the dead heap
-            # tuple is tombstone-counted when it surfaces, never dispatched,
-            # so cancelled timers do not inflate ``events_processed``.
+            # A cancelled timer's heap entry is discarded when it surfaces,
+            # never dispatched, so it does not inflate ``events_processed``.
             self.queue.cancel_timer(source, timer_id)
         if host is not None:
             for completion in effects.completions:

@@ -28,20 +28,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Union
 
 from ..core.automaton import Automaton
+from ..persist.durable import unwrap
 from ..persist.snapshot import decode_snapshot, encode_snapshot
 from ..wire import Codec, get_codec
 
 
-def unwrap_register(automaton: Automaton) -> Automaton:
-    """The innermost automaton of a per-register wrapper stack."""
-    while hasattr(automaton, "inner"):
-        automaton = automaton.inner
-    return automaton
-
-
 def export_register_state(automaton: Automaton) -> Dict[str, Any]:
     """The durable state of one register automaton (empty if it has none)."""
-    storage = unwrap_register(automaton)
+    storage = unwrap(automaton)
     export = getattr(storage, "export_state", None)
     if export is None:
         return {}
@@ -56,7 +50,7 @@ def restore_register_state(automaton: Automaton, state: Dict[str, Any]) -> None:
     ``restore_state`` rule, so rehydrating on top of replayed WAL records
     (or vice versa) converges to the same state regardless of order.
     """
-    storage = unwrap_register(automaton)
+    storage = unwrap(automaton)
     restore = getattr(storage, "restore_state", None)
     if restore is not None and state:
         restore(state)

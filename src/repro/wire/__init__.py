@@ -8,9 +8,9 @@ value encoding (:mod:`repro.wire.values`), so frame sizes are observable,
 non-Python clients can speak it, and any accidental format change fails the
 golden-vector tests loudly instead of silently shipping a new dialect.
 
-The previous serializer (pickle) is gone from the write path entirely; the
-WAL/snapshot readers in :mod:`repro.persist` still *sniff* and decode legacy
-pickle frames so pre-migration files stay recoverable.
+The previous serializer (pickle) is gone: nothing writes or reads its frames,
+and a WAL or snapshot frame that does not open with the wire magic is treated
+as corrupt.
 """
 
 from .codec import (

@@ -38,10 +38,8 @@ Codecs
 :func:`get_codec` resolves a codec selection (``"binary"`` or an instance)
 into an object with the shared surface: ``encode_message`` /
 ``decode_message``, ``encode_envelope`` / ``decode_envelope``,
-``encode_value`` / ``decode_value`` and ``frame_size``.  The pickle escape
-hatch of the migration release is gone; legacy pickle frames are still
-*readable* where they persist (WAL/snapshot files), via the sniffers in
-:mod:`repro.persist`.
+``encode_value`` / ``decode_value`` and ``frame_size``.  Binary is the only
+codec: nothing writes or reads pickle frames, on the wire or on disk.
 """
 
 from __future__ import annotations
@@ -115,9 +113,8 @@ __all__ = [
     "join_dict_items",
 ]
 
-#: Two magic bytes opening every binary frame ('L'ucky 'W'ire).  Pickle
-#: payloads of any protocol >= 2 start with 0x80, so the two wire formats are
-#: unambiguous — which is what lets the WAL reader replay pre-codec logs.
+#: Two magic bytes opening every binary frame ('L'ucky 'W'ire); the WAL and
+#: snapshot readers refuse a payload without them.
 MAGIC = b"LW"
 
 #: Version byte of the wire format.  Any change to the byte layout — new
@@ -154,9 +151,8 @@ MESSAGE_TAGS: Dict[Type[Message], int] = {
 TAG_ENVELOPE = 31
 
 # Registry invariants — every message type tagged, tags unique, the Message
-# base header frozen at (sender, register_id, epoch) — are enforced by the
-# RP02 analyzer rule (`lucky-storage analyze`) and tests/unit/test_wire_registry.py
-# rather than import-time asserts.
+# base header frozen at (sender, register_id, epoch) — are enforced by
+# tests/unit/test_wire_registry.py rather than import-time asserts.
 
 
 class UnknownVersionError(WireDecodeError):

@@ -4,7 +4,6 @@ from .generator import (
     ScheduledOperation,
     Workload,
     churn_workload,
-    consecutive_read_workload,
     contended_workload,
     contended_writers_workload,
     dense_store_workload,
@@ -14,7 +13,6 @@ from .generator import (
     poisson_workload,
     run_store_workload,
     run_workload,
-    run_workload_history,
     value_sequence,
     workload_event_budget,
     zipf_weights,
@@ -24,7 +22,6 @@ __all__ = [
     "ScheduledOperation",
     "Workload",
     "churn_workload",
-    "consecutive_read_workload",
     "contended_workload",
     "contended_writers_workload",
     "dense_store_workload",
@@ -34,7 +31,6 @@ __all__ = [
     "poisson_workload",
     "run_store_workload",
     "run_workload",
-    "run_workload_history",
     "value_sequence",
     "workload_event_budget",
     "zipf_weights",

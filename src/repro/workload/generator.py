@@ -6,7 +6,6 @@ reasons about:
 
 * *lucky* phases — well-spaced writes and reads on a synchronous network;
 * *contended* phases — reads overlapping writes;
-* read sequences for the Appendix A experiment;
 * mixed Poisson-like arrivals for throughput-style comparisons.
 
 ``run_workload`` drives a :class:`~repro.sim.cluster.SimCluster` through a
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..sim.cluster import OperationHandle, SimCluster
-from ..verify.history import History
 
 
 @dataclass(frozen=True)
@@ -118,31 +116,6 @@ def contended_workload(
         )
         now += write_gap
     return Workload(operations, description=f"contended x{num_writes}")
-
-
-def consecutive_read_workload(
-    sequence_length: int,
-    readers: Sequence[str],
-    num_sequences: int = 1,
-    gap: float = 20.0,
-    start: float = 0.0,
-) -> Workload:
-    """Appendix A workload: a write, then a sequence of consecutive lucky reads."""
-    values = value_sequence()
-    operations: List[ScheduledOperation] = []
-    now = start
-    for _ in range(num_sequences):
-        operations.append(
-            ScheduledOperation(at=now, kind="write", client_id="w", value=next(values))
-        )
-        now += gap
-        for index in range(sequence_length):
-            reader = readers[index % len(readers)]
-            operations.append(ScheduledOperation(at=now, kind="read", client_id=reader))
-            now += gap
-    return Workload(
-        operations, description=f"{num_sequences} sequence(s) of {sequence_length} reads"
-    )
 
 
 def poisson_workload(
@@ -624,12 +597,6 @@ def run_workload(cluster: SimCluster, workload: Workload) -> List[OperationHandl
         handles.append(handle)
     cluster.run(until=all_done(handles), max_events=budget)
     return handles
-
-
-def run_workload_history(cluster: SimCluster, workload: Workload) -> History:
-    """Run the workload and return the cluster's full history."""
-    run_workload(cluster, workload)
-    return cluster.history()
 
 
 def run_store_workload(store, workload: Workload) -> List[OperationHandle]:

@@ -21,8 +21,9 @@ The drift this suite pins down:
 * **Retired names** — the names of retired mechanisms (the second timing
   command, the uvloop opt-in, two simulator knobs, the scenario annotation,
   the second crash schedule, the per-message trace log, the delay-model
-  hierarchy and the manual network-fault mutators) appear nowhere in the
-  sources, the CI workflow or the docs.
+  hierarchy, the manual network-fault mutators, analyzer rules RP02 and RP07
+  and the event queue's second heap) appear nowhere in the sources, the CI
+  workflow or the docs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ _METRIC = re.compile(r"`([a-z]+\.[a-z0-9_]+)`")
 #: scenario-aware atomicity annotation with its disturbance windows, the
 #: second crash schedule with its compat mapping, the per-message log, and
 #: the delay-model hierarchy with its fallback timer, the manual gray-link
-#: mutators and the delay-sampling rule's allow-list.
+#: mutators and the delay-sampling rule's allow-list, the wire-registry and
+#: slots rules with the analyzer's copy of the registry facts, the event
+#: queue's timer heap and cancellation floor, and three definitions only
+#: tests called.
 _RETIRED_NAMES = (
     "hotpath",
     "uvloop",
@@ -78,6 +82,16 @@ _RETIRED_NAMES = (
     "set_gray",
     "clear_gray",
     "DELAY_SAMPLE_ALLOWED_SUFFIXES",
+    "WireRegistryConsistency",
+    "HotLoopSlots",
+    "SLOTS_REQUIRED_SUFFIXES",
+    "STRUCT_TAG_RANGE",
+    "RESERVED_FRAME_TAGS",
+    "_timer_heap",
+    "_cancel_floor",
+    "consecutive_read_workload",
+    "run_workload_history",
+    "correct_servers",
 )
 
 

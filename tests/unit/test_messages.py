@@ -1,6 +1,10 @@
 """Unit tests for the protocol message definitions."""
 
+import dataclasses
+import importlib
 import pickle
+
+import pytest
 
 from repro.core.messages import (
     ALL_MESSAGE_TYPES,
@@ -63,6 +67,21 @@ class TestMessageBasics:
 
 class TestSlots:
     """Hot-path message objects are slotted: no per-instance ``__dict__``."""
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.core.messages", "repro.core.types", "repro.core.automaton", "repro.sim.events"],
+    )
+    def test_every_dataclass_in_the_hot_modules_declares_slots(self, module):
+        # Messages, value pairs, effects and sim events are allocated once per
+        # protocol step; a dataclass without slots=True gives each a __dict__.
+        classes = [
+            cls
+            for cls in vars(importlib.import_module(module)).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module
+        ]
+        assert classes
+        assert [cls.__name__ for cls in classes if "__slots__" not in vars(cls)] == []
 
     def test_no_dict_on_any_message_type(self):
         from repro.wire.golden import message_zoo

@@ -60,14 +60,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build(config, byzantine={"s1": MuteStrategy()}, failures=failures)
 
-    def test_correct_servers_excludes_faulty(self, config):
-        cluster = build(
-            config,
-            byzantine={"s1": MuteStrategy()},
-            failures=FailureSchedule.crash_at_start(["s6"]),
-        )
-        assert set(cluster.correct_servers()) == {"s2", "s3", "s4", "s5"}
-
 
 class TestRunLoop:
     def test_virtual_time_advances_with_events(self, config):
@@ -213,13 +205,11 @@ class TestTrace:
         for index in range(500):
             assert cluster.write(f"v{index}").fast
             assert cluster.read("r1").fast
-        # Every round-1 timer was disarmed by the operation it belonged to:
-        # nothing is armed, and the tombstones compacted as they surfaced.
+        # Every round-1 timer was disarmed by the operation it belonged to,
+        # and each cancelled entry was discarded as it surfaced.
         assert cluster.timers_cancelled == 1000
         cluster.run_until_quiescent()
-        assert not cluster.queue._armed
-        assert not cluster.queue._timer_heap
-        assert cluster.queue._tombstones == 0
+        assert len(cluster.queue) == 0
 
     def test_summary_reports_delivered_and_dropped(self, config):
         cluster = build(config, failures=FailureSchedule.crash_at_start(["s6"]))

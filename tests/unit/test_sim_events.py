@@ -1,10 +1,9 @@
 """Unit tests for the simulator's event queue and event types.
 
-The queue is two structures behind one facade (a general heap plus an
-amortized timer wheel sharing one sequence counter); the hypothesis suite
-here pins the contract that matters: the merged pop order is *exactly* the
-``(time, seq)`` order a single heap would produce, and cancelled timers are
-tombstone-counted instead of dispatched.
+The queue is one heap that cancels timers lazily; the hypothesis suite here
+pins the contract that matters: the pop order is *exactly* the ``(time,
+seq)`` order of a reference that removes cancelled timers eagerly, and
+cancelled timers are counted instead of dispatched.
 """
 
 import itertools
@@ -39,7 +38,7 @@ class TestEventQueue:
 
     def test_ties_break_by_insertion_order_across_structures(self):
         # General events and timers share one sequence counter, so a tie on
-        # the timestamp resolves by arrival order even across the two heaps.
+        # the timestamp resolves by arrival order whatever the event kind.
         queue = EventQueue()
         queue.push(1.0, InvocationEvent("first", lambda: None))
         queue.push_timer(1.0, "p1", "second")
@@ -66,8 +65,8 @@ class TestEventQueue:
         assert queue.pop_due(100.0) is None and queue.peek_time() is None
 
     def test_rearm_after_cancel_fires_at_the_new_time(self):
-        # The cancellation watermark must kill only the old armament: the
-        # tombstone at t=1 dies, the re-arm at t=4 fires.
+        # Cancelling must kill only the old armament: the entry at t=1 dies,
+        # the re-arm at t=4 fires.
         queue = EventQueue()
         queue.push_timer(1.0, "p1", "t")
         assert queue.cancel_timer("p1", "t") == 1
@@ -84,15 +83,6 @@ class TestEventQueue:
         queue.push(7.0, InvocationEvent("x", lambda: None))
         queue.push_timer(2.0, "p1", "y")
         assert queue.peek_time() == 2.0
-
-    def test_cancelled_general_entries_are_skipped(self):
-        queue = EventQueue()
-        handle = queue.push(1.0, InvocationEvent("cancelled", lambda: None))
-        queue.push(2.0, InvocationEvent("kept", lambda: None))
-        queue.cancel(handle)
-        assert queue.peek_time() == 2.0
-        assert queue.pop()[1].label == "kept"
-        assert len(queue) == 0
 
     def test_cancel_timer_disarms_before_firing(self):
         queue = EventQueue()
@@ -131,16 +121,17 @@ class TestEventQueue:
 
     def test_len_counts_live_entries_only(self):
         queue = EventQueue()
-        handle = queue.push(1.0, InvocationEvent("a", lambda: None))
+        queue.push(1.0, InvocationEvent("a", lambda: None))
         queue.push_timer(2.0, "p1", "b")
         queue.push_timer(3.0, "p1", "c")
         assert len(queue) == 3
-        queue.cancel(handle)
-        assert len(queue) == 2
         queue.cancel_timer("p1", "b")
+        assert len(queue) == 2
+        assert queue.pop()[1].label == "a"
         assert len(queue) == 1
         queue.cancel_timer("p1", "c")
         assert len(queue) == 0
+        assert queue.pop() is None
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -150,15 +141,15 @@ class TestEventQueue:
 
 
 # --------------------------------------------------------------------------- #
-# Ordering equivalence: timer wheel vs a single reference heap
+# Ordering equivalence: lazy cancellation vs an eager reference
 # --------------------------------------------------------------------------- #
 
 
 class _ReferenceQueue:
-    """The pre-wheel design: one sorted structure of ``(time, seq, event)``.
+    """One sorted structure of ``(time, seq, event)``.
 
     Cancelling a timer removes its entries eagerly — the semantics the lazy
-    tombstoning of the real queue must be indistinguishable from.
+    cancellation of the real queue must be indistinguishable from.
     """
 
     def __init__(self):
@@ -272,7 +263,7 @@ class TestClusterTimerAccounting:
 
     def test_lease_revoke_cancels_timers_without_inflating_events(self):
         # A write to a leased key revokes the holder's lease; the holder's
-        # expire/renew timers are disarmed and must surface as tombstones,
+        # expire/renew timers are disarmed and must be counted as cancelled,
         # not as processed events.
         store = ShardedSimStore(
             LuckyAtomicProtocol(SystemConfig.balanced(1, 0, num_readers=2)),
@@ -286,7 +277,7 @@ class TestClusterTimerAccounting:
         assert cluster.timers_cancelled > 0
         # Draining the remaining *live* timers (the servers' lease-expiry
         # watchdogs) dispatches real events; the cancelled holder timers do
-        # not reappear — once quiescent, nothing is left and the tombstone
+        # not reappear — once quiescent, nothing is left and the cancelled
         # count stands apart from ``events_processed``.
         cluster.run_until_quiescent()
         assert len(cluster.queue) == 0

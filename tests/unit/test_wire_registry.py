@@ -1,13 +1,20 @@
-"""Registry-invariant tests: the import-time guards of the wire codec, moved.
+"""Registry-invariant tests: what the process registers, checked exhaustively.
 
-The codec used to assert at import time that every message type had a tag and
-that the Message base header was unchanged.  Those invariants now live in two
-places — the RP02 analyzer rule (static, covers trees that are not imported)
-and this module (runtime, covers what is actually registered in the process).
+The codec once asserted at import time that every message type had a tag and
+that the Message base header was unchanged.  ``register_struct`` still refuses
+an out-of-range or reused struct tag at import; everything else is checked
+here, against the classes the ``repro`` modules actually define: every
+message class is tagged and listed, and every dataclass a message or a WAL
+record can carry is a registered struct.
 """
 
 import dataclasses
+import importlib
+import pkgutil
+import sys
+import typing
 
+import repro
 from repro.core.messages import (
     ALL_MESSAGE_TYPES,
     CLIENT_BOUND_MESSAGES,
@@ -23,13 +30,54 @@ from repro.core.types import (
 )
 from repro.persist.wal import WalRecord
 from repro.wire.codec import MESSAGE_TAGS, TAG_ENVELOPE, TAG_VALUE
-from repro.wire.values import encode_value
+from repro.wire.values import _TAG_BY_STRUCT, encode_value
+
+
+def message_classes():
+    """Every ``Message`` subclass a ``repro`` module binds under its own name.
+
+    ``@dataclass(slots=True)`` builds a new class and leaves the pre-slots one
+    in ``Message.__subclasses__()``; only the rebuilt class is bound, so the
+    name filter sees each message once.
+    """
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, stack = set(), [Message]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            module = sys.modules.get(cls.__module__)
+            if cls.__module__.startswith("repro.") and getattr(module, cls.__name__, None) is cls:
+                found.add(cls)
+    return found
+
+
+def wire_structs():
+    """Every dataclass reachable through the type hints of a message or a WAL
+    record (``Message`` itself, the payload type of a ``Batch``, excepted)."""
+    found, stack = set(), [*message_classes(), WalRecord]
+    while stack:
+        hints = list(typing.get_type_hints(stack.pop()).values())
+        while hints:
+            hint = hints.pop()
+            hints.extend(typing.get_args(hint))
+            if (
+                isinstance(hint, type)
+                and dataclasses.is_dataclass(hint)
+                and hint is not Message
+                and hint not in found
+            ):
+                found.add(hint)
+                stack.append(hint)
+    return found
 
 
 class TestMessageTagCoverage:
     def test_every_message_type_has_a_tag(self):
-        missing = [cls.__name__ for cls in ALL_MESSAGE_TYPES if cls not in MESSAGE_TAGS]
-        assert missing == []
+        classes = message_classes()
+        assert set(ALL_MESSAGE_TYPES) <= classes
+        assert sorted(cls.__name__ for cls in classes - set(MESSAGE_TAGS)) == []
+        assert sorted(cls.__name__ for cls in classes - set(ALL_MESSAGE_TYPES)) == []
 
     def test_no_orphan_tags(self):
         # The registry must not keep tags for classes the protocol dropped.
@@ -56,9 +104,12 @@ class TestMessageTagCoverage:
 
 
 class TestStructRegistry:
+    def test_every_wire_crossing_struct_is_registered(self):
+        structs = wire_structs()
+        assert {TimestampValue, FrozenEntry, FreezeDirective, NewReadReport} <= structs
+        assert sorted(cls.__name__ for cls in structs if cls not in _TAG_BY_STRUCT) == []
+
     def test_wire_crossing_structs_encode(self):
-        # Every dataclass that rides inside message fields or WAL records
-        # must be registered with the value codec.
         for struct in (
             TimestampValue(1, "v", "w"),
             FrozenEntry(TimestampValue(1, "v", "w"), 2),
@@ -77,23 +128,3 @@ class TestDirectionGroups:
         union = set(CLIENT_BOUND_MESSAGES) | set(SERVER_BOUND_MESSAGES)
         assert union == set(ALL_MESSAGE_TYPES) - {Batch}
         assert not set(CLIENT_BOUND_MESSAGES) & set(SERVER_BOUND_MESSAGES)
-
-    def test_analyzer_mirror_matches_runtime(self):
-        # repro.analysis.protocol mirrors these tuples by name so the
-        # analyzer needs no runtime imports; drift fails here.
-        from repro.analysis import protocol
-
-        assert protocol.MESSAGE_TYPE_NAMES == tuple(
-            cls.__name__ for cls in ALL_MESSAGE_TYPES
-        )
-        assert protocol.MESSAGE_GROUPS["CLIENT_BOUND_MESSAGES"] == tuple(
-            cls.__name__ for cls in CLIENT_BOUND_MESSAGES
-        )
-        assert protocol.MESSAGE_GROUPS["SERVER_BOUND_MESSAGES"] == tuple(
-            cls.__name__ for cls in SERVER_BOUND_MESSAGES
-        )
-        assert protocol.ENVELOPE_TYPE_NAMES == {Batch.__name__}
-        assert protocol.RESERVED_FRAME_TAGS == {
-            TAG_VALUE: "TAG_VALUE",
-            TAG_ENVELOPE: "TAG_ENVELOPE",
-        }

@@ -7,14 +7,14 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.cluster import SimCluster
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import (
-    consecutive_read_workload,
+    ScheduledOperation,
+    Workload,
     contended_workload,
     contended_writers_workload,
     keyspace_workload,
     lucky_workload,
     poisson_workload,
     run_workload,
-    run_workload_history,
     value_sequence,
     zipf_weights,
 )
@@ -44,11 +44,6 @@ class TestGenerators:
         assert len(writes) == len(reads) == 4
         for write_op, read_op in zip(writes, reads, strict=True):
             assert read_op.at == pytest.approx(write_op.at + 0.5)
-
-    def test_consecutive_read_workload_shape(self):
-        workload = consecutive_read_workload(5, readers=["r1", "r2"], num_sequences=2)
-        assert len(workload.writes()) == 2
-        assert len(workload.reads()) == 10
 
     def test_poisson_workload_respects_duration_and_seed(self):
         first = poisson_workload(50.0, write_rate=0.2, read_rate=0.4, readers=["r1"], seed=3)
@@ -118,8 +113,8 @@ class TestExecution:
 
     def test_run_workload_history_is_atomic(self):
         cluster = self._cluster()
-        history = run_workload_history(cluster, contended_workload(4, readers=["r1", "r2"]))
-        assert check_atomicity(history).ok
+        run_workload(cluster, contended_workload(4, readers=["r1", "r2"]))
+        assert check_atomicity(cluster.history()).ok
 
     def test_deferred_ops_keep_well_formedness_and_scheduled_at(self):
         """Deferral must preserve per-client well-formedness *and* keep the
@@ -151,9 +146,15 @@ class TestExecution:
         the schedule time and expose a positive queueing delay, both on the
         handle and in the recorded history metadata."""
         cluster = self._cluster()
-        # Back-to-back reads by the same single reader against a >= 2-unit
-        # read latency: every read after the first defers.
-        workload = consecutive_read_workload(6, readers=["r1"], gap=0.2)
+        # A write, then back-to-back reads by the same single reader against a
+        # >= 2-unit read latency: every read after the first defers.
+        workload = Workload(
+            [ScheduledOperation(at=0.0, kind="write", client_id="w", value="v")]
+            + [
+                ScheduledOperation(at=0.2 * index, kind="read", client_id="r1")
+                for index in range(1, 7)
+            ]
+        )
         handles = run_workload(cluster, workload)
         assert all(handle.done for handle in handles)
         deferred_reads = [
