@@ -276,7 +276,7 @@ class AutomatonNode:
     async def _flush_outbox(self) -> None:
         """The node's one flusher: each wake-up sends what the host drains
         (with batching, one frame per destination).  Sends buffered while a
-        frame is on its way (a TCP drain) wait for the next pass, so
+        send waits (a paused TCP link) wait for the next pass, so
         per-destination order holds.  A crashed node's outbox is emptied and
         nothing is sent."""
         wanted = self._flush_wanted

@@ -8,35 +8,54 @@ Two transports are provided:
   benchmarks: it exercises the real asyncio scheduling and timer machinery
   without depending on the loopback TCP stack.
 * :class:`TcpTransport` — every server/client is reachable over a localhost TCP
-  socket with length-prefixed binary wire frames (:mod:`repro.wire`).  This is
-  used by the ``examples/asyncio_cluster.py`` example and by integration tests
-  to show that the very same automata run over real sockets.
+  socket with length-prefixed binary wire frames (:mod:`repro.wire`).  Both
+  ends of a connection are asyncio protocol objects: a listener parses and
+  steps each frame in the socket's read callback, and a send writes its
+  frame to the socket's transport.  This is used by the
+  ``examples/asyncio_cluster.py`` example and by integration tests to show
+  that the very same automata run over real sockets.
 
 Both take a ``codec`` ("binary" by default) and count ``bytes_sent`` next to
 ``frames_sent``, so bytes-on-wire is an observable, not a guess.
+
+**The handler contract.**  A handler is a coroutine function that steps the
+frame and returns without suspending, as a node's does: it only fills its
+outbox, arms timers and resolves futures (:mod:`repro.runtime.node`).  In
+memory with zero delay, ``send`` awaits it; on TCP, the listener drives the
+coroutine once inside its read callback, and a handler that suspends is
+refused with a :class:`RuntimeError` that costs its connection.
+
+**Backpressure.**  In memory there is none: a frame is handed over or put to
+sleep.  On TCP a send waits while its link is paused, from the transport's
+``pause_writing`` (the peer has stopped reading and the buffers are full) to
+its ``resume_writing``; a node's flusher, the only sender of its links,
+waits there with it.
 
 What the channels guarantee, exactly:
 
 * **Addressing.**  A frame reaches only the handler registered under the
   destination it was sent to (TCP: the listener of that process; the
   envelope's destination field is not consulted).
-* **Order.**  Frames from one source to one destination arrive in the order
-  they were sent: inline delivery and one ordered socket by construction,
-  sleeping delivery because under a constant delay a later send sleeps until
-  a later instant.  A delay function that varies per frame may reorder
-  them, as a real network may.
+* **Order.**  Frames one task sends from one source to one destination
+  arrive in the order it sent them: inline delivery and one ordered socket
+  per ``(source, destination)`` by construction, sleeping delivery because
+  under a constant delay a later send sleeps until a later instant.  A delay
+  function that varies per frame may reorder them, as a real network may.
 * **Reliability.**  Nothing is dropped between two live processes; a TCP send
   that finds its cached connection dead reconnects once and retries.
-* **Identity is not enforced.**  The handler's ``source`` is the ``source``
-  argument of :meth:`Transport.send` in memory — every node passes its own
-  process id, so there it is the real sender — and on TCP it is whatever the
-  peer wrote into the envelope: anything that can reach a listener can claim
-  to be any process.  Neither transport nor node compares ``source`` with the
-  ``sender`` field inside the message, which is what the automata count
-  quorums by.  The paper's authenticated channels are therefore assumed of
-  the deployment (one trusted process, or a trusted loopback), not provided
-  by the transport; ``tests/integration/test_transport_edge.py`` pins the TCP
-  gap as a strict xfail.
+* **A TCP connection cannot switch identity; a fresh one can claim any.**
+  The handler's ``source`` is the ``source`` argument of
+  :meth:`Transport.send` in memory — every node passes its own process id,
+  so there it is the real sender.  On TCP it is what the peer wrote into the
+  envelope: the first frame on a connection binds that ``source`` to it,
+  and a later frame claiming another costs the connection
+  (``TcpTransport.connections_dropped``).  Nothing authenticates the first
+  claim, so anything that can reach a listener can still open a connection
+  and speak as any process; and neither transport nor node compares
+  ``source`` with the ``sender`` field inside the message, which is what
+  the automata count quorums by.  The paper's authenticated channels are
+  therefore assumed of the deployment (one trusted process, or a trusted
+  loopback), not provided by the transport.
 * **Bounded ingress.**  A TCP listener refuses a frame whose length prefix
   exceeds :data:`MAX_FRAME_BYTES` before buffering it, and drops the
   connection that sent it — or that sent bytes that do not decode — counting
@@ -47,8 +66,9 @@ What the channels guarantee, exactly:
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
-from typing import Awaitable, Callable, Dict, Optional, Tuple, Union
+from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.messages import Message
 from ..wire import Codec, WireDecodeError, get_codec
@@ -58,8 +78,9 @@ from ..wire import Codec, WireDecodeError, get_codec
 #: buffered, so a peer can make a listener hold at most this plus one read.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Bytes a listener asks of its socket per read: everything already buffered,
-#: in practice, so one read usually carries many frames.
+#: Bytes a listener reads at most in one go, into the one buffer its
+#: transport lends every connection: in practice everything already
+#: buffered, so one read usually carries many frames.
 _READ_CHUNK = 256 * 1024
 
 _LENGTH = struct.Struct("!I")
@@ -201,169 +222,270 @@ def _encode_frame(source: str, destination: str, message: Message, codec: Codec)
     return frame
 
 
-async def _close_writer(writer: asyncio.StreamWriter) -> None:
-    """Close *writer* and wait for the underlying socket to be released."""
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except asyncio.CancelledError:
-        # Teardown is racing an external cancellation; the transport is
-        # already closing, so the socket will still be released.
-        pass
-    except (ConnectionError, OSError):
-        pass
+class _Connection(asyncio.BaseProtocol):
+    """One socket of a :class:`TcpTransport`, accepted or opened.
+
+    It joins its transport's open sockets when built and leaves them at
+    ``connection_lost``, resolving :attr:`closed`: :meth:`TcpTransport.close`
+    awaits that for every socket it knows.
+    """
+
+    #: Set by ``connection_made``, which runs before the accept or connect
+    #: that built this protocol returns.
+    transport: asyncio.Transport
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        self._owner = owner
+        self.closed = asyncio.get_running_loop().create_future()
+        owner._sockets.add(self)
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        if self._owner._closed:  # made while close() ran: it owes nothing
+            self.transport.abort()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._owner._sockets.discard(self)
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+
+class _Inbound(_Connection, asyncio.BufferedProtocol):
+    """A connection accepted by the listener of *process_id*.
+
+    The socket reads into the transport's one read buffer (:meth:`get_buffer`;
+    a read is parsed before the loop reads any socket again, so they can
+    share it, and no read allocates).  :meth:`buffer_updated` parses what
+    arrived, and each complete frame is stepped there and then by the
+    handler registered under *process_id* at that moment; only the bytes of
+    an incomplete frame are kept, per connection.  The first frame's
+    envelope ``source`` binds the connection.
+    """
+
+    def __init__(self, owner: "TcpTransport", process_id: str) -> None:
+        super().__init__(owner)
+        self._process_id = process_id
+        self._decode = owner.codec.decode_envelope
+        # The bytes of a frame that is not complete yet (prefix included), and
+        # how long they must grow before parsing can make progress again.
+        self._pending = bytearray()
+        self._wanted = 4
+        # The process this connection speaks as, from its first frame on.
+        self._source: Optional[str] = None
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._owner._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        data: Union[bytes, memoryview] = self._owner._read_buffer[:nbytes]
+        pending = self._pending
+        if pending:
+            pending += data
+            if len(pending) < self._wanted:
+                return
+            data = bytes(pending)
+            pending.clear()
+        handlers = self._owner._handlers
+        offset, size, self._wanted = 0, len(data), 4
+        while size - offset >= 4:
+            (length,) = _LENGTH.unpack_from(data, offset)
+            if length > MAX_FRAME_BYTES:
+                self._drop()
+                return
+            end = offset + 4 + length
+            if end > size:
+                self._wanted = 4 + length
+                break
+            try:
+                source, _destination, message = self._decode(bytes(data[offset + 4 : end]))
+            except WireDecodeError:
+                self._drop()
+                return
+            offset = end
+            if source != self._source:
+                if self._source is not None:  # the connection switched identity
+                    self._drop()
+                    return
+                self._source = source
+            # Resolve the handler per frame: a restarted node re-registers its
+            # process id, and the listener — whose socket and port survive the
+            # restart — must dispatch to the *current* node.
+            handler = handlers.get(self._process_id)
+            if handler is None:
+                continue
+            step = handler(source, message)
+            try:
+                step.send(None)
+            except StopIteration:
+                continue
+            step.close()
+            # asyncio reports what buffer_updated raises and aborts the socket.
+            raise RuntimeError(
+                f"the handler of {self._process_id!r} suspended on a frame; "
+                "a TCP handler must step the frame and return"
+            )
+        if offset < size:
+            pending += data[offset:]
+
+    def _drop(self) -> None:
+        """The peer is faulty (or speaks another format): it loses this
+        connection; the node and every other connection carry on."""
+        self._owner.connections_dropped += 1
+        self.transport.close()
+
+
+class _Link(_Connection, asyncio.Protocol):
+    """The outbound connection of one ``(source, destination)`` pair.
+
+    The peer never writes on it: a FIN from it (``eof_received``, whose
+    default closes the transport) or a lost socket marks the link stale.
+    ``pause_writing``/``resume_writing`` gate the senders.
+    """
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        super().__init__(owner)
+        self.paused = False
+        self._waiters: List[asyncio.Future] = []
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        for waiter in self._waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self.resume_writing()  # a sender waiting on a lost link retries
+
+    async def resumed(self) -> None:
+        """Return once the link is no longer paused (or is lost)."""
+        waiter = self.closed.get_loop().create_future()
+        self._waiters.append(waiter)
+        try:
+            await waiter
+        finally:
+            self._waiters.remove(waiter)
 
 
 class TcpTransport(Transport):
     """Localhost TCP transport with one listening socket per registered process.
 
     Each registered process binds an ephemeral port on ``127.0.0.1``; sends
-    open (and cache) one outgoing connection per destination.  Message framing
-    is a 4-byte length prefix followed by the codec's ``(source, destination,
-    message)`` envelope (versioned binary by default).  The envelope's source
-    is believed, so this is adequate only where every peer that can reach a
-    listener is trusted with its identity (module docstring).
+    open (and cache) one outgoing connection per ``(source, destination)``
+    pair.  Message framing is a 4-byte length prefix followed by the codec's
+    ``(source, destination, message)`` envelope (versioned binary by
+    default).  Both ends are asyncio protocols: no stream, task or lock
+    stands between a socket and the code that uses its bytes.
 
-    A listener parses every complete frame out of each read and dispatches
-    them in order: a node steps each frame as it is parsed.  A length prefix
-    above :data:`MAX_FRAME_BYTES`, or a frame that does not decode, costs the
-    peer that connection and nothing else: it is closed and counted in
+    **Receiving.**  An accepted connection is an
+    :class:`asyncio.BufferedProtocol`: the socket reads into the one buffer
+    the transport lends all its connections, and ``buffer_updated`` parses
+    every complete frame out of the read and steps it inline: it calls the
+    handler and drives the coroutine once.  A handler must therefore finish
+    without suspending, as a node's does (it steps the frame and only fills
+    its outbox).  One that suspends is refused with a :class:`RuntimeError`,
+    which costs that connection.  A length prefix above
+    :data:`MAX_FRAME_BYTES`, a frame that does not decode, or a frame whose
+    envelope ``source`` differs from the first frame's costs the peer that
+    connection and nothing else: it is closed and counted in
     ``connections_dropped``.
 
-    Concurrent senders share the cached connection of their ``(source,
-    destination)`` pair, so each connection is guarded by an
-    :class:`asyncio.Lock`: without it, two tasks could interleave their
-    ``write()``/``drain()`` calls and corrupt the length-prefixed framing.  A
-    send that finds the peer gone (stale cached connection, connection reset,
-    broken pipe) reconnects once and retries instead of dropping the message
-    silently — the paper's channel model is reliable links, so the transport
-    must not lose messages just because a kernel buffer was recycled.
+    **Sending.**  :meth:`send` writes the frame to its link's socket at once.
+    It waits only while the link connects (concurrent first sends share one
+    connect) or while the link is paused: ``pause_writing`` fires when the
+    peer stops reading and the kernel and transport buffers fill, and
+    ``resume_writing`` when they drain.  That is the backpressure a flusher
+    feels.  A send that finds the peer gone (a FIN or a reset on the cached
+    link, or a write that fails) reconnects once and retries instead of
+    dropping the message silently: the paper's channels are reliable, so the
+    transport must not lose a message just because a connection was
+    recycled.
     """
 
     def __init__(self, host: str = "127.0.0.1", codec: Union[str, Codec, None] = None) -> None:
         self.host = host
         self.codec = get_codec(codec)
         self._handlers: Dict[str, Callable[[str, Message], Awaitable[None]]] = {}
-        self._servers: Dict[str, asyncio.AbstractServer] = {}
+        self._listeners: Dict[str, socket.socket] = {}
         self._ports: Dict[str, int] = {}
-        self._connections: Dict[
-            Tuple[str, str], Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = {}
-        self._connection_locks: Dict[Tuple[str, str], asyncio.Lock] = {}
-        self._serve_tasks: set = set()
+        self._connections: Dict[Tuple[str, str], _Link] = {}
+        # The connect under way for a link, shared by every send that needs it.
+        self._connecting: Dict[Tuple[str, str], asyncio.Task] = {}
+        # Accepted sockets becoming transports.
+        self._accepting: Set[asyncio.Task] = set()
+        # Every socket not yet lost, accepted or opened.
+        self._sockets: Set[_Connection] = set()
+        # What every accepted connection reads into (see _Inbound).
+        self._read_buffer = memoryview(bytearray(_READ_CHUNK))
         self._closed = False
         self.frames_sent = 0
         self.bytes_sent = 0
         #: Inbound connections closed because their peer sent an oversized
-        #: length prefix or a frame that does not decode.
+        #: length prefix, a frame that does not decode, or a frame claiming
+        #: another source than the connection's first.
         self.connections_dropped = 0
 
     def register(self, process_id: str, handler: Callable[[str, Message], Awaitable[None]]) -> None:
         self._handlers[process_id] = handler
 
     async def start(self) -> None:
+        loop = asyncio.get_running_loop()
         for process_id in self._handlers:
-            server = await asyncio.start_server(
-                lambda reader, writer, pid=process_id: self._serve(reader, writer, pid),
-                host=self.host,
-                port=0,
+            listener = socket.create_server((self.host, 0))
+            listener.setblocking(False)
+            loop.add_reader(listener, self._accept, listener, process_id)
+            self._listeners[process_id] = listener
+            self._ports[process_id] = listener.getsockname()[1]
+
+    def _accept(self, listener: socket.socket, process_id: str) -> None:
+        """Accept every connection waiting on *listener* (the loop's reader
+        callback).  Each becomes a transport in a task :meth:`close` awaits,
+        which is why this is not an ``asyncio.Server``: closing one while it
+        accepts leaves the accepted socket to the garbage collector."""
+        loop = asyncio.get_running_loop()
+        while True:
+            try:
+                peer, _address = listener.accept()
+            except OSError:  # BlockingIOError: none left
+                return
+            accepting = loop.create_task(
+                loop.connect_accepted_socket(lambda: _Inbound(self, process_id), peer)
             )
-            self._servers[process_id] = server
-            self._ports[process_id] = server.sockets[0].getsockname()[1]
+            self._accepting.add(accepting)
+            accepting.add_done_callback(self._accepting.discard)
 
-    async def _serve(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        process_id: str,
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._serve_tasks.add(task)
-        decode = self.codec.decode_envelope
-        # The bytes of a frame that is not complete yet (prefix included), and
-        # how long they must grow before parsing can make progress again.
-        pending, wanted = bytearray(), 4
+    def _live_link(self, key: Tuple[str, str]) -> Optional[_Link]:
+        link = self._connections.get(key)
+        if link is None or link.transport.is_closing():
+            return None
+        return link
+
+    async def _open(self, key: Tuple[str, str]) -> Optional[_Link]:
+        """A fresh link for *key*; ``None`` when the destination is down or
+        the transport closed."""
+        connecting = self._connecting.get(key)
+        if connecting is None:
+            connecting = asyncio.get_running_loop().create_task(self._connect(key))
+            self._connecting[key] = connecting
+        # Shielded: a cancelled sender must not cancel the connect the others wait on.
+        return await asyncio.shield(connecting)
+
+    async def _connect(self, key: Tuple[str, str]) -> Optional[_Link]:
         try:
-            while not self._closed:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                if pending:
-                    pending += data
-                    if len(pending) < wanted:
-                        continue
-                    data = bytes(pending)
-                    pending.clear()
-                offset, size, wanted = 0, len(data), 4
-                while size - offset >= 4:
-                    (length,) = _LENGTH.unpack_from(data, offset)
-                    if length > MAX_FRAME_BYTES:
-                        raise WireDecodeError(
-                            f"frame of {length} bytes announced; the cap is {MAX_FRAME_BYTES}"
-                        )
-                    end = offset + 4 + length
-                    if end > size:
-                        wanted = 4 + length
-                        break
-                    source, _destination, message = decode(data[offset + 4 : end])
-                    offset = end
-                    # Resolve the handler per frame: a restarted node
-                    # re-registers its process id, and the listener — whose
-                    # socket and port survive the restart — must dispatch to
-                    # the *current* node, not the one registered at start.
-                    handler = self._handlers.get(process_id)
-                    if handler is not None:
-                        await handler(source, message)
-                if offset < size:
-                    pending += memoryview(data)[offset:]
-        except WireDecodeError:
-            # The peer is faulty (or speaks another format): it loses this
-            # connection; the node and every other connection carry on.
-            self.connections_dropped += 1
-        except (asyncio.CancelledError, ConnectionError):
-            # Teardown while the connection is idle, or the peer reset it:
-            # swallow it so the event loop does not log an unhandled error.
-            pass
-        finally:
-            if task is not None:
-                self._serve_tasks.discard(task)
-            await _close_writer(writer)
-
-    def _connection_stale(
-        self, connection: Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-    ) -> bool:
-        if connection is None:
-            return True
-        reader, writer = connection
-        # ``at_eof()`` flips as soon as the peer's FIN is processed, letting us
-        # notice a closed peer *before* writing into the dead socket (the
-        # first write after a clean peer close succeeds silently at the TCP
-        # level, so waiting for an exception would lose that frame).
-        return writer.is_closing() or reader.at_eof()
-
-    async def _drop_connection(self, key: Tuple[str, str]) -> None:
-        connection = self._connections.pop(key, None)
-        if connection is not None:
-            await _close_writer(connection[1])
-
-    async def _open_connection(
-        self, key: Tuple[str, str]
-    ) -> Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]:
-        """Replace the cached connection of *key* by a fresh one (its lock is
-        held); ``None`` when the destination is down or the transport closed."""
-        await self._drop_connection(key)
-        try:
-            connection = await asyncio.open_connection(self.host, self._ports[key[1]])
+            _, link = await asyncio.get_running_loop().create_connection(
+                lambda: _Link(self), self.host, self._ports[key[1]]
+            )
         except OSError:
             return None
-        if self._closed:
-            # close() ran while we were connecting; it has already swept the
-            # cache, so caching now would leak the socket.
-            await _close_writer(connection[1])
+        finally:
+            del self._connecting[key]
+        if self._closed:  # close() ran while we connected; the link aborted itself
             return None
-        self._connections[key] = connection
-        return connection
+        self._connections[key] = link
+        return link
 
     async def connect(self, source: str, destination: str) -> None:
         """Open the connection :meth:`send` would open on its first frame.
@@ -377,56 +499,50 @@ class TcpTransport(Transport):
         if self._closed or destination not in self._ports:
             return
         key = (source, destination)
-        lock = self._connection_locks.setdefault(key, asyncio.Lock())
-        async with lock:
-            if self._connection_stale(self._connections.get(key)):
-                await self._open_connection(key)
+        if self._live_link(key) is None:
+            await self._open(key)
 
     async def send(self, source: str, destination: str, message: Message) -> None:
         if self._closed or destination not in self._ports:
             return
         key = (source, destination)
-        # setdefault is atomic here: asyncio is single-threaded and there is
-        # no await between the lookup and the insertion.
-        lock = self._connection_locks.setdefault(key, asyncio.Lock())
         frame = _encode_frame(source, destination, message, self.codec)
-        async with lock:
-            # One reconnect + retry: the first attempt may fail (or be known
-            # stale) because the peer recycled the cached connection; a fresh
-            # connection failing too means the destination is genuinely down,
-            # which the protocol layer tolerates (it is a crash, not a lossy
-            # link).
-            for _attempt in range(2):
-                if self._closed:
-                    return
-                connection = self._connections.get(key)
-                if self._connection_stale(connection):
-                    connection = await self._open_connection(key)
-                    if connection is None:
-                        return
-                writer = connection[1]
-                try:
-                    writer.write(frame)
-                    await writer.drain()
-                    self.frames_sent += 1
-                    self.bytes_sent += len(frame)
-                    return
-                except OSError:  # ConnectionResetError, BrokenPipeError, ...
-                    await self._drop_connection(key)
+        # One reconnect + retry: the first attempt may find the cached link
+        # stale, or lose it while paused or writing, because the peer recycled
+        # the connection; a fresh link failing too means the destination is
+        # genuinely down, which the protocol layer tolerates (it is a crash,
+        # not a lossy link).
+        for _attempt in range(2):
+            link = self._live_link(key) or await self._open(key)
+            if link is None:
+                return
+            while link.paused:
+                await link.resumed()
+            if self._closed:
+                return
+            transport = link.transport
+            if transport.is_closing():
+                continue  # lost while paused
+            transport.write(frame)
+            # A write that fails closes the transport on the spot.
+            if not transport.is_closing():
+                self.frames_sent += 1
+                self.bytes_sent += len(frame)
+                return
 
     async def close(self) -> None:
+        """Stop listening, then close every socket and wait until each is:
+        nothing is left for ``__del__`` to find."""
         self._closed = True
-        for key in list(self._connections):
-            await self._drop_connection(key)
-        self._connection_locks.clear()
-        # Cancel in-flight _serve coroutines (each closes its own connection
-        # in its ``finally`` block) and wait for them to unwind.
-        for task in list(self._serve_tasks):
-            task.cancel()
-        if self._serve_tasks:
-            await asyncio.gather(*self._serve_tasks, return_exceptions=True)
-        self._serve_tasks.clear()
-        for server in self._servers.values():
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
+        loop = asyncio.get_running_loop()
+        for listener in self._listeners.values():
+            loop.remove_reader(listener)
+            listener.close()
+        self._listeners.clear()
+        # Accepts and connects under way finish; what they made aborts itself.
+        await asyncio.gather(*self._accepting, *self._connecting.values(), return_exceptions=True)
+        sockets = list(self._sockets)
+        for connection in sockets:
+            connection.transport.abort()
+        await asyncio.gather(*(connection.closed for connection in sockets))
+        self._connections.clear()

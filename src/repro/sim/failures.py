@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,14 +148,6 @@ class FailureSchedule:
         """Whether *process_id* is inside one of its crash windows at *now*."""
         windows = self.windows.get(process_id)
         return bool(windows) and any(window.covers(now) for window in windows)
-
-    def permanently_crashed(self) -> Set[str]:
-        """Processes that crash and never recover under this schedule."""
-        return {
-            pid
-            for pid, windows in self.windows.items()
-            if windows and windows[-1].recover_at == math.inf
-        }
 
     def recovery_events(self) -> List[Tuple[str, CrashWindow]]:
         """Every window that ends in a recovery, ordered by recovery time."""

@@ -1,6 +1,10 @@
 """Integration tests for the asyncio runtime (in-memory and TCP transports)."""
 
 import asyncio
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +367,19 @@ class TestTcpRuntime:
 
         before, after = run(scenario())
         assert after == before
+
+
+def test_the_tcp_example_runs_clean():
+    """``examples/asyncio_cluster.py`` is the one example over TCP sockets:
+    it must finish, and leak no socket, as a user would run it."""
+    root = Path(__file__).resolve().parents[2]
+    result = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "examples/asyncio_cluster.py"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "ResourceWarning" not in result.stderr  # raised in __del__, it only prints

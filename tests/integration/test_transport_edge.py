@@ -14,6 +14,7 @@ its socket.
 
 import asyncio
 import gc
+import socket
 import struct
 import tracemalloc
 
@@ -286,10 +287,6 @@ def test_a_flood_of_reads_leaves_the_node_bounded():
     assert large < 2 * small
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="TCP believes the envelope's source: nothing binds it to the connection yet",
-)
 def test_a_tcp_peer_cannot_speak_as_another_process():
     async def scenario():
         transport = TcpTransport()
@@ -315,3 +312,119 @@ def test_a_tcp_peer_cannot_speak_as_another_process():
     received = run(scenario)
     assert ("r1", "r1") in received
     assert all("r2" not in pair for pair in received)
+
+
+async def send_and_hang_up(transport, data, timeout=2.0):
+    """Write *data* on a connection of its own to s1; whether the listener
+    closed it before *timeout*."""
+    reader, writer = await asyncio.open_connection(transport.host, transport._ports["s1"])
+    try:
+        writer.write(data)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout) == b""
+    except asyncio.TimeoutError:
+        return False
+    except ConnectionError:
+        return True
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except ConnectionError:
+            pass
+
+
+def test_a_connection_keeps_its_first_source_and_a_fresh_one_may_claim_any():
+    async def scenario():
+        transport = TcpTransport()
+        received = []
+
+        async def record(source, message):
+            received.append((source, message.read_ts))
+
+        transport.register("s1", record)
+        await transport.start()
+        try:
+            switched = await send_and_hang_up(
+                transport, frame("r1", 1) + frame("r2", 2) + frame("r1", 3)
+            )
+            fresh = await send_and_hang_up(transport, frame("r2", 4), timeout=0.3)
+        finally:
+            await transport.close()
+        return switched, fresh, received, transport.connections_dropped
+
+    switched, fresh, received, dropped = run(scenario)
+    assert switched and dropped == 1  # the switch cost that connection
+    assert not fresh  # nothing authenticates a first claim
+    assert received == [("r1", 1), ("r2", 4)]
+
+
+def test_a_handler_that_suspends_is_refused_and_costs_only_its_connection():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _loop, context: errors.append(context["exception"]))
+        transport = TcpTransport()
+        received = []
+
+        async def handler(source, message):
+            if message.read_ts == 2:
+                await asyncio.sleep(0)  # a handler must not suspend
+            received.append(message.read_ts)
+
+        transport.register("s1", handler)
+        await transport.start()
+        try:
+            refused = await send_and_hang_up(
+                transport, frame("r1", 1) + frame("r1", 2) + frame("r1", 3)
+            )
+            other = await send_and_hang_up(transport, frame("r1", 4), timeout=0.3)
+            await wait_until(lambda: 4 in received)
+        finally:
+            await transport.close()
+        return refused, other, received, errors, transport.connections_dropped
+
+    refused, other, received, errors, dropped = run(scenario)
+    assert refused and not other
+    assert received == [1, 4]  # nothing after the refused frame, on that connection
+    assert len(errors) == 1 and isinstance(errors[0], RuntimeError)
+    assert "suspended" in str(errors[0])
+    assert dropped == 0  # the fault is the handler's, not the peer's
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("turns", [0, 1, 2, 3, 10])
+def test_close_leaves_no_socket_open_with_connections_just_accepted(turns):
+    """Peers connect, the loop runs *turns* turns (accepting, building the
+    protocols, running ``connection_made``; after 10 the connections are
+    up), and ``close()`` comes in between: every accepted socket is closed
+    when it returns."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        transport = TcpTransport()
+        transport.register("s1", lambda source, message: None)
+        await transport.start()
+        peers = []
+        for _ in range(3):
+            peer = socket.create_connection((transport.host, transport._ports["s1"]))
+            peer.setblocking(False)
+            peers.append(peer)
+        for _ in range(turns):
+            await asyncio.sleep(0)
+        await transport.close()
+        left_open = len(transport._sockets)
+        hung_up = []
+        for peer in peers:
+            try:
+                hung_up.append(await asyncio.wait_for(loop.sock_recv(peer, 1), 1.0) == b"")
+            except ConnectionError:
+                hung_up.append(True)
+            except asyncio.TimeoutError:
+                hung_up.append(False)
+            peer.close()
+        return left_open, hung_up
+
+    left_open, hung_up = run(scenario)
+    assert left_open == 0
+    assert hung_up == [True] * 3

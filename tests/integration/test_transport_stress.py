@@ -11,12 +11,15 @@ These tests pin down the two historical transport bugs:
 
 import asyncio
 import gc
+import socket
+import struct
 
 import pytest
 
 from repro.core.messages import Read, Write
 from repro.core.types import TimestampValue
-from repro.runtime.transport import TcpTransport
+from repro.runtime.transport import TcpTransport, _Inbound
+from repro.wire import get_codec
 
 
 def run(coro):
@@ -127,11 +130,11 @@ class TestTcpStress:
                 await asyncio.sleep(0.01)
 
             # Peer closes every accepted connection (e.g. the server restarted
-            # or the OS recycled the socket): cancel the in-flight _serve
-            # coroutines, which close their writers.
-            for task in list(transport._serve_tasks):
-                task.cancel()
-            await asyncio.gather(*transport._serve_tasks, return_exceptions=True)
+            # or the OS recycled the socket).
+            accepted = [c for c in transport._sockets if isinstance(c, _Inbound)]
+            for connection in accepted:
+                connection.transport.close()
+            await asyncio.gather(*(connection.closed for connection in accepted))
             await asyncio.sleep(0.05)  # let the FIN reach the cached connection
 
             stale = transport._connections[("a", "b")]
@@ -150,6 +153,63 @@ class TestTcpStress:
         gc.collect()
         assert reconnected, "send should have replaced the stale cached connection"
         assert [m.read_ts for _s, m in received] == [1, 2]
+
+    def test_a_peer_that_stops_reading_pauses_send_and_loses_nothing(self):
+        """``send`` waits while the link is paused (``pause_writing``) and
+        every frame arrives, in order, once the peer reads again."""
+        # 16 MiB in all: four times the largest send buffer Linux grows a
+        # socket to by default, so the link must pause.
+        count, payload = 256, "x" * 65536
+        codec = get_codec(None)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            transport = TcpTransport()
+            await transport.start()
+            # A peer that accepts and then does not read.
+            listener = socket.create_server(("127.0.0.1", 0))
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            listener.setblocking(False)
+            transport._ports["b"] = listener.getsockname()[1]
+
+            async def sender():
+                for index in range(count):
+                    message = Write(
+                        sender="a", round=2, ts=index, pair=TimestampValue(index, payload)
+                    )
+                    await transport.send("a", "b", message)
+
+            sending = asyncio.create_task(sender())
+            peer, _ = await loop.sock_accept(listener)
+            listener.close()
+            deadline = loop.time() + 5.0
+            link = None
+            while (link is None or not link.paused) and loop.time() < deadline:
+                await asyncio.sleep(0.01)
+                link = transport._connections.get(("a", "b"))
+            paused_while_sending = link is not None and link.paused and not sending.done()
+
+            received, stream = [], bytearray()
+            while len(received) < count:
+                chunk = await asyncio.wait_for(loop.sock_recv(peer, 1 << 20), 5.0)
+                assert chunk, "the link closed before every frame arrived"
+                stream += chunk
+                while len(stream) >= 4:
+                    (length,) = struct.unpack_from("!I", stream)
+                    if len(stream) < 4 + length:
+                        break
+                    received.append(codec.decode_envelope(bytes(stream[4 : 4 + length]))[2].ts)
+                    del stream[: 4 + length]
+            await sending
+            await transport.close()
+            peer.close()
+            return paused_while_sending, received, transport.frames_sent
+
+        paused_while_sending, received, frames_sent = run(scenario())
+        gc.collect()
+        assert paused_while_sending
+        assert received == list(range(count))
+        assert frames_sent == count
 
     def test_close_is_idempotent_and_stops_sends(self):
         async def scenario():

@@ -44,7 +44,9 @@ class TestFailureSchedule:
         assert schedule.is_crashed("s1", 15.0)
         assert not schedule.is_crashed("s1", 25.0)
         assert schedule.is_crashed("s1", 1e9)
-        assert schedule.permanently_crashed() == {"s1"}
+        # The last window never closes, and only the first one recovers.
+        assert schedule.windows["s1"][-1].recover_at == math.inf
+        assert [pid for pid, _ in schedule.recovery_events()] == ["s1"]
 
     def test_peak_counts_every_server_down_at_once(self):
         schedule = FailureSchedule.crash_at_start(["s1", "s2"])
@@ -91,12 +93,13 @@ class TestCrashWindows:
     def test_permanent_crash_without_recovery(self):
         schedule = FailureSchedule().crash("s1", at=10.0)
         assert schedule.is_crashed("s1", 1e9)
-        assert schedule.permanently_crashed() == {"s1"}
+        assert schedule.windows["s1"] == [CrashWindow(start=10.0)]
         assert schedule.recovery_events() == []
 
     def test_recovered_process_is_not_permanently_crashed(self):
         schedule = FailureSchedule().crash("s1", at=10.0, recover_at=20.0)
-        assert schedule.permanently_crashed() == set()
+        assert schedule.recovery_events() == [("s1", CrashWindow(10.0, 20.0))]
+        assert not schedule.is_crashed("s1", 1e9)
 
     def test_recovery_events_sorted_with_lose_tail(self):
         schedule = (
