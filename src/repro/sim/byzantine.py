@@ -16,9 +16,10 @@ not reply at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from ..core.automaton import Automaton, Effects, Send
+from ..core.config import SystemConfig
 from ..core.messages import (
     Message,
     Read,
@@ -26,6 +27,19 @@ from ..core.messages import (
 )
 from ..core.server import StorageServer
 from ..core.types import INITIAL_PAIR, FrozenEntry, TimestampValue
+
+
+def check_byzantine_servers(byzantine_ids: Iterable[str], config: SystemConfig) -> None:
+    """Reject a Byzantine set the model forbids: an id that is not a server,
+    or more than ``b`` of them."""
+    byzantine = set(byzantine_ids)
+    unknown = byzantine - set(config.server_ids())
+    if unknown:
+        raise ValueError(f"byzantine ids are not servers: {sorted(unknown)}")
+    if len(byzantine) > config.b:
+        raise ValueError(
+            f"{len(byzantine)} Byzantine servers exceed the model bound b={config.b}"
+        )
 
 
 class ByzantineStrategy:

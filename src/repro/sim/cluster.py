@@ -39,7 +39,7 @@ from ..persist.snapshot import MemorySnapshot, SnapshotManager
 from ..persist.wal import MemoryWAL
 from ..verify.history import History
 from ..wire import Codec, get_codec
-from .byzantine import ByzantineStrategy, MaliciousServer
+from .byzantine import ByzantineStrategy, MaliciousServer, check_byzantine_servers
 from .events import DeliveryEvent, EventQueue, InvocationEvent, TimerEvent
 from .failures import CrashWindow, FailureSchedule
 from .topology import LinkMetrics, Topology
@@ -149,19 +149,16 @@ class SimCluster:
                         process_id, servers, margin=0.5
                     )
 
-        unknown_byzantine = set(self.byzantine) - set(self.config.server_ids())
-        if unknown_byzantine:
-            raise ValueError(f"byzantine ids are not servers: {sorted(unknown_byzantine)}")
-        if len(self.byzantine) > self.config.b:
-            raise ValueError(
-                f"{len(self.byzantine)} Byzantine servers exceed the model bound b={self.config.b}"
-            )
+        # The suite's Byzantine servers (a sharded store's) fail like the
+        # cluster's own: both count against b, and against t below.
+        byzantine_ids = set(self.byzantine) | set(getattr(suite, "byzantine", {}))
+        check_byzantine_servers(byzantine_ids, self.config)
         # With recovery in the schedule, the model bound applies to servers
         # down *simultaneously*: a durable server that recovered from its WAL
         # no longer counts against t, so the total number of distinct crashes
         # over the run may legitimately exceed it.
         peak_faulty = self.failures.max_simultaneous_faulty(
-            self.config.server_ids(), always_faulty=set(self.byzantine)
+            self.config.server_ids(), always_faulty=byzantine_ids
         )
         if peak_faulty > self.config.t:
             raise ValueError(

@@ -36,7 +36,7 @@ from ..core.automaton import TIMER_SEPARATOR, Automaton, ClientAutomaton, Effect
 from ..core.protocol import ProtocolSuite
 from ..lease.server import LeaseServer, WriterLeaseServer
 from ..persist.durable import notify_recovered
-from ..sim.byzantine import ByzantineStrategy, MaliciousServer
+from ..sim.byzantine import ByzantineStrategy, MaliciousServer, check_byzantine_servers
 from .keyspace import (
     RegisterEvictionStore,
     export_register_state,
@@ -558,14 +558,7 @@ class ShardedProtocol(ProtocolSuite):
         self.consistency = base.consistency
         self.batching = bool(batching)
         self.byzantine = dict(byzantine or {})
-        unknown = set(self.byzantine) - set(self.config.server_ids())
-        if unknown:
-            raise ValueError(f"byzantine ids are not servers: {sorted(unknown)}")
-        if len(self.byzantine) > self.config.b:
-            raise ValueError(
-                f"{len(self.byzantine)} Byzantine servers exceed the model "
-                f"bound b={self.config.b}"
-            )
+        check_byzantine_servers(self.byzantine, self.config)
 
     # ---------------------------------------------------------- id validation
     @staticmethod

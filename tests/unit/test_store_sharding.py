@@ -12,7 +12,8 @@ from repro.core.messages import Read
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.reader import LeasedReader
 from repro.core.writer import LeasedWriter
-from repro.sim.byzantine import ForgeHighTimestampStrategy
+from repro.sim.byzantine import ForgeHighTimestampStrategy, MuteStrategy
+from repro.sim.failures import FailureSchedule
 from repro.store.sharding import (
     RegisterSpec,
     ShardedClient,
@@ -108,6 +109,19 @@ class TestShardedProtocolValidation:
         with pytest.raises(ValueError, match="exceed the model bound"):
             ShardedProtocol(
                 base, ["k1"], byzantine={"s1": ForgeHighTimestampStrategy}
+            )
+
+    def test_byzantine_servers_count_against_t(self):
+        # One Byzantine server and two crashed ones are three faulty servers
+        # at once, beyond t = 2: the store refuses the deployment at
+        # construction rather than hanging its first write.
+        base = LuckyAtomicProtocol(SystemConfig(t=2, b=1, fw=1, fr=0))
+        with pytest.raises(ValueError, match="exceed the model bound"):
+            ShardedSimStore(
+                base,
+                ["k1"],
+                byzantine={"s1": MuteStrategy},
+                failures=FailureSchedule.crash_at_start(["s5", "s6"]),
             )
 
     def test_byzantine_strategies_are_fresh_per_register(self):
