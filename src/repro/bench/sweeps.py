@@ -44,7 +44,7 @@ from ..workload.generator import (
     dense_store_workload,
     keyspace_workload,
     owned_writers_workload,
-    run_store_workload,
+    run_workload,
     value_sequence,
 )
 from .harness import ExperimentTable, summarize
@@ -111,7 +111,7 @@ def run(spec: StoreRun) -> ShardedSimStore:
         deployment["keys"] = keys
     if spec.num_writers:
         deployment["writers"] = config.client_ids()[: spec.num_writers]
-    run_store_workload(store, spec.generator(**deployment, **spec.workload_args))
+    run_workload(store, spec.generator(**deployment, **spec.workload_args))
     # Drain: stragglers land and recoveries scheduled after the last
     # completion still fire, so every incarnation and WAL replay is
     # accounted for before the check.
@@ -843,7 +843,7 @@ def topology_sweep(
     rows = []
     for profile, scenario, spec in cells:
         store = run(spec)
-        handles = store.cluster.operations
+        handles = store.operations
         stats = summarize(handles)
         rows.append(
             {

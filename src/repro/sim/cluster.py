@@ -321,10 +321,16 @@ class SimCluster:
         successful one is a write, a failed CAS a read of the observed value.
         """
         host = self.hosts[client_id]
-        if register_id is not None and not getattr(host.automaton, "sharded", False):
+        sharded = getattr(host.automaton, "sharded", False)
+        if register_id is not None and not sharded:
             raise TypeError(
                 f"client {client_id!r} is not sharded; build the cluster with a "
                 "repro.store.ShardedProtocol suite to address registers by key"
+            )
+        if register_id is None and sharded:
+            raise TypeError(
+                f"client {client_id!r} is sharded; name the register to address "
+                "with register_id="
             )
         # A rejected invocation raises here and leaves no handle behind.
         handle, effects = host.invoke(kind, register_id, args, self.now)

@@ -10,8 +10,9 @@ readers — over one shared server fleet and transport:
   any base protocol suite around one keyspace table of specs;
 * :mod:`repro.store.surface` — :class:`StoreSurface`, the one store façade:
   keyspace, dynamic keys, per-key histories and their atomicity verdicts;
-* :mod:`repro.store.sim` — :class:`ShardedSimStore`, the façade plus blocking
-  ``write(key, value)`` / ``read(key)`` in virtual time;
+* :mod:`repro.store.sim` — :class:`ShardedSimStore`, a
+  :class:`~repro.sim.cluster.SimCluster` with the façade and keyed
+  ``start_*`` / blocking ``write(key, value)`` / ``read(key)`` verbs;
 * :class:`repro.runtime.cluster.ShardedAsyncCluster` is the same façade plus
   awaitable verbs (re-exported here lazily to keep the import graph acyclic).
 

@@ -296,15 +296,6 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
             )
         return inner
 
-    def busy_on(self, register_id: str) -> bool:
-        """Whether an operation is outstanding on *register_id*.
-
-        Deliberately non-materializing: a register this client never touched
-        (or one that was dropped) is simply not busy.
-        """
-        inner = self.registers.get(register_id)
-        return inner.busy if inner is not None else False
-
     @property
     def busy(self) -> bool:
         """Whether any register has an outstanding operation."""

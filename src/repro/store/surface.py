@@ -4,9 +4,12 @@
 depend on *how* time passes: the keyspace (which keys exist, with which
 capabilities), creating and dropping keys at runtime, the eviction counters,
 per-key histories and their atomicity verdicts.
-:class:`~repro.store.sim.ShardedSimStore` (virtual time) and
-:class:`~repro.runtime.cluster.ShardedAsyncCluster` (asyncio) inherit it and
-add only their own verbs — ``start_*`` / ``run*`` there, awaitables here.
+:class:`~repro.store.sim.ShardedSimStore` (a
+:class:`~repro.sim.cluster.SimCluster`, virtual time) and
+:class:`~repro.runtime.cluster.ShardedAsyncCluster` (an
+:class:`~repro.runtime.cluster.AsyncCluster`) inherit it beside their
+cluster class and add only the keyed verbs — ``start_*`` and blocking calls
+there, awaitables here.
 
 A runtime supplies ``self.suite`` (its
 :class:`~repro.store.sharding.ShardedProtocol`) and two hooks:

@@ -11,7 +11,6 @@ from .generator import (
     lucky_workload,
     owned_writers_workload,
     poisson_workload,
-    run_store_workload,
     run_workload,
     value_sequence,
     workload_event_budget,
@@ -29,7 +28,6 @@ __all__ = [
     "lucky_workload",
     "owned_writers_workload",
     "poisson_workload",
-    "run_store_workload",
     "run_workload",
     "value_sequence",
     "workload_event_budget",

@@ -1,17 +1,19 @@
 """Workload generation for the simulator.
 
 A :class:`Workload` is a timed schedule of operations (writes by the single
-writer, reads by named readers).  Generators produce the scenarios the paper
-reasons about:
+writer, reads by named readers; on a keyspace, each names its register).
+Generators produce the scenarios the paper reasons about:
 
 * *lucky* phases — well-spaced writes and reads on a synchronous network;
 * *contended* phases — reads overlapping writes;
 * mixed Poisson-like arrivals for throughput-style comparisons.
 
-``run_workload`` drives a :class:`~repro.sim.cluster.SimCluster` through a
-workload while respecting the well-formedness rule that a client has at most
-one outstanding operation: if a client is still busy when its next operation
-is due, the invocation is deferred until the current one completes.
+``run_workload`` drives a :class:`~repro.sim.cluster.SimCluster` — a
+:class:`~repro.store.sim.ShardedSimStore` included — through a workload while
+respecting the well-formedness rule that a client has at most one outstanding
+operation per register: if a client is still busy on the register when its
+next operation there is due, the invocation is deferred until the current one
+completes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..sim.cluster import OperationHandle, SimCluster
 
@@ -570,88 +572,53 @@ def all_done(handles: Sequence[OperationHandle]) -> Callable[[], bool]:
 def run_workload(cluster: SimCluster, workload: Workload) -> List[OperationHandle]:
     """Drive *cluster* through *workload*; returns the operation handles.
 
-    Operations are invoked at their scheduled virtual time.  If the owning
-    client is still busy, the invocation waits for the outstanding operation to
-    finish first (preserving well-formedness while keeping cross-client
-    concurrency intact).  Each handle records the schedule time as
+    Operations are invoked at their scheduled virtual time, on the register
+    their ``key`` names (``None``: the paper's single register).  A client has
+    at most one outstanding operation per register: if the owning client is
+    still busy on that register, the invocation waits for it to finish first
+    (preserving well-formedness while keeping the concurrency across clients
+    and registers intact).  Each handle records the schedule time as
     ``scheduled_at``, so deferred invocations keep their queueing delay
     (``invoked_at - scheduled_at``) measurable.
+
+    On a :class:`~repro.store.sim.ShardedSimStore`, ``create`` operations add
+    the key to the live keyspace; ``drop`` operations first wait for every
+    operation open on the key to complete (a drop must not race the key's own
+    operations), then remove it.  Neither produces a handle.
     """
     handles: List[OperationHandle] = []
     budget = workload_event_budget(cluster, workload)
+    client_slots = [cluster.hosts[client_id].open for client_id in cluster.config.client_ids()]
     for op in workload.sorted():
-        if op.at > cluster.now:
-            cluster.run_for(op.at - cluster.now, max_events=budget)
-        client = (
-            cluster.writer if op.kind == "write" else cluster.reader(op.client_id)
-        )
-        if client.busy:
-            cluster.run(
-                until=lambda client=client: not client.busy, max_events=budget
-            )
-        if op.kind == "write":
-            handle = cluster.start_write(op.value)
-        else:
-            handle = cluster.start_read(op.client_id)
-        handle.scheduled_at = op.at
-        handles.append(handle)
-    cluster.run(until=all_done(handles), max_events=budget)
-    return handles
-
-
-def run_store_workload(store, workload: Workload) -> List[OperationHandle]:
-    """Drive a :class:`~repro.store.sim.ShardedSimStore` through *workload*.
-
-    Every operation must name a key.  Deferral happens per (client, key): a
-    client busy on one register can still invoke on another, so only true
-    per-register conflicts are queued — the concurrency the sharded store
-    exists to unlock.  Writes are issued by the client the operation names
-    (any client may write an MWMR key; generators targeting SWMR keys name
-    the configured writer).  Handles record ``scheduled_at`` like
-    :func:`run_workload`.
-
-    ``create`` operations add the key to the live keyspace; ``drop``
-    operations first wait for every handle already issued on the key to
-    complete (a drop must not race the key's own operations), then remove it.
-    Neither produces a handle.
-    """
-    handles: List[OperationHandle] = []
-    per_key: dict = {}
-    cluster = store.cluster
-    budget = workload_event_budget(cluster, workload)
-    for op in workload.sorted():
-        if op.key is None:
-            raise ValueError(f"store workloads need a key on every operation: {op}")
         if op.at > cluster.now:
             cluster.run_for(op.at - cluster.now, max_events=budget)
         if op.kind == "create":
-            store.create_register(op.key)
+            cluster.create_register(op.key)  # type: ignore[attr-defined]
             continue
         if op.kind == "drop":
-            pending = [h for h in per_key.get(op.key, ()) if not h.done]
-            if pending:
-                cluster.run(until=all_done(pending), max_events=budget)
-            store.drop_register(op.key)
-            continue
-        client_id = op.client_id
-        if store.client_busy(client_id, op.key):
             cluster.run(
-                until=lambda c=client_id, k=op.key: not store.client_busy(c, k),
+                until=lambda key=op.key: all(key not in slots for slots in client_slots),
                 max_events=budget,
             )
-        if op.kind == "write":
-            handle = store.start_write(op.key, op.value, client_id=client_id)
-        elif op.kind == "rmw":
+            cluster.drop_register(op.key)  # type: ignore[attr-defined]
+            continue
+        slots = cluster.hosts[op.client_id].open
+        if op.key in slots:
+            cluster.run(
+                until=lambda key=op.key, slots=slots: key not in slots, max_events=budget
+            )
+        args: Tuple[Any, ...] = () if op.kind == "read" else (op.value,)
+        if op.kind == "rmw":
             # The scheduled value is the (unique) value the RMW installs; the
             # transform still observes the current value atomically, which is
             # what stamps the conditional metadata the checker verifies.
-            handle = store.start_read_modify_write(
-                op.key, lambda _current, val=op.value: val, client_id=client_id
-            )
-        else:
-            handle = store.start_read(op.key, op.client_id)
+            args = (lambda _current, val=op.value: val,)
+        handle = cluster.start(op.client_id, op.kind, *args, register_id=op.key)
         handle.scheduled_at = op.at
         handles.append(handle)
-        per_key.setdefault(op.key, []).append(handle)
     cluster.run(until=all_done(handles), max_events=budget)
     return handles
+
+
+#: The same runner under the name ``benchmarks/e2e`` binds.
+run_store_workload = run_workload

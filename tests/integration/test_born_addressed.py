@@ -118,7 +118,7 @@ class RouterTap:
 
 
 def _routers_of_sim(store):
-    return [host.automaton for host in store.cluster.hosts.values()]
+    return [host.automaton for host in store.hosts.values()]
 
 
 def _routers_of_asyncio(store):

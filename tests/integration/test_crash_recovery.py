@@ -17,7 +17,7 @@ from repro.sim.cluster import SimCluster
 from repro.sim.failures import FailureSchedule
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
-from repro.workload.generator import keyspace_workload, run_store_workload
+from repro.workload.generator import keyspace_workload, run_workload
 
 
 CONFIG = SystemConfig(t=1, b=0, fw=1, fr=0)
@@ -146,11 +146,11 @@ class TestAtomicityAcrossRecoveries:
         store.crash("s1")
         store.write("k2", "v1")
         store.recover_server("s1")
-        at_recovery = store.cluster.trace.delivered.copy()
+        at_recovery = store.trace.delivered.copy()
         store.write("k1", "v2")
         assert store.read("k2").value == "v1"
         store.run_until_quiescent()
-        since = store.cluster.trace.delivered - at_recovery
+        since = store.trace.delivered - at_recovery
         assert any(destination == "s1" for _, destination, _ in since)
         assert store.incarnation("s1") == 1
         assert store.verify_atomic()
@@ -268,7 +268,7 @@ class TestShardedDurableStore:
         workload = keyspace_workload(
             80, store.keys, config.reader_ids(), mean_gap=1.5, seed=7
         )
-        run_store_workload(store, workload)
+        run_workload(store, workload)
         assert store.verify_atomic()
         assert schedule.total_crashes(config.server_ids()) > config.t
         assert store.incarnation("s1") == 1

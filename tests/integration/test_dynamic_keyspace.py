@@ -16,7 +16,7 @@ from repro.sim.failures import FailureSchedule
 from repro.sim.topology import LinkMetrics, Topology
 from repro.store.sim import ShardedSimStore
 from repro.store.surface import find_router
-from repro.workload.generator import churn_workload, keyspace_workload, run_store_workload
+from repro.workload.generator import churn_workload, keyspace_workload, run_workload
 
 
 def config(**kwargs):
@@ -69,14 +69,14 @@ class TestDynamicMembership:
             workload = keyspace_workload(
                 150, keys, store.config.reader_ids(), write_fraction=0.3, mean_gap=0.6, seed=5
             )
-            handles = run_store_workload(store, workload)
+            handles = run_workload(store, workload)
             store.run_until_quiescent()
             assert all(handle.done for handle in handles) and store.verify_atomic()
             operations = [
                 (h.register_id, h.result.kind, h.result.value, h.rounds, h.fast, h.completed_at)
                 for h in handles
             ]
-            counters = (store.cluster.events_processed, store.messages_sent, store.bytes_sent)
+            counters = (store.events_processed, store.messages_sent, store.bytes_sent)
             return operations, counters
 
         assert run(declared=True) == run(declared=False)
@@ -120,8 +120,8 @@ class TestEvictionRoundTrip:
         assert store.evictions > 0
         # k0 went cold long ago; every server's resident table dropped it.
         for server_id in store.config.server_ids():
-            assert "k0" not in store.resident_registers(server_id)
-            assert "k0" in store.evicted_registers(server_id)
+            assert "k0" not in find_router(store.processes[server_id]).registers
+            assert "k0" in store.suite.eviction_stores[server_id].register_ids()
         # Reading it faults the state back in from the eviction snapshots.
         assert store.read("k0").value == "v0"
         assert store.rehydrations > 0
@@ -133,7 +133,7 @@ class TestEvictionRoundTrip:
             store.create_register(f"k{index}")
             store.write(f"k{index}", str(index))
         for server_id in store.config.server_ids():
-            assert len(store.resident_registers(server_id)) <= 3
+            assert len(find_router(store.processes[server_id]).registers) <= 3
 
     def test_lru_order_keeps_the_recently_touched(self):
         store = bounded_store(max_resident=2)
@@ -144,7 +144,7 @@ class TestEvictionRoundTrip:
         store.read("a")  # touch a so b is now the coldest
         store.write("c", "3")  # evicts b, not a
         server = store.config.server_ids()[0]
-        resident = store.resident_registers(server)
+        resident = find_router(store.processes[server]).registers
         assert "b" not in resident and "a" in resident and "c" in resident
         assert store.read("b").value == "2"  # still rehydratable
 
@@ -155,9 +155,9 @@ class TestEvictionRoundTrip:
             store.write(f"k{index}", f"v{index}")
         assert store.evictions > 0
         crashed = store.config.server_ids()[0]
-        store.cluster.crash(crashed)
+        store.crash(crashed)
         store.write("k4", "v4b")  # quorum still completes with one server down
-        store.cluster.recover_server(crashed)
+        store.recover_server(crashed)
         # Evicted-then-recovered state must still rehydrate: the spill space
         # is owned by the suite, not by the server incarnation that died.
         assert store.read("k0").value == "v0"
@@ -169,7 +169,7 @@ class TestSimChurnAcceptance:
     def test_churn_workload_is_atomic_under_a_tight_bound(self):
         store = bounded_store(max_resident=8)
         workload = churn_workload(60, readers=store.config.reader_ids(), seed=3)
-        handles = run_store_workload(store, workload)
+        handles = run_workload(store, workload)
         assert handles and all(handle.done for handle in handles)
         assert store.evictions > 0 and store.rehydrations > 0
         results = store.check_atomicity()
@@ -189,7 +189,7 @@ class TestAdmissionOnly:
         store = ShardedSimStore(
             LuckyAtomicProtocol(config()), self.KEYS, leases=["k7"], durable=True, compact_every=4
         )
-        processes = store.cluster.processes.items()
+        processes = store.processes.items()
         assert set(map(tuple, self.resident(processes).values())) == {()}
         store.write("k7", "a")
         assert store.read("k7", "r1").value == "a"

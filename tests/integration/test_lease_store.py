@@ -19,8 +19,9 @@ from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
 from repro.sim.byzantine import ForgeHighTimestampStrategy
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
+from repro.store.surface import find_router
 from repro.verify.atomicity import check_atomicity
-from repro.workload.generator import keyspace_workload, run_store_workload
+from repro.workload.generator import keyspace_workload, run_workload
 
 
 def build_store(config=None, keys=("hot", "cold"), leases=("hot",), **kwargs):
@@ -83,7 +84,7 @@ class TestLeasedShardedStore:
         store.write("hot", "v1")
         store.read("hot", "r1")
         write = store.start_write("hot", "v2")
-        store.cluster.run_for(0.5)
+        store.run_for(0.5)
         # The revoke is still in flight: this read may legitimately be served
         # from the lease (it overlaps the write), but the history must
         # linearize either way.
@@ -117,7 +118,7 @@ class TestLeasedShardedStore:
             skew=1.1,
             mean_gap=0.2,
         )
-        run_store_workload(store, workload)
+        run_workload(store, workload)
         assert store.verify_atomic()
         assert store.lease_reads() > 20
         store.run_until_quiescent()  # all lease timers drain
@@ -131,7 +132,7 @@ class TestLeasedShardedStore:
         workload = keyspace_workload(
             4000, store.keys, config.reader_ids(), write_fraction=0.02, mean_gap=0.2
         )
-        run_store_workload(store, workload)
+        run_workload(store, workload)
         assert store.verify_atomic()
         result = store.check_atomicity()["hot"]
         assert result.checked_reads + result.checked_writes == 4000
@@ -223,7 +224,7 @@ class TestLeaseCrashRecovery:
         # table is gone, so it must not acknowledge the write (grace) while
         # the surviving granters run the revocation.
         store.crash("s1")
-        store.cluster.run_for(1.0)
+        store.run_for(1.0)
         store.recover_server("s1")
         assert store.incarnation("s1") == 1
         write = store.write("hot", "v2")
@@ -243,15 +244,15 @@ class TestLeaseCrashRecovery:
         lease_read = store.read("hot", "r1")
         assert lease_read.rounds == 0 and lease_read.result.metadata["lease"] is True
         store.crash("s1")
-        store.cluster.run_for(1.0)
+        store.run_for(1.0)
         store.recover_server("s1")
-        assert "hot" not in store.resident_registers("s1")
+        assert "hot" not in find_router(store.processes["s1"]).registers
         store.crash("s2")  # the write now needs s1's acknowledgement
         write = store.write("hot", "v1")
         # s3 remembers the lease and revokes it within a round trip; s1 forgot
         # it and stays silent for as long as it could still be believed.
         assert write.completed_at - write.invoked_at >= 40.0
-        assert store.cluster.processes["s1"].inner.registers["hot"].in_grace is False
+        assert store.processes["s1"].inner.registers["hot"].in_grace is False
         read = store.read("hot", "r1")
         assert read.value == "v1" and read.result.metadata.get("lease") is None
         assert store.verify_atomic()
@@ -266,7 +267,7 @@ class TestLeaseCrashRecovery:
         store.read("hot", "r1")
         for server_id in ("s1", "s2"):
             store.crash(server_id)
-            store.cluster.run_for(1.0)
+            store.run_for(1.0)
             store.recover_server(server_id)
         write = store.write("hot", "v2")
         assert write.done
@@ -283,14 +284,14 @@ class TestLeaseCrashRecovery:
         store = self.build_durable(policy=policy)
         store.write("hot", "v1")
         store.read("hot", "r1")
-        reader = store.cluster.processes["r1"].registers["hot"]
+        reader = store.processes["r1"].registers["hot"]
         assert reader.lease_held
         # Paper-faithful, all three grants landed while the read sat out its
         # timer; under the deadline the lease activated on S - t = 2 of them
         # and the third lands on the active lease during the crash window.
         assert len(reader.lease.held.grants) == (3 if policy is TimerPolicy.WAIT else 2)
         store.crash("s1")
-        store.cluster.run_for(1.0)
+        store.run_for(1.0)
         store.recover_server("s1")
         # The holder still holds (S - t = 2 clean granters remain)...
         assert reader.lease_held and len(reader.lease.held.grants) == 3

@@ -31,7 +31,7 @@ from repro.workload.generator import (
     ScheduledOperation,
     Workload,
     contended_writers_workload,
-    run_store_workload,
+    run_workload,
 )
 
 
@@ -170,7 +170,7 @@ class TestByzantineContainment:
                 store.start_write(key, f"{key}:{writer}:v{round_index}", client_id=writer)
                 for key in keys
                 for writer in writers
-                if not store.client_busy(writer, key)
+                if key not in store.hosts[writer].open
             ]
             store.run(until=lambda hs=handles: all(h.done for h in hs))
             reads = [store.start_read(key, "r3") for key in keys]
@@ -217,7 +217,7 @@ class TestContendedWorkload:
             readers=store.config.reader_ids(),
             seed=5,
         )
-        handles = run_store_workload(store, workload)
+        handles = run_workload(store, workload)
         assert all(handle.done for handle in handles)
         assert store.verify_atomic()
         # Writes genuinely came from several clients.
@@ -239,7 +239,7 @@ class TestContendedWorkload:
             seed=11,
             mean_gap=0.3,
         )
-        run_store_workload(store, workload)
+        run_workload(store, workload)
         assert store.verify_atomic()
 
 
@@ -284,7 +284,7 @@ class TestPropertyBased:
             topology=jittery() if jitter else Topology(),
             seed=seed,
         )
-        handles = run_store_workload(store, workload)
+        handles = run_workload(store, workload)
         assert all(handle.done for handle in handles)
         history = store.history("k")
         result = check_atomicity(history, mwmr=True)

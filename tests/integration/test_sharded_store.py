@@ -19,7 +19,7 @@ from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
 from repro.sim.byzantine import StaleReplayStrategy
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
-from repro.workload.generator import keyspace_workload, run_store_workload
+from repro.workload.generator import keyspace_workload, run_workload
 
 
 class TestSimStoreWorkloads:
@@ -50,7 +50,7 @@ class TestSimStoreWorkloads:
         workload = keyspace_workload(
             80, store.keys, config.reader_ids(), write_fraction=0.5, seed=7
         )
-        run_store_workload(store, workload)
+        run_workload(store, workload)
         assert store.verify_atomic()
 
     def test_deferred_keyed_ops_record_queueing_delay(self):
@@ -61,7 +61,7 @@ class TestSimStoreWorkloads:
         workload = keyspace_workload(
             12, ["k1"], config.reader_ids(), write_fraction=1.0, mean_gap=0.1, seed=3
         )
-        handles = run_store_workload(store, workload)
+        handles = run_workload(store, workload)
         assert all(handle.done for handle in handles)
         assert all(handle.scheduled_at is not None for handle in handles)
         deferred = [h for h in handles if h.queueing_delay > 0]
@@ -101,7 +101,7 @@ class TestBatchingUnderByzantineServers:
         ``register_id``, so the forgery stays confined to the register it
         targets and every per-key history remains atomic."""
         store = run(zipf_run(num_operations=150, num_keys=6, byzantine=True))
-        assert store.batching
+        assert store.suite.batching
         # Batching actually engaged: fewer frames than protocol messages.
         assert store.frames_sent < store.messages_sent
         assert store.verify_atomic()
@@ -120,7 +120,7 @@ class TestBatchingUnderByzantineServers:
         workload = keyspace_workload(
             80, store.keys, config.reader_ids(), write_fraction=0.5, mean_gap=0.2, seed=7
         )
-        run_store_workload(store, workload)
+        run_workload(store, workload)
         assert store.frames_sent < store.messages_sent
         assert store.verify_atomic()
 

@@ -14,6 +14,7 @@ from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
 from repro.store.sim import ShardedSimStore
+from repro.store.surface import find_router
 from repro.verify.atomicity import check_atomicity
 
 
@@ -86,12 +87,12 @@ class TestCasCrashRecoverySim:
         store = self.build_durable()
         store.write("hot", "a")
         store.write("hot", "b")  # writer lease active
-        writer = store.cluster.processes["w"].registers["hot"].writer
+        writer = store.processes["w"].registers["hot"].writer
         assert writer.lease_held
         # A granter crashes mid-lease and recovers from its WAL: its lease
         # table is gone, it rejoins in grace under a bumped incarnation.
         store.crash("s1")
-        store.cluster.run_for(1.0)
+        store.run_for(1.0)
         store.recover_server("s1")
         assert store.incarnation("s1") == 1
         # The holder still has S - t clean granters; the CAS lands and the
@@ -107,13 +108,13 @@ class TestCasCrashRecoverySim:
         store = self.build_durable(lease_duration=40.0)
         store.write("hot", "a")
         store.write("hot", "b")  # writer lease active
-        assert store.cluster.processes["w"].registers["hot"].writer.lease_held
+        assert store.processes["w"].registers["hot"].writer.lease_held
         # s1 granted the lease, then loses its whole log tail with the crash:
         # recovery finds nothing naming the key and does not admit it.
         store.crash("s1")
-        store.cluster.run_for(1.0)
-        store.recover_server("s1", lose_tail=store.cluster.wals["s1"].record_count)
-        assert "hot" not in store.resident_registers("s1")
+        store.run_for(1.0)
+        store.recover_server("s1", lose_tail=store.wals["s1"].record_count)
+        assert "hot" not in find_router(store.processes["s1"]).registers
         store.crash("s2")  # a competing write now needs s1's replies
         competing = store.write("hot", "x", client_id="r1")
         # s3 revokes the holder within a round trip; s1 is admitted by the
@@ -130,10 +131,10 @@ class TestCasCrashRecoverySim:
         store = self.build_durable()
         store.write("hot", "a")
         store.write("hot", "b")
-        writer = store.cluster.processes["w"].registers["hot"].writer
+        writer = store.processes["w"].registers["hot"].writer
         for server_id in ("s1", "s2"):
             store.crash(server_id)
-            store.cluster.run_for(1.0)
+            store.run_for(1.0)
             store.recover_server(server_id)
         # Two of three granters recovered: once their bumped epochs are
         # visible the clean quorum is gone and the lease must drop — a CAS

@@ -34,7 +34,6 @@ from repro.workload.generator import (
     lucky_workload,
     owned_writers_workload,
     poisson_workload,
-    run_store_workload,
     run_workload,
 )
 
@@ -205,7 +204,7 @@ def test_mwmr_store_is_atomic_and_conditionals_isolated(scenario, policy, leases
         mean_gap=0.7,
         seed=seed,
     )
-    handles = run_store_workload(store, workload)
+    handles = run_workload(store, workload)
     assert all(handle.done for handle in handles)
     assert store.verify_atomic()
 
@@ -318,7 +317,7 @@ def test_recoveries_stay_atomic_under_the_receiver_side_fence(schedule, batching
         seed=seed,
     )
     workload = keyspace_workload(80, store.keys, config.reader_ids(), mean_gap=1.0, seed=seed)
-    handles = run_store_workload(store, workload)
+    handles = run_workload(store, workload)
     store.run_until_quiescent()
     assert all(handle.done for handle in handles)
     assert store.verify_atomic()

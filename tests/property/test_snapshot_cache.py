@@ -381,21 +381,20 @@ def test_memory_snapshot_parity_on_the_simulator():
         durable=True,
         compact_every=3,
     )
-    cluster = store.cluster
     shares = {
         server_id: check_every_save(
-            lambda server_id=server_id: cluster.processes[server_id], snapshot_store
+            lambda server_id=server_id: store.processes[server_id], snapshot_store
         )
-        for server_id, snapshot_store in cluster.snapshot_stores.items()
+        for server_id, snapshot_store in store.snapshot_stores.items()
     }
     for index in range(36):
         key = KEYS[index % 3]
         store.write(key, f"{key}-{index}")
         if index % 4 == 0:
             store.read(KEYS[(index + 1) % 5], "r1")  # READ-only traffic on k3/k4
-        cluster.run_for(2.0)
-    cluster.run_until_quiescent()
-    assert cluster.incarnation("s1") == 1 and cluster.incarnation("s2") == 1
+        store.run_for(2.0)
+    store.run_until_quiescent()
+    assert store.incarnation("s1") == 1 and store.incarnation("s2") == 1
     for server_id, server_shares in shares.items():
         assert len(server_shares) > 3, server_id
         assert min(server_shares) < 1.0, server_id  # incremental, not always full

@@ -19,7 +19,7 @@ from repro.store.sim import ShardedSimStore
 from repro.workload.generator import (
     dense_store_workload,
     keyspace_workload,
-    run_store_workload,
+    run_workload,
     workload_event_budget,
 )
 
@@ -128,7 +128,7 @@ class TestSimBatching:
             workload = keyspace_workload(
                 80, keys, store.config.reader_ids(), write_fraction=0.5, seed=11
             )
-            run_store_workload(store, workload)
+            run_workload(store, workload)
             assert store.verify_atomic()
             results[batching] = [
                 (h.client_id, h.kind, h.register_id)
@@ -145,7 +145,7 @@ class TestSimBatching:
             workload = dense_store_workload(
                 64, keys, store.config.reader_ids(), gap=0.05
             )
-            run_store_workload(store, workload)
+            run_workload(store, workload)
             assert store.verify_atomic()
             workloads[batching] = store
         unbatched, batched = workloads[False], workloads[True]
@@ -167,8 +167,8 @@ class TestSimBatching:
         workload = dense_store_workload(
             16, store.keys, store.config.reader_ids(), gap=0.01
         )
-        run_store_workload(store, workload)
-        kinds = {kind for _, _, kind in store.cluster.trace.delivered}
+        run_workload(store, workload)
+        kinds = {kind for _, _, kind in store.trace.delivered}
         # The envelope is transparent: traces (and thus per-kind message
         # statistics) only ever see protocol messages.
         assert "Batch" not in kinds
@@ -191,7 +191,7 @@ class TestSimBatching:
         assert dropped, "the filter must have seen individual PreWrites"
         filtered = sum(
             count
-            for (_, _, reason), count in store.cluster.trace.dropped.items()
+            for (_, _, reason), count in store.trace.dropped.items()
             if reason == "filtered"
         )
         assert filtered == len(dropped)
@@ -214,13 +214,13 @@ class TestWorkloadEventBudget:
         store = _store(["k1", "k2"], batching=True)
         small = keyspace_workload(10, store.keys, store.config.reader_ids(), seed=1)
         large = keyspace_workload(50_000, store.keys, store.config.reader_ids(), seed=1)
-        small_budget = workload_event_budget(store.cluster, small)
-        large_budget = workload_event_budget(store.cluster, large)
+        small_budget = workload_event_budget(store, small)
+        large_budget = workload_event_budget(store, large)
         # The cluster's default stays the floor for small workloads...
-        assert small_budget == store.cluster.max_events_per_run
+        assert small_budget == store.max_events_per_run
         # ...while large ones get proportionally more headroom.
-        assert large_budget > store.cluster.max_events_per_run
-        assert large_budget >= 50_000 * len(store.cluster.processes)
+        assert large_budget > store.max_events_per_run
+        assert large_budget >= 50_000 * len(store.processes)
 
     @pytest.mark.parametrize("batching", [False, True])
     def test_large_healthy_workload_outgrows_a_tiny_cluster_cap(self, batching):
@@ -230,7 +230,7 @@ class TestWorkloadEventBudget:
         workload = keyspace_workload(
             60, store.keys, store.config.reader_ids(), mean_gap=0.05, seed=5
         )
-        handles = run_store_workload(store, workload)
+        handles = run_workload(store, workload)
         assert all(handle.done for handle in handles)
         assert all(handle.scheduled_at is not None for handle in handles)
         assert store.verify_atomic()
@@ -259,7 +259,7 @@ class TestWorkloadEventBudget:
         operations.append(
             ScheduledOperation(at=500.0, kind="read", client_id="r1", key="k1")
         )
-        handles = run_store_workload(store, Workload(operations))
+        handles = run_workload(store, Workload(operations))
         assert all(handle.done for handle in handles)
         assert store.verify_atomic()
 

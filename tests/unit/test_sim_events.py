@@ -273,14 +273,13 @@ class TestClusterTimerAccounting:
         store.write("hot", "v1")
         store.read("hot", "r1")  # acquires the lease, arms expire + renew
         store.write("hot", "v2")  # revokes it
-        cluster = store.cluster
-        assert cluster.timers_cancelled > 0
+        assert store.timers_cancelled > 0
         # Draining the remaining *live* timers (the servers' lease-expiry
         # watchdogs) dispatches real events; the cancelled holder timers do
         # not reappear — once quiescent, nothing is left and the cancelled
         # count stands apart from ``events_processed``.
-        cluster.run_until_quiescent()
-        assert len(cluster.queue) == 0
+        store.run_until_quiescent()
+        assert len(store.queue) == 0
         assert store.verify_atomic()
 
 

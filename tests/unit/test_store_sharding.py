@@ -70,7 +70,7 @@ class TestShardedAutomata:
         writer = suite.create_writer()
         assert isinstance(writer, ShardedClient)
         writer.write("k1", "a")
-        assert writer.busy_on("k1") and not writer.busy_on("k2")
+        assert writer.registers["k1"].busy and "k2" not in writer.registers
         writer.write("k2", "b")  # concurrent op on another register is fine
         assert writer.busy
 
@@ -141,6 +141,18 @@ class TestShardedSimStore:
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
         return ShardedSimStore(LuckyAtomicProtocol(config), list(keys))
 
+    def test_the_store_is_a_sim_cluster(self):
+        from repro.sim.cluster import SimCluster
+        from repro.workload.generator import run_store_workload, run_workload
+
+        store = self._store()
+        assert isinstance(store, SimCluster) and store.cluster is store
+        assert store.suite.byzantine == {} and store.config is store.suite.config
+        # The run loop and the counters are the cluster's, not forwarded.
+        for name in ("run", "run_for", "crash", "recover_server", "completed_operations"):
+            assert name not in vars(ShardedSimStore)
+        assert run_store_workload is run_workload
+
     def test_write_read_round_trip_per_key(self):
         store = self._store()
         store.write("k1", "a")
@@ -187,10 +199,10 @@ class TestShardedSimStore:
         and corrupt the per-key history."""
         store = self._store(keys=("k1",))
         first = store.start_write("k1", "a")
-        before = list(store.cluster.operations)
+        before = list(store.operations)
         with pytest.raises(RuntimeError):
             store.start_write("k1", "b")
-        assert store.cluster.operations == before
+        assert store.operations == before
         store.run(until=lambda: first.done)
         assert first.result.value == "a"
         history = store.history("k1")
@@ -201,7 +213,7 @@ class TestShardedSimStore:
         store = self._store(keys=("k1",))
         with pytest.raises(KeyError):
             store.start_write("ghost", "x")
-        assert store.cluster.operations == []
+        assert store.operations == []
         store.write("k1", "a")  # the store still works normally afterwards
         assert store.verify_atomic()
 
@@ -213,6 +225,11 @@ class TestShardedSimStore:
         with pytest.raises(TypeError, match="not sharded"):
             cluster.start("w", "write", "x", register_id="k1")
         assert cluster.operations == []
+        # And the converse: a sharded client needs the key.
+        store = self._store()
+        with pytest.raises(TypeError, match="is sharded"):
+            store.start("w", "write", "x")
+        assert store.operations == []
 
     def test_throughput_is_positive_after_operations(self):
         store = self._store()

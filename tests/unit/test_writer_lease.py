@@ -19,7 +19,7 @@ from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 from repro.verify.history import History, OperationRecord
-from repro.workload.generator import owned_writers_workload, run_store_workload
+from repro.workload.generator import owned_writers_workload, run_workload
 
 
 def build_store(keys=("hot", "cold"), writer_leases=("hot",), **kwargs):
@@ -51,7 +51,7 @@ class TestWriterLeaseLifecycle:
         store = build_store()
         store.write("hot", "v1")
         store.write("hot", "v2")  # leased
-        holder = store.cluster.processes["w"].registers["hot"].writer
+        holder = store.processes["w"].registers["hot"].writer
         assert holder.lease_held
         competitor = store.write("hot", "x1", client_id="r1")
         assert competitor.done and competitor.rounds == 2
@@ -63,8 +63,8 @@ class TestWriterLeaseLifecycle:
         store = build_store()
         store.write("hot", "v1")
         store.write("hot", "v2")
-        assert store.cluster.processes["w"].registers["hot"].writer.lease_held
-        store.cluster.run_for(200.0)  # > lease_duration, renewal is lazy
+        assert store.processes["w"].registers["hot"].writer.lease_held
+        store.run_for(200.0)  # > lease_duration, renewal is lazy
         expired = store.write("hot", "v3")
         assert expired.rounds == 2  # fallback (re-acquiring)
         assert store.write("hot", "v4").rounds == 1
@@ -84,10 +84,10 @@ class TestWriterLeaseLifecycle:
         store = build_store(keys=("hot",), durable=True)
         store.write("hot", "a")
         store.write("hot", "b")
-        writer = store.cluster.processes["w"].registers["hot"].writer
+        writer = store.processes["w"].registers["hot"].writer
         assert writer.lease_held
         store.crash("s1")
-        store.cluster.run_for(1.0)
+        store.run_for(1.0)
         store.recover_server("s1")
         assert store.incarnation("s1") == 1
         # The holder still holds: s2 and s3 are S - t = 2 clean granters...
@@ -115,7 +115,7 @@ class TestWriterLeaseLifecycle:
             slow.gray_failure(server_id, 10.0, start=32.0, end=33.0)
         store = build_store(keys=("hot",), batching=False, topology=Topology(schedule=slow))
         store.write("hot", "a", client_id="r1")
-        holder = store.cluster.processes["r1"].registers["hot"].writer
+        holder = store.processes["r1"].registers["hot"].writer
         assert holder.lease_held
         store.run_for(31.0 - store.now)  # past the renew timer (half of 60)
         slow = store.start_write("hot", "b", client_id="r1")  # carries renewal 2
@@ -328,7 +328,7 @@ class TestOwnedWritersWorkload:
             mean_gap=0.2,
             seed=1,
         )
-        run_store_workload(store, workload)
+        run_workload(store, workload)
         assert store.verify_atomic()
         assert store.lease_writes() > 0
         store.run_until_quiescent()
