@@ -186,6 +186,11 @@ class ABDWriter(ClientAutomaton):
 class ABDReader(ClientAutomaton):
     """The ABD reader: query round followed by a write-back round."""
 
+    #: Whether a read writes the pair it selected back to a majority before
+    #: returning it; the over-eager reader of :mod:`repro.bench.adversary`
+    #: returns it straight after the query round.
+    WRITEBACK = True
+
     # The reader consumes query replies and write-back store acks only.
     DISPATCH_IGNORES = SERVER_BOUND_MESSAGES + (
         PreWriteAck,
@@ -240,6 +245,8 @@ class ABDReader(ClientAutomaton):
         if len(attempt.replies) < self.config.round_quorum:
             return Effects()
         attempt.selected = max(attempt.replies.values(), key=lambda pair: pair.ts)
+        if not self.WRITEBACK:
+            return self._complete(attempt, rounds=1)
         attempt.phase = 2
         effects = Effects()
         effects.broadcast(
@@ -262,6 +269,9 @@ class ABDReader(ClientAutomaton):
         attempt.acks.add(message.sender)
         if len(attempt.acks) < self.config.round_quorum:
             return Effects()
+        return self._complete(attempt, rounds=2)
+
+    def _complete(self, attempt: _ABDReadAttempt, rounds: int) -> Effects:
         self._attempt = None
         self._operation_finished()
         selected = attempt.selected
@@ -272,9 +282,9 @@ class ABDReader(ClientAutomaton):
                 op_id=attempt.op_id,
                 kind="read",
                 value=selected.val,
-                rounds=2,
-                fast=False,
-                metadata={"ts": selected.ts, "writeback": True, **self._address},
+                rounds=rounds,
+                fast=rounds == 1,
+                metadata={"ts": selected.ts, "writeback": self.WRITEBACK, **self._address},
             )
         )
         return effects
