@@ -42,6 +42,32 @@ def check_byzantine_servers(byzantine_ids: Iterable[str], config: SystemConfig) 
         )
 
 
+def _forged_read_ack(
+    inner: StorageServer,
+    message: Read,
+    pw: TimestampValue,
+    w: TimestampValue,
+    vw: TimestampValue,
+    frozen: FrozenEntry,
+) -> Effects:
+    """Answer *message* with a ``ReadAck`` reporting the given state."""
+    effects = Effects()
+    effects.send(
+        message.sender,
+        ReadAck(
+            sender=inner.process_id,
+            register_id=inner.register_id,
+            read_ts=message.read_ts,
+            round=message.round,
+            pw=pw,
+            w=w,
+            vw=vw,
+            frozen=frozen,
+        ),
+    )
+    return effects
+
+
 class ByzantineStrategy:
     """Decides how a malicious server responds to each incoming message."""
 
@@ -127,22 +153,10 @@ class ForgeHighTimestampStrategy(ByzantineStrategy):
     def respond(self, inner: StorageServer, message: Message) -> Optional[Effects]:
         if not isinstance(message, Read):
             return None
-        forged_pair = TimestampValue(self.forged_ts, self.forged_value)
-        effects = Effects()
-        effects.send(
-            message.sender,
-            ReadAck(
-                sender=inner.process_id,
-                register_id=inner.register_id,
-                read_ts=message.read_ts,
-                round=message.round,
-                pw=forged_pair,
-                w=forged_pair,
-                vw=forged_pair,
-                frozen=FrozenEntry(forged_pair, message.read_ts),
-            ),
+        forged = TimestampValue(self.forged_ts, self.forged_value)
+        return _forged_read_ack(
+            inner, message, forged, forged, forged, FrozenEntry(forged, message.read_ts)
         )
-        return effects
 
 
 @dataclass
@@ -159,21 +173,8 @@ class StaleReplayStrategy(ByzantineStrategy):
 
     def respond(self, inner: StorageServer, message: Message) -> Optional[Effects]:
         if isinstance(message, Read):
-            effects = Effects()
-            effects.send(
-                message.sender,
-                ReadAck(
-                    sender=inner.process_id,
-                    register_id=inner.register_id,
-                    read_ts=message.read_ts,
-                    round=message.round,
-                    pw=INITIAL_PAIR,
-                    w=INITIAL_PAIR,
-                    vw=INITIAL_PAIR,
-                    frozen=FrozenEntry(),
-                ),
-            )
-            return effects
+            initial = INITIAL_PAIR
+            return _forged_read_ack(inner, message, initial, initial, initial, FrozenEntry())
         return None
 
 
@@ -212,21 +213,14 @@ class ForgedStateStrategy(ByzantineStrategy):
 
     def respond(self, inner: StorageServer, message: Message) -> Optional[Effects]:
         if isinstance(message, Read):
-            effects = Effects()
-            effects.send(
-                message.sender,
-                ReadAck(
-                    sender=inner.process_id,
-                    register_id=inner.register_id,
-                    read_ts=message.read_ts,
-                    round=message.round,
-                    pw=self.forged_pair,
-                    w=self.forged_pair if self.include_w else inner.w,
-                    vw=self.forged_pair if self.include_vw else inner.vw,
-                    frozen=inner.frozen.get(message.sender, FrozenEntry()),
-                ),
+            return _forged_read_ack(
+                inner,
+                message,
+                self.forged_pair,
+                self.forged_pair if self.include_w else inner.w,
+                self.forged_pair if self.include_vw else inner.vw,
+                inner.frozen.get(message.sender, FrozenEntry()),
             )
-            return effects
         return None
 
 
@@ -245,21 +239,8 @@ class EquivocationStrategy(ByzantineStrategy):
             message.sender,
             TimestampValue(self.forged_ts, f"FORGED-for-{message.sender}"),
         )
-        effects = Effects()
-        effects.send(
-            message.sender,
-            ReadAck(
-                sender=inner.process_id,
-                register_id=inner.register_id,
-                read_ts=message.read_ts,
-                round=message.round,
-                pw=pair,
-                w=pair,
-                vw=pair,
-                frozen=FrozenEntry(pair, message.read_ts),
-            ),
-        )
-        return effects
+        frozen = FrozenEntry(pair, message.read_ts)
+        return _forged_read_ack(inner, message, pair, pair, pair, frozen)
 
 
 @dataclass
