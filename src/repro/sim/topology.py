@@ -202,18 +202,6 @@ class Topology:
         over the process's own links plus *margin*."""
         return self.round_trip_bound(process_id, peers) + margin
 
-    def suggested_lease_duration(
-        self, process_id: str, peers: Iterable[str], factor: float = 10.0
-    ) -> float:
-        """A safe-by-construction lease duration for *process_id*.
-
-        Leases are granted over the holder's links, so the duration must
-        dominate the holder's *own* round-trip bound — a zone with 20x the
-        intra-zone latency needs a 20x longer lease to get any zero-round
-        reads out of it (see docs/protocol.md).
-        """
-        return self.round_trip_bound(process_id, peers) * factor
-
     # --------------------------------------------------------------- reporting
     def describe(self) -> str:
         """One-line summary used by benches and traces."""

@@ -92,6 +92,13 @@ _RETIRED_NAMES = (
     "consecutive_read_workload",
     "run_workload_history",
     "correct_servers",
+    "NaiveServer",
+    "NaiveWriter",
+    "client_busy",
+    "busy_on",
+    "resident_registers",
+    "evicted_registers",
+    "suggested_lease_duration",
 )
 
 

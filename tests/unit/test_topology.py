@@ -203,11 +203,6 @@ class TestBoundsAndTimers:
         # A process whose peers are all zone-local arms a far shorter timer.
         assert topology.suggested_timer_for("s1", ["w"]) == pytest.approx(2.2 + 0.5)
 
-    def test_lease_duration_dominates_holder_round_trip(self):
-        topology = Topology.profile("wan-3dc", server_ids=["s1", "s2", "s3"])
-        duration = topology.suggested_lease_duration("s1", ["s2", "s3"])
-        assert duration == pytest.approx(44.0 * 10.0)
-
     def test_every_link_has_a_bound(self):
         # No link is unbounded, so a round trip is always a number: with no
         # peers at all it is zero and the timer is the margin alone.
@@ -342,9 +337,8 @@ class TestDrawCountContract:
         store.start_write("k1", "a")
         store.start_write("k2", "b")
         store.run_until_quiescent()
-        cluster = store.cluster
-        assert cluster.messages_sent > cluster.frames_sent  # the writes shared frames
-        assert draws_taken(cluster.rng, self.SEED) == cluster.frames_sent
+        assert store.messages_sent > store.frames_sent  # the writes shared frames
+        assert draws_taken(store.rng, self.SEED) == store.frames_sent
 
     @pytest.mark.parametrize("verdict", [DROP, 1.0], ids=["dropped", "explicit-delay"])
     def test_a_message_the_filter_decides_draws_nothing(self, verdict):
