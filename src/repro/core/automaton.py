@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .messages import Message
+from .types import slot_init
 
 #: Separator between a register id and the rest of a timer id:
 #: ``"<register>::<timer>"``.  Register ids therefore must not contain it.
@@ -54,6 +55,7 @@ class TimerPolicy(enum.Enum):
     NONE = "none"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Send:
     """An instruction to deliver *message* to the process *destination*."""
@@ -62,6 +64,7 @@ class Send:
     message: Message
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class StartTimer:
     """An instruction to fire :meth:`Automaton.on_timer` after *delay* time units."""
@@ -70,6 +73,7 @@ class StartTimer:
     delay: float
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class OperationComplete:
     """Emitted by a client automaton when an invoked operation returns.
@@ -99,6 +103,7 @@ class OperationComplete:
     metadata: Dict[str, Any] = field(default_factory=dict)
 
 
+@slot_init
 @dataclass(slots=True)
 class Effects:
     """Everything an automaton wants the runtime to do after one input.

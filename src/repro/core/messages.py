@@ -20,17 +20,20 @@ from .types import (
     NewReadReport,
     SlotsPickleMixin,
     TimestampValue,
+    slot_init,
 )
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Message(SlotsPickleMixin):
     """Base class for every protocol message.
 
-    Every message class is a ``slots=True`` dataclass: the automaton hot
-    loop allocates one instance per send/delivery, and dict-less instances
-    are both smaller and faster to construct (``tests/unit/test_messages.py``
-    holds the hierarchy to this).
+    Every message class is a ``slots=True`` dataclass under
+    :func:`~repro.core.types.slot_init`: the automaton hot loop allocates one
+    instance per send/delivery, dict-less instances are smaller, and an
+    ``__init__`` that stores each field through its slot is faster to
+    construct (``tests/unit/test_messages.py`` holds the hierarchy to this).
 
     ``register_id`` multiplexes many independent register instances over one
     server fleet and transport (the sharded store of :mod:`repro.store`).
@@ -81,6 +84,7 @@ def _readdresser(cls: Type[Message]) -> _Readdresser:
 # --------------------------------------------------------------------------- #
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PreWrite(Message):
     """``PW <ts, pw, w, frozen>`` — first round of a WRITE (Fig. 1, line 4)."""
@@ -91,6 +95,7 @@ class PreWrite(Message):
     frozen: Tuple[FreezeDirective, ...] = ()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class PreWriteAck(Message):
     """``PW_ACK <ts, newread>`` — server reply to a PreWrite (Fig. 3, line 8)."""
@@ -99,6 +104,7 @@ class PreWriteAck(Message):
     newread: Tuple[NewReadReport, ...] = ()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Write(Message):
     """``W <round, ts, pw>`` — W-phase round or reader write-back round.
@@ -114,6 +120,7 @@ class Write(Message):
     from_writer: bool = True
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WriteAck(Message):
     """``WRITE_ACK <round, ts>`` — server reply to a W / write-back message.
@@ -128,6 +135,7 @@ class WriteAck(Message):
     from_writer: bool = True
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TimestampQuery(Message):
     """``TS_QUERY <op>`` — read phase of an MWMR WRITE.
@@ -141,6 +149,7 @@ class TimestampQuery(Message):
     op_id: int = 0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TimestampQueryAck(Message):
     """``TS_QUERY_ACK <op, pw, w>`` — server reply to a :class:`TimestampQuery`."""
@@ -155,6 +164,7 @@ class TimestampQueryAck(Message):
 # --------------------------------------------------------------------------- #
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Read(Message):
     """``READ <tsr, rnd>`` — one round of a READ (Fig. 2, line 16)."""
@@ -163,6 +173,7 @@ class Read(Message):
     round: int = 1
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ReadAck(Message):
     """``READ_ACK <tsr, rnd, pw, w, vw, frozen_rj>`` (Fig. 3, line 11)."""
@@ -180,6 +191,7 @@ class ReadAck(Message):
 # --------------------------------------------------------------------------- #
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LeaseRenew(Message):
     """``LEASE_RENEW <lease, dur>`` — acquire or renew a per-register read lease.
@@ -197,6 +209,7 @@ class LeaseRenew(Message):
     duration: float = 0.0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LeaseGrant(Message):
     """``LEASE_GRANT <lease, dur, observed>`` — a server's lease promise.
@@ -215,6 +228,7 @@ class LeaseGrant(Message):
     observed: TimestampValue = TimestampValue(0)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LeaseRevoke(Message):
     """``LEASE_REVOKE <lease>`` — server tells a holder its lease is void.
@@ -228,6 +242,7 @@ class LeaseRevoke(Message):
     lease_id: int = 0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LeaseRevokeAck(Message):
     """``LEASE_REVOKE_ACK <lease>`` — holder confirms it stopped serving."""
@@ -240,6 +255,7 @@ class LeaseRevokeAck(Message):
 # --------------------------------------------------------------------------- #
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WriterLeaseRenew(Message):
     """``WLEASE_RENEW <lease, dur>`` — acquire or renew a per-register writer lease.
@@ -256,6 +272,7 @@ class WriterLeaseRenew(Message):
     duration: float = 0.0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WriterLeaseGrant(Message):
     """``WLEASE_GRANT <lease, dur, observed>`` — a server's writer-lease promise.
@@ -274,6 +291,7 @@ class WriterLeaseGrant(Message):
     observed: TimestampValue = TimestampValue(0)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WriterLeaseRevoke(Message):
     """``WLEASE_REVOKE <lease>`` — server tells a holder its writer lease is void.
@@ -288,6 +306,7 @@ class WriterLeaseRevoke(Message):
     lease_id: int = 0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WriterLeaseRevokeAck(Message):
     """``WLEASE_REVOKE_ACK <lease>`` — holder confirms it dropped its cache."""
@@ -300,6 +319,7 @@ class WriterLeaseRevokeAck(Message):
 # --------------------------------------------------------------------------- #
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Batch(Message):
     """Envelope coalescing many messages between one (source, destination) pair.
@@ -338,6 +358,7 @@ def iter_unbatched(message: Message) -> Tuple[Message, ...]:
 # --------------------------------------------------------------------------- #
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BaselineQuery(Message):
     """Query phase of a baseline protocol (read the highest stored pair)."""
@@ -345,6 +366,7 @@ class BaselineQuery(Message):
     op_id: int = 0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BaselineQueryReply(Message):
     """Reply to a :class:`BaselineQuery` carrying the server's current pair."""
@@ -354,6 +376,7 @@ class BaselineQueryReply(Message):
     echo_pair: TimestampValue = TimestampValue(0)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BaselineStore(Message):
     """Store phase of a baseline protocol (write-back / write a pair)."""
@@ -363,6 +386,7 @@ class BaselineStore(Message):
     phase: int = 1
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BaselineStoreAck(Message):
     """Acknowledgement of a :class:`BaselineStore`."""

@@ -11,8 +11,10 @@ freezing mechanism and a few small helpers.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import types
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple, cast
+from typing import Any, Dict, List, Optional, Tuple, TypeVar, cast
 
 # The paper uses ``ts0`` as the initial timestamp and ``bottom`` as the initial
 # value of the storage (Section 2.2).  ``bottom`` is not a valid WRITE input.
@@ -61,11 +63,81 @@ class SlotsPickleMixin:
             object.__setattr__(self, f.name, value)
 
 
+_C = TypeVar("_C", bound=type)
+
+#: Factories :func:`slot_init` writes as a literal instead of a call.
+_FACTORY_LITERALS: Dict[Any, str] = {list: "[]", dict: "{}"}
+
+
+def slot_init(cls: _C) -> _C:
+    """Replace the ``__init__`` of the slotted dataclass *cls* by one that
+    stores each field straight into its slot.
+
+    A frozen dataclass's generated ``__init__`` stores every field through
+    ``object.__setattr__``, a generic attribute lookup per field; the hot
+    records (messages, pairs, effects, simulator events) are built once per
+    message, so that store is a visible share of a lucky operation.  The
+    replacement takes the same parameters with the same defaults, calls the
+    member descriptor's ``__set__`` (bound once, here) for a frozen class and
+    stores the slot directly for a mutable one, turns a ``list`` or ``dict``
+    factory into a literal, and ends with ``__post_init__`` when the class
+    has one.  Frozenness stays the class's ``__setattr__``; equality,
+    hashing, ``repr``, ``fields()``, ``replace()`` and pickling do not
+    change.  Stack it over ``@dataclass(..., slots=True)``.  A field with
+    ``init=False`` or ``kw_only=True``, an ``InitVar`` and a field without a
+    slot raise ``TypeError``.  The generated source stays on the function as
+    ``__source__``.
+    """
+    name = cls.__name__
+    fields = dataclasses.fields(cast(Any, cls))
+    frozen = cast(Any, cls).__dataclass_params__.frozen
+    params = list(inspect.signature(cls).parameters.values())
+    if [p.name for p in params] != [f.name for f in fields] or any(
+        p.kind is not p.POSITIONAL_OR_KEYWORD for p in params
+    ):
+        raise TypeError(
+            f"slot_init: {name} has a field with init=False or kw_only=True, or an InitVar"
+        )
+    scope: Dict[str, Any] = {}
+    signature = ["self"]
+    body: List[str] = []
+    for f, param in zip(fields, params, strict=True):
+        slot = next((vars(k)[f.name] for k in cls.__mro__ if f.name in vars(k)), None)
+        if not isinstance(slot, types.MemberDescriptorType):
+            raise TypeError(f"slot_init: {name}.{f.name} is not a slot")
+        value = f.name
+        if param.default is not param.empty:
+            scope[f"_dflt_{f.name}"] = param.default
+            signature.append(f"{f.name}=_dflt_{f.name}")
+            factory = f.default_factory
+            if callable(factory):
+                scope[f"_make_{f.name}"] = factory
+                made = _FACTORY_LITERALS.get(factory, f"_make_{f.name}()")
+                value = f"{made} if {f.name} is _dflt_{f.name} else {f.name}"
+        else:
+            signature.append(f.name)
+        if frozen:
+            scope[f"_set_{f.name}"] = slot.__set__
+            body.append(f"    _set_{f.name}(self, {value})")
+        else:
+            body.append(f"    self.{f.name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    source = "\n".join([f"def __init__({', '.join(signature)}):", *(body or ["    pass"]), ""])
+    exec(compile(source, f"<slot_init {name}>", "exec"), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__source__ = source
+    type.__setattr__(cls, "__init__", init)
+    return cls
+
+
 def is_bottom(value: Any) -> bool:
     """Return ``True`` if *value* is the initial register value ⊥."""
     return isinstance(value, _Bottom)
 
 
+@slot_init
 @dataclass(frozen=True, order=False, slots=True)
 class TimestampValue(SlotsPickleMixin):
     """A timestamp-value pair ``c = <ts, val>`` as used throughout the paper.
@@ -111,6 +183,7 @@ INITIAL_PAIR = TimestampValue(INITIAL_TIMESTAMP, BOTTOM)
 INITIAL_READ_TIMESTAMP = 0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FrozenEntry(SlotsPickleMixin):
     """A frozen value for one reader: ``<pw, tsr>`` stored in ``frozen_rj``.
@@ -129,6 +202,7 @@ class FrozenEntry(SlotsPickleMixin):
 INITIAL_FROZEN = FrozenEntry(INITIAL_PAIR, INITIAL_READ_TIMESTAMP)
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FreezeDirective(SlotsPickleMixin):
     """One element of the writer's ``frozen`` set: ``<rj, pw, read_ts[rj]>``.
@@ -143,6 +217,7 @@ class FreezeDirective(SlotsPickleMixin):
     read_ts: int
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class NewReadReport(SlotsPickleMixin):
     """One element of a server's ``newread`` set: ``<rj, tsrj>``.

@@ -36,7 +36,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.automaton import Automaton, Effects
+from ..core.automaton import Automaton, Effects, Send
 from ..core.messages import Message
 from ..core.types import TimestampValue
 from .snapshot import SnapshotDelta, SnapshotManager, SnapshotStore
@@ -309,14 +309,11 @@ class DurableServer(Automaton):
 
     def _stamp(self, effects: Effects) -> Effects:
         """Stamp outgoing messages with this incarnation's epoch."""
-        if self.incarnation == 0:
+        incarnation = self.incarnation
+        if incarnation == 0:
             return effects
-        stamped = Effects()
-        for send in effects.sends:
-            stamped.send(send.destination, send.message.with_epoch(self.incarnation))
-        stamped.timers.extend(effects.timers)
-        stamped.completions.extend(effects.completions)
-        return stamped
+        sends = [Send(s.destination, s.message.with_epoch(incarnation)) for s in effects.sends]
+        return Effects(sends, effects.timers, effects.completions, effects.cancels)
 
     # ------------------------------------------------------------ inspection
     def describe(self) -> Dict[str, Any]:

@@ -38,7 +38,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, BinaryIO, List, Optional, Protocol, Sequence, Tuple, Union
 
-from ..core.types import SlotsPickleMixin
+from ..core.types import SlotsPickleMixin, slot_init
 from ..wire import Codec, get_codec, register_struct
 from ..wire.codec import MAGIC
 
@@ -48,6 +48,7 @@ WAL_FIELDS = ("pw", "w", "vw")
 _HEADER = struct.Struct("<II")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class WalRecord(SlotsPickleMixin):
     """One durable state change: *field* of *register_id* advanced to a pair."""

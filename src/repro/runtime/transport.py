@@ -139,11 +139,14 @@ class InMemoryTransport(Transport):
     """Object-passing transport with injectable per-message latency.
 
     With zero delay, :meth:`send` awaits the destination's handler itself:
-    the frame has arrived — a node has stepped it — when ``send`` returns,
-    and no task or timer is made for it.  This never nests one step inside
-    another, because a step only fills its node's outbox and the node's
-    flusher sends later.  A positive delay hands the frame to a task that
-    sleeps that long first; :meth:`close` cancels the ones still asleep.
+    the frame has arrived when ``send`` returns, and no task or timer is made
+    for it.  A node steps it inside that handler, except a durable node,
+    which only schedules the step for a loop turn of its own (its fsync never
+    runs inside a peer's ``send``): for a durable destination the frame has
+    only been handed over.  This never nests one step inside another,
+    because a step only fills its node's outbox and the node's flusher sends
+    later.  A positive delay hands the frame to a task that sleeps that long
+    first; :meth:`close` cancels the ones still asleep.
 
     Messages are handed over as objects (no socket), but every send is still
     *measured* through the codec: ``bytes_sent`` advances by the frame the TCP

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.messages import Message
+from ..core.types import slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DeliveryEvent:
     """Delivery of *message* (sent by *source*) to *destination*."""
@@ -33,6 +35,7 @@ class DeliveryEvent:
     message: Message
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TimerEvent:
     """Expiration of the timer *timer_id* at process *process_id*."""
@@ -41,6 +44,7 @@ class TimerEvent:
     timer_id: str
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class InvocationEvent:
     """Run *action* (a zero-argument callable) at the scheduled time."""

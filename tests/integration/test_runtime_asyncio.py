@@ -277,8 +277,12 @@ class TestInMemoryRuntime:
                 read = await cluster.read("r1")
                 return write, read
 
+            # The lucky operations return on their fast ack, so the round-1
+            # deadline only decides what a host pause does: at the default
+            # (4 units, 20 ms) one full garbage collection of the test
+            # process (15-28 ms here) made a lucky write slow.
             return AsyncCluster.run_scenario(
-                suite, scenario, message_delay_s=delay_s, time_scale=delay_s
+                suite, scenario, message_delay_s=delay_s, time_scale=delay_s, timer_delay=100.0
             )
 
         lucky = [

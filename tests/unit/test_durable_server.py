@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.messages import PreWrite, Read, TimestampQuery, Write
+from repro.core.automaton import Automaton, Effects
+from repro.core.messages import PreWrite, Read, TimestampQuery, Write, WriteAck
 from repro.core.server import StorageServer
 from repro.core.types import INITIAL_PAIR, TimestampValue
 from repro.persist.durable import (
@@ -134,6 +135,21 @@ class TestDurableServer:
         ack = effects.sends[0].message
         assert ack.epoch == 1
         assert ack.pw == pair(2)  # the replayed pre-crash state
+
+    def test_recovered_incarnation_keeps_timers_and_cancels(self):
+        class TimerServer(Automaton):
+            def handle_message(self, message):
+                effects = Effects()
+                effects.send(message.sender, WriteAck(sender=self.process_id))
+                effects.start_timer("t", 1.0)
+                effects.cancel_timer("t")
+                return effects
+
+        durable = DurableServer(TimerServer("s1"), MemoryWAL(), incarnation=1)
+        effects = durable.handle_message(Read(sender="r1"))
+        assert [send.message.epoch for send in effects.sends] == [1]
+        assert [timer.timer_id for timer in effects.timers] == ["t"]
+        assert effects.cancels == ["t"]
 
     def test_sharded_durable_tags_records_with_register(self):
         suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), ["k1", "k2"])

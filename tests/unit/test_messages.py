@@ -2,10 +2,12 @@
 
 import dataclasses
 import importlib
+import inspect
 import pickle
 
 import pytest
 
+from repro.core.automaton import Effects, OperationComplete, Send, StartTimer
 from repro.core.messages import (
     ALL_MESSAGE_TYPES,
     MESSAGE_TYPE_BY_NAME,
@@ -17,7 +19,57 @@ from repro.core.messages import (
     Write,
     WriteAck,
 )
-from repro.core.types import FreezeDirective, TimestampValue
+from repro.core.types import (
+    FreezeDirective,
+    FrozenEntry,
+    NewReadReport,
+    SlotsPickleMixin,
+    TimestampValue,
+    slot_init,
+)
+from repro.persist.wal import WalRecord
+from repro.sim.events import DeliveryEvent, InvocationEvent, TimerEvent
+from repro.wire.golden import message_zoo
+
+#: The modules whose records are built once per protocol step.
+HOT_MODULES = [
+    "repro.core.messages",
+    "repro.core.types",
+    "repro.core.automaton",
+    "repro.sim.events",
+    "repro.persist.wal",
+]
+
+
+def hot_dataclasses(module):
+    return [
+        cls
+        for cls in vars(importlib.import_module(module)).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module
+    ]
+
+
+def _noop():
+    pass
+
+
+PAIR = TimestampValue(3, "v", "w1")
+#: One instance of every hot record, each message class by its zoo instance.
+RECORDS = [
+    *message_zoo(),
+    PAIR,
+    FrozenEntry(PAIR, 4),
+    FreezeDirective("r1", PAIR, 4),
+    NewReadReport("r1", 4),
+    Send("s1", Read(sender="r1")),
+    StartTimer("k::t", 1.5),
+    OperationComplete(1, "read", "v", 1, True, {"register_id": "k"}),
+    Effects([Send("s1", Read(sender="r1"))], [StartTimer("t", 1.0)], [], ["t"]),
+    DeliveryEvent("r1", "s1", Read(sender="r1")),
+    TimerEvent("s1", "t"),
+    InvocationEvent("op", _noop),
+    WalRecord("k", "pw", 3, "w1", "v"),
+]
 
 
 class TestMessageBasics:
@@ -68,24 +120,25 @@ class TestMessageBasics:
 class TestSlots:
     """Hot-path message objects are slotted: no per-instance ``__dict__``."""
 
-    @pytest.mark.parametrize(
-        "module",
-        ["repro.core.messages", "repro.core.types", "repro.core.automaton", "repro.sim.events"],
-    )
+    @pytest.mark.parametrize("module", HOT_MODULES)
     def test_every_dataclass_in_the_hot_modules_declares_slots(self, module):
-        # Messages, value pairs, effects and sim events are allocated once per
-        # protocol step; a dataclass without slots=True gives each a __dict__.
-        classes = [
-            cls
-            for cls in vars(importlib.import_module(module)).values()
-            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module
-        ]
+        # Messages, value pairs, effects, sim events and WAL records are
+        # allocated once per protocol step; a dataclass without slots=True
+        # gives each a __dict__.
+        classes = hot_dataclasses(module)
         assert classes
         assert [cls.__name__ for cls in classes if "__slots__" not in vars(cls)] == []
 
-    def test_no_dict_on_any_message_type(self):
-        from repro.wire.golden import message_zoo
+    @pytest.mark.parametrize("module", HOT_MODULES)
+    def test_every_dataclass_in_the_hot_modules_is_built_by_slot_init(self, module):
+        # A new record class that skips @slot_init keeps the dataclass
+        # __init__, which stores each field through object.__setattr__.
+        classes = hot_dataclasses(module)
+        assert classes
+        built = [cls.__name__ for cls in classes if hasattr(vars(cls)["__init__"], "__source__")]
+        assert built == [cls.__name__ for cls in classes]
 
+    def test_no_dict_on_any_message_type(self):
         for message in message_zoo():
             assert not hasattr(message, "__dict__"), type(message).__name__
 
@@ -100,8 +153,6 @@ class TestSlots:
     def test_every_zoo_message_pickles(self):
         # frozen+slots dataclass pickling needs the explicit state protocol
         # on Python 3.10 (SlotsPickleMixin); the whole zoo must round-trip.
-        from repro.wire.golden import message_zoo
-
         for message in message_zoo():
             clone = pickle.loads(pickle.dumps(message))
             assert clone == message
@@ -114,3 +165,101 @@ class TestSlots:
         except (AttributeError, TypeError):
             leaked = False
         assert not leaked
+
+
+def _record_id(record):
+    return type(record).__name__
+
+
+class TestSlotInit:
+    """``@slot_init`` rebuilds ``__init__`` without changing what it accepts."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+    def test_positional_and_keyword_construction_agree(self, record):
+        cls = type(record)
+        values = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)}
+        assert cls(*values.values()) == record
+        assert cls(**values) == record
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+    def test_signature_is_the_one_the_fields_imply(self, record):
+        cls = type(record)
+        params = inspect.signature(cls).parameters.values()
+        fields = dataclasses.fields(cls)
+        assert [p.name for p in params] == [f.name for f in fields]
+        for param, f in zip(params, fields, strict=True):
+            assert param.kind is param.POSITIONAL_OR_KEYWORD
+            if f.default is not dataclasses.MISSING:
+                assert param.default is f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                assert param.default is not param.empty
+            else:
+                assert param.default is param.empty
+
+    def test_factories_are_fresh_per_instance(self):
+        a = OperationComplete(1, "read", "v", 1, True)
+        b = OperationComplete(2, "read", "v", 1, True)
+        assert a.metadata == {} and a.metadata is not b.metadata
+        first, second = Effects(), Effects()
+        for f in dataclasses.fields(Effects):
+            assert getattr(first, f.name) == []
+            assert getattr(first, f.name) is not getattr(second, f.name)
+
+    def test_any_other_factory_is_called(self):
+        @slot_init
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Tagged:
+            tags: frozenset = dataclasses.field(default_factory=lambda: frozenset({"k"}))
+
+        assert "_make_tags()" in Tagged.__init__.__source__
+        assert Tagged().tags == {"k"} and Tagged({"j"}).tags == {"j"}
+
+    def test_post_init_still_runs(self):
+        with pytest.raises(ValueError):
+            WalRecord("k", "xx", 1, "", "v")
+
+    @pytest.mark.parametrize(
+        "record",
+        [r for r in RECORDS if type(r).__dataclass_params__.frozen],
+        ids=_record_id,
+    )
+    def test_fields_stay_frozen(self, record):
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=_record_id)
+    def test_replace_round_trips(self, record):
+        assert dataclasses.replace(record) == record
+
+    @pytest.mark.parametrize(
+        "record", [r for r in RECORDS if isinstance(r, SlotsPickleMixin)], ids=_record_id
+    )
+    def test_pickle_round_trips(self, record):
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"init": False, "default": 0},
+            {"kw_only": True, "default": 0},
+        ],
+        ids=["init=False", "kw_only=True"],
+    )
+    def test_refuses_fields_it_cannot_build(self, spec):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Odd:
+            a: int
+            b: int = dataclasses.field(**spec)
+
+        with pytest.raises(TypeError):
+            slot_init(Odd)
+
+    def test_refuses_an_initvar(self):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Odd:
+            a: int
+            b: dataclasses.InitVar[int] = 0
+
+        with pytest.raises(TypeError):
+            slot_init(Odd)
