@@ -15,7 +15,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis import all_rules
 from .bench.experiments import ALL_EXPERIMENTS
 from .bench.report import generate_report
 from .core.config import SystemConfig
@@ -56,46 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_parser.add_argument("--b", type=int, default=1)
     demo_parser.add_argument("--failures", type=int, default=0)
 
-    rules = all_rules()
-    analyze_parser = subparsers.add_parser(
-        "analyze",
-        help=(
-            "run the protocol-aware static analysis rules "
-            f"({rules[0].rule_id}..{rules[-1].rule_id}) over "
-            "the given paths; non-zero exit on any finding"
-        ),
-    )
-    analyze_parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    analyze_parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (text for humans/CI logs, json for tooling)",
-    )
-    analyze_parser.add_argument(
-        "--select",
-        metavar="RULES",
-        default=None,
-        help="comma-separated rule ids to run (default: all), e.g. RP01,RP04",
-    )
-    analyze_parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the registered rules with their rationale and exit",
-    )
-    analyze_parser.add_argument(
-        "--doc",
-        action="store_true",
-        help=(
-            "print the generated docs/analysis.md (rule table + rationales) "
-            "and exit; CI diffs the committed file against this output"
-        ),
-    )
     return parser
 
 
@@ -134,39 +93,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis.engine import run_analysis
-    from .analysis.reporters import render_json, render_rules_doc, render_text
-
-    if args.doc:
-        print(render_rules_doc(all_rules()), end="")
-        return 0
-
-    if args.list_rules:
-        for rule_class in all_rules():
-            print(f"{rule_class.rule_id}  {rule_class.title}")
-            print(f"      {rule_class.rationale}")
-        return 0
-
-    select = None
-    if args.select is not None:
-        select = [rule_id.strip() for rule_id in args.select.split(",") if rule_id.strip()]
-        known = {rule_class.rule_id for rule_class in all_rules()}
-        unknown = sorted(set(select) - known)
-        if unknown:
-            print(
-                f"unknown rule id(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})",
-                file=sys.stderr,
-            )
-            return 2
-
-    report = run_analysis(args.paths, select=select)
-    rendered = render_json(report) if args.format == "json" else render_text(report)
-    print(rendered)
-    return 0 if report.ok else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``lucky-storage`` console script."""
     parser = _build_parser()
@@ -177,8 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_run_experiment(args)
     if args.command == "demo":
         return _cmd_demo(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

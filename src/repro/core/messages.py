@@ -421,10 +421,10 @@ ALL_MESSAGE_TYPES = (
 
 MESSAGE_TYPE_BY_NAME = {cls.__name__: cls for cls in ALL_MESSAGE_TYPES}
 
-# Direction groups, usable in ``DISPATCH_IGNORES`` declarations (see
-# repro.analysis.rules.dispatch): a server-side automaton never receives
-# client-bound acks/grants, and vice versa.  The analyzer reads these
-# (repro.analysis.protocol).
+# Direction groups, usable in ``DISPATCH_IGNORES`` declarations: a
+# server-side automaton never receives client-bound acks/grants, and vice
+# versa.  ``tests/unit/test_dispatch.py`` feeds every message type to every
+# declaring automaton and fails on a type it neither handles nor declares.
 CLIENT_BOUND_MESSAGES = (
     PreWriteAck,
     WriteAck,

@@ -52,11 +52,9 @@ class MultiWriterClient(ClientAutomaton):
     #: Marks the automaton for history consumers (completions carry it too).
     mwmr = True
 
-    # The client embeds a reader and a writer and forwards their ack types
-    # explicitly; lease traffic and baseline replies never address it.
+    # The client embeds a reader and a writer and forwards their acks and
+    # lease traffic to them explicitly; baseline replies never address it.
     DISPATCH_IGNORES = SERVER_BOUND_MESSAGES + (
-        LeaseGrant,
-        LeaseRevoke,
         BaselineQueryReply,
         BaselineStoreAck,
     )

@@ -304,8 +304,9 @@ class AtomicWriter(ClientAutomaton):
         self._attempt = None
         self._operation_finished()
         effects = Effects()
+        # No timer to cancel: the query phase ends before the PW timer is armed.
         effects.complete(
-            OperationComplete(  # repro: ignore[RP09] -- query phase: PW timer not armed yet
+            OperationComplete(
                 op_id=attempt.op_id,
                 kind="read",
                 value=observed.val,

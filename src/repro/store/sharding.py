@@ -57,8 +57,9 @@ class _RegisterRouter:
     registers are dropped (an honest process never sends them; a malicious
     one gains nothing, since clients ignore replies addressed to a register
     they have no pending operation on).  A message its automaton forgot to
-    address is one of them, and its operation would hang: analyzer rule RP10
-    holds every message construction in the automata to a ``register_id=``.
+    address is one of them, and its operation would hang
+    (``tests/integration/test_born_addressed.py`` runs every router on both
+    runtimes).
 
     ``batching`` marks the process as a participant in the message-batching
     layer: the hosting runtime (simulator or asyncio node) then buffers the

@@ -103,7 +103,7 @@ class TestCli:
 
     def test_run_experiment_is_the_only_benchmark_table_command(self):
         subcommands = _build_parser()._subparsers._group_actions[0].choices  # noqa: SLF001
-        assert set(subcommands) == {"explain", "run-experiment", "demo", "analyze"}
+        assert set(subcommands) == {"explain", "run-experiment", "demo"}
 
     def test_retired_hotpath_subcommand_is_a_usage_error(self, capsys):
         # Component costs are rows of the e2e ledger; there is no second

@@ -5,25 +5,21 @@ The drift this suite pins down:
 * **Dead relative links** — every markdown link in ``README.md`` and
   ``docs/`` must resolve to a real file (and, for ``#fragment`` links, a
   real heading), so a rename can't silently orphan the docs tree.
-* **Generated pages** — ``docs/analysis.md`` is generated from the rule
-  registry by ``lucky-storage analyze --doc``; the committed file must
-  match a fresh render byte-for-byte.  Hand-written pages that name the
-  rule range (``RP01–RP09``) must name the registry's first and last rule,
-  and every experiment id a page names (``E3``, ``S1–S8``) must be a key of
-  the experiment registry, each of which ``docs/benchmarks.md`` must list.
+* **Experiment ids** — every experiment id a page names (``E3``,
+  ``S1–S8``) must be a key of the experiment registry, each of which
+  ``docs/benchmarks.md`` must list.
 * **CLI help text** — every ``--flag`` token a subcommand's help text
   mentions must actually be registered on that subcommand (catching
-  ``--min-seconds`` vs ``--min_seconds`` style drift), and a rule range the
-  help names (``RP01..RP10``) must be the registry's.
+  ``--min-seconds`` vs ``--min_seconds`` style drift).
 * **Ledger rows** — every row of the e2e ledger that ``docs/benchmarks.md``
   says prices a hot-path component must be a per-layer metric the e2e
   runner computes.
 * **Retired names** — the names of retired mechanisms (the second timing
   command, the uvloop opt-in, two simulator knobs, the scenario annotation,
   the second crash schedule, the per-message trace log, the delay-model
-  hierarchy, the manual network-fault mutators, analyzer rules RP02 and RP07
-  and the event queue's second heap) appear nowhere in the sources, the CI
-  workflow or the docs.
+  hierarchy, the manual network-fault mutators, the event queue's second
+  heap, and the static analyzer with its subcommand and suppression
+  comments) appear nowhere in the sources, the CI workflow or the docs.
 """
 
 from __future__ import annotations
@@ -34,8 +30,6 @@ from pathlib import Path
 import pytest
 
 import repro.bench
-from repro.analysis import all_rules
-from repro.analysis.reporters import render_rules_doc
 from repro.bench import experiments, harness, sweeps
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.cli import _build_parser
@@ -46,7 +40,6 @@ E2E_BENCH = REPO_ROOT / "benchmarks" / "e2e" / "e2ebench"
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
-_RULE_RANGE = re.compile(r"\bRP\d+\s*(?:[-–]|\.\.)\s*RP\d+\b")
 _EXPERIMENT_ID = re.compile(r"\b[EAS]\d+\b")
 #: The codec micro-benchmark: named once, as retired, in docs/benchmarks.md.
 _RETIRED_EXPERIMENT = "S6"
@@ -59,8 +52,9 @@ _METRIC = re.compile(r"`([a-z]+\.[a-z0-9_]+)`")
 #: the delay-model hierarchy with its fallback timer, the manual gray-link
 #: mutators and the delay-sampling rule's allow-list, the wire-registry and
 #: slots rules with the analyzer's copy of the registry facts, the event
-#: queue's timer heap and cancellation floor, and three definitions only
-#: tests called.
+#: queue's timer heap and cancellation floor, three definitions only
+#: tests called, and the static analyzer, its subcommand and its
+#: suppression comments.
 _RETIRED_NAMES = (
     "hotpath",
     "uvloop",
@@ -99,6 +93,9 @@ _RETIRED_NAMES = (
     "resident_registers",
     "evicted_registers",
     "suggested_lease_duration",
+    "repro.analysis",
+    "lucky-storage analyze",
+    "repro: ignore",
 )
 
 
@@ -135,31 +132,6 @@ def test_relative_links_resolve(page: Path) -> None:
         elif fragment and fragment not in _anchors(resolved):
             dead.append(f"{target} (missing anchor)")
     assert not dead, f"dead relative links in {page.name}: {dead}"
-
-
-def test_analysis_doc_matches_generator() -> None:
-    committed = (REPO_ROOT / "docs" / "analysis.md").read_text(encoding="utf-8")
-    assert committed == render_rules_doc(all_rules()), (
-        "docs/analysis.md is out of sync with the rule registry; regenerate "
-        "with: lucky-storage analyze --doc > docs/analysis.md"
-    )
-
-
-def _stale_rule_ranges(text: str) -> list:
-    """The rule ranges *text* names that are not the registry's first..last."""
-    rule_ids = sorted(rule.rule_id for rule in all_rules())
-    expected = (rule_ids[0], rule_ids[-1])
-    return [
-        found
-        for found in _RULE_RANGE.findall(text)
-        if tuple(re.findall(r"RP\d+", found)) != expected
-    ]
-
-
-@pytest.mark.parametrize("page", DOC_PAGES, ids=lambda p: p.name)
-def test_rule_ranges_match_the_registry(page: Path) -> None:
-    stale = _stale_rule_ranges(page.read_text(encoding="utf-8"))
-    assert not stale, f"{page.name} names stale rule range(s) {stale}"
 
 
 def _experiment_ids_named() -> dict:
@@ -206,14 +178,6 @@ def test_help_text_references_registered_flags() -> None:
                 if flag not in registered:
                     drifted.append(f"{name}: help mentions unregistered {flag}")
     assert not drifted, drifted
-
-
-def test_help_text_rule_range_matches_the_registry() -> None:
-    """``lucky-storage --help`` names the registry's first and last rule."""
-    text = _build_parser().format_help()
-    assert _RULE_RANGE.search(text), "the help names no rule range"
-    stale = _stale_rule_ranges(text)
-    assert not stale, f"lucky-storage --help names stale rule range(s) {stale}"
 
 
 def _ledger_table() -> list:
