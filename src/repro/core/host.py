@@ -1,13 +1,14 @@
 """The one process host both runtimes drive.
 
 Everything that happens *around* an automaton and does not depend on how time
-passes lives here once: the incarnation fence, the frame step (unbatch, fence,
-one WAL append around a multi-message frame, one ``handle_message`` per
-admitted message), the per-destination outbox, the operation slots of a
-client, and the one builder of history records.  The simulator supplies
-virtual time, the event heap, the topology and the failure schedule; asyncio
-supplies loop timers, a flusher task and a transport.  Nothing here reads a
-clock (``now`` is an argument), awaits, or knows either runtime.
+passes lives here once: the sender and incarnation fences, the frame step
+(unbatch, fence, one WAL append around a multi-message frame, one
+``handle_message`` per admitted message), the per-destination outbox, the
+operation slots of a client, and the one builder of history records.  The
+simulator supplies virtual time, the event heap, the topology and the failure
+schedule; asyncio supplies loop timers, a flusher task and a transport.
+Nothing here reads a clock (``now`` is an argument), awaits, or knows either
+runtime.
 
 This module imports :class:`~repro.verify.history.OperationRecord` — the one
 upward edge of ``core``.  The record is the vocabulary the checkers and the
@@ -156,24 +157,33 @@ class ProcessHost:
         return True
 
     # ------------------------------------------------------------------ steps
-    def deliver(self, frame: Message) -> List[Tuple[Message, Optional[Effects]]]:
-        """Step the automaton through one inbound frame.
+    def deliver(self, source: str, frame: Message) -> List[Tuple[Message, Optional[Effects]]]:
+        """Step the automaton through one inbound frame from *source*.
 
-        Returns ``(message, effects)`` per carried message, in frame order,
-        with ``None`` for a fenced message (never stepped).  A multi-message
-        frame into a durable server is one WAL append, and the scope has
-        closed — the log is fsync'd — before any effect is returned: the
-        append-before-reply ordering is this method's return.
+        *source* is the process the frame came from, as the channel knows it
+        (the paper's authenticated point-to-point links): a carried message
+        whose ``sender`` is another process is an impersonation and is never
+        stepped, so a Byzantine process casts no vote but its own.  Returns
+        ``(message, effects)`` per carried message, in frame order, with
+        ``None`` for a message not stepped (impersonating or fenced).  A
+        multi-message frame into a durable server is one WAL append, and the
+        scope has closed — the log is fsync'd — before any effect is
+        returned: the append-before-reply ordering is this method's return.
         """
         messages = iter_unbatched(frame)
         if len(messages) > 1 and self._logs:
             with self.automaton.append_batch():  # type: ignore[attr-defined]
-                return self._step(messages)
-        return self._step(messages)
+                return self._step(source, messages)
+        return self._step(source, messages)
 
-    def _step(self, messages: Sequence[Message]) -> List[Tuple[Message, Optional[Effects]]]:
+    def _step(
+        self, source: str, messages: Sequence[Message]
+    ) -> List[Tuple[Message, Optional[Effects]]]:
         step, admit = self.automaton.handle_message, self.admit
-        return [(message, step(message) if admit(message) else None) for message in messages]
+        return [
+            (message, step(message) if message.sender == source and admit(message) else None)
+            for message in messages
+        ]
 
     def timer(self, timer_id: str) -> Effects:
         """Step the automaton through one timer expiry."""

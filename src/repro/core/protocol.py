@@ -6,17 +6,54 @@ one automaton per role.  The core algorithm's suite is
 :class:`LuckyAtomicProtocol`; the Appendix C/D variants and the baselines
 provide their own suites with the same interface, which is what lets the
 benchmark harness compare protocols apples-to-apples.
+
+What a client of one register must be able to do is a :class:`RegisterSpec`,
+and :meth:`ProtocolSuite.create_client` is the one place that turns a spec
+into a client automaton.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from typing import Any, Dict
 
 from .automaton import Automaton, ClientAutomaton, TimerPolicy
 from .config import SystemConfig
-from .reader import AtomicReader
+from .mwmr import MultiWriterClient
+from .reader import AtomicReader, LeasedReader
 from .server import StorageServer
 from .writer import AtomicWriter
+
+
+@dataclass(frozen=True, slots=True)
+class RegisterSpec:
+    """One key's capabilities, as a value: what every per-key factory reads.
+
+    The two composition rules are checked here and nowhere else, so a spec
+    that exists is legal (there are five).
+    """
+
+    mwmr: bool = False
+    leases: bool = False
+    writer_leases: bool = False
+
+    def __post_init__(self) -> None:
+        if self.writer_leases and not self.mwmr:
+            raise ValueError(
+                "writer leases only make sense on multi-writer keys (a SWMR "
+                "writer already owns its timestamps); declare the key mwmr too"
+            )
+        if self.leases and self.mwmr and not self.writer_leases:
+            raise ValueError(
+                "read leases and mwmr are mutually exclusive per key unless "
+                "the key also has writer leases"
+            )
+
+    @property
+    def pinned(self) -> bool:
+        """Leased registers are never evicted: their grant/withhold state is
+        volatile and an eviction would silently forget outstanding leases."""
+        return self.leases or self.writer_leases
 
 
 class ProtocolSuite:
@@ -52,48 +89,31 @@ class ProtocolSuite:
     def create_reader(self, reader_id: str, *, register_id: str = "") -> ClientAutomaton:
         raise NotImplementedError
 
-    def create_mwmr_client(self, client_id: str, *, register_id: str = "") -> ClientAutomaton:
-        """A read-*and*-write client for one multi-writer register.
-
-        Only protocols whose writer supports the MWMR query phase provide
-        this; the sharded store calls it for every client of a register
-        declared ``mwmr``.
-        """
-        raise NotImplementedError(
-            f"protocol {self.name!r} does not support multi-writer registers"
-        )
-
-    def create_leased_reader(
-        self, reader_id: str, lease_duration: float, *, register_id: str = ""
-    ) -> ClientAutomaton:
-        """A reader serving zero-round reads from a quorum read lease.
-
-        Only protocols whose reader understands the lease handshake provide
-        this; the sharded store calls it for every reader of a register
-        declared ``leases`` (see :mod:`repro.lease`).
-        """
-        raise NotImplementedError(
-            f"protocol {self.name!r} does not support read leases"
-        )
-
-    def create_leased_mwmr_client(
+    def create_client(
         self,
         client_id: str,
-        writer_lease_duration: float,
-        read_lease_duration: float | None = None,
+        spec: RegisterSpec,
+        lease_duration: float,
         *,
         register_id: str = "",
     ) -> ClientAutomaton:
-        """An MWMR client whose writer role holds per-register writer leases.
+        """The client *client_id* runs on a register with capabilities *spec*.
 
-        While the lease is active the client writes in one round (no
-        timestamp-query phase) and decides CAS/RMW operations locally; the
-        sharded store calls this for every client of a register declared
-        ``writer_leases`` (see :mod:`repro.lease`).
+        A plain spec, or a leased one at the config's writer (revocation is
+        server-side, so the writer is untouched), is the paper's writer or a
+        reader.  Anything else needs a client this suite does not have;
+        :class:`LuckyAtomicProtocol` builds the multi-writer and leased ones,
+        each lease lasting *lease_duration*.
         """
-        raise NotImplementedError(
-            f"protocol {self.name!r} does not support writer leases"
-        )
+        is_writer = client_id == self.config.writer_id
+        if spec.mwmr or (spec.leases and not is_writer):
+            capabilities = "+".join(f.name for f in fields(spec) if getattr(spec, f.name))
+            raise NotImplementedError(
+                f"protocol {self.name!r} does not support {capabilities} registers"
+            )
+        if is_writer:
+            return self.create_writer(register_id=register_id)
+        return self.create_reader(client_id, register_id=register_id)
 
     # -- convenience ----------------------------------------------------------
     def describe(self) -> Dict[str, Any]:
@@ -150,50 +170,31 @@ class LuckyAtomicProtocol(ProtocolSuite):
             register_id=register_id,
         )
 
-    def create_mwmr_client(self, client_id: str, *, register_id: str = "") -> "MultiWriterClient":
-        from .mwmr import MultiWriterClient
-
-        return MultiWriterClient(
-            client_id,
-            self.config,
-            timer_delay=self.timer_delay,
-            count_unresponsive=self.count_unresponsive,
-            timer_policy=self.timer_policy,
-            register_id=register_id,
-        )
-
-    def create_leased_reader(
-        self, reader_id: str, lease_duration: float, *, register_id: str = ""
-    ) -> "LeasedReader":
-        from .reader import LeasedReader
-
-        return LeasedReader(
-            reader_id,
-            self.config,
-            lease_duration=lease_duration,
-            timer_delay=self.timer_delay,
-            count_unresponsive=self.count_unresponsive,
-            timer_policy=self.timer_policy,
-            register_id=register_id,
-        )
-
-    def create_leased_mwmr_client(
+    def create_client(
         self,
         client_id: str,
-        writer_lease_duration: float,
-        read_lease_duration: float | None = None,
+        spec: RegisterSpec,
+        lease_duration: float,
         *,
         register_id: str = "",
-    ) -> "MultiWriterClient":
-        from .mwmr import MultiWriterClient
-
-        return MultiWriterClient(
-            client_id,
-            self.config,
+    ) -> ClientAutomaton:
+        """On a multi-writer key every client reads and writes, holding
+        writer (and read) leases if the key has them; on a leased SWMR key
+        every reader is a :class:`LeasedReader`."""
+        common: Dict[str, Any] = dict(
             timer_delay=self.timer_delay,
             count_unresponsive=self.count_unresponsive,
             timer_policy=self.timer_policy,
-            writer_lease_duration=writer_lease_duration,
-            read_lease_duration=read_lease_duration,
             register_id=register_id,
         )
+        if spec.mwmr:
+            return MultiWriterClient(
+                client_id,
+                self.config,
+                writer_lease_duration=lease_duration if spec.writer_leases else None,
+                read_lease_duration=lease_duration if spec.leases else None,
+                **common,
+            )
+        if spec.leases and client_id != self.config.writer_id:
+            return LeasedReader(client_id, self.config, lease_duration=lease_duration, **common)
+        return super().create_client(client_id, spec, lease_duration, register_id=register_id)

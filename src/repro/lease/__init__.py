@@ -18,12 +18,10 @@ atomicity checkers verify them against the same properties.
 
 from ..core.reader import LeasedReader
 from ..core.writer import LeasedWriter
-from .protocol import LeasedLuckyProtocol
 from .server import LeaseServer, WriterLeaseServer
 
 __all__ = [
     "LeaseServer",
-    "LeasedLuckyProtocol",
     "LeasedReader",
     "LeasedWriter",
     "WriterLeaseServer",

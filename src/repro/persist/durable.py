@@ -9,10 +9,11 @@ write-ahead discipline.  Handling one input is one append batch, and since the
 batching layer delivers a whole message batch per flush boundary, the file WAL
 pays one fsync per batch.
 
-Recovery (:func:`recover_server`) builds a fresh automaton, restores the
-latest snapshot, replays the WAL suffix and returns a new :class:`DurableServer`
-with a bumped *incarnation*.  Outgoing messages are stamped with the
-incarnation (``Message.epoch``), which is what lets clients — and the
+Every durable server is opened by :func:`recover_server`: it restores the
+latest snapshot into a fresh automaton, replays the WAL suffix and returns a
+:class:`DurableServer` under the given *incarnation* (0 for a first start,
+whose log and snapshot store are empty; bumped on every recovery).  Outgoing
+messages are stamped with the incarnation (``Message.epoch``), which is what lets clients — and the
 simulator on their behalf — reject acknowledgements a pre-crash incarnation
 sent for state the torn WAL tail may have lost.
 
@@ -332,13 +333,17 @@ def recover_server(
     incarnation: int = 1,
     compact_every: Optional[int] = None,
 ) -> DurableServer:
-    """Rebuild a durable server from its snapshot + WAL suffix.
+    """Open *fresh* as incarnation *incarnation* of a durable server.
 
-    *fresh* is a newly constructed (initial-state) server automaton for the
-    same process id; the latest snapshot (if any) is restored into it, the
-    surviving WAL records are replayed on top — tolerating a torn tail, which
+    The one way a durable server comes to exist, first start or recovery.
+    *fresh* is a newly constructed (initial-state) server automaton; the
+    latest snapshot (if any) is restored into it, the surviving WAL records
+    are replayed on top — tolerating a torn tail, which
     :meth:`~repro.persist.wal.WriteAheadLog.replay` truncates away — and the
-    result is wrapped as a new incarnation that keeps logging to the same WAL.
+    result is wrapped to keep logging to the same WAL.  On an empty log and
+    store both steps do nothing.  Only a later incarnation (``incarnation >
+    0``) is told it is recovered, which is what opens the lease layer's
+    grace window; a first start has no forgotten grants to wait out.
 
     A snapshot that exists but does not decode raises
     :class:`~repro.persist.snapshot.SnapshotCorruptError`: the log it replaced
@@ -350,7 +355,8 @@ def recover_server(
         if state is not None:
             restore_server_state(fresh, state)
     replay_records(fresh, wal.replay())
-    notify_recovered(fresh)
+    if incarnation > 0:
+        notify_recovered(fresh)
     snapshots = None
     if snapshot_store is not None and compact_every is not None:
         snapshots = SnapshotManager(snapshot_store, wal, compact_every=compact_every)

@@ -6,7 +6,7 @@ from .cluster import (
     sharded_tcp_cluster,
     tcp_cluster,
 )
-from .node import AutomatonNode, ClientNode, ShardedClientNode
+from .node import AutomatonNode, ClientNode
 from .transport import (
     DelayFunction,
     InMemoryTransport,
@@ -23,7 +23,6 @@ __all__ = [
     "sharded_tcp_cluster",
     "AutomatonNode",
     "ClientNode",
-    "ShardedClientNode",
     "DelayFunction",
     "InMemoryTransport",
     "TcpTransport",

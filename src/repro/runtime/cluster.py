@@ -35,7 +35,7 @@ from ..store.sharding import ShardedProtocol, StrategyFactory
 from ..store.surface import StoreSurface
 from ..verify.history import History
 from ..wire import Codec
-from .node import AutomatonNode, ClientNode, ShardedClientNode
+from .node import AutomatonNode, ClientNode
 from .transport import InMemoryTransport, TcpTransport, Transport, constant_delay
 
 
@@ -92,9 +92,6 @@ class AsyncCluster:
         self.start_time = time.monotonic()
         self._build_nodes()
 
-    #: Node class hosting client automata; the sharded cluster overrides it.
-    CLIENT_NODE_CLASS = ClientNode
-
     def _build_nodes(self) -> None:
         for server_id in self.config.server_ids():
             self.server_nodes[server_id] = self._build_server_node(
@@ -106,7 +103,7 @@ class AsyncCluster:
             else:
                 client = self.suite.create_reader(client_id)
             client.timer_delay = self.timer_delay
-            self.client_nodes[client_id] = self.CLIENT_NODE_CLASS(
+            self.client_nodes[client_id] = ClientNode(
                 client,
                 self.transport,
                 time_scale=self.time_scale,
@@ -179,11 +176,11 @@ class AsyncCluster:
 
     # ---------------------------------------------------------------- operations
     async def write(self, value: Any) -> OperationComplete:
-        return await self.client_nodes[self.config.writer_id].write(value)
+        return await self.client_nodes[self.config.writer_id].invoke("write", None, value)
 
     async def read(self, reader_id: Optional[str] = None) -> OperationComplete:
         reader_id = reader_id or self.config.reader_ids()[0]
-        return await self.client_nodes[reader_id].read()
+        return await self.client_nodes[reader_id].invoke("read", None)
 
     # ------------------------------------------------------------------ history
     def _operations(self) -> Iterable[OperationHandle]:
@@ -250,8 +247,6 @@ class ShardedAsyncCluster(StoreSurface, AsyncCluster):
     ``AsyncCluster.__init__`` directly.
     """
 
-    CLIENT_NODE_CLASS = ShardedClientNode
-
     def __init__(
         self,
         base: ProtocolSuite,
@@ -292,15 +287,14 @@ class ShardedAsyncCluster(StoreSurface, AsyncCluster):
         Any client node may write a key the suite declared ``mwmr``; SWMR keys
         accept writes only from the configured writer (the default).
         """
-        return await self.client_nodes[client_id or self.config.writer_id].write(
-            key, value
-        )
+        node = self.client_nodes[client_id or self.config.writer_id]
+        return await node.invoke("write", key, value)
 
     async def read(  # type: ignore[override]
         self, key: str, reader_id: Optional[str] = None
     ) -> OperationComplete:
         reader_id = reader_id or self.config.reader_ids()[0]
-        return await self.client_nodes[reader_id].read(key)
+        return await self.client_nodes[reader_id].invoke("read", key)
 
     async def compare_and_swap(
         self, key: str, expected: Any, new: Any, client_id: Optional[str] = None
@@ -313,7 +307,7 @@ class ShardedAsyncCluster(StoreSurface, AsyncCluster):
         apart.
         """
         node = self.client_nodes[client_id or self.config.writer_id]
-        return await node.compare_and_swap(key, expected, new)
+        return await node.invoke("cas", key, expected, new)
 
     async def read_modify_write(
         self,
@@ -327,7 +321,7 @@ class ShardedAsyncCluster(StoreSurface, AsyncCluster):
         bottom value.  *key* must be a multi-writer register.
         """
         node = self.client_nodes[client_id or self.config.writer_id]
-        return await node.read_modify_write(key, fn)
+        return await node.invoke("rmw", key, fn)
 
 
 def sharded_tcp_cluster(

@@ -21,13 +21,13 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
 from ..core.host import OperationHandle, ProcessHost
 from ..core.messages import Message
 from ..persist.durable import DurableServer, recover_server
-from ..persist.snapshot import FileSnapshot, SnapshotManager, write_file_atomically
+from ..persist.snapshot import FileSnapshot, write_file_atomically
 from ..persist.wal import WriteAheadLog
 from ..wire import Codec
 from .transport import Transport
@@ -52,11 +52,12 @@ def make_durable(
     """Wrap a freshly built server automaton in file-backed durability.
 
     The WAL, snapshot and incarnation sidecar live under *wal_dir*, named
-    after the process id.  When those files already hold state from a previous
-    incarnation (a crashed or stopped node), the automaton is *recovered* —
-    snapshot restored, WAL suffix replayed, torn tail truncated — and rejoins
-    under a bumped incarnation; otherwise this is the first incarnation and
-    the files are created empty.  A snapshot that is there but does not
+    after the process id.  The automaton is opened by
+    :func:`~repro.persist.durable.recover_server` — snapshot restored, WAL
+    suffix replayed, torn tail truncated — which on a first start's empty
+    files does nothing.  A sidecar left by a previous incarnation (a crashed
+    or stopped node) makes this a recovery under a bumped incarnation;
+    without one this is incarnation 0.  A snapshot that is there but does not
     decode raises :class:`~repro.persist.snapshot.SnapshotCorruptError`: the
     node refuses to start rather than rejoin without acknowledged state.
 
@@ -66,39 +67,29 @@ def make_durable(
     """
     os.makedirs(wal_dir, exist_ok=True)
     process_id = automaton.process_id
-    wal_path = os.path.join(wal_dir, f"{process_id}.wal")
     epoch_path = os.path.join(wal_dir, f"{process_id}.epoch")
-    snapshot_store = FileSnapshot(
-        os.path.join(wal_dir, f"{process_id}.snapshot"), codec=codec
-    )
-    restarting = os.path.exists(epoch_path)
-    wal = WriteAheadLog(wal_path, codec=codec)
-    if restarting:
+    incarnation = 0
+    if os.path.exists(epoch_path):
         # The sidecar is written atomically below, so its content is either a
         # previous incarnation number or the file does not exist at all —
         # never a torn write that would regress the epoch and make peers'
         # monotone fencing reject the recovered node forever.
         with open(epoch_path, encoding="utf-8") as fh:
             incarnation = int(fh.read().strip()) + 1
-        try:
-            node_server = recover_server(
-                automaton,
-                wal,
-                snapshot_store=snapshot_store,
-                incarnation=incarnation,
-                compact_every=compact_every,
-            )
-        except BaseException:
-            wal.close()  # a corrupt snapshot refuses the start: leak no handle
-            raise
-    else:
-        incarnation = 0
-        node_server = DurableServer(
+    wal = WriteAheadLog(os.path.join(wal_dir, f"{process_id}.wal"), codec=codec)
+    try:
+        node_server = recover_server(
             automaton,
             wal,
-            incarnation=0,
-            snapshots=SnapshotManager(snapshot_store, wal, compact_every=compact_every),
+            snapshot_store=FileSnapshot(
+                os.path.join(wal_dir, f"{process_id}.snapshot"), codec=codec
+            ),
+            incarnation=incarnation,
+            compact_every=compact_every,
         )
+    except BaseException:
+        wal.close()  # a corrupt snapshot refuses the start: leak no handle
+        raise
     write_file_atomically(epoch_path, str(incarnation).encode("utf-8"))
     return node_server
 
@@ -196,14 +187,16 @@ class AutomatonNode:
 
     # ----------------------------------------------------------------- inputs
     async def _on_transport_message(self, source: str, message: Message) -> None:
+        # *source* is who the channel says sent the frame: ``send``'s source in
+        # memory, the connection's bound source on TCP.
         if self._durable and self._running:
             # A durable step blocks on fsync: it takes a loop turn of its own
             # rather than run inside the sender's ``send``.
-            self._loop.call_soon(self._step_frame, message)
+            self._loop.call_soon(self._step_frame, source, message)
         else:
-            self._step_frame(message)
+            self._step_frame(source, message)
 
-    def _step_frame(self, frame: Message) -> None:
+    def _step_frame(self, source: str, frame: Message) -> None:
         # The host steps each message of a frame as its own atomic step and
         # returns once the frame's WAL append is durable.  Applying effects
         # never awaits (sends only fill the outbox), so every reply the frame
@@ -212,8 +205,8 @@ class AutomatonNode:
         if self.crashed or not self._running:
             return
         try:
-            for _, effects in self.host.deliver(frame):
-                if effects is not None:  # None: the host fenced the message
+            for _, effects in self.host.deliver(source, frame):
+                if effects is not None:  # None: the host did not step it
                     self.apply_effects(effects)
         except Exception as exc:
             self._fail(exc)
@@ -324,15 +317,15 @@ class ClientNode(AutomatonNode):
         self.start_time = time.monotonic() if start_time is None else start_time
 
     # ------------------------------------------------------------- operations
-    async def write(self, value: Any) -> OperationComplete:
-        """Invoke WRITE(value) and await its completion."""
-        return await self._invoke(None, "write", value)
+    async def invoke(self, kind: str, key: Optional[str], *args: Any) -> OperationComplete:
+        """Invoke operation *kind* on register *key* and await its completion.
 
-    async def read(self) -> OperationComplete:
-        """Invoke READ() and await its completion."""
-        return await self._invoke(None, "read")
-
-    async def _invoke(self, key: Optional[str], kind: str, *args: Any) -> OperationComplete:
+        The one invocation path of the asyncio runtime, the mirror of
+        :meth:`~repro.sim.cluster.SimCluster.start`: *kind* is ``"write"``,
+        ``"read"``, ``"cas"`` or ``"rmw"``, *key* is ``None`` for the paper's
+        single register, and a conditional's completion ``kind`` says whether
+        it wrote or only read.
+        """
         if self.failure is not None:
             raise NodeFailedError(self.process_id, self.failure)
         busy = self.host.open.get(key)
@@ -378,32 +371,3 @@ class ClientNode(AutomatonNode):
         for future in futures.values():
             if not future.done():
                 future.set_exception(NodeFailedError(self.process_id, cause))
-
-
-class ShardedClientNode(ClientNode):
-    """A node hosting a sharded client: the same verbs, addressed by key.
-
-    Across registers the node multiplexes freely, which is what lets one
-    asyncio client saturate many shards concurrently.
-    """
-
-    async def write(self, key: str, value: Any) -> OperationComplete:  # type: ignore[override]
-        """Invoke WRITE(value) on register *key* and await its completion."""
-        return await self._invoke(key, "write", value)
-
-    async def read(self, key: str) -> OperationComplete:  # type: ignore[override]
-        """Invoke READ() on register *key* and await its completion."""
-        return await self._invoke(key, "read")
-
-    async def compare_and_swap(self, key: str, expected: Any, new: Any) -> OperationComplete:
-        """Invoke CAS(expected, new) on register *key* and await its completion.
-
-        The completion's ``kind`` distinguishes the outcomes: a successful
-        swap completes as a write of *new*, a failed one as a read of the
-        observed value.
-        """
-        return await self._invoke(key, "cas", expected, new)
-
-    async def read_modify_write(self, key: str, fn: Callable[[Any], Any]) -> OperationComplete:
-        """Invoke RMW(fn) on register *key* and await its completion."""
-        return await self._invoke(key, "rmw", fn)

@@ -49,12 +49,14 @@ What the channels guarantee, exactly:
   so there it is the real sender.  On TCP it is what the peer wrote into the
   envelope: the first frame on a connection binds that ``source`` to it,
   and a later frame claiming another costs the connection
-  (``TcpTransport.connections_dropped``).  Nothing authenticates the first
-  claim, so anything that can reach a listener can still open a connection
-  and speak as any process; and neither transport nor node compares
-  ``source`` with the ``sender`` field inside the message, which is what
-  the automata count quorums by.  The paper's authenticated channels are
-  therefore assumed of the deployment (one trusted process, or a trusted
+  (``TcpTransport.connections_dropped``).  The receiving node's host steps
+  only the messages whose ``sender`` field — what the automata count
+  quorums by — is that ``source``
+  (:meth:`~repro.core.host.ProcessHost.deliver`), so a process votes under
+  its own channel identity only.  Nothing authenticates a connection's
+  first claim, so anything that can reach a listener can still open a
+  connection and speak as any process: on TCP the paper's authenticated
+  channels are assumed of the deployment (one trusted process, or a trusted
   loopback), not provided by the transport.
 * **Bounded ingress.**  A TCP listener refuses a frame whose length prefix
   exceeds :data:`MAX_FRAME_BYTES` before buffering it, and drops the

@@ -3,8 +3,10 @@
 A malicious server may deviate arbitrarily from the protocol: forge values,
 replay stale state, answer different clients differently, or stay silent.  It
 cannot, however, interfere with channels between non-malicious processes
-(Section 2.1) — that restriction is enforced structurally because a
-:class:`MaliciousServer` only ever emits messages carrying its own identity.
+(Section 2.1), and it cannot speak as another process: the receiving host
+steps a message only if its ``sender`` is the process the channel delivered
+it from (:meth:`~repro.core.host.ProcessHost.deliver`), so whatever a
+strategy forges counts as the malicious server's own vote or not at all.
 
 Every strategy wraps an *honest* server automaton.  The wrapper keeps the
 honest automaton's state up to date (so strategies such as "answer honestly to

@@ -34,8 +34,8 @@ from ..core.automaton import Automaton, ClientAutomaton, Effects
 from ..core.host import OperationHandle, ProcessHost
 from ..core.messages import Batch, Message, iter_unbatched
 from ..core.protocol import ProtocolSuite
-from ..persist.durable import DurableServer, recover_server
-from ..persist.snapshot import MemorySnapshot, SnapshotManager
+from ..persist.durable import recover_server
+from ..persist.snapshot import MemorySnapshot
 from ..persist.wal import MemoryWAL
 from ..verify.history import History
 from ..wire import Codec, get_codec
@@ -68,7 +68,6 @@ class SimCluster:
         byzantine: Optional[Dict[str, ByzantineStrategy]] = None,
         seed: int = 0,
         message_filter: Optional[MessageFilter] = None,
-        auto_timer: bool = True,
         max_events_per_run: int = 500_000,
         frame_overhead: float = 0.0,
         codec: Union[str, Codec, None] = None,
@@ -138,16 +137,15 @@ class SimCluster:
         self.hosts: Dict[str, ProcessHost] = {}
         self._build_processes()
 
-        if auto_timer:
-            # Round-1 timers are per-process: each client's timer covers one
-            # round trip over *its own* links (plus margin), so a client in a
-            # far zone arms a longer timer than a quorum-local one.
-            servers = self.config.server_ids()
-            for process_id, process in self.processes.items():
-                if isinstance(process, ClientAutomaton):
-                    process.timer_delay = self.topology.suggested_timer_for(
-                        process_id, servers, margin=0.5
-                    )
+        # Round-1 timers are per-process: each client's timer covers one
+        # round trip over *its own* links (plus margin), so a client in a far
+        # zone arms a longer timer than a quorum-local one.
+        servers = self.config.server_ids()
+        for process_id, process in self.processes.items():
+            if isinstance(process, ClientAutomaton):
+                process.timer_delay = self.topology.suggested_timer_for(
+                    process_id, servers, margin=0.5
+                )
 
         # The suite's Byzantine servers (a sharded store's) fail like the
         # cluster's own: both count against b, and against t below.
@@ -172,16 +170,14 @@ class SimCluster:
         for server_id in self.config.server_ids():
             server = self._build_server(server_id)
             if self.durable:
-                wal = MemoryWAL()
-                snapshot_store = MemorySnapshot()
-                self.wals[server_id] = wal
-                self.snapshot_stores[server_id] = snapshot_store
-                snapshots = (
-                    SnapshotManager(snapshot_store, wal, compact_every=self.compact_every)
-                    if self.compact_every is not None
-                    else None
+                # The first incarnation: recovery from an empty log and store.
+                server = recover_server(
+                    server,
+                    self.wals.setdefault(server_id, MemoryWAL()),
+                    snapshot_store=self.snapshot_stores.setdefault(server_id, MemorySnapshot()),
+                    incarnation=0,
+                    compact_every=self.compact_every,
                 )
-                server = DurableServer(server, wal, incarnation=0, snapshots=snapshots)
             self._host(server)
         self._host(self.suite.create_writer())
         for reader_id in self.config.reader_ids():
@@ -429,9 +425,10 @@ class SimCluster:
             reason = "unknown" if host is None else "crashed"
             self._drop(source, destination, event.message, reason)
             return
-        for message, effects in host.deliver(event.message):
+        for message, effects in host.deliver(source, event.message):
             if effects is None:
-                self.trace.record_drop(source, destination, "stale-epoch")
+                reason = "impersonation" if message.sender != source else "stale-epoch"
+                self.trace.record_drop(source, destination, reason)
             else:
                 self.trace.record_delivery(source, destination, message.kind)
                 self.inject(destination, effects)

@@ -5,9 +5,9 @@ multiplexes many independent register instances — one writer each, shared
 readers — over one shared server fleet and transport:
 
 * :mod:`repro.store.sharding` — the routing automata (:class:`ShardedServer`,
-  :class:`ShardedClient`), the per-key :class:`RegisterSpec` and the
-  :class:`ShardedProtocol` suite that builds a full sharded deployment from
-  any base protocol suite around one keyspace table of specs;
+  :class:`ShardedClient`) and the :class:`ShardedProtocol` suite that builds
+  a full sharded deployment from any base protocol suite around one keyspace
+  table of per-key :class:`~repro.core.protocol.RegisterSpec` values;
 * :mod:`repro.store.surface` — :class:`StoreSurface`, the one store façade:
   keyspace, dynamic keys, per-key histories and their atomicity verdicts;
 * :mod:`repro.store.sim` — :class:`ShardedSimStore`, a

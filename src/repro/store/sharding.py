@@ -29,11 +29,10 @@ the way out is copied.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
 
 from ..core.automaton import TIMER_SEPARATOR, Automaton, ClientAutomaton, Effects
-from ..core.protocol import ProtocolSuite
+from ..core.protocol import ProtocolSuite, RegisterSpec
 from ..lease.server import LeaseServer, WriterLeaseServer
 from ..persist.durable import notify_recovered
 from ..sim.byzantine import ByzantineStrategy, MaliciousServer, check_byzantine_servers
@@ -349,37 +348,6 @@ class ShardedClient(_RegisterRouter, ClientAutomaton):
 StrategyFactory = Callable[[], ByzantineStrategy]
 
 
-@dataclass(frozen=True, slots=True)
-class RegisterSpec:
-    """One key's capabilities, as a value: what every per-key factory reads.
-
-    The two composition rules are checked here and nowhere else, so a spec
-    that exists is legal (there are five).
-    """
-
-    mwmr: bool = False
-    leases: bool = False
-    writer_leases: bool = False
-
-    def __post_init__(self) -> None:
-        if self.writer_leases and not self.mwmr:
-            raise ValueError(
-                "writer leases only make sense on multi-writer keys (a SWMR "
-                "writer already owns its timestamps); declare the key mwmr too"
-            )
-        if self.leases and self.mwmr and not self.writer_leases:
-            raise ValueError(
-                "read leases and mwmr are mutually exclusive per key unless "
-                "the key also has writer leases"
-            )
-
-    @property
-    def pinned(self) -> bool:
-        """Leased registers are never evicted: their grant/withhold state is
-        volatile and an eviction would silently forget outstanding leases."""
-        return self.leases or self.writer_leases
-
-
 # One shared instance per legal combination, however large the keyspace.
 _shared_spec = functools.cache(RegisterSpec)
 
@@ -623,9 +591,13 @@ class ShardedProtocol(ProtocolSuite):
         return spec is None or not spec.pinned
 
     # -------------------------------------------------------------- factories
-    def _create_register_server(self, server_id: str, register_id: str) -> Automaton:
-        spec = self.specs[register_id]
-        strategy_factory = self.byzantine.get(server_id)
+    # The two per-key builders, each the admission factory of its routers
+    # (bound to the process by ``functools.partial``): ``None`` for an id
+    # that is not (or no longer) part of the keyspace.
+    def _create_register_server(self, server_id: str, register_id: str) -> Optional[Automaton]:
+        spec = self.specs.get(register_id)
+        if spec is None:
+            return None
         server = self.base.create_server(server_id, register_id=register_id)
         if spec.writer_leases:
             # Innermost lease wrapper: the holder's 1-round PW passes
@@ -634,6 +606,7 @@ class ShardedProtocol(ProtocolSuite):
             server = WriterLeaseServer(server, lease_duration=self.lease_duration)
         if spec.leases:
             server = LeaseServer(server, lease_duration=self.lease_duration)
+        strategy_factory = self.byzantine.get(server_id)
         if strategy_factory is not None:
             # The malicious wrapper goes outside the lease layer: a faulty
             # machine does not honour the withholding contract, which is
@@ -641,38 +614,15 @@ class ShardedProtocol(ProtocolSuite):
             server = MaliciousServer(server, strategy_factory())  # type: ignore[arg-type]
         return server
 
-    def _admit_server_register(self, server_id: str, register_id: str) -> Optional[Automaton]:
-        """Admission factory for servers: fresh automaton, or ``None`` if the
-        id is not (or no longer) part of the keyspace."""
-        if register_id not in self.specs:
-            return None
-        return self._create_register_server(server_id, register_id)
-
-    def _admit_client_register(
+    def _create_client_register(
         self, client_id: str, register_id: str
     ) -> Optional[ClientAutomaton]:
-        if register_id not in self.specs:
+        spec = self.specs.get(register_id)
+        if spec is None:
             return None
-        return self._create_client_register(register_id, client_id)
-
-    def _create_client_register(self, register_id: str, client_id: str) -> ClientAutomaton:
-        spec = self.specs[register_id]
-        if spec.writer_leases:
-            return self.base.create_leased_mwmr_client(
-                client_id,
-                writer_lease_duration=self.lease_duration,
-                read_lease_duration=self.lease_duration if spec.leases else None,
-                register_id=register_id,
-            )
-        if spec.mwmr:
-            return self.base.create_mwmr_client(client_id, register_id=register_id)
-        if client_id == self.config.writer_id:
-            return self.base.create_writer(register_id=register_id)
-        if spec.leases:
-            return self.base.create_leased_reader(
-                client_id, lease_duration=self.lease_duration, register_id=register_id
-            )
-        return self.base.create_reader(client_id, register_id=register_id)
+        return self.base.create_client(
+            client_id, spec, self.lease_duration, register_id=register_id
+        )
 
     def create_server(self, server_id: str) -> ShardedServer:
         eviction_store = None
@@ -685,7 +635,7 @@ class ShardedProtocol(ProtocolSuite):
             )
         sharded = ShardedServer(
             server_id,
-            factory=functools.partial(self._admit_server_register, server_id),
+            factory=functools.partial(self._create_register_server, server_id),
             max_resident=self.max_resident,
             eviction_store=eviction_store,
             evictable=self._evictable,
@@ -695,7 +645,7 @@ class ShardedProtocol(ProtocolSuite):
 
     def _create_client(self, client_id: str) -> ShardedClient:
         client = ShardedClient(
-            client_id, factory=functools.partial(self._admit_client_register, client_id)
+            client_id, factory=functools.partial(self._create_client_register, client_id)
         )
         client.timer_delay = self.timer_delay
         client.batching = self.batching

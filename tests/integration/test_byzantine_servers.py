@@ -5,8 +5,11 @@ state, equivocating, or staying silent.  The storage must remain atomic and,
 when the failures stay within the fast-path thresholds, fast.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.automaton import Effects, Send
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.sim.byzantine import (
@@ -121,3 +124,39 @@ class TestByzantinePlusCrash:
         read = cluster.read("r1")
         assert read.value == "value"
         check_atomicity(cluster.history()).raise_if_violated()
+
+
+class ImpersonatingForger(ForgeHighTimestampStrategy):
+    """Sends the forger's ``ReadAck`` once under every server's id."""
+
+    def __init__(self, server_ids):
+        super().__init__()
+        self.server_ids = server_ids
+
+    def respond(self, inner, message):
+        forged = super().respond(inner, message)
+        if forged is None:
+            return None
+        return Effects(
+            [
+                Send(send.destination, replace(send.message, sender=server_id))
+                for send in forged.sends
+                for server_id in self.server_ids
+            ]
+        )
+
+
+class TestImpersonation:
+    """A vote is its sender's only on the sender's own channel: the host
+    drops what a server sends under another server's id, so ``b`` malicious
+    servers stay ``b`` votes."""
+
+    def test_a_forger_voting_as_every_server_is_one_vote(self):
+        config = SystemConfig(t=2, b=1, fw=1, fr=0)
+        cluster = build(config, {"s1": ImpersonatingForger(config.server_ids())})
+        cluster.write("v1")
+        read = cluster.read("r1")
+        assert read.value == "v1"
+        check_atomicity(cluster.history()).raise_if_violated()
+        assert cluster.trace.dropped[("s1", "r1", "impersonation")] > 0
+        assert cluster.trace.dropped[("s1", "r1", "stale-epoch")] == 0

@@ -331,25 +331,26 @@ class TestLeasedAsyncCluster:
         asyncio.run(scenario())
 
     def test_closed_loop_reader_acquires_without_batching(self):
-        # Regression (asyncio side): on the single-register cluster every
-        # message is its own delivery, so a read that returns on the reply
-        # that makes it fast is re-invoked before any LeaseGrant is handled.
-        # The fallback reads used to supersede that in-flight acquisition one
+        # Regression (asyncio side): on an unbatched cluster every message
+        # is its own delivery, so a read that returns on the reply that makes
+        # it fast is re-invoked before any LeaseGrant is handled.  The
+        # fallback reads used to supersede that in-flight acquisition one
         # after the other and the lease never activated.
-        from repro.lease import LeasedLuckyProtocol
-        from repro.runtime.cluster import AsyncCluster
-
         config = SystemConfig.balanced(1, 0, num_readers=2)
 
-        async def scenario(cluster):
-            await cluster.write("v1")
-            reads = [await cluster.read("r1") for _ in range(8)]
-            return reads, cluster.history()
+        async def scenario():
+            async with ShardedAsyncCluster(
+                LuckyAtomicProtocol(config),
+                ["k"],
+                leases=["k"],
+                lease_duration=5000.0,
+                batching=False,
+            ) as cluster:
+                await cluster.write("k", "v1")
+                reads = [await cluster.read("k", "r1") for _ in range(8)]
+                return reads, cluster.history()
 
-        reads, history = AsyncCluster.run_scenario(
-            LeasedLuckyProtocol(LuckyAtomicProtocol(config), lease_duration=5000.0),
-            scenario,
-        )
+        reads, history = asyncio.run(scenario())
         assert all(read.value == "v1" for read in reads)
         assert reads[0].rounds >= 1
         assert reads[-1].rounds == 0 and reads[-1].metadata["lease"] is True

@@ -160,7 +160,7 @@ class TestInMemoryRuntime:
 
         async def scenario(cluster):
             with pytest.raises(AttributeError):
-                await cluster.client_nodes["w"].read()
+                await cluster.client_nodes["w"].invoke("read", None)
             write = await cluster.write("x")
             return write, await cluster.read("r1")
 

@@ -7,13 +7,14 @@ operations under at most ``fw`` / ``fr`` failures must be fast whether the
 round-1 timer is a wait (the paper) or a deadline (the default).
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig, frontier_threshold_pairs
 from repro.core.protocol import LuckyAtomicProtocol
-from repro.lease import LeasedLuckyProtocol
 from repro.sim.byzantine import (
     EquivocationStrategy,
     ForgeHighTimestampStrategy,
@@ -29,6 +30,7 @@ from repro.variants.two_round import TwoRoundWriteProtocol
 from repro.verify.atomicity import check_atomicity
 from repro.verify.regularity import check_regularity
 from repro.workload.generator import (
+    Workload,
     contended_workload,
     keyspace_workload,
     lucky_workload,
@@ -81,16 +83,22 @@ def fault_scenarios(draw):
 def test_core_algorithm_is_atomic_under_random_faults(scenario, num_cycles, policy, leases):
     config, byzantine, failures, network, seed = scenario
     suite = LuckyAtomicProtocol(config, timer_policy=policy)
-    if leases:
-        suite = LeasedLuckyProtocol(suite, lease_duration=20.0)
-    cluster = SimCluster(
-        suite,
-        topology=network,
-        byzantine=byzantine,
-        failures=failures,
-        seed=seed,
-    )
     workload = contended_workload(num_cycles, config.reader_ids(), write_gap=12.0)
+    faults = dict(topology=network, failures=failures, seed=seed)
+    if leases:
+        # One leased key, unbatched like the single register.
+        cluster = ShardedSimStore(
+            suite,
+            ["k"],
+            byzantine={sid: type(strategy) for sid, strategy in byzantine.items()},
+            batching=False,
+            leases=["k"],
+            lease_duration=20.0,
+            **faults,
+        )
+        workload = Workload([replace(op, key="k") for op in workload.operations])
+    else:
+        cluster = SimCluster(suite, byzantine=byzantine, **faults)
     handles = run_workload(cluster, workload)
     assert all(handle.done for handle in handles)
     check_atomicity(cluster.history()).raise_if_violated()

@@ -86,13 +86,12 @@ class TestShardedClientTimerDelay:
     def test_a_client_over_an_empty_table_keeps_the_suites_timer(self):
         # A client has no inner automaton to copy a delay from when it is
         # built, so the suite's has to reach it some other way than through one.
-        config = self._config()
-        suite = ShardedProtocol(LuckyAtomicProtocol(config, timer_delay=3.0), [])
-        cluster = SimCluster(suite, auto_timer=False)
+        suite = ShardedProtocol(LuckyAtomicProtocol(self._config(), timer_delay=3.0), [])
+        writer = suite.create_writer()
         suite.create_register("k0")
-        cluster.start(config.writer_id, "write", "v", register_id="k0")
-        assert cluster.writer.timer_delay == 3.0
-        assert cluster.writer.registers["k0"].timer_delay == 3.0
+        writer.write("k0", "v")
+        assert writer.timer_delay == 3.0
+        assert writer.registers["k0"].timer_delay == 3.0
 
 
 # --------------------------------------------------------------------------- #

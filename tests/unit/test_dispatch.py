@@ -29,7 +29,7 @@ from repro.core.automaton import Automaton
 from repro.core.config import SystemConfig
 from repro.core.messages import Batch
 from repro.core.mwmr import MultiWriterClient
-from repro.core.protocol import LuckyAtomicProtocol
+from repro.core.protocol import LuckyAtomicProtocol, RegisterSpec
 from repro.core.reader import AtomicReader
 from repro.core.server import StorageServer
 from repro.core.writer import AtomicWriter
@@ -66,7 +66,7 @@ AUTOMATA = {
     StorageServer: lambda: LUCKY.create_server("s1"),
     AtomicWriter: lambda: mid_write(LUCKY.create_writer()),
     AtomicReader: lambda: mid_read(LUCKY.create_reader("r1")),
-    MultiWriterClient: lambda: mid_write(LUCKY.create_mwmr_client("c1")),
+    MultiWriterClient: lambda: mid_write(LUCKY.create_client("c1", RegisterSpec(mwmr=True), 1.0)),
     ABDServer: lambda: ABD.create_server("s1"),
     ABDWriter: lambda: mid_write(ABD.create_writer()),
     ABDReader: lambda: mid_read(ABD.create_reader("r1")),

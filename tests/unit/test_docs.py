@@ -18,8 +18,11 @@ The drift this suite pins down:
   command, the uvloop opt-in, two simulator knobs, the scenario annotation,
   the second crash schedule, the per-message trace log, the delay-model
   hierarchy, the manual network-fault mutators, the event queue's second
-  heap, and the static analyzer with its subcommand and suppression
-  comments) appear nowhere in the sources, the CI workflow or the docs.
+  heap, the static analyzer with its subcommand and suppression comments,
+  and the parallel roads to a client: the single-register lease suite, the
+  three capability factories, the keyed client node with its class hook and
+  the simulator's timer switch) appear nowhere in the sources, the CI
+  workflow or the docs.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ _METRIC = re.compile(r"`([a-z]+\.[a-z0-9_]+)`")
 #: mutators and the delay-sampling rule's allow-list, the wire-registry and
 #: slots rules with the analyzer's copy of the registry facts, the event
 #: queue's timer heap and cancellation floor, three definitions only
-#: tests called, and the static analyzer, its subcommand and its
-#: suppression comments.
+#: tests called, the static analyzer, its subcommand and its suppression
+#: comments, and the second roads to a client automaton: the single-register
+#: lease suite, the per-capability factories, the keyed client node and its
+#: class hook, and the simulator's switch for the timer it derives.
 _RETIRED_NAMES = (
     "hotpath",
     "uvloop",
@@ -96,6 +101,13 @@ _RETIRED_NAMES = (
     "repro.analysis",
     "lucky-storage analyze",
     "repro: ignore",
+    "LeasedLuckyProtocol",
+    "create_mwmr_client",
+    "create_leased_reader",
+    "create_leased_mwmr_client",
+    "ShardedClientNode",
+    "CLIENT_NODE_CLASS",
+    "auto_timer",
 )
 
 

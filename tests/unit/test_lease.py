@@ -24,8 +24,8 @@ from repro.core.reader import LeasedReader
 from repro.core.server import StorageServer
 from repro.core.types import INITIAL_PAIR, TimestampValue
 from repro.core.writer import LeasedWriter
-from repro.lease import LeasedLuckyProtocol, LeaseServer, WriterLeaseServer
-from repro.sim.cluster import SimCluster
+from repro.lease import LeaseServer, WriterLeaseServer
+from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 
 V1 = TimestampValue(1, "v1")
@@ -538,13 +538,15 @@ class TestLeasedWriter:
         assert not effects.sends and writer.lease_conditionals == 1
 
 
-def leased_sim_cluster(config, policy, lease_duration):
+def leased_sim_store(config, policy, lease_duration):
+    """One leased key, unbatched: every message is its own delivery."""
     base = LuckyAtomicProtocol(config, timer_policy=policy)
-    suite = LeasedLuckyProtocol(base, lease_duration=lease_duration)
-    return SimCluster(suite)
+    return ShardedSimStore(
+        base, ["k"], leases=["k"], lease_duration=lease_duration, batching=False
+    )
 
 
-def acquire_by_reading(cluster, policy, value):
+def acquire_by_reading(store, policy, value):
     """Closed-loop fallback reads until the lease holds.
 
     Paper-faithful, the grants are handled while the first read sits out its
@@ -555,7 +557,7 @@ def acquire_by_reading(cluster, policy, value):
     """
     fallbacks = 1 if policy is TimerPolicy.WAIT else 2
     for _ in range(fallbacks):
-        read = cluster.read("r1")
+        read = store.read("k", "r1")
         assert read.value == value and read.rounds == 1
     return fallbacks
 
@@ -563,31 +565,31 @@ def acquire_by_reading(cluster, policy, value):
 class TestLeasedProtocolEndToEnd:
     @POLICIES
     def test_lease_lifecycle_on_the_simulator(self, config, policy):
-        cluster = leased_sim_cluster(config, policy, lease_duration=50.0)
-        cluster.write("v1")
-        acquire_by_reading(cluster, policy, "v1")
-        leased = cluster.read("r1")
+        store = leased_sim_store(config, policy, lease_duration=50.0)
+        store.write("k", "v1")
+        acquire_by_reading(store, policy, "v1")
+        leased = store.read("k", "r1")
         assert leased.rounds == 0 and leased.result.metadata["lease"] is True
         # A write revokes before its acknowledgements complete ...
-        cluster.write("v2")
+        store.write("k", "v2")
         # ... so the next read falls back and returns the new value.
-        acquire_by_reading(cluster, policy, "v2")
-        again = cluster.read("r1")
+        acquire_by_reading(store, policy, "v2")
+        again = store.read("k", "r1")
         assert again.value == "v2" and again.rounds == 0
-        result = check_atomicity(cluster.history())
+        result = check_atomicity(store.history())
         assert result.ok
         assert result.lease_reads == 2
         assert "lease-served" in result.summary()
-        cluster.run_until_quiescent()  # lease timers drain; no livelock
+        store.run_until_quiescent()  # lease timers drain; no livelock
 
     @POLICIES
     def test_lease_expires_in_virtual_time(self, config, policy):
-        cluster = leased_sim_cluster(config, policy, lease_duration=20.0)
-        cluster.write("v1")
-        acquire_by_reading(cluster, policy, "v1")
-        assert cluster.read("r1").rounds == 0
-        cluster.run_for(25.0)  # outlive the lease without any revocation
-        expired = cluster.read("r1")
+        store = leased_sim_store(config, policy, lease_duration=20.0)
+        store.write("k", "v1")
+        acquire_by_reading(store, policy, "v1")
+        assert store.read("k", "r1").rounds == 0
+        store.run_for(25.0)  # outlive the lease without any revocation
+        expired = store.read("k", "r1")
         assert expired.rounds >= 1  # the lease lapsed, the read went remote
         assert expired.value == "v1"
-        assert check_atomicity(cluster.history()).ok
+        assert check_atomicity(store.history()).ok

@@ -13,7 +13,7 @@ from repro.core.messages import (
     WriteAck,
 )
 from repro.core.mwmr import MultiWriterClient
-from repro.core.protocol import LuckyAtomicProtocol, ProtocolSuite
+from repro.core.protocol import LuckyAtomicProtocol, ProtocolSuite, RegisterSpec
 from repro.core.server import StorageServer
 from repro.core.types import INITIAL_PAIR, TimestampValue, freshest
 from repro.core.writer import AtomicWriter
@@ -235,10 +235,10 @@ class TestMultiWriterClient:
 class TestProtocolFactory:
     def test_lucky_protocol_builds_mwmr_clients(self, config):
         suite = LuckyAtomicProtocol(config)
-        client = suite.create_mwmr_client("r2")
+        client = suite.create_client("r2", RegisterSpec(mwmr=True), 60.0)
         assert isinstance(client, MultiWriterClient)
         assert client.process_id == "r2"
 
     def test_base_suite_rejects_mwmr(self, config):
-        with pytest.raises(NotImplementedError, match="multi-writer"):
-            ProtocolSuite(config).create_mwmr_client("r1")
+        with pytest.raises(NotImplementedError, match="does not support mwmr registers"):
+            ProtocolSuite(config).create_client("r1", RegisterSpec(mwmr=True), 60.0)

@@ -58,10 +58,32 @@ class TestFence:
         fresh = ReadAck(sender="s1", epoch=1, read_ts=1)
         stale = ReadAck(sender="s1", epoch=0, read_ts=2)
         other = ReadAck(sender="s2", epoch=0, read_ts=3)
-        results = host.deliver(Batch(sender="s1", messages=(fresh, stale, other)))
+        results = host.deliver("s1", Batch(sender="s1", messages=(fresh, stale)))
+        results += host.deliver("s2", other)
         assert [message for message, _ in results] == [fresh, stale, other]
         assert results[1][1] is None
         assert echo.stepped == [fresh, other]
+
+
+class TestSenderFence:
+    """A message counts as its sender's only on the sender's own channel."""
+
+    def test_a_message_under_another_senders_id_yields_none_and_is_not_stepped(self):
+        echo = Echo()
+        host = ProcessHost(echo)
+        own = ReadAck(sender="s1", read_ts=1)
+        forged = tuple(ReadAck(sender=sender, read_ts=2) for sender in ("s2", "s3"))
+        results = host.deliver("s1", Batch(sender="s1", messages=(own, *forged)))
+        assert [effects is None for _, effects in results] == [False, True, True]
+        assert echo.stepped == [own]
+
+    def test_an_impersonation_does_not_move_the_impersonated_senders_fence(self):
+        echo = Echo()
+        host = ProcessHost(echo)
+        host.deliver("s1", ReadAck(sender="s2", epoch=5))
+        genuine = ReadAck(sender="s2", epoch=0)
+        [(_, effects)] = host.deliver("s2", genuine)
+        assert effects is not None and echo.stepped == [genuine]
 
 
 class TestFrameStep:
@@ -70,13 +92,13 @@ class TestFrameStep:
         frame = Batch(
             sender="s1", messages=tuple(ReadAck(sender="s1", read_ts=ts) for ts in (5, 3, 9))
         )
-        results = host.deliver(frame)
+        results = host.deliver("s1", frame)
         assert [m.read_ts for m, _ in results] == [5, 3, 9]
         assert [e.sends[0].message.read_ts for _, e in results] == [5, 3, 9]
 
     def test_a_lone_message_is_a_frame_of_one(self):
         message = ReadAck(sender="s1", read_ts=7)
-        [(stepped, effects)] = ProcessHost(Echo()).deliver(message)
+        [(stepped, effects)] = ProcessHost(Echo()).deliver("s1", message)
         assert stepped is message and effects.sends[0].message.read_ts == 7
 
     def test_a_multi_message_frame_is_one_wal_append_closed_before_any_effect(self):
@@ -96,14 +118,14 @@ class TestFrameStep:
                 for ts in (1, 2, 3)
             ),
         )
-        results = host.deliver(frame)
+        results = host.deliver("w", frame)
         wal.returned = True
         assert wal.batches_appended == 1 and wal.record_count == 6
         assert len(results) == 3 and all(effects.sends for _, effects in results)
 
     def test_an_automaton_without_a_log_is_stepped_without_a_scope(self):
         frame = Batch(sender="w", messages=(PreWrite(sender="w", ts=1), PreWrite(sender="w", ts=2)))
-        results = ProcessHost(StorageServer("s1", CONFIG)).deliver(frame)
+        results = ProcessHost(StorageServer("s1", CONFIG)).deliver("w", frame)
         assert len(results) == 2 and all(effects.sends for _, effects in results)
 
 

@@ -1,11 +1,13 @@
 """Unit tests for the sharding layer (mux automata, suite, sim facade)."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.abd import ABDProtocol
 from repro.bench.harness import summarize
 from repro.core.config import SystemConfig
 from repro.core.messages import Read
@@ -504,3 +506,23 @@ class TestKeyspaceTable:
             if name != "eviction_stores":
                 assert key not in repr(value), name
         assert not any(key in spill for spill in store.suite.eviction_stores.values())
+
+
+class TestUnsupportedCapability:
+    """A suite with no client for a capability refuses it at the first
+    operation that needs one, and that operation leaves nothing open."""
+
+    @pytest.mark.parametrize(
+        "capability, kind", [("mwmr", "write"), ("leases", "read"), ("mwmr+writer_leases", "write")]
+    )
+    def test_the_first_operation_needing_it_raises_naming_it(self, capability, kind):
+        config = SystemConfig.crash_only(1)
+        store = ShardedSimStore(
+            ABDProtocol(config), ["k"], **{name: ["k"] for name in capability.split("+")}
+        )
+        client = config.writer_id if kind == "write" else config.reader_ids()[0]
+        args = ("v",) if kind == "write" else ()
+        refusal = re.escape(f"does not support {capability} registers")
+        with pytest.raises(NotImplementedError, match=refusal):
+            store.start(client, kind, *args, register_id="k")
+        assert store.operations == [] and store.hosts[client].open == {}

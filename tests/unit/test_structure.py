@@ -161,24 +161,57 @@ class TestNoTaskPerFrame:
 
 
 class TestOneCreationPath:
-    """Admission is the only way a register comes to exist: the per-key
-    builders have one caller each, and the routers no eager door."""
+    """Admission is the only way a register comes to exist: each per-key
+    builder is reached only through its routers' factory partial, the one
+    suite method mapping a ``RegisterSpec`` to a client only from client
+    admission, and the routers have no eager door."""
+
+    @staticmethod
+    def attribute_uses(names):
+        """Name → ``(enclosing function, how)`` of every ``.name`` in
+        ``src/repro``; *how* is ``partial`` (an argument of
+        ``functools.partial``), ``call``, ``super`` (``super().name(``) or
+        ``other``."""
+        uses = {name: set() for name in names}
+        for _, tree in source_trees():
+            for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+                for parent in ast.walk(function):
+                    for child in ast.iter_child_nodes(parent):
+                        if not (isinstance(child, ast.Attribute) and child.attr in uses):
+                            continue
+                        how = "other"
+                        if isinstance(parent, ast.Call) and parent.func is child:
+                            on_super = isinstance(child.value, ast.Call) and (
+                                call_name(child.value) == "super"
+                            )
+                            how = "super" if on_super else "call"
+                        elif isinstance(parent, ast.Call) and call_name(parent) == "partial":
+                            how = "partial"
+                        uses[child.attr].add((function.name, how))
+        return uses
 
     def test_per_key_automata_are_built_by_the_admission_factories_only(self):
-        callers = {"_create_register_server": set(), "_create_client_register": set()}
-        for folder, _, names in os.walk(os.path.join(SRC, "repro")):
-            for name in (n for n in names if n.endswith(".py")):
-                with open(os.path.join(folder, name), encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read())
-                for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
-                    for node in ast.walk(function):
-                        callee = getattr(getattr(node, "func", None), "attr", None)
-                        if isinstance(node, ast.Call) and callee in callers:
-                            callers[callee].add(function.name)
-        assert callers == {
-            "_create_register_server": {"_admit_server_register"},
-            "_create_client_register": {"_admit_client_register"},
+        uses = self.attribute_uses(
+            ["_create_register_server", "_create_client_register", "create_client"]
+        )
+        assert uses == {
+            "_create_register_server": {("create_server", "partial")},
+            "_create_client_register": {("_create_client", "partial")},
+            "create_client": {("_create_client_register", "call"), ("create_client", "super")},
         }
+
+    def test_one_suite_method_maps_a_spec_to_a_client(self):
+        defining = {
+            node.name
+            for _, tree in source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(
+                isinstance(item, ast.FunctionDef) and item.name == "create_client"
+                for item in node.body
+            )
+        }
+        assert defining == {"ProtocolSuite", "LuckyAtomicProtocol"}
 
     def test_the_routers_take_a_factory_and_no_table(self):
         import inspect
