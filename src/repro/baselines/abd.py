@@ -16,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set
 
-from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
+from ..core.automaton import (
+    Automaton,
+    ClientAutomaton,
+    Effects,
+    OperationComplete,
+    completion_flags,
+)
 from ..core.config import ConfigurationError, SystemConfig
 from ..core.messages import (
     CLIENT_BOUND_MESSAGES,
@@ -177,7 +183,8 @@ class ABDWriter(ClientAutomaton):
                 value=attempt.value,
                 rounds=1,
                 fast=True,
-                metadata={"ts": attempt.ts, **self._address},
+                ts=attempt.ts,
+                register_id=self.register_id,
             )
         )
         return effects
@@ -284,7 +291,9 @@ class ABDReader(ClientAutomaton):
                 value=selected.val,
                 rounds=rounds,
                 fast=rounds == 1,
-                metadata={"ts": selected.ts, "writeback": self.WRITEBACK, **self._address},
+                ts=selected.ts,
+                register_id=self.register_id,
+                flags=completion_flags(writeback=self.WRITEBACK),
             )
         )
         return effects

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .messages import Message
 from .types import slot_init
@@ -73,8 +75,26 @@ class StartTimer:
     delay: float
 
 
+#: A completion's flags: ``(key, value)`` pairs, one shared tuple per
+#: combination (see :func:`completion_flags`).
+Flags = Tuple[Tuple[str, Any], ...]
+
+
+@lru_cache(maxsize=None)
+def completion_flags(**flags: Any) -> Flags:
+    """The reader or writer flags of one completion (``writeback``,
+    ``lease``, ``pw_acks`` …) as the one shared tuple of that combination.
+
+    The combinations are few and their values small, so a retained
+    completion points at a tuple every other completion with the same
+    outcome shares, where it used to own a dict.  Each key always takes
+    values of one type, so ``True == 1`` never merges two combinations.
+    """
+    return tuple(flags.items())
+
+
 @slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OperationComplete:
     """Emitted by a client automaton when an invoked operation returns.
 
@@ -91,8 +111,24 @@ class OperationComplete:
         means the operation was *fast* in the paper's sense.
     fast:
         Convenience flag, equivalent to ``rounds == 1``.
-    metadata:
-        Free-form per-protocol details (e.g. whether a write-back happened).
+    ts, writer_id:
+        The timestamp pair the operation wrote or returned (``None`` / ``""``
+        where the protocol has none, e.g. the SWMR writer id).
+    register_id:
+        The register it answers (``""``: the paper's single register); the
+        host's operation slot is keyed by it.
+    latency_s:
+        Wall-clock latency, stamped by the asyncio client node when it
+        resolves the operation (``None`` on the simulator).
+    flags:
+        The reader's or writer's outcome flags (:func:`completion_flags`).
+    details:
+        Anything else one protocol reports (a conditional's observation, a
+        malicious reader's mark), or ``None``.
+
+    :attr:`metadata` shows all of these as one read-only mapping, keyed as
+    the protocol reported them; an absent ``ts``, an empty ``writer_id`` or
+    ``register_id`` and an unset ``latency_s`` are left out of it.
     """
 
     op_id: int
@@ -100,7 +136,27 @@ class OperationComplete:
     value: Any
     rounds: int
     fast: bool
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    ts: Optional[int] = None
+    writer_id: str = ""
+    register_id: str = ""
+    latency_s: Optional[float] = None
+    flags: Flags = ()
+    details: Optional[Mapping[str, Any]] = None
+
+    @property
+    def metadata(self) -> Mapping[str, Any]:
+        """Every per-protocol detail as one read-only mapping, built on access."""
+        items: Dict[str, Any] = {} if self.ts is None else {"ts": self.ts}
+        items.update(self.flags)
+        if self.writer_id:
+            items["writer_id"] = self.writer_id
+        if self.details:
+            items.update(self.details)
+        if self.register_id:
+            items["register_id"] = self.register_id
+        if self.latency_s is not None:
+            items["latency_s"] = self.latency_s
+        return MappingProxyType(items)
 
 
 @slot_init
@@ -192,9 +248,6 @@ class ClientAutomaton(Automaton):
         self._op_counter = 0
         self._busy = False
         self._timer_stem = f"{timer_namespace(register_id)}{process_id}/op"
-        #: Spread last into every completion's metadata: the register it
-        #: answers, which the host's operation slot is keyed by.
-        self._address: Dict[str, Any] = {"register_id": register_id} if register_id else {}
 
     @property
     def busy(self) -> bool:

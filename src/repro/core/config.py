@@ -15,6 +15,7 @@ the pseudocode (``S - t``, ``S - fw``, ``2b + t + 1`` ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple
 
 
@@ -129,11 +130,11 @@ class SystemConfig:
     # ----------------------------------------------------------------- naming
     def server_ids(self) -> List[str]:
         """Identifiers of all servers, ``s1 .. sS``."""
-        return [f"s{i}" for i in range(1, self.num_servers + 1)]
+        return list(_numbered_ids("s", self.num_servers))
 
     def reader_ids(self) -> List[str]:
         """Identifiers of all readers, ``r1 .. rR``."""
-        return [f"r{i}" for i in range(1, self.num_readers + 1)]
+        return list(_numbered_ids("r", self.num_readers))
 
     @property
     def writer_id(self) -> str:
@@ -219,3 +220,11 @@ def feasible_threshold_pairs(t: int, b: int) -> List[Tuple[int, int]]:
 def frontier_threshold_pairs(t: int, b: int) -> List[Tuple[int, int]]:
     """The ``(fw, fr)`` pairs exactly on the frontier ``fw + fr = t - b``."""
     return [(fw, t - b - fw) for fw in range(0, t - b + 1)]
+
+
+@lru_cache(maxsize=None)
+def _numbered_ids(prefix: str, count: int) -> Tuple[str, ...]:
+    """``prefix1 .. prefixN``, formatted once per count: every server register
+    keys its per-reader tables by these very strings, and every broadcast
+    walks them, so neither formats its own copies."""
+    return tuple(f"{prefix}{i}" for i in range(1, count + 1))

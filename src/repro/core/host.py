@@ -230,7 +230,7 @@ class ProcessHost:
     def complete(self, completion: OperationComplete, now: float) -> Optional[OperationHandle]:
         """Close the slot *completion* answers; the completed handle, or
         ``None`` when no operation is open on that register."""
-        handle = self.open.pop(completion.metadata.get("register_id"), None)
+        handle = self.open.pop(completion.register_id or None, None)
         if handle is not None:
             handle.result = completion
             handle.completed_at = now

@@ -35,6 +35,16 @@ Why a held lease is safe to rely on (the invariants, stated once):
   names either instance therefore ends both, *before* the acknowledgement
   leaves: acking a revoke of the renewal while still relying on the
   superseded lease would let the withheld acknowledgements go free.
+* **The sole holder does not revoke itself.**  A granter whose only holder
+  is the sender of an advancing message (the holder's own write, CAS, RMW or
+  read write-back) starts no revocation.  That is safe because every pair
+  the holder's messages carry is at most what its cache holds once the
+  operation that sent it completes (:meth:`LeaseHolder.seed` raises both
+  instances to the operation's outcome); the holder serves no lease read
+  while that operation is open (one operation per register); and any other
+  holder present still gets the revoke-all.  A sole holder's own write-back
+  is covered by ``seed()`` at the read's completion, its own write by the
+  same call in :class:`~repro.core.mwmr.MultiWriterClient`.
 """
 
 from __future__ import annotations
@@ -185,13 +195,21 @@ class LeaseHolder:
             self.acquire(effects, cached=self.held.cached)
 
     def seed(self, pair: TimestampValue, effects: Effects) -> None:
-        """Adopt a quorum-proven *pair* as the cache of the request in flight.
+        """Raise the cache of the held lease and of the request in flight to
+        a quorum-proven *pair*; creates no lease.
 
-        Called with the outcome of a fallback operation: the one the request
-        rode on, or a later one while the request is still pending.  Grants
-        that observed up to *pair* are clean with respect to it, because it
-        dominates everything completed before that operation returned.
+        Called with the outcome of one of the owner's operations: the
+        fallback operation a request rode on, a later one while it is still
+        pending, or the owner's own write.  Grants that observed up to *pair*
+        are clean with respect to it, because it dominates everything
+        completed before that operation returned.  The held lease is raised
+        too: the owner's own write-back or write advanced the granters
+        without revoking it (the sole-holder exemption of
+        :class:`~repro.lease.server.LeaseServer`).
         """
+        held = self.held
+        if held is not None and (held.cached is None or pair.order_key > held.cached.order_key):
+            held.cached = pair
         acquiring = self.acquiring
         if acquiring is None:
             return

@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, Optional
 
 from .automaton import ClientAutomaton, Effects, TimerPolicy
 from .config import SystemConfig
+from .lease import LeaseHolder
 from .messages import (
     SERVER_BOUND_MESSAGES,
     BaselineQueryReply,
@@ -114,6 +115,9 @@ class MultiWriterClient(ClientAutomaton):
             )
         super().__init__(process_id, timer_delay=timer_delay, register_id=register_id)
         self.config = config
+        self._read_lease: Optional[LeaseHolder] = (
+            self.reader.lease if isinstance(self.reader, LeasedReader) else None
+        )
 
     # -------------------------------------------------------------- timer delay
     @property
@@ -184,7 +188,7 @@ class MultiWriterClient(ClientAutomaton):
     # ------------------------------------------------------------------- input
     def handle_message(self, message: Message) -> Effects:
         if isinstance(message, (TimestampQueryAck, PreWriteAck)):
-            return self.writer.handle_message(message)
+            return self._adopt(self.writer.handle_message(message))
         if isinstance(message, (WriterLeaseGrant, WriterLeaseRevoke)):
             # Writer-lease traffic: consumed by a LeasedWriter role, ignored
             # (empty effects) by a plain MWMR writer.
@@ -197,15 +201,26 @@ class MultiWriterClient(ClientAutomaton):
             return self.reader.handle_message(message)
         if isinstance(message, WriteAck):
             if message.from_writer:
-                return self.writer.handle_message(message)
+                return self._adopt(self.writer.handle_message(message))
             return self.reader.handle_message(message)
         return Effects()
 
     def on_timer(self, timer_id: str) -> Effects:
         # Timer identifiers embed the role's op counter and phase label, so
         # each role recognises exactly its own timers and ignores the rest.
-        effects = self.writer.on_timer(timer_id)
+        effects = self._adopt(self.writer.on_timer(timer_id))
         return effects.merge(self.reader.on_timer(timer_id))
+
+    def _adopt(self, effects: Effects) -> Effects:
+        """In the step that completes this client's own write, CAS or RMW,
+        raise its read lease to the written pair: where this client was the
+        sole holder, its write revoked nothing, so the lease may still be
+        held with the write's predecessor cached.  Only a live instance is
+        raised — a lease a foreign write revoked meanwhile stays dead."""
+        lease = self._read_lease
+        if lease is not None and any(c.kind == "write" for c in effects.completions):
+            lease.seed(self.writer.w, effects)
+        return effects
 
     # -------------------------------------------------------------- inspection
     def describe(self) -> Dict[str, Any]:

@@ -26,7 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set
 
-from .automaton import ClientAutomaton, Effects, OperationComplete, TimerPolicy
+from .automaton import (
+    ClientAutomaton,
+    Effects,
+    OperationComplete,
+    TimerPolicy,
+    completion_flags,
+)
 from .config import SystemConfig
 from .lease import READ_LEASE, LeaseHolder
 from .messages import (
@@ -323,18 +329,14 @@ class AtomicReader(ClientAutomaton):
                 value=selected.val,
                 rounds=rounds,
                 fast=rounds == 1,
-                metadata={
-                    "ts": selected.ts,
-                    "read_rounds": attempt.read_rounds_used,
-                    "writeback": attempt.did_writeback,
-                    "is_bottom": is_bottom(selected.val),
-                    **(
-                        {"writer_id": selected.writer_id}
-                        if selected.writer_id
-                        else {}
-                    ),
-                    **self._address,
-                },
+                ts=selected.ts,
+                writer_id=selected.writer_id,
+                register_id=self.register_id,
+                flags=completion_flags(
+                    read_rounds=attempt.read_rounds_used,
+                    writeback=attempt.did_writeback,
+                    is_bottom=is_bottom(selected.val),
+                ),
             )
         )
         return effects
@@ -396,15 +398,12 @@ class LeasedReader(AtomicReader):
                 value=cached.val,
                 rounds=0,
                 fast=True,
-                metadata={
-                    "ts": cached.ts,
-                    "read_rounds": 0,
-                    "writeback": False,
-                    "lease": True,
-                    "is_bottom": is_bottom(cached.val),
-                    **({"writer_id": cached.writer_id} if cached.writer_id else {}),
-                    **self._address,
-                },
+                ts=cached.ts,
+                writer_id=cached.writer_id,
+                register_id=self.register_id,
+                flags=completion_flags(
+                    read_rounds=0, writeback=False, lease=True, is_bottom=is_bottom(cached.val)
+                ),
             )
         )
         self.lease.renew_if_due(effects)

@@ -76,13 +76,8 @@ class StorageServer(Automaton):
         self.frozen: Dict[str, FrozenEntry] = {
             reader_id: INITIAL_FROZEN for reader_id in config.reader_ids()
         }
-        # Statistics for the benchmark harness (messages handled per kind).
-        self.message_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ util
-    def _count(self, message: Message) -> None:
-        self.message_counts[message.kind] = self.message_counts.get(message.kind, 0) + 1
-
     @staticmethod
     def _update(current: TimestampValue, candidate: TimestampValue) -> TimestampValue:
         """The ``update(localtsval, tsval)`` helper of Fig. 3 (line 17).
@@ -103,7 +98,6 @@ class StorageServer(Automaton):
 
     # -------------------------------------------------------------- dispatch
     def handle_message(self, message: Message) -> Effects:
-        self._count(message)
         if isinstance(message, PreWrite):
             return self._on_pre_write(message)
         if isinstance(message, Read):

@@ -23,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from .automaton import ClientAutomaton, Effects, OperationComplete, TimerPolicy
+from .automaton import (
+    ClientAutomaton,
+    Effects,
+    OperationComplete,
+    TimerPolicy,
+    completion_flags,
+)
 from .config import SystemConfig
 from .lease import WRITER_LEASE, LeaseHolder
 from .messages import (
@@ -312,20 +318,11 @@ class AtomicWriter(ClientAutomaton):
                 value=observed.val,
                 rounds=attempt.rounds_used,
                 fast=attempt.rounds_used <= 1,
-                metadata={
-                    "ts": observed.ts,
-                    "cas": True,
-                    "cas_failed": True,
-                    "cas_expected": attempt.cas_expected,
-                    "is_bottom": is_bottom(observed.val),
-                    "mwmr": True,
-                    **(
-                        {"writer_id": observed.writer_id}
-                        if observed.writer_id
-                        else {}
-                    ),
-                    **self._address,
-                },
+                ts=observed.ts,
+                writer_id=observed.writer_id,
+                register_id=self.register_id,
+                flags=completion_flags(is_bottom=is_bottom(observed.val), mwmr=True),
+                details={"cas": True, "cas_failed": True, "cas_expected": attempt.cas_expected},
             )
         )
         return effects
@@ -456,28 +453,25 @@ class AtomicWriter(ClientAutomaton):
                 value=attempt.value,
                 rounds=attempt.rounds_used,
                 fast=fast,
-                metadata={
-                    "ts": attempt.ts,
-                    "pw_acks": len(attempt.pw_acks),
-                    "frozen_directives": len(self.frozen),
-                    **(
-                        {"mwmr": True, "writer_id": self.process_id}
-                        if self.mwmr
-                        else {}
-                    ),
+                ts=attempt.ts,
+                writer_id=self._pair_writer_id(),
+                register_id=self.register_id,
+                flags=completion_flags(
+                    pw_acks=len(attempt.pw_acks),
+                    frozen_directives=len(self.frozen),
+                    **({"mwmr": True} if self.mwmr else {}),
                     **({"lease": True} if attempt.from_lease else {}),
-                    **self._conditional_metadata(attempt),
-                    **self._address,
-                },
+                ),
+                details=self._conditional_details(attempt),
             )
         )
         return effects
 
-    def _conditional_metadata(self, attempt: _WriteAttempt) -> Dict[str, Any]:
-        """Completion metadata of a *successful* conditional write: which pair
+    def _conditional_details(self, attempt: _WriteAttempt) -> Optional[Dict[str, Any]]:
+        """Completion details of a *successful* conditional write: which pair
         the decision observed, so the checker can detect lost updates."""
         if not attempt.cas and attempt.rmw_fn is None:
-            return {}
+            return None
         observed = attempt.observed
         assert observed is not None
         return {
@@ -631,17 +625,11 @@ class LeasedWriter(AtomicWriter):
                 value=cached.val,
                 rounds=0,
                 fast=True,
-                metadata={
-                    "ts": cached.ts,
-                    "cas": True,
-                    "cas_failed": True,
-                    "cas_expected": expected,
-                    "lease": True,
-                    "is_bottom": is_bottom(cached.val),
-                    "mwmr": True,
-                    **({"writer_id": cached.writer_id} if cached.writer_id else {}),
-                    **self._address,
-                },
+                ts=cached.ts,
+                writer_id=cached.writer_id,
+                register_id=self.register_id,
+                flags=completion_flags(lease=True, is_bottom=is_bottom(cached.val), mwmr=True),
+                details={"cas": True, "cas_failed": True, "cas_expected": expected},
             )
         )
         self.lease.renew_if_due(effects)

@@ -79,6 +79,13 @@ class LeaseServer(_LeaseWrapper):
     newer operation contains an honest granter whose acknowledgement waited
     for the lease to die first.  During the recovery grace the same silence
     covers the forgotten pre-crash holders.
+
+    The one exception is the writer lease's rule (its holder never waits for
+    itself): an advance made by a message from the table's *only* holder
+    revokes nothing, because that holder raises its own cache to what its
+    operation wrote once the operation completes
+    (:meth:`~repro.core.lease.LeaseHolder.seed`) and serves no lease read
+    before.  Any other holder present still gets the revoke-all.
     """
 
     def __init__(self, inner: LeasableServer, lease_duration: float = 60.0) -> None:
@@ -90,7 +97,11 @@ class LeaseServer(_LeaseWrapper):
             inner = self.inner
             before = (inner.pw, inner.w, inner.vw)
             effects = inner.handle_message(message)
-            effects = self._guard(effects, (inner.pw, inner.w, inner.vw) != before)
+            changed = (inner.pw, inner.w, inner.vw) != before
+            holders = self.table.holders
+            if changed and len(holders) == 1 and message.sender in holders:
+                changed = False  # the sole holder's own advance
+            effects = self._guard(effects, changed)
         return self.table.arm_grace_timer(effects)
 
     def on_timer(self, timer_id: str) -> Effects:

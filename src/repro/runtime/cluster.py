@@ -278,6 +278,10 @@ class ShardedAsyncCluster(StoreSurface, AsyncCluster):
         nodes = (*self.server_nodes.values(), *self.client_nodes.values())
         return [node.host for node in nodes]
 
+    def _archive_operations(self, key: str, archived: str) -> None:
+        for node in self.client_nodes.values():
+            node.archive_register(key, archived)
+
     # ---------------------------------------------------------------- operations
     async def write(  # type: ignore[override]
         self, key: str, value: Any, client_id: Optional[str] = None

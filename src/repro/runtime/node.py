@@ -21,6 +21,8 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from array import array
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Union
 
 from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
@@ -244,18 +246,20 @@ class AutomatonNode:
             self._handle_completion(completion)
 
     def _arm_timer(self, timer_id: str, delay: float) -> None:
-        handle: asyncio.TimerHandle
-
-        def _fire() -> None:
-            handles = self._timer_handles.get(timer_id)
-            if handles is not None:
-                handles.discard(handle)
-                if not handles:
-                    self._timer_handles.pop(timer_id, None)
-            self._step_timer(timer_id)
-
-        handle = self._loop.call_later(delay, _fire)
+        # A bound method and the id, not a closure over its own handle: that
+        # closure made every fired timer a reference cycle for the GC.
+        handle = self._loop.call_later(delay, self._fire_timer, timer_id)
         self._timer_handles.setdefault(timer_id, set()).add(handle)
+
+    def _fire_timer(self, timer_id: str) -> None:
+        handles = self._timer_handles.get(timer_id)
+        if handles is not None:
+            # The loop runs timers in ``when()`` order, so the handle that
+            # fired is the earliest one armed under this id.
+            handles.discard(min(handles, key=asyncio.TimerHandle.when))
+            if not handles:
+                del self._timer_handles[timer_id]
+        self._step_timer(timer_id)
 
     def _cancel_timer(self, timer_id: str) -> None:
         handles = self._timer_handles.pop(timer_id, None)
@@ -298,6 +302,12 @@ class ClientNode(AutomatonNode):
     Operations are keyed by the register they address, one outstanding per
     key; ``None`` is the paper's single register, the only key of a plain
     client.  The automaton still enforces well-formedness per register.
+
+    A completed operation is kept as its completion plus two stamps in a
+    flat array, not as an :class:`~repro.core.host.OperationHandle` with
+    boxed floats: the run keeps every operation for its history, so what one
+    costs is what the store's memory grows by per operation.
+    :attr:`operations` rebuilds the handles on demand.
     """
 
     def __init__(
@@ -309,8 +319,12 @@ class ClientNode(AutomatonNode):
     ) -> None:
         super().__init__(automaton, transport, time_scale=time_scale)
         self._futures: Dict[Optional[str], asyncio.Future] = {}
-        #: Every operation invoked on this node, open ones included.
-        self.operations: List[OperationHandle] = []
+        # Completed operations in completion order, four flat entries each:
+        # key, kind, requested value, completion; ``_stamps`` holds their
+        # invocation and completion times, two each.  Open operations are
+        # the host's slots.
+        self._done: List[Any] = []
+        self._stamps = array("d")
         #: Origin (``time.monotonic()``) the operations' timestamps are
         #: relative to.  A cluster hands all its client nodes the same one:
         #: histories merged across clients are only checkable on one clock.
@@ -333,8 +347,7 @@ class ClientNode(AutomatonNode):
             where = "" if key is None else f" on register {key!r}"
             raise RuntimeError(f"client {self.process_id} already has a pending {busy.kind}{where}")
         # A rejected invocation raises here, before anything is recorded.
-        handle, effects = self.host.invoke(kind, key, args, time.monotonic() - self.start_time)
-        self.operations.append(handle)
+        _, effects = self.host.invoke(kind, key, args, time.monotonic() - self.start_time)
         future = self._futures[key] = asyncio.get_running_loop().create_future()
         self.apply_effects(effects)
         return await future
@@ -346,14 +359,46 @@ class ClientNode(AutomatonNode):
         handle = self.host.complete(completion, now)
         if handle is None:
             return
-        # The latency rides the completion's own metadata: the caller sees it there,
-        # and the record is built from it — no second dict per retained operation.
-        # Every completion is built with a fresh dict that its automaton keeps no
-        # reference to, so writing into it aliases nothing.
-        completion.metadata["latency_s"] = now - handle.invoked_at
-        future = self._futures.pop(completion.metadata.get("register_id"), None)
+        # Every completion is a fresh object its automaton keeps no reference
+        # to, so stamping it aliases nothing.
+        completion.latency_s = now - handle.invoked_at
+        self._done += (handle.register_id, handle.kind, handle.requested_value, completion)
+        self._stamps.extend((handle.invoked_at, now))
+        future = self._futures.pop(completion.register_id or None, None)
         if future is not None and not future.done():
             future.set_result(completion)
+
+    @property
+    def operations(self) -> List[OperationHandle]:
+        """Every operation invoked on this node, open ones included, in
+        invocation order (built on each access)."""
+        done, stamps = self._done, self._stamps
+        handles = [
+            OperationHandle(
+                self.process_id,
+                done[index + 1],
+                done[index + 2],
+                stamps[index // 2],
+                stamps[index // 2 + 1],
+                done[index + 3],
+                done[index],
+            )
+            for index in range(0, len(done), 4)
+        ]
+        handles += self.host.open.values()
+        handles.sort(key=attrgetter("invoked_at"))
+        return handles
+
+    def archive_register(self, key: str, archived: str) -> None:
+        """Record every operation on *key* so far, open ones included, under
+        the archive name *archived* (what dropping the register does)."""
+        done = self._done
+        for index in range(0, len(done), 4):
+            if done[index] == key:
+                done[index] = archived
+        for handle in self.host.open.values():
+            if handle.register_id == key:
+                handle.register_id = archived
 
     async def stop(self) -> None:
         await super().stop()

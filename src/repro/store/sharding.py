@@ -19,8 +19,8 @@ Routing is purely syntactic, and one-way.  An inner automaton is *born
 addressed*: the suite's factory hands it its ``register_id``, so every
 message it builds already carries the register, every timer id it arms
 already starts with ``"<register>::"`` and every completion already names the
-register in ``metadata["register_id"]`` (which the hosting cluster resolves
-the pending operation by).  A router therefore only looks an input up —
+register in ``register_id`` (which the hosting cluster resolves the pending
+operation by).  A router therefore only looks an input up —
 a message by its ``register_id``, a timer by the part of its id before the
 separator — and returns the inner automaton's effects as they are; nothing on
 the way out is copied.
@@ -447,7 +447,8 @@ class ShardedProtocol(ProtocolSuite):
     become :class:`~repro.core.reader.LeasedReader` instances serving
     contention-free reads locally in zero rounds (``lease_duration`` sets the
     validity window in protocol time units).  A write to a leased register
-    revokes outstanding leases before its acknowledgements complete, so
+    revokes the other holders' leases before its acknowledgements complete
+    (a holder's own write revokes nothing: it raises its own cache), so
     atomicity is untouched; sibling registers pay nothing.  Read leases and
     ``mwmr`` are mutually exclusive per key *unless* the key also has writer
     leases — hot multi-writer keys want *writer* leases, and once those are on

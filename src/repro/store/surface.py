@@ -20,6 +20,10 @@ A runtime supplies ``self.suite`` (its
   :class:`~repro.core.host.OperationHandle` of every operation invoked so
   far, open ones included, its key in ``register_id``.
 
+A runtime whose handles are rebuilt on demand (asyncio's client nodes keep
+completions, not handles) also overrides
+:meth:`StoreSurface._archive_operations`, which renames them.
+
 The façade has no constructor: a subclass (or a subclass of a subclass) that
 never calls one is still a complete store.
 """
@@ -114,7 +118,10 @@ class StoreSurface:
         # Created on first use: the façade has no constructor to create it in.
         drop_counts: Dict[str, int] = vars(self).setdefault("_drop_counts", {})
         drop_counts[key] = drop_counts.get(key, 0) + 1
-        archived = f"{key}#{drop_counts[key]}"
+        self._archive_operations(key, f"{key}#{drop_counts[key]}")
+
+    def _archive_operations(self, key: str, archived: str) -> None:
+        """Move every operation recorded on *key* to the history *archived*."""
         for operation in self._operations():
             if operation.register_id == key:
                 operation.register_id = archived

@@ -97,7 +97,8 @@ class MaliciousWritebackReader(ClientAutomaton):
                 value=self.forged_pair.val,
                 rounds=1,
                 fast=True,
-                metadata={"malicious": True, **self._address},
+                register_id=self.register_id,
+                details={"malicious": True},
             )
         )
         return effects

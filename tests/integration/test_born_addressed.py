@@ -168,10 +168,10 @@ def test_asyncio_routes_only_addressed_effects(byzantine):
 
 
 def test_no_two_completions_of_a_client_share_a_metadata_dict():
-    """The asyncio client node writes ``latency_s`` into the completion's own
-    metadata; that is only sound if no automaton hands out one dict twice —
-    not a leased read served from the cache, not a completion a multi-writer
-    client forwards from one of its roles."""
+    """The asyncio client node stamps ``latency_s`` onto the completion
+    itself; that is only sound if no automaton hands out one completion (or
+    one ``details`` mapping) twice — not a leased read served from the cache,
+    not a completion a multi-writer client forwards from one of its roles."""
     tap = RouterTap()
 
     async def main():
@@ -190,7 +190,9 @@ def test_no_two_completions_of_a_client_share_a_metadata_dict():
     asyncio.run(main())
     for client_id in ("w", "r1"):
         completions = tap.completions(client_id)
-        assert len({id(completion.metadata) for completion in completions}) == len(completions)
+        assert len({id(completion) for completion in completions}) == len(completions)
+        details = [id(c.details) for c in completions if c.details is not None]
+        assert len(set(details)) == len(details)
         assert all("latency_s" in completion.metadata for completion in completions)
     leased = [c for c in tap.completions("r1") if c.metadata.get("lease")]
     assert len(leased) >= 4  # the zero-round reads were among them

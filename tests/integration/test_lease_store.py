@@ -192,6 +192,84 @@ class TestLeasedShardedStore:
         assert store.verify_atomic()
 
 
+def owner_store():
+    """One key every client may write, with read and writer leases: ``w``,
+    ``r1`` and ``r2`` are all multi-writer clients."""
+    return ShardedSimStore(
+        LuckyAtomicProtocol(SystemConfig.balanced(1, 0, num_readers=2)),
+        ["k"],
+        mwmr=["k"],
+        leases=["k"],
+        writer_leases=["k"],
+    )
+
+
+def revokes_since(store, before):
+    return sum(
+        count
+        for (_, _, kind), count in (store.trace.delivered - before).items()
+        if kind == "LeaseRevoke"
+    )
+
+
+def hold_read_lease(store, client_id):
+    store.read("k", client_id)
+    lease_read = store.read("k", client_id)
+    assert lease_read.rounds == 0
+
+
+class TestTheOwnerKeepsItsLease:
+    """The sole holder's own writes revoke nothing, and it reads them back
+    from its lease; any other holder is still revoked."""
+
+    def test_an_owner_write_then_read_revokes_nothing_and_reads_in_zero_rounds(self):
+        store = owner_store()
+        store.write("k", "v1", client_id="r1")
+        hold_read_lease(store, "r1")
+        before = store.trace.delivered.copy()
+        store.write("k", "v2", client_id="r1")
+        read = store.read("k", "r1")
+        assert (read.value, read.rounds) == ("v2", 0)
+        assert revokes_since(store, before) == 0
+        assert store.verify_atomic()
+
+    def test_another_holder_is_still_revoked_and_reads_the_new_value(self):
+        store = owner_store()
+        store.write("k", "v1", client_id="r1")
+        hold_read_lease(store, "r1")
+        hold_read_lease(store, "r2")
+        before = store.trace.delivered.copy()
+        store.write("k", "v2", client_id="r1")
+        assert revokes_since(store, before) > 0
+        assert store.read("k", "r2").value == "v2"
+        assert store.verify_atomic()
+
+    def test_the_owner_reads_each_of_its_writes_back_from_its_lease(self):
+        store = owner_store()
+        store.write("k", "v0", client_id="r1")
+        hold_read_lease(store, "r1")
+        for index in range(1, 6):
+            store.write("k", f"v{index}", client_id="r1")
+            read = store.read("k", "r1")
+            assert (read.value, read.rounds) == (f"v{index}", 0)
+        assert check_atomicity(store.history("k")).ok
+
+    def test_a_lease_revoked_during_the_owners_write_stays_dead(self):
+        store = owner_store()
+        store.write("k", "v1", client_id="w")  # w takes the writer lease
+        hold_read_lease(store, "r1")
+        # w's one-round leased write revokes r1's read lease while r1's own
+        # write waits out the writer-lease revocation its query started.
+        own = store.start_write("k", "v2", client_id="r1")
+        foreign = store.start_write("k", "v3", client_id="w")
+        store.run(until=lambda: own.done and foreign.done)
+        assert not store.processes["r1"].registers["k"].reader.lease_held
+        store.write("k", "v4", client_id="w")
+        read = store.read("k", "r1")
+        assert read.value == "v4" and read.rounds >= 1
+        assert store.verify_atomic()
+
+
 class TestLeaseCrashRecovery:
     def build_durable(self, lease_duration=40.0, policy=TimerPolicy.DEADLINE):
         config = SystemConfig.balanced(1, 0, num_readers=2)

@@ -1,19 +1,23 @@
 """Integration tests for the asyncio runtime (in-memory and TCP transports)."""
 
 import asyncio
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.baselines.abd import ABDProtocol
 from repro.baselines.slow_robust import SlowRobustProtocol
+from repro.core.automaton import Automaton, Effects, StartTimer
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import AsyncCluster, ShardedAsyncCluster, tcp_cluster
-from repro.runtime.node import NodeFailedError
+from repro.runtime.node import AutomatonNode, NodeFailedError
 from repro.runtime.transport import constant_delay, InMemoryTransport
 from repro.variants.regular import RegularStorageProtocol
 from repro.verify.atomicity import check_atomicity
@@ -151,6 +155,75 @@ class TestInMemoryRuntime:
         )
         assert handles == [{}, {}]
         assert cancelled == 1000
+
+    def test_a_completed_operation_keeps_at_most_400_bytes(self):
+        # A run keeps every operation for its history, so what one costs is
+        # what the store grows by per operation.  Counted: what the program
+        # itself allocated during the run and still holds at its end.
+        config = SystemConfig.balanced(1, 0, num_readers=2)
+        keys = [f"k{index}" for index in range(6)]
+        src = str(Path(repro.__file__).resolve().parent)
+
+        async def main():
+            async with ShardedAsyncCluster(
+                LuckyAtomicProtocol(config),
+                keys,
+                mwmr=True,
+                leases=True,
+                writer_leases=True,
+                message_delay_s=0.0,
+            ) as store:
+                clients = config.client_ids()
+                for index, key in enumerate(keys):  # admit every register first
+                    await store.write(key, "warm", client_id=clients[index % len(clients)])
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    for index in range(2000):
+                        key = keys[index % len(keys)]
+                        client = clients[index % len(keys) % len(clients)]
+                        await store.write(key, f"{key}:{index}", client_id=client)
+                        await store.read(key, client)
+                    gc.collect()
+                    snapshot = tracemalloc.take_snapshot()
+                finally:
+                    tracemalloc.stop()
+                assert store.verify_atomic()
+            held = snapshot.filter_traces([tracemalloc.Filter(True, f"{src}{os.sep}*")])
+            return sum(stat.size for stat in held.statistics("filename"))
+
+        assert run(main()) / 4000 <= 400
+
+    def test_a_fired_timer_leaves_nothing_for_the_cyclic_gc(self):
+        # Lease timers live long enough to reach the oldest generation, so a
+        # fired timer that is a reference cycle costs full collections.
+        fired = []
+
+        class Ticker(Automaton):
+            def on_timer(self, timer_id):
+                fired.append(timer_id)
+                return Effects()
+
+        async def scenario():
+            node = AutomatonNode(Ticker("s1"), InMemoryTransport())
+            await node.start()
+            try:
+                gc.collect()
+                gc.disable()
+                try:
+                    for index in range(1000):
+                        node.apply_effects(Effects(timers=[StartTimer(f"t{index % 7}", 0.0)]))
+                    while len(fired) < 1000:
+                        await asyncio.sleep(0)
+                    return node._timer_handles, gc.collect()
+                finally:
+                    gc.enable()
+            finally:
+                await node.stop()
+
+        handles, garbage = run(scenario())
+        assert handles == {}
+        assert garbage == 0
 
     def test_a_raising_invocation_does_not_wedge_the_client(self):
         # The writer has no read(): the invocation raises inside the node.  It

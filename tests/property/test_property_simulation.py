@@ -7,6 +7,7 @@ operations under at most ``fw`` / ``fr`` failures must be fast whether the
 round-1 timer is a wait (the paper) or a deadline (the default).
 """
 
+import random
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from repro.variants.two_round import TwoRoundWriteProtocol
 from repro.verify.atomicity import check_atomicity
 from repro.verify.regularity import check_regularity
 from repro.workload.generator import (
+    ScheduledOperation,
     Workload,
     contended_workload,
     keyspace_workload,
@@ -183,16 +185,43 @@ def test_two_round_variant_is_atomic_under_random_faults(t, b, fr, seed, policy)
     check_atomicity(cluster.history()).raise_if_violated()
 
 
+def owner_workload(owners, foreign, num_operations, seed):
+    """Each key is read and written by its owner, in that owner's own lease;
+    one foreign client writes and reads every key now and then, so an owner's
+    write sometimes meets a second holder."""
+    rng = random.Random(seed)
+    keys = sorted(owners)
+    operations, now = [], 0.0
+    for index in range(num_operations):
+        now += rng.expovariate(1.0 / 0.7)
+        key = rng.choice(keys)
+        draw = rng.random()
+        if draw < 0.1:
+            operation = ScheduledOperation(now, "write", foreign, f"{key}:{foreign}:{index}", key)
+        elif draw < 0.2:
+            operation = ScheduledOperation(now, "read", foreign, key=key)
+        elif draw < 0.45:
+            owner = owners[key]
+            operation = ScheduledOperation(now, "write", owner, f"{key}:{owner}:{index}", key)
+        else:
+            operation = ScheduledOperation(now, "read", owners[key], key=key)
+        operations.append(operation)
+    return Workload(operations)
+
+
 @given(fault_scenarios(), policies, st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_mwmr_store_is_atomic_and_conditionals_isolated(scenario, policy, leases):
     """Concurrent writers, RMWs and readers on multi-writer keys: every per-key
     history passes the checker keyed by stamped pairs, conditional isolation
-    included wherever a conditional ran — with writer and read leases on and off."""
+    included wherever a conditional ran — with writer and read leases on and
+    off.  With leases, owned keys add the case where a read-lease holder
+    writes: each owner reads and writes its own key, one client writes all."""
     config, byzantine, failures, network, seed = scenario
+    owners = {f"own-{reader}": reader for reader in config.reader_ids()} if leases else {}
     store = ShardedSimStore(
         LuckyAtomicProtocol(config, timer_policy=policy),
-        ["k1", "k2"],
+        ["k1", "k2", *owners],
         byzantine={sid: type(strategy) for sid, strategy in byzantine.items()},
         mwmr=True,
         writer_leases=leases,
@@ -205,13 +234,16 @@ def test_mwmr_store_is_atomic_and_conditionals_isolated(scenario, policy, leases
     clients = config.client_ids()
     workload = owned_writers_workload(
         30,
-        store.keys,
+        ["k1", "k2"],
         writers=clients,
         readers=clients,
         rmw_fraction=0.3,
         mean_gap=0.7,
         seed=seed,
     )
+    if owners:
+        owned = owner_workload(owners, config.writer_id, 30, seed)
+        workload = Workload(workload.operations + owned.operations)
     handles = run_workload(store, workload)
     assert all(handle.done for handle in handles)
     assert store.verify_atomic()

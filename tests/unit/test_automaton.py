@@ -9,6 +9,7 @@ from repro.core.automaton import (
     OperationComplete,
     Send,
     StartTimer,
+    completion_flags,
 )
 from repro.core.messages import Read
 
@@ -54,6 +55,30 @@ class TestEffects:
         effects = Effects()
         effects.start_timer("t", 1.0)
         assert not effects.empty
+
+
+class TestOperationComplete:
+    def test_the_metadata_is_one_read_only_mapping_of_the_fields(self):
+        completion = OperationComplete(
+            1, "read", "v", 1, True, ts=3, writer_id="w1", register_id="k",
+            flags=completion_flags(writeback=False, lease=True), details={"cas": True},
+        )  # fmt: skip
+        completion.latency_s = 0.5
+        assert completion.metadata == {
+            "ts": 3, "writeback": False, "lease": True, "writer_id": "w1",
+            "cas": True, "register_id": "k", "latency_s": 0.5,
+        }  # fmt: skip
+        with pytest.raises(TypeError):
+            completion.metadata["ts"] = 4
+
+    def test_what_a_completion_lacks_is_not_in_its_metadata(self):
+        assert OperationComplete(1, "write", "v", 1, True).metadata == {}
+        assert OperationComplete(1, "read", "v", 1, True, ts=0).metadata == {"ts": 0}
+
+    def test_completions_with_the_same_outcome_share_their_flags(self):
+        first = completion_flags(read_rounds=1, writeback=False, is_bottom=False)
+        assert completion_flags(read_rounds=1, writeback=False, is_bottom=False) is first
+        assert completion_flags(read_rounds=2, writeback=True, is_bottom=False) != first
 
 
 class TestAutomatonDefaults:

@@ -8,6 +8,7 @@ from repro.core.config import (
     feasible_threshold_pairs,
     frontier_threshold_pairs,
 )
+from repro.core.server import StorageServer
 
 
 class TestServerCount:
@@ -99,6 +100,16 @@ class TestIdentifiers:
         assert config.reader_ids() == ["r1", "r2", "r3"]
         assert config.writer_id == "w"
         assert config.client_ids() == ["w", "r1", "r2", "r3"]
+
+    def test_every_server_register_keys_its_tables_by_one_set_of_strings(self):
+        config = SystemConfig(t=2, b=1, num_readers=3)
+        first = StorageServer("s1", config, register_id="a")
+        second = StorageServer("s2", SystemConfig(t=2, b=1, num_readers=3), register_id="b")
+        for a, b in zip(first.read_ts, second.read_ts, strict=True):
+            assert a is b
+        for a, b in zip(first.frozen, first.read_ts, strict=True):
+            assert a is b
+        assert all(a is b for a, b in zip(config.server_ids(), config.server_ids()))
 
 
 class TestFactories:

@@ -63,7 +63,7 @@ RECORDS = [
     NewReadReport("r1", 4),
     Send("s1", Read(sender="r1")),
     StartTimer("k::t", 1.5),
-    OperationComplete(1, "read", "v", 1, True, {"register_id": "k"}),
+    OperationComplete(1, "read", "v", 1, True, 3, "w1", "k", 0.5, (("lease", True),)),
     Effects([Send("s1", Read(sender="r1"))], [StartTimer("t", 1.0)], [], ["t"]),
     DeliveryEvent("r1", "s1", Read(sender="r1")),
     TimerEvent("s1", "t"),
@@ -197,9 +197,6 @@ class TestSlotInit:
                 assert param.default is param.empty
 
     def test_factories_are_fresh_per_instance(self):
-        a = OperationComplete(1, "read", "v", 1, True)
-        b = OperationComplete(2, "read", "v", 1, True)
-        assert a.metadata == {} and a.metadata is not b.metadata
         first, second = Effects(), Effects()
         for f in dataclasses.fields(Effects):
             assert getattr(first, f.name) == []

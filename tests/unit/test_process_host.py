@@ -169,7 +169,7 @@ class TestOperationSlots:
             def read(self, key):
                 effects = Effects()
                 effects.complete(
-                    OperationComplete(1, "read", "cached", 0, True, {"register_id": key})
+                    OperationComplete(1, "read", "cached", 0, True, register_id=key)
                 )
                 return effects
 
@@ -195,7 +195,7 @@ class TestTheOneRecordBuilder:
             requested_value=requested,
             invoked_at=1.0,
             completed_at=3.0,
-            result=OperationComplete(7, completion_kind, value, 1, True, dict(metadata)),
+            result=OperationComplete(7, completion_kind, value, 1, True, details=dict(metadata)),
             register_id="k",
         )
 

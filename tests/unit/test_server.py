@@ -138,13 +138,6 @@ class TestWritePhases:
 
 
 class TestBookkeeping:
-    def test_message_counts_accumulate(self, server):
-        server.handle_message(Read(sender="r1", read_ts=1, round=1))
-        server.handle_message(Read(sender="r1", read_ts=2, round=1))
-        server.handle_message(Write(sender="w", round=2, ts=1, pair=V1))
-        assert server.message_counts["Read"] == 2
-        assert server.message_counts["Write"] == 1
-
     def test_describe_exposes_registers(self, server):
         server.handle_message(Write(sender="w", round=1, ts=1, pair=V1))
         description = server.describe()
