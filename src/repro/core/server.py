@@ -70,12 +70,11 @@ class StorageServer(Automaton):
         self.pw: TimestampValue = INITIAL_PAIR
         self.w: TimestampValue = INITIAL_PAIR
         self.vw: TimestampValue = INITIAL_PAIR
-        self.read_ts: Dict[str, int] = {
-            reader_id: INITIAL_READ_TIMESTAMP for reader_id in config.reader_ids()
-        }
-        self.frozen: Dict[str, FrozenEntry] = {
-            reader_id: INITIAL_FROZEN for reader_id in config.reader_ids()
-        }
+        #: Per reader, from its first READ or freeze directive on
+        #: (:meth:`_ensure_reader`): ``tsr_rj`` and ``frozen_rj``.  A reader
+        #: not in them holds the initial values.
+        self.read_ts: Dict[str, int] = {}
+        self.frozen: Dict[str, FrozenEntry] = {}
 
     # ------------------------------------------------------------------ util
     @staticmethod
@@ -91,7 +90,8 @@ class StorageServer(Automaton):
         return current
 
     def _ensure_reader(self, reader_id: str) -> None:
-        """Lazily admit readers that were not pre-provisioned in the config."""
+        """Admit a reader at its initial values: the one place its entries
+        are made, so a register holds none for readers it never heard of."""
         if reader_id not in self.read_ts:
             self.read_ts[reader_id] = INITIAL_READ_TIMESTAMP
             self.frozen[reader_id] = INITIAL_FROZEN
@@ -246,11 +246,4 @@ class StorageServer(Automaton):
 
     # ------------------------------------------------------------ inspection
     def describe(self) -> Dict[str, Any]:
-        return {
-            "process_id": self.process_id,
-            "pw": self.pw,
-            "w": self.w,
-            "vw": self.vw,
-            "read_ts": dict(self.read_ts),
-            "frozen": dict(self.frozen),
-        }
+        return {"process_id": self.process_id, **self.export_state()}

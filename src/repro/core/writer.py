@@ -151,9 +151,9 @@ class AtomicWriter(ClientAutomaton):
         self.ts: int = 0
         self.pw: TimestampValue = INITIAL_PAIR
         self.w: TimestampValue = INITIAL_PAIR
-        self.read_ts: Dict[str, int] = {
-            reader_id: INITIAL_READ_TIMESTAMP for reader_id in config.reader_ids()
-        }
+        #: The read timestamp last frozen for each reader (a reader not in it
+        #: is at the initial one).
+        self.read_ts: Dict[str, int] = {}
         self.frozen: Tuple[FreezeDirective, ...] = ()
         self._attempt: Optional[_WriteAttempt] = None
 
@@ -377,7 +377,7 @@ class AtomicWriter(ClientAutomaton):
         reports_by_reader: Dict[str, List[int]] = {}
         for ack in attempt.pw_acks.values():
             for report in ack.newread:
-                if report.read_ts > self.read_ts.get(report.reader_id, 0):
+                if report.read_ts > self.read_ts.get(report.reader_id, INITIAL_READ_TIMESTAMP):
                     reports_by_reader.setdefault(report.reader_id, []).append(
                         report.read_ts
                     )

@@ -26,10 +26,9 @@ was written, so starting without it would silently forget acknowledged state.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Mapping, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Protocol, Sequence, Tuple
 
-from ..wire import Codec, get_codec
-from ..wire.codec import MAGIC, join_dict_items
+from ..wire.codec import decode_payload, encode_dict_item, encode_payload, join_dict_items
 from .wal import WalLike, frame_payload, unframe_payload
 
 #: What a compaction hands the store: the exported state of the registers
@@ -42,23 +41,20 @@ class SnapshotCorruptError(Exception):
     """A snapshot exists but fails its checksum, magic or decode."""
 
 
-def encode_snapshot(state: Any, codec: Union[str, Codec, None] = None) -> bytes:
-    """One checksummed frame (the WAL's framing) holding the encoded *state*.
-
-    The payload is the versioned binary wire encoding unless a Codec instance
-    overrides it.
-    """
-    return frame_payload(get_codec(codec).encode_value(state))
+def encode_snapshot(state: Any) -> bytes:
+    """One checksummed frame (the WAL's framing) holding the versioned binary
+    payload of *state*."""
+    return frame_payload(encode_payload(state))
 
 
 def decode_snapshot(data: bytes) -> Optional[Any]:
     """The state held by *data*, or ``None`` if the frame is torn, corrupt or
     not the binary wire encoding."""
     frame = unframe_payload(data)
-    if frame is None or frame[0][:2] != MAGIC:
+    if frame is None:
         return None
     try:
-        return get_codec("binary").decode_value(frame[0])
+        return decode_payload(frame[0])
     except Exception:
         return None
 
@@ -107,9 +103,8 @@ class SnapshotStore(Protocol):
 class FileSnapshot:
     """Atomic, checksummed snapshot storage backed by one file."""
 
-    def __init__(self, path: str, codec: Union[str, Codec, None] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.codec = get_codec(codec)
         #: Register id → the bytes its item contributes to the encoded state.
         self._chunks: Dict[str, bytes] = {}
         directory = os.path.dirname(path)
@@ -121,7 +116,7 @@ class FileSnapshot:
     ) -> None:
         chunks = self._chunks
         for register_id, state in changed.items():
-            chunks[register_id] = self.codec.encode_dict_item(register_id, state)
+            chunks[register_id] = encode_dict_item(register_id, state)
         if live is None:
             live = list(changed)
         if len(chunks) != len(live):  # registers left since the last save

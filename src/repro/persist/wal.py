@@ -36,11 +36,10 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, BinaryIO, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, BinaryIO, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.types import SlotsPickleMixin, slot_init
-from ..wire import Codec, get_codec, register_struct
-from ..wire.codec import MAGIC
+from ..wire import decode_payload, encode_payload, register_struct
 
 #: Fields of a server a WAL record may target.
 WAL_FIELDS = ("pw", "w", "vw")
@@ -112,18 +111,17 @@ def unframe_payload(data: bytes, offset: int = 0) -> Optional[Tuple[bytes, int]]
     return payload, end
 
 
-def encode_frame(record: WalRecord, codec: Union[str, Codec, None] = None) -> bytes:
-    """Frame one record: length + CRC32 header followed by the encoded payload
-    (the versioned binary wire encoding unless a codec overrides it)."""
-    return frame_payload(get_codec(codec).encode_value(record))
+def encode_frame(record: WalRecord) -> bytes:
+    """Frame one record: length + CRC32 header followed by its versioned
+    binary payload."""
+    return frame_payload(encode_payload(record))
 
 
 def decode_record_payload(payload: bytes) -> Optional[WalRecord]:
-    """Decode one frame payload (binary wire encoding only), or ``None``."""
-    if payload[:2] != MAGIC:
-        return None
+    """Decode one frame payload, or ``None`` when it is not a record in the
+    binary wire encoding (the decoder checks the magic first)."""
     try:
-        record = get_codec("binary").decode_value(payload)
+        record = decode_payload(payload)
     except Exception:
         return None
     return record if isinstance(record, WalRecord) else None
@@ -152,18 +150,11 @@ def decode_frames(data: bytes) -> Tuple[List[WalRecord], int]:
 
 
 class WriteAheadLog:
-    """Append-only, checksummed, fsync-per-batch log backed by a real file.
+    """Append-only, checksummed, fsync-per-batch log backed by a real file."""
 
-    ``codec`` selects the payload encoding of *newly appended* frames (binary
-    by default); replay reads the versioned binary encoding.
-    """
-
-    def __init__(
-        self, path: str, fsync: bool = True, codec: Union[str, Codec, None] = None
-    ) -> None:
+    def __init__(self, path: str, fsync: bool = True) -> None:
         self.path = path
         self.fsync = fsync
-        self.codec = get_codec(codec)
         #: Diagnostics: how many records / fsync'd batches this handle wrote.
         self.records_appended = 0
         self.batches_appended = 0
@@ -183,8 +174,7 @@ class WriteAheadLog:
             return
         if self._file is None:
             raise ValueError(f"WAL {self.path} is closed")
-        encode = self.codec.encode_value
-        self._file.write(b"".join([frame_payload(encode(record)) for record in records]))
+        self._file.write(b"".join([frame_payload(encode_payload(record)) for record in records]))
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Awaitable, Callable, Dict, Iterable, Optional, Union
+from typing import Any, Awaitable, Callable, Dict, Iterable, Optional
 
 __all__ = [
     "AsyncCluster",
@@ -53,14 +53,13 @@ class AsyncCluster:
         durable: bool = False,
         wal_dir: Optional[str] = None,
         compact_every: int = 512,
-        codec: Union[str, Codec, None] = None,
+        codec: Optional[Codec] = None,
     ) -> None:
         self.suite = suite
         self.config = suite.config
         self.time_scale = time_scale
-        #: Wire codec for the default transport and the durable files
-        #: (binary).  An explicitly passed *transport* keeps its own codec.
-        self.codec = codec
+        #: *codec* reaches the default transport only: an explicitly passed
+        #: *transport* keeps its own, and the durable files are always binary.
         self.transport = transport or InMemoryTransport(
             constant_delay(message_delay_s), codec=codec
         )
@@ -147,7 +146,6 @@ class AsyncCluster:
             durable=self.durable,
             wal_dir=self.wal_dir,
             compact_every=self.compact_every,
-            codec=self.codec,
         )
 
     # ----------------------------------------------------------------- failures
@@ -211,11 +209,9 @@ class AsyncCluster:
         return asyncio.run(_main())
 
 
-def tcp_cluster(
-    suite: ProtocolSuite, codec: Union[str, Codec, None] = None, **kwargs: Any
-) -> AsyncCluster:
+def tcp_cluster(suite: ProtocolSuite, **kwargs: Any) -> AsyncCluster:
     """Build an :class:`AsyncCluster` communicating over localhost TCP sockets."""
-    return AsyncCluster(suite, transport=TcpTransport(codec=codec), codec=codec, **kwargs)
+    return AsyncCluster(suite, transport=TcpTransport(), **kwargs)
 
 
 class ShardedAsyncCluster(StoreSurface, AsyncCluster):
@@ -329,12 +325,7 @@ class ShardedAsyncCluster(StoreSurface, AsyncCluster):
 
 
 def sharded_tcp_cluster(
-    base: ProtocolSuite,
-    keys: Iterable[str],
-    codec: Union[str, Codec, None] = None,
-    **kwargs: Any,
+    base: ProtocolSuite, keys: Iterable[str], **kwargs: Any
 ) -> ShardedAsyncCluster:
     """Build a :class:`ShardedAsyncCluster` over localhost TCP sockets."""
-    return ShardedAsyncCluster(
-        base, keys, transport=TcpTransport(codec=codec), codec=codec, **kwargs
-    )
+    return ShardedAsyncCluster(base, keys, transport=TcpTransport(), **kwargs)

@@ -23,7 +23,7 @@ import os
 import time
 from array import array
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
 from ..core.host import OperationHandle, ProcessHost
@@ -31,7 +31,6 @@ from ..core.messages import Message
 from ..persist.durable import DurableServer, recover_server
 from ..persist.snapshot import FileSnapshot, write_file_atomically
 from ..persist.wal import WriteAheadLog
-from ..wire import Codec
 from .transport import Transport
 
 
@@ -49,7 +48,6 @@ def make_durable(
     automaton: Automaton,
     wal_dir: str,
     compact_every: int = 512,
-    codec: Union[str, Codec, None] = None,
 ) -> DurableServer:
     """Wrap a freshly built server automaton in file-backed durability.
 
@@ -62,10 +60,6 @@ def make_durable(
     without one this is incarnation 0.  A snapshot that is there but does not
     decode raises :class:`~repro.persist.snapshot.SnapshotCorruptError`: the
     node refuses to start rather than rejoin without acknowledged state.
-
-    *codec* selects the payload encoding of new WAL frames and snapshots
-    (binary by default); replay is codec-agnostic, so recovery works across a
-    codec change.
     """
     os.makedirs(wal_dir, exist_ok=True)
     process_id = automaton.process_id
@@ -78,14 +72,12 @@ def make_durable(
         # monotone fencing reject the recovered node forever.
         with open(epoch_path, encoding="utf-8") as fh:
             incarnation = int(fh.read().strip()) + 1
-    wal = WriteAheadLog(os.path.join(wal_dir, f"{process_id}.wal"), codec=codec)
+    wal = WriteAheadLog(os.path.join(wal_dir, f"{process_id}.wal"))
     try:
         node_server = recover_server(
             automaton,
             wal,
-            snapshot_store=FileSnapshot(
-                os.path.join(wal_dir, f"{process_id}.snapshot"), codec=codec
-            ),
+            snapshot_store=FileSnapshot(os.path.join(wal_dir, f"{process_id}.snapshot")),
             incarnation=incarnation,
             compact_every=compact_every,
         )
@@ -130,12 +122,11 @@ class AutomatonNode:
         durable: bool = False,
         wal_dir: Optional[str] = None,
         compact_every: int = 512,
-        codec: Union[str, Codec, None] = None,
     ) -> None:
         if durable:
             if wal_dir is None:
                 raise ValueError("a durable node needs a wal_dir for its WAL files")
-            automaton = make_durable(automaton, wal_dir, compact_every=compact_every, codec=codec)
+            automaton = make_durable(automaton, wal_dir, compact_every=compact_every)
         self.host = ProcessHost(automaton)
         self.automaton = automaton
         self.process_id = automaton.process_id
@@ -155,10 +146,10 @@ class AutomatonNode:
         # Set when a send is buffered; the flusher clears it and drains.
         self._flush_wanted = asyncio.Event()
         self._flusher: Optional[asyncio.Task] = None
-        # Live loop timers keyed by timer id.  Fired and cancelled handles
-        # are pruned eagerly, so a long-lived node holds handles only for
-        # timers genuinely pending (the old flat list grew without bound).
-        self._timer_handles: Dict[str, set] = {}
+        # The pending loop timer of each timer id: arming an id that is
+        # pending replaces its armament, and a fired or cancelled handle
+        # leaves at once, so a node holds only the timers still pending.
+        self._timer_handles: Dict[str, asyncio.TimerHandle] = {}
         #: Diagnostics: timers disarmed by an automaton before they fired.
         self.timers_cancelled: int = 0
         transport.register(self.process_id, self._on_transport_message)
@@ -171,9 +162,8 @@ class AutomatonNode:
 
     async def stop(self) -> None:
         self._running = False
-        for handles in self._timer_handles.values():
-            for handle in handles:
-                handle.cancel()
+        for handle in self._timer_handles.values():
+            handle.cancel()
         self._timer_handles.clear()
         flusher, self._flusher = self._flusher, None
         if flusher is not None:
@@ -246,28 +236,23 @@ class AutomatonNode:
             self._handle_completion(completion)
 
     def _arm_timer(self, timer_id: str, delay: float) -> None:
+        replaced = self._timer_handles.get(timer_id)
+        if replaced is not None:
+            replaced.cancel()
         # A bound method and the id, not a closure over its own handle: that
         # closure made every fired timer a reference cycle for the GC.
-        handle = self._loop.call_later(delay, self._fire_timer, timer_id)
-        self._timer_handles.setdefault(timer_id, set()).add(handle)
+        self._timer_handles[timer_id] = self._loop.call_later(delay, self._fire_timer, timer_id)
 
     def _fire_timer(self, timer_id: str) -> None:
-        handles = self._timer_handles.get(timer_id)
-        if handles is not None:
-            # The loop runs timers in ``when()`` order, so the handle that
-            # fired is the earliest one armed under this id.
-            handles.discard(min(handles, key=asyncio.TimerHandle.when))
-            if not handles:
-                del self._timer_handles[timer_id]
+        # Only the id's pending handle can fire: a replaced one was cancelled.
+        del self._timer_handles[timer_id]
         self._step_timer(timer_id)
 
     def _cancel_timer(self, timer_id: str) -> None:
-        handles = self._timer_handles.pop(timer_id, None)
-        if not handles:
-            return
-        for handle in handles:
+        handle = self._timer_handles.pop(timer_id, None)
+        if handle is not None:
             handle.cancel()
-        self.timers_cancelled += len(handles)
+            self.timers_cancelled += 1
 
     # ----------------------------------------------------------------- outbox
     async def _flush_outbox(self) -> None:

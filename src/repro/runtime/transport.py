@@ -15,8 +15,9 @@ Two transports are provided:
   ``examples/asyncio_cluster.py`` example and by integration tests to show
   that the very same automata run over real sockets.
 
-Both take a ``codec`` ("binary" by default) and count ``bytes_sent`` next to
-``frames_sent``, so bytes-on-wire is an observable, not a guess.
+Both take a :class:`~repro.wire.Codec` (the shared binary one by default),
+the only layer that does, and count ``bytes_sent`` next to ``frames_sent``,
+so bytes-on-wire is an observable, not a guess.
 
 **The handler contract.**  A handler is a coroutine function that steps the
 frame and returns without suspending, as a node's does: it only fills its
@@ -159,7 +160,7 @@ class InMemoryTransport(Transport):
     def __init__(
         self,
         delay: Optional[DelayFunction] = None,
-        codec: Union[str, Codec, None] = None,
+        codec: Optional[Codec] = None,
     ) -> None:
         self._handlers: Dict[str, Callable[[str, Message], Awaitable[None]]] = {}
         self._delay = delay or no_delay
@@ -212,19 +213,6 @@ class InMemoryTransport(Transport):
 # --------------------------------------------------------------------------- #
 # TCP transport
 # --------------------------------------------------------------------------- #
-
-
-def _encode_frame(source: str, destination: str, message: Message, codec: Codec) -> bytearray:
-    """Build one length-prefixed frame in a single buffer (no payload copy).
-
-    The four prefix bytes are reserved up front and patched once the payload
-    is in place, so a batch of N messages is encoded with exactly one
-    allocation instead of prefix+payload concatenation.
-    """
-    frame = bytearray(4)
-    codec.encode_envelope_into(frame, source, destination, message)
-    _LENGTH.pack_into(frame, 0, len(frame) - 4)
-    return frame
 
 
 class _Connection(asyncio.BaseProtocol):
@@ -410,7 +398,7 @@ class TcpTransport(Transport):
     recycled.
     """
 
-    def __init__(self, host: str = "127.0.0.1", codec: Union[str, Codec, None] = None) -> None:
+    def __init__(self, host: str = "127.0.0.1", codec: Optional[Codec] = None) -> None:
         self.host = host
         self.codec = get_codec(codec)
         self._handlers: Dict[str, Callable[[str, Message], Awaitable[None]]] = {}
@@ -511,7 +499,11 @@ class TcpTransport(Transport):
         if self._closed or destination not in self._ports:
             return
         key = (source, destination)
-        frame = _encode_frame(source, destination, message, self.codec)
+        # One buffer per frame: the prefix is reserved, then patched once the
+        # envelope is in place behind it.
+        frame = bytearray(4)
+        self.codec.encode_envelope_into(frame, source, destination, message)
+        _LENGTH.pack_into(frame, 0, len(frame) - 4)
         # One reconnect + retry: the first attempt may find the cached link
         # stale, or lose it while paused or writing, because the peer recycled
         # the connection; a fresh link failing too means the destination is

@@ -38,7 +38,7 @@ from ..persist.durable import recover_server
 from ..persist.snapshot import MemorySnapshot
 from ..persist.wal import MemoryWAL
 from ..verify.history import History
-from ..wire import Codec, get_codec
+from ..wire import frame_size
 from .byzantine import ByzantineStrategy, MaliciousServer, check_byzantine_servers
 from .events import DeliveryEvent, EventQueue, InvocationEvent, TimerEvent
 from .failures import CrashWindow, FailureSchedule
@@ -70,7 +70,6 @@ class SimCluster:
         message_filter: Optional[MessageFilter] = None,
         max_events_per_run: int = 500_000,
         frame_overhead: float = 0.0,
-        codec: Union[str, Codec, None] = None,
         durable: bool = False,
         compact_every: Optional[int] = None,
         topology: Optional[Topology] = None,
@@ -96,9 +95,6 @@ class SimCluster:
         #: per-message overhead that batching amortises (a batch is one frame).
         #: The default of 0 reproduces the classical charge-per-message model.
         self.frame_overhead = frame_overhead
-        #: The codec frames are sized under (``bytes_sent``) — the same codec
-        #: objects the asyncio transports speak.
-        self.codec = get_codec(codec)
         #: Durability: with ``durable=True`` every server is wrapped in a
         #: :class:`~repro.persist.durable.DurableServer` logging its state to
         #: an in-memory WAL, which is what lets a crashed server *recover*
@@ -115,7 +111,7 @@ class SimCluster:
         self.trace = MessageTrace()
         #: Diagnostics: events dispatched, frames put on the wire, protocol
         #: messages carried by them (frames < messages when batching is on)
-        #: and the encoded wire bytes of those frames under :attr:`codec`.
+        #: and the encoded wire bytes of those frames (:func:`~repro.wire.frame_size`).
         #: ``events_processed`` counts *dispatched* events only: a timer an
         #: automaton cancelled before expiry is discarded by the queue (see
         #: :attr:`timers_cancelled`), never popped as an event.
@@ -524,7 +520,7 @@ class SimCluster:
         """Count one frame onto the wire counters; returns its encoded size —
         what a real transport would write.  A Batch is one frame but
         ``len(batch)`` messages, whichever send path it took."""
-        size = self.codec.frame_size(source, destination, message)
+        size = frame_size(source, destination, message)
         self.frames_sent += 1
         self.messages_sent += len(message) if isinstance(message, Batch) else 1
         self.bytes_sent += size
@@ -543,7 +539,7 @@ class SimCluster:
         """Put one frame on the wire, serializing on the source's line.
 
         The line is occupied for ``frame_overhead`` time units whatever the
-        frame's size; ``size`` (the encoded length under the configured codec)
+        frame's size; ``size`` (the encoded length of the frame)
         is counted in ``bytes_sent`` and handed to the topology's delay.
         """
         size = self._count_frame(source, destination, message)

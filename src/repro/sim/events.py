@@ -9,9 +9,10 @@ sequence number so runs are fully deterministic.
 The queue is one heap of ``(time, seq, event)`` tuples — raw tuples, so heap
 comparisons are C-level tuple comparisons (sequence numbers are unique, so
 two events are never compared).  Protocol timers are armed and cancelled
-under their ``(process_id, timer_id)`` key: cancelling moves the key's live
-sequence numbers into a dead set, and a dead entry is discarded when it
-surfaces, never dispatched — so cancelled timers do not inflate the
+under their ``(process_id, timer_id)`` key, which has at most one pending
+armament: re-arming a pending key replaces it.  Cancelling or replacing moves
+the key's live sequence number into a dead set, and a dead entry is discarded
+when it surfaces, never dispatched — so cancelled timers do not inflate the
 simulator's ``events_processed`` counter.
 """
 
@@ -64,9 +65,8 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, SimEvent]] = []
-        # The sequence numbers of each key's pending armaments: a timer id
-        # armed twice fires twice, in (time, seq) order.
-        self._armed: Dict[TimerKey, List[int]] = {}
+        # The sequence number of each key's pending armament.
+        self._armed: Dict[TimerKey, int] = {}
         # Sequence numbers of cancelled timers still inside the heap.
         self._dead: Set[int] = set()
         self._seq = 0
@@ -86,23 +86,29 @@ class EventQueue:
         return seq
 
     def push_timer(self, time: float, process_id: str, timer_id: str) -> None:
-        """Arm the timer ``(process_id, timer_id)`` to fire at virtual *time*."""
-        seq = self.push(time, TimerEvent(process_id, timer_id))
-        self._armed.setdefault((process_id, timer_id), []).append(seq)
+        """Arm the timer ``(process_id, timer_id)`` to fire at virtual *time*,
+        replacing its pending armament, if it has one."""
+        key = (process_id, timer_id)
+        replaced = self._armed.get(key)
+        if replaced is not None:
+            self._dead.add(replaced)
+        self._armed[key] = self.push(time, TimerEvent(process_id, timer_id))
 
     def cancel_timer(self, process_id: str, timer_id: str) -> int:
-        """Disarm every pending armament of ``(process_id, timer_id)``.
+        """Disarm the pending armament of ``(process_id, timer_id)``.
 
-        Returns the number of armaments cancelled (0 when none was pending,
-        e.g. because the timer already fired).
+        Returns the number of armaments cancelled: 1, or 0 when none was
+        pending (e.g. because the timer already fired).
         """
-        seqs = self._armed.pop((process_id, timer_id), ())
-        self._dead.update(seqs)
-        self.timers_cancelled += len(seqs)
-        return len(seqs)
+        seq = self._armed.pop((process_id, timer_id), None)
+        if seq is None:
+            return 0
+        self._dead.add(seq)
+        self.timers_cancelled += 1
+        return 1
 
     def timer_armed(self, process_id: str, timer_id: str) -> bool:
-        """Whether ``(process_id, timer_id)`` has at least one live armament."""
+        """Whether ``(process_id, timer_id)`` has a live armament."""
         return (process_id, timer_id) in self._armed
 
     def _top(self) -> Optional[Tuple[float, int, SimEvent]]:
@@ -126,14 +132,10 @@ class EventQueue:
         top = self._top()
         if top is None or top[0] > max_time:
             return None
-        time, seq, event = heapq.heappop(self._heap)
+        time, _, event = heapq.heappop(self._heap)
         if type(event) is TimerEvent:
-            key = (event.process_id, event.timer_id)
-            seqs = self._armed[key]
-            if len(seqs) == 1:
-                del self._armed[key]
-            else:
-                seqs.remove(seq)
+            # A live timer entry is its key's pending armament.
+            del self._armed[(event.process_id, event.timer_id)]
         return (time, event)
 
     def peek_time(self) -> Optional[float]:

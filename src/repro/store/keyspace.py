@@ -25,12 +25,11 @@ whole registers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from ..core.automaton import Automaton
 from ..persist.durable import unwrap
 from ..persist.snapshot import decode_snapshot, encode_snapshot
-from ..wire import Codec, get_codec
 
 
 def export_register_state(automaton: Automaton) -> Dict[str, Any]:
@@ -66,14 +65,13 @@ class RegisterEvictionStore:
     torn snapshot file.
     """
 
-    def __init__(self, codec: Union[str, Codec, None] = None) -> None:
-        self.codec = get_codec(codec)
+    def __init__(self) -> None:
         self._blobs: Dict[str, bytes] = {}
         self.saves = 0
         self.loads = 0
 
     def save(self, register_id: str, state: Dict[str, Any]) -> None:
-        self._blobs[register_id] = encode_snapshot(state, self.codec)
+        self._blobs[register_id] = encode_snapshot(state)
         self.saves += 1
 
     def load(self, register_id: str) -> Optional[Dict[str, Any]]:

@@ -168,14 +168,18 @@ class AtomicityChecker:
     plain write: the value it replaced is the one it *observed*, stamped as
     ``observed_ts`` / ``observed_writer`` / ``observed_bottom``:
 
-    - **conditional-isolation** — no WRITE whose pair lies strictly between
-      the observed pair and the conditional's own *completed before the
-      conditional was invoked*.  Such a write was unmissable in real time, so
+    - **conditional-isolation** — the observed pair is ⊥ or a pair some WRITE
+      carries, it is below the conditional's own, and no WRITE whose pair
+      lies strictly between the two *completed before the conditional was
+      invoked*.  Such a write was unmissable in real time, so
       the conditional decided against a stale value.  Writes *concurrent*
       with the conditional are exempt: a competitor's parked write may land
       between the two pairs, which is atomic as a register and not as a CAS
       object (``docs/protocol.md``, "Real-time caveat"; pinned by the strict
       xfail in ``tests/unit/test_linearizability.py``).
+
+    An open CAS / RMW (recorded under its invocation kind) is an open WRITE:
+    of its new value for a CAS, of a value nobody knows yet for an RMW.
 
     Failed CAS attempts complete as reads (``cas_failed`` metadata) and take
     part in the read properties — a failed CAS must linearise exactly like a
@@ -239,7 +243,7 @@ class AtomicityChecker:
             return f"pair {key}" if stamped else f"val_{key[0]}"
 
         ordered = sorted(history.records, key=attrgetter("invoked_at"))
-        writes = [op for op in ordered if op.kind == "write"]
+        writes = [op for op in ordered if op.kind != "read"]
         reads = [op for op in ordered if op.kind == "read" and op.complete]
         result.checked_writes += len(writes)
         result.checked_reads += len(reads)
@@ -254,7 +258,7 @@ class AtomicityChecker:
             conditional = write.metadata.get("cas") or write.metadata.get("rmw")
             if stamped and conditional and write.complete:
                 result.cas_writes += 1
-            if is_bottom(write.value):
+            if is_bottom(write.value) or write.kind == "rmw":
                 continue
             value = _value_id(write.value)
             same = by_value.get(value)
@@ -313,6 +317,9 @@ class AtomicityChecker:
             else:
                 keyed.append((read, same.lo, same.hi))
 
+        #: What a conditional may have observed: ⊥ or a written pair — or
+        #: anything, while some write has no pair yet.
+        observable = None if None in keys else {BOTTOM_PAIR, *filter(None, keys)}
         unkeyed_writes = 0
         for write, key in zip(writes, keys, strict=True):
             if key is not None:
@@ -397,18 +404,27 @@ class AtomicityChecker:
                         op,
                     )
                 observed = observed_pair(op) if stamped and op.complete else None
-                if observed is not None:
-                    at = bisect_right(completed_keys, observed)
-                    if at < len(completed_keys) and completed_keys[at] < hi:
-                        between = first_with[completed_keys[at]]
-                        flag(
-                            "conditional-isolation",
-                            f"conditional WRITE with pair {hi} observed pair {observed}, but "
-                            f"the WRITE with pair {completed_keys[at]} ({between.value!r}) "
-                            "completed before the conditional was invoked",
-                            between,
-                            op,
-                        )
+                if observed is None:
+                    continue
+                if observed >= hi or (observable is not None and observed not in observable):
+                    flag(
+                        "conditional-isolation",
+                        f"conditional WRITE with pair {hi} observed pair {observed}, which "
+                        + ("is not below its own" if observed >= hi else "no WRITE carries"),
+                        op,
+                    )
+                    continue
+                at = bisect_right(completed_keys, observed)
+                if at < len(completed_keys) and completed_keys[at] < hi:
+                    between = first_with[completed_keys[at]]
+                    flag(
+                        "conditional-isolation",
+                        f"conditional WRITE with pair {hi} observed pair {observed}, but "
+                        f"the WRITE with pair {completed_keys[at]} ({between.value!r}) "
+                        "completed before the conditional was invoked",
+                        between,
+                        op,
+                    )
 
 
 def check_atomicity(history: History, mwmr: Optional[bool] = None) -> CheckResult:

@@ -8,6 +8,9 @@ value encoding (:mod:`repro.wire.values`), so frame sizes are observable,
 non-Python clients can speak it, and any accidental format change fails the
 golden-vector tests loudly instead of silently shipping a new dialect.
 
+Every layer calls the module functions; only a transport takes a
+:class:`Codec`, the same functions as an object (:mod:`repro.wire.codec`).
+
 The previous serializer (pickle) is gone: nothing writes or reads its frames,
 and a WAL or snapshot frame that does not open with the wire magic is treated
 as corrupt.
@@ -16,7 +19,6 @@ as corrupt.
 from .codec import (
     MAGIC,
     WIRE_VERSION,
-    BinaryCodec,
     Codec,
     UnknownTagError,
     UnknownVersionError,
@@ -25,10 +27,12 @@ from .codec import (
     WireFormatError,
     decode_envelope,
     decode_message,
+    decode_payload,
     encode_envelope,
     encode_envelope_into,
     encode_message,
-    encode_message_into,
+    encode_payload,
+    frame_size,
     get_codec,
 )
 from .values import decode_value, encode_value, register_struct
@@ -36,7 +40,6 @@ from .values import decode_value, encode_value, register_struct
 __all__ = [
     "MAGIC",
     "WIRE_VERSION",
-    "BinaryCodec",
     "Codec",
     "UnknownTagError",
     "UnknownVersionError",
@@ -45,12 +48,14 @@ __all__ = [
     "WireFormatError",
     "decode_envelope",
     "decode_message",
+    "decode_payload",
     "decode_value",
     "encode_envelope",
     "encode_envelope_into",
     "encode_message",
-    "encode_message_into",
+    "encode_payload",
     "encode_value",
+    "frame_size",
     "get_codec",
     "register_struct",
 ]

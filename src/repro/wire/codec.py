@@ -30,21 +30,19 @@ never an exception outside the :class:`WireDecodeError` family.
 Each message class is read, written and sized by functions generated from
 its dataclass fields when this module is imported (:func:`_compile_message`);
 the generated source is on each function as ``__source__``.  A frame's size
-(:meth:`Codec.frame_size`, what every byte counter charges) is *computed* by
+(:func:`frame_size`, what every byte counter charges) is *computed* by
 the sizer — arithmetic over the fields' lengths — not encoded and measured.
 
-Codecs
-------
-:func:`get_codec` resolves a codec selection (``"binary"`` or an instance)
-into an object with the shared surface: ``encode_message`` /
-``decode_message``, ``encode_envelope`` / ``decode_envelope``,
-``encode_value`` / ``decode_value`` and ``frame_size``.  Binary is the only
-codec: nothing writes or reads pickle frames, on the wire or on disk.
+Every layer calls the module functions — envelopes and :func:`frame_size` on
+a link, the versioned value payload (:func:`encode_payload`) in the WAL and
+the snapshots.  :class:`Codec` wraps them as methods for the transports, the
+one place a subclass can change or time the bytes.  Binary is the only
+format: nothing writes or reads pickle frames, on the wire or on disk.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..core.messages import (
     BaselineQuery,
@@ -96,7 +94,6 @@ __all__ = [
     "WIRE_VERSION",
     "TAG_ENVELOPE",
     "MESSAGE_TAGS",
-    "BinaryCodec",
     "Codec",
     "UnknownTagError",
     "UnknownVersionError",
@@ -105,10 +102,13 @@ __all__ = [
     "WireFormatError",
     "decode_envelope",
     "decode_message",
+    "decode_payload",
+    "encode_dict_item",
     "encode_envelope",
     "encode_envelope_into",
     "encode_message",
-    "encode_message_into",
+    "encode_payload",
+    "frame_size",
     "get_codec",
     "join_dict_items",
 ]
@@ -345,16 +345,6 @@ def encode_message(message: Message) -> bytes:
     return bytes(out)
 
 
-def encode_message_into(out: bytearray, message: Message) -> None:
-    """Append the complete binary frame of *message* to *out*.
-
-    The zero-copy entry point: batch sub-frames and length-prefixed transport
-    frames build into one caller-owned buffer instead of concatenating
-    intermediate ``bytes`` objects.
-    """
-    _write_message(out, message)
-
-
 def decode_message(data: bytes) -> Message:
     """Decode one message frame, requiring the whole buffer to be consumed."""
     message, end = _read_message(data, 0)
@@ -394,7 +384,7 @@ def decode_envelope(data: bytes) -> Tuple[str, str, Message]:
 
 
 # --------------------------------------------------------------------------- #
-# Codec objects
+# Frame sizes and value payloads
 # --------------------------------------------------------------------------- #
 
 #: Bytes the transports' length prefix adds to every frame payload.
@@ -412,13 +402,55 @@ TAG_VALUE = 30
 _DICT_ITEMS_OFFSET = 6
 
 
+def frame_size(source: str, destination: str, message: Message) -> int:
+    """Bytes the transports put on the wire for this routed message (length
+    prefix included) — what the simulator's line model and every
+    ``bytes_sent`` counter charge.  Computed from the message's fields
+    without encoding it (a property test holds it equal to the encoded
+    length); raises where the encoder raises."""
+    size = _FRAME_OVERHEAD + str_size(source) + str_size(destination)
+    sizer = _SIZERS.get(type(message))  # size_of, inlined: one call per frame
+    if sizer is None:
+        raise _no_tag(message)
+    return size + sizer(message)
+
+
+def encode_payload(value: Any) -> bytes:
+    """The versioned payload of a non-message value (a WAL record, a snapshot
+    state): the same magic + version as a message frame, so an on-disk frame
+    without them is corrupt, then the tagged value."""
+    out = bytearray()
+    _write_header(out, TAG_VALUE)
+    write_value(out, value)
+    return bytes(out)
+
+
+def decode_payload(data: bytes) -> Any:
+    """Decode one :func:`encode_payload` payload, requiring the whole buffer
+    to be consumed."""
+    tag, offset = _read_header(data, 0)
+    if tag != TAG_VALUE:
+        raise WireDecodeError(f"expected a value frame (tag {TAG_VALUE}), got {tag}")
+    value, end = read_value(data, offset)
+    if end != len(data):
+        raise WireDecodeError(f"{len(data) - end} trailing bytes after value")
+    return value
+
+
+def encode_dict_item(key: Any, value: Any) -> bytes:
+    """The bytes one ``key: value`` item contributes to an encoded dict (see
+    :func:`join_dict_items`): lets a caller that re-encodes a large dict
+    often keep the bytes of the items that did not change."""
+    return encode_payload({key: value})[_DICT_ITEMS_OFFSET:]
+
+
 def join_dict_items(items: Sequence[bytes]) -> bytes:
     """The value payload of the dict whose items encode, in order, to *items*.
 
     A dict is ``T_DICT``, the item count, then each key followed by its value
     — a concatenation of independently encodable items — so chunks from
-    :meth:`Codec.encode_dict_item` reassemble into exactly the bytes
-    ``encode_value`` gives for the whole dict.
+    :func:`encode_dict_item` reassemble into exactly the bytes
+    :func:`encode_payload` gives for the whole dict.
     """
     head = bytearray()
     _write_header(head, TAG_VALUE)
@@ -427,61 +459,16 @@ def join_dict_items(items: Sequence[bytes]) -> bytes:
     return b"".join([head, *items])
 
 
+# --------------------------------------------------------------------------- #
+# The transport seam
+# --------------------------------------------------------------------------- #
+
+
 class Codec:
-    """The serializer surface every layer programs against."""
-
-    name: str = "abstract"
-
-    def encode_message(self, message: Message) -> bytes:
-        raise NotImplementedError
-
-    def decode_message(self, data: bytes) -> Message:
-        raise NotImplementedError
-
-    def encode_envelope(self, source: str, destination: str, message: Message) -> bytes:
-        raise NotImplementedError
-
-    def encode_envelope_into(
-        self, out: bytearray, source: str, destination: str, message: Message
-    ) -> None:
-        """Append the routed payload to *out*.
-
-        Default implementation routes through :meth:`encode_envelope`;
-        codecs with a streaming writer override it to skip the copy.
-        """
-        out += self.encode_envelope(source, destination, message)
-
-    def decode_envelope(self, data: bytes) -> Tuple[str, str, Message]:
-        raise NotImplementedError
-
-    def encode_value(self, value: Any) -> bytes:
-        """Encode a non-message payload (WAL record, snapshot state)."""
-        raise NotImplementedError
-
-    def decode_value(self, data: bytes) -> Any:
-        raise NotImplementedError
-
-    def encode_dict_item(self, key: Any, value: Any) -> bytes:
-        """The bytes one ``key: value`` item contributes to an encoded dict
-        (see :func:`join_dict_items`): lets a caller that re-encodes a large
-        dict often keep the bytes of the items that did not change."""
-        return self.encode_value({key: value})[_DICT_ITEMS_OFFSET:]
-
-    def frame_size(self, source: str, destination: str, message: Message) -> int:
-        """Bytes the transports would put on the wire for this routed message
-        (length prefix included) — the observable the sim's byte-cost line
-        model and every ``bytes_sent`` counter charge.
-
-        This default encodes the envelope and measures it; the binary codec
-        computes the same number from the message's fields without encoding
-        (a property test holds the two equal)."""
-        return LENGTH_PREFIX_BYTES + len(self.encode_envelope(source, destination, message))
-
-
-class BinaryCodec(Codec):
-    """The versioned binary wire format (the default everywhere)."""
-
-    name = "binary"
+    """The wire format as an object, for the transports: each method calls the
+    module function of its job.  A transport calls :meth:`encode_envelope_into`,
+    :meth:`decode_envelope` and :meth:`frame_size`, so a subclass that changes
+    or times the bytes on a link overrides those three."""
 
     def encode_message(self, message: Message) -> bytes:
         return encode_message(message)
@@ -495,83 +482,24 @@ class BinaryCodec(Codec):
     def encode_envelope_into(
         self, out: bytearray, source: str, destination: str, message: Message
     ) -> None:
-        if type(self).encode_envelope is not BinaryCodec.encode_envelope:
-            # A subclass customised the envelope bytes (padding, wrapping...);
-            # the streaming fast path would silently bypass that override.
-            out += self.encode_envelope(source, destination, message)
-            return
         encode_envelope_into(out, source, destination, message)
 
     def decode_envelope(self, data: bytes) -> Tuple[str, str, Message]:
         return decode_envelope(data)
 
     def frame_size(self, source: str, destination: str, message: Message) -> int:
-        if type(self).encode_envelope is not BinaryCodec.encode_envelope:
-            # A subclass customised the envelope bytes: measure what it makes.
-            return super().frame_size(source, destination, message)
-        size = _FRAME_OVERHEAD + str_size(source) + str_size(destination)
-        sizer = _SIZERS.get(type(message))  # size_of, inlined: one call per frame
-        if sizer is None:
-            raise _no_tag(message)
-        return size + sizer(message)
+        return frame_size(source, destination, message)
 
     def encode_value(self, value: Any) -> bytes:
-        # Value payloads carry the same magic + version as messages, so
-        # on-disk frames are versioned and anything else is a corrupt frame.
-        out = bytearray()
-        _write_header(out, TAG_VALUE)
-        write_value(out, value)
-        return bytes(out)
+        return encode_payload(value)
 
     def decode_value(self, data: bytes) -> Any:
-        tag, offset = _read_header(data, 0)
-        if tag != TAG_VALUE:
-            raise WireDecodeError(f"expected a value frame (tag {TAG_VALUE}), got {tag}")
-        value, end = read_value(data, offset)
-        if end != len(data):
-            raise WireDecodeError(f"{len(data) - end} trailing bytes after value")
-        return value
+        return decode_payload(data)
 
 
-_BINARY = BinaryCodec()
-
-CODECS: Dict[str, Codec] = {"binary": _BINARY}
+_DEFAULT = Codec()
 
 
-def get_codec(codec: Union[str, Codec, None]) -> Codec:
-    """Resolve a codec selection: a name, an instance, or ``None`` (binary).
-
-    Every layer that accepts a ``codec=`` argument funnels it through here,
-    so ``None``, ``"binary"`` and a :class:`Codec` instance are
-    interchangeable everywhere::
-
-        >>> from repro.wire import get_codec
-        >>> get_codec(None).name
-        'binary'
-        >>> get_codec("binary") is get_codec(None)
-        True
-        >>> get_codec("morse")
-        Traceback (most recent call last):
-            ...
-        ValueError: unknown codec 'morse'; choose one of ['binary'] or pass a Codec instance
-
-    The ``"pickle"`` escape hatch was removed after its one-release
-    migration window, and the WAL/snapshot readers of pickle frames after it:
-    nothing writes or reads that dialect — asking for it raises saying so.
-    """
-    if codec is None:
-        return _BINARY
-    if isinstance(codec, Codec):
-        return codec
-    resolved = CODECS.get(codec)
-    if resolved is None:
-        if codec == "pickle":
-            raise ValueError(
-                "the pickle codec was removed; binary is the only wire "
-                "format (pickle WAL/snapshot frames are no longer read either)"
-            )
-        raise ValueError(
-            f"unknown codec {codec!r}; choose one of {sorted(CODECS)} or pass "
-            "a Codec instance"
-        )
-    return resolved
+def get_codec(codec: Optional[Codec] = None) -> Codec:
+    """The codec a transport uses: *codec*, or the shared default for ``None``."""
+    return _DEFAULT if codec is None else codec

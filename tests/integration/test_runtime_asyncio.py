@@ -196,7 +196,9 @@ class TestInMemoryRuntime:
 
     def test_a_fired_timer_leaves_nothing_for_the_cyclic_gc(self):
         # Lease timers live long enough to reach the oldest generation, so a
-        # fired timer that is a reference cycle costs full collections.
+        # fired timer that is a reference cycle costs full collections.  Each
+        # id is armed twice: re-arming a pending id replaces its armament, so
+        # each fires once.
         fired = []
 
         class Ticker(Automaton):
@@ -212,9 +214,11 @@ class TestInMemoryRuntime:
                 gc.disable()
                 try:
                     for index in range(1000):
-                        node.apply_effects(Effects(timers=[StartTimer(f"t{index % 7}", 0.0)]))
+                        for _ in range(2):
+                            node.apply_effects(Effects(timers=[StartTimer(f"t{index}", 0.0)]))
                     while len(fired) < 1000:
                         await asyncio.sleep(0)
+                    await asyncio.sleep(0)
                     return node._timer_handles, gc.collect()
                 finally:
                     gc.enable()
@@ -222,6 +226,7 @@ class TestInMemoryRuntime:
                 await node.stop()
 
         handles, garbage = run(scenario())
+        assert sorted(fired) == sorted(f"t{index}" for index in range(1000))
         assert handles == {}
         assert garbage == 0
 

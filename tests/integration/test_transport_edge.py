@@ -27,18 +27,18 @@ from repro.core.messages import Read, ReadAck
 from repro.core.server import StorageServer
 from repro.runtime import transport as transport_module
 from repro.runtime.node import AutomatonNode
-from repro.runtime.transport import TcpTransport, _encode_frame
-from repro.wire import get_codec
+from repro.runtime.transport import TcpTransport
+from repro.wire import encode_envelope
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
 CONFIG = SystemConfig(t=1, b=0, fw=0, fr=0, num_readers=1)
-CODEC = get_codec(None)
 
 
 def frame(source, read_ts):
     """A well-formed frame carrying ``Read(read_ts)`` from *source* to s1."""
-    return bytes(_encode_frame(source, "s1", Read(sender=source, read_ts=read_ts), CODEC))
+    payload = encode_envelope(source, "s1", Read(sender=source, read_ts=read_ts))
+    return len(payload).to_bytes(4, "big") + payload
 
 
 async def wait_until(predicate, timeout=5.0):

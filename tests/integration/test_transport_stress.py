@@ -19,7 +19,7 @@ import pytest
 from repro.core.messages import Read, Write
 from repro.core.types import TimestampValue
 from repro.runtime.transport import TcpTransport, _Inbound
-from repro.wire import get_codec
+from repro.wire import decode_envelope
 
 
 def run(coro):
@@ -160,7 +160,6 @@ class TestTcpStress:
         # 16 MiB in all: four times the largest send buffer Linux grows a
         # socket to by default, so the link must pause.
         count, payload = 256, "x" * 65536
-        codec = get_codec(None)
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -198,7 +197,7 @@ class TestTcpStress:
                     (length,) = struct.unpack_from("!I", stream)
                     if len(stream) < 4 + length:
                         break
-                    received.append(codec.decode_envelope(bytes(stream[4 : 4 + length]))[2].ts)
+                    received.append(decode_envelope(bytes(stream[4 : 4 + length]))[2].ts)
                     del stream[: 4 + length]
             await sending
             await transport.close()

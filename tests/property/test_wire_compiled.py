@@ -37,9 +37,10 @@ from repro.wire.codec import (
     WIRE_VERSION,
     decode_envelope,
     decode_message,
+    decode_payload,
     encode_envelope,
     encode_message,
-    get_codec,
+    frame_size,
     size_of,
 )
 from repro.wire.golden import message_zoo, wal_segment_records
@@ -173,8 +174,7 @@ def _attempt(compute):
 def frame_outcomes(source, destination, message):
     """``(computed, encoded)``: what ``frame_size`` says, and the length the
     encoder produces — or, for each, the type of exception it raised."""
-    codec = get_codec(None)
-    computed = _attempt(lambda: codec.frame_size(source, destination, message))
+    computed = _attempt(lambda: frame_size(source, destination, message))
     encoded = _attempt(
         lambda: LENGTH_PREFIX_BYTES + len(encode_envelope(source, destination, message))
     )
@@ -272,7 +272,7 @@ def test_message_bytes_equal_the_reference(cls, data):
     decoded = decode_message(encoded)
     assert decoded == message
     assert type(decoded) is cls
-    envelope = get_codec(None).encode_envelope(source, "d", message)
+    envelope = encode_envelope(source, "d", message)
     assert decode_envelope(envelope) == (source, "d", message)
     # The size the codec computes is the length of what it encodes.
     assert size_of(message) == len(encoded)
@@ -359,14 +359,13 @@ def test_bent_golden_envelope_raises_only_wire_errors():
 
 
 def test_bent_golden_wal_records_decode_like_the_reference():
-    codec = get_codec(None)
-    assert [codec.decode_value(p) for p in GOLDEN_WAL_PAYLOADS] == wal_segment_records()
+    assert [decode_payload(p) for p in GOLDEN_WAL_PAYLOADS] == wal_segment_records()
     for payload in GOLDEN_WAL_PAYLOADS:
         assert payload[:4] == HEADER + bytes([TAG_VALUE])
         for bent in _bent(payload):
-            got = outcome(codec.decode_value, bent)
+            got = outcome(decode_payload, bent)
             with interpreter_only():
-                assert got == outcome(codec.decode_value, bent), bent.hex()
+                assert got == outcome(decode_payload, bent), bent.hex()
 
 
 def _flatten(value):
@@ -407,8 +406,7 @@ def test_a_reader_never_returns_an_offset_past_the_buffer():
     head=st.sampled_from([b"", HEADER, HEADER + b"\x1f", HEADER + b"\x1e"]),
 )
 def test_arbitrary_bytes_raise_only_wire_errors(data, head):
-    codec = get_codec(None)
-    for decode in (decode_envelope, decode_message, codec.decode_value, decode_value):
+    for decode in (decode_envelope, decode_message, decode_payload, decode_value):
         try:
             decode(head + data)
         except WireFormatError:

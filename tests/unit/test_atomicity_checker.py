@@ -8,6 +8,7 @@ import pytest
 from repro.core.types import BOTTOM
 from repro.verify.atomicity import check_atomicity
 from repro.verify.history import History, OperationRecord
+from repro.verify.linearizability import is_linearizable
 from repro.verify.regularity import check_regularity
 
 
@@ -421,6 +422,73 @@ class TestOpenWrites:
         )
         result = check_atomicity(history)
         assert result.ok and not result.warnings
+
+
+def conditional(value, start, end, client, ts, observed):
+    """A successful CAS stamping *ts* that observed the pair *observed*."""
+    record = mwrite(value, start, end, client, ts)
+    observed_ts, observed_writer = observed
+    record.metadata.update(
+        cas=True, observed_ts=observed_ts, observed_writer=observed_writer, observed_bottom=False
+    )
+    return record
+
+
+class TestConditionalIsolation:
+    """A conditional replaced a pair: ⊥ or a written one, below its own."""
+
+    def test_a_conditional_that_observed_a_pair_nobody_wrote_is_flagged(self):
+        # The shrunk history of the property test's seed 132: w2's timestamp
+        # was mutated from 2 to 1, so no write carries the (2, w2) the CAS saw.
+        history = History(
+            [
+                mwrite("v0", -1, 1, "w1", ts=1),
+                mwrite("v1", 0, 1.5, "w2", ts=1),
+                conditional("v2", 1.75, 3, "w1", ts=3, observed=(2, "w2")),
+            ]
+        )
+        assert not is_linearizable(history)
+        result = check_atomicity(history, mwmr=True)
+        assert [v.property_name for v in result.violations] == ["conditional-isolation"]
+        assert "no WRITE carries" in result.violations[0].description
+
+    def test_a_conditional_must_observe_a_pair_below_its_own(self):
+        # The values alone linearize ("b" replaced "a"); the pairs say the
+        # conditional replaced a higher pair than it wrote, which no MWMR
+        # client stamps.
+        history = History(
+            [
+                mwrite("a", 0, 1, "w1", ts=2),
+                conditional("b", 2, 3, "w2", ts=1, observed=(2, "w1")),
+            ]
+        )
+        result = check_atomicity(history, mwmr=True)
+        assert "conditional-isolation" in [v.property_name for v in result.violations]
+
+    def test_an_unstamped_open_write_may_be_what_a_conditional_observed(self):
+        history = History(
+            [
+                open_write("a", 0, "w1"),
+                conditional("b", 1, 2, "w2", ts=3, observed=(2, "w1")),
+            ]
+        )
+        assert is_linearizable(history)
+        assert check_atomicity(history, mwmr=True).ok
+
+    def test_a_read_of_an_open_cas_is_not_no_creation(self):
+        # An open conditional keeps its invocation kind: it may have taken
+        # effect, like an open write.
+        open_cas = OperationRecord("w2", "cas", "b", 2, None, metadata={"register_id": "k"})
+        history = History(
+            [
+                mwrite("a", 0, 1, "w1", ts=1),
+                open_cas,
+                mread("b", 3, 4, ts=2, writer="w2"),
+            ]
+        )
+        assert is_linearizable(history)
+        result = check_atomicity(history, mwmr=True)
+        assert result.ok, result.violations
 
 
 class TestOneCheckerForEveryRegister:

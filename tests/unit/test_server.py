@@ -53,7 +53,7 @@ class TestPreWrite:
         assert server.frozen["r1"].read_ts == 4
 
     def test_freeze_directive_ignored_when_stale(self, server):
-        server.read_ts["r1"] = 9
+        server.handle_message(Read(sender="r1", read_ts=9, round=2))  # announces 9
         directive = FreezeDirective(reader_id="r1", pair=V1, read_ts=4)
         server.handle_message(
             PreWrite(sender="w", ts=1, pw=V1, w=INITIAL_PAIR, frozen=(directive,))

@@ -106,16 +106,17 @@ class TestEventQueue:
         assert queue.cancel_timer("p1", "never-armed") == 0
         assert queue.timers_cancelled == 0
 
-    def test_double_armed_timer_fires_twice_and_cancels_both(self):
+    def test_rearming_a_pending_timer_replaces_its_armament(self):
         queue = EventQueue()
         queue.push_timer(1.0, "p1", "t")
-        queue.push_timer(2.0, "p1", "t")
-        assert queue.timer_armed("p1", "t")
-        assert queue.pop() == (1.0, TimerEvent("p1", "t"))
-        assert queue.timer_armed("p1", "t")  # second armament still live
+        queue.push_timer(2.0, "p1", "t")  # replaces the armament at 1.0
+        assert len(queue) == 1
+        assert queue.pop() == (2.0, TimerEvent("p1", "t"))
+        assert not queue.timer_armed("p1", "t")
         queue.push_timer(3.0, "p1", "t")
-        assert queue.cancel_timer("p1", "t") == 2
-        assert queue.timers_cancelled == 2
+        queue.push_timer(4.0, "p1", "t")
+        assert queue.cancel_timer("p1", "t") == 1
+        assert queue.timers_cancelled == 1
         assert queue.pop() is None
         assert not queue.timer_armed("p1", "t")
 
@@ -148,8 +149,9 @@ class TestEventQueue:
 class _ReferenceQueue:
     """One sorted structure of ``(time, seq, event)``.
 
-    Cancelling a timer removes its entries eagerly — the semantics the lazy
-    cancellation of the real queue must be indistinguishable from.
+    Cancelling or re-arming a timer removes its pending entry eagerly — the
+    semantics the lazy cancellation of the real queue must be
+    indistinguishable from.
     """
 
     def __init__(self):
@@ -160,6 +162,7 @@ class _ReferenceQueue:
         self._entries.append((time, next(self._counter), event))
 
     def push_timer(self, time, process_id, timer_id):
+        self.cancel_timer(process_id, timer_id)
         self.push(time, TimerEvent(process_id, timer_id))
 
     def cancel_timer(self, process_id, timer_id):

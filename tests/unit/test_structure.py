@@ -2,8 +2,8 @@
 
 Each class pins one design decision by reading the source tree (``ast``) or
 the imported package: one process host, no task per frame, one creation path
-for per-key automata, one atomicity checker, no pickle anywhere, and no wall
-clock or unseeded draw bound in a deterministic layer.
+for per-key automata, one atomicity checker, one wire format, no pickle
+anywhere, and no wall clock or unseeded draw bound in a deterministic layer.
 """
 
 import ast
@@ -328,6 +328,49 @@ class TestNoPickle:
             if module.split(".")[0] in self.PICKLE
         ]
         assert found == []
+
+
+def qualified_functions(node, prefix=""):
+    """``(Class.method or function name, node)`` for every function in *node*."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from qualified_functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from qualified_functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from qualified_functions(child, prefix)
+
+
+class TestOneWireFormat:
+    """``wire/`` decides the bytes of every frame, record and snapshot; the
+    other layers call its module functions.  Only a transport is handed a
+    ``Codec`` (a subclass changes or times the bytes on a link), and
+    ``AsyncCluster`` passes one to its default transport."""
+
+    TAKES_A_CODEC = {
+        "runtime/cluster.py:AsyncCluster.__init__",
+        "runtime/transport.py:InMemoryTransport.__init__",
+        "runtime/transport.py:TcpTransport.__init__",
+    }
+
+    def test_only_the_transports_take_a_codec(self):
+        package = os.path.join(SRC, "repro")
+        found = {
+            f"{os.path.relpath(path, package).replace(os.sep, '/')}:{name}"
+            for path, tree in source_trees()
+            if os.path.relpath(path, package).split(os.sep)[0] != "wire"
+            for name, function in qualified_functions(tree)
+            if any(
+                arg.arg == "codec"
+                for arg in (
+                    *function.args.posonlyargs,
+                    *function.args.args,
+                    *function.args.kwonlyargs,
+                )
+            )
+        }
+        assert found == self.TAKES_A_CODEC
 
 
 class TestNoWallClock:

@@ -4,7 +4,7 @@
 from repro.core.automaton import TimerPolicy
 from repro.core.config import SystemConfig
 from repro.core.messages import PreWriteAck, Write, WriteAck
-from repro.core.types import FreezeDirective, TimestampValue
+from repro.core.types import INITIAL_FROZEN, FreezeDirective, TimestampValue
 from repro.variants.regular import (
     MaliciousWritebackReader,
     RegularReader,
@@ -118,7 +118,7 @@ class TestTwoRoundVariantUnits:
         server.handle_message(
             Write(sender="r2", round=2, ts=9, pair=V1, frozen=(directive,), from_writer=False)
         )
-        assert server.frozen["r1"].read_ts == 0
+        assert server.frozen.get("r1", INITIAL_FROZEN).read_ts == 0
         server.handle_message(
             Write(sender="w", round=2, ts=1, pair=V1, frozen=(directive,))
         )

@@ -17,21 +17,30 @@ from repro.persist.wal import WalRecord
 from repro.wire import (
     MAGIC,
     WIRE_VERSION,
-    BinaryCodec,
+    Codec,
     UnknownTagError,
     UnknownVersionError,
     WireDecodeError,
     WireEncodeError,
     decode_envelope,
     decode_message,
+    decode_payload,
     decode_value,
     encode_envelope,
     encode_message,
+    encode_payload,
     encode_value,
+    frame_size,
     get_codec,
     register_struct,
 )
-from repro.wire.codec import LENGTH_PREFIX_BYTES, MESSAGE_TAGS, TAG_ENVELOPE, join_dict_items
+from repro.wire.codec import (
+    LENGTH_PREFIX_BYTES,
+    MESSAGE_TAGS,
+    TAG_ENVELOPE,
+    encode_dict_item,
+    join_dict_items,
+)
 from repro.wire.golden import message_zoo
 
 
@@ -160,9 +169,8 @@ class TestMessageRoundtrip:
         # claim that justified the migration stays checkable with the stdlib.
         import pickle  # noqa: F401 -- comparison baseline only, not a codec
 
-        binary = get_codec("binary")
         for message in message_zoo():
-            assert len(binary.encode_message(message)) < len(
+            assert len(encode_message(message)) < len(
                 pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
             )
 
@@ -178,10 +186,9 @@ class TestEnvelope:
             decode_envelope(encode_message(Read(sender="r1")))
 
     def test_frame_size_is_prefix_plus_payload(self):
-        codec = get_codec("binary")
         message = ReadAck(sender="s1", read_ts=2, round=1)
-        assert codec.frame_size("s1", "r1", message) == LENGTH_PREFIX_BYTES + len(
-            codec.encode_envelope("s1", "r1", message)
+        assert frame_size("s1", "r1", message) == LENGTH_PREFIX_BYTES + len(
+            encode_envelope("s1", "r1", message)
         )
 
 
@@ -216,40 +223,36 @@ class TestDecodeErrors:
 
 class TestCodecObjects:
     def test_get_codec_resolution(self):
-        assert get_codec(None) is get_codec("binary")
-        assert isinstance(get_codec("binary"), BinaryCodec)
-        instance = BinaryCodec()
+        assert get_codec(None) is get_codec()
+        assert type(get_codec()) is Codec
+        instance = Codec()
         assert get_codec(instance) is instance
 
-    def test_unknown_codec_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown codec"):
-            get_codec("msgpack")
-
-    def test_pickle_escape_hatch_removed(self):
-        # The one-release migration window is over: selecting "pickle" fails
-        # with a message saying the dialect is gone, readers included.
-        with pytest.raises(ValueError, match="removed"):
-            get_codec("pickle")
+    def test_every_method_is_its_module_function(self):
+        codec = get_codec()
+        for message in message_zoo():
+            envelope = encode_envelope("s1", "r1", message)
+            assert codec.encode_message(message) == encode_message(message)
+            assert codec.decode_message(encode_message(message)) == message
+            assert codec.encode_envelope("s1", "r1", message) == envelope
+            out = bytearray(b"x")
+            codec.encode_envelope_into(out, "s1", "r1", message)
+            assert out == b"x" + envelope
+            assert codec.decode_envelope(envelope) == ("s1", "r1", message)
+            assert codec.frame_size("s1", "r1", message) == frame_size("s1", "r1", message)
+        state = {"k": [TimestampValue(1, "v"), None]}
+        assert codec.encode_value(state) == encode_payload(state)
+        assert codec.decode_value(encode_payload(state)) == state == decode_payload(
+            encode_payload(state)
+        )
 
     @pytest.mark.parametrize("count", [0, 1, 127, 128, 300])
     def test_dict_items_join_to_the_whole_dicts_bytes(self, count):
         # Counts past 127 take a multi-byte varint: the join writes the real
         # count, the per-item encoder only ever strips a one-item dict's.
-        codec = get_codec(None)
         state = {f"k{i}": {"pw": TimestampValue(i, "v"), "n": [i, None]} for i in range(count)}
-        items = [codec.encode_dict_item(key, value) for key, value in state.items()]
-        assert join_dict_items(items) == codec.encode_value(state)
-
-    def test_dict_item_goes_through_a_subclass_encode_value(self):
-        calls = []
-
-        class Counting(BinaryCodec):
-            def encode_value(self, value):
-                calls.append(value)
-                return super().encode_value(value)
-
-        assert Counting().encode_dict_item("k", 1) == get_codec(None).encode_dict_item("k", 1)
-        assert calls == [{"k": 1}]
+        items = [encode_dict_item(key, value) for key, value in state.items()]
+        assert join_dict_items(items) == encode_payload(state)
 
 
 # ----------------------------------------------------------------- hypothesis

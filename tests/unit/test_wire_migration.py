@@ -25,7 +25,7 @@ from repro.persist.wal import (
     encode_frame,
     frame_payload,
 )
-from repro.wire import get_codec
+from repro.wire import encode_payload
 from repro.wire.codec import MAGIC
 
 RECORDS = [
@@ -63,9 +63,8 @@ class TestWalPayloads:
             assert wal.replay() == RECORDS
 
     def test_only_binary_record_payloads_decode(self):
-        codec = get_codec("binary")
-        assert decode_record_payload(codec.encode_value(RECORDS[0])) == RECORDS[0]
-        assert decode_record_payload(codec.encode_value("not a record")) is None
+        assert decode_record_payload(encode_payload(RECORDS[0])) == RECORDS[0]
+        assert decode_record_payload(encode_payload("not a record")) is None
         assert decode_record_payload(b"garbage") is None
 
     def test_pickle_frame_ends_the_log_like_any_corrupt_frame(self, tmp_path):
