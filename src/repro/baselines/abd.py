@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set
 
 from ..core.automaton import (
-    Automaton,
     ClientAutomaton,
     Effects,
     OperationComplete,
@@ -50,11 +49,19 @@ from ..core.messages import (
     WriterLeaseRevokeAck,
 )
 from ..core.protocol import ProtocolSuite
+from ..core.server import PairRegister
 from ..core.types import INITIAL_PAIR, TimestampValue
 
 
-class ABDServer(Automaton):
-    """An ABD replica: stores the highest timestamped pair it has seen."""
+class ABDServer(PairRegister):
+    """An ABD replica: stores the highest timestamped pair it has seen.
+
+    The pair is its one durable field, ``w`` (what a store round wrote), and
+    moves through :meth:`~repro.core.server.PairRegister.advance` like the
+    core server's: a durable ABD server logs it, snapshots it and recovers it.
+    """
+
+    PAIR_FIELDS = ("w",)
 
     # The baseline speaks only the BaselineQuery/BaselineStore dialect; the
     # core protocol's phases and leases never address it.
@@ -72,7 +79,7 @@ class ABDServer(Automaton):
     def __init__(self, server_id: str, config: SystemConfig, register_id: str = "") -> None:
         super().__init__(server_id, register_id)
         self.config = config
-        self.pair: TimestampValue = INITIAL_PAIR
+        self.w: TimestampValue = INITIAL_PAIR
 
     def handle_message(self, message: Message) -> Effects:
         effects = Effects()
@@ -83,12 +90,11 @@ class ABDServer(Automaton):
                     sender=self.process_id,
                     register_id=self.register_id,
                     op_id=message.op_id,
-                    pair=self.pair,
+                    pair=self.w,
                 ),
             )
         elif isinstance(message, BaselineStore):
-            if message.pair.ts > self.pair.ts:
-                self.pair = message.pair
+            self.advance(effects, "w", message.pair)
             effects.send(
                 message.sender,
                 BaselineStoreAck(
@@ -101,7 +107,7 @@ class ABDServer(Automaton):
         return effects
 
     def describe(self) -> dict:
-        return {"process_id": self.process_id, "pair": self.pair}
+        return {"process_id": self.process_id, "pair": self.w}
 
 
 @dataclass

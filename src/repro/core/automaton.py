@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .messages import Message
-from .types import slot_init
+from .types import TimestampValue, slot_init
 
 #: Separator between a register id and the rest of a timer id:
 #: ``"<register>::<timer>"``.  Register ids therefore must not contain it.
@@ -168,12 +168,16 @@ class Effects:
     process arms before cancels, so an :class:`Effects` carrying a start and
     a cancel of the same id nets out to no pending timer; cancelling an id
     that already fired (or was never armed) is a no-op.
+
+    ``advanced`` has one ``(register_id, field, pair)`` entry per durable pair
+    the step moved, in order (:meth:`~repro.core.server.PairRegister.advance`).
     """
 
     sends: List[Send] = field(default_factory=list)
     timers: List[StartTimer] = field(default_factory=list)
     completions: List[OperationComplete] = field(default_factory=list)
     cancels: List[str] = field(default_factory=list)
+    advanced: Tuple[Tuple[str, str, TimestampValue], ...] = ()
 
     def send(self, destination: str, message: Message) -> None:
         self.sends.append(Send(destination, message))
@@ -198,6 +202,8 @@ class Effects:
         self.timers.extend(other.timers)
         self.completions.extend(other.completions)
         self.cancels.extend(other.cancels)
+        if other.advanced:
+            self.advanced += other.advanced
         return self
 
     @property

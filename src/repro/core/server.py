@@ -50,7 +50,41 @@ from .types import (
 )
 
 
-class StorageServer(Automaton):
+class PairRegister(Automaton):
+    """A server register whose durable state is timestamp-value pairs, moved
+    only by :meth:`advance`: the WAL and read-lease revocation read what
+    moved from the step's effects, not from the fields."""
+
+    #: The durable pair fields, in the order a step advances and reports them.
+    PAIR_FIELDS: Tuple[str, ...] = ("pw", "w", "vw")
+
+    def advance(self, effects: Effects, field: str, candidate: TimestampValue) -> None:
+        """The ``update(localtsval, tsval)`` helper of Fig. 3 (line 17):
+        adopt *candidate* into *field* if its ``(ts, writer_id)`` is strictly
+        higher (by timestamp alone for the paper's single writer, whose pairs
+        carry no writer id), and report ``(register_id, field, candidate)``.
+        The ``order_key`` comparison is spelled out: every write steps it."""
+        current = getattr(self, field)
+        if candidate.ts > current.ts or (
+            candidate.ts == current.ts and candidate.writer_id > current.writer_id
+        ):
+            setattr(self, field, candidate)
+            effects.advanced += ((self.register_id, field, candidate),)
+
+    def export_state(self) -> Dict[str, Any]:
+        """The durable pairs, for a snapshot or an eviction spill."""
+        return {field: getattr(self, field) for field in self.PAIR_FIELDS}
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Adopt the pairs of *state* (an export or one WAL record's field)
+        by the same monotone rule, unreported: a snapshot and a WAL suffix
+        restored in any order, any number of times, converge."""
+        for field in self.PAIR_FIELDS:
+            if field in state:
+                self.advance(Effects(), field, state[field])
+
+
+class StorageServer(PairRegister):
     """One replica ``s_i`` implementing the server side of Figures 1-3."""
 
     # A bare server never sees client-bound replies; lease traffic targets a
@@ -77,18 +111,6 @@ class StorageServer(Automaton):
         self.frozen: Dict[str, FrozenEntry] = {}
 
     # ------------------------------------------------------------------ util
-    @staticmethod
-    def _update(current: TimestampValue, candidate: TimestampValue) -> TimestampValue:
-        """The ``update(localtsval, tsval)`` helper of Fig. 3 (line 17).
-
-        Comparison is by the lexicographic ``(ts, writer_id)`` pair; with the
-        paper's single writer every pair carries the empty writer id and this
-        degenerates to the pseudocode's by-timestamp rule.
-        """
-        if candidate.order_key > current.order_key:
-            return candidate
-        return current
-
     def _ensure_reader(self, reader_id: str) -> None:
         """Admit a reader at its initial values: the one place its entries
         are made, so a register holds none for readers it never heard of."""
@@ -143,11 +165,11 @@ class StorageServer(Automaton):
         return tuple(sorted(reports, key=lambda report: report.reader_id))
 
     def _on_pre_write(self, message: PreWrite) -> Effects:
-        self.pw = self._update(self.pw, message.pw)
-        self.w = self._update(self.w, message.w)
+        effects = Effects()
+        self.advance(effects, "pw", message.pw)
+        self.advance(effects, "w", message.w)
         self._apply_freeze_directives(message.frozen)
         newread = self._collect_newread()
-        effects = Effects()
         effects.send(
             message.sender,
             PreWriteAck(
@@ -184,13 +206,13 @@ class StorageServer(Automaton):
 
     # -------------------------------------------------------------- W phase
     def _on_write(self, message: Write) -> Effects:
-        self.pw = self._update(self.pw, message.pair)
-        if message.round > 1:
-            self.w = self._update(self.w, message.pair)
-        if message.round > 2:
-            self.vw = self._update(self.vw, message.pair)
-        self._apply_write_freeze(message)
         effects = Effects()
+        self.advance(effects, "pw", message.pair)
+        if message.round > 1:
+            self.advance(effects, "w", message.pair)
+        if message.round > 2:
+            self.advance(effects, "vw", message.pair)
+        self._apply_write_freeze(message)
         effects.send(
             message.sender,
             WriteAck(
@@ -218,24 +240,13 @@ class StorageServer(Automaton):
         bookkeeping: everything a recovering replica needs to rejoin with its
         pre-crash knowledge instead of eroding the quorum margin.
         """
-        return {
-            "pw": self.pw,
-            "w": self.w,
-            "vw": self.vw,
-            "read_ts": dict(self.read_ts),
-            "frozen": dict(self.frozen),
-        }
+        state = super().export_state()
+        return {**state, "read_ts": dict(self.read_ts), "frozen": dict(self.frozen)}
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        """Adopt a state snapshot produced by :meth:`export_state`.
-
-        Restoration is monotone over the pairs (the ``update`` rule), so
-        restoring a snapshot and then replaying a WAL suffix — in any order,
-        any number of times — converges to the same state.
-        """
-        for field in ("pw", "w", "vw"):
-            if field in state:
-                setattr(self, field, self._update(getattr(self, field), state[field]))
+        """Adopt a state snapshot produced by :meth:`export_state`; the
+        per-reader entries merge monotonically like the pairs."""
+        super().restore_state(state)
         for reader_id, read_ts in state.get("read_ts", {}).items():
             self._ensure_reader(reader_id)
             self.read_ts[reader_id] = max(self.read_ts[reader_id], read_ts)

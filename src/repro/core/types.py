@@ -164,12 +164,6 @@ class TimestampValue(SlotsPickleMixin):
         """The lexicographic ordering key ``(ts, writer_id)``."""
         return (self.ts, self.writer_id)
 
-    def replace_if_newer(self, candidate: "TimestampValue") -> "TimestampValue":
-        """The server ``update()`` helper of Fig. 3 (line 17)."""
-        if candidate.order_key > self.order_key:
-            return candidate
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.writer_id:
             return f"<{self.ts},{self.val!r},{self.writer_id}>"

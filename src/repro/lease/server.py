@@ -70,8 +70,9 @@ class _LeaseWrapper(Automaton):
 class LeaseServer(_LeaseWrapper):
     """A storage automaton wrapper granting and enforcing **read** leases.
 
-    Once the wrapped server's pair state (``pw``/``w``/``vw``) advances while
-    leases are outstanding, every acknowledgement the server would send — the
+    Once a step of the wrapped server reports an advanced pair
+    (``Effects.advanced``: its ``pw``/``w``/``vw`` moved) while leases are
+    outstanding, every acknowledgement the server would send — the
     write's own ack, but also READ_ACKs that would expose the advanced state
     to other readers' fast paths — is parked until each holder confirmed
     revocation or its lease expired.  Combined with the holders' clean-grant
@@ -94,10 +95,8 @@ class LeaseServer(_LeaseWrapper):
     def handle_message(self, message: Message) -> Effects:
         effects = self.table.handle_message(message)
         if effects is None:
-            inner = self.inner
-            before = (inner.pw, inner.w, inner.vw)
-            effects = inner.handle_message(message)
-            changed = (inner.pw, inner.w, inner.vw) != before
+            effects = self.inner.handle_message(message)
+            changed = bool(effects.advanced)
             holders = self.table.holders
             if changed and len(holders) == 1 and message.sender in holders:
                 changed = False  # the sole holder's own advance

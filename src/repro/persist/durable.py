@@ -3,11 +3,12 @@
 :class:`DurableServer` wraps any server automaton (a plain
 :class:`~repro.core.server.StorageServer`, a Byzantine-wrapped one, or a
 :class:`~repro.store.sharding.ShardedServer` hosting many registers) and logs
-every change of the durable ``pw/w/vw`` fields to a write-ahead log *before*
-the acknowledgement that reports the change leaves the process — the classic
-write-ahead discipline.  Handling one input is one append batch, and since the
-batching layer delivers a whole message batch per flush boundary, the file WAL
-pays one fsync per batch.
+every ``pw/w/vw`` pair a step reports advanced (``Effects.advanced``, filled
+by :meth:`~repro.core.server.PairRegister.advance`) to a write-ahead log
+*before* the acknowledgement that reports the change leaves the process — the
+classic write-ahead discipline.  Handling one input is one append batch, and
+since the batching layer delivers a whole message batch per flush boundary,
+the file WAL pays one fsync per batch.
 
 Every durable server is opened by :func:`recover_server`: it restores the
 latest snapshot into a fresh automaton, replays the WAL suffix and returns a
@@ -35,13 +36,13 @@ rounds for a concurrent slow READ — never a stale return value.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from ..core.automaton import Automaton, Effects, Send
 from ..core.messages import Message
 from ..core.types import TimestampValue
 from .snapshot import SnapshotDelta, SnapshotManager, SnapshotStore
-from .wal import WAL_FIELDS, WalLike, WalRecord
+from .wal import WalLike, WalRecord
 
 
 def storage_registers(server: Automaton) -> Dict[str, Automaton]:
@@ -94,18 +95,44 @@ def notify_recovered(server: Automaton) -> None:
             stack.extend(registers.values())
 
 
+def held_register_ids(router: Automaton) -> List[str]:
+    """Every register id the unwrapped server *router* holds state for, in
+    snapshot order: the resident ones in the router's (LRU) order, then the
+    ones an eviction spilled (a rehydrated one counts as resident).  A
+    single-register server holds ``""``."""
+    registers: Optional[Dict[str, Automaton]] = getattr(router, "registers", None)
+    if registers is None:
+        return [""]
+    store = router.eviction_store  # type: ignore[attr-defined]
+    spilled = () if store is None else store.register_ids()
+    return [*registers, *(register_id for register_id in spilled if register_id not in registers)]
+
+
+def _held_state(router: Automaton, register_id: str) -> Optional[Dict[str, Any]]:
+    """The durable state of a register *router* holds: its resident
+    automaton's export, else what its eviction spilled; ``None`` once it left."""
+    registers: Optional[Dict[str, Automaton]] = getattr(router, "registers", None)
+    inner = router if registers is None else registers.get(register_id)
+    if inner is not None:
+        return unwrap(inner).export_state()  # type: ignore[attr-defined]
+    store = router.eviction_store  # type: ignore[attr-defined]
+    return None if store is None else store.load(register_id)
+
+
 def export_server_state(server: Automaton) -> Dict[str, Dict[str, Any]]:
     """Every register's durable state: register id → state dict.
 
-    What a snapshot holds.  Compaction does not call this — it exports only
-    the registers that changed (:meth:`DurableServer._snapshot_delta`) — but
-    its files are byte for byte the encoding of this function's result, which
-    is what the tests compare them against.
+    What a snapshot holds: every register the server holds state for,
+    resident or spilled (:func:`held_register_ids`).  Compaction does not
+    call this — it exports only the registers that changed
+    (:meth:`DurableServer._snapshot_delta`) — but its files are byte for byte
+    the encoding of this function's result, which is what the tests compare
+    them against.
     """
+    router = unwrap(server)
     return {
-        register_id: storage.export_state()
-        for register_id, storage in storage_registers(server).items()
-        if hasattr(storage, "export_state")
+        register_id: _held_state(router, register_id)  # type: ignore[misc]
+        for register_id in held_register_ids(router)
     }
 
 
@@ -133,34 +160,33 @@ def restore_server_state(server: Automaton, state: Dict[str, Dict[str, Any]]) ->
     router = unwrap(server)
     for register_id, register_state in state.items():
         storage = _storage(router, register_id)
-        if storage is not None and hasattr(storage, "restore_state"):
-            storage.restore_state(register_state)
-
-
-def _apply_to_storage(storage: Automaton, record: WalRecord) -> None:
-    """Advance one storage field by *record* via the monotone ``update`` rule."""
-    pair = TimestampValue(record.ts, record.value, record.writer_id)
-    current = getattr(storage, record.field, None)
-    if isinstance(current, TimestampValue):
-        setattr(storage, record.field, current.replace_if_newer(pair))
+        if storage is not None:
+            storage.restore_state(register_state)  # type: ignore[attr-defined]
 
 
 def replay_records(server: Automaton, records: Sequence[WalRecord]) -> None:
     """Replay *records* in order; monotone updates make this idempotent.
 
-    Like :func:`restore_server_state`, a record for a register that is not
-    resident admits it — rehydration first, then the (newer) logged pairs on
-    top.
+    Each record is one field of a register's state, adopted through
+    ``restore_state``.  Like :func:`restore_server_state`, a record for a
+    register that is not resident admits it — rehydration first, then the
+    (newer) logged pairs on top.
     """
     router = unwrap(server)
     for record in records:
         storage = _storage(router, record.register_id)
         if storage is not None:
-            _apply_to_storage(storage, record)
+            pair = TimestampValue(record.ts, record.value, record.writer_id)
+            storage.restore_state({record.field: pair})  # type: ignore[attr-defined]
 
 
 class DurableServer(Automaton):
-    """A server automaton whose ``pw/w/vw`` state is write-ahead logged."""
+    """A server automaton whose ``pw/w/vw`` state is write-ahead logged.
+
+    What reaches the log is what the wrapped storage registers report: every
+    step's ``Effects.advanced`` entry ``(register_id, field, pair)`` becomes
+    one :class:`WalRecord`, in the order the register advanced its fields.
+    """
 
     def __init__(
         self,
@@ -176,19 +202,23 @@ class DurableServer(Automaton):
         self.snapshots = snapshots
         #: Duck-typed: a register router, or a single-register server.
         self._router: Any = unwrap(inner)
+        #: The router's register table; ``None`` for a single-register server.
+        self._registers: Optional[Dict[str, Automaton]] = getattr(
+            self._router, "registers", None
+        )
         # Compaction costs what changed: the snapshot store keeps the encoded
         # bytes of every register and is handed only those that moved since
-        # the last snapshot — the ones that received a message or a timer
-        # (input, not "a WAL record was written": a READ moves read_ts/frozen,
-        # which snapshots carry and the WAL does not) and the ones the router
-        # admitted, with or without a message.  The store of a new incarnation
-        # has no bytes yet, so whatever is resident now counts as moved.
-        self._touched: Set[str] = set(getattr(self._router, "registers", ()))
-        if hasattr(self._router, "on_admission"):
+        # the last snapshot — the ones the router held after a message or a
+        # timer reached them (input, not "a WAL record was written": a READ
+        # moves read_ts/frozen, which snapshots carry and the WAL does not)
+        # and the ones it admitted, with or without a message.  One spilled
+        # since then is re-encoded from its spilled state if it moved first;
+        # if not, its cached bytes are what it spilled.  The store of a new
+        # incarnation has no bytes yet, so every register held now, resident
+        # or spilled, counts as moved.
+        self._touched: Set[str] = set(held_register_ids(self._router))
+        if self._registers is not None:
             self._router.on_admission = self._touched.add
-        self._timer_register: Optional[Callable[[str], str]] = getattr(
-            self._router, "timer_register", None
-        )
         # When set (inside an append_batch() scope), records accumulate here
         # and reach the WAL in one append — one fsync per message batch.
         self._buffered: Optional[List[WalRecord]] = None
@@ -201,19 +231,24 @@ class DurableServer(Automaton):
 
     # -------------------------------------------------------------- durable IO
     def handle_message(self, message: Message) -> Effects:
-        register_id = getattr(message, "register_id", "")
-        # Fault the register in *before* capturing its pre-state, so the
-        # admission (and any rehydration) is not mistaken for a change this
-        # message made — only genuine updates reach the WAL.  An id the
-        # keyspace does not know has no storage and marks nothing (ids are
-        # peer-supplied: the router drops the message, so must we).
-        storage = _storage(self._router, register_id)
-        if storage is not None:
+        return self._step(message.register_id, self.inner.handle_message(message))
+
+    def on_timer(self, timer_id: str) -> Effects:
+        effects = self.inner.on_timer(timer_id)
+        register_id = "" if self._registers is None else self._router.timer_register(timer_id)
+        return self._step(register_id, effects)
+
+    def _step(self, register_id: str, effects: Effects) -> Effects:
+        """Mark *register_id* moved if the router holds it after the step (ids
+        are peer-supplied: one it dropped marks nothing), log every pair the
+        step reports advanced, and stamp the effects."""
+        if self._registers is not None and register_id in self._registers:
             self._touched.add(register_id)
-        before = self._capture(storage)
-        effects = self.inner.handle_message(message)
-        records = self._diff(register_id, storage, before)
-        if records:
+        if effects.advanced:
+            records = [
+                WalRecord(advanced_id, field, pair.ts, pair.writer_id, pair.val)
+                for advanced_id, field, pair in effects.advanced
+            ]
             if self._buffered is not None:
                 # Inside an append_batch() scope: the whole message batch
                 # reaches the WAL as one append when the scope closes.
@@ -255,58 +290,18 @@ class DurableServer(Automaton):
 
     def _snapshot_delta(self) -> SnapshotDelta:
         """What the snapshot store needs to write a complete snapshot: the
-        exported state of the registers that moved since the last one, and the
-        live register ids in the router's order (an LRU touch reorders it).  A
-        single-register server is one register that always moved."""
-        table: Optional[Dict[str, Automaton]] = getattr(self._router, "registers", None)
-        resident = {"": self._router} if table is None else table
-        moved: Iterable[str] = resident if table is None else self._touched
+        exported state of the registers that moved since the last one, and
+        every held register id in snapshot order (an LRU touch reorders it).
+        A single-register server is one register that always moved."""
+        router = self._router
+        held = held_register_ids(router)
+        moved: Iterable[str] = held if self._registers is None else self._touched
         changed: Dict[str, Any] = {}
         for register_id in moved:
-            inner = resident.get(register_id)
-            if inner is None:  # moved, then left: evicted or dropped
-                continue
-            storage = unwrap(inner)
-            if hasattr(storage, "export_state"):
-                changed[register_id] = storage.export_state()
-        return changed, list(resident)
-
-    def on_timer(self, timer_id: str) -> Effects:
-        if self._timer_register is not None:
-            register_id = self._timer_register(timer_id)
-            if register_id in self._router.registers:
-                self._touched.add(register_id)
-        return self._stamp(self.inner.on_timer(timer_id))
-
-    @staticmethod
-    def _capture(storage: Optional[Automaton]) -> Optional[Tuple[Any, ...]]:
-        if storage is None:
-            return None
-        pairs = tuple(getattr(storage, field, None) for field in WAL_FIELDS)
-        if not all(isinstance(pair, TimestampValue) for pair in pairs):
-            return None
-        return pairs
-
-    @staticmethod
-    def _diff(
-        register_id: str, storage: Optional[Automaton], before: Optional[Tuple[Any, ...]]
-    ) -> List[WalRecord]:
-        if storage is None or before is None:
-            return []
-        records = []
-        for field, previous in zip(WAL_FIELDS, before, strict=True):
-            current = getattr(storage, field)
-            if current != previous:
-                records.append(
-                    WalRecord(
-                        register_id=register_id,
-                        field=field,
-                        ts=current.ts,
-                        writer_id=current.writer_id,
-                        value=current.val,
-                    )
-                )
-        return records
+            state = _held_state(router, register_id)
+            if state is not None:  # None: moved, then dropped
+                changed[register_id] = state
+        return changed, held
 
     def _stamp(self, effects: Effects) -> Effects:
         """Stamp outgoing messages with this incarnation's epoch."""

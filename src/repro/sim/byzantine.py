@@ -101,6 +101,8 @@ class MaliciousServer(Automaton):
         forged = self.strategy.respond(self.inner, message)
         if forged is None:
             return honest_effects
+        # The honest state moved whatever the reply says: keep its report.
+        forged.advanced = honest_effects.advanced
         return self._addressed(forged)
 
     def _addressed(self, forged: Effects) -> Effects:

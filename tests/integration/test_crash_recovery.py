@@ -9,6 +9,8 @@ atomic throughout.
 
 import pytest
 
+from repro.baselines.abd import ABDProtocol
+from repro.baselines.slow_robust import SlowRobustProtocol
 from repro.bench.sweeps import dense_run, recovery_sweep, run
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
@@ -16,6 +18,9 @@ from repro.persist.durable import storage_registers
 from repro.sim.cluster import SimCluster
 from repro.sim.failures import FailureSchedule
 from repro.store.sim import ShardedSimStore
+from repro.variants.regular import RegularStorageProtocol
+from repro.variants.trading import TradingReadsProtocol, TradingWritesProtocol
+from repro.variants.two_round import TwoRoundWriteProtocol
 from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import keyspace_workload, run_workload
 
@@ -172,6 +177,38 @@ class TestAtomicityAcrossRecoveries:
         cluster.write("final")
         assert cluster.read("r1").value == "final"
         assert check_atomicity(cluster.history()).ok
+
+
+SUITES_AT_T1_B0 = {
+    "lucky-atomic": lambda: LuckyAtomicProtocol(SystemConfig.balanced(t=1, b=0)),
+    "abd": lambda: ABDProtocol(SystemConfig.balanced(t=1, b=0)),
+    "slow-robust": lambda: SlowRobustProtocol(SystemConfig.balanced(t=1, b=0)),
+    "trading-reads": lambda: TradingReadsProtocol.for_parameters(t=1, b=0),
+    "trading-writes": lambda: TradingWritesProtocol.for_parameters(t=1, b=0),
+    "two-round-write": lambda: TwoRoundWriteProtocol.for_parameters(t=1, b=0, fr=1),
+    "regular": lambda: RegularStorageProtocol.for_parameters(t=1, b=0),
+}
+
+
+class TestEverySuiteLogsWhatItAcknowledged:
+    """Two servers are crashed and recovered one at a time, then the third
+    crashes: the read is served by the two recovered servers alone, so it
+    returns the write only if their logs held it — whatever the suite calls
+    its server's state."""
+
+    @pytest.mark.parametrize("name", sorted(SUITES_AT_T1_B0))
+    def test_rolling_recoveries_keep_the_write(self, name):
+        cluster = SimCluster(SUITES_AT_T1_B0[name](), durable=True)
+        assert cluster.write("v1").done
+        cluster.run_until_quiescent()
+        assert all(cluster.wals[sid].record_count > 0 for sid in ("s1", "s2", "s3"))
+        for server_id in ("s1", "s2"):
+            cluster.crash(server_id)
+            cluster.recover_server(server_id)
+        cluster.crash("s3")
+        assert cluster.read("r1").value == "v1"
+        result = check_atomicity(cluster.history())
+        assert result.ok, result.violations
 
 
 class TestStaleEpochRejection:

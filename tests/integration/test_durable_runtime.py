@@ -118,6 +118,32 @@ class TestRecoveryAcrossClusterLifetimes:
         assert (value1, value2) == ("alpha2", "beta")
         assert incarnation == 1
 
+    def test_a_bounded_table_keeps_its_spilled_registers_over_a_full_restart(self, tmp_path):
+        """Compaction truncates the log, so the snapshot must carry the
+        registers the LRU table spilled as well as the resident ones: the
+        spill store is the first life's memory and dies with it."""
+        wal_dir = str(tmp_path)
+        keys = [f"k{index}" for index in range(40)]
+        base = LuckyAtomicProtocol(SystemConfig.balanced(t=1, b=0))
+
+        def life():
+            return ShardedAsyncCluster(
+                base, keys=keys, durable=True, wal_dir=wal_dir, max_resident=4, compact_every=8
+            )
+
+        async def first_life():
+            async with life() as store:
+                for key in keys:
+                    await store.write(key, f"{key}-v1")
+                return store.evictions
+
+        async def second_life():
+            async with life() as store:
+                return [(await store.read(key)).value for key in keys]
+
+        assert run(first_life()) >= 2 * 36  # a write quorum's servers each spilled 36
+        assert run(second_life()) == [f"{key}-v1" for key in keys]
+
     def test_third_life_bumps_incarnation_again(self, tmp_path):
         wal_dir = str(tmp_path)
 

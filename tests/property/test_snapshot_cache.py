@@ -23,7 +23,12 @@ from repro.core.config import SystemConfig
 from repro.core.messages import PreWrite, Read, Write
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import FreezeDirective, TimestampValue
-from repro.persist.durable import DurableServer, export_server_state, storage_registers
+from repro.persist.durable import (
+    DurableServer,
+    export_server_state,
+    held_register_ids,
+    storage_registers,
+)
 from repro.persist.snapshot import (
     FileSnapshot,
     MemorySnapshot,
@@ -250,11 +255,13 @@ def test_keyspace_churn_between_compactions(driver):
     router = storage_router(d.file)
     assert router.evictions > 0 and router.rehydrations > 0
     assert d.compactions >= 5
-    # A quiet stretch on a stable table is incremental again.
+    # A quiet stretch on a stable table is incremental again: one changed
+    # register of the five held (three resident, two spilled).
     resident = list(router.registers)
+    assert len(held_register_ids(router)) == 5
     for _ in range(3):
         d.apply(("pw", resident[-1], None))
-    assert d.shares[0][-1] == 1 / 3
+    assert d.shares[0][-1] == 1 / 5
 
 
 def test_fresh_admissions_cost_themselves_not_the_table(driver):

@@ -198,9 +198,17 @@ class TestSlotInit:
 
     def test_factories_are_fresh_per_instance(self):
         first, second = Effects(), Effects()
-        for f in dataclasses.fields(Effects):
-            assert getattr(first, f.name) == []
-            assert getattr(first, f.name) is not getattr(second, f.name)
+        lists = [
+            f.name
+            for f in dataclasses.fields(Effects)
+            if f.default_factory is not dataclasses.MISSING
+        ]
+        assert lists == ["sends", "timers", "completions", "cancels"]
+        for name in lists:
+            assert getattr(first, name) == []
+            assert getattr(first, name) is not getattr(second, name)
+        # The advance report is immutable: a step that moves nothing shares it.
+        assert first.advanced == () and first.advanced is second.advanced
 
     def test_any_other_factory_is_called(self):
         @slot_init

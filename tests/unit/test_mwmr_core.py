@@ -42,12 +42,6 @@ class TestLexicographicPairs:
         assert a.order_key == b.order_key and a != b
         assert a.order_key != c.order_key  # different writer: ordered, not equal
 
-    def test_replace_if_newer_uses_order_key(self):
-        current = TimestampValue(5, "x", writer_id="r1")
-        candidate = TimestampValue(5, "y", writer_id="w")
-        assert current.replace_if_newer(candidate) is candidate
-        assert candidate.replace_if_newer(current) is candidate
-
     def test_freshest_uses_order_key(self):
         a = TimestampValue(5, "x", writer_id="r1")
         b = TimestampValue(5, "y", writer_id="w")

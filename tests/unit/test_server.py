@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.automaton import Effects
 from repro.core.config import SystemConfig
 from repro.core.messages import PreWrite, PreWriteAck, Read, ReadAck, Write, WriteAck
 from repro.core.server import StorageServer
@@ -25,6 +26,39 @@ def server(config):
 
 V1 = TimestampValue(1, "v1")
 V2 = TimestampValue(2, "v2")
+
+
+class TestAdvance:
+    """Fig. 3's ``update``: a pair moves only to a strictly higher
+    ``(ts, writer_id)``, and the step reports each move it made."""
+
+    def advance(self, server, current, candidate):
+        server.pw = current
+        effects = Effects()
+        server.advance(effects, "pw", candidate)
+        return effects.advanced
+
+    def test_advance_takes_strictly_newer(self, server):
+        new = TimestampValue(3, "new")
+        assert self.advance(server, TimestampValue(2, "old"), new) == (("", "pw", new),)
+        assert server.pw is new
+
+    def test_advance_keeps_current_on_tie(self, server):
+        current = TimestampValue(2, "old")
+        assert self.advance(server, current, TimestampValue(2, "other")) == ()
+        assert server.pw is current
+
+    def test_advance_keeps_current_on_older(self, server):
+        current = TimestampValue(2, "old")
+        assert self.advance(server, current, TimestampValue(1, "ancient")) == ()
+        assert server.pw is current
+
+    def test_advance_uses_order_key(self, server):
+        current = TimestampValue(5, "x", writer_id="r1")
+        candidate = TimestampValue(5, "y", writer_id="w")
+        assert self.advance(server, current, candidate) == (("", "pw", candidate),)
+        assert self.advance(server, candidate, current) == ()
+        assert server.pw is candidate
 
 
 class TestPreWrite:

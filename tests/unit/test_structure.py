@@ -226,6 +226,67 @@ class TestOneCreationPath:
             assert "factory is None" not in fh.read()
 
 
+class TestOneAdvance:
+    """A storage register's durable pairs move in one method, which reports
+    each move in the step's effects; the WAL and the read-lease layer read
+    that report, so no other code may move a pair behind it or read the
+    pairs back to find out what moved."""
+
+    PAIRS = {"pw", "w", "vw"}
+    #: A client's view of a server's pairs and the writer's own pairs share
+    #: the names but are no storage register.
+    CLIENT_VIEWS = {os.path.join("core", "predicates.py"), os.path.join("core", "writer.py")}
+
+    def functions(self, *relative):
+        """``(module, function, node)`` for every node inside a function."""
+        root = os.path.join(SRC, "repro")
+        for path, tree in source_trees(*relative):
+            module = os.path.relpath(path, root)
+            for function in ast.walk(tree):
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(function):
+                        yield module, function, node
+
+    def names_a_pair(self, node):
+        """Whether an attribute-name argument is a pair field or not a constant."""
+        return not isinstance(node, ast.Constant) or node.value in self.PAIRS
+
+    def test_only_advance_moves_a_pair(self):
+        moves = set()
+        for module, function, node in self.functions():
+            if module in self.CLIENT_VIEWS or function.name == "advance":
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                born = (  # a register starts at the initial pair (Fig. 3)
+                    function.name == "__init__"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "INITIAL_PAIR"
+                )
+                for target in targets:
+                    if isinstance(target, ast.Attribute) and target.attr in self.PAIRS and not born:
+                        moves.add((module, function.name, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and call_name(node) == "setattr"
+                and len(node.args) > 1
+                and self.names_a_pair(node.args[1])
+            ):
+                moves.add((module, function.name, node.lineno))
+        assert moves == set()
+
+    def test_persist_reads_no_pair_by_name(self):
+        reads = {
+            (module, function.name, node.lineno)
+            for module, function, node in self.functions("persist")
+            if isinstance(node, ast.Call)
+            and call_name(node) in ("getattr", "hasattr")
+            and len(node.args) > 1
+            and self.names_a_pair(node.args[1])
+        }
+        assert reads == set()
+
+
 class TestOneChecker:
     """Atomicity is defined once: SWMR, MWMR and conditional histories go
     through one per-register sort-and-sweep, and no all-pairs loop grows back."""

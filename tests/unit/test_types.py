@@ -46,18 +46,6 @@ class TestTimestampValue:
         assert TimestampValue(1, "a").order_key == TimestampValue(1, "b").order_key
         assert TimestampValue(2, "x").order_key < TimestampValue(3, "y").order_key
 
-    def test_replace_if_newer_takes_strictly_newer(self):
-        current = TimestampValue(2, "old")
-        assert current.replace_if_newer(TimestampValue(3, "new")).val == "new"
-
-    def test_replace_if_newer_keeps_current_on_tie(self):
-        current = TimestampValue(2, "old")
-        assert current.replace_if_newer(TimestampValue(2, "other")) is current
-
-    def test_replace_if_newer_keeps_current_on_older(self):
-        current = TimestampValue(2, "old")
-        assert current.replace_if_newer(TimestampValue(1, "ancient")) is current
-
     def test_equality_considers_value(self):
         assert TimestampValue(1, "a") != TimestampValue(1, "b")
         assert TimestampValue(1, "a") == TimestampValue(1, "a")
