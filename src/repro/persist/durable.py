@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 from ..core.automaton import Automaton, Effects, Send
 from ..core.messages import Message
 from ..core.types import TimestampValue
-from .snapshot import SnapshotDelta, SnapshotManager, SnapshotStore
+from .snapshot import SnapshotDelta, SnapshotManager, SnapshotStore, decode_snapshot
 from .wal import WalLike, WalRecord
 
 
@@ -98,25 +98,23 @@ def notify_recovered(server: Automaton) -> None:
 def held_register_ids(router: Automaton) -> List[str]:
     """Every register id the unwrapped server *router* holds state for, in
     snapshot order: the resident ones in the router's (LRU) order, then the
-    ones an eviction spilled (a rehydrated one counts as resident).  A
-    single-register server holds ``""``."""
+    ones it spilled, in eviction order.  A single-register server holds
+    ``""``."""
     registers: Optional[Dict[str, Automaton]] = getattr(router, "registers", None)
     if registers is None:
         return [""]
-    store = router.eviction_store  # type: ignore[attr-defined]
-    spilled = () if store is None else store.register_ids()
-    return [*registers, *(register_id for register_id in spilled if register_id not in registers)]
+    return [*registers, *router.spilled]  # type: ignore[attr-defined]
 
 
 def _held_state(router: Automaton, register_id: str) -> Optional[Dict[str, Any]]:
     """The durable state of a register *router* holds: its resident
-    automaton's export, else what its eviction spilled; ``None`` once it left."""
+    automaton's export, else its spilled frame decoded; ``None`` once it left."""
     registers: Optional[Dict[str, Automaton]] = getattr(router, "registers", None)
     inner = router if registers is None else registers.get(register_id)
     if inner is not None:
         return unwrap(inner).export_state()  # type: ignore[attr-defined]
-    store = router.eviction_store  # type: ignore[attr-defined]
-    return None if store is None else store.load(register_id)
+    blob = router.spilled.get(register_id)  # type: ignore[attr-defined]
+    return None if blob is None else decode_snapshot(blob)
 
 
 def export_server_state(server: Automaton) -> Dict[str, Dict[str, Any]]:
@@ -211,11 +209,11 @@ class DurableServer(Automaton):
         # the last snapshot — the ones the router held after a message or a
         # timer reached them (input, not "a WAL record was written": a READ
         # moves read_ts/frozen, which snapshots carry and the WAL does not)
-        # and the ones it admitted, with or without a message.  One spilled
-        # since then is re-encoded from its spilled state if it moved first;
-        # if not, its cached bytes are what it spilled.  The store of a new
-        # incarnation has no bytes yet, so every register held now, resident
-        # or spilled, counts as moved.
+        # and the ones it admitted, with or without a message.  One the
+        # router spilled since then is re-encoded from its spilled frame if it
+        # moved first; if not, its cached bytes are what it spilled.  The
+        # store of a new incarnation has no bytes yet, so every register held
+        # now, resident or spilled, counts as moved.
         self._touched: Set[str] = set(held_register_ids(self._router))
         if self._registers is not None:
             self._router.on_admission = self._touched.add
@@ -304,12 +302,15 @@ class DurableServer(Automaton):
         return changed, held
 
     def _stamp(self, effects: Effects) -> Effects:
-        """Stamp outgoing messages with this incarnation's epoch."""
+        """Stamp outgoing messages with this incarnation's epoch (the rest of
+        the effects, ``advanced`` included, pass through)."""
         incarnation = self.incarnation
         if incarnation == 0:
             return effects
         sends = [Send(s.destination, s.message.with_epoch(incarnation)) for s in effects.sends]
-        return Effects(sends, effects.timers, effects.completions, effects.cancels)
+        return Effects(
+            sends, effects.timers, effects.completions, effects.cancels, effects.advanced
+        )
 
     # ------------------------------------------------------------ inspection
     def describe(self) -> Dict[str, Any]:

@@ -35,12 +35,9 @@ from ..core.automaton import TIMER_SEPARATOR, Automaton, ClientAutomaton, Effect
 from ..core.protocol import ProtocolSuite, RegisterSpec
 from ..lease.server import LeaseServer, WriterLeaseServer
 from ..persist.durable import notify_recovered
+from ..persist.snapshot import decode_snapshot, encode_snapshot
 from ..sim.byzantine import ByzantineStrategy, MaliciousServer, check_byzantine_servers
-from .keyspace import (
-    RegisterEvictionStore,
-    export_register_state,
-    restore_register_state,
-)
+from .keyspace import export_register_state, restore_register_state
 
 #: A factory materializing the automaton for a register on demand, or ``None``
 #: when the register does not (or no longer does) exist in the suite.
@@ -79,118 +76,24 @@ class _RegisterRouter:
     #: arrival (a cold key faults in); clients admit only at invocation time,
     #: so unsolicited replies for registers they never touched stay dropped.
     factory: RegisterFactory
-    #: Memory bound: with ``max_resident`` set (servers only), admitting a
-    #: register past the bound evicts the least-recently-used evictable one
-    #: into ``eviction_store``; a later message faults it back in.  ``None``
-    #: never evicts.
-    max_resident: Optional[int] = None
-    eviction_store: Optional[RegisterEvictionStore] = None
-    #: Predicate excluding registers from eviction (leased registers hold
-    #: volatile grant state an eviction would forget, so suites pin them).
-    evictable: Optional[Callable[[str], bool]] = None
-    #: Whether a message for a non-resident register triggers admission.
-    admit_on_message = False
-    #: Called with the id of every register admitted (a wrapper that tracks
-    #: per-register change, :class:`~repro.persist.durable.DurableServer`,
-    #: learns here of a register that became resident without a message).
-    on_admission: Optional[Callable[[str], None]] = None
-    #: Whether this process is a recovered incarnation (see
-    #: :meth:`notify_recovered`).
-    recovered = False
+    #: Registers this process spilled and faulted back in (a client never does).
     evictions = 0
     rehydrations = 0
 
     def handle_message(self, message) -> Effects:
-        inner = self.registers.get(message.register_id)
+        inner = self.ensure_register(message.register_id)
         if inner is None:
-            if not self.admit_on_message:
-                return Effects()
-            inner = self.ensure_register(message.register_id)
-            if inner is None:
-                return Effects()
-        elif self.max_resident is not None:
-            self._touch(message.register_id)
+            return Effects()
         return inner.handle_message(message)
 
-    # ---------------------------------------------------- dynamic admission
     def ensure_register(self, register_id: str) -> Optional[Automaton]:
-        """The automaton for *register_id*, faulting it in if necessary.
-
-        A non-resident register is materialized through the suite's factory
-        (``None`` when the suite does not know the id — e.g. it was dropped)
-        and, if it was evicted earlier, rehydrated from the eviction store
-        before use.  Admission past ``max_resident`` evicts the coldest
-        evictable resident register.
-        """
-        inner = self.registers.get(register_id)
-        if inner is not None:
-            if self.max_resident is not None:
-                self._touch(register_id)
-            return inner
-        inner = self.factory(register_id)
-        if inner is None:
-            return None
-        if self.eviction_store is not None:
-            state = self.eviction_store.load(register_id)
-            if state is not None:
-                restore_register_state(inner, state)
-                self.rehydrations += 1
-        if self.recovered:
-            notify_recovered(inner)
-        self.registers[register_id] = inner
-        if self.on_admission is not None:
-            self.on_admission(register_id)
-        self._evict_over_bound()
-        return inner
-
-    def notify_recovered(self) -> None:
-        """This process is a recovered incarnation, for as long as it lives.
-
-        Recovery admits only what the snapshot and the WAL name, so a register
-        whose sole pre-crash state was volatile (a lease granted, nothing
-        written) is admitted later, by its first message — and must enter the
-        same post-recovery grace as the registers recovery did admit: every
-        admission of this incarnation is told it is recovered.
-        """
-        self.recovered = True
-
-    def _touch(self, register_id: str) -> None:
-        """Move *register_id* to the MRU end (dict insertion order is the LRU)."""
-        self.registers[register_id] = self.registers.pop(register_id)
-
-    def _evict_over_bound(self) -> None:
-        while (
-            self.max_resident is not None
-            and self.eviction_store is not None
-            and len(self.registers) > self.max_resident
-        ):
-            victim = next(
-                (
-                    register_id
-                    for register_id in self.registers
-                    if self.evictable is None or self.evictable(register_id)
-                ),
-                None,
-            )
-            if victim is None:  # everything resident is pinned
-                return
-            self.evict_register(victim)
-
-    def evict_register(self, register_id: str) -> bool:
-        """Spill *register_id*'s state to the eviction store and drop it."""
-        inner = self.registers.get(register_id)
-        if inner is None or self.eviction_store is None:
-            return False
-        self.eviction_store.save(register_id, export_register_state(inner))
-        del self.registers[register_id]
-        self.evictions += 1
-        return True
+        """The automaton a message for *register_id* goes to: the resident one
+        (a client admits only at invocation time)."""
+        return self.registers.get(register_id)
 
     def discard_register(self, register_id: str) -> None:
         """Forget *register_id* entirely (dropped keyspace entry, not eviction)."""
         self.registers.pop(register_id, None)
-        if self.eviction_store is not None:
-            self.eviction_store.discard(register_id)
 
     def timer_register(self, timer_id: str) -> str:
         """The register a namespaced *timer_id* belongs to (the automata build
@@ -219,35 +122,108 @@ class ShardedServer(_RegisterRouter, Automaton):
     """One physical server hosting per-register server automata.
 
     A **dynamic keyspace** host: a message for a register it does not hold
-    faults it in through *factory* (admission), and with *max_resident* +
-    *eviction_store* set the resident table is LRU-bounded, spilling cold
-    registers as encoded snapshots and rehydrating them on access.
+    faults it in through *factory* (admission).  With *max_resident* set the
+    resident table is LRU-bounded: admitting past the bound spills the coldest
+    evictable register into ``spilled`` as an encoded snapshot frame, and its
+    next message faults it back in and pops the frame — a register is
+    resident or spilled, never both.  The spill is this incarnation's
+    memory, lost in a crash like the resident table; a durable server's
+    snapshot and WAL hold both, and recovery rebuilds both from them.
     """
 
-    admit_on_message = True
+    #: Called with the id of every register admitted (a wrapper that tracks
+    #: per-register change, :class:`~repro.persist.durable.DurableServer`,
+    #: learns here of a register that became resident without a message).
+    on_admission: Optional[Callable[[str], None]] = None
+    #: Whether this process is a recovered incarnation (see
+    #: :meth:`notify_recovered`).
+    recovered = False
 
     def __init__(
         self,
         server_id: str,
         factory: RegisterFactory,
         max_resident: Optional[int] = None,
-        eviction_store: Optional[RegisterEvictionStore] = None,
         evictable: Optional[Callable[[str], bool]] = None,
     ) -> None:
         super().__init__(server_id)
-        if max_resident is not None:
-            if max_resident < 1:
-                raise ValueError("max_resident must be at least 1")
-            if eviction_store is None:
-                raise ValueError(
-                    "a bounded register table needs an eviction store: "
-                    "evicting without one would lose acknowledged state"
-                )
+        if max_resident is not None and max_resident < 1:
+            raise ValueError("max_resident must be at least 1")
         self.registers = {}
         self.factory = factory
+        #: Memory bound on the resident table; ``None`` never evicts.
         self.max_resident = max_resident
-        self.eviction_store = eviction_store
+        #: Register id → the encoded snapshot frame of an evicted register.
+        self.spilled: Dict[str, bytes] = {}
+        #: Predicate excluding registers from eviction (leased registers hold
+        #: volatile grant state an eviction would forget, so suites pin them).
         self.evictable = evictable
+
+    # ---------------------------------------------------- dynamic admission
+    def ensure_register(self, register_id: str) -> Optional[Automaton]:
+        """The automaton for *register_id*, faulting it in if necessary.
+
+        A non-resident register is materialized through the suite's factory
+        (``None`` when the suite does not know the id — e.g. it was dropped)
+        and, if it was evicted earlier, rehydrated from its spilled frame
+        before use.  Admission past ``max_resident`` evicts the coldest
+        evictable resident register.
+        """
+        inner = self.registers.get(register_id)
+        if inner is not None:
+            if self.max_resident is not None:
+                self._touch(register_id)
+            return inner
+        inner = self.factory(register_id)
+        if inner is None:
+            return None
+        blob = self.spilled.pop(register_id, None)
+        if blob is not None:
+            restore_register_state(inner, decode_snapshot(blob))
+            self.rehydrations += 1
+        if self.recovered:
+            notify_recovered(inner)
+        self.registers[register_id] = inner
+        if self.on_admission is not None:
+            self.on_admission(register_id)
+        self._evict_over_bound()
+        return inner
+
+    def notify_recovered(self) -> None:
+        """This process is a recovered incarnation, for as long as it lives.
+
+        Recovery admits only what the snapshot and the WAL name, so a register
+        whose sole pre-crash state was volatile (a lease granted, nothing
+        written) is admitted later, by its first message — and must enter the
+        same post-recovery grace as the registers recovery did admit: every
+        admission of this incarnation is told it is recovered.
+        """
+        self.recovered = True
+
+    def _touch(self, register_id: str) -> None:
+        """Move *register_id* to the MRU end (dict insertion order is the LRU)."""
+        self.registers[register_id] = self.registers.pop(register_id)
+
+    def _evict_over_bound(self) -> None:
+        while self.max_resident is not None and len(self.registers) > self.max_resident:
+            victim = next(
+                (
+                    register_id
+                    for register_id in self.registers
+                    if self.evictable is None or self.evictable(register_id)
+                ),
+                None,
+            )
+            if victim is None:  # everything resident is pinned
+                return
+            self.spilled[victim] = encode_snapshot(
+                export_register_state(self.registers.pop(victim))
+            )
+            self.evictions += 1
+
+    def discard_register(self, register_id: str) -> None:
+        super().discard_register(register_id)
+        self.spilled.pop(register_id, None)
 
 
 class ShardedClient(_RegisterRouter, ClientAutomaton):
@@ -494,13 +470,9 @@ class ShardedProtocol(ProtocolSuite):
         self.base = base
         #: Memory bound on each server's resident register table (``None`` =
         #: never evict: every register a server was ever asked about stays).
-        #: Each server gets a persistent :class:`RegisterEvictionStore`
-        #: (surviving crash/recovery rebuilds of the automaton) to spill cold
-        #: registers into.
         if max_resident is not None and max_resident < 1:
             raise ValueError("max_resident must be at least 1")
         self.max_resident = max_resident
-        self.eviction_stores: Dict[str, RegisterEvictionStore] = {}
         mwmr_ids = _selected_ids("mwmr", mwmr, every_id, every_id)
         lease_ids = _selected_ids("lease", leases, every_id, every_id)
         # For the writer lease "all keys" means all multi-writer keys.
@@ -578,14 +550,12 @@ class ShardedProtocol(ProtocolSuite):
         After the drop the admission factories return ``None`` for the id, so
         messages still in flight for it are dropped exactly like any
         unknown-register message.  The hosting store additionally discards
-        resident automata from live processes; this suite-level method only
-        owns membership and the spilled eviction state.
+        the automata and spilled state of live processes; this suite-level
+        method only owns membership.
         """
         if register_id not in self.specs:
             raise KeyError(f"register {register_id!r} does not exist")
         del self.specs[register_id]
-        for store in self.eviction_stores.values():
-            store.discard(register_id)
 
     def _evictable(self, register_id: str) -> bool:
         spec = self.specs.get(register_id)
@@ -626,19 +596,10 @@ class ShardedProtocol(ProtocolSuite):
         )
 
     def create_server(self, server_id: str) -> ShardedServer:
-        eviction_store = None
-        if self.max_resident is not None:
-            # One spill store per server id, *owned by the suite*: a crashed
-            # server's recovery rebuilds the automaton but keeps the store, so
-            # registers evicted before the crash rehydrate after it.
-            eviction_store = self.eviction_stores.setdefault(
-                server_id, RegisterEvictionStore()
-            )
         sharded = ShardedServer(
             server_id,
             factory=functools.partial(self._create_register_server, server_id),
             max_resident=self.max_resident,
-            eviction_store=eviction_store,
             evictable=self._evictable,
         )
         sharded.batching = self.batching

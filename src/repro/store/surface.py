@@ -97,7 +97,7 @@ class StoreSurface:
         process builds anything until the key is touched — a client its
         automaton at its first invocation, a server when the first message
         arrives.  Under a ``max_resident`` bound admission may evict the
-        coldest resident register to the eviction store.
+        coldest resident register into its server's spill.
         """
         self.suite.create_register(key, mwmr=mwmr, leases=leases, writer_leases=writer_leases)
 
@@ -128,12 +128,12 @@ class StoreSurface:
 
     @property
     def evictions(self) -> int:
-        """Registers spilled to eviction stores across every process."""
+        """Registers spilled by the servers' routers, summed over every process."""
         return sum(router.evictions for router in self._routers())
 
     @property
     def rehydrations(self) -> int:
-        """Registers faulted back in from eviction stores across every process."""
+        """Spilled registers faulted back in, summed over every process."""
         return sum(router.rehydrations for router in self._routers())
 
     # -------------------------------------------------------------- histories

@@ -10,6 +10,7 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.persist.durable import DurableServer, storage_registers
 from repro.runtime.cluster import AsyncCluster, ShardedAsyncCluster
 from repro.runtime.transport import TcpTransport
+from repro.store.sim import ShardedSimStore
 from repro.verify.atomicity import check_atomicity
 
 
@@ -118,31 +119,51 @@ class TestRecoveryAcrossClusterLifetimes:
         assert (value1, value2) == ("alpha2", "beta")
         assert incarnation == 1
 
-    def test_a_bounded_table_keeps_its_spilled_registers_over_a_full_restart(self, tmp_path):
+    @pytest.mark.parametrize("path", ["new cluster", "restart_server", "simulator"])
+    def test_a_bounded_table_keeps_its_spilled_registers_over_a_full_restart(
+        self, tmp_path, path
+    ):
         """Compaction truncates the log, so the snapshot must carry the
         registers the LRU table spilled as well as the resident ones: the
-        spill store is the first life's memory and dies with it."""
-        wal_dir = str(tmp_path)
+        spill is a server incarnation's memory and dies with it.  Each of the
+        three ways a durable server recovers reads the snapshot and the WAL
+        only: a new cluster over the same ``wal_dir``, ``restart_server``
+        and the simulator's ``recover_server``."""
         keys = [f"k{index}" for index in range(40)]
+        written = [f"{key}-v1" for key in keys]
         base = LuckyAtomicProtocol(SystemConfig.balanced(t=1, b=0))
+        bounded = dict(keys=keys, durable=True, max_resident=4, compact_every=8)
+        if path == "simulator":
+            sim = ShardedSimStore(base, **bounded)
+            for key, value in zip(keys, written):
+                sim.write(key, value)
+            assert sim.evictions >= 2 * 36  # a write quorum's servers each spilled 36
+            for server_id in sim.config.server_ids():
+                sim.recover_server(server_id)
+            assert [sim.read(key).value for key in keys] == written
+            return
 
         def life():
-            return ShardedAsyncCluster(
-                base, keys=keys, durable=True, wal_dir=wal_dir, max_resident=4, compact_every=8
-            )
+            return ShardedAsyncCluster(base, wal_dir=str(tmp_path), **bounded)
 
         async def first_life():
             async with life() as store:
-                for key in keys:
-                    await store.write(key, f"{key}-v1")
-                return store.evictions
+                for key, value in zip(keys, written):
+                    await store.write(key, value)
+                evictions = store.evictions
+                if path == "restart_server":
+                    for server_id in store.config.server_ids():
+                        await store.restart_server(server_id)
+                    return evictions, [(await store.read(key)).value for key in keys]
+                return evictions, None
 
         async def second_life():
             async with life() as store:
                 return [(await store.read(key)).value for key in keys]
 
-        assert run(first_life()) >= 2 * 36  # a write quorum's servers each spilled 36
-        assert run(second_life()) == [f"{key}-v1" for key in keys]
+        evictions, values = run(first_life())
+        assert evictions >= 2 * 36
+        assert (values if path == "restart_server" else run(second_life())) == written
 
     def test_third_life_bumps_incarnation_again(self, tmp_path):
         wal_dir = str(tmp_path)

@@ -88,7 +88,7 @@ class TestDynamicMembership:
         store.drop_register("tmp")
         assert "tmp" not in store.keys
         # Re-creating the key starts from bottom: the old state is gone from
-        # every process and from the eviction spill space.
+        # every process and from the servers' spill.
         store.create_register("tmp")
         assert is_bottom(store.read("tmp").value)
         assert store.verify_atomic()
@@ -120,9 +120,10 @@ class TestEvictionRoundTrip:
         assert store.evictions > 0
         # k0 went cold long ago; every server's resident table dropped it.
         for server_id in store.config.server_ids():
-            assert "k0" not in find_router(store.processes[server_id]).registers
-            assert "k0" in store.suite.eviction_stores[server_id].register_ids()
-        # Reading it faults the state back in from the eviction snapshots.
+            router = find_router(store.processes[server_id])
+            assert "k0" not in router.registers
+            assert "k0" in router.spilled
+        # Reading it faults the state back in from the spilled snapshots.
         assert store.read("k0").value == "v0"
         assert store.rehydrations > 0
         assert store.verify_atomic()
@@ -158,8 +159,8 @@ class TestEvictionRoundTrip:
         store.crash(crashed)
         store.write("k4", "v4b")  # quorum still completes with one server down
         store.recover_server(crashed)
-        # Evicted-then-recovered state must still rehydrate: the spill space
-        # is owned by the suite, not by the server incarnation that died.
+        # Evicted-then-recovered state must still rehydrate: the spill died
+        # with the crashed incarnation, and recovery rebuilds it from the WAL.
         assert store.read("k0").value == "v0"
         assert store.read("k4").value == "v4b"
         assert store.verify_atomic()

@@ -151,6 +151,14 @@ class TestDurableServer:
         assert [timer.timer_id for timer in effects.timers] == ["t"]
         assert effects.cancels == ["t"]
 
+    def test_recovered_incarnation_keeps_the_advance_report(self):
+        # A layer outside the durable wrapper still sees what advanced.
+        message = Write(sender="w", round=3, ts=2, pair=pair(2))
+        advanced = StorageServer("s1", CONFIG).handle_message(message).advanced
+        durable = DurableServer(StorageServer("s1", CONFIG), MemoryWAL(), incarnation=1)
+        assert len(advanced) == 3
+        assert durable.handle_message(message).advanced == advanced
+
     def test_sharded_durable_tags_records_with_register(self):
         suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), ["k1", "k2"])
         wal = MemoryWAL()

@@ -495,17 +495,31 @@ class TestKeyspaceTable:
             [f"k{i}" for i in range(4)],
             max_resident=2,
         )
+        servers = [store.processes[server_id] for server_id in config.server_ids()]
         key = "doomed-register"
         store.create_register(key)
         store.write(key, "v")
-        for other in store.keys[:4]:  # push the key out to the eviction stores
+        for other in store.keys[:4]:  # push the key out to the servers' spill
             store.write(other, "x")
-        assert any(key in spill for spill in store.suite.eviction_stores.values())
+        assert any(key in server.spilled for server in servers)
         store.drop_register(key)
         for name, value in vars(store.suite).items():
-            if name != "eviction_stores":
-                assert key not in repr(value), name
-        assert not any(key in spill for spill in store.suite.eviction_stores.values())
+            assert key not in repr(value), name
+        assert not any(key in server.spilled for server in servers)
+
+
+class TestSpill:
+    def test_a_register_is_resident_or_spilled_never_both(self, config):
+        store = ShardedSimStore(
+            LuckyAtomicProtocol(config), ["k0", "k1", "k2", "k3"], max_resident=2
+        )
+        for key in ("k0", "k1", "k2", "k3", "k0", "k1"):
+            store.read(key)
+        for server_id in config.server_ids():
+            server = store.processes[server_id]
+            assert sorted(server.registers) == ["k0", "k1"]
+            assert sorted(server.spilled) == ["k2", "k3"]
+            assert not server.registers.keys() & server.spilled.keys()
 
 
 class TestUnsupportedCapability:
