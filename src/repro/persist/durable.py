@@ -10,13 +10,14 @@ classic write-ahead discipline.  Handling one input is one append batch, and
 since the batching layer delivers a whole message batch per flush boundary,
 the file WAL pays one fsync per batch.
 
-Every durable server is opened by :func:`recover_server`: it restores the
-latest snapshot into a fresh automaton, replays the WAL suffix and returns a
-:class:`DurableServer` under the given *incarnation* (0 for a first start,
-whose log and snapshot store are empty; bumped on every recovery).  Outgoing
-messages are stamped with the incarnation (``Message.epoch``), which is what lets clients — and the
-simulator on their behalf — reject acknowledgements a pre-crash incarnation
-sent for state the torn WAL tail may have lost.
+Every durable server is opened by :func:`make_durable`, on both runtimes: it
+restores the latest snapshot from its disk into a fresh automaton, replays the
+WAL suffix and returns a :class:`DurableServer` under the next *incarnation*
+(0 for a first start, whose files are empty; bumped on every recovery).
+Outgoing messages are stamped with the incarnation (``Message.epoch``), which
+is what lets clients — and the simulator on their behalf — reject
+acknowledgements a pre-crash incarnation sent for state the torn WAL tail may
+have lost.
 
 What is (and is not) write-ahead logged
 ---------------------------------------
@@ -35,14 +36,16 @@ rounds for a concurrent slow READ — never a stale return value.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from ..core.automaton import Automaton, Effects, Send
 from ..core.messages import Message
 from ..core.types import TimestampValue
-from .snapshot import SnapshotDelta, SnapshotManager, SnapshotStore, decode_snapshot
-from .wal import WalLike, WalRecord
+from .disk import OS_DISK, Disk
+from .snapshot import FileSnapshot, SnapshotDelta, SnapshotManager, decode_snapshot
+from .wal import WalRecord, WriteAheadLog
 
 
 def storage_registers(server: Automaton) -> Dict[str, Automaton]:
@@ -189,7 +192,7 @@ class DurableServer(Automaton):
     def __init__(
         self,
         inner: Automaton,
-        wal: WalLike,
+        wal: WriteAheadLog,
         incarnation: int = 0,
         snapshots: Optional[SnapshotManager] = None,
     ) -> None:
@@ -322,38 +325,50 @@ class DurableServer(Automaton):
         return info
 
 
-def recover_server(
-    fresh: Automaton,
-    wal: WalLike,
-    snapshot_store: Optional[SnapshotStore] = None,
-    incarnation: int = 1,
-    compact_every: Optional[int] = None,
+def make_durable(
+    automaton: Automaton,
+    wal_dir: str,
+    compact_every: Optional[int] = 512,
+    disk: Disk = OS_DISK,
 ) -> DurableServer:
-    """Open *fresh* as incarnation *incarnation* of a durable server.
+    """Open the freshly built server *automaton* as the next incarnation of
+    the durable server whose files are under *wal_dir* on *disk*.
 
-    The one way a durable server comes to exist, first start or recovery.
-    *fresh* is a newly constructed (initial-state) server automaton; the
-    latest snapshot (if any) is restored into it, the surviving WAL records
-    are replayed on top — tolerating a torn tail, which
-    :meth:`~repro.persist.wal.WriteAheadLog.replay` truncates away — and the
-    result is wrapped to keep logging to the same WAL.  On an empty log and
-    store both steps do nothing.  Only a later incarnation (``incarnation >
-    0``) is told it is recovered, which is what opens the lease layer's
-    grace window; a first start has no forgotten grants to wait out.
+    The one way a durable server comes to exist, first start or recovery, on
+    either runtime.  Each call opens the process's WAL, snapshot and
+    ``.epoch`` sidecar anew: the latest snapshot (if any) is restored into
+    *automaton*, the surviving WAL records are replayed on top — a torn tail
+    is truncated away — and the result logs to that WAL and compacts into
+    that snapshot once the log holds *compact_every* records (``None``:
+    never).  A sidecar left by a previous incarnation makes this a recovery
+    under a bumped incarnation, which is told it is recovered (that opens the
+    lease layer's grace window); a first start, on empty files, is
+    incarnation 0.
 
     A snapshot that exists but does not decode raises
     :class:`~repro.persist.snapshot.SnapshotCorruptError`: the log it replaced
     is gone, and a server that refuses to start is a crash (which ``t``
     covers) while one that forgets acknowledged state is outside the model.
     """
-    if snapshot_store is not None:
-        state = snapshot_store.load()
+    path = os.path.join(wal_dir, automaton.process_id)
+    # The sidecar is written atomically below, so it holds a previous
+    # incarnation number or is not there at all — never a torn write that
+    # would regress the epoch and make peers' monotone fencing reject the
+    # recovered server forever.
+    epoch = disk.read(f"{path}.epoch")
+    incarnation = 0 if epoch is None else int(epoch) + 1
+    wal = WriteAheadLog(f"{path}.wal", disk=disk)
+    store = FileSnapshot(f"{path}.snapshot", disk=disk)
+    try:
+        state = store.load()
         if state is not None:
-            restore_server_state(fresh, state)
-    replay_records(fresh, wal.replay())
+            restore_server_state(automaton, state)
+        replay_records(automaton, wal.replay())
+    except BaseException:
+        wal.close()  # a corrupt snapshot refuses the start: leak no handle
+        raise
     if incarnation > 0:
-        notify_recovered(fresh)
-    snapshots = None
-    if snapshot_store is not None and compact_every is not None:
-        snapshots = SnapshotManager(snapshot_store, wal, compact_every=compact_every)
-    return DurableServer(fresh, wal, incarnation=incarnation, snapshots=snapshots)
+        notify_recovered(automaton)
+    snapshots = None if compact_every is None else SnapshotManager(store, wal, compact_every)
+    disk.write_atomically(f"{path}.epoch", str(incarnation).encode("utf-8"))
+    return DurableServer(automaton, wal, incarnation=incarnation, snapshots=snapshots)

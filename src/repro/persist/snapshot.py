@@ -15,21 +15,21 @@ re-encodes only the registers its caller names as changed and assembles the
 rest from the bytes it already holds.  The file is byte for byte
 ``encode_snapshot(full state)``.
 
-:class:`FileSnapshot` writes atomically (temp file + ``os.replace``) so a
-crash mid-snapshot leaves the previous snapshot intact.  A missing file reads
-as "no snapshot"; a file that is there but does not decode raises
+:class:`FileSnapshot` writes atomically (temp file + ``os.replace`` on the OS
+disk, :meth:`~repro.persist.disk.OSDisk.write_atomically`) so a crash
+mid-snapshot leaves the previous snapshot intact.  A missing file reads as "no
+snapshot"; a file that is there but does not decode raises
 :class:`SnapshotCorruptError` — the log it superseded was truncated when it
 was written, so starting without it would silently forget acknowledged state.
-:class:`MemorySnapshot` is the simulator's in-memory twin.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..wire.codec import decode_payload, encode_dict_item, encode_payload, join_dict_items
-from .wal import WalLike, frame_payload, unframe_payload
+from .disk import OS_DISK, Disk
+from .wal import WriteAheadLog, frame_payload, unframe_payload
 
 #: What a compaction hands the store: the exported state of the registers
 #: that changed since the last snapshot, and every live register id in
@@ -59,57 +59,23 @@ def decode_snapshot(data: bytes) -> Optional[Any]:
         return None
 
 
-def write_file_atomically(path: str, data: bytes) -> None:
-    """Write *data* to *path* so a crash leaves either the old or new content.
-
-    Temp file + fsync + ``os.replace`` + a *directory* fsync: without the last
-    step the rename's directory entry itself may not survive a power failure,
-    which matters when the caller's next action (e.g. truncating the WAL a
-    snapshot just superseded) is an in-place write that *would* survive.
-    """
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, path)
-    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-class SnapshotStore(Protocol):
-    """The two-method storage API snapshots live behind.
-
-    Satisfied structurally by :class:`FileSnapshot` and
-    :class:`MemorySnapshot`.  ``save`` takes the state of the registers that
-    *changed* since the previous save plus the ids of all *live* registers in
-    snapshot order (omitted: exactly the changed ones — a full snapshot is
-    "every register changed"); the store supplies the unchanged rest from
-    what it kept, so every id in *live* must have been in some earlier
-    *changed*.  ``load`` returns the complete state, or ``None`` when no
-    snapshot has been taken yet.
-    """
-
-    def save(
-        self, changed: Mapping[str, Any], live: Optional[Sequence[str]] = None
-    ) -> None: ...
-
-    def load(self) -> Optional[Any]: ...
-
-
 class FileSnapshot:
-    """Atomic, checksummed snapshot storage backed by one file."""
+    """Atomic, checksummed snapshot storage: one file on *disk*.
 
-    def __init__(self, path: str) -> None:
+    ``save`` takes the state of the registers that *changed* since the
+    previous save plus the ids of all *live* registers in snapshot order
+    (omitted: exactly the changed ones — a full snapshot is "every register
+    changed"); the unchanged rest comes from the bytes this object kept, so
+    every id in *live* must have been in some earlier *changed*.  ``load``
+    returns the complete state, or ``None`` when no snapshot has been taken
+    yet.
+    """
+
+    def __init__(self, path: str, disk: Disk = OS_DISK) -> None:
         self.path = path
+        self.disk = disk
         #: Register id → the bytes its item contributes to the encoded state.
         self._chunks: Dict[str, bytes] = {}
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
 
     def save(
         self, changed: Mapping[str, Any], live: Optional[Sequence[str]] = None
@@ -122,13 +88,11 @@ class FileSnapshot:
         if len(chunks) != len(live):  # registers left since the last save
             self._chunks = chunks = {register_id: chunks[register_id] for register_id in live}
         payload = join_dict_items([chunks[register_id] for register_id in live])
-        write_file_atomically(self.path, frame_payload(payload))
+        self.disk.write_atomically(self.path, frame_payload(payload))
 
     def load(self) -> Optional[Any]:
-        try:
-            with open(self.path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
+        data = self.disk.read(self.path)
+        if data is None:
             return None
         state = decode_snapshot(data)
         if state is None:
@@ -138,27 +102,6 @@ class FileSnapshot:
                 "recovering without it would forget acknowledged state"
             )
         return state
-
-
-class MemorySnapshot:
-    """In-memory snapshot storage for the simulator."""
-
-    def __init__(self) -> None:
-        self._state: Optional[Dict[str, Any]] = None
-        self.saves = 0
-
-    def save(
-        self, changed: Mapping[str, Any], live: Optional[Sequence[str]] = None
-    ) -> None:
-        kept = self._state or {}
-        self._state = {
-            register_id: changed[register_id] if register_id in changed else kept[register_id]
-            for register_id in (changed if live is None else live)
-        }
-        self.saves += 1
-
-    def load(self) -> Optional[Any]:
-        return self._state
 
 
 class SnapshotManager:
@@ -173,7 +116,7 @@ class SnapshotManager:
     """
 
     def __init__(
-        self, store: SnapshotStore, wal: WalLike, compact_every: int = 512
+        self, store: FileSnapshot, wal: WriteAheadLog, compact_every: int = 512
     ) -> None:
         if compact_every < 1:
             raise ValueError("compact_every must be at least 1")
@@ -184,7 +127,7 @@ class SnapshotManager:
 
     def maybe_compact(self, delta: Callable[[], SnapshotDelta]) -> bool:
         """Snapshot if the log is due, asking *delta* — only then — for the
-        ``(changed, live)`` pair of :meth:`SnapshotStore.save`; returns
+        ``(changed, live)`` pair of :meth:`FileSnapshot.save`; returns
         whether a compaction ran."""
         if self.wal.record_count < self.compact_every:
             return False

@@ -25,21 +25,20 @@ clean prefix.  Corruption is treated as the end of the log — everything after
 the first bad frame is discarded, which is the safe choice for an append-only
 log (a frame boundary cannot be trusted past a bad checksum).
 
-:class:`MemoryWAL` is the in-memory twin the deterministic simulator uses: the
-same record API without filesystem side effects, plus :meth:`MemoryWAL.drop_tail`
-to *model* a torn tail (records a crash caught before their fsync).
+The log's bytes live on a :mod:`disk <repro.persist.disk>`: the OS file system
+by default, a :class:`~repro.persist.disk.MemoryDisk` in the simulator.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, BinaryIO, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.types import SlotsPickleMixin, slot_init
 from ..wire import decode_payload, encode_payload, register_struct
+from .disk import OS_DISK, AppendFile, Disk, MemoryDisk
 
 #: Fields of a server a WAL record may target.
 WAL_FIELDS = ("pw", "w", "vw")
@@ -68,26 +67,6 @@ class WalRecord(SlotsPickleMixin):
 # Wire-format struct tag of WalRecord (permanent; 0x10-0x13 are the core
 # types, registered in repro.wire.values).
 register_struct(0x18, WalRecord)
-
-
-class WalLike(Protocol):
-    """The record-log API the durability layer programs against.
-
-    Satisfied structurally by both :class:`WriteAheadLog` (file-backed) and
-    :class:`MemoryWAL` (simulator) — the durable wrapper and the snapshot
-    compactor never care which one they hold.
-    """
-
-    def append(self, records: Sequence[WalRecord]) -> None: ...
-
-    def replay(self, truncate: bool = True) -> List[WalRecord]: ...
-
-    def reset(self) -> None: ...
-
-    def close(self) -> None: ...
-
-    @property
-    def record_count(self) -> int: ...
 
 
 def frame_payload(payload: bytes) -> bytes:
@@ -149,12 +128,26 @@ def decode_frames(data: bytes) -> Tuple[List[WalRecord], int]:
     return records, offset
 
 
-class WriteAheadLog:
-    """Append-only, checksummed, fsync-per-batch log backed by a real file."""
+def tear_tail(disk: MemoryDisk, path: str, records: int) -> None:
+    """Cut the log at *path* through the middle of its *records*-th frame
+    from the end (the first frame when it holds fewer): a torn tail whose
+    truncation on replay drops exactly that many records, or all of them."""
+    data = disk.read(path) or b""
+    ends = [0]
+    while (frame := unframe_payload(data, ends[-1])) is not None:
+        ends.append(frame[1])
+    if records > 0 and len(ends) > 1:
+        first = max(0, len(ends) - 1 - records)
+        disk.truncate(path, (ends[first] + ends[first + 1]) // 2)
 
-    def __init__(self, path: str, fsync: bool = True) -> None:
+
+class WriteAheadLog:
+    """Append-only, checksummed, fsync-per-batch log of one file on *disk*."""
+
+    def __init__(self, path: str, fsync: bool = True, disk: Disk = OS_DISK) -> None:
         self.path = path
         self.fsync = fsync
+        self.disk = disk
         #: Diagnostics: how many records / fsync'd batches this handle wrote.
         self.records_appended = 0
         self.batches_appended = 0
@@ -162,22 +155,16 @@ class WriteAheadLog:
         #: first :attr:`record_count` read (one full replay) and maintained
         #: incrementally afterwards, so compaction checks stay O(1).
         self._count: Optional[int] = None
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._file: Optional[BinaryIO] = open(path, "ab")
+        self._file: Optional[AppendFile] = disk.open_append(path)
 
     # ---------------------------------------------------------------- append
     def append(self, records: Sequence[WalRecord]) -> None:
         """Durably append *records* as one batch (one flush + fsync)."""
         if not records:
             return
-        if self._file is None:
-            raise ValueError(f"WAL {self.path} is closed")
-        self._file.write(b"".join([frame_payload(encode_payload(record)) for record in records]))
-        self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
+        self._handle().write(
+            b"".join([frame_payload(encode_payload(record)) for record in records]), self.fsync
+        )
         self.records_appended += len(records)
         self.batches_appended += 1
         if self._count is not None:
@@ -191,33 +178,23 @@ class WriteAheadLog:
         recovery) the file is also physically cut back to the clean prefix so
         subsequent appends extend a well-formed log.
         """
-        if self._file is not None:
-            self._file.flush()
-        with open(self.path, "rb") as fh:
-            data = fh.read()
+        data = self.disk.read(self.path) or b""
         records, good_length = decode_frames(data)
         if truncate and good_length < len(data):
-            self._truncate_to(good_length)
+            self._handle().truncate(good_length)
         self._count = len(records)
         return records
-
-    def _truncate_to(self, length: int) -> None:
-        if self._file is not None:
-            # The append handle truncates in place: O_APPEND keeps landing
-            # later writes at the (new) end of the file.
-            self._file.truncate(length)
-            os.fsync(self._file.fileno())
-            return
-        with open(self.path, "r+b") as fh:
-            fh.truncate(length)
-            fh.flush()
-            os.fsync(fh.fileno())
 
     # ----------------------------------------------------------- maintenance
     def reset(self) -> None:
         """Empty the log (called right after a snapshot made it redundant)."""
-        self._truncate_to(0)
+        self._handle().truncate(0)
         self._count = 0
+
+    def _handle(self) -> AppendFile:
+        if self._file is None:
+            raise ValueError(f"WAL {self.path} is closed")
+        return self._file
 
     @property
     def record_count(self) -> int:
@@ -238,49 +215,7 @@ class WriteAheadLog:
         self.close()
 
 
-class MemoryWAL:
-    """In-memory WAL with the same API, for the deterministic simulator.
-
-    The simulator injects crashes at event granularity, so a "torn tail" never
-    arises naturally; :meth:`drop_tail` models it — a
-    :class:`~repro.sim.failures.CrashWindow` may declare that a crash loses its
-    last N appended records (they were written but their batch
-    had not fsync'd yet).
-    """
-
-    def __init__(self) -> None:
-        self._records: List[WalRecord] = []
-        self.records_appended = 0
-        self.batches_appended = 0
-        self.records_dropped = 0
-
-    def append(self, records: Sequence[WalRecord]) -> None:
-        if not records:
-            return
-        self._records.extend(records)
-        self.records_appended += len(records)
-        self.batches_appended += 1
-
-    def replay(self, truncate: bool = True) -> List[WalRecord]:
-        return list(self._records)
-
-    def drop_tail(self, count: int) -> int:
-        """Lose the last *count* records (simulated un-fsynced tail); returns
-        how many were actually dropped."""
-        if count <= 0:
-            return 0
-        dropped = min(count, len(self._records))
-        if dropped:
-            del self._records[len(self._records) - dropped :]
-        self.records_dropped += dropped
-        return dropped
-
-    def reset(self) -> None:
-        self._records.clear()
-
-    @property
-    def record_count(self) -> int:
-        return len(self._records)
-
-    def close(self) -> None:  # pragma: no cover - interface symmetry
-        pass
+def MemoryWAL() -> WriteAheadLog:
+    """A log on a fresh :class:`~repro.persist.disk.MemoryDisk` (kept for
+    ``benchmarks/e2e``, which binds this name)."""
+    return WriteAheadLog("memory.wal", disk=MemoryDisk())

@@ -19,7 +19,6 @@ raises crash-stops itself, never the sender whose ``send`` delivered to it.
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from array import array
 from operator import attrgetter
@@ -28,9 +27,7 @@ from typing import Any, Dict, List, Optional
 from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
 from ..core.host import OperationHandle, ProcessHost
 from ..core.messages import Message
-from ..persist.durable import DurableServer, recover_server
-from ..persist.snapshot import FileSnapshot, write_file_atomically
-from ..persist.wal import WriteAheadLog
+from ..persist.durable import DurableServer, make_durable
 from .transport import Transport
 
 
@@ -42,50 +39,6 @@ class NodeFailedError(RuntimeError):
     def __init__(self, process_id: str, cause: Exception) -> None:
         super().__init__(f"client {process_id} is crash-stopped: {cause!r}")
         self.__cause__ = cause
-
-
-def make_durable(
-    automaton: Automaton,
-    wal_dir: str,
-    compact_every: int = 512,
-) -> DurableServer:
-    """Wrap a freshly built server automaton in file-backed durability.
-
-    The WAL, snapshot and incarnation sidecar live under *wal_dir*, named
-    after the process id.  The automaton is opened by
-    :func:`~repro.persist.durable.recover_server` — snapshot restored, WAL
-    suffix replayed, torn tail truncated — which on a first start's empty
-    files does nothing.  A sidecar left by a previous incarnation (a crashed
-    or stopped node) makes this a recovery under a bumped incarnation;
-    without one this is incarnation 0.  A snapshot that is there but does not
-    decode raises :class:`~repro.persist.snapshot.SnapshotCorruptError`: the
-    node refuses to start rather than rejoin without acknowledged state.
-    """
-    os.makedirs(wal_dir, exist_ok=True)
-    process_id = automaton.process_id
-    epoch_path = os.path.join(wal_dir, f"{process_id}.epoch")
-    incarnation = 0
-    if os.path.exists(epoch_path):
-        # The sidecar is written atomically below, so its content is either a
-        # previous incarnation number or the file does not exist at all —
-        # never a torn write that would regress the epoch and make peers'
-        # monotone fencing reject the recovered node forever.
-        with open(epoch_path, encoding="utf-8") as fh:
-            incarnation = int(fh.read().strip()) + 1
-    wal = WriteAheadLog(os.path.join(wal_dir, f"{process_id}.wal"))
-    try:
-        node_server = recover_server(
-            automaton,
-            wal,
-            snapshot_store=FileSnapshot(os.path.join(wal_dir, f"{process_id}.snapshot")),
-            incarnation=incarnation,
-            compact_every=compact_every,
-        )
-    except BaseException:
-        wal.close()  # a corrupt snapshot refuses the start: leak no handle
-        raise
-    write_file_atomically(epoch_path, str(incarnation).encode("utf-8"))
-    return node_server
 
 
 class AutomatonNode:

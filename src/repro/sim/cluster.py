@@ -34,9 +34,9 @@ from ..core.automaton import Automaton, ClientAutomaton, Effects
 from ..core.host import OperationHandle, ProcessHost
 from ..core.messages import Batch, Message, iter_unbatched
 from ..core.protocol import ProtocolSuite
-from ..persist.durable import recover_server
-from ..persist.snapshot import MemorySnapshot
-from ..persist.wal import MemoryWAL
+from ..persist.disk import MemoryDisk
+from ..persist.durable import DurableServer, make_durable
+from ..persist.wal import tear_tail
 from ..verify.history import History
 from ..wire import frame_size
 from .byzantine import ByzantineStrategy, MaliciousServer, check_byzantine_servers
@@ -95,16 +95,17 @@ class SimCluster:
         #: per-message overhead that batching amortises (a batch is one frame).
         #: The default of 0 reproduces the classical charge-per-message model.
         self.frame_overhead = frame_overhead
-        #: Durability: with ``durable=True`` every server is wrapped in a
-        #: :class:`~repro.persist.durable.DurableServer` logging its state to
-        #: an in-memory WAL, which is what lets a crashed server *recover*
-        #: (see :meth:`recover_server`) instead of counting against ``t``
-        #: forever.  ``compact_every`` additionally snapshots + truncates the
-        #: log once it holds that many records.
+        #: Durability: with ``durable=True`` every server is opened by
+        #: :func:`~repro.persist.durable.make_durable` on its own
+        #: :class:`~repro.persist.disk.MemoryDisk`, which is what lets a
+        #: crashed server *recover* (see :meth:`recover_server`) instead of
+        #: counting against ``t`` forever.  ``compact_every`` additionally
+        #: snapshots + truncates the log once it holds that many records.
         self.durable = durable
         self.compact_every = compact_every
-        self.wals: Dict[str, MemoryWAL] = {}
-        self.snapshot_stores: Dict[str, MemorySnapshot] = {}
+        self.disks: Dict[str, MemoryDisk] = {}
+        #: Records appended by incarnations that have since crashed.
+        self.retired_wal_records = 0
 
         self.now: float = 0.0
         self.queue = EventQueue()
@@ -164,17 +165,7 @@ class SimCluster:
     # ----------------------------------------------------------------- build
     def _build_processes(self) -> None:
         for server_id in self.config.server_ids():
-            server = self._build_server(server_id)
-            if self.durable:
-                # The first incarnation: recovery from an empty log and store.
-                server = recover_server(
-                    server,
-                    self.wals.setdefault(server_id, MemoryWAL()),
-                    snapshot_store=self.snapshot_stores.setdefault(server_id, MemorySnapshot()),
-                    incarnation=0,
-                    compact_every=self.compact_every,
-                )
-            self._host(server)
+            self._host(self._build_server(server_id))
         self._host(self.suite.create_writer())
         for reader_id in self.config.reader_ids():
             self._host(self.suite.create_reader(reader_id))
@@ -185,11 +176,15 @@ class SimCluster:
         self.hosts[automaton.process_id] = ProcessHost(automaton)
 
     def _build_server(self, server_id: str) -> Automaton:
-        """A fresh (initial-state) server automaton, Byzantine-wrapped if set."""
+        """A fresh (initial-state) server automaton, Byzantine-wrapped if set;
+        on a durable cluster, opened as the next incarnation from its disk."""
         server = self.suite.create_server(server_id)
         strategy = self.byzantine.get(server_id)
         if strategy is not None:
             server = MaliciousServer(server, strategy)  # type: ignore[arg-type]
+        if self.durable:
+            disk = self.disks.setdefault(server_id, MemoryDisk())
+            return make_durable(server, "", compact_every=self.compact_every, disk=disk)
         return server
 
     def _queue_recoveries(self) -> None:
@@ -270,34 +265,31 @@ class SimCluster:
         return getattr(process, "incarnation", 0)
 
     def recover_server(self, server_id: str, lose_tail: int = 0) -> None:
-        """Rebuild *server_id* from its WAL (snapshot + suffix replay), now.
+        """Rebuild *server_id* from the bytes on its disk, now.
 
-        The fresh automaton replaces the crashed one under a bumped
-        incarnation and a fresh host: what the dead incarnation had buffered
-        is lost with it, and a receiver that has heard from the new
-        incarnation rejects the old one's in-flight acknowledgements — whose
-        state a lost tail may not cover — instead of counting them into
-        pending quorums.
+        The crash keeps what the disk synced, minus *lose_tail* WAL records
+        (:func:`~repro.persist.wal.tear_tail`).  The fresh automaton replaces
+        the crashed one under a bumped incarnation and a fresh host: what the
+        dead incarnation had buffered is lost with it, and a receiver that
+        has heard from the new incarnation rejects the old one's in-flight
+        acknowledgements — whose state a lost tail may not cover — instead of
+        counting them into pending quorums.
         """
         if not self.durable:
             raise ValueError(
                 "recover_server requires a durable cluster (durable=True)"
             )
         self.failures.mark_recovered(server_id, self.now)
-        wal = self.wals[server_id]
-        if lose_tail:
-            wal.drop_tail(lose_tail)
+        crashed = self.processes[server_id]
+        assert isinstance(crashed, DurableServer)
+        crashed.wal.close()
+        self.retired_wal_records += crashed.wal.records_appended
+        disk = self.disks[server_id]
+        disk.crash()
+        tear_tail(disk, f"{server_id}.wal", lose_tail)
         for destination, frame in self.hosts[server_id].drain():
             self._drop(server_id, destination, frame, "crashed")
-        self._host(
-            recover_server(
-                self._build_server(server_id),
-                wal,
-                snapshot_store=self.snapshot_stores[server_id],
-                incarnation=self.incarnation(server_id) + 1,
-                compact_every=self.compact_every,
-            )
-        )
+        self._host(self._build_server(server_id))
 
     # ------------------------------------------------------------ invocation
     def start(

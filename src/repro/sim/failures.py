@@ -34,13 +34,15 @@ class CrashWindow:
     and ``math.inf`` means the crash is permanent.
 
     ``lose_tail`` models a torn WAL tail: that many of the records appended
-    last had not reached their fsync when the crash hit, so recovery replays
-    the log without them.  Under the write-ahead discipline an acknowledgement
-    never leaves before its records' fsync (both the file WAL and the sim
-    append before effects are released), so a faithful crash loses *nothing*
-    acknowledged — ``lose_tail > 0`` deliberately models a deployment that
-    defers fsync (``WriteAheadLog(fsync=False)``) or a disk that lies about
-    it.  In that regime the stale-epoch fence is a *mitigation*, not a
+    last had not reached their fsync when the crash hit.  The recovery cuts
+    the log on the server's disk through the middle of the ``lose_tail``-th
+    frame from the end, and the WAL's torn-tail truncation drops them.  Under
+    the write-ahead discipline an acknowledgement never leaves before its
+    records' fsync (both runtimes append before effects are released), so a
+    faithful crash loses *nothing* acknowledged — ``lose_tail > 0``
+    deliberately models a deployment that defers fsync
+    (``WriteAheadLog(fsync=False)``) or a disk that lies about it.  In that
+    regime the stale-epoch fence is a *mitigation*, not a
     guarantee: an ack is rejected once the *receiver* has seen a later
     incarnation of its sender, but one delivered before that (before the
     crash, while the sender was down, or after it recovered but ahead of any

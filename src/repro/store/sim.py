@@ -123,8 +123,12 @@ class ShardedSimStore(StoreSurface, SimCluster):
 
     @property
     def wal_records(self) -> int:
-        """Records appended across every server WAL (0 for non-durable stores)."""
-        return sum(wal.records_appended for wal in self.wals.values())
+        """Records appended to every server WAL by every incarnation (0 for
+        non-durable stores)."""
+        live = [self.processes[server_id] for server_id in self.disks]
+        return self.retired_wal_records + sum(
+            server.wal.records_appended for server in live  # type: ignore[attr-defined]
+        )
 
     # ------------------------------------------------------------- operations
     def start_write(  # type: ignore[override]

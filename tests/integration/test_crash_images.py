@@ -23,9 +23,8 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
-from repro.persist.durable import export_server_state
+from repro.persist.durable import export_server_state, make_durable
 from repro.runtime.cluster import ShardedAsyncCluster
-from repro.runtime.node import make_durable
 from repro.store.sharding import ShardedProtocol
 
 BASE = LuckyAtomicProtocol(SystemConfig.balanced(t=1, b=0))

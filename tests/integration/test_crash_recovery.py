@@ -15,6 +15,7 @@ from repro.bench.sweeps import dense_run, recovery_sweep, run
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.persist.durable import storage_registers
+from repro.persist.snapshot import SnapshotCorruptError
 from repro.sim.cluster import SimCluster
 from repro.sim.failures import FailureSchedule
 from repro.store.sim import ShardedSimStore
@@ -134,11 +135,10 @@ class TestAtomicityAcrossRecoveries:
         cluster.recover_server("s1")  # manual recovery, well before t=40
         assert cluster.incarnation("s1") == 1
         cluster.write("v2")
-        records_after_manual = cluster.wals["s1"].record_count
+        records_after_manual = cluster.server("s1").wal.record_count
         cluster.run_for(60.0)  # past the originally scheduled recovery at t=40
         assert cluster.incarnation("s1") == 1  # the stale event did not fire
-        assert cluster.wals["s1"].record_count >= records_after_manual
-        assert cluster.wals["s1"].records_dropped == 0
+        assert cluster.server("s1").wal.record_count >= records_after_manual
         cluster.write("v3")
         cluster.run_until_quiescent()
         assert storage_registers(cluster.server("s1"))[""].pw.val == "v3"
@@ -171,7 +171,7 @@ class TestAtomicityAcrossRecoveries:
         for index in range(10):
             cluster.write(f"v{index}")
         cluster.run_for(60.0)
-        assert cluster.snapshot_stores["s1"].saves > 0
+        assert cluster.disks["s1"].read("s1.snapshot") is not None
         # Recovery went through snapshot + suffix replay, not just the log.
         assert cluster.incarnation("s1") == 1
         cluster.write("final")
@@ -190,6 +190,38 @@ SUITES_AT_T1_B0 = {
 }
 
 
+class TestRecoveryReadsBytes:
+    """A simulated recovery reads the server's files on its disk, and only
+    them: the new incarnation shares no object with the crashed one."""
+
+    def compacted_cluster(self):
+        cluster = SimCluster(LuckyAtomicProtocol(CONFIG), durable=True, compact_every=2)
+        for index in range(4):
+            cluster.write(f"v{index}")
+        cluster.run_until_quiescent()
+        return cluster
+
+    def test_a_flipped_snapshot_byte_refuses_the_recovery(self):
+        cluster = self.compacted_cluster()
+        disk = cluster.disks["s1"]
+        data = bytearray(disk.read("s1.snapshot"))
+        data[len(data) // 2] ^= 0x01
+        disk.write_atomically("s1.snapshot", bytes(data))
+        cluster.crash("s1")
+        with pytest.raises(SnapshotCorruptError):
+            cluster.recover_server("s1")
+
+    def test_the_recovered_incarnation_opens_a_new_snapshot_store(self):
+        cluster = self.compacted_cluster()
+        crashed = cluster.server("s1").snapshots.store
+        assert crashed._chunks
+        cluster.crash("s1")
+        cluster.recover_server("s1")
+        recovered = cluster.server("s1").snapshots.store
+        assert recovered is not crashed and recovered._chunks == {}
+        assert storage_registers(cluster.server("s1"))[""].pw.val == "v3"
+
+
 class TestEverySuiteLogsWhatItAcknowledged:
     """Two servers are crashed and recovered one at a time, then the third
     crashes: the read is served by the two recovered servers alone, so it
@@ -201,7 +233,7 @@ class TestEverySuiteLogsWhatItAcknowledged:
         cluster = SimCluster(SUITES_AT_T1_B0[name](), durable=True)
         assert cluster.write("v1").done
         cluster.run_until_quiescent()
-        assert all(cluster.wals[sid].record_count > 0 for sid in ("s1", "s2", "s3"))
+        assert all(cluster.server(sid).wal.record_count > 0 for sid in ("s1", "s2", "s3"))
         for server_id in ("s1", "s2"):
             cluster.crash(server_id)
             cluster.recover_server(server_id)

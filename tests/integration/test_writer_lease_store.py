@@ -113,7 +113,7 @@ class TestCasCrashRecoverySim:
         # recovery finds nothing naming the key and does not admit it.
         store.crash("s1")
         store.run_for(1.0)
-        store.recover_server("s1", lose_tail=store.wals["s1"].record_count)
+        store.recover_server("s1", lose_tail=store.processes["s1"].wal.record_count)
         assert "hot" not in find_router(store.processes["s1"]).registers
         store.crash("s2")  # a competing write now needs s1's replies
         competing = store.write("hot", "x", client_id="r1")

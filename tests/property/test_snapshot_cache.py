@@ -11,32 +11,27 @@ schedule of a few dozen messages crosses many compactions; the directed cases
 pin the windows a "did a WAL record get written" trigger would miss.
 """
 
+import os
 import tempfile
-from typing import List
+from collections import defaultdict
+from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.persist.snapshot as snapshot_module
 from repro.core.config import SystemConfig
 from repro.core.messages import PreWrite, Read, Write
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import FreezeDirective, TimestampValue
+from repro.persist.disk import OS_DISK, MemoryDisk, OSDisk
 from repro.persist.durable import (
-    DurableServer,
     export_server_state,
     held_register_ids,
+    make_durable,
     storage_registers,
 )
-from repro.persist.snapshot import (
-    FileSnapshot,
-    MemorySnapshot,
-    SnapshotManager,
-    encode_snapshot,
-)
-from repro.persist.wal import MemoryWAL
-from repro.runtime.node import make_durable
+from repro.persist.snapshot import FileSnapshot, encode_snapshot
 from repro.sim.failures import FailureSchedule
 from repro.store.sharding import ShardedProtocol
 from repro.store.sim import ShardedSimStore
@@ -46,25 +41,30 @@ KEYS = ["k0", "k1", "k2", "k3", "k4"]
 READERS = ["r1", "r2", "r3"]
 
 
-def check_every_save(durable_of, store) -> List[float]:
-    """Make every ``store.save`` compare what it wrote with the full export of
-    the server it snapshots (``durable_of()`` at that moment); returns the
-    list the share of registers re-encoded per compaction is appended to."""
-    original = store.save
-    shares: List[float] = []
+def check_every_save(patch, owners, key) -> Dict[object, List[float]]:
+    """Make every ``FileSnapshot.save`` compare what it wrote with the full
+    export of the durable server that owns the store — the one of
+    ``owners()`` at that moment whose snapshot manager holds it, so a
+    recovered incarnation's new store is checked too.  Returns ``key(server)``
+    → the share of registers re-encoded per compaction."""
+    original = FileSnapshot.save
+    shares: Dict[object, List[float]] = defaultdict(list)
 
-    def save(changed, live=None):
-        original(changed, live)
-        expected = export_server_state(durable_of().inner)
+    def save(store, changed, live=None):
+        original(store, changed, live)
+        [durable] = [
+            server
+            for server in owners()
+            if getattr(server, "snapshots", None) and server.snapshots.store is store
+        ]
+        expected = export_server_state(durable.inner)
         loaded = store.load()
         assert loaded == expected
         assert list(loaded) == list(expected)  # same register order
-        if isinstance(store, FileSnapshot):
-            with open(store.path, "rb") as fh:
-                assert fh.read() == encode_snapshot(expected)
-        shares.append(len(changed) / max(1, len(live)))
+        assert store.disk.read(store.path) == encode_snapshot(expected)
+        shares[key(durable)].append(len(changed) / max(1, len(live)))
 
-    store.save = save
+    patch.setattr(FileSnapshot, "save", save)
     return shares
 
 
@@ -76,34 +76,40 @@ def resident(server, keys):
 
 
 class Driver:
-    """Feeds one message stream to a file-backed and a memory-backed durable
-    server over identical sharded servers, both with checked stores.  The
-    servers start with *admitted* resident, so a directed case can count in
-    fifths; ``()`` starts them as a deployment does, empty."""
+    """Feeds one message stream to two durable servers over identical sharded
+    servers, opened by the same ``make_durable``: one on the OS disk under
+    *wal_dir*, one on a :class:`~repro.persist.disk.MemoryDisk`.  Both stores
+    are checked at every save, and after every event the two disks hold the
+    same WAL and snapshot bytes.  The servers start with *admitted* resident,
+    so a directed case can count in fifths; ``()`` starts them as a
+    deployment does, empty."""
 
-    def __init__(self, wal_dir, compact_every, max_resident=None, admitted=KEYS):
+    def __init__(self, wal_dir, compact_every, patch, max_resident=None, admitted=KEYS):
         self.suites = [
             ShardedProtocol(LuckyAtomicProtocol(CONFIG), list(KEYS), max_resident=max_resident)
             for _ in range(2)
         ]
+        self.wal_dir = wal_dir
+        self.disk = MemoryDisk()
         self.file = make_durable(
             resident(self.suites[0].create_server("s1"), admitted),
             wal_dir,
             compact_every=compact_every,
         )
-        wal = MemoryWAL()
-        self.memory = DurableServer(
+        self.memory = make_durable(
             resident(self.suites[1].create_server("s1"), admitted),
-            wal,
-            snapshots=SnapshotManager(MemorySnapshot(), wal, compact_every=compact_every),
+            "",
+            compact_every=compact_every,
+            disk=self.disk,
         )
         self.servers = [self.file, self.memory]
-        self.shares = [
-            check_every_save(lambda server=server: server, server.snapshots.store)
-            for server in self.servers
-        ]
+        self.shares = check_every_save(patch, lambda: self.servers, self.servers.index)
         self.ts = {}
         self.read_ts = 0
+
+    def assert_same_bytes(self):
+        for name in ("s1.wal", "s1.snapshot"):
+            assert OS_DISK.read(os.path.join(self.wal_dir, name)) == self.disk.read(name), name
 
     def pair(self, key, ts):
         return TimestampValue(ts, f"{key}@{ts}")
@@ -113,6 +119,10 @@ class Driver:
             server.handle_message(message)
 
     def apply(self, event):
+        self.step(event)
+        self.assert_same_bytes()
+
+    def step(self, event):
         kind, key = event[0], event[1]
         if kind == "pw":
             ts = self.ts[key] = self.ts.get(key, 0) + 1
@@ -155,7 +165,7 @@ class Driver:
         elif kind == "batch":
             with self.file.append_batch(), self.memory.append_batch():
                 for inner in event[1]:
-                    self.apply(inner)
+                    self.step(inner)
 
     @property
     def compactions(self):
@@ -194,8 +204,10 @@ EVENTS = st.one_of(
 )
 @settings(max_examples=100, deadline=None)
 def test_every_compaction_equals_the_full_reencode(events, compact_every, max_resident, admitted):
-    with tempfile.TemporaryDirectory() as wal_dir:
-        driver = Driver(wal_dir, compact_every, max_resident=max_resident, admitted=admitted)
+    with tempfile.TemporaryDirectory() as wal_dir, pytest.MonkeyPatch.context() as patch:
+        driver = Driver(
+            wal_dir, compact_every, patch, max_resident=max_resident, admitted=admitted
+        )
         try:
             for event in events:
                 driver.apply(event)
@@ -208,11 +220,11 @@ def test_every_compaction_equals_the_full_reencode(events, compact_every, max_re
 
 
 @pytest.fixture
-def driver(tmp_path):
+def driver(tmp_path, monkeypatch):
     made = []
 
     def make(compact_every, **kwargs):
-        made.append(Driver(str(tmp_path), compact_every, **kwargs))
+        made.append(Driver(str(tmp_path), compact_every, monkeypatch, **kwargs))
         return made[-1]
 
     yield make
@@ -300,7 +312,7 @@ def test_register_replaced_without_a_message_is_not_served_from_the_cache(driver
     assert d.shares[0][-1] == 2 / 5  # k3 and k0: that id moved, not the table
 
 
-def test_first_snapshot_after_recovery_is_complete(tmp_path):
+def test_first_snapshot_after_recovery_is_complete(tmp_path, monkeypatch):
     suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), KEYS)
 
     def pw(server, key, ts):
@@ -324,7 +336,7 @@ def test_first_snapshot_after_recovery_is_complete(tmp_path):
     recovered = make_durable(suite.create_server("s1"), str(tmp_path), compact_every=4)
     assert recovered.incarnation == 1
     assert storage_registers(recovered)["k1"].pw.ts == 3
-    shares = check_every_save(lambda: recovered, recovered.snapshots.store)
+    shares = check_every_save(monkeypatch, lambda: [recovered], lambda server: "s1")["s1"]
     for ts in range(4, 9):
         pw(recovered, "k2", ts)
     recovered.wal.close()
@@ -340,16 +352,16 @@ def test_failed_save_keeps_the_log_and_the_next_file_is_complete(driver, monkeyp
     d.apply(("pw", "k0", None))
     assert d.compactions == 1
 
-    real_write = snapshot_module.write_file_atomically
+    real_write = OSDisk.write_atomically
     calls = []
 
-    def failing_once(path, data):
+    def failing_once(disk, path, data):
         calls.append(path)
         if len(calls) == 1:
             raise OSError("no space left on device")
-        real_write(path, data)
+        real_write(disk, path, data)
 
-    monkeypatch.setattr(snapshot_module, "write_file_atomically", failing_once)
+    monkeypatch.setattr(OSDisk, "write_atomically", failing_once)
     d.apply(("read", "k1", "r1", 2))
     d.file.handle_message(
         PreWrite(sender="w", register_id="k2", ts=1, pw=d.pair("k2", 1), w=d.pair("k2", 0))
@@ -373,9 +385,10 @@ def test_failed_save_keeps_the_log_and_the_next_file_is_complete(driver, monkeyp
     assert d.shares[0][-1] == 4 / 5
 
 
-def test_memory_snapshot_parity_on_the_simulator():
-    """The simulator's store takes the same call; a crash-recovery schedule
-    over incremental snapshots still checks atomic."""
+def test_the_simulator_checks_every_incarnations_snapshots(monkeypatch):
+    """The simulator's servers snapshot through the same store; the check
+    follows each recovery to the new incarnation's store, and a
+    crash-recovery schedule over incremental snapshots still checks atomic."""
     schedule = (
         FailureSchedule()
         .crash("s1", at=30.0, recover_at=42.0)
@@ -388,12 +401,11 @@ def test_memory_snapshot_parity_on_the_simulator():
         durable=True,
         compact_every=3,
     )
-    shares = {
-        server_id: check_every_save(
-            lambda server_id=server_id: store.processes[server_id], snapshot_store
-        )
-        for server_id, snapshot_store in store.snapshot_stores.items()
-    }
+    shares = check_every_save(
+        monkeypatch,
+        lambda: store.processes.values(),
+        lambda server: (server.process_id, server.incarnation),
+    )
     for index in range(36):
         key = KEYS[index % 3]
         store.write(key, f"{key}-{index}")
@@ -402,7 +414,10 @@ def test_memory_snapshot_parity_on_the_simulator():
         store.run_for(2.0)
     store.run_until_quiescent()
     assert store.incarnation("s1") == 1 and store.incarnation("s2") == 1
-    for server_id, server_shares in shares.items():
-        assert len(server_shares) > 3, server_id
-        assert min(server_shares) < 1.0, server_id  # incremental, not always full
+    for server_id in ("s1", "s2"):
+        before, after = shares[(server_id, 0)], shares[(server_id, 1)]
+        assert before and len(before + after) > 3, server_id
+        assert after[0] == 1.0, server_id  # a new store has no cached bytes
+        assert min(before + after) < 1.0, server_id  # incremental, not always full
+    assert len(shares[("s3", 0)]) > 3
     assert store.verify_atomic()

@@ -7,19 +7,19 @@ from repro.core.automaton import Automaton, Effects
 from repro.core.messages import PreWrite, Read, TimestampQuery, Write, WriteAck
 from repro.core.server import StorageServer
 from repro.core.types import INITIAL_PAIR, TimestampValue
+from repro.persist.disk import MemoryDisk
 from repro.persist.durable import (
     DurableServer,
     export_server_state,
-    recover_server,
+    make_durable,
     replay_records,
     restore_server_state,
     storage_registers,
 )
-from repro.persist.snapshot import MemorySnapshot, SnapshotCorruptError, SnapshotManager
-from repro.persist.wal import MemoryWAL, WalRecord
+from repro.persist.snapshot import FileSnapshot, SnapshotCorruptError, SnapshotManager
+from repro.persist.wal import WalRecord, WriteAheadLog, tear_tail
 from repro.store.sharding import ShardedProtocol
 from repro.core.protocol import LuckyAtomicProtocol
-from repro.runtime.node import make_durable
 
 
 CONFIG = SystemConfig(t=1, b=0, fw=1, fr=0)
@@ -27,6 +27,15 @@ CONFIG = SystemConfig(t=1, b=0, fw=1, fr=0)
 
 def pair(ts, value=None, writer_id=""):
     return TimestampValue(ts, f"v{ts}" if value is None else value, writer_id)
+
+
+def memory_log():
+    return WriteAheadLog("s1.wal", disk=MemoryDisk())
+
+
+def reopen(disk):
+    """The next incarnation of ``s1`` from the files on *disk*."""
+    return make_durable(StorageServer("s1", CONFIG), "", disk=disk)
 
 
 class TestExportRestore:
@@ -92,14 +101,14 @@ class TestStorageRegisters:
 
 class TestDurableServer:
     def test_prewrite_logs_changed_fields(self):
-        wal = MemoryWAL()
+        wal = memory_log()
         durable = DurableServer(StorageServer("s1", CONFIG), wal)
         durable.handle_message(PreWrite(sender="w", ts=1, pw=pair(1), w=INITIAL_PAIR))
         records = wal.replay()
         assert [(r.field, r.ts) for r in records] == [("pw", 1)]
 
     def test_write_round3_logs_all_three_fields(self):
-        wal = MemoryWAL()
+        wal = memory_log()
         durable = DurableServer(StorageServer("s1", CONFIG), wal)
         durable.handle_message(Write(sender="w", round=3, ts=2, pair=pair(2)))
         assert sorted(r.field for r in wal.replay()) == ["pw", "vw", "w"]
@@ -107,14 +116,14 @@ class TestDurableServer:
         assert wal.batches_appended == 1
 
     def test_reads_and_queries_log_nothing(self):
-        wal = MemoryWAL()
+        wal = memory_log()
         durable = DurableServer(StorageServer("s1", CONFIG), wal)
         durable.handle_message(Read(sender="r1", read_ts=1, round=1))
         durable.handle_message(TimestampQuery(sender="w", op_id=1))
         assert wal.record_count == 0
 
     def test_stale_update_logs_nothing(self):
-        wal = MemoryWAL()
+        wal = memory_log()
         durable = DurableServer(StorageServer("s1", CONFIG), wal)
         durable.handle_message(Write(sender="w", round=2, ts=5, pair=pair(5)))
         appended = wal.record_count
@@ -122,15 +131,15 @@ class TestDurableServer:
         assert wal.record_count == appended
 
     def test_effects_pass_through_unstamped_at_incarnation_zero(self):
-        durable = DurableServer(StorageServer("s1", CONFIG), MemoryWAL())
+        durable = DurableServer(StorageServer("s1", CONFIG), memory_log())
         effects = durable.handle_message(Read(sender="r1", read_ts=1, round=1))
         assert effects.sends[0].message.epoch == 0
 
     def test_recovered_incarnation_stamps_epochs(self):
-        wal = MemoryWAL()
-        durable = DurableServer(StorageServer("s1", CONFIG), wal)
-        durable.handle_message(Write(sender="w", round=2, ts=2, pair=pair(2)))
-        recovered = recover_server(StorageServer("s1", CONFIG), wal, incarnation=1)
+        disk = MemoryDisk()
+        reopen(disk).handle_message(Write(sender="w", round=2, ts=2, pair=pair(2)))
+        recovered = reopen(disk)
+        assert recovered.incarnation == 1
         effects = recovered.handle_message(Read(sender="r1", read_ts=1, round=1))
         ack = effects.sends[0].message
         assert ack.epoch == 1
@@ -145,7 +154,7 @@ class TestDurableServer:
                 effects.cancel_timer("t")
                 return effects
 
-        durable = DurableServer(TimerServer("s1"), MemoryWAL(), incarnation=1)
+        durable = DurableServer(TimerServer("s1"), memory_log(), incarnation=1)
         effects = durable.handle_message(Read(sender="r1"))
         assert [send.message.epoch for send in effects.sends] == [1]
         assert [timer.timer_id for timer in effects.timers] == ["t"]
@@ -155,13 +164,13 @@ class TestDurableServer:
         # A layer outside the durable wrapper still sees what advanced.
         message = Write(sender="w", round=3, ts=2, pair=pair(2))
         advanced = StorageServer("s1", CONFIG).handle_message(message).advanced
-        durable = DurableServer(StorageServer("s1", CONFIG), MemoryWAL(), incarnation=1)
+        durable = DurableServer(StorageServer("s1", CONFIG), memory_log(), incarnation=1)
         assert len(advanced) == 3
         assert durable.handle_message(message).advanced == advanced
 
     def test_sharded_durable_tags_records_with_register(self):
         suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), ["k1", "k2"])
-        wal = MemoryWAL()
+        wal = memory_log()
         durable = DurableServer(suite.create_server("s1"), wal)
         durable.handle_message(
             Write(sender="w", register_id="k2", round=2, ts=1, pair=pair(1))
@@ -173,7 +182,7 @@ class TestDurableServer:
         # Register ids are peer-supplied; reads write no WAL record, so no
         # compaction would ever clear what they marked.
         suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), ["k1"])
-        wal = MemoryWAL()
+        wal = memory_log()
         durable = DurableServer(suite.create_server("s1"), wal)
         for index in range(2000):
             effects = durable.handle_message(
@@ -188,7 +197,7 @@ class TestDurableServer:
         assert list(storage_registers(durable)) == ["k1"] and wal.record_count == 0
 
     def test_append_batch_groups_records_into_one_fsync(self):
-        wal = MemoryWAL()
+        wal = memory_log()
         durable = DurableServer(StorageServer("s1", CONFIG), wal)
         with durable.append_batch():
             durable.handle_message(Write(sender="w", round=2, ts=1, pair=pair(1)))
@@ -199,7 +208,7 @@ class TestDurableServer:
         assert wal.record_count == 4
 
     def test_append_batch_nests_flat(self):
-        wal = MemoryWAL()
+        wal = memory_log()
         durable = DurableServer(StorageServer("s1", CONFIG), wal)
         with durable.append_batch():
             with durable.append_batch():
@@ -208,8 +217,9 @@ class TestDurableServer:
         assert wal.batches_appended == 1
 
     def test_compaction_through_snapshot_manager(self):
-        wal = MemoryWAL()
-        store = MemorySnapshot()
+        disk = MemoryDisk()
+        wal = WriteAheadLog("s1.wal", disk=disk)
+        store = FileSnapshot("s1.snapshot", disk=disk)
         inner = StorageServer("s1", CONFIG)
         durable = DurableServer(
             inner, wal, snapshots=SnapshotManager(store, wal, compact_every=4)
@@ -224,21 +234,22 @@ class TestDurableServer:
         assert (fresh.pw, fresh.w, fresh.vw) == (inner.pw, inner.w, inner.vw)
 
     def test_recovery_after_lost_tail_rewinds_state(self):
-        wal = MemoryWAL()
-        durable = DurableServer(StorageServer("s1", CONFIG), wal)
+        disk = MemoryDisk()
+        durable = reopen(disk)
         durable.handle_message(Write(sender="w", round=2, ts=1, pair=pair(1)))
         durable.handle_message(Write(sender="w", round=2, ts=2, pair=pair(2)))
-        wal.drop_tail(2)  # the ts=2 batch (pw + w records) never reached its fsync
-        recovered = recover_server(StorageServer("s1", CONFIG), wal, incarnation=1)
+        tear_tail(disk, "s1.wal", 2)  # the ts=2 batch (pw + w records) never reached its fsync
+        recovered = reopen(disk)
         assert storage_registers(recovered)[""].pw == pair(1)
 
 
-class TestRecoverServer:
+class TestMakeDurable:
     def test_snapshot_plus_suffix(self):
-        wal = MemoryWAL()
-        store = MemorySnapshot()
-        store.save({"": {"pw": pair(3), "w": pair(3), "vw": pair(3)}})
-        wal.append(
+        disk = MemoryDisk()
+        FileSnapshot("s1.snapshot", disk=disk).save(
+            {"": {"pw": pair(3), "w": pair(3), "vw": pair(3)}}
+        )
+        WriteAheadLog("s1.wal", disk=disk).append(
             [
                 # A record *older* than the snapshot (replayed harmlessly) and
                 # a newer one (the suffix that must win).
@@ -246,13 +257,13 @@ class TestRecoverServer:
                 WalRecord(register_id="", field="pw", ts=5, writer_id="", value="v5"),
             ]
         )
-        recovered = recover_server(
-            StorageServer("s1", CONFIG), wal, snapshot_store=store, incarnation=2
-        )
+        disk.write_atomically("s1.epoch", b"1")
+        recovered = reopen(disk)
         inner = storage_registers(recovered)[""]
         assert inner.pw == pair(5)
         assert inner.w == pair(3)
         assert recovered.incarnation == 2
+        assert disk.read("s1.epoch") == b"2"
 
     def test_corrupt_snapshot_refuses_to_start_instead_of_forgetting(self, tmp_path):
         """The WAL a snapshot superseded was truncated when the snapshot was
@@ -276,11 +287,12 @@ class TestRecoverServer:
         assert recovered.incarnation == 1
         recovered.wal.close()
 
-    def test_without_snapshot_store(self):
-        wal = MemoryWAL()
-        recovered = recover_server(StorageServer("s1", CONFIG), wal)
-        assert recovered.incarnation == 1
-        assert storage_registers(recovered)[""].pw == INITIAL_PAIR
+    def test_first_start_on_an_empty_disk(self):
+        disk = MemoryDisk()
+        first = make_durable(StorageServer("s1", CONFIG), "", compact_every=None, disk=disk)
+        assert first.incarnation == 0 and first.snapshots is None
+        assert storage_registers(first)[""].pw == INITIAL_PAIR
+        assert disk.read("s1.epoch") == b"0" and disk.read("s1.snapshot") is None
 
 
 def test_message_with_epoch_helper():

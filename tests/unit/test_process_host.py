@@ -14,8 +14,9 @@ from repro.core.messages import Batch, PreWrite, ReadAck, Write
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.server import StorageServer
 from repro.core.types import TimestampValue
+from repro.persist.disk import MemoryDisk
 from repro.persist.durable import DurableServer
-from repro.persist.wal import MemoryWAL
+from repro.persist.wal import WriteAheadLog
 from repro.verify.history import OperationRecord
 
 CONFIG = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
@@ -102,14 +103,14 @@ class TestFrameStep:
         assert stepped is message and effects.sends[0].message.read_ts == 7
 
     def test_a_multi_message_frame_is_one_wal_append_closed_before_any_effect(self):
-        class WatchedWAL(MemoryWAL):
+        class WatchedWAL(WriteAheadLog):
             returned = False
 
             def append(self, records):
                 assert not self.returned, "the host returned effects before the append"
                 super().append(records)
 
-        wal = WatchedWAL()
+        wal = WatchedWAL("s1.wal", disk=MemoryDisk())
         host = ProcessHost(DurableServer(StorageServer("s1", CONFIG), wal))
         frame = Batch(
             sender="w",
