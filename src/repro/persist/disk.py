@@ -121,9 +121,6 @@ class MemoryDisk:
     def open_append(self, path: str) -> MemoryDisk.File:
         return self.files.setdefault(path, MemoryDisk.File())
 
-    def truncate(self, path: str, length: int) -> None:
-        self.files[path].truncate(length)
-
     def write_atomically(self, path: str, data: bytes) -> None:
         self.files[path] = MemoryDisk.File(data)
 

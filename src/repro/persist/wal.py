@@ -138,7 +138,7 @@ def tear_tail(disk: MemoryDisk, path: str, records: int) -> None:
         ends.append(frame[1])
     if records > 0 and len(ends) > 1:
         first = max(0, len(ends) - 1 - records)
-        disk.truncate(path, (ends[first] + ends[first + 1]) // 2)
+        disk.files[path].truncate((ends[first] + ends[first + 1]) // 2)
 
 
 class WriteAheadLog:

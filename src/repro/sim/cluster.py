@@ -285,7 +285,7 @@ class SimCluster:
         crashed.wal.close()
         self.retired_wal_records += crashed.wal.records_appended
         disk = self.disks[server_id]
-        disk.crash()
+        disk.crash()  # a no-op while every simulated log syncs each batch
         tear_tail(disk, f"{server_id}.wal", lose_tail)
         for destination, frame in self.hosts[server_id].drain():
             self._drop(server_id, destination, frame, "crashed")
