@@ -289,6 +289,14 @@ class DurableServer(Automaton):
             # next compaction re-encodes them and its file is complete.
             self._touched.clear()
 
+    def compact(self) -> None:
+        """Compact now, due or not: snapshot what moved since the last
+        snapshot, then empty the log."""
+        if self.snapshots is None:
+            raise ValueError(f"{self.process_id} does not compact (compact_every=None)")
+        self.snapshots.compact(self._snapshot_delta)
+        self._touched.clear()
+
     def _snapshot_delta(self) -> SnapshotDelta:
         """What the snapshot store needs to write a complete snapshot: the
         exported state of the registers that moved since the last one, and
@@ -339,8 +347,13 @@ def make_durable(
     ``.epoch`` sidecar anew: the latest snapshot (if any) is restored into
     *automaton*, the surviving WAL records are replayed on top — a torn tail
     is truncated away — and the result logs to that WAL and compacts into
-    that snapshot once the log holds *compact_every* records (``None``:
-    never).  A sidecar left by a previous incarnation makes this a recovery
+    that snapshot once the log holds *compact_every* records and at least as
+    many bytes as the snapshot file (``None``: never; see
+    :class:`~repro.persist.snapshot.SnapshotManager`).  Loading and replaying
+    tell the snapshot store and the log their sizes, so a reopened server
+    keeps that rule: a recovery replays at most the larger of one snapshot's
+    worth of log and *compact_every* records, plus one append.  A sidecar
+    left by a previous incarnation makes this a recovery
     under a bumped incarnation, which is told it is recovered (that opens the
     lease layer's grace window); a first start, on empty files, is
     incarnation 0.

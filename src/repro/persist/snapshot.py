@@ -1,4 +1,4 @@
-"""Snapshots: periodic compaction of the write-ahead log.
+"""Snapshots: compaction of the write-ahead log.
 
 A snapshot serializes the full durable state of a server (every register's
 ``pw/w/vw`` pairs plus the per-reader read/freeze bookkeeping, via
@@ -76,6 +76,8 @@ class FileSnapshot:
         self.disk = disk
         #: Register id → the bytes its item contributes to the encoded state.
         self._chunks: Dict[str, bytes] = {}
+        #: Byte length of the file this object last wrote or loaded (0: none).
+        self.size = 0
 
     def save(
         self, changed: Mapping[str, Any], live: Optional[Sequence[str]] = None
@@ -87,8 +89,9 @@ class FileSnapshot:
             live = list(changed)
         if len(chunks) != len(live):  # registers left since the last save
             self._chunks = chunks = {register_id: chunks[register_id] for register_id in live}
-        payload = join_dict_items([chunks[register_id] for register_id in live])
-        self.disk.write_atomically(self.path, frame_payload(payload))
+        data = frame_payload(join_dict_items([chunks[register_id] for register_id in live]))
+        self.disk.write_atomically(self.path, data)
+        self.size = len(data)
 
     def load(self) -> Optional[Any]:
         data = self.disk.read(self.path)
@@ -101,18 +104,25 @@ class FileSnapshot:
                 "checksum, magic or decode); the WAL it superseded is gone, so "
                 "recovering without it would forget acknowledged state"
             )
+        self.size = len(data)
         return state
 
 
 class SnapshotManager:
-    """Compacts a WAL into snapshots once it grows past a record threshold.
+    """Compacts a WAL into snapshots once the log outweighs the last snapshot.
 
     Owned by a :class:`~repro.persist.durable.DurableServer`; after every
-    appended batch the server asks :meth:`maybe_compact`, which — once the log
-    holds at least *compact_every* records — saves what changed since the last
-    snapshot into the snapshot store and resets the log.  The snapshot is
-    written *before* the log is truncated, so a crash between the two steps
-    merely replays records the snapshot already covers (replay is idempotent).
+    appended batch the server asks :meth:`maybe_compact`, which compacts once
+    the log holds at least *compact_every* records **and** at least as many
+    bytes as the last snapshot file: :meth:`compact` saves what changed since
+    the last snapshot into the snapshot store and resets the log.  A
+    compaction rewrites the whole state, so pacing it by the state's size
+    keeps the snapshot bytes written per logged byte at about 1 however many
+    registers the server holds; recovery replays at most one snapshot's worth
+    of log (or *compact_every* records, when that is more) plus one append.
+    The snapshot is written *before* the log is truncated, so a crash between
+    the two steps merely replays records the snapshot already covers (replay
+    is idempotent).
     """
 
     def __init__(
@@ -126,12 +136,17 @@ class SnapshotManager:
         self.compactions = 0
 
     def maybe_compact(self, delta: Callable[[], SnapshotDelta]) -> bool:
-        """Snapshot if the log is due, asking *delta* — only then — for the
-        ``(changed, live)`` pair of :meth:`FileSnapshot.save`; returns
-        whether a compaction ran."""
-        if self.wal.record_count < self.compact_every:
+        """:meth:`compact` if the log is due (only then is *delta* asked);
+        returns whether it ran."""
+        wal = self.wal
+        if wal.record_count < self.compact_every or wal.byte_length < self.store.size:
             return False
+        self.compact(delta)
+        return True
+
+    def compact(self, delta: Callable[[], SnapshotDelta]) -> None:
+        """Snapshot now, asking *delta* for the ``(changed, live)`` pair of
+        :meth:`FileSnapshot.save`, then empty the log."""
         self.store.save(*delta())
         self.wal.reset()
         self.compactions += 1
-        return True

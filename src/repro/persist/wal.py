@@ -142,7 +142,13 @@ def tear_tail(disk: MemoryDisk, path: str, records: int) -> None:
 
 
 class WriteAheadLog:
-    """Append-only, checksummed, fsync-per-batch log of one file on *disk*."""
+    """Append-only, checksummed, fsync-per-batch log of one file on *disk*.
+
+    It knows how many intact records it holds and how many bytes they take
+    (:attr:`record_count`, :attr:`byte_length`): what a
+    :class:`~repro.persist.snapshot.SnapshotManager` weighs against the last
+    snapshot to decide when to compact.
+    """
 
     def __init__(self, path: str, fsync: bool = True, disk: Disk = OS_DISK) -> None:
         self.path = path
@@ -151,10 +157,11 @@ class WriteAheadLog:
         #: Diagnostics: how many records / fsync'd batches this handle wrote.
         self.records_appended = 0
         self.batches_appended = 0
-        #: Cached count of intact records in the log; populated lazily by the
-        #: first :attr:`record_count` read (one full replay) and maintained
-        #: incrementally afterwards, so compaction checks stay O(1).
-        self._count: Optional[int] = None
+        #: Cached ``(record count, byte length)`` of the intact records in
+        #: the log: set by :meth:`replay` (or by the first read of either
+        #: property, on a log that was never replayed) and maintained by
+        #: :meth:`append` and :meth:`reset`, so compaction checks stay O(1).
+        self._extent: Optional[Tuple[int, int]] = None
         self._file: Optional[AppendFile] = disk.open_append(path)
 
     # ---------------------------------------------------------------- append
@@ -162,13 +169,13 @@ class WriteAheadLog:
         """Durably append *records* as one batch (one flush + fsync)."""
         if not records:
             return
-        self._handle().write(
-            b"".join([frame_payload(encode_payload(record)) for record in records]), self.fsync
-        )
+        data = b"".join([frame_payload(encode_payload(record)) for record in records])
+        self._handle().write(data, self.fsync)
         self.records_appended += len(records)
         self.batches_appended += 1
-        if self._count is not None:
-            self._count += len(records)
+        if self._extent is not None:
+            count, length = self._extent
+            self._extent = (count + len(records), length + len(data))
 
     # ---------------------------------------------------------------- replay
     def replay(self, truncate: bool = True) -> List[WalRecord]:
@@ -182,14 +189,14 @@ class WriteAheadLog:
         records, good_length = decode_frames(data)
         if truncate and good_length < len(data):
             self._handle().truncate(good_length)
-        self._count = len(records)
+        self._extent = (len(records), good_length)
         return records
 
     # ----------------------------------------------------------- maintenance
     def reset(self) -> None:
         """Empty the log (called right after a snapshot made it redundant)."""
         self._handle().truncate(0)
-        self._count = 0
+        self._extent = (0, 0)
 
     def _handle(self) -> AppendFile:
         if self._file is None:
@@ -199,9 +206,19 @@ class WriteAheadLog:
     @property
     def record_count(self) -> int:
         """Number of intact records currently in the log (O(1) once known)."""
-        if self._count is None:
-            self._count = len(self.replay(truncate=False))
-        return self._count
+        return self._known_extent()[0]
+
+    @property
+    def byte_length(self) -> int:
+        """Bytes the intact records take — after a replay, the clean prefix a
+        torn tail was cut back to (O(1) once known)."""
+        return self._known_extent()[1]
+
+    def _known_extent(self) -> Tuple[int, int]:
+        if self._extent is None:
+            records, length = decode_frames(self.disk.read(self.path) or b"")
+            self._extent = (len(records), length)
+        return self._extent
 
     def close(self) -> None:
         if self._file is not None:

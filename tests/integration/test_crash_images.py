@@ -14,10 +14,14 @@ are not logged per message and may rewind by design
 Images are held as bytes; each recovery writes its image into one scratch
 directory.  An image identical to an earlier one of the same server is
 recovered once.
+
+The same patched ``os.fsync`` also checks the write-ahead discipline itself:
+a server may send a frame only while every byte its WAL holds is synced.
 """
 
 import asyncio
 import os
+from collections import Counter
 
 import pytest
 
@@ -137,3 +141,49 @@ def test_every_crash_image_recovers_what_the_server_held(tmp_path, monkeypatch, 
     assert not mismatches, (
         f"{len(mismatches)} of {checked} recoveries differ; first: {mismatches[0]}"
     )
+
+
+def test_a_server_sends_only_while_its_wal_is_synced(tmp_path, monkeypatch):
+    """Every frame a server sends leaves while its WAL's synced length (the
+    file's size at its last ``os.fsync``) equals its written length: the
+    append that logged what the frame acknowledges reached its fsync first."""
+    wal_dir = str(tmp_path)
+    store = ShardedAsyncCluster(
+        BASE, keys=KEYS, durable=True, wal_dir=wal_dir, compact_every=COMPACT_EVERY
+    )
+    paths = {
+        server_id: os.path.join(wal_dir, f"{server_id}.wal") for server_id in store.server_nodes
+    }
+    inodes = {os.stat(path).st_ino: server_id for server_id, path in paths.items()}
+    synced = dict.fromkeys(paths, 0)
+    unsynced_sends = []
+    sends = Counter()
+    real_fsync, send = os.fsync, store.transport.send
+
+    def fsync(fd):
+        real_fsync(fd)
+        stat = os.fstat(fd)
+        if stat.st_ino in inodes:
+            synced[inodes[stat.st_ino]] = stat.st_size
+
+    async def checked_send(source, destination, frame):
+        if source in paths:
+            sends[source] += 1
+            written = os.path.getsize(paths[source])
+            if written != synced[source]:
+                unsynced_sends.append((source, destination, written, synced[source]))
+        await send(source, destination, frame)
+
+    async def scenario():
+        async with store:
+            for index in range(WRITES):
+                key = KEYS[index % len(KEYS)]
+                await store.write(key, f"{key}-{index}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", fsync)
+        patch.setattr(store.transport, "send", checked_send)
+        asyncio.run(scenario())
+    assert not unsynced_sends, unsynced_sends[:3]
+    assert all(sends[server_id] >= WRITES for server_id in paths)
+    assert all(node.automaton.snapshots.compactions for node in store.server_nodes.values())

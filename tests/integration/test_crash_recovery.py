@@ -14,8 +14,10 @@ from repro.baselines.slow_robust import SlowRobustProtocol
 from repro.bench.sweeps import dense_run, recovery_sweep, run
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
+from repro.core.types import INITIAL_PAIR, TimestampValue
 from repro.persist.durable import storage_registers
 from repro.persist.snapshot import SnapshotCorruptError
+from repro.persist.wal import decode_frames
 from repro.sim.cluster import SimCluster
 from repro.sim.failures import FailureSchedule
 from repro.store.sim import ShardedSimStore
@@ -220,6 +222,29 @@ class TestRecoveryReadsBytes:
         recovered = cluster.server("s1").snapshots.store
         assert recovered is not crashed and recovered._chunks == {}
         assert storage_registers(cluster.server("s1"))[""].pw.val == "v3"
+
+
+    def test_a_lost_tail_rewinds_exactly_its_records(self):
+        """``lose_tail=N`` tears the last N synced records off the crashed
+        incarnation's log: the recovered log holds N fewer, and the register
+        whose last write they were holds the pairs from before that write."""
+        store = ShardedSimStore(LuckyAtomicProtocol(CONFIG), ["k1", "k2"], durable=True)
+        for key, value in (("k1", "a"), ("k2", "b"), ("k1", "c")):
+            store.write(key, value)  # lucky: one PW round, w trails one write
+        store.run_until_quiescent()
+        wal = store.disks["s1"].files["s1.wal"]
+        synced, _ = decode_frames(bytes(wal.data[: wal.synced]))
+        assert [(r.register_id, r.field, r.ts) for r in synced[-2:]] == [
+            ("k1", "pw", 2),  # "c"
+            ("k1", "w", 1),  # "a", which the PW of "c" carried
+        ]
+        store.crash("s1")
+        store.recover_server("s1", lose_tail=2)
+        recovered = store.server("s1")
+        assert recovered.wal.record_count == len(synced) - 2
+        registers = storage_registers(recovered)
+        assert (registers["k1"].pw, registers["k1"].w) == (TimestampValue(1, "a"), INITIAL_PAIR)
+        assert registers["k2"].pw == TimestampValue(1, "b")
 
 
 class TestEverySuiteLogsWhatItAcknowledged:

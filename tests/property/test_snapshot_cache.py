@@ -8,7 +8,10 @@ property drives random PW / W / READ streams (both READ rounds, several
 readers, stale and batched messages, registers created, dropped, evicted and
 rehydrated in between) through small ``compact_every`` values so that a
 schedule of a few dozen messages crosses many compactions; the directed cases
-pin the windows a "did a WAL record get written" trigger would miss.
+pin the windows a "did a WAL record get written" trigger would miss.  They
+compact (``DurableServer.compact``) the moment the log holds ``compact_every``
+records, whatever it weighs against the snapshot, so each compaction falls
+where the case counts it.
 """
 
 import os
@@ -82,9 +85,12 @@ class Driver:
     are checked at every save, and after every event the two disks hold the
     same WAL and snapshot bytes.  The servers start with *admitted* resident,
     so a directed case can count in fifths; ``()`` starts them as a
-    deployment does, empty."""
+    deployment does, empty.  A *pinned* driver compacts both servers after
+    any event that leaves *compact_every* records in their logs."""
 
-    def __init__(self, wal_dir, compact_every, patch, max_resident=None, admitted=KEYS):
+    def __init__(
+        self, wal_dir, compact_every, patch, max_resident=None, admitted=KEYS, pinned=False
+    ):
         self.suites = [
             ShardedProtocol(LuckyAtomicProtocol(CONFIG), list(KEYS), max_resident=max_resident)
             for _ in range(2)
@@ -104,6 +110,7 @@ class Driver:
         )
         self.servers = [self.file, self.memory]
         self.shares = check_every_save(patch, lambda: self.servers, self.servers.index)
+        self.pinned = pinned
         self.ts = {}
         self.read_ts = 0
 
@@ -120,6 +127,9 @@ class Driver:
 
     def apply(self, event):
         self.step(event)
+        if self.pinned and self.file.wal.record_count >= self.file.snapshots.compact_every:
+            for server in self.servers:
+                server.compact()
         self.assert_same_bytes()
 
     def step(self, event):
@@ -224,7 +234,7 @@ def driver(tmp_path, monkeypatch):
     made = []
 
     def make(compact_every, **kwargs):
-        made.append(Driver(str(tmp_path), compact_every, monkeypatch, **kwargs))
+        made.append(Driver(str(tmp_path), compact_every, monkeypatch, pinned=True, **kwargs))
         return made[-1]
 
     yield make
@@ -325,6 +335,8 @@ def test_first_snapshot_after_recovery_is_complete(tmp_path, monkeypatch):
                 w=TimestampValue(ts - 1, f"{key}@{ts - 1}"),
             )
         )
+        if server.wal.record_count >= 4:  # pinned, as the Driver's are
+            server.compact()
 
     first = make_durable(resident(suite.create_server("s1"), KEYS), str(tmp_path), compact_every=4)
     for ts in range(1, 4):
@@ -366,20 +378,22 @@ def test_failed_save_keeps_the_log_and_the_next_file_is_complete(driver, monkeyp
     d.file.handle_message(
         PreWrite(sender="w", register_id="k2", ts=1, pw=d.pair("k2", 1), w=d.pair("k2", 0))
     )
+    d.file.handle_message(
+        PreWrite(sender="w", register_id="k3", ts=1, pw=d.pair("k3", 1), w=d.pair("k3", 0))
+    )
     with pytest.raises(OSError):
-        d.file.handle_message(
-            PreWrite(sender="w", register_id="k3", ts=1, pw=d.pair("k3", 1), w=d.pair("k3", 0))
-        )
+        d.file.compact()
     # Snapshot-before-reset: the log the failed snapshot would have replaced
     # is intact, and the previous snapshot file still decodes.
     assert d.file.wal.record_count == 2
     assert d.compactions == 1
     assert d.file.snapshots.store.load()["k0"]["pw"].ts == 2
-    # The next append is due again; its file (checked against the full
-    # re-encode by the store hook) carries k1, k2 and k3 as well as k4.
+    # The next compaction's file (checked against the full re-encode by the
+    # store hook) carries k1, k2 and k3 as well as k4.
     d.file.handle_message(
         PreWrite(sender="w", register_id="k4", ts=1, pw=d.pair("k4", 1), w=d.pair("k4", 0))
     )
+    d.file.compact()
     assert d.compactions == 2
     assert d.file.wal.record_count == 0
     assert d.shares[0][-1] == 4 / 5

@@ -1,5 +1,8 @@
 """Unit tests of the durability wrapper and server state export/restore."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.core.config import SystemConfig
@@ -17,7 +20,7 @@ from repro.persist.durable import (
     storage_registers,
 )
 from repro.persist.snapshot import FileSnapshot, SnapshotCorruptError, SnapshotManager
-from repro.persist.wal import WalRecord, WriteAheadLog, tear_tail
+from repro.persist.wal import WalRecord, WriteAheadLog, encode_frame, tear_tail
 from repro.store.sharding import ShardedProtocol
 from repro.core.protocol import LuckyAtomicProtocol
 
@@ -293,6 +296,120 @@ class TestMakeDurable:
         assert first.incarnation == 0 and first.snapshots is None
         assert storage_registers(first)[""].pw == INITIAL_PAIR
         assert disk.read("s1.epoch") == b"0" and disk.read("s1.snapshot") is None
+
+
+KEYSPACE = [f"k{index:03d}" for index in range(200)]
+COMPACT_EVERY = 8
+
+
+def open_sharded(disk):
+    """The next incarnation of a sharded ``s1`` on *disk* that holds every key
+    of KEYSPACE: its snapshot outweighs many appends."""
+    server = ShardedProtocol(LuckyAtomicProtocol(CONFIG), KEYSPACE).create_server("s1")
+    durable = make_durable(server, "", compact_every=COMPACT_EVERY, disk=disk)
+    for key in KEYSPACE:
+        assert server.ensure_register(key) is not None
+    return durable
+
+
+def prewrite(durable, key, ts, value=None):
+    """One PW: a ``pw`` record, and a ``w`` record once *ts* > 1."""
+    durable.handle_message(
+        PreWrite(sender="w", register_id=key, ts=ts, pw=pair(ts, value), w=pair(ts - 1, value))
+    )
+
+
+def compaction_checks(durable):
+    """Every compaction check *durable* makes from now on, as ``(records, log
+    bytes, snapshot bytes, compacted)``: the files as the append left them,
+    read off the disk, and what the check decided."""
+    manager, checks = durable.snapshots, []
+    disk, check = manager.store.disk, manager.maybe_compact
+
+    def recording(delta):
+        files = (len(disk.read(manager.wal.path)), len(disk.read(manager.store.path) or b""))
+        checks.append((manager.wal.record_count, *files, check(delta)))
+        return checks[-1][-1]
+
+    manager.maybe_compact = recording
+    return checks
+
+
+class TestCompactionTrigger:
+    """A compaction rewrites the whole state, so it waits until the log holds
+    ``compact_every`` records *and* at least as many bytes as the last
+    snapshot file."""
+
+    def test_a_log_lighter_than_the_snapshot_is_not_compacted(self):
+        durable = open_sharded(MemoryDisk())
+        checks = compaction_checks(durable)
+        for ts in range(1, 400):
+            prewrite(durable, "k000", ts)
+            if durable.snapshots.compactions == 3:
+                break
+        assert durable.snapshots.compactions == 3
+        assert checks[0][:2] == (1, len(encode_frame(WalRecord("k000", "pw", 1, "", "v1"))))
+        for records, log, snapshot, compacted in checks:
+            assert compacted == (records >= COMPACT_EVERY and log >= snapshot)
+        # The first snapshot (after COMPACT_EVERY records: there was none
+        # before it) holds 200 registers; the logs after it pass the record
+        # floor long before they weigh as much.
+        waited = [check for check in checks if check[0] >= COMPACT_EVERY and not check[3]]
+        assert len(waited) > 10 * COMPACT_EVERY
+
+    def test_a_reopened_server_keeps_the_rule(self):
+        disk = MemoryDisk()
+        first = open_sharded(disk)
+        for ts in range(1, 400):
+            prewrite(first, "k000", ts)
+            if first.snapshots.compactions and first.wal.record_count >= COMPACT_EVERY:
+                break
+        assert first.snapshots.compactions == 1
+        records = first.wal.record_count
+        assert len(disk.read("s1.wal")) < len(disk.read("s1.snapshot"))
+        reopened = open_sharded(disk)
+        assert reopened.incarnation == 1
+        checks = compaction_checks(reopened)
+        prewrite(reopened, "k001", 1)  # one pw record past the floor
+        assert reopened.snapshots.compactions == 0
+        assert [check[0] for check in checks] == [records + 1]
+        assert reopened.wal.record_count == records + 1
+
+    def test_the_log_stays_within_a_snapshot_and_the_snapshots_within_the_log(self):
+        """A long run of random batches with values of random size: before
+        every append the log weighs at most the larger of the snapshot and
+        the record floor, so recovery replays at most that plus one append;
+        and the snapshot bytes written stay within the bytes logged plus the
+        last snapshot."""
+        disk = MemoryDisk()
+        durable = open_sharded(disk)
+        checks = compaction_checks(durable)
+        appends, snapshots = [], []
+        append, write = durable.wal.append, disk.write_atomically
+
+        def counted_append(records):
+            appends.append([len(encode_frame(record)) for record in records])
+            append(records)
+
+        def counted_write(path, data):
+            if path == "s1.snapshot":
+                snapshots.append(len(data))
+            write(path, data)
+
+        durable.wal.append = counted_append
+        disk.write_atomically = counted_write
+        rng, ts = random.Random(48), Counter()
+        for _ in range(600):
+            with durable.append_batch():
+                for key in rng.sample(KEYSPACE, rng.randint(1, 6)):
+                    ts[key] += 1
+                    prewrite(durable, key, ts[key], "x" * rng.randint(0, 40))
+        assert len(checks) == len(appends) == 600
+        floor = (COMPACT_EVERY - 1) * max(size for frames in appends for size in frames)
+        for (_, log, snapshot, _), frames in zip(checks, appends, strict=True):
+            assert log - sum(frames) <= max(snapshot, floor)
+        assert len(snapshots) >= 3
+        assert sum(snapshots) <= sum(map(sum, appends)) + snapshots[-1]
 
 
 def test_message_with_epoch_helper():

@@ -163,6 +163,29 @@ class TestTornAndCorruptLogs:
             wal.append([record(3)])
             assert wal.replay() == [record(3)]
 
+    def test_byte_length_is_the_clean_prefix(self, disk, wal_path, open_log):
+        """What compaction weighs against the snapshot: the intact frames'
+        bytes — read without truncating on a log never replayed, the prefix a
+        torn tail is cut back to after a replay, then kept by every append
+        and reset."""
+        first, second = (len(encode_frame(record(ts))) for ts in (1, 2))
+        with open_log() as wal:
+            wal.append([record(1), record(2)])
+            assert wal.byte_length == first + second
+        torn = disk.read(wal_path)[:-3]
+        disk.write_atomically(wal_path, torn)
+        with open_log() as wal:
+            assert (wal.record_count, wal.byte_length) == (1, first)
+            assert disk.read(wal_path) == torn  # counting truncates nothing
+        with open_log() as wal:
+            wal.replay()
+            assert wal.byte_length == first == len(disk.read(wal_path))
+            wal.append([record(3)])
+            assert wal.byte_length == first + len(encode_frame(record(3)))
+            assert wal.byte_length == len(disk.read(wal_path))
+            wal.reset()
+            assert wal.byte_length == 0
+
 
 BATCHES = [[record(1), record(2)], [record(3, field="w")], [record(4), record(5), record(6)]]
 
@@ -283,6 +306,25 @@ class TestSnapshots:
         assert store.load() == {"": {"state": "b"}}
         assert wal.record_count == 0 and disk.read("s1.wal") == b""
         assert manager.compactions == 1
+
+    def test_manager_waits_for_the_log_to_outweigh_the_snapshot(self):
+        disk = MemoryDisk()
+        wal = WriteAheadLog("s1.wal", disk=disk)
+        store = FileSnapshot("s1.snapshot", disk=disk)
+        store.save({"": {"state": "x" * 200}})
+        assert store.size == len(disk.read("s1.snapshot"))
+        manager = SnapshotManager(store, wal, compact_every=1)
+        state = {"": {"state": "y"}}, [""]
+        while wal.byte_length + len(encode_frame(record(1))) < store.size:
+            wal.append([record(1)])
+            assert not manager.maybe_compact(lambda: state)
+        wal.append([record(1)])  # the first append that outweighs it
+        assert manager.maybe_compact(lambda: state)
+        assert store.size == len(disk.read("s1.snapshot")) < 100
+        # A loaded store weighs the file it read.
+        loaded = FileSnapshot("s1.snapshot", disk=disk)
+        assert loaded.size == 0 and loaded.load() == state[0]
+        assert loaded.size == store.size
 
     def test_manager_keeps_the_log_when_the_save_fails(self):
         disk = MemoryDisk()
