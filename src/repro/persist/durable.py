@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
 
 from ..core.automaton import Automaton, Effects, Send
 from ..core.messages import Message
 from ..core.types import TimestampValue
 from .disk import OS_DISK, Disk
-from .snapshot import FileSnapshot, SnapshotDelta, SnapshotManager, decode_snapshot
+from .snapshot import FileSnapshot, SnapshotDelta, SnapshotManager, decode_register, encode_register
 from .wal import WalRecord, WriteAheadLog
 
 
@@ -109,32 +109,25 @@ def held_register_ids(router: Automaton) -> List[str]:
     return [*registers, *router.spilled]  # type: ignore[attr-defined]
 
 
-def _held_state(router: Automaton, register_id: str) -> Optional[Dict[str, Any]]:
-    """The durable state of a register *router* holds: its resident
-    automaton's export, else its spilled frame decoded; ``None`` once it left."""
-    registers: Optional[Dict[str, Automaton]] = getattr(router, "registers", None)
-    inner = router if registers is None else registers.get(register_id)
-    if inner is not None:
-        return unwrap(inner).export_state()  # type: ignore[attr-defined]
-    blob = router.spilled.get(register_id)  # type: ignore[attr-defined]
-    return None if blob is None else decode_snapshot(blob)
-
-
 def export_server_state(server: Automaton) -> Dict[str, Dict[str, Any]]:
     """Every register's durable state: register id → state dict.
 
-    What a snapshot holds: every register the server holds state for,
-    resident or spilled (:func:`held_register_ids`).  Compaction does not
-    call this — it exports only the registers that changed
+    What a snapshot holds: every register the server holds state for, in
+    :func:`held_register_ids` order — a resident automaton's export, a
+    spilled register's chunk decoded.  Compaction does not call this — it
+    hands the store the chunks of only the registers that changed
     (:meth:`DurableServer._snapshot_delta`) — but its files are byte for byte
     the encoding of this function's result, which is what the tests compare
     them against.
     """
     router = unwrap(server)
-    return {
-        register_id: _held_state(router, register_id)  # type: ignore[misc]
-        for register_id in held_register_ids(router)
+    state = {
+        register_id: storage.export_state()  # type: ignore[attr-defined]
+        for register_id, storage in storage_registers(router).items()
     }
+    for register_id, chunk in getattr(router, "spilled", {}).items():
+        state[register_id] = decode_register(register_id, chunk)
+    return state
 
 
 def _storage(router: Automaton, register_id: str) -> Optional[Automaton]:
@@ -207,17 +200,16 @@ class DurableServer(Automaton):
         self._registers: Optional[Dict[str, Automaton]] = getattr(
             self._router, "registers", None
         )
-        # Compaction costs what changed: the snapshot store keeps the encoded
-        # bytes of every register and is handed only those that moved since
-        # the last snapshot — the ones the router held after a message or a
-        # timer reached them (input, not "a WAL record was written": a READ
-        # moves read_ts/frozen, which snapshots carry and the WAL does not)
-        # and the ones it admitted, with or without a message.  One the
-        # router spilled since then is re-encoded from its spilled frame if it
-        # moved first; if not, its cached bytes are what it spilled.  The
-        # store of a new incarnation has no bytes yet, so every register held
-        # now, resident or spilled, counts as moved.
-        self._touched: Set[str] = set(held_register_ids(self._router))
+        # Compaction costs what changed: the snapshot store keeps the chunk
+        # of every register and is handed a new one only for the resident
+        # registers that moved since the last snapshot — the ones the router
+        # held after a message or a timer reached them (input, not "a WAL
+        # record was written": a READ moves read_ts/frozen, which snapshots
+        # carry and the WAL does not) and the ones it admitted, with or
+        # without a message.  A spilled register's chunk is its spill, handed
+        # over as it is.  The store of a new incarnation has no chunks yet,
+        # so every resident register counts as moved.
+        self._touched: Set[str] = set(self._registers or ())
         if self._registers is not None:
             self._router.on_admission = self._touched.add
         # When set (inside an append_batch() scope), records accumulate here
@@ -299,18 +291,22 @@ class DurableServer(Automaton):
 
     def _snapshot_delta(self) -> SnapshotDelta:
         """What the snapshot store needs to write a complete snapshot: the
-        exported state of the registers that moved since the last one, and
-        every held register id in snapshot order (an LRU touch reorders it).
-        A single-register server is one register that always moved."""
+        chunk of every resident register that moved since the last one and
+        of every spilled register (its spill, the same object), and every
+        held register id in snapshot order (an LRU touch reorders it).  A
+        single-register server is one register that always moved."""
         router = self._router
-        held = held_register_ids(router)
-        moved: Iterable[str] = held if self._registers is None else self._touched
-        changed: Dict[str, Any] = {}
-        for register_id in moved:
-            state = _held_state(router, register_id)
-            if state is not None:  # None: moved, then dropped
-                changed[register_id] = state
-        return changed, held
+        registers = self._registers
+        if registers is None:
+            return {"": encode_register("", router.export_state())}, [""]
+        changed: Dict[str, bytes] = {}
+        for register_id in self._touched:
+            inner = registers.get(register_id)
+            if inner is not None:  # not spilled or dropped since it moved
+                state = unwrap(inner).export_state()  # type: ignore[attr-defined]
+                changed[register_id] = encode_register(register_id, state)
+        changed.update(router.spilled)
+        return changed, held_register_ids(router)
 
     def _stamp(self, effects: Effects) -> Effects:
         """Stamp outgoing messages with this incarnation's epoch (the rest of

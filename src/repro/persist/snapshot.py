@@ -10,10 +10,11 @@ whatever records were logged after it.  Both halves are monotone over the
 
 A snapshot is always *complete*, but taking one costs what changed: the
 encoded state is a dict, a dict encodes as the concatenation of its items,
-and :class:`FileSnapshot` keeps each register's item bytes — so a compaction
-re-encodes only the registers its caller names as changed and assembles the
-rest from the bytes it already holds.  The file is byte for byte
-``encode_snapshot(full state)``.
+and one register's item is its durable bytes (:func:`encode_register`, also
+what a bounded server spills an evicted register as).  :class:`FileSnapshot`
+keeps each register's chunk, so a compaction hands over only the chunks of
+the registers that changed and the rest are the bytes it already holds.  The
+file is byte for byte ``encode_snapshot(full state)``.
 
 :class:`FileSnapshot` writes atomically (temp file + ``os.replace`` on the OS
 disk, :meth:`~repro.persist.disk.OSDisk.write_atomically`) so a crash
@@ -31,10 +32,10 @@ from ..wire.codec import decode_payload, encode_dict_item, encode_payload, join_
 from .disk import OS_DISK, Disk
 from .wal import WriteAheadLog, frame_payload, unframe_payload
 
-#: What a compaction hands the store: the exported state of the registers
-#: that changed since the last snapshot, and every live register id in
-#: snapshot order.
-SnapshotDelta = Tuple[Mapping[str, Any], Sequence[str]]
+#: What a compaction hands the store: the chunk (:func:`encode_register`) of
+#: every register that changed since the last snapshot, and every live
+#: register id in snapshot order.
+SnapshotDelta = Tuple[Mapping[str, bytes], Sequence[str]]
 
 
 class SnapshotCorruptError(Exception):
@@ -59,32 +60,43 @@ def decode_snapshot(data: bytes) -> Optional[Any]:
         return None
 
 
+def encode_register(register_id: str, state: Any) -> bytes:
+    """A register's durable bytes: the chunk its id and exported *state*
+    contribute to an encoded snapshot (:func:`~repro.wire.codec.join_dict_items`
+    joins chunks into the file's payload)."""
+    return encode_dict_item(register_id, state)
+
+
+def decode_register(register_id: str, chunk: bytes) -> Any:
+    """The state :func:`encode_register` wrote into *chunk*."""
+    return decode_payload(join_dict_items([chunk]))[register_id]
+
+
 class FileSnapshot:
     """Atomic, checksummed snapshot storage: one file on *disk*.
 
-    ``save`` takes the state of the registers that *changed* since the
-    previous save plus the ids of all *live* registers in snapshot order
-    (omitted: exactly the changed ones — a full snapshot is "every register
-    changed"); the unchanged rest comes from the bytes this object kept, so
-    every id in *live* must have been in some earlier *changed*.  ``load``
-    returns the complete state, or ``None`` when no snapshot has been taken
-    yet.
+    ``save`` takes the chunk (:func:`encode_register`) of every register
+    that *changed* since the previous save plus the ids of all *live*
+    registers in snapshot order (omitted: exactly the changed ones — a full
+    snapshot is "every register changed"); the unchanged rest comes from the
+    chunks this object kept, so every id in *live* must have been in some
+    earlier *changed*.  ``load`` returns the complete state, or ``None`` when
+    no snapshot has been taken yet.
     """
 
     def __init__(self, path: str, disk: Disk = OS_DISK) -> None:
         self.path = path
         self.disk = disk
-        #: Register id → the bytes its item contributes to the encoded state.
+        #: Register id → its chunk, as handed to :meth:`save`.
         self._chunks: Dict[str, bytes] = {}
         #: Byte length of the file this object last wrote or loaded (0: none).
         self.size = 0
 
     def save(
-        self, changed: Mapping[str, Any], live: Optional[Sequence[str]] = None
+        self, changed: Mapping[str, bytes], live: Optional[Sequence[str]] = None
     ) -> None:
         chunks = self._chunks
-        for register_id, state in changed.items():
-            chunks[register_id] = encode_dict_item(register_id, state)
+        chunks.update(changed)
         if live is None:
             live = list(changed)
         if len(chunks) != len(live):  # registers left since the last save

@@ -34,10 +34,9 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
 from ..core.automaton import TIMER_SEPARATOR, Automaton, ClientAutomaton, Effects
 from ..core.protocol import ProtocolSuite, RegisterSpec
 from ..lease.server import LeaseServer, WriterLeaseServer
-from ..persist.durable import notify_recovered
-from ..persist.snapshot import decode_snapshot, encode_snapshot
+from ..persist.durable import notify_recovered, unwrap
+from ..persist.snapshot import decode_register, encode_register
 from ..sim.byzantine import ByzantineStrategy, MaliciousServer, check_byzantine_servers
-from .keyspace import export_register_state, restore_register_state
 
 #: A factory materializing the automaton for a register on demand, or ``None``
 #: when the register does not (or no longer does) exist in the suite.
@@ -122,13 +121,18 @@ class ShardedServer(_RegisterRouter, Automaton):
     """One physical server hosting per-register server automata.
 
     A **dynamic keyspace** host: a message for a register it does not hold
-    faults it in through *factory* (admission).  With *max_resident* set the
-    resident table is LRU-bounded: admitting past the bound spills the coldest
-    evictable register into ``spilled`` as an encoded snapshot frame, and its
-    next message faults it back in and pops the frame — a register is
-    resident or spilled, never both.  The spill is this incarnation's
-    memory, lost in a crash like the resident table; a durable server's
-    snapshot and WAL hold both, and recovery rebuilds both from them.
+    faults it in through *factory* (admission) — the lazy
+    ``StorageServer._ensure_reader`` admission, applied to whole registers.
+    With *max_resident* set the resident table is LRU-bounded: admitting past
+    the bound spills the coldest evictable register into ``spilled`` as its
+    snapshot chunk (:func:`~repro.persist.snapshot.encode_register` of its
+    storage automaton's export, the bytes a snapshot file joins), so a cold
+    register costs a few dozen bytes instead of a live automaton.  Its next
+    message faults it back in: a fresh automaton from *factory* restores the
+    popped chunk, so a register is resident or spilled, never both.  The
+    spill is this incarnation's memory, lost in a crash like the resident
+    table; a durable server's snapshot holds the same chunks and its WAL the
+    pairs since, and recovery rebuilds both from them.
     """
 
     #: Called with the id of every register admitted (a wrapper that tracks
@@ -147,13 +151,11 @@ class ShardedServer(_RegisterRouter, Automaton):
         evictable: Optional[Callable[[str], bool]] = None,
     ) -> None:
         super().__init__(server_id)
-        if max_resident is not None and max_resident < 1:
-            raise ValueError("max_resident must be at least 1")
         self.registers = {}
         self.factory = factory
         #: Memory bound on the resident table; ``None`` never evicts.
         self.max_resident = max_resident
-        #: Register id → the encoded snapshot frame of an evicted register.
+        #: Register id → the snapshot chunk of an evicted register.
         self.spilled: Dict[str, bytes] = {}
         #: Predicate excluding registers from eviction (leased registers hold
         #: volatile grant state an eviction would forget, so suites pin them).
@@ -165,9 +167,9 @@ class ShardedServer(_RegisterRouter, Automaton):
 
         A non-resident register is materialized through the suite's factory
         (``None`` when the suite does not know the id — e.g. it was dropped)
-        and, if it was evicted earlier, rehydrated from its spilled frame
-        before use.  Admission past ``max_resident`` evicts the coldest
-        evictable resident register.
+        and, if it was evicted earlier, restores its spilled chunk before
+        use.  Admission past ``max_resident`` evicts the coldest evictable
+        resident register.
         """
         inner = self.registers.get(register_id)
         if inner is not None:
@@ -177,9 +179,10 @@ class ShardedServer(_RegisterRouter, Automaton):
         inner = self.factory(register_id)
         if inner is None:
             return None
-        blob = self.spilled.pop(register_id, None)
-        if blob is not None:
-            restore_register_state(inner, decode_snapshot(blob))
+        chunk = self.spilled.pop(register_id, None)
+        if chunk is not None:
+            state = decode_register(register_id, chunk)
+            unwrap(inner).restore_state(state)  # type: ignore[attr-defined]
             self.rehydrations += 1
         if self.recovered:
             notify_recovered(inner)
@@ -216,8 +219,9 @@ class ShardedServer(_RegisterRouter, Automaton):
             )
             if victim is None:  # everything resident is pinned
                 return
-            self.spilled[victim] = encode_snapshot(
-                export_register_state(self.registers.pop(victim))
+            storage = unwrap(self.registers.pop(victim))
+            self.spilled[victim] = encode_register(
+                victim, storage.export_state()  # type: ignore[attr-defined]
             )
             self.evictions += 1
 

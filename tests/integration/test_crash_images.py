@@ -16,17 +16,21 @@ directory.  An image identical to an earlier one of the same server is
 recovered once.
 
 The same patched ``os.fsync`` also checks the write-ahead discipline itself:
-a server may send a frame only while every byte its WAL holds is synced.
+a server may send a frame only while every byte its WAL holds is synced; and
+a snapshot's rename is made durable (its directory fsync'd) before the log it
+superseded is truncated.
 """
 
 import asyncio
 import os
+import stat
 from collections import Counter
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
+from repro.persist.disk import OSAppendFile
 from repro.persist.durable import export_server_state, make_durable
 from repro.runtime.cluster import ShardedAsyncCluster
 from repro.store.sharding import ShardedProtocol
@@ -187,3 +191,54 @@ def test_a_server_sends_only_while_its_wal_is_synced(tmp_path, monkeypatch):
     assert not unsynced_sends, unsynced_sends[:3]
     assert all(sends[server_id] >= WRITES for server_id in paths)
     assert all(node.automaton.snapshots.compactions for node in store.server_nodes.values())
+
+
+def test_a_snapshot_rename_is_made_durable_before_its_log_is_truncated(tmp_path, monkeypatch):
+    """Truncating the log a snapshot superseded is an in-place write that
+    survives a power failure; the ``os.replace`` that installed the snapshot
+    survives only once its directory is fsync'd.  So after every snapshot
+    replace, a directory fsync comes before that server's WAL is truncated."""
+    wal_dir = str(tmp_path)
+    store = ShardedAsyncCluster(
+        BASE, keys=KEYS, durable=True, wal_dir=wal_dir, compact_every=COMPACT_EVERY
+    )
+    events = []
+    real_fsync, real_replace, real_truncate = os.fsync, os.replace, OSAppendFile.truncate
+
+    def fsync(fd):
+        real_fsync(fd)
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            events.append(("directory fsync", os.fstat(fd).st_ino))
+
+    def replace(source, destination):
+        real_replace(source, destination)
+        events.append(("replace", destination))
+
+    def truncate(handle, length):
+        events.append(("truncate", handle._file.name))
+        real_truncate(handle, length)
+
+    async def scenario():
+        async with store:
+            for index in range(WRITES):
+                key = KEYS[index % len(KEYS)]
+                await store.write(key, f"{key}-{index}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", fsync)
+        patch.setattr(os, "replace", replace)
+        patch.setattr(OSAppendFile, "truncate", truncate)
+        asyncio.run(scenario())
+    directory_fsync = ("directory fsync", os.stat(wal_dir).st_ino)
+    checked = 0
+    for index, (kind, path) in enumerate(events):
+        if kind != "replace" or not path.endswith(".snapshot"):
+            continue
+        log_truncate = ("truncate", path.removesuffix(".snapshot") + ".wal")
+        until = next(
+            (later for later in range(index, len(events)) if events[later] == log_truncate), None
+        )
+        if until is not None:
+            assert directory_fsync in events[index:until], (path, events[index:until])
+            checked += 1
+    assert checked >= len(store.server_nodes) * 2  # every server compacted twice or more

@@ -14,8 +14,10 @@ records, whatever it weighs against the snapshot, so each compaction falls
 where the case counts it.
 """
 
+import gc
 import os
 import tempfile
+import tracemalloc
 from collections import defaultdict
 from typing import Dict, List
 
@@ -27,12 +29,14 @@ from repro.core.config import SystemConfig
 from repro.core.messages import PreWrite, Read, Write
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import FreezeDirective, TimestampValue
+from repro.persist import durable as durable_module
 from repro.persist.disk import OS_DISK, MemoryDisk, OSDisk
 from repro.persist.durable import (
     export_server_state,
     held_register_ids,
     make_durable,
     storage_registers,
+    unwrap,
 )
 from repro.persist.snapshot import FileSnapshot, encode_snapshot
 from repro.sim.failures import FailureSchedule
@@ -49,7 +53,8 @@ def check_every_save(patch, owners, key) -> Dict[object, List[float]]:
     export of the durable server that owns the store — the one of
     ``owners()`` at that moment whose snapshot manager holds it, so a
     recovered incarnation's new store is checked too.  Returns ``key(server)``
-    → the share of registers re-encoded per compaction."""
+    → the share of registers re-encoded per compaction: a changed chunk that
+    is the router's spill was handed over, not encoded."""
     original = FileSnapshot.save
     shares: Dict[object, List[float]] = defaultdict(list)
 
@@ -65,7 +70,13 @@ def check_every_save(patch, owners, key) -> Dict[object, List[float]]:
         assert loaded == expected
         assert list(loaded) == list(expected)  # same register order
         assert store.disk.read(store.path) == encode_snapshot(expected)
-        shares[key(durable)].append(len(changed) / max(1, len(live)))
+        spilled = getattr(unwrap(durable.inner), "spilled", {})
+        encoded = [
+            register_id
+            for register_id, chunk in changed.items()
+            if chunk is not spilled.get(register_id)
+        ]
+        shares[key(durable)].append(len(encoded) / max(1, len(live)))
 
     patch.setattr(FileSnapshot, "save", save)
     return shares
@@ -284,6 +295,76 @@ def test_keyspace_churn_between_compactions(driver):
     for _ in range(3):
         d.apply(("pw", resident[-1], None))
     assert d.shares[0][-1] == 1 / 5
+
+
+def spilling_server(keys, max_resident):
+    """A durable bounded server on a memory disk that compacts only when
+    told (``compact()``), with every register of *keys* written once."""
+    suite = ShardedProtocol(LuckyAtomicProtocol(CONFIG), keys, max_resident=max_resident)
+    return make_durable(suite.create_server("s1"), "", compact_every=10**9, disk=MemoryDisk())
+
+
+def pre_write(server, key, ts):
+    server.handle_message(
+        PreWrite(
+            sender="w",
+            register_id=key,
+            ts=ts,
+            pw=TimestampValue(ts, f"{key}@{ts}"),
+            w=TimestampValue(ts - 1, f"{key}@{ts - 1}"),
+        )
+    )
+
+
+def test_a_compaction_hands_over_every_spill_and_encodes_none(monkeypatch):
+    """A spilled register's snapshot chunk is its spill: a compaction encodes
+    only resident registers, and afterwards the store and the router hold one
+    ``bytes`` object per cold register."""
+    server = spilling_server(KEYS, max_resident=2)
+    router = unwrap(server)
+    check_every_save(monkeypatch, lambda: [server], lambda durable: "s1")
+    encoded = []
+    encode = durable_module.encode_register
+
+    def counting(register_id, state):
+        encoded.append(register_id)
+        return encode(register_id, state)
+
+    monkeypatch.setattr(durable_module, "encode_register", counting)
+    for ts in (1, 2):
+        for key in KEYS:
+            pre_write(server, key, ts)
+        encoded.clear()
+        server.compact()
+        assert len(router.spilled) == 3
+        assert set(encoded) <= set(router.registers)  # no spilled register
+        chunks = server.snapshots.store._chunks
+        for register_id, chunk in router.spilled.items():
+            assert chunks[register_id] is chunk
+
+
+def test_a_spilled_register_costs_a_durable_server_at_most_300_bytes():
+    # What a cold register costs once the snapshot holds it: its spill and
+    # the store's chunk are one object.  Counted: what the program
+    # allocated while every register was written once and compacted, and
+    # still holds, over the registers spilled.
+    keys = [f"k{index}" for index in range(2000)]
+    server = spilling_server(keys, max_resident=16)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for key in keys:
+            pre_write(server, key, 1)
+        server.compact()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    spilled = len(unwrap(server).spilled)
+    assert spilled == len(keys) - 16
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert grown / spilled <= 300
 
 
 def test_fresh_admissions_cost_themselves_not_the_table(driver):

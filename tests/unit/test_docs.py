@@ -59,7 +59,8 @@ _METRIC = re.compile(r"`([a-z]+\.[a-z0-9_]+)`")
 #: tests called, the static analyzer, its subcommand and its suppression
 #: comments, and the second roads to a client automaton: the single-register
 #: lease suite, the per-capability factories, the keyed client node and its
-#: class hook, and the simulator's switch for the timer it derives.
+#: class hook, and the simulator's switch for the timer it derives; and the
+#: second export/restore path of a spilled register.
 _RETIRED_NAMES = (
     "hotpath",
     "uvloop",
@@ -108,6 +109,8 @@ _RETIRED_NAMES = (
     "ShardedClientNode",
     "CLIENT_NODE_CLASS",
     "auto_timer",
+    "export_register_state",
+    "restore_register_state",
 )
 
 

@@ -19,7 +19,12 @@ from repro.persist.durable import (
     restore_server_state,
     storage_registers,
 )
-from repro.persist.snapshot import FileSnapshot, SnapshotCorruptError, SnapshotManager
+from repro.persist.snapshot import (
+    FileSnapshot,
+    SnapshotCorruptError,
+    SnapshotManager,
+    encode_register,
+)
 from repro.persist.wal import WalRecord, WriteAheadLog, encode_frame, tear_tail
 from repro.store.sharding import ShardedProtocol
 from repro.core.protocol import LuckyAtomicProtocol
@@ -250,7 +255,7 @@ class TestMakeDurable:
     def test_snapshot_plus_suffix(self):
         disk = MemoryDisk()
         FileSnapshot("s1.snapshot", disk=disk).save(
-            {"": {"pw": pair(3), "w": pair(3), "vw": pair(3)}}
+            {"": encode_register("", {"pw": pair(3), "w": pair(3), "vw": pair(3)})}
         )
         WriteAheadLog("s1.wal", disk=disk).append(
             [

@@ -23,6 +23,7 @@ from repro.persist.snapshot import (
     SnapshotCorruptError,
     SnapshotManager,
     decode_snapshot,
+    encode_register,
     encode_snapshot,
 )
 from repro.persist.wal import WalRecord, WriteAheadLog, encode_frame, tear_tail
@@ -261,24 +262,29 @@ def snapshot_path(tmp_path):
     return str(tmp_path / "s1.snapshot")
 
 
+def chunks(state):
+    """What ``FileSnapshot.save`` takes for *state*: each register's chunk."""
+    return {key: encode_register(key, value) for key, value in state.items()}
+
+
 class TestSnapshots:
     def test_file_snapshot_round_trip(self, disk, snapshot_path):
         store = FileSnapshot(snapshot_path, disk=disk)
         assert store.load() is None
         state = {"": {"pw": TimestampValue(3, "v3")}}
-        store.save(state)
+        store.save(chunks(state))
         assert store.load() == state
 
     def test_corrupt_snapshot_is_refused_not_read_as_missing(self, disk, snapshot_path):
         store = FileSnapshot(snapshot_path, disk=disk)
-        store.save({"x": 1})
+        store.save(chunks({"x": 1}))
         data = disk.read(snapshot_path)
         disk.write_atomically(snapshot_path, data[:-1] + bytes([data[-1] ^ 0xFF]))
         with pytest.raises(SnapshotCorruptError):
             store.load()
 
     def test_truncated_snapshot_is_refused_not_read_as_missing(self, disk, snapshot_path):
-        FileSnapshot(snapshot_path, disk=disk).save({"x": 1})
+        FileSnapshot(snapshot_path, disk=disk).save(chunks({"x": 1}))
         disk.write_atomically(snapshot_path, disk.read(snapshot_path)[:5])
         with pytest.raises(SnapshotCorruptError):
             FileSnapshot(snapshot_path, disk=disk).load()
@@ -297,7 +303,7 @@ class TestSnapshots:
 
         def delta(state):
             asked.append(state)
-            return {"": {"state": state}}, [""]
+            return chunks({"": {"state": state}}), [""]
 
         assert not manager.maybe_compact(lambda: delta("a"))
         assert asked == []  # the delta is only computed when a compaction is due
@@ -311,15 +317,16 @@ class TestSnapshots:
         disk = MemoryDisk()
         wal = WriteAheadLog("s1.wal", disk=disk)
         store = FileSnapshot("s1.snapshot", disk=disk)
-        store.save({"": {"state": "x" * 200}})
+        store.save(chunks({"": {"state": "x" * 200}}))
         assert store.size == len(disk.read("s1.snapshot"))
         manager = SnapshotManager(store, wal, compact_every=1)
         state = {"": {"state": "y"}}, [""]
+        delta = chunks(state[0]), state[1]
         while wal.byte_length + len(encode_frame(record(1))) < store.size:
             wal.append([record(1)])
-            assert not manager.maybe_compact(lambda: state)
+            assert not manager.maybe_compact(lambda: delta)
         wal.append([record(1)])  # the first append that outweighs it
-        assert manager.maybe_compact(lambda: state)
+        assert manager.maybe_compact(lambda: delta)
         assert store.size == len(disk.read("s1.snapshot")) < 100
         # A loaded store weighs the file it read.
         loaded = FileSnapshot("s1.snapshot", disk=disk)
@@ -337,17 +344,17 @@ class TestSnapshots:
         manager = SnapshotManager(FailingStore("s1.snapshot", disk=disk), wal, compact_every=1)
         wal.append([record(1)])
         with pytest.raises(OSError):
-            manager.maybe_compact(lambda: ({"": {}}, [""]))
+            manager.maybe_compact(lambda: (chunks({"": {}}), [""]))
         assert wal.replay() == [record(1)]  # snapshot-before-reset: nothing was lost
         assert manager.compactions == 0
 
     def test_save_merges_changed_registers_into_the_kept_rest(self, disk, snapshot_path):
         store = FileSnapshot(snapshot_path, disk=disk)
-        store.save({"k1": {"pw": 1}, "k2": {"pw": 2}, "k3": {"pw": 3}})
-        store.save({"k2": {"pw": 20}}, ["k1", "k2", "k3"])
+        store.save(chunks({"k1": {"pw": 1}, "k2": {"pw": 2}, "k3": {"pw": 3}}))
+        store.save(chunks({"k2": {"pw": 20}}), ["k1", "k2", "k3"])
         assert store.load() == {"k1": {"pw": 1}, "k2": {"pw": 20}, "k3": {"pw": 3}}
         # Order is the live list's, and a register that left is forgotten.
-        store.save({"k4": {"pw": 4}}, ["k3", "k4", "k1"])
+        store.save(chunks({"k4": {"pw": 4}}), ["k3", "k4", "k1"])
         assert list(store.load().items()) == [
             ("k3", {"pw": 3}),
             ("k4", {"pw": 4}),

@@ -15,6 +15,7 @@ from repro.persist.snapshot import (
     FileSnapshot,
     SnapshotCorruptError,
     decode_snapshot,
+    encode_register,
     encode_snapshot,
 )
 from repro.persist.wal import (
@@ -79,7 +80,7 @@ class TestSnapshotPayloads:
     def test_binary_snapshot_roundtrip(self, tmp_path):
         path = tmp_path / "new.snapshot"
         snapshot = FileSnapshot(str(path))
-        snapshot.save(STATE)
+        snapshot.save({key: encode_register(key, value) for key, value in STATE.items()})
         assert snapshot.load() == STATE
         assert path.read_bytes()[8:10] == MAGIC
         assert decode_snapshot(encode_snapshot(STATE)) == STATE
